@@ -103,13 +103,15 @@ type runCursor2 struct {
 }
 
 func (c *runCursor2) load(p *sim.Proc, m *Machine, reader *nose.Node) bool {
-	for c.cache == nil || c.slot >= len(c.cache) {
+	// slot >= len(cache) also covers "nothing loaded yet" (nil cache) and an
+	// empty page, so the page buffer can be reused from one page to the next.
+	for c.slot >= len(c.cache) {
 		if c.page >= c.run.file.Pages() {
 			return false
 		}
 		pg := c.run.file.ReadPage(p, c.page)
 		m.Net.TransferBulk(p, c.run.owner, reader, m.Prm.PageBytes)
-		c.cache = pg.LiveTuples(nil)
+		c.cache = pg.LiveTuples(c.cache[:0])
 		c.page++
 		c.slot = 0
 	}

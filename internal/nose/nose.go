@@ -287,9 +287,16 @@ func (nd *Node) dropNext() bool {
 // Port is a well-known mailbox on a node. Operator processes receive their
 // input streams and control packets through ports.
 type Port struct {
-	node   *Node
-	name   string
+	node *Node
+	name string
+	// queue[head:] holds the undelivered messages in arrival order. Recv
+	// zeroes the slot it pops and advances head, and the backing array is
+	// recycled each time the queue drains (the idiom of sim.WaitQ) or fills
+	// up with consumed slots, so a consumed message is not kept reachable
+	// and a steady stream does not make deliver's append reallocate for the
+	// life of the port.
 	queue  []Message
+	head   int
 	recvq  *sim.WaitQ
 	closed bool
 }
@@ -317,12 +324,12 @@ func (pt *Port) Close() {
 		return
 	}
 	pt.closed = true
-	for _, m := range pt.queue {
+	for _, m := range pt.queue[pt.head:] {
 		if m.release != nil {
 			m.release()
 		}
 	}
-	pt.queue = nil
+	pt.queue, pt.head = nil, 0
 }
 
 // Closed reports whether the port has been closed.
@@ -335,7 +342,7 @@ func (pt *Port) Node() *Node { return pt.node }
 func (pt *Port) Name() string { return pt.name }
 
 // Pending returns the number of queued, undelivered messages.
-func (pt *Port) Pending() int { return len(pt.queue) }
+func (pt *Port) Pending() int { return len(pt.queue) - pt.head }
 
 // deliver enqueues m and wakes one waiting receiver. Kernel context, on the
 // port's shard. Delivery to a closed port drops the message, immediately
@@ -347,6 +354,14 @@ func (pt *Port) deliver(m Message) {
 		}
 		return
 	}
+	if pt.head > 0 && pt.head >= len(pt.queue)/2 && len(pt.queue) == cap(pt.queue) {
+		// Full, and at least half of it is consumed slots: slide the backlog
+		// down instead of growing, so a port that never quite drains stays
+		// as small as its backlog.
+		n := copy(pt.queue, pt.queue[pt.head:])
+		clear(pt.queue[n:])
+		pt.queue, pt.head = pt.queue[:n], 0
+	}
 	pt.queue = append(pt.queue, m)
 	pt.recvq.WakeOne()
 }
@@ -355,11 +370,15 @@ func (pt *Port) deliver(m Message) {
 // remote data message charges the protocol-processing CPU cost to p, once
 // per wire packet the message occupied.
 func (pt *Port) Recv(p *sim.Proc) Message {
-	for len(pt.queue) == 0 {
+	for pt.Pending() == 0 {
 		pt.recvq.Park(p)
 	}
-	m := pt.queue[0]
-	pt.queue = pt.queue[1:]
+	m := pt.queue[pt.head]
+	pt.queue[pt.head] = Message{}
+	pt.head++
+	if pt.head == len(pt.queue) {
+		pt.queue, pt.head = pt.queue[:0], 0
+	}
 	if m.From != nil && m.From != pt.node && m.Kind == Data {
 		np := m.packets
 		if np < 1 {
@@ -380,8 +399,8 @@ func (pt *Port) Recv(p *sim.Proc) Message {
 func (pt *Port) RecvTimeout(p *sim.Proc, d sim.Dur) (Message, bool) {
 	sh := pt.node.Part
 	deadline := sh.Now() + d
-	for len(pt.queue) == 0 {
-		if !pt.recvq.ParkTimeout(p, deadline-sh.Now()) && len(pt.queue) == 0 {
+	for pt.Pending() == 0 {
+		if !pt.recvq.ParkTimeout(p, deadline-sh.Now()) && pt.Pending() == 0 {
 			return Message{}, false
 		}
 	}
@@ -390,7 +409,7 @@ func (pt *Port) RecvTimeout(p *sim.Proc, d sim.Dur) (Message, bool) {
 
 // TryRecv returns a queued message without blocking, if one is available.
 func (pt *Port) TryRecv(p *sim.Proc) (Message, bool) {
-	if len(pt.queue) == 0 {
+	if pt.Pending() == 0 {
 		return Message{}, false
 	}
 	return pt.Recv(p), true

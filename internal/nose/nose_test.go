@@ -209,3 +209,82 @@ func TestNodeSpoolAssignment(t *testing.T) {
 		t.Error("diskless node should start with no drive and no spool target")
 	}
 }
+
+// TestPortQueueOrderAndReuse drives a port's queue through a backlog that
+// never drains and then through drain/refill cycles: messages come out in
+// arrival order, a consumed slot no longer references its message, and the
+// backing array stays as small as the backlog instead of growing with the
+// number of messages that ever passed through.
+func TestPortQueueOrderAndReuse(t *testing.T) {
+	s, n := testNet(t, 1)
+	nd := n.Nodes()[0]
+	port := nd.NewPort("p")
+	const total, backlog = 10000, 5
+	s.Spawn("p", func(p *sim.Proc) {
+		next := 0
+		recv := func() {
+			m := port.Recv(p)
+			if m.Payload.(int) != next {
+				t.Fatalf("received %v, want %d", m.Payload, next)
+			}
+			next++
+		}
+		for i := 0; i < total; i++ {
+			port.deliver(Message{Kind: Data, Payload: i})
+			if i >= backlog {
+				recv()
+			}
+		}
+		if got := port.Pending(); got != backlog {
+			t.Errorf("Pending = %d, want %d", got, backlog)
+		}
+		if c := cap(port.queue); c > 8*backlog {
+			t.Errorf("queue capacity %d after %d messages with a backlog of %d", c, total, backlog)
+		}
+		for _, m := range port.queue[:port.head] {
+			if m.Payload != nil {
+				t.Errorf("consumed slot still holds payload %v", m.Payload)
+			}
+		}
+		for port.Pending() > 0 {
+			recv()
+		}
+		if port.head != 0 || len(port.queue) != 0 {
+			t.Errorf("drained queue not recycled: head %d, len %d", port.head, len(port.queue))
+		}
+		// Drain/refill: the array is reused from slot 0.
+		c0 := cap(port.queue)
+		for i := 0; i < 1000; i++ {
+			port.deliver(Message{Kind: Data, Payload: next})
+			recv()
+		}
+		if cap(port.queue) != c0 {
+			t.Errorf("drain/refill grew the queue: cap %d -> %d", c0, cap(port.queue))
+		}
+	})
+	s.Run()
+}
+
+// TestPortCloseReleasesOnlyPending: Close returns the credits of the
+// messages still queued, not of those already received.
+func TestPortCloseReleasesOnlyPending(t *testing.T) {
+	s, n := testNet(t, 1)
+	port := n.Nodes()[0].NewPort("p")
+	released := make([]int, 3)
+	s.Spawn("p", func(p *sim.Proc) {
+		for i := range released {
+			port.deliver(Message{Kind: Data, Payload: i, release: func() { released[i]++ }})
+		}
+		port.Recv(p)
+		port.Close()
+	})
+	s.Run()
+	for i, n := range released {
+		if n != 1 {
+			t.Errorf("message %d released %d times, want 1", i, n)
+		}
+	}
+	if port.Pending() != 0 {
+		t.Errorf("Pending after Close = %d", port.Pending())
+	}
+}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -76,6 +77,88 @@ func BenchmarkWaitQPingPong(b *testing.B) {
 		}
 	})
 	s.Run()
+}
+
+// atGOMAXPROCS runs fn as sub-benchmarks at GOMAXPROCS 1 and 2: a hand-off
+// that stays a coroutine switch costs the same at both, one that goes
+// through the scheduler pays a cross-thread wake-up at 2.
+func atGOMAXPROCS(b *testing.B, fn func(b *testing.B)) {
+	for _, procs := range []int{1, 2} {
+		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			fn(b)
+		})
+	}
+}
+
+// BenchmarkHandoffLockstep has 64 processes sleep in lock step, the shape of
+// the ledger's sim.handoff_ns_per_switch probe: every Sleep is one park and
+// one resume through the kernel loop. One iteration is one Sleep.
+func BenchmarkHandoffLockstep(b *testing.B) {
+	atGOMAXPROCS(b, func(b *testing.B) {
+		const procs = 64
+		s := New()
+		for i := 0; i < procs; i++ {
+			s.Spawn("sleeper", func(p *Proc) {
+				for j := 0; j < b.N/procs; j++ {
+					p.Sleep(1)
+				}
+			})
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		s.Run()
+	})
+}
+
+// BenchmarkSpawn measures spawn + first resume + exit of a process whose
+// body does nothing, 100 per simulated tick so the goroutines alive at any
+// moment stay bounded (the ledger's sim.spawn_ns probe).
+func BenchmarkSpawn(b *testing.B) {
+	atGOMAXPROCS(b, func(b *testing.B) {
+		s := New()
+		s.Spawn("spawner", func(p *Proc) {
+			for i := 0; i < b.N; i++ {
+				s.Spawn("child", func(*Proc) {})
+				if i%100 == 99 {
+					p.Sleep(1)
+				}
+			}
+		})
+		b.ReportAllocs()
+		b.ResetTimer()
+		s.Run()
+	})
+}
+
+// TestHandoffAllocs pins the allocation cost of the hand-off: a park/wake
+// cycle and a Resource.Use allocate nothing, and a Spawn allocates a bounded
+// number of objects (the Proc, its wrapper closure and iter.Pull's coroutine
+// state).
+func TestHandoffAllocs(t *testing.T) {
+	const maxPerSpawn = 16
+	s := New()
+	r := s.NewResource("r")
+	var sleep, use, spawn float64
+	s.Spawn("p", func(p *Proc) {
+		sleep = testing.AllocsPerRun(1000, func() { p.Sleep(1) })
+		use = testing.AllocsPerRun(1000, func() { r.Use(p, 1) })
+		child := func(*Proc) {}
+		spawn = testing.AllocsPerRun(1000, func() {
+			s.Spawn("child", child)
+			p.Sleep(1) // let the child run and exit
+		})
+	})
+	s.Run()
+	if sleep != 0 {
+		t.Errorf("Proc.Sleep allocates %v objects per park/wake cycle, want 0", sleep)
+	}
+	if use != 0 {
+		t.Errorf("Resource.Use allocates %v objects per call, want 0", use)
+	}
+	if spawn < 1 || spawn > maxPerSpawn {
+		t.Errorf("Spawn allocates %v objects per process, want 1..%d", spawn, maxPerSpawn)
+	}
 }
 
 // kernelLookahead is the modeled network latency of the benchmark cluster.

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"gamma/internal/trace"
-)
+import "fmt"
 
 // Adaptive shard fusion.
 //
@@ -123,9 +119,11 @@ type group struct {
 	bound    Time // exclusive window bound granted this round
 	active   int  // members with a pending event below bound this round
 
-	// fired counts the events the group fired in the current window; the
-	// worker writes it, the coordinator reads it after the barrier.
+	// fired counts the events the group fired in the current window and cur
+	// is the member firing now; the worker writes them, the coordinator
+	// reads fired after the barrier.
 	fired int
+	cur   *Shard
 
 	// Merged-execution scratch (multi-member groups only): the lazy
 	// member-order heap and the list of members that received intra-group
@@ -273,8 +271,16 @@ func (s *Sim) fusionTick() {
 
 // runGroup executes one group's window: a singleton group runs the plain
 // per-shard loop, a multi-member group the merged loop. Worker context (or
-// inline for a lone runnable group).
+// inline for a lone runnable group). A panic out of an event callback is
+// captured as the firing shard's failure, which the coordinator rethrows
+// deterministically at the barrier.
 func (s *Sim) runGroup(g *group) {
+	g.cur = g.members[0]
+	defer func() {
+		if r := recover(); r != nil {
+			g.cur.fail(fmt.Sprintf("shard%d event", g.cur.id), r)
+		}
+	}()
 	if len(g.members) == 1 {
 		sh := g.members[0]
 		sh.bound = g.bound
@@ -294,26 +300,8 @@ func (s *Sim) runGroup(g *group) {
 // least the sender's clock plus a positive floor, so it always sorts
 // strictly after the group's current merged position and the executed order
 // remains exactly the serial order restricted to the members. Everything
-// touched is group-private; a panic is captured into the firing shard's
-// failure slot for the coordinator to rethrow at the barrier.
+// touched is group-private.
 func (s *Sim) runGroupMerged(g *group) {
-	var cur *Shard
-	defer func() {
-		if r := recover(); r != nil {
-			sh := cur
-			if sh == nil {
-				sh = g.members[0]
-			}
-			if pp, ok := r.(procPanic); ok {
-				if sh.failure == nil {
-					sh.failure = pp
-				}
-			} else if sh.failure == nil {
-				sh.failure = procPanic{name: fmt.Sprintf("shard%d event", sh.id), val: r}
-			}
-		}
-	}()
-	sink := s.sink != nil
 	g.tops = g.tops[:0]
 	g.dirty = g.dirty[:0]
 	for _, sh := range g.members {
@@ -347,24 +335,9 @@ func (s *Sim) runGroupMerged(g *group) {
 		// minimum (stale entries only understate it, so the comparison may
 		// end a burst early but never misorder).
 		for {
-			e := sh.events.pop()
-			sh.now = e.at
-			cur = sh
-			if sink {
-				sh.tbuf = append(sh.tbuf, trace.Keyed{At: int64(e.at), Ord: e.ord, Sub: -1})
-				sh.firingOrd = e.ord
-				sh.emitIdx = 0
-			}
-			sh.executed++
-			sh.wEvents++
+			g.cur = sh
 			fired++
-			if e.p != nil {
-				sh.parked--
-				e.p.resume <- struct{}{}
-				<-sh.yield
-			} else {
-				e.fn()
-			}
+			s.fireWindow(sh, sh.events.pop())
 			if sh.failure != nil {
 				g.fired = fired
 				return

@@ -26,8 +26,8 @@ func checkSettled(t *testing.T, s *Sim, baseline int) {
 		if sh.parked != 0 {
 			t.Errorf("shard %d: %d processes still parked", sh.id, sh.parked)
 		}
-		if sh.procs != 0 {
-			t.Errorf("shard %d: %d process goroutines still live", sh.id, sh.procs)
+		if n := len(sh.live); n != 0 {
+			t.Errorf("shard %d: %d process goroutines still live", sh.id, n)
 		}
 	}
 	if n := settledGoroutines(baseline); n > baseline {

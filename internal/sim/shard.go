@@ -19,13 +19,11 @@ type Shard struct {
 	now    Time
 	stamp  uint64 // per-shard scheduling counter (ord source when lookahead > 0)
 
-	// Hand-off channel for this shard's process discipline: a process
-	// signals it after parking; the shard's executor blocks on it after
-	// resuming a process.
-	yield   chan struct{}
+	// Process bookkeeping: live lists the shard's processes that have not
+	// exited (Close unwinds them), parked counts those waiting for a wake.
+	live    []*Proc
 	parked  int
-	procs   int
-	failure any // panic value escaped from a process or event on this shard
+	failure *procPanic // first panic escaped from a process or event on this shard
 
 	executed uint64
 
@@ -68,7 +66,7 @@ type Shard struct {
 }
 
 func newShard(s *Sim, id int) *Shard {
-	return &Shard{id: id, s: s, yield: make(chan struct{})}
+	return &Shard{id: id, s: s}
 }
 
 // ID returns the shard's index (0 for the default shard).
@@ -181,32 +179,6 @@ func (sh *Shard) baseFloor() Dur {
 		return sh.outFloor
 	}
 	return sh.s.lookahead
-}
-
-// eot returns the shard's earliest output time ignoring floors: the
-// earliest instant it could initiate a cross-shard send — never before its
-// next pending event fires, nor before its standing promise expires.
-// infTime when the heap is empty (an idle shard initiates nothing until a
-// delivery at the next barrier wakes it).
-func (sh *Shard) eot() Time {
-	t, ok := sh.events.peek()
-	if !ok {
-		return infTime
-	}
-	if sh.quiet > t {
-		t = sh.quiet
-	}
-	return t
-}
-
-// eotPlusBase is the earliest instant a send from this shard could arrive
-// anywhere, ignoring per-channel floors.
-func (sh *Shard) eotPlusBase() Time {
-	t := sh.eot()
-	if t == infTime {
-		return infTime
-	}
-	return t + sh.baseFloor()
 }
 
 // floorTo returns the effective conservative floor on sends from sh to dst:

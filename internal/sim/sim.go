@@ -1,10 +1,11 @@
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
-// Simulated activities ("processes") are ordinary goroutines, but they run
-// under a strict hand-off discipline: within one shard, exactly one
-// goroutine — either the shard's event loop or a single process — executes
-// at any moment, so process code needs no locking and every run of a
-// simulation is deterministic. Processes advance the virtual clock only by
+// Simulated activities ("processes") are runtime coroutines (iter.Pull): the
+// kernel resumes one with next, it parks with yield, and either is a direct
+// switch between two goroutines that bypasses the Go scheduler. Within one
+// shard, exactly one of them — the shard's event loop or a single process —
+// executes at any moment, so process code needs no locking and every run is
+// deterministic. Processes advance the virtual clock only by
 // blocking in kernel primitives (Sleep, Resource.Use, WaitQ.Park); pure
 // computation takes zero simulated time unless it is explicitly charged to
 // a Resource.
@@ -39,6 +40,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 	"sync/atomic"
 
@@ -97,6 +99,7 @@ type Sim struct {
 	// barriers only, and every reader is sequenced after the write by the
 	// window dispatch channels, so it needs no atomics.
 	inWindow bool
+	closed   bool // Close was called; the simulation cannot run again
 
 	// dirty collects shards whose heaps received pushes during the current
 	// event, so the merged serial loop can refresh its shard-order heap.
@@ -209,7 +212,7 @@ func (s *Sim) emitOn(sh *Shard, e trace.Event) {
 // events are scheduled or processes spawned; AddShard then creates one
 // shard per simulated node as the model is built.
 func (s *Sim) Partition(lookahead Dur) {
-	if s.sh0.events.len() > 0 || s.sh0.procs > 0 || s.now != 0 || s.seq != 0 {
+	if s.sh0.events.len() > 0 || len(s.sh0.live) > 0 || s.now != 0 || s.seq != 0 {
 		panic("sim: Partition must be called on a fresh simulation")
 	}
 	if lookahead < 0 {
@@ -347,14 +350,19 @@ func (s *Sim) At(t Time, fn func()) {
 // After schedules fn to run d from now.
 func (s *Sim) After(d Dur, fn func()) { s.At(s.now+d, fn) }
 
-// Proc is a simulated process: a goroutine scheduled cooperatively by its
+// Proc is a simulated process: a coroutine scheduled cooperatively by its
 // home shard. All Proc methods must be called from the process's own
 // goroutine, except Kill, which is called from kernel context.
 type Proc struct {
-	sim     *Sim
-	shard   *Shard
-	name    string
-	resume  chan struct{}
+	sim   *Sim
+	shard *Shard
+	name  string
+	// The coroutine (see spawnOn): next runs the process until it parks or
+	// exits, yield parks it, stop makes a parked yield return false.
+	next    func() (struct{}, bool)
+	stop    func()
+	yield   func(struct{}) bool
+	liveIdx int // slot in shard.live; -1 once the process has exited
 	killed  bool
 	wq      *WaitQ // wait queue the process is parked on, if any
 	wqIdx   int    // slot in wq.procs, cached for O(1) removal
@@ -385,20 +393,18 @@ func (p *Proc) Tracef(format string, args ...any) {
 	}
 }
 
-// park suspends the process until some event calls wake. It transfers
-// control back to the shard's event loop.
+// park suspends the process until some event calls wake: it switches back to
+// the shard's event loop and returns at the next resume, unless the process
+// was killed or the simulation closed in the meantime.
 func (p *Proc) park() {
-	sh := p.shard
-	sh.parked++
-	sh.yield <- struct{}{}
-	<-p.resume
-	if p.killed {
+	p.shard.parked++
+	if !p.yield(struct{}{}) || p.killed {
 		panic(killSentinel{})
 	}
 }
 
-// killSentinel unwinds a killed process's stack; the spawn wrapper absorbs
-// it so a kill is a clean exit, not a simulation failure.
+// killSentinel unwinds a process that was killed or was parked at Close; the
+// spawn wrapper absorbs it so either is a clean exit, not a failure.
 type killSentinel struct{}
 
 // Kill terminates the process: if it is parked it is unwound the next time
@@ -466,58 +472,104 @@ func (s *Sim) SpawnOn(sh *Shard, name string, fn func(p *Proc)) *Proc {
 	return s.spawnOn(sh, s.now, name, fn)
 }
 
-// spawnOn starts fn as a process homed on sh, first resumed at time t.
+// spawnOn starts fn as a process homed on sh, first resumed at time t. The
+// coroutine starts lazily: the start event's resume is an ordinary wake. A
+// panic in fn becomes the shard's failure, which the kernel loop rethrows; so
+// does a runtime.Goexit, which iter.Pull also repeats in the resuming goroutine.
 func (s *Sim) spawnOn(sh *Shard, t Time, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{sim: s, shard: sh, name: name, resume: make(chan struct{})}
-	sh.procs++
-	go func() {
-		<-p.resume
+	p := &Proc{sim: s, shard: sh, name: name, liveIdx: len(sh.live)}
+	sh.live = append(sh.live, p)
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		returned := false
 		defer func() {
-			sh.procs--
-			if r := recover(); r != nil {
-				if _, wasKilled := r.(killSentinel); !wasKilled && sh.failure == nil {
-					sh.failure = procPanic{name: name, val: r}
-				}
+			sh.retire(p)
+			r := recover()
+			if r == nil && !returned {
+				r = "runtime.Goexit called"
 			}
-			sh.yield <- struct{}{}
+			if r != nil && r != any(killSentinel{}) {
+				sh.fail(name, r)
+			}
 		}()
 		if !p.killed {
 			fn(p)
 		}
-	}()
-	// The start is an ordinary wake: the goroutine above is "parked" on its
-	// resume channel until the start event fires.
+		returned = true
+	})
 	sh.parked++
 	p.wake(t)
 	return p
 }
 
+// procPanic is a shard's recorded failure.
 type procPanic struct {
 	name string
 	val  any
 }
 
-func (e procPanic) String() string { return fmt.Sprintf("process %q panicked: %v", e.name, e.val) }
+func (e *procPanic) String() string { return fmt.Sprintf("process %q panicked: %v", e.name, e.val) }
 
-// fireSerial dispatches one event of shard sh in serialized execution: a
-// wake event hands control to its process (the coalesced park/wake path —
-// no closure, no extra event), a callback event runs its function in kernel
-// context.
+// fail records a failure on the shard unless one is already recorded: a
+// second failure, such as one raised while unwinding, never masks the first.
+func (sh *Shard) fail(name string, val any) {
+	if sh.failure == nil {
+		sh.failure = &procPanic{name: name, val: val}
+	}
+}
+
+// retire takes p off its shard's list of live processes.
+func (sh *Shard) retire(p *Proc) {
+	if i := p.liveIdx; i >= 0 {
+		n := len(sh.live) - 1
+		last := sh.live[n]
+		sh.live[i], last.liveIdx = last, i
+		sh.live[n] = nil
+		sh.live = sh.live[:n]
+		p.liveIdx = -1
+	}
+}
+
+// fire dispatches one event of shard sh, in every execution mode: a wake
+// event switches to its process until it parks again or exits, a callback
+// event runs in kernel context. The only place a process is resumed.
+func (sh *Shard) fire(e event) {
+	if e.p != nil {
+		sh.parked--
+		e.p.next()
+	} else {
+		e.fn()
+	}
+}
+
+// fireSerial fires one event of shard sh in serialized execution.
 func (s *Sim) fireSerial(sh *Shard, e event) {
 	s.now = e.at
 	sh.now = e.at
 	s.cur = sh
 	s.executed++
-	if e.p != nil {
-		sh.parked--
-		e.p.resume <- struct{}{}
-		<-sh.yield
-	} else {
-		e.fn()
-	}
+	sh.fire(e)
 	if sh.failure != nil {
-		panic(sh.failure.(procPanic).String())
+		panic(sh.failure.String())
 	}
+}
+
+// fireWindow fires one event of shard sh inside a window, on its worker.
+func (s *Sim) fireWindow(sh *Shard, e event) {
+	sh.now = e.at
+	if s.sink != nil {
+		// One sentinel per firing (Sub -1, zero Event), whether or not it
+		// emits: the barrier merge replays the serialized engine's
+		// pick-the-min-pending-head loop, and a non-emitting firing still
+		// gates that comparison (see flushWindowTrace). Without a sink the
+		// sentinels are elided — the merge has nothing to replay.
+		sh.tbuf = append(sh.tbuf, trace.Keyed{At: int64(e.at), Ord: e.ord, Sub: -1})
+		sh.firingOrd = e.ord
+		sh.emitIdx = 0
+	}
+	sh.executed++
+	sh.wEvents++
+	sh.fire(e)
 }
 
 // Run executes events until none remain, then returns the final clock
@@ -525,8 +577,11 @@ func (s *Sim) fireSerial(sh *Shard, e event) {
 // > 1, shards execute conservative windows on a worker pool; in every
 // other case (the oracle path) events fire one at a time in global
 // (at, ord) order. It panics if a process panicked, or if live processes
-// remain parked with no pending events (a simulated deadlock).
+// remain parked with no pending events (a simulated deadlock); a run that
+// ends that way closes the simulation (see Close).
 func (s *Sim) Run() Time {
+	completed := false
+	defer s.endRun(&completed)
 	if s.partitioned && s.lookahead > 0 && s.workers > 1 && len(s.shards) > 1 {
 		s.runWindows()
 	} else {
@@ -536,6 +591,7 @@ func (s *Sim) Run() Time {
 		panic(fmt.Sprintf("sim: deadlock: %d process(es) parked with no pending events", n))
 	}
 	s.flushCounter()
+	completed = true
 	return s.now
 }
 
@@ -544,12 +600,43 @@ func (s *Sim) Run() Time {
 // always executes serialized (it is a debugging/driver primitive, not the
 // throughput path).
 func (s *Sim) RunUntil(deadline Time) Time {
+	completed := false
+	defer s.endRun(&completed)
 	s.runSerial(deadline)
 	if s.now < deadline {
 		s.setNow(deadline)
 	}
 	s.flushCounter()
+	completed = true
 	return s.now
+}
+
+// endRun is deferred by Run and RunUntil: a run that exits by panic or
+// Goexit abandons the simulation, so its processes are unwound.
+func (s *Sim) endRun(completed *bool) {
+	if !*completed {
+		s.Close()
+	}
+}
+
+// Close abandons the simulation: every live process — not yet started,
+// sleeping, parked on a WaitQ, queued on a Resource — is unwound as if
+// killed, so its deferred functions run and its goroutine exits. A failure
+// raised while unwinding never replaces an earlier one. Close is idempotent,
+// must be called from outside Run, and leaves the simulation unrunnable.
+func (s *Sim) Close() {
+	if s.cur != nil || s.inWindow {
+		panic("sim: Close called from inside Run")
+	}
+	s.closed = true
+	for _, sh := range s.shards {
+		for n := len(sh.live); n > 0; n = len(sh.live) {
+			p := sh.live[n-1]
+			sh.retire(p)
+			p.stop()
+		}
+		sh.parked = 0
+	}
 }
 
 // setNow advances the global clock and every shard clock to t.
@@ -567,6 +654,9 @@ func (s *Sim) setNow(t Time) {
 // the deadline. One shard uses a tight loop on its heap; several use a
 // lazy top-heap merged loop over the per-shard heaps.
 func (s *Sim) runSerial(deadline Time) {
+	if s.closed {
+		panic("sim: Run on a closed simulation")
+	}
 	defer func() { s.cur = nil }()
 	if len(s.shards) == 1 {
 		sh := s.sh0
@@ -887,6 +977,9 @@ func (s *Sim) SetWindowCounters(c *WindowCounters) { s.wcount = c }
 // barrier: the parallel phase touches only shard-private state and runs
 // with no locks at all.
 func (s *Sim) runWindows() {
+	if s.closed {
+		panic("sim: Run on a closed simulation")
+	}
 	if s.trace != nil {
 		panic("sim: SetTrace hook is serial-only; remove it before running with workers > 1")
 	}
@@ -910,16 +1003,7 @@ func (s *Sim) runWindows() {
 	for i := 0; i < nw; i++ {
 		go func() {
 			for range b.gate {
-				for {
-					k := b.next.Add(1) - 1
-					if k >= int64(len(b.queue)) {
-						break
-					}
-					s.runGroup(b.queue[k])
-				}
-				if b.pending.Add(-1) == 0 {
-					b.done <- struct{}{}
-				}
+				b.work(s)
 			}
 		}()
 	}
@@ -1059,7 +1143,7 @@ func (s *Sim) runWindows() {
 		for _, sh := range s.shards {
 			if sh.failure != nil {
 				s.flushWindowTrace(infTime)
-				panic(sh.failure.(procPanic).String())
+				panic(sh.failure.String())
 			}
 		}
 	}
@@ -1087,6 +1171,23 @@ type winBarrier struct {
 	done    chan struct{}
 }
 
+// work is one worker's share of a round: claim groups until none is left,
+// then leave the barrier — deferred, as a Goexit in a process ends its resumer.
+func (b *winBarrier) work(s *Sim) {
+	defer func() {
+		if b.pending.Add(-1) == 0 {
+			b.done <- struct{}{}
+		}
+	}()
+	for {
+		k := b.next.Add(1) - 1
+		if k >= int64(len(b.queue)) {
+			return
+		}
+		s.runGroup(b.queue[k])
+	}
+}
+
 // drainOutbox delivers sh's staged cross-shard sends into their destination
 // heaps and resets the buckets, retaining their capacity. Coordinator
 // context only — between windows, no shard is executing.
@@ -1108,55 +1209,14 @@ func (s *Sim) drainOutbox(sh *Shard) {
 	o.dst = o.dst[:0]
 }
 
-// runShardWindow fires sh's events strictly below sh.bound. It runs on a
-// worker goroutine (or inline for a lone runnable shard); everything it
-// touches is shard-private, and a panic is captured into sh.failure for the
-// coordinator to rethrow deterministically at the barrier.
+// runShardWindow fires sh's events strictly below sh.bound; everything it
+// touches is shard-private.
 func (s *Sim) runShardWindow(sh *Shard) {
-	defer func() {
-		if r := recover(); r != nil {
-			if pp, ok := r.(procPanic); ok {
-				if sh.failure == nil {
-					sh.failure = pp
-				}
-			} else if sh.failure == nil {
-				sh.failure = procPanic{name: fmt.Sprintf("shard%d event", sh.id), val: r}
-			}
-		}
-	}()
-	for sh.events.len() > 0 {
+	for sh.events.len() > 0 && sh.failure == nil {
 		if t, _ := sh.events.peek(); t >= sh.bound {
 			break
 		}
-		e := sh.events.pop()
-		sh.now = e.at
-		if s.sink != nil {
-			// One sentinel per firing (Sub -1, zero Event), whether or not
-			// it emits: the barrier merge replays the serialized engine's
-			// pick-the-min-pending-head loop, and a non-emitting firing
-			// still gates that comparison — a same-time child it schedules
-			// can carry a *smaller* ord (a freshly active shard's stamps
-			// are small, an arrival carries its busy sender's large stamp),
-			// so sorting emissions by key alone would hoist the child's
-			// output above its parent's turn. See flushWindowTrace. Without
-			// a sink the sentinels (and the firing bookkeeping they key)
-			// are elided entirely — the merge has nothing to replay.
-			sh.tbuf = append(sh.tbuf, trace.Keyed{At: int64(e.at), Ord: e.ord, Sub: -1})
-			sh.firingOrd = e.ord
-			sh.emitIdx = 0
-		}
-		sh.executed++
-		sh.wEvents++
-		if e.p != nil {
-			sh.parked--
-			e.p.resume <- struct{}{}
-			<-sh.yield
-		} else {
-			e.fn()
-		}
-		if sh.failure != nil {
-			return
-		}
+		s.fireWindow(sh, sh.events.pop())
 	}
 }
 
@@ -1189,7 +1249,6 @@ func (s *Sim) flushWindowTrace(safeT Time) {
 		s.cuts = make([]int, len(s.shards))
 	}
 	s.streams = s.streams[:0]
-	any := false
 	for _, sh := range s.shards {
 		n := len(sh.tbuf)
 		s.cuts[sh.id] = 0
@@ -1204,21 +1263,16 @@ func (s *Sim) flushWindowTrace(safeT Time) {
 			continue
 		}
 		s.cuts[sh.id] = k
-		any = true
-		if s.sink != nil {
-			s.streams = append(s.streams, sh.tbuf[:k])
-		}
+		s.streams = append(s.streams, sh.tbuf[:k])
 	}
-	if !any {
+	if len(s.streams) == 0 {
 		return
 	}
-	if len(s.streams) > 0 {
-		trace.MergeKeyed(s.streams, func(e trace.Event) {
-			if e.Kind != "" { // skip the per-firing sentinels
-				s.sink.Emit(e)
-			}
-		})
-	}
+	trace.MergeKeyed(s.streams, func(e trace.Event) {
+		if e.Kind != "" { // skip the per-firing sentinels
+			s.sink.Emit(e)
+		}
+	})
 	for _, sh := range s.shards {
 		k := s.cuts[sh.id]
 		if k == 0 {

@@ -166,7 +166,7 @@ func (m *Machine) sortMerge(ap *sim.Proc, amp int, s1 []rel.Tuple, a1 rel.Attr, 
 
 // fileTuples reads a whole file sequentially (charged) into memory.
 func fileTuples(ap *sim.Proc, f *wiss.File) []rel.Tuple {
-	var out []rel.Tuple
+	out := make([]rel.Tuple, 0, f.Len())
 	sc := f.NewScanner()
 	for pg := sc.NextPage(ap); pg != nil; pg = sc.NextPage(ap) {
 		out = pg.LiveTuples(out)

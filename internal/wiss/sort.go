@@ -28,7 +28,7 @@ func SortFile(p *sim.Proc, src *File, key rel.Attr, memBytes int, costs SortCost
 
 	// Pass 0: run formation.
 	var runs []*File
-	var buf []rel.Tuple
+	buf := make([]rel.Tuple, 0, min(src.Len(), tuplesPerMem)) // one run's worth, reused by every run
 	flushRun := func() {
 		if len(buf) == 0 {
 			return
