@@ -188,6 +188,11 @@ type Node struct {
 
 	failed bool
 	ports  []*Port
+
+	// free heads the list of in-flight records (see flight) of this node's
+	// outgoing connections that are not in use. Send takes one and the ACK
+	// returns it, both on this node's shard.
+	free *flight
 }
 
 // Fail marks the node crashed: every existing port is closed (queued and
@@ -430,6 +435,70 @@ type Conn struct {
 	lastArr sim.Time
 }
 
+// flight is one remote message in transit, from Send until its window
+// credits are back. Its four callbacks are the four events a remote message
+// costs; they are bound when the record is first allocated, and a free record
+// serves any connection of its sending node (connections live for one
+// operator, nodes for the machine), so a node in steady state sends without
+// allocating.
+type flight struct {
+	c        *Conn // the connection it is travelling on
+	kind     MsgKind
+	payload  any
+	bytes    int
+	npackets int
+	next     *flight // free list
+
+	arrive, land, consume, ack func()
+}
+
+// take returns a free in-flight record for a message on c, allocating one
+// (and binding its callbacks) only while the sending node has fewer than it
+// needs.
+func (c *Conn) take() *flight {
+	f := c.from.free
+	if f == nil {
+		f = &flight{}
+		f.arrive, f.land, f.consume, f.ack = f.onArrive, f.onLand, f.onConsume, f.onAck
+	} else {
+		c.from.free, f.next = f.next, nil
+	}
+	f.c = c
+	return f
+}
+
+// onArrive runs on the receiver's shard at the arrival instant: the message
+// crosses the receiving Unibus.
+func (f *flight) onArrive() {
+	to := f.c.to.node
+	to.Part.At(to.NIC.UseAsync(to.net.cfg.NICTime(f.bytes)), f.land)
+}
+
+// onLand puts the message in the port. The credits return only when the
+// receiving process consumes it (Port.Recv), so a slow consumer stalls its
+// producers once the window fills.
+func (f *flight) onLand() {
+	f.c.to.deliver(Message{From: f.c.from, Kind: f.kind, Payload: f.payload, packets: f.npackets, release: f.consume})
+	f.payload = nil // the port owns it now; the record outlives it by an ACK
+}
+
+// onConsume is the message's release: it runs on the receiver's shard and
+// routes the window-credit ACK back to the sender one MinLatency hop later.
+func (f *flight) onConsume() {
+	recv, from := f.c.to.node.Part, f.c.from
+	recv.Send(from.Part, recv.Now()+from.net.cfg.MinLatency, f.ack)
+}
+
+// onAck runs on the sender's shard: the credits are back and the record is
+// free again.
+func (f *flight) onAck() {
+	c := f.c
+	c.credits += f.npackets
+	c.waitq.WakeOne()
+	f.c = nil
+	f.next, c.from.free = c.from.free, f
+}
+
 // Dial opens a connection from nd to the port.
 func (nd *Node) Dial(to *Port) *Conn {
 	w := nd.net.cfg.Window
@@ -495,13 +564,9 @@ func (c *Conn) Send(p *sim.Proc, kind MsgKind, payload any, bytes int) {
 		}
 		p.Emit(e)
 	}
-	arr := c.arrival(t0, nicDone, bytes)
-	release := c.releaseFn(npackets)
-	if c.from.dropNext() {
-		c.scheduleRetry(arr+retransmitTimeout, kind, payload, bytes, npackets, release)
-	} else {
-		c.deliverAt(arr, kind, payload, bytes, npackets, release)
-	}
+	f := c.take()
+	f.kind, f.payload, f.bytes, f.npackets = kind, payload, bytes, npackets
+	c.transmit(f, c.arrival(t0, nicDone, bytes))
 	// The sender's process is occupied while its Unibus pushes the message
 	// out, exactly as the old blocking NIC charge behaved.
 	p.WaitUntil(nicDone)
@@ -524,61 +589,35 @@ func (c *Conn) arrival(t0 sim.Time, nicDone sim.Time, bytes int) sim.Time {
 	return arr
 }
 
-// releaseFn builds the consume callback for a remote message: it runs on
-// the receiver's shard and routes the window-credit ACK back to the sender
-// one MinLatency hop later.
-func (c *Conn) releaseFn(npackets int) func() {
-	return func() {
-		recv := c.to.node.Part
-		recv.Send(c.from.Part, recv.Now()+c.from.net.cfg.MinLatency, func() {
-			c.credits += npackets
-			c.waitq.WakeOne()
+// transmit puts f on the wire to arrive at arr — or loses it, when a fault
+// says so, and resends after the protocol's timeout. Sender's shard.
+func (c *Conn) transmit(f *flight, arr sim.Time) {
+	if c.from.dropNext() {
+		c.from.Part.At(arr+retransmitTimeout, f.retransmit)
+		return
+	}
+	c.from.Part.Send(c.to.node.Part, arr, f.arrive)
+}
+
+// retransmit resends a dropped message: the sender's NIC and the ring are
+// charged again, the resend may itself be dropped, and the sender's process
+// is not re-blocked (the window already accounts for the unacknowledged
+// packets). Runs on the sender's shard.
+func (f *flight) retransmit() {
+	c := f.c
+	from, net := c.from, c.from.net
+	from.retransmits++
+	t0 := from.Part.Now()
+	if net.sim.Tracing() {
+		from.Part.Emit(trace.Event{
+			At: int64(t0), Kind: trace.KindRetransmit,
+			From: from.ID, To: c.to.node.ID, Bytes: f.bytes,
 		})
 	}
-}
-
-// deliverAt schedules the arrival on the receiver's shard: the message
-// crosses the receiving Unibus, then lands in the port.
-func (c *Conn) deliverAt(arr sim.Time, kind MsgKind, payload any, bytes, npackets int, release func()) {
-	net := c.from.net
-	to := c.to
-	from := c.from
-	c.from.Part.Send(to.node.Part, arr, func() {
-		nicDone := to.node.NIC.UseAsync(net.cfg.NICTime(bytes))
-		to.node.Part.At(nicDone, func() {
-			// The credits return only when the receiving process
-			// consumes the message (Port.Recv), so a slow consumer
-			// stalls its producers once the window fills.
-			to.deliver(Message{From: from, Kind: kind, Payload: payload, packets: npackets, release: release})
-		})
-	})
-}
-
-// scheduleRetry resends a dropped message after the protocol's timeout: the
-// sender's NIC and the ring are charged again, the resend may itself be
-// dropped, and the sender's process is not re-blocked (the window already
-// accounts for the unacknowledged packets). Runs on the sender's shard.
-func (c *Conn) scheduleRetry(at sim.Time, kind MsgKind, payload any, bytes, npackets int, release func()) {
-	net := c.from.net
-	c.from.Part.At(at, func() {
-		c.from.retransmits++
-		if net.sim.Tracing() {
-			c.from.Part.Emit(trace.Event{
-				At: int64(c.from.Part.Now()), Kind: trace.KindRetransmit,
-				From: c.from.ID, To: c.to.node.ID, Bytes: bytes,
-			})
-		}
-		t0 := c.from.Part.Now()
-		nicDone := c.from.NIC.UseAsync(net.cfg.NICTime(bytes))
-		c.from.stats.RingBytes += int64(bytes)
-		c.from.ringBusy += net.cfg.RingTime(bytes)
-		arr := c.arrival(t0, nicDone, bytes)
-		if c.from.dropNext() {
-			c.scheduleRetry(arr+retransmitTimeout, kind, payload, bytes, npackets, release)
-			return
-		}
-		c.deliverAt(arr, kind, payload, bytes, npackets, release)
-	})
+	nicDone := from.NIC.UseAsync(net.cfg.NICTime(f.bytes))
+	from.stats.RingBytes += int64(f.bytes)
+	from.ringBusy += net.cfg.RingTime(f.bytes)
+	c.transmit(f, c.arrival(t0, nicDone, f.bytes))
 }
 
 // TransferBulk charges p for moving bytes between two nodes outside the

@@ -288,3 +288,36 @@ func TestPortCloseReleasesOnlyPending(t *testing.T) {
 		t.Errorf("Pending after Close = %d", port.Pending())
 	}
 }
+
+// TestRemoteSendSteadyStateAllocs: an in-flight record's callbacks are bound
+// once, so a remote Send and the Recv that consumes it — arrival, landing,
+// release and ACK included — allocate nothing once the sending node owns a
+// window's worth of records. The payload is boxed by the caller.
+func TestRemoteSendSteadyStateAllocs(t *testing.T) {
+	s, n := testNet(t, 2)
+	a, b := n.Nodes()[0], n.Nodes()[1]
+	port := b.NewPort("p")
+	var payload any = &struct{}{}
+	received := 0
+	s.Spawn("recv", func(p *sim.Proc) {
+		for port.Recv(p).Kind == Data {
+			received++
+		}
+	})
+	var allocs float64
+	s.Spawn("send", func(p *sim.Proc) {
+		c := a.Dial(port)
+		for i := 0; i < 64; i++ { // fill the window, the port queue and the calendar
+			c.Send(p, Data, payload, 2048)
+		}
+		allocs = testing.AllocsPerRun(500, func() { c.Send(p, Data, payload, 2048) })
+		c.Send(p, EndOfStream, nil, 64)
+	})
+	s.Run()
+	if allocs != 0 {
+		t.Errorf("steady-state remote Send+Recv allocates %v objects per message, want 0", allocs)
+	}
+	if received != 64+501 {
+		t.Errorf("received %d messages, want %d", received, 64+501)
+	}
+}

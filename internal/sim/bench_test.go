@@ -132,17 +132,21 @@ func BenchmarkSpawn(b *testing.B) {
 }
 
 // TestHandoffAllocs pins the allocation cost of the hand-off: a park/wake
-// cycle and a Resource.Use allocate nothing, and a Spawn allocates a bounded
-// number of objects (the Proc, its wrapper closure and iter.Pull's coroutine
-// state).
+// cycle and a Resource.Use allocate nothing, a UseAsync allocates nothing and
+// leaves the calendar as it found it, and a Spawn allocates a bounded number
+// of objects (the Proc, its wrapper closure and iter.Pull's coroutine state).
 func TestHandoffAllocs(t *testing.T) {
 	const maxPerSpawn = 16
 	s := New()
 	r := s.NewResource("r")
-	var sleep, use, spawn float64
+	var sleep, use, async, spawn float64
+	var pending int
 	s.Spawn("p", func(p *Proc) {
 		sleep = testing.AllocsPerRun(1000, func() { p.Sleep(1) })
 		use = testing.AllocsPerRun(1000, func() { r.Use(p, 1) })
+		pending = s.sh0.events.len()
+		async = testing.AllocsPerRun(1000, func() { r.UseAsync(1) })
+		pending -= s.sh0.events.len()
 		child := func(*Proc) {}
 		spawn = testing.AllocsPerRun(1000, func() {
 			s.Spawn("child", child)
@@ -155,6 +159,9 @@ func TestHandoffAllocs(t *testing.T) {
 	}
 	if use != 0 {
 		t.Errorf("Resource.Use allocates %v objects per call, want 0", use)
+	}
+	if async != 0 || pending != 0 {
+		t.Errorf("Resource.UseAsync allocates %v objects per call and 1001 calls grew the calendar by %d events, want 0 and 0", async, -pending)
 	}
 	if spawn < 1 || spawn > maxPerSpawn {
 		t.Errorf("Spawn allocates %v objects per process, want 1..%d", spawn, maxPerSpawn)
@@ -174,15 +181,28 @@ const kernelLookahead = 10 * Microsecond
 // Gamma cluster would be in: exchange packets are rare next to per-tuple
 // CPU and disk events).
 func buildKernelCluster(s *Sim, nodes, hops, work int) {
+	nshards := 1
+	if s.Partitioned() {
+		nshards = nodes
+	}
+	buildRing(s, nodes, nshards, hops, work)
+}
+
+// buildRing is the ring model with its nodes dealt round-robin over nshards
+// shards, so the same events can be run at any shard count.
+func buildRing(s *Sim, nodes, nshards, hops, work int) {
 	shards := make([]*Shard, nodes)
 	cpus := make([]*Resource, nodes)
 	for i := 0; i < nodes; i++ {
-		sh := s.DefaultShard()
-		if s.Partitioned() && i > 0 {
-			sh = s.AddShard()
+		switch {
+		case i == 0:
+			shards[i] = s.DefaultShard()
+		case i < nshards:
+			shards[i] = s.AddShard()
+		default:
+			shards[i] = shards[i%nshards]
 		}
-		shards[i] = sh
-		cpus[i] = sh.NewResource(fmt.Sprintf("cpu%d", i))
+		cpus[i] = shards[i].NewResource(fmt.Sprintf("cpu%d", i))
 	}
 	var hop func(i, remaining int) func()
 	hop = func(i, remaining int) func() {
@@ -205,6 +225,46 @@ func buildKernelCluster(s *Sim, nodes, hops, work int) {
 	}
 	for i := range shards {
 		shards[i].At(Time(i%4), hop(i, hops))
+	}
+}
+
+// BenchmarkSerialShards runs one 64-node ring at lookahead 0 — the shape of
+// the ledger's sim.merged_ns_per_event probe — on 1, 8 and 64 shards: the
+// serialized loop's cost per event as a function of the shard count.
+func BenchmarkSerialShards(b *testing.B) {
+	const nodes, hops, work = 64, 16, 128
+	for _, nshards := range []int{1, 8, 64} {
+		b.Run(fmt.Sprintf("shards=%d", nshards), func(b *testing.B) {
+			b.ReportAllocs()
+			var events uint64
+			for i := 0; i < b.N; i++ {
+				s := New()
+				s.Partition(0)
+				buildRing(s, nodes, nshards, hops, work)
+				s.Run()
+				events += s.Executed()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+		})
+	}
+}
+
+// BenchmarkUseAsync measures a reservation nobody waits for: no allocation
+// and no calendar entry.
+func BenchmarkUseAsync(b *testing.B) {
+	s := New()
+	r := s.NewResource("r")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.UseAsync(1)
+	}
+	b.StopTimer()
+	if n := s.sh0.events.len(); n != 0 {
+		b.Fatalf("UseAsync left %d calendar entries", n)
+	}
+	if end := s.Run(); end != r.BusyUntil() {
+		b.Fatalf("Run ended at %v, the resource is busy until %v", end, r.BusyUntil())
 	}
 }
 

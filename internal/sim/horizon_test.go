@@ -1,0 +1,209 @@
+package sim
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"gamma/internal/trace"
+)
+
+// kernelModes are the execution paths a Run can take: the unpartitioned
+// kernel, the merged loop at lookahead 0, and positive lookahead serialized
+// and windowed.
+var kernelModes = []struct {
+	name        string
+	partitioned bool
+	lookahead   Dur
+	workers     int
+}{
+	{"unpartitioned", false, 0, 0},
+	{"merged", true, 0, 0},
+	{"lookahead/workers=1", true, 10, 1},
+	{"lookahead/workers=4", true, 10, 4},
+}
+
+// newShards returns a simulation in the given mode and n scheduling contexts:
+// n shards when partitioned, the default shard n times otherwise.
+func newShards(partitioned bool, lookahead Dur, workers, n int) (*Sim, []*Shard) {
+	s := New()
+	if partitioned {
+		s.Partition(lookahead)
+		s.SetWorkers(workers)
+	}
+	shards := make([]*Shard, n)
+	for i := range shards {
+		shards[i] = s.DefaultShard()
+		if partitioned && i > 0 {
+			shards[i] = s.AddShard()
+		}
+	}
+	return s, shards
+}
+
+// TestRunCoversAsyncCompletions: work nobody waits for is no event, yet Run
+// ends at its completion on every execution path.
+func TestRunCoversAsyncCompletions(t *testing.T) {
+	for _, m := range kernelModes {
+		t.Run(m.name, func(t *testing.T) {
+			s, shards := newShards(m.partitioned, m.lookahead, m.workers, 8)
+			done := make([]Time, len(shards)) // per shard: windows run shards in parallel
+			for i, sh := range shards {
+				r := sh.NewResource(fmt.Sprintf("r%d", i))
+				sh.At(Time(i), func() {
+					// Two requests queue: the second completes at i + 30*(i+1).
+					r.UseAsync(Dur(10 * (i + 1)))
+					done[i] = r.UseAsync(Dur(20 * (i + 1)))
+				})
+			}
+			end := s.Run()
+			latest := done[len(done)-1]
+			if want := Time(7 + 30*8); latest != want || end != want || s.Now() != want {
+				t.Errorf("Run ended at %v (Now %v), latest completion %v, want %v", end, s.Now(), latest, want)
+			}
+			if got := s.Executed(); got != uint64(len(shards)) {
+				t.Errorf("executed %d events, want %d: a completion is not an event", got, len(shards))
+			}
+		})
+	}
+}
+
+// TestRunUntilStopsBeforeCompletion: a completion beyond the deadline does
+// not move RunUntil's clock, and a later Run still ends at it.
+func TestRunUntilStopsBeforeCompletion(t *testing.T) {
+	s := New()
+	r := s.NewResource("r")
+	s.At(5, func() { r.UseAsync(45) })
+	if end := s.RunUntil(20); end != 20 {
+		t.Errorf("RunUntil(20) = %v with a completion at 50", end)
+	}
+	if end := s.Run(); end != 50 {
+		t.Errorf("Run after RunUntil = %v, want the completion at 50", end)
+	}
+	if end := s.RunUntil(80); end != 80 {
+		t.Errorf("RunUntil(80) = %v past every completion", end)
+	}
+}
+
+// TestDeadlockWithOutstandingCompletion: a completion is not a pending event,
+// so it cannot hide a deadlock.
+func TestDeadlockWithOutstandingCompletion(t *testing.T) {
+	s := New()
+	r := s.NewResource("r")
+	q := s.NewWaitQ("q")
+	s.Spawn("stuck", func(p *Proc) {
+		r.UseAsync(100)
+		q.Park(p)
+	})
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "deadlock: 1 process(es) parked") {
+			t.Errorf("Run with a parked process and a completion at 100: %q", msg)
+		}
+	}()
+	s.Run()
+}
+
+// useAsyncAsEvent is what UseAsync was before completions left the calendar:
+// the same reservation plus a completion event that does nothing.
+func useAsyncAsEvent(r *Resource, d Dur) Time {
+	done := r.schedule(d)
+	r.shard.At(done, func() {})
+	return done
+}
+
+// asyncModel is a randomized model dense in same-instant ties: per shard two
+// processes mix blocking CPU use, sleeps, overlapped disk writes and messages
+// to other shards whose handlers charge the receiver asynchronously. Every
+// step ticks the trace, so any event that changed its (at, ord) key reorders
+// the stream. Randomness is drawn per process, never per execution order.
+func asyncModel(shards []*Shard, seed int64, async func(*Resource, Dur) Time) (calls []int) {
+	calls = make([]int, len(shards)) // per charged shard: windows run shards in parallel
+	charge := func(r *Resource, d Dur) Time {
+		calls[r.shard.id]++
+		return async(r, d)
+	}
+	cpus := make([]*Resource, len(shards))
+	disks := make([]*Resource, len(shards))
+	for i, sh := range shards {
+		cpus[i] = sh.NewResource(fmt.Sprintf("cpu%d", i))
+		disks[i] = sh.NewResource(fmt.Sprintf("disk%d", i))
+	}
+	zero := new(int)
+	for i, sh := range shards {
+		for k := 0; k < 2; k++ {
+			rng := rand.New(rand.NewSource(seed + int64(16*i+k)))
+			sh.Spawn(fmt.Sprintf("p%d.%d", i, k), func(p *Proc) {
+				for step := 0; step < 40; step++ {
+					d := Dur(1 + rng.Intn(3))
+					switch rng.Intn(5) {
+					case 0:
+						cpus[i].Use(p, d)
+					case 1:
+						p.Sleep(d)
+					case 2:
+						charge(disks[i], d)
+					case 3:
+						done := charge(disks[i], d)
+						cpus[i].Use(p, 1)
+						p.WaitUntil(done)
+					case 4:
+						j := (i + 1 + rng.Intn(len(shards)-1)) % len(shards)
+						sh.Send(shards[j], p.Now()+10+d, func() {
+							tick(shards[j], fmt.Sprintf("msg%d", i), zero)
+							charge(cpus[j], d)
+						})
+					}
+					tick(sh, p.Name(), zero)
+				}
+			})
+		}
+	}
+	return calls
+}
+
+// TestUseAsyncPreservesEventKeys is the proof that taking completions off the
+// calendar changed no surviving event's (at, ord): on every execution path
+// the model traces byte-identically whether its asynchronous charges are
+// UseAsync or the reservation plus an explicit no-op completion event, ends
+// at the same instant, and fires exactly one event fewer per charge.
+func TestUseAsyncPreservesEventKeys(t *testing.T) {
+	run := func(partitioned bool, lookahead Dur, workers int, seed int64, async func(*Resource, Dur) Time) ([]byte, Time, uint64, int) {
+		s, shards := newShards(partitioned, lookahead, workers, 6)
+		col := trace.NewCollector()
+		s.SetSink(col)
+		calls := asyncModel(shards, seed, async)
+		tb := traceBytes(t, s, col)
+		n := 0
+		for _, c := range calls {
+			n += c
+		}
+		return tb, s.Now(), s.Executed(), n
+	}
+	serial := map[int64][]byte{} // the one-worker trace at positive lookahead, by seed
+	for _, m := range kernelModes {
+		for seed := int64(1); seed <= 3; seed++ {
+			ref, refEnd, refExec, calls := run(m.partitioned, m.lookahead, m.workers, seed, useAsyncAsEvent)
+			got, end, exec, _ := run(m.partitioned, m.lookahead, m.workers, seed, (*Resource).UseAsync)
+			if len(ref) == 0 || calls == 0 {
+				t.Fatalf("%s seed %d: empty model (%d trace bytes, %d charges)", m.name, seed, len(ref), calls)
+			}
+			if !bytes.Equal(got, ref) {
+				t.Errorf("%s seed %d: trace differs from the completion-event model (%d vs %d bytes)", m.name, seed, len(got), len(ref))
+			}
+			if end != refEnd {
+				t.Errorf("%s seed %d: run ends at %v, with completion events at %v", m.name, seed, end, refEnd)
+			}
+			if exec+uint64(calls) != refExec {
+				t.Errorf("%s seed %d: %d events + %d charges != %d events with completion events", m.name, seed, exec, calls, refExec)
+			}
+			switch {
+			case m.workers == 1:
+				serial[seed] = got
+			case m.workers > 1 && !bytes.Equal(got, serial[seed]):
+				t.Errorf("%s seed %d: windowed trace differs from the one-worker oracle", m.name, seed)
+			}
+		}
+	}
+}

@@ -2,10 +2,6 @@ package sim
 
 import "gamma/internal/trace"
 
-// nopFn is the shared no-op callback for clock-advancing completion events,
-// so UseAsync does not allocate a closure per request.
-var nopFn = func() {}
-
 // Resource is a non-preemptive FIFO queueing server: requests are served one
 // at a time, in arrival order, each for a caller-specified service time.
 // CPUs, disk drives, network interfaces, and the token ring are all modeled
@@ -57,11 +53,16 @@ func (r *Resource) Use(p *Proc, d Dur) {
 // UseAsync enqueues a request of duration d without blocking the caller and
 // returns the simulated time at which service will complete. It models work
 // handed to a device that the requesting process does not wait for (e.g. a
-// write-behind disk flush). A completion event is scheduled so the clock
-// always advances past the work even if nobody waits on it.
+// write-behind disk flush). Nothing happens at the completion instant, so it
+// is not an event: the call consumes the ord a completion event would have
+// carried — every other event of the run keeps its (at, ord) key — and raises
+// the shard's completion horizon, which Run folds into the final clock.
 func (r *Resource) UseAsync(d Dur) Time {
 	done := r.schedule(d)
-	r.sim.schedule(r.shard, r.shard, done, nil, nopFn)
+	r.sim.nextOrd(r.shard)
+	if done > r.shard.horizon {
+		r.shard.horizon = done
+	}
 	return done
 }
 

@@ -18,6 +18,9 @@ type Shard struct {
 	events eventHeap
 	now    Time
 	stamp  uint64 // per-shard scheduling counter (ord source when lookahead > 0)
+	// horizon is the latest completion of work nobody waits for
+	// (Resource.UseAsync): not an event, but Run's final clock covers it.
+	horizon Time
 
 	// Process bookkeeping: live lists the shard's processes that have not
 	// exited (Close unwinds them), parked counts those waiting for a wake.

@@ -291,31 +291,22 @@ func (s *Sim) schedule(src, home *Shard, at Time, p *Proc, fn func()) {
 	if now := s.clockOf(src); at < now {
 		at = now
 	}
-	var ord uint64
-	if s.lookahead > 0 {
-		src.stamp++
-		ord = src.stamp<<shardIDBits | uint64(src.id)
-		if home != src {
-			// The conservative contract, checked identically in serialized
-			// and windowed execution so the oracle and the parallel run
-			// agree on every violation: the sender must be past its standing
-			// promise, and the event must respect the effective channel
-			// floor (lookahead raised by output/per-channel floors).
-			now := s.clockOf(src)
-			if now < src.quiet {
-				panic(fmt.Sprintf("sim: cross-shard send from shard %d to shard %d at clock %v violates the shard's promise of no output before %v",
-					src.id, home.id, now, src.quiet))
-			}
-			if floor := src.floorTo(home); at < now+floor {
-				panic(fmt.Sprintf("sim: cross-shard event from shard %d to shard %d at %v violates lookahead %v (sender clock %v)",
-					src.id, home.id, at, floor, now))
-			}
+	ord := s.nextOrd(src)
+	if s.lookahead > 0 && home != src {
+		// The conservative contract, checked identically in serialized and
+		// windowed execution so the oracle and the parallel run agree on
+		// every violation: the sender must be past its standing promise, and
+		// the event must respect the effective channel floor (lookahead
+		// raised by output/per-channel floors).
+		now := s.clockOf(src)
+		if now < src.quiet {
+			panic(fmt.Sprintf("sim: cross-shard send from shard %d to shard %d at clock %v violates the shard's promise of no output before %v",
+				src.id, home.id, now, src.quiet))
 		}
-	} else {
-		// Serialized execution: a single global schedule counter, exactly
-		// the pre-partitioning kernel's FIFO-among-equal-times order.
-		s.seq++
-		ord = s.seq
+		if floor := src.floorTo(home); at < now+floor {
+			panic(fmt.Sprintf("sim: cross-shard event from shard %d to shard %d at %v violates lookahead %v (sender clock %v)",
+				src.id, home.id, at, floor, now))
+		}
 	}
 	e := event{at: at, ord: ord, p: p, fn: fn}
 	if s.inWindow && home != src {
@@ -338,6 +329,19 @@ func (s *Sim) schedule(src, home *Shard, at Time, p *Proc, fn func()) {
 		// merged serial loop re-registers the fired shard unconditionally.
 		s.dirty = append(s.dirty, home)
 	}
+}
+
+// nextOrd draws the next tie-break key from scheduling context src: the
+// shard's stamp counter composed with its id under positive lookahead, else
+// the single global schedule counter — exactly the pre-partitioning kernel's
+// FIFO-among-equal-times order.
+func (s *Sim) nextOrd(src *Shard) uint64 {
+	if s.lookahead > 0 {
+		src.stamp++
+		return src.stamp<<shardIDBits | uint64(src.id)
+	}
+	s.seq++
+	return s.seq
 }
 
 // At schedules fn to run at absolute time t (clamped to now) on the
@@ -572,13 +576,14 @@ func (s *Sim) fireWindow(sh *Shard, e event) {
 	sh.fire(e)
 }
 
-// Run executes events until none remain, then returns the final clock
-// value. On a partitioned simulation with positive lookahead and Workers
-// > 1, shards execute conservative windows on a worker pool; in every
-// other case (the oracle path) events fire one at a time in global
-// (at, ord) order. It panics if a process panicked, or if live processes
-// remain parked with no pending events (a simulated deadlock); a run that
-// ends that way closes the simulation (see Close).
+// Run executes events until none remain, advances the clock past every
+// outstanding UseAsync completion, and returns the final clock value. On a
+// partitioned simulation with positive lookahead and Workers > 1, shards
+// execute conservative windows on a worker pool; in every other case (the
+// oracle path) events fire one at a time in global (at, ord) order. It panics
+// if a process panicked, or if live processes remain parked with no pending
+// events (a simulated deadlock); a run that ends that way closes the
+// simulation (see Close).
 func (s *Sim) Run() Time {
 	completed := false
 	defer s.endRun(&completed)
@@ -587,6 +592,13 @@ func (s *Sim) Run() Time {
 	} else {
 		s.runSerial(infTime)
 	}
+	// The calendar has drained: the run ends at the latest instant any shard
+	// reached or has completion-only work outstanding until.
+	end := s.now
+	for _, sh := range s.shards {
+		end = max(end, sh.now, sh.horizon)
+	}
+	s.setNow(end)
 	if n := s.parkedTotal(); n > 0 {
 		panic(fmt.Sprintf("sim: deadlock: %d process(es) parked with no pending events", n))
 	}
@@ -596,9 +608,10 @@ func (s *Sim) Run() Time {
 }
 
 // RunUntil executes events with timestamps <= deadline and advances the
-// clock to deadline. Parked processes may legitimately remain. RunUntil
-// always executes serialized (it is a debugging/driver primitive, not the
-// throughput path).
+// clock to deadline, whether or not UseAsync completions lie beyond it; a
+// later Run still ends past them. Parked processes may legitimately remain.
+// RunUntil always executes serialized (it is a debugging/driver primitive,
+// not the throughput path).
 func (s *Sim) RunUntil(deadline Time) Time {
 	completed := false
 	defer s.endRun(&completed)
@@ -1147,14 +1160,6 @@ func (s *Sim) runWindows() {
 			}
 		}
 	}
-	// Final clock: the latest instant any shard reached.
-	end := s.now
-	for _, sh := range s.shards {
-		if sh.now > end {
-			end = sh.now
-		}
-	}
-	s.setNow(end)
 }
 
 // winBarrier is the window scheduler's epoch barrier: queue/next publish

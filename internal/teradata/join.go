@@ -41,8 +41,8 @@ func (m *Machine) RunJoin(q JoinQuery) Result {
 	total := 0
 	elapsed := m.run(tc.HostStartup, func(p *sim.Proc) {
 		// Phase 1: scan + (maybe) redistribute both relations.
-		side1 := make([][]rel.Tuple, nA)
-		side2 := make([][]rel.Tuple, nA)
+		side1 := m.routeBuffers(q.R1, q.Pred1)
+		side2 := m.routeBuffers(q.R2, q.Pred2)
 		m.fanout(p, func(ap *sim.Proc, amp int) {
 			m.scanRoute(ap, amp, q.R1, q.Pred1, q.Attr1, side1)
 			m.scanRoute(ap, amp, q.R2, q.Pred2, q.Attr2, side2)
@@ -58,7 +58,7 @@ func (m *Machine) RunJoin(q JoinQuery) Result {
 			// Stage 2: redistribute the intermediate on AttrI and R3
 			// on Attr3, then sort-merge again.
 			i1 := make([][]rel.Tuple, nA)
-			i2 := make([][]rel.Tuple, nA)
+			i2 := m.routeBuffers(q.R3, q.Pred3)
 			m.fanout(p, func(ap *sim.Proc, amp int) {
 				for _, t := range inter[amp] {
 					dst := int(rel.Hash64(t.Get(q.AttrI), hashSeed^0xbeef) % uint64(nA))
@@ -87,6 +87,18 @@ func (m *Machine) RunJoin(q JoinQuery) Result {
 	m.catalog[out.Name] = out
 	out.N = total
 	return Result{Elapsed: elapsed, Tuples: total}
+}
+
+// routeBuffers returns the per-AMP destinations of scanRoute over r: whether
+// the tuples stay or are rehashed, each AMP ends up with about its own
+// fragment's share of the tuples pred selects.
+func (m *Machine) routeBuffers(r *Relation, pred rel.Pred) [][]rel.Tuple {
+	dest := make([][]rel.Tuple, len(m.AMPs))
+	sel := pred.Selectivity(r.N)
+	for i, fr := range r.Frags {
+		dest[i] = make([]rel.Tuple, 0, withSlack(int(sel*float64(fr.File.Len()))))
+	}
+	return dest
 }
 
 // scanRoute scans one AMP's fragment of r, applies pred, and routes

@@ -111,6 +111,9 @@ type Fragment struct {
 func (m *Machine) Load(name string, key rel.Attr, secondary []rel.Attr, tuples []rel.Tuple) *Relation {
 	k := len(m.AMPs)
 	parts := make([][]rel.Tuple, k)
+	for j := range parts {
+		parts[j] = make([]rel.Tuple, 0, withSlack(len(tuples)/k))
+	}
 	for _, t := range tuples {
 		j := int(rel.Hash64(t.Get(key), hashSeed) % uint64(k))
 		parts[j] = append(parts[j], t)
@@ -128,6 +131,11 @@ func (m *Machine) Load(name string, key rel.Attr, secondary []rel.Attr, tuples [
 	m.catalog[name] = r
 	return r
 }
+
+// withSlack is the capacity to give a hash partition expected to hold n
+// tuples, so that filling it does not grow it: hashing spreads evenly, but
+// not exactly.
+func withSlack(n int) int { return n + n/8 + 16 }
 
 // Relation returns a catalogued relation.
 func (m *Machine) Relation(name string) (*Relation, bool) {

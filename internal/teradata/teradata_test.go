@@ -187,3 +187,28 @@ func TestUpdates(t *testing.T) {
 		t.Errorf("modify-key (%v) should exceed modify-nonindexed (%v)", modKey.Elapsed, modNon.Elapsed)
 	}
 }
+
+// TestElapsedCoversWriteBehind pins the response time of the two queries that
+// hand work to a device without waiting for it (Resource.UseAsync): the
+// temp-file inserts of a redistributing join, which the sort phase then
+// queues behind on the same drives, and the fallback copies of a stored
+// selection, which are still being written when the host process finishes.
+// Such work is not a calendar event; the tail stays inside Elapsed only
+// because Run ends at the latest completion.
+func TestElapsedCoversWriteBehind(t *testing.T) {
+	m, a := newTera(t, 10000)
+	b := m.Load("Bprime", rel.Unique1, nil, wisconsin.Generate(1000, 7))
+	join := m.RunJoin(JoinQuery{
+		R1: a, Pred1: rel.True(), Attr1: rel.Unique2,
+		R2: b, Pred2: rel.True(), Attr2: rel.Unique2,
+	})
+	if join.Tuples != 1000 || join.Elapsed != 33799358 {
+		t.Errorf("redistributing join: %d tuples in %d us, want 1000 in 33799358", join.Tuples, join.Elapsed)
+	}
+	m, r := newTera(t, 10000)
+	m.SetFallback(true)
+	sel := m.RunSelect(r, rel.Between(rel.Unique2, 0, 999), FileScan, false)
+	if sel.Tuples != 1000 || sel.Elapsed != 16483323 {
+		t.Errorf("fallback selection: %d tuples in %d us, want 1000 in 16483323", sel.Tuples, sel.Elapsed)
+	}
+}
