@@ -440,7 +440,10 @@ type Conn struct {
 // costs; they are bound when the record is first allocated, and a free record
 // serves any connection of its sending node (connections live for one
 // operator, nodes for the machine), so a node in steady state sends without
-// allocating.
+// allocating. Two fault paths are outside that: a dropped packet's timer
+// binds retransmit afresh (one closure per drop), and a message whose receiver
+// dies before releasing it is never acknowledged, so its record is garbage
+// rather than recycled.
 type flight struct {
 	c        *Conn // the connection it is travelling on
 	kind     MsgKind

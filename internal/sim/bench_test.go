@@ -242,7 +242,7 @@ func BenchmarkSerialShards(b *testing.B) {
 				s.Partition(0)
 				buildRing(s, nodes, nshards, hops, work)
 				s.Run()
-				events += s.Executed()
+				events += s.fired()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 		})

@@ -60,10 +60,10 @@ func buildPhasedRing(s *Sim, nodes, thinHops, heavyHops, heavyWork int) {
 }
 
 // runPhasedRing runs the phased ring under a kernel/fusion configuration
-// and returns the trace bytes, stats, executed count, and final clock.
+// and returns the trace bytes, stats, fired-event count, and final clock.
 // workers <= 1 is the serial oracle (fusion never engages: runWindows only
 // runs with workers > 1).
-func runPhasedRing(t testing.TB, workers int, f Fusion, traced bool) (traceBytes []byte, ws WindowStats, executed uint64, end Time) {
+func runPhasedRing(t testing.TB, workers int, f Fusion, traced bool) (traceBytes []byte, ws WindowStats, fired uint64, end Time) {
 	t.Helper()
 	s := New()
 	s.Partition(kernelLookahead)
@@ -77,7 +77,7 @@ func runPhasedRing(t testing.TB, workers int, f Fusion, traced bool) (traceBytes
 	buildPhasedRing(s, 8, 64, 24, 400)
 	end = s.Run()
 	ws = s.WindowStats()
-	executed = s.Executed()
+	fired = s.fired()
 	if traced {
 		var buf bytes.Buffer
 		if err := col.WriteJSONL(&buf); err != nil {
@@ -85,7 +85,7 @@ func runPhasedRing(t testing.TB, workers int, f Fusion, traced bool) (traceBytes
 		}
 		traceBytes = buf.Bytes()
 	}
-	return traceBytes, ws, executed, end
+	return traceBytes, ws, fired, end
 }
 
 // TestFusionTraceByteIdentity: the adaptive scheduler must produce
@@ -141,7 +141,7 @@ func TestFusionStatsConsistency(t *testing.T) {
 		t.Errorf("ShardRounds %d != Windows %d x 8 shards", ws.ShardRounds, ws.Windows)
 	}
 	if ws.WindowEvents != int64(exec) {
-		t.Errorf("WindowEvents %d != Executed %d: some events fired outside windows", ws.WindowEvents, exec)
+		t.Errorf("WindowEvents %d != fired %d: some events fired outside windows", ws.WindowEvents, exec)
 	}
 	if ws.GroupWindows <= 0 || ws.GroupWindows > ws.ShardWindows {
 		t.Errorf("GroupWindows %d outside (0, ShardWindows %d]", ws.GroupWindows, ws.ShardWindows)

@@ -63,8 +63,11 @@ func TestRunCoversAsyncCompletions(t *testing.T) {
 			if want := Time(7 + 30*8); latest != want || end != want || s.Now() != want {
 				t.Errorf("Run ended at %v (Now %v), latest completion %v, want %v", end, s.Now(), latest, want)
 			}
-			if got := s.Executed(); got != uint64(len(shards)) {
-				t.Errorf("executed %d events, want %d: a completion is not an event", got, len(shards))
+			if got := s.fired(); got != uint64(len(shards)) {
+				t.Errorf("fired %d events, want %d: a completion never visits the calendar", got, len(shards))
+			}
+			if got := s.Executed(); got != uint64(3*len(shards)) {
+				t.Errorf("Executed %d, want %d: one callback and two completions a shard", got, 3*len(shards))
 			}
 		})
 	}
@@ -167,9 +170,10 @@ func asyncModel(shards []*Shard, seed int64, async func(*Resource, Dur) Time) (c
 // calendar changed no surviving event's (at, ord): on every execution path
 // the model traces byte-identically whether its asynchronous charges are
 // UseAsync or the reservation plus an explicit no-op completion event, ends
-// at the same instant, and fires exactly one event fewer per charge.
+// at the same instant, retires as many events (Executed counts a completion
+// either way) and fires exactly one fewer per charge.
 func TestUseAsyncPreservesEventKeys(t *testing.T) {
-	run := func(partitioned bool, lookahead Dur, workers int, seed int64, async func(*Resource, Dur) Time) ([]byte, Time, uint64, int) {
+	run := func(partitioned bool, lookahead Dur, workers int, seed int64, async func(*Resource, Dur) Time) ([]byte, Time, [2]uint64, int) {
 		s, shards := newShards(partitioned, lookahead, workers, 6)
 		col := trace.NewCollector()
 		s.SetSink(col)
@@ -179,13 +183,13 @@ func TestUseAsyncPreservesEventKeys(t *testing.T) {
 		for _, c := range calls {
 			n += c
 		}
-		return tb, s.Now(), s.Executed(), n
+		return tb, s.Now(), [2]uint64{s.Executed(), s.fired()}, n
 	}
 	serial := map[int64][]byte{} // the one-worker trace at positive lookahead, by seed
 	for _, m := range kernelModes {
 		for seed := int64(1); seed <= 3; seed++ {
-			ref, refEnd, refExec, calls := run(m.partitioned, m.lookahead, m.workers, seed, useAsyncAsEvent)
-			got, end, exec, _ := run(m.partitioned, m.lookahead, m.workers, seed, (*Resource).UseAsync)
+			ref, refEnd, refCount, calls := run(m.partitioned, m.lookahead, m.workers, seed, useAsyncAsEvent)
+			got, end, count, _ := run(m.partitioned, m.lookahead, m.workers, seed, (*Resource).UseAsync)
 			if len(ref) == 0 || calls == 0 {
 				t.Fatalf("%s seed %d: empty model (%d trace bytes, %d charges)", m.name, seed, len(ref), calls)
 			}
@@ -195,8 +199,8 @@ func TestUseAsyncPreservesEventKeys(t *testing.T) {
 			if end != refEnd {
 				t.Errorf("%s seed %d: run ends at %v, with completion events at %v", m.name, seed, end, refEnd)
 			}
-			if exec+uint64(calls) != refExec {
-				t.Errorf("%s seed %d: %d events + %d charges != %d events with completion events", m.name, seed, exec, calls, refExec)
+			if count[0] != refCount[0] || count[1]+uint64(calls) != refCount[1] {
+				t.Errorf("%s seed %d: (executed, fired) = %v with %d charges, %v with completion events", m.name, seed, count, calls, refCount)
 			}
 			switch {
 			case m.workers == 1:

@@ -53,13 +53,15 @@ func (r *Resource) Use(p *Proc, d Dur) {
 // UseAsync enqueues a request of duration d without blocking the caller and
 // returns the simulated time at which service will complete. It models work
 // handed to a device that the requesting process does not wait for (e.g. a
-// write-behind disk flush). Nothing happens at the completion instant, so it
-// is not an event: the call consumes the ord a completion event would have
-// carried — every other event of the run keeps its (at, ord) key — and raises
-// the shard's completion horizon, which Run folds into the final clock.
+// write-behind disk flush). Nothing happens at the completion instant, so the
+// completion never visits the calendar: the call consumes the ord its event
+// would have carried — every other event of the run keeps its (at, ord) key —
+// counts it as retired (see Executed), and raises the shard's completion
+// horizon, which Run folds into the final clock.
 func (r *Resource) UseAsync(d Dur) Time {
 	done := r.schedule(d)
 	r.sim.nextOrd(r.shard)
+	r.shard.elided++
 	if done > r.shard.horizon {
 		r.shard.horizon = done
 	}

@@ -19,8 +19,11 @@ type Shard struct {
 	now    Time
 	stamp  uint64 // per-shard scheduling counter (ord source when lookahead > 0)
 	// horizon is the latest completion of work nobody waits for
-	// (Resource.UseAsync): not an event, but Run's final clock covers it.
+	// (Resource.UseAsync) and elided counts those completions: they never
+	// visit the calendar, but Run's final clock covers them and Executed
+	// counts them.
 	horizon Time
+	elided  uint64
 
 	// Process bookkeeping: live lists the shard's processes that have not
 	// exited (Close unwinds them), parked counts those waiting for a wake.

@@ -830,8 +830,23 @@ func (s *Sim) parkedTotal() int {
 	return n
 }
 
-// Executed returns the number of events fired so far.
+// Executed returns the number of events retired so far: every process wake
+// and callback fired, plus every UseAsync completion. A completion draws an
+// ord like any event and is retired without visiting the calendar, so a
+// model's Executed count does not depend on whether its unawaited work is
+// scheduled or elided.
 func (s *Sim) Executed() uint64 {
+	n := s.fired()
+	for _, sh := range s.shards {
+		n += sh.elided
+	}
+	return n
+}
+
+// fired returns the number of events the calendar has fired so far. This is
+// the count SetEventCounter accumulates: elided completions cost the host
+// nothing and are left out of events per second.
+func (s *Sim) fired() uint64 {
 	n := s.executed
 	for _, sh := range s.shards {
 		n += sh.executed
@@ -849,11 +864,11 @@ func (s *Sim) SetEventCounter(c *atomic.Int64) { s.counter = c }
 // counter, and window statistics to the shared window counters.
 func (s *Sim) flushCounter() {
 	if s.counter != nil {
-		if n := s.Executed(); n > 0 {
+		if n := s.fired(); n > 0 {
 			s.counter.Add(int64(n))
 			s.executed = 0
 			for _, sh := range s.shards {
-				sh.executed = 0
+				sh.executed, sh.elided = 0, 0
 			}
 		}
 	}
