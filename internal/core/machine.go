@@ -287,37 +287,32 @@ func (m *Machine) Load(spec LoadSpec, tuples []rel.Tuple) *Relation {
 		PartAttr: spec.PartAttr,
 		m:        m,
 	}
-	parts := make([][]rel.Tuple, k)
-	for i := range parts {
-		// Pre-size near the even split; skew costs at most a few regrows.
-		parts[i] = make([]rel.Tuple, 0, len(tuples)/k+1)
-	}
+	// Each tuple's site first, then one copy into partitions of exactly the
+	// right size: the fragment files adopt them.
+	site := make([]int32, len(tuples))
 	switch spec.Strategy {
 	case RoundRobin:
-		for i, t := range tuples {
-			parts[i%k] = append(parts[i%k], t)
+		for i := range site {
+			site[i] = int32(i % k)
 		}
 	case Hashed:
-		for _, t := range tuples {
-			j := int(rel.Hash64(t.Get(spec.PartAttr), LoadSeed) % uint64(k))
-			parts[j] = append(parts[j], t)
+		for i := range tuples {
+			site[i] = int32(rel.Hash64(tuples[i].A[spec.PartAttr], LoadSeed) % uint64(k))
 		}
 	case RangeUser:
 		if len(spec.Bounds) != k-1 && len(spec.Bounds) != k {
 			panic(fmt.Sprintf("core: RangeUser needs %d or %d bounds, got %d", k-1, k, len(spec.Bounds)))
 		}
 		r.Bounds = rangeBounds(spec.Bounds, k)
-		for _, t := range tuples {
-			j := rangeSite(r.Bounds, t.Get(spec.PartAttr))
-			parts[j] = append(parts[j], t)
-		}
 	case RangeUniform:
 		r.Bounds = uniformBounds(tuples, spec.PartAttr, k)
-		for _, t := range tuples {
-			j := rangeSite(r.Bounds, t.Get(spec.PartAttr))
-			parts[j] = append(parts[j], t)
+	}
+	if r.Bounds != nil {
+		for i := range tuples {
+			site[i] = int32(rangeSite(r.Bounds, tuples[i].A[spec.PartAttr]))
 		}
 	}
+	parts := rel.Partition(tuples, site, k)
 	for i, nd := range m.Disk {
 		r.Frags = append(r.Frags, m.buildFragment(nd, spec.Name, parts[i], spec))
 	}
@@ -328,7 +323,8 @@ func (m *Machine) Load(spec LoadSpec, tuples []rel.Tuple) *Relation {
 		// i-1's primary on node i-1) covered by distinct survivors.
 		for i := range parts {
 			nd := m.Disk[(i+1)%k]
-			r.Backups = append(r.Backups, m.buildFragment(nd, spec.Name+".bak", parts[i], spec))
+			// The primary's file owns parts[i]; the mirror gets its own copy.
+			r.Backups = append(r.Backups, m.buildFragment(nd, spec.Name+".bak", slices.Clone(parts[i]), spec))
 		}
 	}
 	m.catalog[spec.Name] = r
@@ -336,7 +332,8 @@ func (m *Machine) Load(spec LoadSpec, tuples []rel.Tuple) *Relation {
 }
 
 // buildFragment materializes one fragment — file, optional clustering sort,
-// and indexes — on a disk node (load time is not simulated, §4).
+// and indexes — on a disk node (load time is not simulated, §4). The file
+// adopts tuples as its storage.
 func (m *Machine) buildFragment(nd *nose.Node, fileName string, tuples []rel.Tuple, spec LoadSpec) *Fragment {
 	st := m.stores[nd.ID]
 	f := st.CreateFile(fileName)

@@ -120,10 +120,13 @@ func forEachPage(p *sim.Proc, f *wiss.File, fn func(pg *wiss.Page)) {
 func selectPage(p *sim.Proc, m *Machine, frag *Fragment, pred rel.Pred, split *splitTable, pg *wiss.Page) int {
 	frag.Node.UseCPU(p, m.Prm.Engine.InstrPerTupleScan*len(pg.Tuples))
 	n := 0
-	for s, t := range pg.Tuples {
-		if pg.Live(s) && pred.Match(t) {
+	tuples := pg.Tuples
+	for s := range tuples {
+		// Liveness is read slot by slot: send can block, and a concurrent
+		// delete may tombstone a slot of this page meanwhile.
+		if pred.MatchRef(&tuples[s]) && pg.Live(s) {
 			n++
-			split.send(p, t)
+			split.send(p, tuples[s])
 		}
 	}
 	return n
@@ -161,17 +164,18 @@ func clusteredSelect(p *sim.Proc, m *Machine, frag *Fragment, pred rel.Pred, spl
 	for pg := sc.NextPage(p); pg != nil; pg = sc.NextPage(p) {
 		frag.Node.UseCPU(p, eng.InstrPerTupleScan*len(pg.Tuples))
 		beyond := true // every live tuple on the page is past the range
-		for s, t := range pg.Tuples {
-			if !pg.Live(s) {
+		tuples := pg.Tuples
+		for s := range tuples {
+			if !pg.Live(s) { // per slot: send can block (see selectPage)
 				continue
 			}
-			k := t.Get(pred.Attr)
+			k := tuples[s].A[pred.Attr]
 			if k <= pred.Hi {
 				beyond = false
-			}
-			if k >= pred.Lo && k <= pred.Hi {
-				n++
-				split.send(p, t)
+				if k >= pred.Lo {
+					n++
+					split.send(p, tuples[s])
+				}
 			}
 		}
 		if earlyStop && beyond {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"fmt"
 
 	"gamma/internal/nose"
@@ -75,10 +74,7 @@ func (m *Machine) RunSort(q SortQuery) Result {
 			}
 			out := resRel.Frags[0].File
 			ap := out.NewAppender()
-			total := mergeSortedRuns(mp, m, mergeNode, runs, q.By, func(t rel.Tuple) {
-				mergeNode.UseCPU(mp, m.Prm.Engine.InstrPerTupleStore)
-				ap.Append(mp, t)
-			})
+			total := mergeSortedRuns(mp, m, mergeNode, runs, q.By, ap)
 			ap.Close(mp)
 			out.Sorted, out.SortKey = true, q.By
 			for _, r := range runs {
@@ -118,45 +114,47 @@ func (c *runCursor2) load(p *sim.Proc, m *Machine, reader *nose.Node) bool {
 	return true
 }
 
-type runHeap struct {
-	cs []*runCursor2
-	by rel.Attr
-}
-
-func (h runHeap) Len() int { return len(h.cs) }
-func (h runHeap) Less(i, j int) bool {
-	return h.cs[i].cache[h.cs[i].slot].Get(h.by) < h.cs[j].cache[h.cs[j].slot].Get(h.by)
-}
-func (h runHeap) Swap(i, j int) { h.cs[i], h.cs[j] = h.cs[j], h.cs[i] }
-func (h *runHeap) Push(x any)   { h.cs = append(h.cs, x.(*runCursor2)) }
-func (h *runHeap) Pop() any {
-	old := h.cs
-	c := old[len(old)-1]
-	h.cs = old[:len(old)-1]
-	return c
-}
-
-// mergeSortedRuns merges the per-site runs in key order, invoking emit for
-// every tuple, and returns the total count.
-func mergeSortedRuns(p *sim.Proc, m *Machine, reader *nose.Node, runs []sortedRun, by rel.Attr, emit func(rel.Tuple)) int {
-	h := &runHeap{by: by}
+// mergeSortedRuns merges the per-site runs in key order into ap on the reader
+// node and returns the total count. Every tuple costs a store-CPU charge, then
+// moves from its run to the output page; p takes part only where a page does —
+// the output page filling, a run's cached page running out — and the tuples
+// in between are an itinerary (sim.Proc.Steps) of CPU charges.
+func mergeSortedRuns(p *sim.Proc, m *Machine, reader *nose.Node, runs []sortedRun, by rel.Attr, ap *wiss.Appender) int {
+	var h rel.KeyHeap[*runCursor2]
 	for _, r := range runs {
 		c := &runCursor2{run: r}
 		if c.load(p, m, reader) {
-			h.cs = append(h.cs, c)
+			h.Add(c.cache[c.slot].A[by], c)
 		}
 	}
-	heap.Init(h)
+	h.Init()
 	total := 0
+	charged := false // the tuple on top of the heap has paid its store CPU
+	step := func() (sim.Time, bool) {
+		if charged {
+			c := h.Top()
+			if ap.Room() == 1 || c.slot+1 == len(c.cache) {
+				return 0, false // moving it crosses a page boundary: p's part
+			}
+			ap.Append(p, c.cache[c.slot])
+			total++
+			c.slot++
+			h.FixTop(c.cache[c.slot].A[by])
+		}
+		charged = true
+		return reader.ReserveCPU(m.Prm.Engine.InstrPerTupleStore), true
+	}
 	for h.Len() > 0 {
-		c := h.cs[0]
-		emit(c.cache[c.slot])
+		p.Steps(step)
+		charged = false
+		c := h.Top()
+		ap.Append(p, c.cache[c.slot])
 		total++
 		c.slot++
 		if c.load(p, m, reader) {
-			heap.Fix(h, 0)
+			h.FixTop(c.cache[c.slot].A[by])
 		} else {
-			heap.Pop(h)
+			h.PopTop()
 		}
 	}
 	return total

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"gamma/internal/rel"
+	"gamma/internal/trace"
 )
 
 func TestRunSortProducesGlobalOrder(t *testing.T) {
@@ -60,5 +63,28 @@ func TestRunSortEmpty(t *testing.T) {
 	})
 	if res.Tuples != 0 {
 		t.Errorf("sorted %d tuples from empty qualification", res.Tuples)
+	}
+}
+
+// TestRunSortTracePins holds a sorted retrieve — per-site sorts whose runs the
+// merge operator reads over the network, on a many-valued key — to the event
+// stream, response time and retired-event count it had when the merge parked
+// its process for every tuple and took its order from container/heap
+// (recorded at the commit before the merge became an itinerary).
+func TestRunSortTracePins(t *testing.T) {
+	m, r := newMachineWithRel(4, 0, 3000)
+	col := trace.NewCollector()
+	m.Sim.SetSink(col)
+	res := m.RunSort(SortQuery{
+		Scan: ScanSpec{Rel: r, Pred: rel.True(), Path: PathHeap},
+		By:   rel.Ten,
+	})
+	h := sha256.New()
+	if err := col.WriteJSONL(h); err != nil {
+		t.Fatal(err)
+	}
+	got := fmt.Sprintf("%x %d %d %d", h.Sum(nil), res.Elapsed, m.Sim.Executed(), res.Tuples)
+	if want := "ac02f2417c6a1d60afe1f71c5b3689495be9cc38adbac5702f4e857bb8b4f85c 9864306 6174 3000"; got != want {
+		t.Errorf("trace sha256, elapsed, events, tuples = %s, want %s", got, want)
 	}
 }

@@ -147,6 +147,13 @@ func (d *Drive) ReadAsync(file, page, bytes int) sim.Time {
 	return d.res.UseAsync(d.serviceTime(file, page, bytes, false))
 }
 
+// ReserveRead queues a page read and returns its completion time without
+// blocking anyone or drawing an ord: the stage form of Read, for an itinerary
+// (sim.Proc.Steps).
+func (d *Drive) ReserveRead(file, page, bytes int) sim.Time {
+	return d.res.Reserve(d.serviceTime(file, page, bytes, false))
+}
+
 // Write blocks p for one page write of the given size.
 func (d *Drive) Write(p *sim.Proc, file, page, bytes int) {
 	d.res.Use(p, d.serviceTime(file, page, bytes, true))
@@ -156,6 +163,11 @@ func (d *Drive) Write(p *sim.Proc, file, page, bytes int) {
 // and returns its completion time.
 func (d *Drive) WriteAsync(file, page, bytes int) sim.Time {
 	return d.res.UseAsync(d.serviceTime(file, page, bytes, true))
+}
+
+// ReserveWrite is the stage form of Write (see ReserveRead).
+func (d *Drive) ReserveWrite(file, page, bytes int) sim.Time {
+	return d.res.Reserve(d.serviceTime(file, page, bytes, true))
 }
 
 // BusyUntil returns when all queued requests will have completed.

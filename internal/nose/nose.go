@@ -193,6 +193,9 @@ type Node struct {
 	// outgoing connections that are not in use. Send takes one and the ACK
 	// returns it, both on this node's shard.
 	free *flight
+	// bulkFree heads the free list of TransferBulk call records whose sender
+	// is this node.
+	bulkFree *bulkCall
 }
 
 // Fail marks the node crashed: every existing port is closed (queued and
@@ -276,6 +279,13 @@ func (nd *Node) UseCPU(p *sim.Proc, instr int) {
 	if instr > 0 {
 		nd.CPU.Use(p, nd.net.cpu.Time(instr))
 	}
+}
+
+// ReserveCPU queues instr instructions on the node's CPU and returns their
+// completion time: the stage form of UseCPU, for an itinerary
+// (sim.Proc.Steps). Unlike UseCPU it reserves even when instr is zero.
+func (nd *Node) ReserveCPU(instr int) sim.Time {
+	return nd.CPU.Reserve(nd.net.cpu.Time(instr))
 }
 
 // dropNext deterministically decides whether this node's next data packet
@@ -623,26 +633,91 @@ func (f *flight) retransmit() {
 	c.transmit(f, c.arrival(t0, nicDone, f.bytes))
 }
 
+// Bulk is the itinerary of one bulk transfer, outside the port/window
+// machinery: the sender's NIC, ring transit floored at MinLatency past the send
+// instant, then the receiver's NIC. It is a sub-itinerary for sim.Proc.Steps:
+// Start arms it, and each Step call reserves the next stage and returns its
+// completion until none is left. Inside parallel windows the driving process
+// must be shard-colocated with both endpoints (diskless nodes are homed on
+// their spool node's shard for this reason). The zero Bulk has no stages.
+type Bulk struct {
+	from, to *Node
+	bytes    int
+	t0       sim.Time // send instant
+	stage    int      // the stage Step reserves next; 0 when none is left
+}
+
+const (
+	bulkSend = 1 + iota
+	bulkTransit
+	bulkRecv
+)
+
+// Start arms the itinerary for bytes moving from one node to another. A
+// transfer between a node and itself, or with a missing endpoint, has no
+// stages.
+func (b *Bulk) Start(from, to *Node, bytes int) {
+	*b = Bulk{from: from, to: to, bytes: bytes}
+	if from != to && from != nil && to != nil {
+		b.stage = bulkSend
+	}
+}
+
+// Step reserves the transfer's next stage and returns its completion time, or
+// reports false once the bytes have crossed the receiver's NIC.
+func (b *Bulk) Step() (sim.Time, bool) {
+	from, cfg := b.from, &b.from.net.cfg
+	switch b.stage {
+	case bulkSend:
+		b.t0 = from.Part.Now()
+		b.stage = bulkTransit
+		return from.NIC.Reserve(cfg.NICTime(b.bytes)), true
+	case bulkTransit:
+		now := from.Part.Now()
+		from.stats.RingBytes += int64(b.bytes)
+		from.ringBusy += cfg.RingTime(b.bytes)
+		b.stage = bulkRecv
+		arr := now + cfg.RingTime(b.bytes)
+		if min := b.t0 + cfg.MinLatency; arr < min {
+			arr = min
+		}
+		if arr > now {
+			return arr, true
+		}
+		fallthrough
+	case bulkRecv:
+		b.stage = 0
+		return b.to.NIC.Reserve(cfg.NICTime(b.bytes)), true
+	}
+	return 0, false
+}
+
+// bulkCall is the record of one TransferBulk call: the itinerary and its Step
+// bound once, recycled through the sending node's free list (the idiom of
+// flight) so a steady stream of transfers allocates nothing.
+type bulkCall struct {
+	Bulk
+	step func() (sim.Time, bool)
+	next *bulkCall
+}
+
 // TransferBulk charges p for moving bytes between two nodes outside the
-// port/window machinery (spool-file traffic of diskless processors). It is
-// a no-op between a node and itself. The transfer occupies both NICs in
-// sequence with ring transit (floored at MinLatency) between them; inside
-// parallel windows callers must be shard-colocated with both endpoints
-// (diskless nodes are homed on their spool node's shard for this reason).
+// port/window machinery (spool-file traffic of diskless processors): p parks
+// once while the Bulk itinerary runs. It is a no-op between a node and itself.
 func (n *Network) TransferBulk(p *sim.Proc, from, to *Node, bytes int) {
 	if from == to || from == nil || to == nil {
 		return
 	}
-	t0 := p.Now()
-	from.NIC.Use(p, n.cfg.NICTime(bytes))
-	from.stats.RingBytes += int64(bytes)
-	from.ringBusy += n.cfg.RingTime(bytes)
-	arr := p.Now() + n.cfg.RingTime(bytes)
-	if min := t0 + n.cfg.MinLatency; arr < min {
-		arr = min
+	c := from.bulkFree
+	if c == nil {
+		c = &bulkCall{}
+		c.step = c.Step
+	} else {
+		from.bulkFree, c.next = c.next, nil
 	}
-	p.WaitUntil(arr)
-	to.NIC.Use(p, n.cfg.NICTime(bytes))
+	c.Start(from, to, bytes)
+	p.Steps(c.step)
+	c.next, from.bulkFree = from.bulkFree, c
 }
 
 // SendCtl sends a small control message. An inter-node control message

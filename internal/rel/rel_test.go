@@ -124,3 +124,34 @@ func TestHashSeedsIndependent(t *testing.T) {
 		t.Errorf("seeds agree on %d/%d routings; want ~%d", same, n, n/8)
 	}
 }
+
+func TestPartitionKeepsOrderAtExactSize(t *testing.T) {
+	tuples := make([]Tuple, 10)
+	site := make([]int32, len(tuples))
+	for i := range tuples {
+		tuples[i].Set(Unique1, int32(i))
+		site[i] = int32(i * i % 3)
+	}
+	parts := Partition(tuples, site, 4)
+	if len(parts) != 4 || len(parts[3]) != 0 {
+		t.Fatalf("parts = %v", parts)
+	}
+	n := 0
+	for j, part := range parts {
+		if cap(part) != len(part) {
+			t.Errorf("part %d: cap %d for %d tuples", j, cap(part), len(part))
+		}
+		last := int32(-1)
+		for _, tp := range part {
+			v := tp.Get(Unique1)
+			if site[v] != int32(j) || v <= last {
+				t.Errorf("part %d holds tuple %d after %d (site %d)", j, v, last, site[v])
+			}
+			last = v
+			n++
+		}
+	}
+	if n != len(tuples) {
+		t.Errorf("%d of %d tuples placed", n, len(tuples))
+	}
+}

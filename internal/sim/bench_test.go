@@ -132,18 +132,29 @@ func BenchmarkSpawn(b *testing.B) {
 }
 
 // TestHandoffAllocs pins the allocation cost of the hand-off: a park/wake
-// cycle and a Resource.Use allocate nothing, a UseAsync allocates nothing and
+// cycle, a Resource.Use and an itinerary (Proc.Steps with its step bound
+// beforehand) allocate nothing, a UseAsync allocates nothing and
 // leaves the calendar as it found it, and a Spawn allocates a bounded number
 // of objects (the Proc, its wrapper closure and iter.Pull's coroutine state).
 func TestHandoffAllocs(t *testing.T) {
 	const maxPerSpawn = 16
 	s := New()
 	r := s.NewResource("r")
-	var sleep, use, async, spawn float64
+	var sleep, use, steps, async, spawn float64
 	var pending int
 	s.Spawn("p", func(p *Proc) {
 		sleep = testing.AllocsPerRun(1000, func() { p.Sleep(1) })
 		use = testing.AllocsPerRun(1000, func() { r.Use(p, 1) })
+		stage := 0
+		threeStages := func() (Time, bool) {
+			if stage == 3 {
+				stage = 0
+				return 0, false
+			}
+			stage++
+			return r.Reserve(1), true
+		}
+		steps = testing.AllocsPerRun(1000, func() { p.Steps(threeStages) })
 		pending = s.sh0.events.len()
 		async = testing.AllocsPerRun(1000, func() { r.UseAsync(1) })
 		pending -= s.sh0.events.len()
@@ -159,6 +170,9 @@ func TestHandoffAllocs(t *testing.T) {
 	}
 	if use != 0 {
 		t.Errorf("Resource.Use allocates %v objects per call, want 0", use)
+	}
+	if steps != 0 {
+		t.Errorf("Proc.Steps allocates %v objects per three-stage itinerary, want 0", steps)
 	}
 	if async != 0 || pending != 0 {
 		t.Errorf("Resource.UseAsync allocates %v objects per call and 1001 calls grew the calendar by %d events, want 0 and 0", async, -pending)

@@ -1,7 +1,8 @@
 package sim
 
 // event is one pending occurrence in a shard's calendar. Exactly one of
-// p/fn is set: wake events carry the process to resume directly (no closure
+// p/fn is set: wake events carry the process to resume — or, while it is on
+// an itinerary (Proc.Steps), whose next stage to run — directly (no closure
 // allocation per park/wake), fn events carry arbitrary kernel callbacks.
 //
 // ord is the global tie-break among equal-time events. In serialized

@@ -111,7 +111,7 @@ func TestDeadlockWithOutstandingCompletion(t *testing.T) {
 // useAsyncAsEvent is what UseAsync was before completions left the calendar:
 // the same reservation plus a completion event that does nothing.
 func useAsyncAsEvent(r *Resource, d Dur) Time {
-	done := r.schedule(d)
+	done := r.Reserve(d)
 	r.shard.At(done, func() {})
 	return done
 }

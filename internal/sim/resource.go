@@ -45,8 +45,7 @@ func (r *Resource) Shard() *Shard { return r.shard }
 // Use blocks p while the resource queues and then serves a request of
 // duration d. It returns after service completes.
 func (r *Resource) Use(p *Proc, d Dur) {
-	done := r.schedule(d)
-	p.wake(done)
+	p.wake(r.Reserve(d))
 	p.park()
 }
 
@@ -59,7 +58,7 @@ func (r *Resource) Use(p *Proc, d Dur) {
 // counts it as retired (see Executed), and raises the shard's completion
 // horizon, which Run folds into the final clock.
 func (r *Resource) UseAsync(d Dur) Time {
-	done := r.schedule(d)
+	done := r.Reserve(d)
 	r.sim.nextOrd(r.shard)
 	r.shard.elided++
 	if done > r.shard.horizon {
@@ -68,8 +67,12 @@ func (r *Resource) UseAsync(d Dur) Time {
 	return done
 }
 
-// schedule reserves the next service slot and returns its completion time.
-func (r *Resource) schedule(d Dur) Time {
+// Reserve queues a request of duration d behind the work already accepted and
+// returns the time at which its service completes, without blocking anyone
+// and without drawing an ord. It is the reservation half of Use, for the
+// stages of an itinerary (Proc.Steps): a stage returns the completion time
+// and the kernel schedules what Use's wake would have been.
+func (r *Resource) Reserve(d Dur) Time {
 	if d < 0 {
 		d = 0
 	}

@@ -32,6 +32,7 @@ type Shard struct {
 	failure *procPanic // first panic escaped from a process or event on this shard
 
 	executed uint64
+	resumes  uint64 // switches into a process (see Sim.Resumes)
 
 	// Earliest-output-time (EOT) state, read by the window scheduler at
 	// each barrier (see Sim.runWindows).

@@ -371,6 +371,10 @@ type Proc struct {
 	wq      *WaitQ // wait queue the process is parked on, if any
 	wqIdx   int    // slot in wq.procs, cached for O(1) removal
 	parkSeq uint64 // increments per park; lets timed wakes detect staleness
+	// step is the itinerary the process handed to the kernel (see Steps); while
+	// it is set, the process's pending wake event runs the next stage instead
+	// of resuming the process.
+	step func() (at Time, more bool)
 }
 
 // Sim returns the simulation the process belongs to.
@@ -456,6 +460,36 @@ func (p *Proc) WaitUntil(t Time) {
 	}
 }
 
+// Steps runs an itinerary — a chain of timed stages such as Resource.Reserve
+// calls — on p's behalf while p stays parked. step is called at once and then
+// again at each instant it returns, in kernel context, as the event that would
+// have resumed p had the stage blocked it (Resource.Use, Sleep); p continues
+// at the instant step reports more == false, in that same firing. A call
+// performs the work due at that instant, reserves the next stage and returns
+// its completion; with more == false the time is ignored.
+//
+// Each stage draws its ord when the blocking form would have drawn it — right
+// after step returns — so an itinerary and its blocking twin produce the same
+// events with the same (at, ord) keys, the same trace and the same Executed
+// count in serialized, merged and windowed execution; only the resumes differ
+// (see Sim.Resumes): one per Steps call instead of one per stage. Between
+// stages the itinerary is an ordinary pending event: RunUntil may stop with it
+// outstanding, and Close unwinds the parked process and never runs another
+// stage. A process killed mid-itinerary unwinds at the firing that would have
+// run the next stage, which then never reserves.
+//
+// step must not block (no Use, Sleep, Park or nested Steps) and, in a parallel
+// window, touches p's shard only, like p itself.
+func (p *Proc) Steps(step func() (at Time, more bool)) {
+	at, more := step()
+	if !more {
+		return
+	}
+	p.step = step
+	p.wake(at)
+	p.park()
+}
+
 // Spawn starts fn as a new process at the current simulated time, homed on
 // the scheduling context's shard.
 func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
@@ -535,15 +569,26 @@ func (sh *Shard) retire(p *Proc) {
 }
 
 // fire dispatches one event of shard sh, in every execution mode: a wake
-// event switches to its process until it parks again or exits, a callback
-// event runs in kernel context. The only place a process is resumed.
+// event switches to its process until it parks again or exits — unless the
+// process is part-way through an itinerary (Proc.Steps), whose next stage
+// runs here instead — and a callback event runs in kernel context. The only
+// place a process is resumed.
 func (sh *Shard) fire(e event) {
-	if e.p != nil {
-		sh.parked--
-		e.p.next()
-	} else {
+	p := e.p
+	if p == nil {
 		e.fn()
+		return
 	}
+	if p.step != nil && !p.killed {
+		if at, more := p.step(); more {
+			p.wake(at)
+			return
+		}
+		p.step = nil
+	}
+	sh.parked--
+	sh.resumes++
+	p.next()
 }
 
 // fireSerial fires one event of shard sh in serialized execution.
@@ -839,6 +884,18 @@ func (s *Sim) Executed() uint64 {
 	n := s.fired()
 	for _, sh := range s.shards {
 		n += sh.elided
+	}
+	return n
+}
+
+// Resumes returns the number of times the kernel has switched to a process
+// since the simulation was created: one per spawn and one per wake that a
+// process was actually resumed for. The stages of an itinerary (Proc.Steps)
+// fire as events and count in Executed, but only its end is a resume.
+func (s *Sim) Resumes() uint64 {
+	var n uint64
+	for _, sh := range s.shards {
+		n += sh.resumes
 	}
 	return n
 }

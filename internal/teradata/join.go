@@ -33,11 +33,7 @@ type JoinQuery struct {
 func (m *Machine) RunJoin(q JoinQuery) Result {
 	tc := m.Prm.Tera
 	nA := len(m.AMPs)
-	out := &Relation{Name: "result", KeyAttr: rel.Unique1, Secondary: map[rel.Attr]bool{}}
-	for _, nd := range m.AMPs {
-		st := m.stores[nd.ID]
-		out.Frags = append(out.Frags, &Fragment{Node: nd, File: st.CreateFile("result")})
-	}
+	out := m.newResult()
 	total := 0
 	elapsed := m.run(tc.HostStartup, func(p *sim.Proc) {
 		// Phase 1: scan + (maybe) redistribute both relations.
@@ -60,11 +56,9 @@ func (m *Machine) RunJoin(q JoinQuery) Result {
 			i1 := make([][]rel.Tuple, nA)
 			i2 := m.routeBuffers(q.R3, q.Pred3)
 			m.fanout(p, func(ap *sim.Proc, amp int) {
-				for _, t := range inter[amp] {
-					dst := int(rel.Hash64(t.Get(q.AttrI), hashSeed^0xbeef) % uint64(nA))
-					m.tempInsert(ap, amp, dst)
-					i1[dst] = append(i1[dst], t)
-				}
+				rd := m.newRedistribution(amp, rel.True(), q.AttrI, i1, hashSeed^0xbeef, true)
+				rd.batch(inter[amp])
+				ap.Steps(rd.step)
 				m.scanRouteSeed(ap, amp, q.R3, q.Pred3, q.Attr3, i2, hashSeed^0xbeef, true)
 			})
 			m.fanout(p, func(ap *sim.Proc, amp int) {
@@ -75,18 +69,35 @@ func (m *Machine) RunJoin(q JoinQuery) Result {
 		// Result storage with INSERT INTO logging.
 		counts := make([]int, nA)
 		m.fanout(p, func(ap *sim.Proc, amp int) {
-			for _, t := range inter[amp] {
-				m.insertResult(ap, amp, t, out)
-			}
+			m.storeBatch(ap, amp, inter[amp], out)
 			counts[amp] = len(inter[amp])
 		})
 		for _, c := range counts {
 			total += c
 		}
 	})
-	m.catalog[out.Name] = out
-	out.N = total
+	m.catalogResult(out, total)
 	return Result{Elapsed: elapsed, Tuples: total}
+}
+
+// storeBatch is INSERT INTO for the result tuples one AMP produced: one
+// itinerary, the tuples' insertions strung end to end, so the AMP's process
+// is resumed once for the batch.
+func (m *Machine) storeBatch(ap *sim.Proc, amp int, batch []rel.Tuple, out *Relation) {
+	ins := insertion{m: m, out: out}
+	next := 0
+	ap.Steps(func() (sim.Time, bool) {
+		for {
+			if at, more := ins.step(); more {
+				return at, true
+			}
+			if next == len(batch) {
+				return 0, false
+			}
+			ins.start(amp, &batch[next])
+			next++
+		}
+	})
 }
 
 // routeBuffers returns the per-AMP destinations of scanRoute over r: whether
@@ -110,24 +121,56 @@ func (m *Machine) scanRoute(ap *sim.Proc, amp int, r *Relation, pred rel.Pred, a
 }
 
 func (m *Machine) scanRouteSeed(ap *sim.Proc, amp int, r *Relation, pred rel.Pred, attr rel.Attr, dest [][]rel.Tuple, seed uint64, redistribute bool) {
-	tc := m.Prm.Tera
-	fr := r.Frags[amp]
-	nd := m.AMPs[amp]
-	sc := fr.File.NewScanner()
+	rd := m.newRedistribution(amp, pred, attr, dest, seed, redistribute)
+	step := rd.step
+	sc := r.Frags[amp].File.NewScanner()
 	for pg := sc.NextPage(ap); pg != nil; pg = sc.NextPage(ap) {
-		nd.UseCPU(ap, tc.InstrPerTupleScan*len(pg.Tuples))
-		for s, t := range pg.Tuples {
-			if !pg.Live(s) || !pred.Match(t) {
-				continue
-			}
-			if !redistribute {
-				dest[amp] = append(dest[amp], t)
-				continue
-			}
-			dst := int(rel.Hash64(t.Get(attr), seed) % uint64(len(m.AMPs)))
-			m.tempInsert(ap, amp, dst)
-			dest[dst] = append(dest[dst], t)
+		rd.scan(pg, m.Prm.Tera.InstrPerTupleScan)
+		ap.Steps(step)
+	}
+}
+
+// redistribution is one AMP's itinerary (sim.Proc.Steps) over a batch of
+// tuples — a page of a scan, or an intermediate result in memory: the scan CPU
+// for the batch, if any, then every qualifying tuple in turn goes to the AMP
+// its join attribute hashes to, or straight into this AMP's destination when
+// the tuples are already placed. The AMP's process is resumed once per batch.
+type redistribution struct {
+	qualifying
+	amp  int
+	attr rel.Attr
+	seed uint64
+	stay bool // already placed: no redistribution
+	ins  tempInsert
+}
+
+func (m *Machine) newRedistribution(amp int, pred rel.Pred, attr rel.Attr, dest [][]rel.Tuple, seed uint64, redistribute bool) *redistribution {
+	return &redistribution{
+		qualifying: qualifying{pred: pred},
+		amp:        amp, attr: attr, seed: seed, stay: !redistribute,
+		ins: tempInsert{m: m, dest: dest},
+	}
+}
+
+func (rd *redistribution) step() (sim.Time, bool) {
+	m := rd.ins.m
+	if at, due := rd.payScan(m.AMPs[rd.amp]); due {
+		return at, true
+	}
+	for {
+		if at, more := rd.ins.step(); more {
+			return at, true
 		}
+		t := rd.nextTuple()
+		if t == nil {
+			return 0, false
+		}
+		if rd.stay {
+			rd.ins.dest[rd.amp] = append(rd.ins.dest[rd.amp], *t)
+			continue
+		}
+		dst := int(rel.Hash64(t.Get(rd.attr), rd.seed) % uint64(len(m.AMPs)))
+		rd.ins.start(rd.amp, dst, t)
 	}
 }
 
@@ -140,13 +183,14 @@ func (m *Machine) sortMerge(ap *sim.Proc, amp int, s1 []rel.Tuple, a1 rel.Attr, 
 	costs := wiss.SortCosts{InstrPerTupleRun: tc.InstrPerTupleSort, InstrPerTupleMerge: tc.InstrPerTupleMerge}
 	sortMem := m.Prm.Memory.NodeBytes / 2
 
-	mk := func(ts []rel.Tuple, attr rel.Attr, name string) *wiss.File {
+	// mk stores a redistributed partition (adopting ts) and sorts it.
+	mk := func(ts []rel.Tuple, attr rel.Attr, name string) (unsorted, sorted *wiss.File) {
 		f := st.CreateFile(name)
 		f.LoadDirect(ts, nil)
-		return wiss.SortFile(ap, f, attr, sortMem, costs)
+		return f, wiss.SortFile(ap, f, attr, sortMem, costs)
 	}
-	f1 := mk(s1, a1, "join.s1")
-	f2 := mk(s2, a2, "join.s2")
+	u1, f1 := mk(s1, a1, "join.s1")
+	u2, f2 := mk(s2, a2, "join.s2")
 
 	// Merge pass: read both sorted files sequentially.
 	t1 := fileTuples(ap, f1)
@@ -171,8 +215,10 @@ func (m *Machine) sortMerge(ap *sim.Proc, amp int, s1 []rel.Tuple, a1 rel.Attr, 
 			i++
 		}
 	}
-	st.DropFile(f1)
-	st.DropFile(f2)
+	// Dropped only now, after the last read: dropping purges the buffer pool.
+	for _, f := range []*wiss.File{u1, u2, f1, f2} {
+		st.DropFile(f)
+	}
 	return outT
 }
 

@@ -110,14 +110,11 @@ type Fragment struct {
 // charges no simulated time.
 func (m *Machine) Load(name string, key rel.Attr, secondary []rel.Attr, tuples []rel.Tuple) *Relation {
 	k := len(m.AMPs)
-	parts := make([][]rel.Tuple, k)
-	for j := range parts {
-		parts[j] = make([]rel.Tuple, 0, withSlack(len(tuples)/k))
+	site := make([]int32, len(tuples))
+	for i := range tuples {
+		site[i] = int32(rel.Hash64(tuples[i].A[key], hashSeed) % uint64(k))
 	}
-	for _, t := range tuples {
-		j := int(rel.Hash64(t.Get(key), hashSeed) % uint64(k))
-		parts[j] = append(parts[j], t)
-	}
+	parts := rel.Partition(tuples, site, k) // exact sizes: the AMPs' files adopt them
 	r := &Relation{Name: name, N: len(tuples), KeyAttr: key, Secondary: map[rel.Attr]bool{}}
 	for _, a := range secondary {
 		r.Secondary[a] = true
@@ -193,6 +190,29 @@ func (m *Machine) fanout(p *sim.Proc, fn func(ap *sim.Proc, amp int)) {
 	}
 }
 
+// newResult creates the (empty) relation a query's INSERT INTO fills: one
+// "result" file per AMP, hashed on unique1.
+func (m *Machine) newResult() *Relation {
+	out := &Relation{Name: "result", KeyAttr: rel.Unique1, Secondary: map[rel.Attr]bool{}}
+	for _, nd := range m.AMPs {
+		out.Frags = append(out.Frags, &Fragment{Node: nd, File: m.stores[nd.ID].CreateFile("result")})
+	}
+	return out
+}
+
+// catalogResult publishes a query's result of n tuples under its name and
+// drops the files of the result it supersedes, which would otherwise stay in
+// their stores for the life of the machine.
+func (m *Machine) catalogResult(out *Relation, n int) {
+	if old := m.catalog[out.Name]; old != nil {
+		for _, fr := range old.Frags {
+			m.stores[fr.Node.ID].DropFile(fr.File)
+		}
+	}
+	out.N = n
+	m.catalog[out.Name] = out
+}
+
 // Fallback mirrors Teradata's FALLBACK option: every row is also written to
 // a "fallback" copy on a second AMP. §4 notes the benchmark relations were
 // loaded NO FALLBACK; enabling it roughly doubles insert-side work.
@@ -201,49 +221,175 @@ var fallbackOffset = 7 // fallback copy lands on AMP (primary+7) mod n
 // Fallback toggles fallback-copy maintenance for subsequent queries.
 func (m *Machine) SetFallback(on bool) { m.fallback = on }
 
-// insertResult charges the INSERT INTO path for one result tuple arriving at
-// the destination AMP chosen by hashing the result's primary key: Y-net
-// transfer plus the logging I/Os and CPU (§4). The caller is the producing
-// AMP's process; the destination's drive and CPU serialize contention.
-func (m *Machine) insertResult(p *sim.Proc, fromAMP int, t rel.Tuple, out *Relation) {
-	tc := m.Prm.Tera
-	dst := int(rel.Hash64(t.Get(out.KeyAttr), hashSeed) % uint64(len(m.AMPs)))
-	from, to := m.AMPs[fromAMP], m.AMPs[dst]
-	m.Net.TransferBulk(p, from, to, m.Prm.TupleBytes)
-	to.CPU.Use(p, m.ampPrm.CPU.Time(tc.InstrPerInsert))
-	for i := 0; i < tc.InsertIOs; i++ {
-		// Logging and data-block writes land in distinct areas: random.
-		m.ioSeq += 2
-		to.Drive.Write(p, -1-dst, m.ioSeq, m.Prm.TupleBytes)
-	}
-	fr := out.Frags[dst]
-	fr.File.LoadAppend(t)
-	if m.fallback {
+// insertion is the INSERT INTO itinerary of one result tuple arriving at the
+// destination AMP chosen by hashing the result's primary key: Y-net transfer
+// plus the logging I/Os and CPU (§4). It is a sub-itinerary (sim.Proc.Steps) of
+// the producing AMP's process, which strings one after another and is resumed
+// once per batch, not once per stage; the destination's drive and CPU
+// serialize contention.
+type insertion struct {
+	m     *Machine
+	out   *Relation
+	t     *rel.Tuple // the tuple being inserted
+	dst   int        // its AMP
+	xfer  nose.Bulk
+	ios   int // logged I/Os issued so far
+	stage int // the stage step takes next; 0 when no insertion is under way
+}
+
+const (
+	insArrive = 1 + iota
+	insLog
+	insFallback
+)
+
+// start arms the itinerary for tuple t produced on AMP from. t must stay put
+// until the insertion completes.
+func (x *insertion) start(from int, t *rel.Tuple) {
+	m := x.m
+	x.t = t
+	x.dst = int(rel.Hash64(t.Get(x.out.KeyAttr), hashSeed) % uint64(len(m.AMPs)))
+	x.xfer.Start(m.AMPs[from], m.AMPs[x.dst], m.Prm.TupleBytes)
+	x.stage = insArrive
+}
+
+// step reserves the insertion's next stage and returns its completion time, or
+// reports false once the row (and its FALLBACK copy's transfer) is done.
+func (x *insertion) step() (sim.Time, bool) {
+	m, tc := x.m, &x.m.Prm.Tera
+	to := m.AMPs[x.dst]
+	switch x.stage {
+	case insArrive:
+		if at, more := x.xfer.Step(); more {
+			return at, true
+		}
+		x.stage, x.ios = insLog, 0
+		return to.ReserveCPU(tc.InstrPerInsert), true
+	case insLog:
+		if x.ios < tc.InsertIOs {
+			// Logging and data-block writes land in distinct areas: random.
+			x.ios++
+			m.ioSeq += 2
+			return to.Drive.ReserveWrite(-1-x.dst, m.ioSeq, m.Prm.TupleBytes), true
+		}
+		x.out.Frags[x.dst].File.LoadAppend(*x.t)
+		if !m.fallback {
+			break
+		}
 		// FALLBACK: ship and write the row's fallback copy on another
 		// AMP (asynchronously; the primary insert does not wait).
-		fb := (dst + fallbackOffset) % len(m.AMPs)
+		x.xfer.Start(to, m.AMPs[x.fallbackAMP()], m.Prm.TupleBytes)
+		x.stage = insFallback
+		fallthrough
+	case insFallback:
+		if at, more := x.xfer.Step(); more {
+			return at, true
+		}
+		fb := x.fallbackAMP()
 		fbNode := m.AMPs[fb]
-		m.Net.TransferBulk(p, to, fbNode, m.Prm.TupleBytes)
 		fbNode.CPU.UseAsync(m.ampPrm.CPU.Time(tc.InstrPerInsert / 2))
 		for i := 0; i < tc.InsertIOs; i++ {
 			m.ioSeq += 2
 			fbNode.Drive.WriteAsync(-300-fb, m.ioSeq, m.Prm.TupleBytes)
 		}
 	}
+	x.stage = 0
+	return 0, false
 }
 
-// tempInsert charges one tuple of join redistribution: Y-net transfer plus
-// the "store in temporary file in hash-key order" cost at the receiver (§6).
-func (m *Machine) tempInsert(p *sim.Proc, fromAMP, toAMP int) {
-	tc := m.Prm.Tera
-	from, to := m.AMPs[fromAMP], m.AMPs[toAMP]
-	m.Net.TransferBulk(p, from, to, m.Prm.TupleBytes)
+// fallbackAMP is where the FALLBACK copy of the row being inserted lands.
+func (x *insertion) fallbackAMP() int { return (x.dst + fallbackOffset) % len(x.m.AMPs) }
+
+// tempInsert is the itinerary of one tuple of join redistribution: Y-net
+// transfer plus the "store in temporary file in hash-key order" cost at the
+// receiver (§6), where the tuple joins dest. A sub-itinerary like insertion.
+type tempInsert struct {
+	m    *Machine
+	dest [][]rel.Tuple // the temporary files, one per AMP
+	t    *rel.Tuple    // the tuple in transit; nil when none is
+	to   int
+	xfer nose.Bulk
+}
+
+// start arms the itinerary for tuple t going from one AMP to another. t must
+// stay put until it has landed.
+func (x *tempInsert) start(from, to int, t *rel.Tuple) {
+	m := x.m
+	x.t, x.to = t, to
+	x.xfer.Start(m.AMPs[from], m.AMPs[to], m.Prm.TupleBytes)
+}
+
+// step reserves the next stage of the transfer and returns its completion
+// time, or lands the tuple and reports false.
+func (x *tempInsert) step() (sim.Time, bool) {
+	if x.t == nil {
+		return 0, false
+	}
+	if at, more := x.xfer.Step(); more {
+		return at, true
+	}
 	// The receiving AMP's work is not acknowledged per tuple: it queues on
 	// the destination's CPU and drive (the sort phase that follows reads
 	// from the same drive, so unfinished temp writes still delay it).
+	m, tc := x.m, &x.m.Prm.Tera
+	to := m.AMPs[x.to]
 	to.CPU.UseAsync(m.ampPrm.CPU.Time(tc.InstrPerTempInsert))
 	for i := 0; i < tc.TempInsertIOs; i++ {
 		m.ioSeq += 2
-		to.Drive.WriteAsync(-100-toAMP, m.ioSeq, m.Prm.TupleBytes)
+		to.Drive.WriteAsync(-100-x.to, m.ioSeq, m.Prm.TupleBytes)
 	}
+	x.dest[x.to] = append(x.dest[x.to], *x.t)
+	x.t = nil
+	return 0, false
+}
+
+// qualifying walks the tuples of a batch — a page, or a slice in memory — that
+// are live and satisfy a predicate, in place.
+type qualifying struct {
+	tuples    []rel.Tuple
+	holes     *wiss.Page // the page, when it has tombstoned slots
+	pred      rel.Pred
+	next      int
+	scanInstr int // scan CPU the batch has yet to pay (see scan, payScan)
+}
+
+// batch points the walk at tuples in memory, all live.
+func (q *qualifying) batch(tuples []rel.Tuple) { q.tuples, q.holes, q.next = tuples, nil, 0 }
+
+// page points the walk at a page of a file.
+func (q *qualifying) page(pg *wiss.Page) {
+	q.batch(pg.Tuples)
+	if !pg.AllLive() {
+		q.holes = pg
+	}
+}
+
+// scan points the walk at a page fresh from a scanner: examining its tuples
+// costs instr instructions each, due before the first is looked at.
+func (q *qualifying) scan(pg *wiss.Page, instr int) {
+	q.page(pg)
+	q.scanInstr = instr * len(pg.Tuples)
+}
+
+// payScan is the stage that charges the batch's outstanding scan CPU to nd;
+// it reports false when nothing is outstanding.
+func (q *qualifying) payScan(nd *nose.Node) (sim.Time, bool) {
+	if q.scanInstr <= 0 {
+		return 0, false
+	}
+	instr := q.scanInstr
+	q.scanInstr = 0
+	return nd.ReserveCPU(instr), true
+}
+
+// nextTuple returns the next qualifying tuple, or nil when the batch is done.
+func (q *qualifying) nextTuple() *rel.Tuple {
+	for q.next < len(q.tuples) {
+		s := q.next
+		q.next++
+		if t := &q.tuples[s]; (q.holes == nil || q.holes.Live(s)) && q.pred.MatchRef(t) {
+			return t
+		}
+	}
+	return nil
 }

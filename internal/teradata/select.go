@@ -3,6 +3,7 @@ package teradata
 import (
 	"gamma/internal/rel"
 	"gamma/internal/sim"
+	"gamma/internal/wiss"
 )
 
 // SelectKind is the physical plan of a Teradata selection.
@@ -27,11 +28,7 @@ func (m *Machine) RunSelect(r *Relation, pred rel.Pred, kind SelectKind, toHost 
 	tc := m.Prm.Tera
 	var out *Relation
 	if !toHost {
-		out = &Relation{Name: "result", KeyAttr: rel.Unique1, Secondary: map[rel.Attr]bool{}}
-		for _, nd := range m.AMPs {
-			st := m.stores[nd.ID]
-			out.Frags = append(out.Frags, &Fragment{Node: nd, File: st.CreateFile("result")})
-		}
+		out = m.newResult()
 	}
 	total := 0
 	elapsed := m.run(tc.HostStartup, func(p *sim.Proc) {
@@ -55,60 +52,129 @@ func (m *Machine) RunSelect(r *Relation, pred rel.Pred, kind SelectKind, toHost 
 		}
 		counts := make([]int, len(m.AMPs))
 		m.fanout(p, func(ap *sim.Proc, amp int) {
-			fr := r.Frags[amp]
-			nd := m.AMPs[amp]
-			n := 0
-			emit := func(t rel.Tuple) {
-				n++
-				if out != nil {
-					m.insertResult(ap, amp, t, out)
-				}
+			q := &selection{
+				qualifying: qualifying{pred: pred},
+				m:          m, amp: amp, file: r.Frags[amp].File,
+				ins: insertion{m: m, out: out},
 			}
 			switch kind {
 			case FileScan:
-				sc := fr.File.NewScanner()
+				step := q.filePage
+				sc := q.file.NewScanner()
 				for pg := sc.NextPage(ap); pg != nil; pg = sc.NextPage(ap) {
-					nd.UseCPU(ap, tc.InstrPerTupleScan*len(pg.Tuples))
-					for s, t := range pg.Tuples {
-						if pg.Live(s) && pred.Match(t) {
-							emit(t)
-						}
-					}
+					q.scan(pg, tc.InstrPerTupleScan)
+					ap.Steps(step)
 				}
 			case IndexScan:
 				if !r.Secondary[pred.Attr] {
 					panic("teradata: IndexScan without a secondary index on " + pred.Attr.String())
 				}
-				// The whole index is scanned: same number of
-				// comparisons as a file scan, fewer sequential
-				// I/Os (§5.1).
-				entries := fr.File.Len()
-				idxPages := entries*m.Prm.IndexEntryBytes/m.ampPrm.PageBytes + 1
-				for i := 0; i < idxPages; i++ {
-					nd.Drive.Read(ap, -200-amp, i, m.ampPrm.PageBytes)
-				}
-				nd.UseCPU(ap, tc.InstrPerTupleScan*entries)
-				for pg := 0; pg < fr.File.Pages(); pg++ {
-					page := fr.File.Page(pg)
-					for s, t := range fr.File.PageTuples(pg) {
-						if page.Live(s) && pred.Match(t) {
-							// Each qualifying tuple: one random data-block access.
-							m.ioSeq += 2
-							nd.Drive.Read(ap, fr.File.ID, m.ioSeq, m.ampPrm.PageBytes)
-							emit(t)
-						}
-					}
-				}
+				ap.Steps(q.indexScan)
 			}
-			counts[amp] = n
+			counts[amp] = q.n
 		})
 		for _, c := range counts {
 			total += c
 		}
 	})
 	if out != nil {
-		m.catalog[out.Name] = out
-		out.N = total
+		m.catalogResult(out, total)
 	}
 	return Result{Elapsed: elapsed, Tuples: total}
+}
+
+// selection is one AMP's part of a FileScan or IndexScan selection: the walk
+// over its fragment, the count of selected tuples and, unless they go to the
+// host, their INSERT INTO. Its two itineraries (sim.Proc.Steps) resume the
+// AMP's process once per page of a file scan and once per index scan.
+type selection struct {
+	qualifying
+	m    *Machine
+	amp  int
+	file *wiss.File
+	ins  insertion // out == nil: results go to the host
+	n    int       // tuples selected
+
+	// IndexScan.
+	stage    int
+	idxRead  int        // index pages read so far
+	nextPage int        // next page of the file to look for qualifying tuples in
+	fetched  *rel.Tuple // the tuple whose data block is being read
+}
+
+const (
+	idxScan = iota
+	idxFetch
+)
+
+// emit counts a selected tuple and starts its INSERT INTO, if it has one.
+func (q *selection) emit(t *rel.Tuple) {
+	q.n++
+	if q.ins.out != nil {
+		q.ins.start(q.amp, t)
+	}
+}
+
+// filePage is the itinerary of one page of a file scan: the scan CPU for
+// every tuple on it, then an insertion for each that qualifies.
+func (q *selection) filePage() (sim.Time, bool) {
+	if at, due := q.payScan(q.m.AMPs[q.amp]); due {
+		return at, true
+	}
+	for {
+		if at, more := q.ins.step(); more {
+			return at, true
+		}
+		t := q.nextTuple()
+		if t == nil {
+			return 0, false
+		}
+		q.emit(t)
+	}
+}
+
+// indexScan is the itinerary of an AMP's whole index scan.
+func (q *selection) indexScan() (sim.Time, bool) {
+	m := q.m
+	nd := m.AMPs[q.amp]
+	switch q.stage {
+	case idxScan:
+		// The whole index is scanned: same number of comparisons as a
+		// file scan, fewer sequential I/Os (§5.1).
+		entries := q.file.Len()
+		if q.idxRead < entries*m.Prm.IndexEntryBytes/m.ampPrm.PageBytes+1 {
+			q.idxRead++
+			return nd.Drive.ReserveRead(-200-q.amp, q.idxRead-1, m.ampPrm.PageBytes), true
+		}
+		q.stage = idxFetch
+		if instr := m.Prm.Tera.InstrPerTupleScan * entries; instr > 0 {
+			return nd.ReserveCPU(instr), true
+		}
+		fallthrough
+	case idxFetch:
+		for {
+			if at, more := q.ins.step(); more {
+				return at, true
+			}
+			if t := q.fetched; t != nil {
+				q.fetched = nil
+				q.emit(t)
+				continue
+			}
+			t := q.nextTuple()
+			for t == nil && q.nextPage < q.file.Pages() {
+				q.page(q.file.Page(q.nextPage))
+				q.nextPage++
+				t = q.nextTuple()
+			}
+			if t == nil {
+				break
+			}
+			// Each qualifying tuple: one random data-block access.
+			m.ioSeq += 2
+			q.fetched = t
+			return nd.Drive.ReserveRead(q.file.ID, m.ioSeq, m.ampPrm.PageBytes), true
+		}
+	}
+	return 0, false
 }

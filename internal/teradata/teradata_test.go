@@ -212,3 +212,108 @@ func TestElapsedCoversWriteBehind(t *testing.T) {
 		t.Errorf("fallback selection: %d tuples in %d us, want 1000 in 16483323", sel.Tuples, sel.Elapsed)
 	}
 }
+
+// TestStoresStayFlatAcrossJoins: a join's temporary files — the redistributed
+// partitions, their sorted copies — and the result relation it supersedes are
+// dropped, so repeating a query does not grow any AMP's store.
+func TestStoresStayFlatAcrossJoins(t *testing.T) {
+	m, a := newTera(t, 2000)
+	b := m.Load("Bprime", rel.Unique1, nil, wisconsin.Generate(200, 7))
+	files := func() int {
+		n := 0
+		for _, st := range m.stores {
+			n += st.Files()
+		}
+		return n
+	}
+	join := func() {
+		m.RunJoin(JoinQuery{
+			R1: a, Pred1: rel.True(), Attr1: rel.Unique2,
+			R2: b, Pred2: rel.True(), Attr2: rel.Unique2,
+		})
+	}
+	join()
+	after1 := files()
+	if want := 3 * len(m.AMPs); after1 != want {
+		t.Errorf("%d files after one join, want %d (A, Bprime and the result on each AMP)", after1, want)
+	}
+	join()
+	m.RunSelect(a, rel.Between(rel.Unique2, 0, 99), FileScan, false)
+	if got := files(); got != after1 {
+		t.Errorf("%d files after three queries, %d after one: temporary or superseded files stay behind", got, after1)
+	}
+}
+
+// resumesOf runs body as one process per AMP and returns how many times the
+// kernel resumed a process for it, beyond the harness's own hand-offs (the
+// host, its start-up charge, one spawn per AMP and the barrier).
+func resumesOf(m *Machine, body func(ap *sim.Proc, amp int)) int {
+	cost := func(body func(ap *sim.Proc, amp int)) int {
+		before := m.Sim.Resumes()
+		m.run(0, func(p *sim.Proc) { m.fanout(p, body) })
+		return int(m.Sim.Resumes() - before)
+	}
+	harness := cost(func(*sim.Proc, int) {})
+	return cost(body) - harness
+}
+
+// TestItinerariesResumePerPageNotPerTuple counts the hand-offs of the two
+// per-tuple paths of a join. Redistributing a fragment resumes the AMP's
+// process at most once per page on top of what scanning it costs anyway —
+// whether the page's tuples stay or each crosses the Y-net — and storing an
+// AMP's batch of result tuples, FALLBACK copies included, resumes it once.
+func TestItinerariesResumePerPageNotPerTuple(t *testing.T) {
+	m, a := newTera(t, 4000)
+	m.SetFallback(true)
+	pages := 0
+	for _, fr := range a.Frags {
+		pages += fr.File.Pages()
+	}
+	scanOnly := resumesOf(m, func(ap *sim.Proc, amp int) {
+		sc := a.Frags[amp].File.NewScanner()
+		for pg := sc.NextPage(ap); pg != nil; pg = sc.NextPage(ap) {
+		}
+	})
+	for _, redistribute := range []bool{false, true} {
+		dest := m.routeBuffers(a, rel.True())
+		got := resumesOf(m, func(ap *sim.Proc, amp int) {
+			m.scanRouteSeed(ap, amp, a, rel.True(), rel.Unique2, dest, hashSeed, redistribute)
+		})
+		if got-scanOnly > pages {
+			t.Errorf("redistribute=%v: %d resumes for %d pages (%d tuples), %d of them the bare scan's: more than one per page",
+				redistribute, got, pages, a.N, scanOnly)
+		}
+		routed := 0
+		for _, d := range dest {
+			routed += len(d)
+		}
+		if routed != a.N {
+			t.Errorf("redistribute=%v: %d of %d tuples routed", redistribute, routed, a.N)
+		}
+	}
+
+	out := m.newResult()
+	batches := m.routeBuffers(a, rel.True())
+	for amp, fr := range a.Frags {
+		batches[amp] = fileTuplesFree(fr)
+	}
+	if got := resumesOf(m, func(ap *sim.Proc, amp int) { m.storeBatch(ap, amp, batches[amp], out) }); got > len(m.AMPs) {
+		t.Errorf("%d resumes to store %d tuples from %d AMPs: more than one per AMP", got, a.N, len(m.AMPs))
+	}
+	stored := 0
+	for _, fr := range out.Frags {
+		stored += fr.File.Len()
+	}
+	if stored != a.N {
+		t.Errorf("%d of %d tuples stored", stored, a.N)
+	}
+}
+
+// fileTuplesFree returns a fragment's tuples without charging simulated time.
+func fileTuplesFree(fr *Fragment) []rel.Tuple {
+	var out []rel.Tuple
+	for pg := 0; pg < fr.File.Pages(); pg++ {
+		out = fr.File.Page(pg).LiveTuples(out)
+	}
+	return out
+}

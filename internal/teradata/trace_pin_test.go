@@ -1,0 +1,83 @@
+package teradata
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"testing"
+
+	"gamma/internal/config"
+	"gamma/internal/rel"
+	"gamma/internal/sim"
+	"gamma/internal/trace"
+	"gamma/internal/wisconsin"
+)
+
+// TestTracePins holds the Teradata model's per-tuple itineraries to the event
+// stream they produced when every stage parked its process: the sha256 of the
+// JSONL trace, the retired-event count and the response time of queries that
+// cover redistribution, the merge pass and INSERT INTO with and without
+// FALLBACK. The values were recorded at the commit before the itineraries
+// moved into the kernel (Proc.Steps); they change only if a stage reserves at
+// another instant or in another order.
+func TestTracePins(t *testing.T) {
+	type outcome struct {
+		sha      string
+		executed uint64
+		elapsed  sim.Dur
+		tuples   int
+	}
+	run := func(fallback bool, query func(m *Machine, a, b, c *Relation) Result) outcome {
+		s := sim.New()
+		col := trace.NewCollector()
+		s.SetSink(col)
+		prm := config.Default()
+		m := NewMachine(s, &prm)
+		m.SetFallback(fallback)
+		a := m.Load("A", rel.Unique1, []rel.Attr{rel.Unique2}, wisconsin.Generate(3000, 1))
+		b := m.Load("Bprime", rel.Unique1, nil, wisconsin.Generate(300, 7))
+		c := m.Load("C", rel.Unique1, nil, wisconsin.Generate(300, 22))
+		res := query(m, a, b, c)
+		h := sha256.New()
+		if err := col.WriteJSONL(h); err != nil {
+			t.Fatal(err)
+		}
+		return outcome{hex.EncodeToString(h.Sum(nil)), s.Executed(), res.Elapsed, res.Tuples}
+	}
+	joinABprime := func(m *Machine, a, b, _ *Relation) Result {
+		return m.RunJoin(JoinQuery{
+			R1: a, Pred1: rel.True(), Attr1: rel.Unique2,
+			R2: b, Pred2: rel.True(), Attr2: rel.Unique2,
+		})
+	}
+	joinCselAselB := func(m *Machine, a, b, c *Relation) Result {
+		sel := rel.Between(rel.Unique2, 0, 299)
+		return m.RunJoin(JoinQuery{
+			R1: a, Pred1: sel, Attr1: rel.Unique2,
+			R2: b, Pred2: rel.True(), Attr2: rel.Unique2,
+			R3: c, Pred3: rel.True(), Attr3: rel.Unique2, AttrI: rel.Unique2,
+		})
+	}
+	selectInto := func(m *Machine, a, _, _ *Relation) Result {
+		return m.RunSelect(a, rel.Between(rel.Unique2, 0, 299), FileScan, false)
+	}
+	indexSelectInto := func(m *Machine, a, _, _ *Relation) Result {
+		return m.RunSelect(a, rel.Between(rel.Unique2, 0, 299), IndexScan, false)
+	}
+	for _, tc := range []struct {
+		name     string
+		fallback bool
+		query    func(m *Machine, a, b, c *Relation) Result
+		want     outcome
+	}{
+		{"joinABprime", false, joinABprime, outcome{"f82942aace8eeb94ebccf77edaecb842d1fb8b4c208749e5b32d8cdc87009376", 19446, 12315517, 300}},
+		{"joinABprime/fallback", true, joinABprime, outcome{"195f08db120191db232bca06d473118a711c63b8fbe624949d03d42c4002f787", 21546, 13046030, 300}},
+		{"joinCselAselB", false, joinCselAselB, outcome{"f8f3d6cb21a1d2fef802aa2a0a787840a5892a19108d032c4d24de25285df4cc", 9132, 9321137, 300}},
+		{"select-into", false, selectInto, outcome{"e9e3b433f651db5d5a62c541c174410c2fd7b9e72d6ae3d5cf700089126efdab", 1546, 5781289, 300}},
+		{"index-select-into", false, indexSelectInto, outcome{"f21ffa255cced4e10f5e19b41c1b3680d4bc03fe43439d4f2a63f36e31678748", 1563, 6438689, 300}},
+		{"select-into/fallback", true, selectInto, outcome{"23fc74fc6517478924f9e3b9532e21f638229df0b87bb249de127eb4b604a2e5", 3646, 6576296, 300}},
+	} {
+		if got := run(tc.fallback, tc.query); got != tc.want {
+			t.Errorf("%s: got %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+}

@@ -1,8 +1,6 @@
 package wiss
 
 import (
-	"container/heap"
-
 	"gamma/internal/rel"
 	"gamma/internal/sim"
 )
@@ -47,11 +45,12 @@ func SortFile(p *sim.Proc, src *File, key rel.Attr, memBytes int, costs SortCost
 	}
 	sc := src.NewScanner()
 	for pg := sc.NextPage(p); pg != nil; pg = sc.NextPage(p) {
-		for s, t := range pg.Tuples {
-			if !pg.Live(s) {
+		allLive := pg.AllLive()
+		for s := range pg.Tuples {
+			if !allLive && !pg.Live(s) {
 				continue
 			}
-			buf = append(buf, t)
+			buf = append(buf, pg.Tuples[s])
 			if len(buf) >= tuplesPerMem {
 				flushRun()
 			}
@@ -96,7 +95,7 @@ type runCursor struct {
 	cur  *Page
 }
 
-func (rc *runCursor) tuple() rel.Tuple { return rc.cur.Tuples[rc.slot] }
+func (rc *runCursor) tuple() *rel.Tuple { return &rc.cur.Tuples[rc.slot] }
 
 // advance moves to the next tuple, reading pages as needed. Reports false at
 // end of run.
@@ -116,9 +115,8 @@ func (rc *runCursor) advance(p *sim.Proc) bool {
 }
 
 func (rc *runCursor) open(p *sim.Proc) bool {
-	rc.page, rc.slot = -1, 0
+	rc.page, rc.slot = 0, 0
 	rc.cur = nil
-	rc.page = 0
 	if rc.f.Pages() == 0 {
 		return false
 	}
@@ -126,45 +124,45 @@ func (rc *runCursor) open(p *sim.Proc) bool {
 	return len(rc.cur.Tuples) > 0
 }
 
-type mergeHeap struct {
-	cursors []*runCursor
-	key     rel.Attr
-}
-
-func (h mergeHeap) Len() int { return len(h.cursors) }
-func (h mergeHeap) Less(i, j int) bool {
-	return h.cursors[i].tuple().Get(h.key) < h.cursors[j].tuple().Get(h.key)
-}
-func (h mergeHeap) Swap(i, j int) { h.cursors[i], h.cursors[j] = h.cursors[j], h.cursors[i] }
-func (h *mergeHeap) Push(x any)   { h.cursors = append(h.cursors, x.(*runCursor)) }
-func (h *mergeHeap) Pop() any {
-	old := h.cursors
-	n := len(old)
-	c := old[n-1]
-	h.cursors = old[:n-1]
-	return c
-}
-
+// mergeRuns merges sorted runs into one file. Every tuple costs a merge-CPU
+// charge, then moves from its run to the output page; p takes part only where
+// a page does — an output page filling, a run's page running out — and the
+// tuples in between are an itinerary (sim.Proc.Steps) of CPU charges.
 func mergeRuns(p *sim.Proc, st *Store, name string, runs []*File, key rel.Attr, costs SortCosts) *File {
 	out := st.CreateFile(name + ".merge")
 	out.Sorted, out.SortKey = true, key
 	ap := out.NewAppender()
-	h := &mergeHeap{key: key}
+	var h rel.KeyHeap[*runCursor]
 	for _, r := range runs {
 		rc := &runCursor{f: r}
 		if rc.open(p) {
-			h.cursors = append(h.cursors, rc)
+			h.Add(rc.tuple().A[key], rc)
 		}
 	}
-	heap.Init(h)
+	h.Init()
+	charged := false // the tuple on top of the heap has paid its merge CPU
+	step := func() (sim.Time, bool) {
+		if charged {
+			rc := h.Top()
+			if ap.Room() == 1 || rc.slot+1 == len(rc.cur.Tuples) {
+				return 0, false // moving it crosses a page boundary: p's part
+			}
+			ap.Append(p, *rc.tuple())
+			rc.slot++
+			h.FixTop(rc.tuple().A[key])
+		}
+		charged = true
+		return st.node.ReserveCPU(costs.InstrPerTupleMerge), true
+	}
 	for h.Len() > 0 {
-		rc := h.cursors[0]
-		st.node.UseCPU(p, costs.InstrPerTupleMerge)
-		ap.Append(p, rc.tuple())
+		p.Steps(step)
+		charged = false
+		rc := h.Top()
+		ap.Append(p, *rc.tuple())
 		if rc.advance(p) {
-			heap.Fix(h, 0)
+			h.FixTop(rc.tuple().A[key])
 		} else {
-			heap.Pop(h)
+			h.PopTop()
 		}
 	}
 	ap.Close(p)

@@ -51,6 +51,10 @@ func (pg *Page) Live(slot int) bool {
 	return pg.dead == nil || slot >= len(pg.dead) || !pg.dead[slot]
 }
 
+// AllLive reports whether no slot of the page is tombstoned — the common case,
+// which lets a scan loop skip the per-slot Live test.
+func (pg *Page) AllLive() bool { return pg.dead == nil }
+
 // Kill tombstones a slot. It reports whether the slot was live.
 func (pg *Page) Kill(slot int) bool {
 	if !pg.Live(slot) {
@@ -71,9 +75,9 @@ func (pg *Page) LiveTuples(dst []rel.Tuple) []rel.Tuple {
 	if pg.dead == nil {
 		return append(dst, pg.Tuples...)
 	}
-	for i, t := range pg.Tuples {
+	for i := range pg.Tuples {
 		if pg.Live(i) {
-			dst = append(dst, t)
+			dst = append(dst, pg.Tuples[i])
 		}
 	}
 	return dst
@@ -122,6 +126,9 @@ func (st *Store) Pool() *BufferPool { return st.pool }
 // COWClones returns the number of shared (frozen) pages this store has cloned
 // on first write since creation.
 func (st *Store) COWClones() int64 { return st.cowClones }
+
+// Files returns the number of files the store holds: created and not dropped.
+func (st *Store) Files() int { return len(st.files) }
 
 // CreateFile allocates an empty heap file.
 func (st *Store) CreateFile(name string) *File {
@@ -188,7 +195,8 @@ func (f *File) capacity() int {
 // LoadDirect bulk-places tuples into pages without charging simulated time;
 // it is used to set up benchmark relations ("the database already exists"
 // when an experiment begins). If sortKey is non-nil the tuples are sorted
-// first and the file marked Sorted.
+// first and the file marked Sorted. The file adopts the slice as its pages'
+// backing store: the caller must be done with it.
 func (f *File) LoadDirect(tuples []rel.Tuple, sortKey *rel.Attr) {
 	if sortKey != nil {
 		rel.SortByAttr(tuples, *sortKey)
@@ -196,16 +204,15 @@ func (f *File) LoadDirect(tuples []rel.Tuple, sortKey *rel.Attr) {
 	}
 	cap := f.capacity()
 	f.pages = nil
-	// One backing copy for the whole file; each page is a capacity-capped
+	// One backing array for the whole file; each page is a capacity-capped
 	// sub-slice, so a later append to one page reallocates instead of
 	// clobbering its neighbor.
-	backing := append([]rel.Tuple(nil), tuples...)
 	for start := 0; start < len(tuples); start += cap {
 		end := start + cap
 		if end > len(tuples) {
 			end = len(tuples)
 		}
-		pg := &Page{Tuples: backing[start:end:end]}
+		pg := &Page{Tuples: tuples[start:end:end]}
 		f.pages = append(f.pages, pg)
 	}
 	f.nTuples = len(tuples)
@@ -369,6 +376,15 @@ func (a *Appender) Append(p *sim.Proc, t rel.Tuple) {
 	if len(a.cur.Tuples) == f.capacity() {
 		a.flush(p)
 	}
+}
+
+// Room returns how many more tuples fit before Append writes the page out:
+// the Append that finds Room() == 1 is the one that may block.
+func (a *Appender) Room() int {
+	if a.cur == nil {
+		return a.f.capacity()
+	}
+	return a.f.capacity() - len(a.cur.Tuples)
 }
 
 func (a *Appender) flush(p *sim.Proc) {
