@@ -84,6 +84,11 @@ type jsonExperiment struct {
 	EventsPerSec     float64 `json:"events_per_second"`
 	ImageCacheHits   int64   `json:"image_cache_hits"`
 	ImageCacheMisses int64   `json:"image_cache_misses"`
+	// SharedPoints counts data points the experiment took from the suite's
+	// point cache: a sibling experiment that plots the same sweep simulated
+	// them, and carries their events and wall time. Under -parallel > 1 which
+	// sibling simulates is first-come; suite totals do not depend on it.
+	SharedPoints int64 `json:"shared_points"`
 	// EOT window-scheduler counters, aggregated over every simulation the
 	// experiment ran; all zero when it executed on the serial kernel. The
 	// counts are deterministic (they depend only on the event schedule and
@@ -113,6 +118,7 @@ type jsonReport struct {
 	TotalWallSeconds float64          `json:"total_wall_seconds"`
 	ImageCacheHits   int64            `json:"image_cache_hits"`
 	ImageCacheMisses int64            `json:"image_cache_misses"`
+	SharedPoints     int64            `json:"shared_points"`
 	Experiments      []jsonExperiment `json:"experiments"`
 }
 
@@ -289,16 +295,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for _, r := range reports {
 			rep.ImageCacheHits += r.ImageHits
 			rep.ImageCacheMisses += r.ImageMisses
+			rep.SharedPoints += r.SharedPoints
 			je := jsonExperiment{
-				ID:               r.ID,
-				Title:            r.Title,
-				WallSeconds:      r.Wall.Seconds(),
-				SetupWallSeconds: r.Setup.Seconds(),
-				QueryWallSeconds: r.QueryWall().Seconds(),
-				SimEvents:        r.Events,
-				EventsPerSec:     r.EventsPerSec(),
-				ImageCacheHits:   r.ImageHits,
-				ImageCacheMisses: r.ImageMisses,
+				ID:                 r.ID,
+				Title:              r.Title,
+				WallSeconds:        r.Wall.Seconds(),
+				SetupWallSeconds:   r.Setup.Seconds(),
+				QueryWallSeconds:   r.QueryWall().Seconds(),
+				SimEvents:          r.Events,
+				EventsPerSec:       r.EventsPerSec(),
+				ImageCacheHits:     r.ImageHits,
+				ImageCacheMisses:   r.ImageMisses,
+				SharedPoints:       r.SharedPoints,
 				KernelWindows:      r.Windows.Windows,
 				KernelPromises:     r.Windows.Promises,
 				KernelGroupWindows: r.Windows.GroupWindows,
@@ -321,16 +329,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 	} else {
 		// Tables go to stdout; wall-clock chatter goes to stderr so the
 		// rendered output is byte-identical at any -parallel setting.
-		var hits, misses int64
+		var hits, misses, sharedPts int64
 		for _, r := range reports {
 			r.Table.Render(stdout)
 			hits += r.ImageHits
 			misses += r.ImageMisses
-			fmt.Fprintf(stderr, "   [%s regenerated in %.1fs wall time (%.1fs setup + %.1fs query), %.1fM simulated events/s, images %d hit/%d miss]\n\n",
+			sharedPts += r.SharedPoints
+			// An experiment that simulated nothing has no event rate to
+			// report: it says whose measurements it plotted instead.
+			work := fmt.Sprintf("%.1fM simulated events/s", r.EventsPerSec()/1e6)
+			switch {
+			case r.SharedPoints > 0 && r.Events == 0:
+				work = fmt.Sprintf("all %d data points shared with a sibling experiment", r.SharedPoints)
+			case r.SharedPoints > 0:
+				work += fmt.Sprintf(", %d data points shared", r.SharedPoints)
+			}
+			fmt.Fprintf(stderr, "   [%s regenerated in %.1fs wall time (%.1fs setup + %.1fs query), %s, images %d hit/%d miss]\n\n",
 				r.ID, r.Wall.Seconds(), r.Setup.Seconds(), r.QueryWall().Seconds(),
-				r.EventsPerSec()/1e6, r.ImageHits, r.ImageMisses)
+				work, r.ImageHits, r.ImageMisses)
 		}
-		fmt.Fprintf(stderr, "   [machine-image cache: %d restores, %d builds]\n", hits, misses)
+		fmt.Fprintf(stderr, "   [machine-image cache: %d restores, %d builds; %d data points shared between experiments]\n", hits, misses, sharedPts)
 	}
 
 	if *memprofile != "" {

@@ -34,11 +34,6 @@ type Options struct {
 	MaxProcs int
 	// Params overrides the default machine parameters.
 	Params *config.Params
-	// Workers is the worker-slot count RunSuite was started with (1 when
-	// serial). Experiments normally don't read it — parMap consults the
-	// semaphore directly — but it is visible for reporting.
-	Workers int
-
 	// Kernel selects the simulation kernel: "serial" (or empty, the
 	// default) runs each machine on the single-heap serial kernel;
 	// "partitioned" builds each machine on a partitioned simulation with
@@ -101,6 +96,12 @@ type Options struct {
 	images             *imageCache
 	setup              *atomic.Int64
 	imgHits, imgMisses *atomic.Int64
+
+	// points is the suite-wide data-point cache (see shared.go); nil means
+	// every experiment simulates every point it plots. sharedPts counts, per
+	// experiment, the points it was handed instead of simulating.
+	points    *onceMap[pointKey, any]
+	sharedPts *atomic.Int64
 }
 
 // addSetup charges the time since start to the experiment's setup clock.
@@ -430,7 +431,7 @@ func loadSpecRel(m *core.Machine, rs relSpec) {
 		spec.ClusteredIndex = &u1
 		spec.NonClusteredIndexes = []rel.Attr{rel.Unique2}
 	}
-	m.Load(spec, wisconsin.Generate(rs.n, rs.seed))
+	m.Load(spec, wisconsin.Shared(rs.n, rs.seed)) // Load only reads its input
 }
 
 // gammaMachine returns a loaded Gamma machine on a fresh simulation. With an
@@ -520,9 +521,6 @@ func (g *gammaSetup) joinRun(q core.JoinQuery) core.Result {
 	}
 	return res
 }
-
-// genRel materializes an n-tuple Wisconsin relation.
-func genRel(n int, seed uint64) []rel.Tuple { return wisconsin.Generate(n, seed) }
 
 // pct builds the paper's selection predicates: percent of the n-tuple
 // relation on the given attribute (0 => empty result).

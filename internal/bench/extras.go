@@ -190,25 +190,15 @@ func runHybrid(o Options) *Table {
 		Unit:    "seconds; (ovf=N) = overflow resolutions at the most-overflowed site",
 		Columns: []string{"Simple", "Hybrid"},
 	}
-	n := o.FigureTuples
-	buildBytes := (n / 10) * 208
 	t.Rows = parMap(o, len(fig13Ratios), func(i int) Row {
 		ratio := fig13Ratios[i]
-		row := Row{Label: fmt.Sprintf("memory/smaller relation = %.2f", ratio)}
-		for _, algo := range []core.JoinAlgorithm{core.SimpleHash, core.HybridHash} {
-			g := newGamma(o, 8, 8, n, 1, heapRel("Bprime", n/10, 7))
-			bp := g.rel("Bprime")
-			nJoin := len(g.m.JoinNodes(core.Remote))
-			res := g.joinRun(core.JoinQuery{
-				Build: core.ScanSpec{Rel: bp, Pred: rel.True(), Path: core.PathHeap}, BuildAttr: rel.Unique1,
-				Probe: core.ScanSpec{Rel: g.heap, Pred: rel.True(), Path: core.PathHeap}, ProbeAttr: rel.Unique1,
-				Mode:            core.Remote,
-				Algorithm:       algo,
-				MemPerJoinBytes: int(ratio * float64(buildBytes) / float64(nJoin)),
-			})
-			row.Cells = append(row.Cells, Cell{Measured: res.Elapsed.Seconds(), Extra: fmt.Sprintf("ovf=%d", res.Overflows)})
+		return Row{
+			Label: fmt.Sprintf("memory/smaller relation = %.2f", ratio),
+			Cells: []Cell{
+				memJoinPoint(o, core.Remote, core.SimpleHash, ratio), // Figure 13's Remote column
+				memJoinPoint(o, core.Remote, core.HybridHash, ratio),
+			},
 		}
-		return row
 	})
 	t.Notes = append(t.Notes,
 		"Expected shape: identical with ample memory; under pressure Hybrid degrades gently (spilled",
@@ -224,20 +214,17 @@ func runBitVector(o Options) *Table {
 		Unit:    "seconds; (pkts=N) = data packets on the ring",
 		Columns: []string{"no filters", "Babb filters"},
 	}
+	// Unfiltered, this is Figure 10's 8-processor Remote point.
+	plain := joinABprimePoint(o, 8, core.Remote, rel.Unique2)
 	n := o.FigureTuples
-	run := func(filter bool) core.Result {
-		g := newGamma(o, 8, 8, n, 1, heapRel("Bprime", n/10, 7))
-		bp := g.rel("Bprime")
-		return g.joinRun(core.JoinQuery{
-			Build: core.ScanSpec{Rel: bp, Pred: rel.True(), Path: core.PathHeap}, BuildAttr: rel.Unique2,
-			Probe: core.ScanSpec{Rel: g.heap, Pred: rel.True(), Path: core.PathHeap}, ProbeAttr: rel.Unique2,
-			Mode:            core.Remote,
-			UseBitFilter:    filter,
-			MemPerJoinBytes: ampleJoinMemory,
-		})
-	}
-	plain := run(false)
-	filtered := run(true)
+	g := newGamma(o, 8, 8, n, 1, heapRel("Bprime", n/10, 7))
+	filtered := g.joinRun(core.JoinQuery{
+		Build: core.ScanSpec{Rel: g.rel("Bprime"), Pred: rel.True(), Path: core.PathHeap}, BuildAttr: rel.Unique2,
+		Probe: core.ScanSpec{Rel: g.heap, Pred: rel.True(), Path: core.PathHeap}, ProbeAttr: rel.Unique2,
+		Mode:            core.Remote,
+		UseBitFilter:    true,
+		MemPerJoinBytes: ampleJoinMemory,
+	})
 	t.Rows = append(t.Rows, Row{Label: "joinABprime", Cells: []Cell{
 		{Measured: plain.Elapsed.Seconds(), Extra: fmt.Sprintf("pkts=%d", plain.DataPackets)},
 		{Measured: filtered.Elapsed.Seconds(), Extra: fmt.Sprintf("pkts=%d", filtered.DataPackets)},

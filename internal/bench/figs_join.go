@@ -25,21 +25,28 @@ func modeCols() []string { return []string{"Local", "Remote", "Allnodes"} }
 // the paper did by giving some processors extra memory (§1 footnote).
 const ampleJoinMemory = 64 << 20
 
+// joinABprimePoint runs joinABprime on attr with ample memory on a fresh
+// d+d machine in the given mode: one point of Figures 9-12, and the
+// bitvector ablation's unfiltered reference.
+func joinABprimePoint(o Options, d int, mode core.JoinMode, attr rel.Attr) core.Result {
+	return shared(o, o.point("joinABprime", d, mode, attr), func() core.Result {
+		g := newGamma(o, d, d, o.FigureTuples, 1, heapRel("Bprime", o.FigureTuples/10, 7))
+		return g.joinRun(core.JoinQuery{
+			Build: core.ScanSpec{Rel: g.rel("Bprime"), Pred: rel.True(), Path: core.PathHeap}, BuildAttr: attr,
+			Probe: core.ScanSpec{Rel: g.heap, Pred: rel.True(), Path: core.PathHeap}, ProbeAttr: attr,
+			Mode:            mode,
+			MemPerJoinBytes: ampleJoinMemory,
+		})
+	})
+}
+
 // figJoinData measures joinABprime response times for each (processors,
 // mode) point on the given join attribute.
 func figJoinData(o Options, attr rel.Attr) (procs []int, series [][]float64) {
 	// Every (processors, mode) point builds its own machine — fan them out.
 	pts := parMap(o, o.MaxProcs*len(joinModes), func(i int) float64 {
 		d, mode := i/len(joinModes)+1, joinModes[i%len(joinModes)]
-		g := newGamma(o, d, d, o.FigureTuples, 1, heapRel("Bprime", o.FigureTuples/10, 7))
-		bp := g.rel("Bprime")
-		res := g.joinRun(core.JoinQuery{
-			Build: core.ScanSpec{Rel: bp, Pred: rel.True(), Path: core.PathHeap}, BuildAttr: attr,
-			Probe: core.ScanSpec{Rel: g.heap, Pred: rel.True(), Path: core.PathHeap}, ProbeAttr: attr,
-			Mode:            mode,
-			MemPerJoinBytes: ampleJoinMemory,
-		})
-		return res.Elapsed.Seconds()
+		return joinABprimePoint(o, d, mode, attr).Elapsed.Seconds()
 	})
 	series = make([][]float64, len(joinModes))
 	for d := 1; d <= o.MaxProcs; d++ {
@@ -100,6 +107,27 @@ func runFig12(o Options) *Table {
 // relation, as on the paper's x-axis.
 var fig13Ratios = []float64{1.2, 1.0, 0.8, 0.6, 0.5, 0.4, 0.3, 0.2}
 
+// memJoinPoint runs the key-attribute joinABprime on a fresh 8+8 machine
+// with join memory at ratio times the build relation, split over the mode's
+// join processors: one point of the Figure 13 sweep, which the hybrid
+// ablation repeats per algorithm.
+func memJoinPoint(o Options, mode core.JoinMode, algo core.JoinAlgorithm, ratio float64) Cell {
+	return shared(o, o.point("memJoin", mode, algo, ratio), func() Cell {
+		n := o.FigureTuples
+		buildBytes := (n / 10) * 208
+		g := newGamma(o, 8, 8, n, 1, heapRel("Bprime", n/10, 7))
+		nJoin := len(g.m.JoinNodes(mode))
+		res := g.joinRun(core.JoinQuery{
+			Build: core.ScanSpec{Rel: g.rel("Bprime"), Pred: rel.True(), Path: core.PathHeap}, BuildAttr: rel.Unique1,
+			Probe: core.ScanSpec{Rel: g.heap, Pred: rel.True(), Path: core.PathHeap}, ProbeAttr: rel.Unique1,
+			Mode:            mode,
+			Algorithm:       algo,
+			MemPerJoinBytes: int(ratio * float64(buildBytes) / float64(nJoin)),
+		})
+		return Cell{Measured: res.Elapsed.Seconds(), Extra: fmt.Sprintf("ovf=%d", res.Overflows)}
+	})
+}
+
 func runFig13(o Options) *Table {
 	t := &Table{
 		ID:      "fig13",
@@ -107,25 +135,10 @@ func runFig13(o Options) *Table {
 		Unit:    "seconds; (ovf=N) = overflow resolutions at the most-overflowed site",
 		Columns: []string{"Local", "Remote"},
 	}
-	n := o.FigureTuples
-	buildBytes := (n / 10) * 208
 	fig13Modes := []core.JoinMode{core.Local, core.Remote}
 	pts := parMap(o, len(fig13Ratios)*len(fig13Modes), func(i int) Cell {
 		ratio, mode := fig13Ratios[i/len(fig13Modes)], fig13Modes[i%len(fig13Modes)]
-		g := newGamma(o, 8, 8, n, 1, heapRel("Bprime", n/10, 7))
-		bp := g.rel("Bprime")
-		nJoin := len(g.m.JoinNodes(mode))
-		memPer := int(ratio * float64(buildBytes) / float64(nJoin))
-		res := g.joinRun(core.JoinQuery{
-			Build: core.ScanSpec{Rel: bp, Pred: rel.True(), Path: core.PathHeap}, BuildAttr: rel.Unique1,
-			Probe: core.ScanSpec{Rel: g.heap, Pred: rel.True(), Path: core.PathHeap}, ProbeAttr: rel.Unique1,
-			Mode:            mode,
-			MemPerJoinBytes: memPer,
-		})
-		return Cell{
-			Measured: res.Elapsed.Seconds(),
-			Extra:    fmt.Sprintf("ovf=%d", res.Overflows),
-		}
+		return memJoinPoint(o, mode, core.SimpleHash, ratio)
 	})
 	for ri, ratio := range fig13Ratios {
 		t.Rows = append(t.Rows, Row{
@@ -143,16 +156,19 @@ func runFig13(o Options) *Table {
 func fig14Data(o Options) []float64 {
 	n := o.FigureTuples
 	return parMap(o, len(pageSizes), func(i int) float64 {
-		g := newGamma(o.withPage(pageSizes[i]), 8, 8, n, 1, heapRel("B", n, 8))
-		b := g.rel("B")
-		tenPct := pct(rel.Unique2, n, 10)
-		res := g.joinRun(core.JoinQuery{
-			Build: core.ScanSpec{Rel: b, Pred: tenPct, Path: core.PathHeap}, BuildAttr: rel.Unique2,
-			Probe: core.ScanSpec{Rel: g.heap, Pred: tenPct, Path: core.PathHeap}, ProbeAttr: rel.Unique2,
-			Mode:            core.Remote,
-			MemPerJoinBytes: ampleJoinMemory,
+		po := o.withPage(pageSizes[i])
+		return shared(po, po.point("fig14"), func() float64 {
+			g := newGamma(po, 8, 8, n, 1, heapRel("B", n, 8))
+			b := g.rel("B")
+			tenPct := pct(rel.Unique2, n, 10)
+			res := g.joinRun(core.JoinQuery{
+				Build: core.ScanSpec{Rel: b, Pred: tenPct, Path: core.PathHeap}, BuildAttr: rel.Unique2,
+				Probe: core.ScanSpec{Rel: g.heap, Pred: tenPct, Path: core.PathHeap}, ProbeAttr: rel.Unique2,
+				Mode:            core.Remote,
+				MemPerJoinBytes: ampleJoinMemory,
+			})
+			return res.Elapsed.Seconds()
 		})
-		return res.Elapsed.Seconds()
 	})
 }
 

@@ -26,14 +26,9 @@ func fig1Data(o Options) (procs []int, data map[float64][]float64) {
 	// Every processor count is an independent machine — fan the points out.
 	pts := parMap(o, o.MaxProcs, func(i int) []float64 {
 		d := i + 1
-		g := newGamma(o, d, d, o.FigureTuples, 1)
-		out := make([]float64, len(fig1Curves))
-		for ci, sel := range fig1Curves {
-			out[ci] = g.selectSecs(core.SelectQuery{
-				Scan: core.ScanSpec{Rel: g.heap, Pred: pct(rel.Unique2, o.FigureTuples, sel), Path: core.PathHeap},
-			})
-		}
-		return out
+		return shared(o, o.point("fig1", d), func() []float64 {
+			return heapSelects(newGamma(o, d, d, o.FigureTuples, 1), o.FigureTuples, fig1Curves)
+		})
 	})
 	data = map[float64][]float64{}
 	for i, pt := range pts {
@@ -43,6 +38,18 @@ func fig1Data(o Options) (procs []int, data map[float64][]float64) {
 		}
 	}
 	return procs, data
+}
+
+// heapSelects runs one non-indexed selection per selectivity, in order, on
+// the same machine, and returns their response times.
+func heapSelects(g *gammaSetup, n int, sels []float64) []float64 {
+	out := make([]float64, len(sels))
+	for i, sel := range sels {
+		out[i] = g.selectSecs(core.SelectQuery{
+			Scan: core.ScanSpec{Rel: g.heap, Pred: pct(rel.Unique2, n, sel), Path: core.PathHeap},
+		})
+	}
+	return out
 }
 
 func selCols(sels []float64) []string {
@@ -131,15 +138,21 @@ var fig3Curves = []idxCurve{
 	}},
 }
 
+// idxSelects runs the curves' selections, in order, on the same machine.
+func idxSelects(g *gammaSetup, n int, curves []idxCurve) []float64 {
+	out := make([]float64, len(curves))
+	for i, c := range curves {
+		out[i] = c.run(g, n)
+	}
+	return out
+}
+
 func fig3Data(o Options) (procs []int, series [][]float64) {
 	pts := parMap(o, o.MaxProcs, func(i int) []float64 {
 		d := i + 1
-		g := newGamma(o, d, d, o.FigureTuples, 1)
-		out := make([]float64, len(fig3Curves))
-		for ci, c := range fig3Curves {
-			out[ci] = c.run(g, o.FigureTuples)
-		}
-		return out
+		return shared(o, o.point("fig3", d), func() []float64 {
+			return idxSelects(newGamma(o, d, d, o.FigureTuples, 1), o.FigureTuples, fig3Curves)
+		})
 	})
 	series = make([][]float64, len(fig3Curves))
 	for i, pt := range pts {
@@ -195,14 +208,10 @@ var fig5Curves = []float64{0, 1, 10, 100}
 
 func fig5Data(o Options) [][]float64 {
 	pts := parMap(o, len(pageSizes), func(i int) []float64 {
-		g := newGamma(o.withPage(pageSizes[i]), 8, 8, o.FigureTuples, 1)
-		out := make([]float64, len(fig5Curves))
-		for ci, sel := range fig5Curves {
-			out[ci] = g.selectSecs(core.SelectQuery{
-				Scan: core.ScanSpec{Rel: g.heap, Pred: pct(rel.Unique2, o.FigureTuples, sel), Path: core.PathHeap},
-			})
-		}
-		return out
+		po := o.withPage(pageSizes[i]) // the page size reaches the key through params
+		return shared(po, po.point("fig5"), func() []float64 {
+			return heapSelects(newGamma(po, 8, 8, o.FigureTuples, 1), o.FigureTuples, fig5Curves)
+		})
 	})
 	series := make([][]float64, len(fig5Curves))
 	for _, pt := range pts {
@@ -237,12 +246,10 @@ var fig7Curves = []idxCurve{
 
 func fig7Data(o Options) [][]float64 {
 	pts := parMap(o, len(pageSizes), func(i int) []float64 {
-		g := newGamma(o.withPage(pageSizes[i]), 8, 8, o.FigureTuples, 1)
-		out := make([]float64, len(fig7Curves))
-		for ci, c := range fig7Curves {
-			out[ci] = c.run(g, o.FigureTuples)
-		}
-		return out
+		po := o.withPage(pageSizes[i])
+		return shared(po, po.point("fig7"), func() []float64 {
+			return idxSelects(newGamma(po, 8, 8, o.FigureTuples, 1), o.FigureTuples, fig7Curves)
+		})
 	})
 	series := make([][]float64, len(fig7Curves))
 	for _, pt := range pts {

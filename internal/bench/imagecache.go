@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 
 	"gamma/internal/config"
 	"gamma/internal/core"
@@ -29,49 +28,9 @@ type imageKey struct {
 
 func relsKey(specs []relSpec) string { return fmt.Sprintf("%+v", specs) }
 
-// imageEntry is one cache slot; its sync.Once is the singleflight guard, so
-// concurrent -parallel workers asking for the same image build it exactly
-// once and the rest block until the snapshot is ready.
-type imageEntry struct {
-	once sync.Once
-	snap *core.Snapshot
-}
-
 // imageCache maps image keys to snapshots. One cache serves a whole suite
 // run: entries live until the run ends (the trade is memory for wall clock —
 // a paper-scale suite retains a few hundred MB of frozen pages).
-type imageCache struct {
-	mu      sync.Mutex
-	entries map[imageKey]*imageEntry
-}
+type imageCache = onceMap[imageKey, *core.Snapshot]
 
-func newImageCache() *imageCache {
-	return &imageCache{entries: map[imageKey]*imageEntry{}}
-}
-
-// get returns the snapshot for key, building it via build on first use.
-// hit reports whether the image already existed (false for the builder;
-// workers that blocked on the builder's singleflight count as hits — they
-// skipped the load work).
-func (c *imageCache) get(key imageKey, build func() *core.Snapshot) (snap *core.Snapshot, hit bool) {
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	if !ok {
-		e = &imageEntry{}
-		c.entries[key] = e
-	}
-	c.mu.Unlock()
-	hit = true
-	e.once.Do(func() {
-		hit = false
-		e.snap = build()
-	})
-	return e.snap, hit
-}
-
-// len reports the number of distinct images built so far.
-func (c *imageCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
+func newImageCache() *imageCache { return newOnceMap[imageKey, *core.Snapshot]() }

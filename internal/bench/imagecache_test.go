@@ -42,8 +42,9 @@ func TestCachedTablesMatchUncached(t *testing.T) {
 
 // TestSuiteReportsCacheHits: experiments that query one image from several
 // data points must restore it from the cache after the first build, every
-// experiment records its setup/query wall split, and the suite as a whole
-// reuses more images than it builds.
+// experiment records its setup/query wall split, the suite as a whole
+// reuses more images than it builds, and a sweep two experiments plot is
+// simulated by exactly one of them.
 func TestSuiteReportsCacheHits(t *testing.T) {
 	// These revisit an image by construction, whatever the Options: the
 	// fault conditions of a degraded row, hybrid's two algorithms per ratio,
@@ -58,17 +59,27 @@ func TestSuiteReportsCacheHits(t *testing.T) {
 		"kernelscale": true,
 	}
 	reports := RunSuite(Experiments(), tinyOptions(), 1)
+	byID := map[string]Report{}
 	var hits, misses int64
 	for _, r := range reports {
+		byID[r.ID] = r
 		hits += r.ImageHits
 		misses += r.ImageMisses
-		if r.ImageHits+r.ImageMisses == 0 {
-			t.Errorf("%s: no image-cache lookups recorded", r.ID)
+		if r.ImageHits+r.ImageMisses+r.SharedPoints == 0 {
+			t.Errorf("%s: neither image-cache lookups nor shared points recorded", r.ID)
 			continue
 		}
 		if intrinsicReuse[r.ID] && r.ImageHits == 0 {
 			t.Errorf("%s: %d image misses but no hits — cache never reused an image",
 				r.ID, r.ImageMisses)
+		}
+		if r.Events == 0 {
+			// Plotted a sibling's measurements: built no machine at all.
+			if r.Setup != 0 || r.ImageHits+r.ImageMisses != 0 {
+				t.Errorf("%s: simulated nothing but reports setup %v and %d image lookups",
+					r.ID, r.Setup, r.ImageHits+r.ImageMisses)
+			}
+			continue
 		}
 		if r.Setup <= 0 {
 			t.Errorf("%s: setup wall time not recorded", r.ID)
@@ -80,6 +91,29 @@ func TestSuiteReportsCacheHits(t *testing.T) {
 	}
 	if hits <= misses {
 		t.Errorf("suite-wide image cache: %d hits vs %d misses; most data points should restore", hits, misses)
+	}
+
+	// The paper measured each of these sweeps once and plotted it twice; in
+	// a serial suite the twin that runs second simulates nothing.
+	for _, twin := range [][2]string{{"fig1", "fig2"}, {"fig3", "fig4"}, {"fig5", "fig6"}, {"fig7", "fig8"},
+		{"fig9", "fig11"}, {"fig10", "fig12"}, {"fig14", "fig15"}} {
+		a, b := byID[twin[0]], byID[twin[1]]
+		if (a.Events == 0) == (b.Events == 0) {
+			t.Errorf("%s/%s: events %d and %d, want exactly one of the twins to simulate", a.ID, b.ID, a.Events, b.Events)
+		}
+		if a.SharedPoints+b.SharedPoints == 0 {
+			t.Errorf("%s/%s: no shared points recorded", a.ID, b.ID)
+		}
+	}
+	// fig13 asks for 8 ratios x {Local, Remote}, hybrid for 8 ratios x
+	// {Simple, Hybrid} on Remote: 32 requests, 24 distinct memory points,
+	// one machine restore each.
+	f13, hyb := byID["fig13"], byID["hybrid"]
+	if got := f13.SharedPoints + hyb.SharedPoints; got != int64(len(fig13Ratios)) {
+		t.Errorf("fig13 + hybrid took %d shared points, want %d (the Simple/Remote column)", got, len(fig13Ratios))
+	}
+	if got := f13.ImageHits + f13.ImageMisses + hyb.ImageHits + hyb.ImageMisses; got != int64(3*len(fig13Ratios)) {
+		t.Errorf("fig13 + hybrid built %d machines, want %d memory points", got, 3*len(fig13Ratios))
 	}
 }
 

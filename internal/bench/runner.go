@@ -12,11 +12,16 @@ import (
 
 // Report is the outcome of one experiment in a suite run.
 type Report struct {
-	ID     string
-	Title  string
-	Table  *Table
-	Wall   time.Duration
-	Events int64 // simulated events executed across every machine built
+	ID    string
+	Title string
+	Table *Table
+	Wall  time.Duration
+	// Events counts the simulated events of every machine the experiment
+	// ran. A data point two experiments plot is simulated by whichever asks
+	// first and charged — events, wall time, setup, windows — to that one, so
+	// the suite total is schedule-independent while the per-experiment split
+	// under workers > 1 is first-come.
+	Events int64
 	// Setup is the cumulative machine-build wall time (image builds,
 	// restores, database loads) across the experiment's data points. Points
 	// can run in parallel, so Setup may exceed Wall.
@@ -25,6 +30,9 @@ type Report struct {
 	// built and snapshotted the database, a hit restored it copy-on-write.
 	ImageHits   int64
 	ImageMisses int64
+	// SharedPoints counts the data points the experiment was handed from the
+	// suite's point cache instead of simulating them (see shared.go).
+	SharedPoints int64
 	// Windows aggregates the partitioned kernel's EOT window-scheduler
 	// counters across every simulation the experiment ran; all zero when
 	// the experiment executed on the serial kernel.
@@ -58,7 +66,6 @@ func (r Report) QueryWall() time.Duration {
 // runs everything on the calling goroutine.
 func RunSuite(exps []Experiment, o Options, workers int) []Report {
 	if workers > 1 {
-		o.Workers = workers
 		o.sem = make(chan struct{}, workers)
 	}
 	if o.images == nil {
@@ -67,14 +74,18 @@ func RunSuite(exps []Experiment, o Options, workers int) []Report {
 		// share images across experiment boundaries.
 		o.images = newImageCache()
 	}
+	// Likewise one data-point cache, always this run's own: an experiment
+	// that replots a sibling's sweep reads the sibling's measurements.
+	o.points = newOnceMap[pointKey, any]()
 	reports := make([]Report, len(exps))
 	run := func(i int, e Experiment, oo Options) {
-		var ev, su, ih, im atomic.Int64
+		var ev, su, ih, im, sp atomic.Int64
 		var wc sim.WindowCounters
 		oo.events = &ev
 		oo.setup = &su
 		oo.imgHits = &ih
 		oo.imgMisses = &im
+		oo.sharedPts = &sp
 		oo.windows = &wc
 		start := time.Now()
 		var tbl *Table
@@ -89,7 +100,7 @@ func RunSuite(exps []Experiment, o Options, workers int) []Report {
 		reports[i] = Report{ID: e.ID, Title: e.Title, Table: tbl,
 			Wall: time.Since(start), Events: ev.Load(),
 			Setup: time.Duration(su.Load()), ImageHits: ih.Load(), ImageMisses: im.Load(),
-			Windows: wc.Stats()}
+			SharedPoints: sp.Load(), Windows: wc.Stats()}
 	}
 	if o.sem == nil {
 		for i, e := range exps {

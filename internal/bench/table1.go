@@ -59,7 +59,7 @@ func newTera(o Options, n int, seed uint64, extras ...relSpec) *teraSetup {
 	s := o.newSim()
 	prm := o.params()
 	m := teradata.NewMachine(s, &prm)
-	ts := wisconsin.Generate(n, seed)
+	ts := wisconsin.Shared(n, seed) // teradata's Load only reads its input
 	setup := &teraSetup{
 		m:     m,
 		heap:  m.Load("Aheap", rel.Unique1, nil, ts),
@@ -67,7 +67,7 @@ func newTera(o Options, n int, seed uint64, extras ...relSpec) *teraSetup {
 		extra: map[string]*teradata.Relation{},
 	}
 	for _, rs := range extras {
-		setup.extra[rs.name] = m.Load(rs.name, rel.Unique1, nil, wisconsin.Generate(rs.n, rs.seed))
+		setup.extra[rs.name] = m.Load(rs.name, rel.Unique1, nil, wisconsin.Shared(rs.n, rs.seed))
 	}
 	return setup
 }

@@ -9,6 +9,7 @@
 package wisconsin
 
 import (
+	"slices"
 	"sync"
 
 	"gamma/internal/rel"
@@ -120,17 +121,38 @@ const genCacheLimit = 12 << 20
 //
 // The bench suite builds the same (n, seed) relations dozens of times —
 // once per machine configuration — so results are memoized. Callers get a
-// fresh copy each time: Machine.Load sorts and repartitions its input, so
-// the cached master must never be aliased. The memo is guarded by a mutex
-// for the parallel bench runner; generation itself stays deterministic
-// because the tuple content depends only on (n, seed).
+// private copy each time and may do with it what they like; a loader that
+// only reads its input takes Shared instead and skips the copy.
 func Generate(n int, seed uint64) []rel.Tuple {
+	master, memoized := generate(n, seed)
+	if memoized {
+		return slices.Clone(master)
+	}
+	return master
+}
+
+// Shared returns the memoized relation itself: every caller of Shared with
+// the same (n, seed) holds the same backing array, so the result is
+// read-only. It exists for the machine loaders (core.Machine.Load,
+// teradata.Machine.Load), which copy their input into fragment files and
+// never write it.
+func Shared(n int, seed uint64) []rel.Tuple {
+	master, _ := generate(n, seed)
+	return master
+}
+
+// generate returns the relation and whether it is the memo's master (in
+// which case it must not be modified) or a private slice the memo had no
+// room for. The memo is guarded by a mutex for the parallel bench runner;
+// generation itself stays deterministic because the tuple content depends
+// only on (n, seed).
+func generate(n int, seed uint64) (tuples []rel.Tuple, memoized bool) {
 	key := genKey{n, seed}
 	genMu.Lock()
 	master, ok := genCache[key]
 	genMu.Unlock()
 	if ok {
-		return append([]rel.Tuple(nil), master...)
+		return master, true
 	}
 	p1 := NewPerm(n, seed*2+1)
 	p2 := NewPerm(n, seed*2+2)
@@ -139,17 +161,14 @@ func Generate(n int, seed uint64) []rel.Tuple {
 		out[i] = makeTuple(p1.At(i), p2.At(i))
 	}
 	genMu.Lock()
-	if _, dup := genCache[key]; !dup && genCacheTuples+n <= genCacheLimit {
-		genCache[key] = out
-		genCacheTuples += n
-		master = out
-	} else {
-		master = nil
+	defer genMu.Unlock()
+	if master, dup := genCache[key]; dup {
+		return master, true // a concurrent caller generated it first
 	}
-	genMu.Unlock()
-	if master != nil {
-		// out is now the shared master; hand the caller a copy.
-		return append([]rel.Tuple(nil), out...)
+	if genCacheTuples+n > genCacheLimit {
+		return out, false
 	}
-	return out
+	genCache[key] = out
+	genCacheTuples += n
+	return out, true
 }
