@@ -4,9 +4,8 @@
 // Usage:
 //
 //	gammabench [-quick] [-list] [-parallel N] [-json] [-kernel serial|partitioned]
-//	           [-kernel-workers N] [-fusion adaptive|off|all] [-lookahead US]
-//	           [-generation NAME] [-campaign-seed S] [-campaign-faults N]
-//	           [-experiment a,b] [experiment ...]
+//	           [-kernel-workers N] [-generation NAME] [-campaign-seed S]
+//	           [-campaign-faults N] [-experiment a,b] [experiment ...]
 //
 // With no experiment arguments every registered experiment runs; experiments
 // can be named positionally or as a comma-separated -experiment list (both
@@ -22,34 +21,23 @@
 // experiment). -cpuprofile and -memprofile write pprof profiles.
 //
 // -kernel selects the simulation kernel: "serial" (the default) or
-// "partitioned" (one shard per simulated node). Experiments whose Gamma
-// workload is safe for windowed execution derive a positive conservative
-// lookahead from the network's delivery-latency floor (Net.MinLatency), so
-// their partitioned simulations run truly parallel windows; the serial
-// kernel runs the identical partition on one worker and stays the
-// byte-exact oracle (same tables, JSON, and traces). Experiments that
-// inject faults, share machines across concurrent queries, or build
-// Teradata machines always run serialized at lookahead 0.
-// -kernel-workers bounds the goroutines a partitioned simulation may use
-// for conservative windows. -fusion selects the partitioned kernel's
-// adaptive shard-fusion mode (DESIGN.md §13): "adaptive" (the default)
-// coalesces shards onto shared heaps when barrier rounds run thin and
-// re-splits them when traffic returns, "off" pins one shard per group, and
-// "all" starts fully fused. -lookahead overrides the derived lookahead in
-// simulated microseconds: 0 forces fully serialized scheduling, a positive
-// value is capped at the latency floor (the largest provably safe value),
-// and -1 (the default) derives it. The GAMMA_KERNEL, GAMMA_KERNEL_WORKERS,
-// GAMMA_FUSION, and GAMMA_LOOKAHEAD environment variables provide the same
-// knobs to the test suite.
+// "partitioned" (one shard per simulated node), and -kernel-workers N, valid
+// only with the partitioned kernel, bounds the goroutines one simulation may
+// use for its conservative windows. That pair is the whole host-side
+// surface: the lookahead is always the network's delivery-latency floor on
+// machines that opted into windows and 0 elsewhere, shard fusion is always
+// adaptive, and the program reads no environment variable, so nothing but
+// sizes, -generation and the campaign flags can move a table. The serial
+// kernel is the byte-exact oracle for the partitioned one (same tables, JSON
+// and traces; DESIGN.md §9).
 //
 // -generation parameterizes every machine with a named hardware generation
 // (-list-generations enumerates them; the default is gamma1988, the paper's
-// VAX-era build). Unknown names are rejected with the valid list — the
-// GAMMA_GENERATION environment variable provides the same knob, and the
-// flag wins when both are set. The partitioned kernel derives its windows
-// from the generation's network latency floor, so fast generations lean on
-// the earliest-output-time scheduler (see DESIGN.md §12); the -json report
-// echoes the generation and adds the kernel's window counters.
+// VAX-era build). The -json report echoes the generation and carries the
+// kernel's window counters.
+//
+// Every flag value is validated up front, before anything simulates; a bad
+// one prints a named error and the usage and exits 2.
 package main
 
 import (
@@ -65,7 +53,6 @@ import (
 
 	"gamma/internal/bench"
 	"gamma/internal/config"
-	"gamma/internal/sim"
 )
 
 // jsonExperiment is one experiment's entry in the -json report.
@@ -106,13 +93,9 @@ type jsonExperiment struct {
 }
 
 type jsonReport struct {
-	Suite      string `json:"suite"`      // "full" or "quick"
-	Kernel     string `json:"kernel"`     // "serial" or "partitioned"
-	Fusion     string `json:"fusion"`     // shard-fusion mode: "adaptive", "off", or "all"
-	Generation string `json:"generation"` // hardware generation the machines were parameterized with
-	// LookaheadUS echoes the -lookahead flag: -1 = derived from the
-	// network latency floor, 0 = forced serialized, else explicit µs.
-	LookaheadUS      int              `json:"lookahead_us"`
+	Suite            string           `json:"suite"`      // "full" or "quick"
+	Kernel           string           `json:"kernel"`     // "serial" or "partitioned"
+	Generation       string           `json:"generation"` // hardware generation the machines were parameterized with
 	Workers          int              `json:"workers"`
 	GoMaxProcs       int              `json:"gomaxprocs"`
 	TotalWallSeconds float64          `json:"total_wall_seconds"`
@@ -130,11 +113,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0),
 		"worker goroutines for experiments and independent data points")
 	jsonOut := fs.Bool("json", false, "emit a machine-readable report instead of tables")
-	kernel := fs.String("kernel", "", "simulation `kernel`: serial (default) or partitioned; partitioned shards each machine one-per-node with the serial order as oracle")
-	kernelWorkers := fs.Int("kernel-workers", 0, "worker goroutines per partitioned simulation's conservative windows (models with positive lookahead only)")
-	fusionMode := fs.String("fusion", "", "partitioned-kernel shard-fusion `mode`: adaptive (default), off, or all")
-	lookahead := fs.Int("lookahead", -1, "conservative-window lookahead in simulated `microseconds` for windowed experiments: -1 derives it from the network latency floor, 0 forces serialized scheduling, positive values are capped at the floor")
-	generation := fs.String("generation", "", "hardware `generation` to parameterize the machines with (see -list-generations; default gamma1988)")
+	kernel := fs.String("kernel", "serial", "simulation `kernel`: serial or partitioned (one shard per simulated node, with the serial order as oracle)")
+	kernelWorkers := fs.Int("kernel-workers", 0, "worker goroutines per partitioned simulation's conservative windows (0 = one; needs -kernel partitioned)")
+	generation := fs.String("generation", "gamma1988", "hardware `generation` to parameterize the machines with (see -list-generations)")
 	listGens := fs.Bool("list-generations", false, "list hardware generations and exit")
 	experiment := fs.String("experiment", "", "comma-separated experiment `ids` to run (adds to positional ids)")
 	campaignSeed := fs.Uint64("campaign-seed", 0, "`seed` for the availability experiment's fault campaign (0 = default)")
@@ -144,10 +125,49 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *parallel < 1 {
-		fmt.Fprintf(stderr, "gammabench: -parallel must be >= 1 (got %d)\n", *parallel)
-		fs.Usage()
-		return 2
+	ids := fs.Args()
+	for _, id := range strings.Split(*experiment, ",") {
+		if id = strings.TrimSpace(id); id != "" {
+			ids = append(ids, id)
+		}
+	}
+	var exps []bench.Experiment
+	unknownExp := ""
+	for _, id := range ids {
+		e, ok := bench.Lookup(id)
+		if !ok && unknownExp == "" {
+			unknownExp = id
+		}
+		exps = append(exps, e)
+	}
+	if len(ids) == 0 {
+		exps = bench.Experiments()
+	}
+	prm, genOK := config.ByGeneration(*generation)
+
+	// The one validation table: every rejected flag value is a row, checked
+	// up front — a typo must not cost hours of simulation or silently run
+	// the default.
+	for _, c := range []struct {
+		bad bool
+		msg string
+	}{
+		{*parallel < 1, fmt.Sprintf("-parallel must be >= 1 (got %d)", *parallel)},
+		{*kernel != "serial" && *kernel != "partitioned",
+			fmt.Sprintf("-kernel must be serial or partitioned (got %q)", *kernel)},
+		{*kernelWorkers < 0, fmt.Sprintf("-kernel-workers must be >= 0 (got %d)", *kernelWorkers)},
+		{*kernelWorkers > 0 && *kernel != "partitioned",
+			fmt.Sprintf("-kernel-workers %d needs -kernel partitioned: the serial kernel has no windows to spread", *kernelWorkers)},
+		{*campaignFaults < 0, fmt.Sprintf("-campaign-faults must be >= 0 (got %d)", *campaignFaults)},
+		{!genOK, fmt.Sprintf("unknown generation %q (valid: %s)",
+			*generation, strings.Join(config.GenerationNames(), ", "))},
+		{unknownExp != "", fmt.Sprintf("unknown experiment %q (-list prints the valid ids)", unknownExp)},
+	} {
+		if c.bad {
+			fmt.Fprintf(stderr, "gammabench: %s\n", c.msg)
+			fs.Usage()
+			return 2
+		}
 	}
 
 	if *list {
@@ -169,91 +189,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opts = bench.Quick()
 		suite = "quick"
 	}
-	// -generation wins over the GAMMA_GENERATION environment variable; both
-	// are validated strictly — a typo must not silently run gamma1988.
-	genName := *generation
-	if genName == "" {
-		genName = os.Getenv("GAMMA_GENERATION")
-	}
-	if genName != "" {
-		prm, ok := config.ByGeneration(genName)
-		if !ok {
-			fmt.Fprintf(stderr, "gammabench: unknown generation %q (valid: %s)\n",
-				genName, strings.Join(config.GenerationNames(), ", "))
-			fs.Usage()
-			return 2
-		}
-		opts.Params = &prm
-	} else {
-		genName = "gamma1988"
-	}
-	switch *kernel {
-	case "", "serial", "partitioned":
-		opts.Kernel = *kernel
-	default:
-		fmt.Fprintf(stderr, "gammabench: -kernel must be serial or partitioned (got %q)\n", *kernel)
-		fs.Usage()
-		return 2
-	}
-	if *kernelWorkers < 0 {
-		fmt.Fprintf(stderr, "gammabench: -kernel-workers must be >= 0 (got %d)\n", *kernelWorkers)
-		fs.Usage()
-		return 2
-	}
+	opts.Params = &prm
+	opts.Kernel = *kernel
 	opts.KernelWorkers = *kernelWorkers
-	switch *fusionMode {
-	case "", "adaptive", "off", "all":
-		opts.Fusion = *fusionMode
-	default:
-		fmt.Fprintf(stderr, "gammabench: -fusion must be adaptive, off, or all (got %q)\n", *fusionMode)
-		fs.Usage()
-		return 2
-	}
-	switch {
-	case *lookahead < -1:
-		fmt.Fprintf(stderr, "gammabench: -lookahead must be -1 (derive), 0 (serialize), or a positive microsecond count (got %d)\n", *lookahead)
-		fs.Usage()
-		return 2
-	case *lookahead == 0:
-		opts.Lookahead = -1 // force serialized scheduling
-	case *lookahead > 0:
-		opts.Lookahead = sim.Dur(*lookahead)
-	}
-	if *campaignFaults < 0 {
-		fmt.Fprintf(stderr, "gammabench: -campaign-faults must be >= 0 (got %d)\n", *campaignFaults)
-		fs.Usage()
-		return 2
-	}
 	opts.CampaignSeed = *campaignSeed
 	opts.CampaignFaults = *campaignFaults
-
-	ids := fs.Args()
-	for _, id := range strings.Split(*experiment, ",") {
-		if id = strings.TrimSpace(id); id != "" {
-			ids = append(ids, id)
-		}
-	}
-	// Reject unknown experiments up front, before hours of simulation.
-	for _, id := range ids {
-		if _, ok := bench.Lookup(id); !ok {
-			fmt.Fprintf(stderr, "gammabench: unknown experiment %q\n", id)
-			fs.Usage()
-			fmt.Fprintf(stderr, "experiments (use -list for titles):\n")
-			for _, e := range bench.Experiments() {
-				fmt.Fprintf(stderr, "  %s\n", e.ID)
-			}
-			return 2
-		}
-	}
-	var exps []bench.Experiment
-	if len(ids) == 0 {
-		exps = bench.Experiments()
-	} else {
-		for _, id := range ids {
-			e, _ := bench.Lookup(id)
-			exps = append(exps, e)
-		}
-	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -274,20 +214,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	total := time.Since(start)
 
 	if *jsonOut {
-		kernelName := *kernel
-		if kernelName == "" {
-			kernelName = "serial"
-		}
-		fusionName := *fusionMode
-		if fusionName == "" {
-			fusionName = "adaptive"
-		}
 		rep := jsonReport{
 			Suite:            suite,
-			Kernel:           kernelName,
-			Fusion:           fusionName,
-			Generation:       genName,
-			LookaheadUS:      *lookahead,
+			Kernel:           *kernel,
+			Generation:       *generation,
 			Workers:          *parallel,
 			GoMaxProcs:       runtime.GOMAXPROCS(0),
 			TotalWallSeconds: total.Seconds(),

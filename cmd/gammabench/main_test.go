@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -128,9 +129,9 @@ func TestRunRejectsUnknownExperiment(t *testing.T) {
 	}
 }
 
-// TestGenerationFlag: -generation and GAMMA_GENERATION select a hardware
-// generation, reject unknown names with the valid list before anything
-// simulates, and the flag wins over the environment.
+// TestGenerationFlag: -generation selects a hardware generation, rejects
+// unknown names with the valid list before anything simulates, and the -json
+// report echoes it.
 func TestGenerationFlag(t *testing.T) {
 	null := devNull(t)
 	var errBuf bytes.Buffer
@@ -142,12 +143,6 @@ func TestGenerationFlag(t *testing.T) {
 			t.Errorf("error output missing %q:\n%s", want, errBuf.String())
 		}
 	}
-	t.Setenv("GAMMA_GENERATION", "bogus")
-	if code := run([]string{"-quick", "table3"}, null, null); code != 2 {
-		t.Errorf("GAMMA_GENERATION=bogus: exit code %d, want 2", code)
-	}
-	// The explicit flag overrides the (bad) environment value and the -json
-	// report echoes the generation.
 	var out bytes.Buffer
 	if code := run([]string{"-quick", "-json", "-parallel", "1", "-generation", "rdma", "-experiment", "table3"}, &out, null); code != 0 {
 		t.Fatalf("-generation rdma run: exit code %d", code)
@@ -185,95 +180,99 @@ func TestRunRejectsBadParallel(t *testing.T) {
 	}
 }
 
-func TestRunRejectsBadLookahead(t *testing.T) {
+// TestRunRejectsBadFlagValues: every row of run's validation table, plus
+// the values the flag package rejects itself, exits 2 with a named error and
+// the usage before anything simulates — including -kernel-workers without the
+// partitioned kernel, which used to be silently ignored.
+func TestRunRejectsBadFlagValues(t *testing.T) {
 	null := devNull(t)
-	for _, v := range []string{"-2", "-100", "x"} {
-		if code := run([]string{"-lookahead", v, "table1"}, null, null); code != 2 {
-			t.Errorf("-lookahead %s: exit code %d, want 2", v, code)
+	for _, tc := range []struct {
+		args []string
+		want string // substring of the error naming what was wrong
+	}{
+		{[]string{"-parallel", "0"}, "-parallel must be >= 1"},
+		{[]string{"-kernel", "bogus"}, "-kernel must be serial or partitioned"},
+		{[]string{"-kernel", ""}, "-kernel must be serial or partitioned"},
+		{[]string{"-kernel", "partitioned", "-kernel-workers", "-1"}, "-kernel-workers must be >= 0"},
+		{[]string{"-kernel-workers", "4"}, "needs -kernel partitioned"},
+		{[]string{"-kernel", "serial", "-kernel-workers", "2"}, "needs -kernel partitioned"},
+		{[]string{"-campaign-faults", "-1"}, "-campaign-faults must be >= 0"},
+		{[]string{"-generation", "gamma1989"}, `unknown generation "gamma1989"`},
+		{[]string{"table9"}, `unknown experiment "table9"`},
+		{[]string{"-experiment", "table3,table9"}, `unknown experiment "table9"`},
+		{[]string{"-list", "-kernel", "bogus"}, "-kernel must be"}, // validation precedes -list
+		{[]string{"-lookahead", "100"}, "flag provided but not defined"},
+		{[]string{"-fusion", "off"}, "flag provided but not defined"},
+	} {
+		var errBuf bytes.Buffer
+		args := append([]string{"-quick"}, tc.args...)
+		if code := run(append(args, "table3"), null, &errBuf); code != 2 {
+			t.Errorf("%v: exit code %d, want 2", tc.args, code)
 		}
+		for _, want := range []string{tc.want, "Usage of gammabench"} {
+			if !strings.Contains(errBuf.String(), want) {
+				t.Errorf("%v: stderr does not mention %q:\n%s", tc.args, want, errBuf.String())
+			}
+		}
+	}
+	// The pair that is valid runs.
+	if code := run([]string{"-quick", "-kernel", "partitioned", "-kernel-workers", "4", "table3"}, null, null); code != 0 {
+		t.Errorf("-kernel partitioned -kernel-workers 4: exit code %d, want 0", code)
 	}
 }
 
-// TestFusionFlag: -fusion rejects unknown modes before running anything,
-// the rendered tables are byte-identical across every fusion mode on the
-// partitioned kernel (the adaptive policy and the fully-fused start must be
-// invisible to results), and the -json report echoes the mode.
-func TestFusionFlag(t *testing.T) {
+// TestEnvironmentIsIgnored: gammabench reads no environment variable. The
+// five it used to read, set to values that used to select another kernel,
+// change the model or abort the run, leave the exit code and every rendered
+// byte where a clean environment puts them.
+func TestEnvironmentIsIgnored(t *testing.T) {
 	null := devNull(t)
-	var errBuf bytes.Buffer
-	if code := run([]string{"-fusion", "everything", "table3"}, null, &errBuf); code != 2 {
-		t.Errorf("-fusion with unknown mode: exit code %d, want 2", code)
+	args := []string{"-quick", "-parallel", "1", "table3", "bitvector"}
+	hostile := map[string]string{"GAMMA_KERNEL": "bogus", "GAMMA_KERNEL_WORKERS": "-7",
+		"GAMMA_LOOKAHEAD": "0", "GAMMA_FUSION": "off", "GAMMA_GENERATION": "bogus"}
+	for name := range hostile {
+		t.Setenv(name, "") // registers the restore; the run below sees it unset
+		os.Unsetenv(name)
 	}
-	for _, want := range []string{"-fusion must be", "adaptive", "off", "all"} {
-		if !bytes.Contains(errBuf.Bytes(), []byte(want)) {
-			t.Errorf("unknown-fusion error %q does not mention %q", errBuf.String(), want)
-		}
+	var clean, dirty bytes.Buffer
+	if code := run(args, &clean, null); code != 0 {
+		t.Fatalf("clean environment: exit code %d", code)
 	}
-	var byMode [3]bytes.Buffer
-	for i, mode := range []string{"adaptive", "off", "all"} {
-		args := []string{"-quick", "-parallel", "1", "-kernel", "partitioned", "-kernel-workers", "4",
-			"-fusion", mode, "-experiment", "bitvector"}
-		if code := run(args, &byMode[i], null); code != 0 {
-			t.Fatalf("-fusion %s: exit code %d", mode, code)
-		}
+	for name, value := range hostile {
+		t.Setenv(name, value)
 	}
-	if !bytes.Equal(byMode[0].Bytes(), byMode[1].Bytes()) || !bytes.Equal(byMode[0].Bytes(), byMode[2].Bytes()) {
-		t.Error("tables differ across fusion modes")
+	if code := run(args, &dirty, null); code != 0 {
+		t.Fatalf("GAMMA_* set: exit code %d, want 0", code)
 	}
-	var out bytes.Buffer
-	if code := run([]string{"-quick", "-json", "-parallel", "1", "-kernel", "partitioned",
-		"-fusion", "all", "-experiment", "table3"}, &out, null); code != 0 {
-		t.Fatalf("-json with -fusion: exit code %d", code)
-	}
-	var rep jsonReport
-	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
-		t.Fatalf("bad -json output: %v", err)
-	}
-	if rep.Fusion != "all" {
-		t.Errorf("json fusion = %q, want all", rep.Fusion)
+	if clean.Len() == 0 || !bytes.Equal(clean.Bytes(), dirty.Bytes()) {
+		t.Errorf("tables depend on the environment (%d bytes clean, %d with GAMMA_* set)", clean.Len(), dirty.Len())
 	}
 }
 
-// TestLookaheadInvariance: at positive lookahead the rendered tables are
-// byte-identical across the serial kernel (the oracle: same partition, one
-// worker), the partitioned kernel at the derived floor, and the partitioned
-// kernel at an explicit smaller window. -lookahead 0 (the pre-windowing
-// serialized model) must also run cleanly, and the -json report echoes the
-// flag.
+// TestLookaheadInvariance: the rendered tables are byte-identical across the
+// serial kernel (the oracle: same partition, one worker) and the partitioned
+// kernel with and without a worker budget, all at the one lookahead there is
+// — the network's latency floor on windowed machines.
 func TestLookaheadInvariance(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the same experiments four times")
+		t.Skip("runs the same experiments three times")
 	}
 	null := devNull(t)
-	var oracle, derived, explicit bytes.Buffer
+	var oracle, w1, w4 bytes.Buffer
 	if code := run([]string{"-quick", "-parallel", "1", "table3", "bitvector"}, &oracle, null); code != 0 {
 		t.Fatalf("serial kernel: exit code %d", code)
 	}
-	if code := run([]string{"-quick", "-parallel", "1", "-kernel", "partitioned", "table3", "bitvector"}, &derived, null); code != 0 {
-		t.Fatalf("derived lookahead: exit code %d", code)
+	if code := run([]string{"-quick", "-parallel", "1", "-kernel", "partitioned", "table3", "bitvector"}, &w1, null); code != 0 {
+		t.Fatalf("partitioned kernel: exit code %d", code)
 	}
-	if code := run([]string{"-quick", "-parallel", "1", "-kernel", "partitioned", "-lookahead", "100", "table3", "bitvector"}, &explicit, null); code != 0 {
-		t.Fatalf("-lookahead 100: exit code %d", code)
+	if code := run([]string{"-quick", "-parallel", "1", "-kernel", "partitioned", "-kernel-workers", "4", "table3", "bitvector"}, &w4, null); code != 0 {
+		t.Fatalf("partitioned kernel, 4 workers: exit code %d", code)
 	}
-	if !bytes.Equal(oracle.Bytes(), derived.Bytes()) {
-		t.Error("serial-kernel and partitioned tables differ at derived lookahead")
+	if !bytes.Equal(oracle.Bytes(), w1.Bytes()) {
+		t.Error("serial-kernel and partitioned tables differ")
 	}
-	if !bytes.Equal(derived.Bytes(), explicit.Bytes()) {
-		t.Error("tables differ between derived and explicit positive lookahead")
-	}
-	if code := run([]string{"-quick", "-parallel", "1", "-lookahead", "0", "-experiment", "bitvector"}, null, null); code != 0 {
-		t.Fatalf("-lookahead 0: exit code %d", code)
-	}
-	var out bytes.Buffer
-	if code := run([]string{"-quick", "-json", "-parallel", "1", "-lookahead", "100", "-experiment", "table3"}, &out, null); code != 0 {
-		t.Fatalf("-json with -lookahead: exit code %d", code)
-	}
-	var rep jsonReport
-	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
-		t.Fatalf("bad -json output: %v", err)
-	}
-	if rep.LookaheadUS != 100 {
-		t.Errorf("lookahead_us = %d, want 100", rep.LookaheadUS)
+	if !bytes.Equal(oracle.Bytes(), w4.Bytes()) {
+		t.Error("serial-kernel and partitioned 4-worker tables differ")
 	}
 }
 

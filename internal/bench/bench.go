@@ -8,9 +8,7 @@ package bench
 import (
 	"fmt"
 	"io"
-	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -22,7 +20,9 @@ import (
 	"gamma/internal/wisconsin"
 )
 
-// Options scales an experiment run.
+// Options is what a user sets for an experiment run: sizes, machine
+// parameters, the kernel pair and the fault campaign. Nothing else — no
+// flag, no environment variable — reaches a simulation.
 type Options struct {
 	// Sizes are the source-relation cardinalities for Tables 1-3. The
 	// paper uses 10,000 / 100,000 / 1,000,000.
@@ -35,43 +35,14 @@ type Options struct {
 	// Params overrides the default machine parameters.
 	Params *config.Params
 	// Kernel selects the simulation kernel: "serial" (or empty, the
-	// default) runs each machine on the single-heap serial kernel;
-	// "partitioned" builds each machine on a partitioned simulation with
-	// one shard per node. The Gamma network model interacts across nodes
-	// at the same simulated instant, so its partition declares lookahead
-	// 0 and executes serialized in merged global order — byte-identical
-	// to the serial kernel, which stays available as the oracle. The
-	// GAMMA_KERNEL environment variable overrides an empty Kernel.
+	// default) or "partitioned" (one shard per node, conservative windows
+	// on the machines that opted in). Tables, JSON and traces are
+	// byte-identical on both; see DESIGN.md §9.
 	Kernel string
-	// KernelWorkers is the worker-goroutine budget a partitioned
-	// simulation may use for conservative windows (effective with positive
-	// lookahead). GAMMA_KERNEL_WORKERS overrides zero.
+	// KernelWorkers is the worker-goroutine budget of a partitioned
+	// simulation's windows; zero or less means one. Ignored by the serial
+	// kernel.
 	KernelWorkers int
-	// Lookahead controls the conservative-window lookahead of windowed
-	// experiments: 0 derives it from the network's delivery-latency floor
-	// (Net.MinLatency, the largest value the model can prove safe), a
-	// positive value is used as-is but capped at that floor, and a negative
-	// value forces lookahead 0 (fully serialized scheduling, the
-	// pre-windowing kernel behavior). The GAMMA_LOOKAHEAD environment
-	// variable overrides zero: unset/empty = derive, "0" or negative =
-	// force serialized, positive = explicit µs. Only experiments that have
-	// opted into windowed execution are affected.
-	Lookahead sim.Dur
-	// Fusion selects the partitioned kernel's adaptive shard-fusion mode:
-	// "adaptive" (or empty, the default) engages the feedback policy that
-	// coalesces shards when barrier rounds run thin and re-splits them when
-	// traffic returns; "off" pins one shard per group (the pre-fusion
-	// scheduler); "all" starts fully fused and lets the policy probe its
-	// way back out. The GAMMA_FUSION environment variable overrides an
-	// empty value.
-	Fusion string
-
-	// windowedOK marks the experiment as safe for positive-lookahead
-	// windowed execution: its Gamma workload routes every cross-node
-	// interaction through the nose latency floor. Experiments that inject
-	// faults, share machines across concurrent queries, or build Teradata
-	// machines leave it false and always run at lookahead 0.
-	windowedOK bool
 
 	// CampaignSeed seeds the availability experiment's generated fault
 	// campaign (0 selects the default seed) and CampaignFaults sets how
@@ -80,45 +51,87 @@ type Options struct {
 	CampaignSeed   uint64
 	CampaignFaults int
 
-	// sem is the suite-wide worker-slot semaphore shared by RunSuite and
-	// parMap; nil means serial. events, when set, accumulates the number of
-	// simulated events across every machine the experiment builds, and
-	// windows the partitioned kernel's EOT window-scheduler statistics.
-	sem     chan struct{}
-	events  *atomic.Int64
-	windows *sim.WindowCounters
+	// windowedOK marks the experiment as safe for positive-lookahead
+	// windowed execution: its Gamma workload routes every cross-node
+	// interaction through the nose latency floor. Experiments that inject
+	// faults, share machines across concurrent queries, or build Teradata
+	// machines leave it false and always run at lookahead 0. It is a value,
+	// not part of run: windowed()/serialized() flip it on copies, and a
+	// Gamma machine must not leak the flip to its Teradata reference.
+	windowedOK bool
 
-	// images is the suite-wide machine-image cache (see imagecache.go);
-	// nil means every data point builds its database from scratch, which is
-	// the reference the cached path must match byte-for-byte. setup
-	// accumulates machine-build wall time (nanoseconds) and imgHits /
-	// imgMisses the cache counters, all per experiment.
-	images             *imageCache
-	setup              *atomic.Int64
-	imgHits, imgMisses *atomic.Int64
+	// run is the plumbing RunSuite threads through an experiment; nil
+	// outside a suite run.
+	run *runCtx
+}
 
-	// points is the suite-wide data-point cache (see shared.go); nil means
-	// every experiment simulates every point it plots. sharedPts counts, per
-	// experiment, the points it was handed instead of simulating.
-	points    *onceMap[pointKey, any]
-	sharedPts *atomic.Int64
+// runCtx is the per-experiment run context. Every method is safe on a nil
+// receiver, which is the reference path the suite must match byte-for-byte:
+// serial fan-out, every machine built from scratch, every data point
+// simulated by the experiment that plots it, nothing counted.
+type runCtx struct {
+	// Shared by every experiment of one RunSuite call: the worker-slot
+	// semaphore (nil = serial), the machine-image cache (imagecache.go) and
+	// the data-point cache (shared.go).
+	sem    chan struct{}
+	images *imageCache
+	points *onceMap[pointKey, any]
+
+	// Per experiment: simulated events and window-scheduler counters over
+	// every machine it built, machine-build wall time (nanoseconds),
+	// image-cache lookups, and the points it was handed instead of
+	// simulating.
+	events, setup, imgHits, imgMisses, sharedPts atomic.Int64
+	windows                                      sim.WindowCounters
+}
+
+// slots returns the worker-slot semaphore, nil when the run is serial.
+func (c *runCtx) slots() chan struct{} {
+	if c == nil {
+		return nil
+	}
+	return c.sem
 }
 
 // addSetup charges the time since start to the experiment's setup clock.
-func (o Options) addSetup(start time.Time) {
-	if o.setup != nil {
-		o.setup.Add(int64(time.Since(start)))
+func (c *runCtx) addSetup(start time.Time) {
+	if c != nil {
+		c.setup.Add(int64(time.Since(start)))
 	}
 }
 
-// noteImage records one image-cache lookup.
-func (o Options) noteImage(hit bool) {
-	switch {
-	case hit && o.imgHits != nil:
-		o.imgHits.Add(1)
-	case !hit && o.imgMisses != nil:
-		o.imgMisses.Add(1)
+// attach wires a simulator to the experiment's event and window counters.
+func (c *runCtx) attach(s *sim.Sim) {
+	if c != nil {
+		s.SetEventCounter(&c.events)
+		s.SetWindowCounters(&c.windows)
 	}
+}
+
+// charge adds the counts of a simulator that kept counters of its own.
+func (c *runCtx) charge(events int64, ws sim.WindowStats) {
+	if c != nil {
+		c.events.Add(events)
+		c.windows.Add(ws)
+	}
+}
+
+// machine returns the machine that build describes, on simulator s: built
+// there from scratch without an image cache, otherwise restored from the
+// cached image key names, which is built and snapshotted on first use — on a
+// throwaway simulator: loading schedules no events, so the suite's event
+// counters see exactly what an uncached run's would.
+func (c *runCtx) machine(s *sim.Sim, key imageKey, build func(*sim.Sim) *core.Machine) *core.Machine {
+	if c == nil || c.images == nil {
+		return build(s)
+	}
+	snap, hit := c.images.get(key, func() *core.Snapshot { return build(sim.New()).Snapshot() })
+	if hit {
+		c.imgHits.Add(1)
+	} else {
+		c.imgMisses.Add(1)
+	}
+	return core.RestoreMachine(s, snap)
 }
 
 // Full returns the paper-scale options.
@@ -148,59 +161,6 @@ func (o Options) withPage(pageBytes int) Options {
 	return o
 }
 
-// kernel resolves the kernel knob: the explicit Options value, then the
-// GAMMA_KERNEL environment variable, then the serial default.
-func (o Options) kernel() string {
-	if o.Kernel != "" {
-		return o.Kernel
-	}
-	if k := os.Getenv("GAMMA_KERNEL"); k != "" {
-		return k
-	}
-	return "serial"
-}
-
-// kernelWorkers resolves the window-worker budget (Options value, then
-// GAMMA_KERNEL_WORKERS, then 1 = serialized).
-func (o Options) kernelWorkers() int {
-	if o.KernelWorkers > 0 {
-		return o.KernelWorkers
-	}
-	if v := os.Getenv("GAMMA_KERNEL_WORKERS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 1
-}
-
-// fusion resolves the shard-fusion knob: the explicit Options value, then
-// GAMMA_FUSION, then "adaptive".
-func (o Options) fusion() string {
-	if o.Fusion != "" {
-		return o.Fusion
-	}
-	if f := os.Getenv("GAMMA_FUSION"); f != "" {
-		return f
-	}
-	return "adaptive"
-}
-
-// fusionConfig maps the resolved knob to a kernel policy, or panics on an
-// unknown mode (mirroring the kernel knob's strictness).
-func (o Options) fusionConfig() sim.Fusion {
-	switch f := o.fusion(); f {
-	case "adaptive":
-		return sim.Fusion{}
-	case "off":
-		return sim.Fusion{Off: true}
-	case "all":
-		return sim.Fusion{InitLevel: -1}
-	default:
-		panic(fmt.Sprintf("bench: unknown fusion mode %q (want adaptive, off, or all)", f))
-	}
-}
-
 // windowed marks the experiment's machines as safe for positive-lookahead
 // windows. Experiments opt in at the top of their Run functions.
 func (o Options) windowed() Options {
@@ -216,79 +176,42 @@ func (o Options) serialized() Options {
 	return o
 }
 
-// lookaheadSetting resolves the raw lookahead knob: the explicit Options
-// value, then GAMMA_LOOKAHEAD, then 0 (= derive).
-func (o Options) lookaheadSetting() sim.Dur {
-	if o.Lookahead != 0 {
-		return o.Lookahead
-	}
-	if v := os.Getenv("GAMMA_LOOKAHEAD"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil {
-			if n <= 0 {
-				return -1
-			}
-			return sim.Dur(n)
-		}
-	}
-	return 0
-}
-
-// resolveLookahead returns the kernel lookahead this experiment's machines
-// run at: 0 unless the experiment opted into windowed execution, otherwise
-// the configured lookahead clamped to (0, Net.MinLatency]. The latency
-// floor is the largest provably safe value — every remote delivery in the
-// nose model arrives at least MinLatency after it was sent — and also the
-// default.
-func (o Options) resolveLookahead() sim.Dur {
+// lookahead returns the kernel lookahead this experiment's machines run at:
+// Net.MinLatency if the experiment opted into windowed execution, 0
+// otherwise. The latency floor is the largest provably safe value — every
+// remote delivery in the nose model arrives at least MinLatency after it was
+// sent (TestLookaheadFloorIsTight).
+func (o Options) lookahead() sim.Dur {
 	if !o.windowedOK {
 		return 0
 	}
-	floor := o.params().Net.MinLatency
-	if floor <= 0 {
-		return 0
-	}
-	la := o.lookaheadSetting()
-	switch {
-	case la < 0:
-		return 0
-	case la == 0 || la > floor:
-		return floor
-	default:
-		return la
-	}
+	return max(o.params().Net.MinLatency, 0)
 }
 
-// newSim builds a simulator wired to the experiment's event counter, so the
-// suite runner can report simulated events per second. With the
+// newSim builds a simulator wired to the experiment's counters. With the
 // "partitioned" kernel selected the simulation is partitioned before the
-// machine is built, so nose.AddNode homes every node on its own shard; the
-// lookahead is resolveLookahead's (positive only for experiments that opted
-// into windowed execution). The "serial" kernel stays the oracle: for a
-// windowed experiment it runs the identical partitioned simulation with one
-// worker — same event-order keys, byte-identical traces — and for everything
-// else the plain single-heap kernel.
+// machine is built, so nose.AddNode homes every node on its own shard. The
+// "serial" kernel stays the oracle: for a windowed experiment it runs the
+// identical partitioned simulation with one worker — same event-order keys,
+// byte-identical traces — and for everything else the plain single-heap
+// kernel.
 func (o Options) newSim() *sim.Sim {
 	s := sim.New()
-	la := o.resolveLookahead()
-	switch k := o.kernel(); k {
-	case "serial":
+	la := o.lookahead()
+	switch o.Kernel {
+	case "", "serial":
 		if la > 0 {
 			s.Partition(la)
 			s.SetWorkers(1)
 		}
 	case "partitioned":
 		s.Partition(la)
-		s.SetWorkers(o.kernelWorkers())
-		s.SetFusion(o.fusionConfig())
+		s.SetWorkers(max(o.KernelWorkers, 1))
+		s.SetFusion(sim.Fusion{}) // the adaptive policy, always
 	default:
-		panic(fmt.Sprintf("bench: unknown kernel %q (want serial or partitioned)", k))
+		panic(fmt.Sprintf("bench: unknown kernel %q (want serial or partitioned)", o.Kernel))
 	}
-	if o.events != nil {
-		s.SetEventCounter(o.events)
-	}
-	if o.windows != nil {
-		s.SetWindowCounters(o.windows)
-	}
+	o.run.attach(s)
 	return s
 }
 
@@ -437,13 +360,13 @@ func loadSpecRel(m *core.Machine, rs relSpec) {
 // gammaMachine returns a loaded Gamma machine on a fresh simulation. With an
 // image cache (any RunSuite run) the database is built and snapshotted once
 // per distinct (geometry, mirroring, params, relations) key and every other
-// request restores the snapshot copy-on-write; without one (o.images == nil,
-// the uncached reference path) it is built from scratch. Both paths are
-// byte-identical downstream: loading is free and eventless, restores rebase
-// onto sim t=0 with cold buffer pools, and file ids and name counters are
-// preserved by the snapshot.
+// request restores the snapshot copy-on-write; without one (the uncached
+// reference path) it is built from scratch. Both paths are byte-identical
+// downstream: loading is free and eventless, restores rebase onto sim t=0
+// with cold buffer pools, and file ids and name counters are preserved by
+// the snapshot.
 func (o Options) gammaMachine(nDisk, nDiskless int, mirrored bool, specs []relSpec) *core.Machine {
-	defer o.addSetup(time.Now())
+	defer o.run.addSetup(time.Now())
 	build := func(s *sim.Sim) *core.Machine {
 		p := o.params()
 		m := core.NewMachine(s, &p, nDisk, nDiskless)
@@ -455,19 +378,9 @@ func (o Options) gammaMachine(nDisk, nDiskless int, mirrored bool, specs []relSp
 		}
 		return m
 	}
-	if o.images == nil {
-		return build(o.newSim())
-	}
 	key := imageKey{nDisk: nDisk, nDiskless: nDiskless, mirrored: mirrored,
 		prm: o.params(), rels: relsKey(specs)}
-	snap, hit := o.images.get(key, func() *core.Snapshot {
-		// The image is built on a throwaway simulator: loading schedules no
-		// events, so the suite's event counters see exactly what an uncached
-		// run's would.
-		return build(sim.New()).Snapshot()
-	})
-	o.noteImage(hit)
-	return core.RestoreMachine(o.newSim(), snap)
+	return o.run.machine(o.newSim(), key, build)
 }
 
 // gammaSetup is one Gamma machine with the standard benchmark relations.

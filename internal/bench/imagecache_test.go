@@ -21,12 +21,12 @@ func renderTable(tbl *Table) []byte {
 // TestCachedTablesMatchUncached is the acceptance contract of the image
 // cache: for every experiment, the table produced with cached machine images
 // (RunSuite always attaches a cache) must be byte-identical to the table
-// produced with o.images == nil, where every data point loads its database
+// produced with no run context, where every data point loads its database
 // from scratch — both serially and under -parallel workers.
 func TestCachedTablesMatchUncached(t *testing.T) {
 	o := tinyOptions()
 	for _, e := range Experiments() {
-		uncached := renderTable(e.Run(o)) // o.images == nil: from-scratch loads
+		uncached := renderTable(e.Run(o)) // no run context: from-scratch loads
 		serial := RunSuite([]Experiment{e}, o, 1)
 		parallel := RunSuite([]Experiment{e}, o, 8)
 		if got := renderTable(serial[0].Table); !bytes.Equal(got, uncached) {
@@ -122,7 +122,7 @@ func TestSuiteReportsCacheHits(t *testing.T) {
 // every restored machine answers queries identically (run under -race).
 func TestImageCacheSingleflight(t *testing.T) {
 	o := tinyOptions()
-	o.images = newImageCache()
+	o.run = &runCtx{images: newImageCache()}
 	var builds atomic.Int64
 	key := imageKey{nDisk: 2, nDiskless: 2, prm: o.params(), rels: relsKey(gammaRels(500, 1))}
 	var wg sync.WaitGroup
@@ -132,10 +132,10 @@ func TestImageCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			snap, hit := o.images.get(key, func() *core.Snapshot {
+			snap, hit := o.run.images.get(key, func() *core.Snapshot {
 				builds.Add(1)
 				uncached := o
-				uncached.images = nil
+				uncached.run = nil
 				return uncached.gammaMachine(2, 2, false, gammaRels(500, 1)).Snapshot()
 			})
 			hits[i] = hit
@@ -159,8 +159,8 @@ func TestImageCacheSingleflight(t *testing.T) {
 	if misses != 1 {
 		t.Errorf("%d goroutines reported a miss, want exactly 1", misses)
 	}
-	if o.images.len() != 1 {
-		t.Errorf("cache holds %d entries, want 1", o.images.len())
+	if o.run.images.len() != 1 {
+		t.Errorf("cache holds %d entries, want 1", o.run.images.len())
 	}
 	for i, s := range secs {
 		if s != secs[0] {

@@ -10,7 +10,7 @@ package bench
 // these tests pin that identity byte for byte. Serialized experiments
 // (fault injection, shared machines, Teradata) still run at lookahead 0,
 // where the merged global order is provably the single-heap order. CI runs
-// this file under -race across a GOMAXPROCS × workers matrix.
+// this file under -race across a GOMAXPROCS matrix.
 
 import (
 	"bytes"
@@ -26,28 +26,33 @@ import (
 	"gamma/internal/wisconsin"
 )
 
-// kernelVariants is the equivalence matrix: the serial oracle, the
-// partitioned kernel serialized and with a worker budget, and the worker
-// budget under each shard-fusion mode. An empty fusion follows the resolved
-// knob (GAMMA_FUSION or adaptive), so the CI fusion matrix reaches the plain
-// w4 variant too; "off" and "all" pin the extremes regardless.
-var kernelVariants = []struct {
+// kernelVariant is one row of the equivalence matrix.
+type kernelVariant struct {
 	name    string
 	kernel  string
 	workers int
-	fusion  string
-}{
-	{"serial", "serial", 0, ""},
-	{"partitioned-w1", "partitioned", 1, ""},
-	{"partitioned-w4", "partitioned", 4, ""},
-	{"partitioned-w4-unfused", "partitioned", 4, "off"},
-	{"partitioned-w4-fused", "partitioned", 4, "all"},
+	fusion  sim.Fusion // what tracedWorkloadOn hands SetFusion; Options always runs adaptive
+}
+
+// kernelVariants is the equivalence matrix: the serial oracle, the
+// partitioned kernel serialized and with a worker budget (the three a user
+// can select, under the adaptive policy Options always installs), and the
+// worker budget at the policy's two extremes — never fused, and starting
+// fully fused — which only the trace tests can reach, by handing the kernel
+// the policy directly.
+var kernelVariants = []kernelVariant{
+	{"serial", "serial", 0, sim.Fusion{}},
+	{"partitioned-w1", "partitioned", 1, sim.Fusion{}},
+	{"partitioned-w4", "partitioned", 4, sim.Fusion{}},
+	{"partitioned-w4-unfused", "partitioned", 4, sim.Fusion{Off: true}},
+	{"partitioned-w4-fused", "partitioned", 4, sim.Fusion{InitLevel: -1}},
 }
 
 // suiteArtifacts runs a cross-section of experiments on the given kernel
 // and returns the rendered tables and the JSON result document (the stable
-// parts of the gammabench -json report: wall-clock fields excluded).
-func suiteArtifacts(t *testing.T, kernel string, workers int, fusion string) (tables, jsonDoc []byte) {
+// parts of the gammabench -json report: wall-clock fields excluded), plus
+// the number of window rounds the suite's simulations ran.
+func suiteArtifacts(t *testing.T, kernel string, workers int) (tables, jsonDoc []byte, windows int64) {
 	t.Helper()
 	// Windowed experiments (table1, fig1, fig9, scaleup, netgen — fig9
 	// exercises joins inside parallel windows, netgen the batched exchange
@@ -65,7 +70,6 @@ func suiteArtifacts(t *testing.T, kernel string, workers int, fusion string) (ta
 	o := tinyOptions()
 	o.Kernel = kernel
 	o.KernelWorkers = workers
-	o.Fusion = fusion
 	reports := RunSuite(exps, o, 2)
 	var tblBuf bytes.Buffer
 	type stable struct {
@@ -77,23 +81,32 @@ func suiteArtifacts(t *testing.T, kernel string, workers int, fusion string) (ta
 	for _, r := range reports {
 		r.Table.Render(&tblBuf)
 		doc = append(doc, stable{ID: r.ID, Events: r.Events, Table: r.Table})
+		windows += r.Windows.Windows
 	}
 	js, err := json.MarshalIndent(doc, "", " ")
 	if err != nil {
 		t.Fatalf("marshal results: %v", err)
 	}
-	return tblBuf.Bytes(), js
+	return tblBuf.Bytes(), js, windows
 }
 
 // TestKernelEquivalenceSuite: the quick-suite cross-section produces
-// byte-identical tables and JSON results on every kernel variant.
+// byte-identical tables and JSON results on every kernel a user can select —
+// and the pair does select: only a partitioned run with a worker budget
+// executes windows, so identical bytes are not two runs of one path.
 func TestKernelEquivalenceSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("suite cross-section is seconds-long; skipped in -short")
 	}
-	refTables, refJSON := suiteArtifacts(t, kernelVariants[0].kernel, kernelVariants[0].workers, kernelVariants[0].fusion)
-	for _, v := range kernelVariants[1:] {
-		tables, js := suiteArtifacts(t, v.kernel, v.workers, v.fusion)
+	refTables, refJSON, refWindows := suiteArtifacts(t, "serial", 0)
+	if refWindows != 0 {
+		t.Errorf("serial kernel ran %d window rounds, want 0", refWindows)
+	}
+	for _, v := range kernelVariants[1:3] {
+		tables, js, windows := suiteArtifacts(t, v.kernel, v.workers)
+		if (windows > 0) != (v.workers > 1) {
+			t.Errorf("%s: %d window rounds, want windows only with a worker budget", v.name, windows)
+		}
 		if !bytes.Equal(tables, refTables) {
 			t.Errorf("%s: rendered tables differ from serial kernel (%d vs %d bytes)",
 				v.name, len(tables), len(refTables))
@@ -105,23 +118,16 @@ func TestKernelEquivalenceSuite(t *testing.T) {
 	}
 }
 
-// tracedWorkload builds a small traced Gamma machine on the given kernel
-// at the given lookahead, runs a heap selection and an indexed selection,
-// and returns the full trace stream bytes.
-func tracedWorkload(t *testing.T, kernel string, workers int, fusion string, la sim.Dur) []byte {
-	t.Helper()
-	return tracedWorkloadOn(t, config.Default(), kernel, workers, fusion, la, nil)
-}
-
-// tracedWorkloadOn is tracedWorkload under explicit hardware parameters,
-// with an optional hook run after the machine is built (floor-tightness
+// tracedWorkloadOn builds a small traced Gamma machine with the given
+// hardware parameters on kernel variant v at lookahead la, runs a heap
+// selection and an indexed selection, and returns the full trace stream
+// bytes. The optional hook runs after the machine is built (floor-tightness
 // tests use it to over-declare a shard's output or channel floor).
-func tracedWorkloadOn(t *testing.T, prm config.Params, kernel string, workers int, fusion string, la sim.Dur, tweak func(m *core.Machine)) []byte {
+func tracedWorkloadOn(t *testing.T, prm config.Params, v kernelVariant, la sim.Dur, tweak func(m *core.Machine)) []byte {
 	t.Helper()
-	var s *sim.Sim
-	switch kernel {
+	s := sim.New()
+	switch v.kernel {
 	case "serial":
-		s = sim.New()
 		if la > 0 {
 			// The serial oracle for a windowed run: same partition, same
 			// ord keys, one worker.
@@ -129,12 +135,11 @@ func tracedWorkloadOn(t *testing.T, prm config.Params, kernel string, workers in
 			s.SetWorkers(1)
 		}
 	case "partitioned":
-		s = sim.New()
 		s.Partition(la)
-		s.SetWorkers(workers)
-		s.SetFusion(Options{Fusion: fusion}.fusionConfig())
+		s.SetWorkers(v.workers)
+		s.SetFusion(v.fusion)
 	default:
-		t.Fatalf("unknown kernel %q", kernel)
+		t.Fatalf("unknown kernel %q", v.kernel)
 	}
 	m := core.NewMachine(s, &prm, 4, 4)
 	u1 := rel.Unique1
@@ -164,17 +169,20 @@ func tracedWorkloadOn(t *testing.T, prm config.Params, kernel string, workers in
 
 // TestKernelEquivalenceTraces: the full structured event stream of a traced
 // Gamma workload is byte-identical on every kernel variant — the headline
-// invariant of the partitioned kernel — both serialized (lookahead 0) and
-// inside truly parallel windows at the derived latency-floor lookahead.
+// invariant of the partitioned kernel — serialized (lookahead 0), inside
+// windows at the latency-floor lookahead every windowed experiment runs at,
+// and at a lookahead far below the floor (100 µs), where the same schedule
+// is cut into many more, smaller windows.
 func TestKernelEquivalenceTraces(t *testing.T) {
-	floor := config.Default().Net.MinLatency
-	if floor <= 0 {
-		t.Fatal("default params declare no latency floor")
+	prm := config.Default()
+	floor := prm.Net.MinLatency
+	if floor <= 100 {
+		t.Fatalf("default latency floor %v leaves no room for a sub-floor lookahead", floor)
 	}
-	for _, la := range []sim.Dur{0, floor} {
-		ref := tracedWorkload(t, kernelVariants[0].kernel, kernelVariants[0].workers, kernelVariants[0].fusion, la)
+	for _, la := range []sim.Dur{0, 100, floor} {
+		ref := tracedWorkloadOn(t, prm, kernelVariants[0], la, nil)
 		for _, v := range kernelVariants[1:] {
-			got := tracedWorkload(t, v.kernel, v.workers, v.fusion, la)
+			got := tracedWorkloadOn(t, prm, v, la, nil)
 			if !bytes.Equal(got, ref) {
 				t.Errorf("%s at lookahead %v: trace stream differs from serial kernel (%d vs %d bytes)",
 					v.name, la, len(got), len(ref))
@@ -220,7 +228,7 @@ func TestLookaheadFloorIsTight(t *testing.T) {
 					t.Fatalf("wrong panic: %v", r)
 				}
 			}()
-			tracedWorkloadOn(t, config.Default(), "partitioned", 1, "", tc.la, tc.tweak)
+			tracedWorkloadOn(t, config.Default(), kernelVariants[1], tc.la, tc.tweak)
 		})
 	}
 }
@@ -237,56 +245,13 @@ func TestKernelEquivalenceGenerations(t *testing.T) {
 	for _, gen := range config.Generations() {
 		prm := gen.Params()
 		la := prm.Net.MinLatency
-		ref := tracedWorkloadOn(t, prm, kernelVariants[0].kernel, kernelVariants[0].workers, kernelVariants[0].fusion, la, nil)
+		ref := tracedWorkloadOn(t, prm, kernelVariants[0], la, nil)
 		for _, v := range kernelVariants[1:] {
-			got := tracedWorkloadOn(t, prm, v.kernel, v.workers, v.fusion, la, nil)
+			got := tracedWorkloadOn(t, prm, v, la, nil)
 			if !bytes.Equal(got, ref) {
 				t.Errorf("%s on %s: trace stream differs from serial kernel (%d vs %d bytes)",
 					v.name, gen.Name, len(got), len(ref))
 			}
 		}
 	}
-}
-
-// TestKernelKnobEnvOverride: GAMMA_KERNEL/GAMMA_KERNEL_WORKERS select the
-// kernel when Options leave it empty, and an explicit Options value wins.
-func TestKernelKnobEnvOverride(t *testing.T) {
-	t.Setenv("GAMMA_KERNEL", "partitioned")
-	t.Setenv("GAMMA_KERNEL_WORKERS", "3")
-	o := Options{}
-	if !o.newSim().Partitioned() {
-		t.Error("GAMMA_KERNEL=partitioned ignored")
-	}
-	if got := o.newSim().Workers(); got != 3 {
-		t.Errorf("GAMMA_KERNEL_WORKERS=3: workers = %d", got)
-	}
-	o.Kernel = "serial"
-	if o.newSim().Partitioned() {
-		t.Error("explicit Options.Kernel did not override the environment")
-	}
-}
-
-// TestFusionKnob: GAMMA_FUSION selects the shard-fusion mode when Options
-// leave it empty, an explicit Options value wins, and unknown modes panic.
-func TestFusionKnob(t *testing.T) {
-	t.Setenv("GAMMA_FUSION", "") // the CI fusion matrix sets it for the process
-	o := Options{}
-	if got := o.fusion(); got != "adaptive" {
-		t.Errorf("default fusion mode = %q, want adaptive", got)
-	}
-	t.Setenv("GAMMA_FUSION", "off")
-	if !o.fusionConfig().Off {
-		t.Error("GAMMA_FUSION=off ignored")
-	}
-	o.Fusion = "all"
-	if f := o.fusionConfig(); f.Off || f.InitLevel != -1 {
-		t.Errorf("explicit Options.Fusion=all did not override the environment: %+v", f)
-	}
-	o.Fusion = "everything"
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown fusion mode did not panic")
-		}
-	}()
-	o.fusionConfig()
 }

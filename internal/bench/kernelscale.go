@@ -107,19 +107,9 @@ func kscaleRealProbe(o Options, prm config.Params, tuples, workers int, f sim.Fu
 	s.SetFusion(f)
 	s.SetEventCounter(&ev)
 	s.SetWindowCounters(&wc)
-	var m *core.Machine
 	setupStart := time.Now()
-	if o.images != nil {
-		key := imageKey{nDisk: 8, prm: prm, rels: relsKey([]relSpec{spec})}
-		snap, hit := o.images.get(key, func() *core.Snapshot {
-			return build(sim.New()).Snapshot()
-		})
-		o.noteImage(hit)
-		m = core.RestoreMachine(s, snap)
-	} else {
-		m = build(s)
-	}
-	o.addSetup(setupStart)
+	m := o.run.machine(s, imageKey{nDisk: 8, prm: prm, rels: relsKey([]relSpec{spec})}, build)
+	o.run.addSetup(setupStart)
 	r, ok := m.Relation(spec.name)
 	if !ok {
 		panic("kernelscale: probe relation missing from machine image")
@@ -132,12 +122,7 @@ func kscaleRealProbe(o Options, prm config.Params, tuples, workers int, f sim.Fu
 	if res.Err != nil {
 		panic(fmt.Sprintf("kernelscale: probe query failed: %v", res.Err))
 	}
-	if o.events != nil {
-		o.events.Add(ev.Load())
-	}
-	if o.windows != nil {
-		o.windows.Add(wc.Stats())
-	}
+	o.run.charge(ev.Load(), wc.Stats())
 	return kprobePoint{
 		kscalePoint: kscalePoint{events: ev.Load(), end: s.Now(), wall: wall, ws: wc.Stats()},
 		elapsed:     res.Elapsed,
@@ -207,12 +192,7 @@ func runKernelScale(o Options) *Table {
 		start := time.Now()
 		end := s.Run()
 		wall := time.Since(start)
-		if o.events != nil {
-			o.events.Add(ev.Load())
-		}
-		if o.windows != nil {
-			o.windows.Add(wc.Stats())
-		}
+		o.run.charge(ev.Load(), wc.Stats())
 		return kscalePoint{events: ev.Load(), end: end, wall: wall, ws: wc.Stats()}
 	})
 

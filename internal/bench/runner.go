@@ -4,7 +4,6 @@ import (
 	"context"
 	"runtime/pprof"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gamma/internal/sim"
@@ -65,46 +64,38 @@ func (r Report) QueryWall() time.Duration {
 // with a fixed seed, so scheduling cannot reach the results. workers <= 1
 // runs everything on the calling goroutine.
 func RunSuite(exps []Experiment, o Options, workers int) []Report {
+	// One semaphore, one machine-image cache and one data-point cache serve
+	// the whole suite, always this run's own: experiments that build
+	// identical databases (the figure pairs, the table sizes) share images,
+	// and one that replots a sibling's sweep reads the sibling's
+	// measurements.
+	images, points := newImageCache(), newOnceMap[pointKey, any]()
+	var sem chan struct{}
 	if workers > 1 {
-		o.sem = make(chan struct{}, workers)
+		sem = make(chan struct{}, workers)
 	}
-	if o.images == nil {
-		// One machine-image cache serves the whole suite: experiments that
-		// build identical databases (the figure pairs, the table sizes)
-		// share images across experiment boundaries.
-		o.images = newImageCache()
-	}
-	// Likewise one data-point cache, always this run's own: an experiment
-	// that replots a sibling's sweep reads the sibling's measurements.
-	o.points = newOnceMap[pointKey, any]()
 	reports := make([]Report, len(exps))
-	run := func(i int, e Experiment, oo Options) {
-		var ev, su, ih, im, sp atomic.Int64
-		var wc sim.WindowCounters
-		oo.events = &ev
-		oo.setup = &su
-		oo.imgHits = &ih
-		oo.imgMisses = &im
-		oo.sharedPts = &sp
-		oo.windows = &wc
+	run := func(i int, e Experiment) {
+		c := &runCtx{sem: sem, images: images, points: points}
+		oo := o
+		oo.run = c
 		start := time.Now()
 		var tbl *Table
 		// Label the experiment's goroutine (and every worker it spawns) so
-		// CPU profiles break down per experiment — `gammabench -cpuprofile`
-		// plus `go tool pprof -tags` attributes window-scheduler cost to the
-		// experiment that paid it, which is the data the fusion policy's
-		// thresholds were tuned from.
+		// CPU profiles break down per experiment: `gammabench -cpuprofile`
+		// plus `go tool pprof -tags` attributes host time to the experiment
+		// that paid it.
 		pprof.Do(context.Background(), pprof.Labels("experiment", e.ID), func(context.Context) {
 			tbl = e.Run(oo)
 		})
 		reports[i] = Report{ID: e.ID, Title: e.Title, Table: tbl,
-			Wall: time.Since(start), Events: ev.Load(),
-			Setup: time.Duration(su.Load()), ImageHits: ih.Load(), ImageMisses: im.Load(),
-			SharedPoints: sp.Load(), Windows: wc.Stats()}
+			Wall: time.Since(start), Events: c.events.Load(),
+			Setup: time.Duration(c.setup.Load()), ImageHits: c.imgHits.Load(), ImageMisses: c.imgMisses.Load(),
+			SharedPoints: c.sharedPts.Load(), Windows: c.windows.Stats()}
 	}
-	if o.sem == nil {
+	if sem == nil {
 		for i, e := range exps {
-			run(i, e, o)
+			run(i, e)
 		}
 		return reports
 	}
@@ -113,12 +104,12 @@ func RunSuite(exps []Experiment, o Options, workers int) []Report {
 		// Blocking acquire: experiments enter in order as slots free up.
 		// Each in-flight experiment holds one slot; its inner parMap calls
 		// borrow further free slots without ever waiting for one.
-		o.sem <- struct{}{}
+		sem <- struct{}{}
 		wg.Add(1)
 		go func(i int, e Experiment) {
 			defer wg.Done()
-			defer func() { <-o.sem }()
-			run(i, e, o)
+			defer func() { <-sem }()
+			run(i, e)
 		}(i, e)
 	}
 	wg.Wait()
@@ -133,7 +124,8 @@ func RunSuite(exps []Experiment, o Options, workers int) []Report {
 // share nothing, which is what makes the fan-out order-independent.
 func parMap[T any](o Options, n int, fn func(i int) T) []T {
 	out := make([]T, n)
-	if o.sem == nil || n <= 1 {
+	sem := o.run.slots()
+	if sem == nil || n <= 1 {
 		for i := range out {
 			out[i] = fn(i)
 		}
@@ -142,11 +134,11 @@ func parMap[T any](o Options, n int, fn func(i int) T) []T {
 	var wg sync.WaitGroup
 	for i := range out {
 		select {
-		case o.sem <- struct{}{}:
+		case sem <- struct{}{}:
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				defer func() { <-o.sem }()
+				defer func() { <-sem }()
 				out[i] = fn(i)
 			}(i)
 		default:

@@ -13,7 +13,7 @@ func tinyOptions() Options {
 }
 
 func TestParMapPreservesOrder(t *testing.T) {
-	o := Options{sem: make(chan struct{}, 4)}
+	o := Options{run: &runCtx{sem: make(chan struct{}, 4)}}
 	got := parMap(o, 100, func(i int) int { return i * i })
 	for i, v := range got {
 		if v != i*i {

@@ -64,9 +64,10 @@ func (c *onceMap[K, V]) len() int {
 // pointKey identifies one data point: which measurement with which
 // arguments, plus everything of Options that shapes a simulated result
 // (maxProcs shapes a sweep, not a point; it is here so that a point which
-// ever reads it cannot alias). Kernel, workers and fusion are absent on
-// purpose: they are fixed for a suite and cannot reach a table (the
-// kernel-equivalence tests).
+// ever reads it cannot alias; lookahead separates a windowed machine from a
+// serialized one, which differ by the §6.2.3 initiation latency). Kernel and
+// workers are absent on purpose: they are fixed for a suite and cannot reach
+// a table (the kernel-equivalence tests).
 type pointKey struct {
 	point        string // measurement name and arguments, canonically rendered
 	prm          config.Params
@@ -82,24 +83,25 @@ func (o Options) point(name string, args ...any) pointKey {
 		prm:          o.params(),
 		figureTuples: o.FigureTuples,
 		maxProcs:     o.MaxProcs,
-		lookahead:    o.resolveLookahead(),
+		lookahead:    o.lookahead(),
 	}
 }
 
 // shared returns the data point key names, simulating it with fn unless this
 // suite run already has. The experiment that simulates is charged the point's
 // events, wall time and window counters; one that is handed the value counts
-// a shared point instead. Without a point cache (o.points == nil, any
-// computation outside RunSuite) fn always runs: that is the reference path
-// the shared one must match byte-for-byte. Values are handed out by
-// reference — callers must not modify what they get.
+// a shared point instead. Without a point cache (any computation outside
+// RunSuite) fn always runs: that is the reference path the shared one must
+// match byte-for-byte. Values are handed out by reference — callers must not
+// modify what they get.
 func shared[T any](o Options, key pointKey, fn func() T) T {
-	if o.points == nil {
+	c := o.run
+	if c == nil || c.points == nil {
 		return fn()
 	}
-	v, hit := o.points.get(key, func() any { return fn() })
-	if hit && o.sharedPts != nil {
-		o.sharedPts.Add(1)
+	v, hit := c.points.get(key, func() any { return fn() })
+	if hit {
+		c.sharedPts.Add(1)
 	}
 	return v.(T)
 }

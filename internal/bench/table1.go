@@ -55,7 +55,7 @@ type teraSetup struct {
 // but its load time still counts as setup.
 func newTera(o Options, n int, seed uint64, extras ...relSpec) *teraSetup {
 	o = o.serialized() // the Teradata model predates the latency floor
-	defer o.addSetup(time.Now())
+	defer o.run.addSetup(time.Now())
 	s := o.newSim()
 	prm := o.params()
 	m := teradata.NewMachine(s, &prm)

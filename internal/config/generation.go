@@ -21,7 +21,7 @@ import "gamma/internal/sim"
 // generation's floor bounds the kernel's static windows. Fast generations
 // (gbe2015's 20 us, rdma's 2 us) get almost nothing from that static window
 // and lean entirely on earliest-output-time promises and per-channel floors
-// for their parallelism (DESIGN.md §12, the kernelscale experiment).
+// for their parallelism (DESIGN.md §9, the kernelscale experiment).
 type Generation struct {
 	Name string
 	// Desc is a one-line description used by reports.

@@ -261,7 +261,7 @@ func (n *Network) addNode(part *sim.Shard, withDisk bool, diskCfg config.Disk) *
 	// credit returns, control messages, retries — is floored at MinLatency
 	// past its send instant, so the shard can declare that floor to the EOT
 	// window scheduler even when the simulation's global lookahead is
-	// smaller (a sub-floor -lookahead, or a fast-fabric generation).
+	// smaller (a test's sub-floor Partition, or lookahead 0).
 	part.SetOutFloor(n.cfg.MinLatency)
 	if withDisk {
 		nd.Drive = disk.NewOn(part, fmt.Sprintf("disk%d", id), diskCfg)

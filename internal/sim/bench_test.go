@@ -304,7 +304,7 @@ func benchKernel(b *testing.B, nodes, workers int) {
 
 // BenchmarkKernel compares serial vs partitioned Run on the ring model at
 // 8/64/256 simulated nodes. The partitioned kernel at >=4 workers must beat
-// serial at >=64 nodes (BENCH_6.json records the measured numbers).
+// serial at >=64 nodes (EXPERIMENTS.md, "The partitioned kernel", PR 6).
 func BenchmarkKernel(b *testing.B) {
 	for _, nodes := range []int{8, 64, 256} {
 		b.Run(fmt.Sprintf("serial/nodes=%d", nodes), func(b *testing.B) {

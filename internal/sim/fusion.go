@@ -10,7 +10,7 @@ import "fmt"
 // the synthetic kernelscale ring fires ~768 events per round, but the real
 // query experiments run at 0.28–0.37 occupancy with ~15 events per round,
 // and there the coordination dominates and the partitioned kernel loses to
-// the serial oracle (BENCH_9.json, rdma generation).
+// the serial oracle (EXPERIMENTS.md, "The partitioned kernel", PR 9).
 //
 // Fusion closes that gap by making the execution grain adaptive. Shards are
 // organized into contiguous groups of 2^level members; the window scheduler
