@@ -5,13 +5,11 @@
 //
 //	gammabench [-quick] [-list] [-parallel N] [-json] [-kernel serial|partitioned]
 //	           [-kernel-workers N] [-generation NAME] [-campaign-seed S]
-//	           [-campaign-faults N] [-experiment a,b] [experiment ...]
+//	           [-campaign-faults N] [experiment ...]
 //
-// With no experiment arguments every registered experiment runs; experiments
-// can be named positionally or as a comma-separated -experiment list (both
-// forms combine). -quick uses reduced relation sizes for a fast smoke run;
-// the default is paper scale (10k/100k/1M tuples), which regenerates every
-// published number.
+// With no experiment arguments every registered experiment runs. -quick uses
+// reduced relation sizes for a fast smoke run; the default is paper scale
+// (10k/100k/1M tuples), which regenerates every published number.
 //
 // -parallel N fans experiments and their independent data points across N
 // worker goroutines (default GOMAXPROCS). Every data point is its own
@@ -117,7 +115,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	kernelWorkers := fs.Int("kernel-workers", 0, "worker goroutines per partitioned simulation's conservative windows (0 = one; needs -kernel partitioned)")
 	generation := fs.String("generation", "gamma1988", "hardware `generation` to parameterize the machines with (see -list-generations)")
 	listGens := fs.Bool("list-generations", false, "list hardware generations and exit")
-	experiment := fs.String("experiment", "", "comma-separated experiment `ids` to run (adds to positional ids)")
 	campaignSeed := fs.Uint64("campaign-seed", 0, "`seed` for the availability experiment's fault campaign (0 = default)")
 	campaignFaults := fs.Int("campaign-faults", 0, "faults per availability campaign (0 = default)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to `file`")
@@ -126,11 +123,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	ids := fs.Args()
-	for _, id := range strings.Split(*experiment, ",") {
-		if id = strings.TrimSpace(id); id != "" {
-			ids = append(ids, id)
-		}
-	}
 	var exps []bench.Experiment
 	unknownExp := ""
 	for _, id := range ids {

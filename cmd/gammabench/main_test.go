@@ -26,13 +26,13 @@ func TestRunRejectsUnknownFlag(t *testing.T) {
 	}
 }
 
-// TestExperimentFlag: -experiment takes a comma-separated id list, combines
-// with positional ids, and rejects unknown names before simulating.
-func TestExperimentFlag(t *testing.T) {
+// TestPositionalExperiments: the ids named after the flags run, in the order
+// given. (TestRunRejectsUnknownExperiment covers the unknown ones.)
+func TestPositionalExperiments(t *testing.T) {
 	null := devNull(t)
 	var out bytes.Buffer
-	if code := run([]string{"-quick", "-json", "-parallel", "1", "-experiment", "table3,bitvector"}, &out, null); code != 0 {
-		t.Fatalf("-experiment run: exit code %d", code)
+	if code := run([]string{"-quick", "-json", "-parallel", "1", "table3", "bitvector"}, &out, null); code != 0 {
+		t.Fatalf("exit code %d", code)
 	}
 	var rep jsonReport
 	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
@@ -40,9 +40,6 @@ func TestExperimentFlag(t *testing.T) {
 	}
 	if len(rep.Experiments) != 2 || rep.Experiments[0].ID != "table3" || rep.Experiments[1].ID != "bitvector" {
 		t.Errorf("experiments = %+v, want table3 then bitvector", rep.Experiments)
-	}
-	if code := run([]string{"-quick", "-experiment", "table9"}, null, null); code != 2 {
-		t.Errorf("-experiment with unknown id: exit code %d, want 2", code)
 	}
 }
 
@@ -54,7 +51,7 @@ func TestMultiuserMetricsInJSON(t *testing.T) {
 	}
 	null := devNull(t)
 	var out bytes.Buffer
-	if code := run([]string{"-quick", "-json", "-parallel", "1", "-experiment", "multiuser"}, &out, null); code != 0 {
+	if code := run([]string{"-quick", "-json", "-parallel", "1", "multiuser"}, &out, null); code != 0 {
 		t.Fatalf("multiuser run: exit code %d", code)
 	}
 	var rep jsonReport
@@ -82,7 +79,7 @@ func TestJSONSetupQuerySplitAndCacheCounters(t *testing.T) {
 	null := devNull(t)
 	var out bytes.Buffer
 	// bitvector runs two machines off one image: 1 miss + 1 hit guaranteed.
-	if code := run([]string{"-quick", "-json", "-parallel", "1", "-experiment", "bitvector"}, &out, null); code != 0 {
+	if code := run([]string{"-quick", "-json", "-parallel", "1", "bitvector"}, &out, null); code != 0 {
 		t.Fatalf("bitvector run: exit code %d", code)
 	}
 	var rep jsonReport
@@ -144,7 +141,7 @@ func TestGenerationFlag(t *testing.T) {
 		}
 	}
 	var out bytes.Buffer
-	if code := run([]string{"-quick", "-json", "-parallel", "1", "-generation", "rdma", "-experiment", "table3"}, &out, null); code != 0 {
+	if code := run([]string{"-quick", "-json", "-parallel", "1", "-generation", "rdma", "table3"}, &out, null); code != 0 {
 		t.Fatalf("-generation rdma run: exit code %d", code)
 	}
 	var rep jsonReport
@@ -199,10 +196,10 @@ func TestRunRejectsBadFlagValues(t *testing.T) {
 		{[]string{"-campaign-faults", "-1"}, "-campaign-faults must be >= 0"},
 		{[]string{"-generation", "gamma1989"}, `unknown generation "gamma1989"`},
 		{[]string{"table9"}, `unknown experiment "table9"`},
-		{[]string{"-experiment", "table3,table9"}, `unknown experiment "table9"`},
 		{[]string{"-list", "-kernel", "bogus"}, "-kernel must be"}, // validation precedes -list
 		{[]string{"-lookahead", "100"}, "flag provided but not defined"},
 		{[]string{"-fusion", "off"}, "flag provided but not defined"},
+		{[]string{"-experiment", "table3"}, "flag provided but not defined"},
 	} {
 		var errBuf bytes.Buffer
 		args := append([]string{"-quick"}, tc.args...)

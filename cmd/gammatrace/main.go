@@ -8,11 +8,10 @@
 //	gammatrace [-disk 8] [-diskless 8] [-tuples 100000] [-pagesize 4096]
 //	           [-query select|join] [-sel 10] [-mode remote]
 //	           [-fault spec]... [-mirror] [-detect 0.25]
-//	           [-out trace.jsonl] [-trace]
+//	           [-out trace.jsonl]
 //
 // -sel is the selection percentage; -out exports the structured event stream
-// as JSONL; -trace additionally dumps the raw printf simulation trace (very
-// verbose).
+// as JSONL.
 //
 // -fault injects a failure at a simulated instant and may repeat. Specs are
 // "site@seconds" (disk-node crash), "drive:site@seconds" (drive only), or
@@ -82,7 +81,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	selPct := fs.Float64("sel", 10, "selection percentage")
 	mode := fs.String("mode", "remote", "join mode: local | remote | all")
 	out := fs.String("out", "", "write the structured event stream as JSONL to this file")
-	rawTrace := fs.Bool("trace", false, "dump the raw simulation trace")
 	var faults faultList
 	fs.Var(&faults, "fault", "inject a failure: site@sec, drive:site@sec, or nic:node@sec+dur (repeatable)")
 	mirror := fs.Bool("mirror", false, "load chained-declustered backup fragments (implied by -fault)")
@@ -106,11 +104,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	prm := config.Default()
 	prm.PageBytes = *pageSize
 	s := sim.New()
-	if *rawTrace {
-		s.SetTrace(func(at sim.Time, format string, args ...any) {
-			fmt.Fprintf(stdout, "%12s  %s\n", at, fmt.Sprintf(format, args...))
-		})
-	}
 	m := core.NewMachine(s, &prm, *nDisk, *nDiskless)
 	col := m.EnableTrace()
 	if len(faults) > 0 || *mirror {

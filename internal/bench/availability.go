@@ -9,10 +9,6 @@ import (
 	"gamma/internal/sim"
 )
 
-func init() {
-	register("availability", "Availability under a seeded fault campaign: throughput dip, MTTR, self-healing", runAvailability)
-}
-
 // The availability experiment: a closed-loop selection workload runs on a
 // mirrored machine while a seeded campaign of crashes, drive failures, and
 // transient outages plays against it, with the healing manager detecting
@@ -183,7 +179,6 @@ func runAvailability(o Options) *Table {
 	// keeps it byte-identical to the serial oracle.
 	o.Kernel = "partitioned"
 	t := &Table{
-		ID:      "availability",
 		Title:   "Availability under a seeded fault campaign (mirrored, self-healing)",
 		Unit:    "queries per simulated second; MTTR in seconds",
 		Columns: []string{"q/s", "dip q/s", "post q/s", "clean", "degraded", "failed", "MTTR mean", "MTTR max", "promote", "rebuild"},

@@ -8,7 +8,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -162,7 +161,8 @@ func (o Options) withPage(pageBytes int) Options {
 }
 
 // windowed marks the experiment's machines as safe for positive-lookahead
-// windows. Experiments opt in at the top of their Run functions.
+// windows. The registry applies it, from its windowed column, and nothing
+// else does.
 func (o Options) windowed() Options {
 	o.windowedOK = true
 	return o
@@ -277,46 +277,6 @@ func (t *Table) Render(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// Experiment regenerates one paper artifact.
-type Experiment struct {
-	ID    string
-	Title string
-	Run   func(o Options) *Table
-}
-
-var registry []Experiment
-
-func register(id, title string, run func(o Options) *Table) {
-	registry = append(registry, Experiment{ID: id, Title: title, Run: run})
-}
-
-// registerWindowed registers an experiment whose Gamma machines are safe to
-// run in positive-lookahead parallel windows: single-query-at-a-time
-// workloads with no fault injection, where every cross-node interaction
-// goes through the nose latency floor. The wrapper opts the experiment's
-// options in; machines that must stay serialized inside it (Teradata
-// references) opt back out individually.
-func registerWindowed(id, title string, run func(o Options) *Table) {
-	register(id, title, func(o Options) *Table { return run(o.windowed()) })
-}
-
-// Experiments lists all registered experiments in a stable order.
-func Experiments() []Experiment {
-	out := append([]Experiment(nil), registry...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// Lookup finds an experiment by id.
-func Lookup(id string) (Experiment, bool) {
-	for _, e := range registry {
-		if e.ID == id {
-			return e, true
-		}
-	}
-	return Experiment{}, false
-}
-
 // --- machine setup -------------------------------------------------------
 
 // relSpec declares one relation of a machine image: everything Load needs,
@@ -416,14 +376,19 @@ func (g *gammaSetup) rel(name string) *core.Relation {
 	return r
 }
 
-// selectSecs runs a selection and returns simulated seconds, dropping the
-// result relation so repeated queries don't accumulate state.
-func (g *gammaSetup) selectSecs(q core.SelectQuery) float64 {
+// selectRun runs a selection and drops its result relation, so repeated
+// queries don't accumulate state.
+func (g *gammaSetup) selectRun(q core.SelectQuery) core.Result {
 	res := g.m.RunSelect(q)
 	if res.ResultName != "" {
 		g.m.Drop(res.ResultName)
 	}
-	return res.Elapsed.Seconds()
+	return res
+}
+
+// selectSecs is selectRun's simulated seconds.
+func (g *gammaSetup) selectSecs(q core.SelectQuery) float64 {
+	return g.selectRun(q).Elapsed.Seconds()
 }
 
 // joinRun runs a join and drops its result relation.

@@ -1,28 +1,38 @@
 package bench
 
 import (
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 
 	"gamma/internal/rel"
 )
 
+// TestRegistryComplete: the registry and DESIGN.md's per-experiment index
+// list the same ids — the only two places that list them all.
 func TestRegistryComplete(t *testing.T) {
-	// Every artifact promised by DESIGN.md's per-experiment index.
-	want := []string{
-		"table1", "table2", "table3",
-		"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
-		"fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
-		"aggregate", "hybrid", "bitvector", "pagesize-default", "multiuser", "placement", "recovery", "scaleup",
-		"degraded", "scale100", "availability", "netgen", "kernelscale",
+	design, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, id := range want {
-		if _, ok := Lookup(id); !ok {
-			t.Errorf("experiment %q not registered", id)
+	_, index, ok := strings.Cut(string(design), "\n## 3. Per-experiment index\n")
+	if !ok {
+		t.Fatal("DESIGN.md has no \"## 3. Per-experiment index\" section")
+	}
+	index, _, _ = strings.Cut(index, "\n## ")
+	documented := map[string]bool{}
+	for _, m := range regexp.MustCompile("(?m)^\\| `([^`]+)` \\|").FindAllStringSubmatch(index, -1) {
+		documented[m[1]] = true
+	}
+	for _, e := range Experiments() {
+		if !documented[e.ID] {
+			t.Errorf("experiment %q is registered but missing from DESIGN.md §3", e.ID)
 		}
+		delete(documented, e.ID)
 	}
-	if len(Experiments()) != len(want) {
-		t.Errorf("registry has %d experiments, DESIGN.md lists %d", len(Experiments()), len(want))
+	for id := range documented {
+		t.Errorf("DESIGN.md §3 lists %q, which is not registered", id)
 	}
 }
 

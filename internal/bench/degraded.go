@@ -1,15 +1,10 @@
 package bench
 
 import (
-	"gamma/internal/core"
 	"gamma/internal/fault"
 	"gamma/internal/rel"
 	"gamma/internal/sim"
 )
-
-func init() {
-	register("degraded", "Degraded-mode selections and join under failures", runDegraded)
-}
 
 // newGammaMirrored is newGamma with chained-declustered backups, the
 // configuration the degraded-mode experiment runs in every column so the
@@ -30,7 +25,6 @@ func runDegraded(o Options) *Table {
 	n := o.Sizes[0]
 	const nDisk, nDiskless, crashSite = 8, 8, 1
 	t := &Table{
-		ID:      "degraded",
 		Title:   "Degraded-mode execution (mirrored, 8 disk + 8 diskless processors)",
 		Unit:    "seconds",
 		Columns: []string{"fault-free", "node down", "mid-query crash"},
@@ -41,46 +35,13 @@ func runDegraded(o Options) *Table {
 		extras []relSpec
 		run    func(g *gammaSetup, n int) float64
 	}
-	sel := func(q func(g *gammaSetup, n int) core.SelectQuery) func(g *gammaSetup, n int) float64 {
-		return func(g *gammaSetup, n int) float64 { return g.selectSecs(q(g, n)) }
+	var rows []rowSpec
+	for _, r := range table1Rows {
+		rows = append(rows, rowSpec{r.label, nil, func(g *gammaSetup, n int) float64 { return g.selectSecs(r.gamma(g, n)) }})
 	}
-	rows := []rowSpec{
-		{"1% nonindexed selection", nil, sel(func(g *gammaSetup, n int) core.SelectQuery {
-			return core.SelectQuery{Scan: core.ScanSpec{Rel: g.heap, Pred: pct(rel.Unique2, n, 1), Path: core.PathHeap}}
-		})},
-		{"10% nonindexed selection", nil, sel(func(g *gammaSetup, n int) core.SelectQuery {
-			return core.SelectQuery{Scan: core.ScanSpec{Rel: g.heap, Pred: pct(rel.Unique2, n, 10), Path: core.PathHeap}}
-		})},
-		{"1% selection using non-clustered index", nil, sel(func(g *gammaSetup, n int) core.SelectQuery {
-			return core.SelectQuery{Scan: core.ScanSpec{Rel: g.idx, Pred: pct(rel.Unique2, n, 1), Path: core.PathNonClustered}}
-		})},
-		{"10% selection using non-clustered index", nil, sel(func(g *gammaSetup, n int) core.SelectQuery {
-			return core.SelectQuery{Scan: core.ScanSpec{Rel: g.idx, Pred: pct(rel.Unique2, n, 10), Path: core.PathHeap}}
-		})},
-		{"1% selection using clustered index", nil, sel(func(g *gammaSetup, n int) core.SelectQuery {
-			return core.SelectQuery{Scan: core.ScanSpec{Rel: g.idx, Pred: pct(rel.Unique1, n, 1), Path: core.PathClustered}}
-		})},
-		{"10% selection using clustered index", nil, sel(func(g *gammaSetup, n int) core.SelectQuery {
-			return core.SelectQuery{Scan: core.ScanSpec{Rel: g.idx, Pred: pct(rel.Unique1, n, 10), Path: core.PathClustered}}
-		})},
-		{"single tuple select", nil, sel(func(g *gammaSetup, n int) core.SelectQuery {
-			return core.SelectQuery{
-				Scan:   core.ScanSpec{Rel: g.idx, Pred: rel.Eq(rel.Unique1, int32(n/2)), Path: core.PathClustered},
-				ToHost: true,
-			}
-		})},
-		{"joinAselB (10% selections)", []relSpec{heapRel("B", n, 8)}, func(g *gammaSetup, n int) float64 {
-			b := g.rel("B")
-			tenPct := pct(rel.Unique2, n, 10)
-			res := g.joinRun(core.JoinQuery{
-				Build: core.ScanSpec{Rel: b, Pred: tenPct, Path: core.PathHeap}, BuildAttr: rel.Unique2,
-				Probe: core.ScanSpec{Rel: g.heap, Pred: tenPct, Path: core.PathHeap}, ProbeAttr: rel.Unique2,
-				Mode:            core.Remote,
-				MemPerJoinBytes: ampleJoinMemory,
-			})
-			return res.Elapsed.Seconds()
-		}},
-	}
+	rows = append(rows, rowSpec{"joinAselB (10% selections)", []relSpec{heapRel("B", n, 8)}, func(g *gammaSetup, n int) float64 {
+		return g.joinRun(joinAselB(g, n, rel.Unique2, ampleJoinMemory)).Elapsed.Seconds()
+	}})
 
 	// Rows fan out; within a row the three conditions stay serial because
 	// the crash time is derived from the fault-free response time.

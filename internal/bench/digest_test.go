@@ -7,20 +7,20 @@ import (
 	"testing"
 )
 
-// resultDigests are the sha256s of the rendered tables of a cross-section of
-// the suite — the paper's three tables, a selection and a join figure, the
-// multi-user mix and the degraded-mode matrix — at Quick() on the serial
-// kernel. They pin every simulated time these experiments print. A host-only
-// change must leave them alone; a PR that moves one updates it here and says
-// which simulated quantity changed and why. kernelscale is deliberately
-// absent: its rows print kernel event and window counts, which are costs of
-// the simulator, not results of the simulation.
+// resultDigests are the sha256s of the rendered tables of every
+// deterministic experiment at Quick() on the serial kernel. They pin every
+// simulated time the suite prints. A host-only change must leave them alone;
+// a PR that moves one updates it here and says which simulated quantity
+// changed and why. kernelscale is deliberately absent: its rows print kernel
+// event and window counts, which are costs of the simulator, not results of
+// the simulation.
 //
 // The second block was taken at the commit before the point cache existed,
 // when every experiment simulated all it plots: fig2 with fig1, fig9 with
 // fig11, fig10 with fig12 and bitvector, fig13 with hybrid are the pairs the
-// cache serves from one simulation, and the test runs them in map order on
-// two workers, so either twin may be the one that simulates.
+// cache serves from one simulation, and the test runs them on two workers,
+// so either twin may be the one that simulates. The third block was taken at
+// the commit before experiments became rows of declaration tables.
 var resultDigests = map[string]string{
 	"table1":    "1910f2e8ccef6e7e1c94185766ccc8505f526e36d2dffc2711f4e430d6266621",
 	"table2":    "8637a49a2e5b88d32316db5f01933e1b78649b224bfa903bf469162c0567819e",
@@ -37,28 +37,58 @@ var resultDigests = map[string]string{
 	"fig13":     "72bd0968ace7a8d25817b4e3d5dccb239b9624fb7ae8f30bc31b80b8b4e78751",
 	"hybrid":    "13d4eddd4bc17ff4140fbf672a21917b3ddcb391c5594791dfe87d44be0b452b",
 	"bitvector": "072772340cd507b2db3e3b3e9de0ab29e9f0396ea03d273390a3b5a2fa6c3436",
+
+	"fig3":             "7fa009608aba4927339f67fa7ec13ae2592b455ded66a2787d771fa07382b4ff",
+	"fig4":             "37302d62128c52c73077171b58bbd5018a50d71ef1ab2790bcfaaba62b676c1c",
+	"fig5":             "7be3e1107dabb62070ddf69fad7cef88d1a248231b99f84c990de7d625da80d9",
+	"fig6":             "b9ce88df56116244773c289af88fb9b232934a80530200625b17acc60a77a853",
+	"fig7":             "17206ae878877319c784354aedf14c7fd236d9914c9f8b5bdf81ed3436d0f3c9",
+	"fig8":             "58bf2aff3197c465a79006c9c9e322312777722d067277383372744795c82ff3",
+	"fig14":            "bbaefc4b5bf40eb5bc13d6aee80cef34a179014b97b7237c5d589f4986ffb2c3",
+	"fig15":            "2728b7295ee0b1a54f98c45defcb5d6cb0a500ee9cbe85191b564ba1938256ac",
+	"aggregate":        "9c4f0f7d321b61d2ea7e5ee16311c76987a9ae7d4425936fbdea2bfa3218bbf1",
+	"availability":     "85cd0399064f692bffe2d6b5dea4ddcce387725b7caf7f6104bfc04164de4f24",
+	"netgen":           "006e1c521aaeaee143aaf6070dfb01edc0f69229ca5e5cc03b6d41f893ee39a3",
+	"pagesize-default": "c5992bbe91ed9a9ccd2d01fb33aba119eba0aa7de8abdd717ab154573f4dfd1e",
+	"placement":        "d59262d82da00b0b7e85ba26891036982e577f28a86672739d0d8db048eb87d0",
+	"recovery":         "22294c338dbbe352eb6386d170575249d1c88d6be0554de7c520ee47e41bd51c",
+	"scale100":         "15d3336393b0ec51d05f7c07006dc627149656bad7169601816fb34d1b5221a8",
+	"scaleup":          "70098a5cfe37280deac26ad82dc9be8fb5a4f582e5dfec691776aaf22d24b8c4",
 }
+
+// suiteDigest is the sha256 of what `gammabench -quick -parallel 1` prints
+// for the resultDigests experiments in -list order: one number that says
+// whether anything the suite reports moved.
+const suiteDigest = "e1d884e35508410741590269d581638ab74382bc2fb2fb2bc3f1c384160f1a5c"
 
 func TestResultDigests(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs fourteen experiments at Quick() sizes")
+		t.Skip("runs the suite at Quick() sizes")
 	}
 	var exps []Experiment
-	for id := range resultDigests {
-		e, ok := Lookup(id)
-		if !ok {
-			t.Fatalf("experiment %q not registered", id)
+	for _, e := range Experiments() {
+		if _, pinned := resultDigests[e.ID]; pinned {
+			exps = append(exps, e)
 		}
-		exps = append(exps, e)
+	}
+	if len(exps) != len(resultDigests) {
+		t.Fatalf("%d of the %d pinned experiments are registered", len(exps), len(resultDigests))
 	}
 	o := Quick()
 	o.Kernel = "serial"
+	digest := func(b []byte) string {
+		sum := sha256.Sum256(b)
+		return hex.EncodeToString(sum[:])
+	}
+	var suite bytes.Buffer
 	for _, r := range RunSuite(exps, o, 2) {
-		var buf bytes.Buffer
-		r.Table.Render(&buf)
-		sum := sha256.Sum256(buf.Bytes())
-		if got := hex.EncodeToString(sum[:]); got != resultDigests[r.ID] {
-			t.Errorf("%s renders to sha256 %s, committed %s: a simulated result moved\n%s", r.ID, got, resultDigests[r.ID], buf.String())
+		one := renderTable(r.Table)
+		suite.Write(one)
+		if got := digest(one); got != resultDigests[r.ID] {
+			t.Errorf("%s renders to sha256 %s, committed %s: a simulated result moved\n%s", r.ID, got, resultDigests[r.ID], one)
 		}
+	}
+	if got := digest(suite.Bytes()); got != suiteDigest {
+		t.Errorf("the suite renders to sha256 %s, committed %s", got, suiteDigest)
 	}
 }

@@ -2,20 +2,11 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"gamma/internal/core"
 	"gamma/internal/rel"
 )
-
-func init() {
-	register("aggregate", "Aggregate queries (deferred to [DEWI88] by the paper)", runAggregate)
-	registerWindowed("hybrid", "Ablation: Simple vs Hybrid hash join under memory pressure (§8)", runHybrid)
-	registerWindowed("bitvector", "Ablation: Babb bit-vector filters in split tables (§2)", runBitVector)
-	registerWindowed("pagesize-default", "Ablation: 4 KB vs 8 KB default page size (§8)", runPageSizeDefault)
-	register("placement", "Placement: Remote joins shield concurrent selections (§6.2.1's deferred validation)", runPlacement)
-	register("recovery", "Ablation: the §8 recovery server's cost on the Table 1/3 workload", runRecovery)
-	registerWindowed("scaleup", "Scaleup: constant per-processor data as processors grow", runScaleup)
-}
 
 // runScaleup grows the database with the machine (12,500 tuples per disk
 // processor, the paper's standard density) — the scaleup metric the Gamma
@@ -23,7 +14,6 @@ func init() {
 // time.
 func runScaleup(o Options) *Table {
 	t := &Table{
-		ID:      "scaleup",
 		Title:   "Scaleup: 12,500 tuples per processor as processors grow",
 		Unit:    "seconds (flat = perfect scaleup)",
 		Columns: []string{"1% selection", "joinABprime"},
@@ -33,16 +23,8 @@ func runScaleup(o Options) *Table {
 		d := i + 1
 		n := perProc * d
 		g := newGamma(o, d, d, n, 1, heapRel("Bprime", n/10, 7))
-		bp := g.rel("Bprime")
-		sel := g.selectSecs(core.SelectQuery{
-			Scan: core.ScanSpec{Rel: g.heap, Pred: pct(rel.Unique2, n, 1), Path: core.PathHeap},
-		})
-		join := g.joinRun(core.JoinQuery{
-			Build: core.ScanSpec{Rel: bp, Pred: rel.True(), Path: core.PathHeap}, BuildAttr: rel.Unique2,
-			Probe: core.ScanSpec{Rel: g.heap, Pred: rel.True(), Path: core.PathHeap}, ProbeAttr: rel.Unique2,
-			Mode:            core.Remote,
-			MemPerJoinBytes: ampleJoinMemory,
-		})
+		sel := g.selectSecs(heapSel(1).on(g, n))
+		join := g.joinRun(joinABprime(g, rel.Unique2, core.Remote, ampleJoinMemory))
 		return Row{
 			Label: fmt.Sprintf("%d processors, %d tuples", d, n),
 			Cells: []Cell{{Measured: sel}, {Measured: join.Elapsed.Seconds()}},
@@ -60,7 +42,6 @@ func runScaleup(o Options) *Table {
 // full recovery (§4, §7) — this measures how much.
 func runRecovery(o Options) *Table {
 	t := &Table{
-		ID:      "recovery",
 		Title:   "Log shipping to a recovery server: off vs on",
 		Unit:    "seconds",
 		Columns: []string{"no logging", "with recovery server"},
@@ -71,12 +52,8 @@ func runRecovery(o Options) *Table {
 		run   func(g *gammaSetup) float64
 	}
 	workloads := []wl{
-		{"10% nonindexed selection (stored)", func(g *gammaSetup) float64 {
-			return g.selectSecs(core.SelectQuery{Scan: core.ScanSpec{Rel: g.heap, Pred: pct(rel.Unique2, n, 10), Path: core.PathHeap}})
-		}},
-		{"1% clustered index selection (stored)", func(g *gammaSetup) float64 {
-			return g.selectSecs(core.SelectQuery{Scan: core.ScanSpec{Rel: g.idx, Pred: pct(rel.Unique1, n, 1), Path: core.PathClustered}})
-		}},
+		{"10% nonindexed selection (stored)", func(g *gammaSetup) float64 { return g.selectSecs(heapSel(10).on(g, n)) }},
+		{"1% clustered index selection (stored)", func(g *gammaSetup) float64 { return g.selectSecs(clusteredSel(1).on(g, n)) }},
 		{"append 1 tuple (one index)", func(g *gammaSetup) float64 {
 			var tp rel.Tuple
 			tp.Set(rel.Unique1, int32(n+3))
@@ -108,23 +85,16 @@ func runRecovery(o Options) *Table {
 // (The closed-loop throughput sweep lives in the "multiuser" experiment.)
 func runPlacement(o Options) *Table {
 	t := &Table{
-		ID:      "placement",
 		Title:   "joinABprime concurrent with 1% selections: Local vs Remote placement",
 		Unit:    "seconds",
 		Columns: []string{"join", "selection avg"},
 	}
 	n := o.FigureTuples
-	modes := []core.JoinMode{core.Local, core.Remote, core.AllNodes}
-	t.Rows = parMap(o, len(modes), func(i int) Row {
-		mode := modes[i]
+	t.Rows = parMap(o, len(joinModes), func(i int) Row {
+		mode := joinModes[i]
 		g := newGamma(o, 8, 8, n, 1, heapRel("Bprime", n/10, 7))
-		bp := g.rel("Bprime")
-		join := core.JoinQuery{
-			Build: core.ScanSpec{Rel: bp, Pred: rel.True(), Path: core.PathHeap}, BuildAttr: rel.Unique2,
-			Probe: core.ScanSpec{Rel: g.heap, Pred: rel.True(), Path: core.PathHeap}, ProbeAttr: rel.Unique2,
-			Mode: mode, MemPerJoinBytes: ampleJoinMemory,
-		}
-		sel := core.SelectQuery{Scan: core.ScanSpec{Rel: g.heap, Pred: pct(rel.Unique2, n, 1), Path: core.PathHeap}}
+		join := joinABprime(g, rel.Unique2, mode, ampleJoinMemory)
+		sel := heapSel(1).on(g, n)
 		rs := g.m.RunConcurrent([]core.ConcurrentQuery{
 			{Join: &join}, {Select: &sel}, {Select: &sel},
 		})
@@ -140,52 +110,33 @@ func runPlacement(o Options) *Table {
 	return t
 }
 
-// runAggregate measures scalar and grouped aggregates vs processors. The
+// aggregates measures scalar and grouped aggregates vs processors. The
 // paper ran these experiments but deferred the numbers to [DEWI88]; the
 // expected behaviour is selection-like speedup since aggregation is pushed
 // below the network.
-func runAggregate(o Options) *Table {
-	n := o.FigureTuples
-	t := &Table{
-		ID:      "aggregate",
-		Title:   fmt.Sprintf("Aggregates on the %d-tuple relation vs processors", n),
-		Unit:    "seconds",
-		Columns: []string{"count(*)", "min(unique1)", "sum by ten", "min by twenty"},
-	}
-	t.Rows = parMap(o, o.MaxProcs, func(i int) Row {
-		d := i + 1
-		g := newGamma(o, d, d, n, 1)
-		row := Row{Label: fmt.Sprintf("%d processors with disks", d)}
-		scalar := func(fn core.AggFn) float64 {
-			return g.m.RunAgg(core.AggQuery{
-				Scan: core.ScanSpec{Rel: g.heap, Pred: rel.True(), Path: core.PathHeap},
-				Fn:   fn, Attr: rel.Unique1, Mode: core.Remote,
-			}).Elapsed.Seconds()
-		}
-		grouped := func(fn core.AggFn, by rel.Attr) float64 {
-			return g.m.RunAgg(core.AggQuery{
-				Scan: core.ScanSpec{Rel: g.heap, Pred: rel.True(), Path: core.PathHeap},
-				Fn:   fn, Attr: rel.Unique1, GroupBy: &by, Mode: core.Remote,
-			}).Elapsed.Seconds()
-		}
-		row.Cells = []Cell{
-			{Measured: scalar(core.Count)},
-			{Measured: scalar(core.Min)},
-			{Measured: grouped(core.Sum, rel.Ten)},
-			{Measured: grouped(core.Min, rel.Twenty)},
-		}
-		return row
-	})
-	t.Notes = append(t.Notes,
+var aggregates = figure{
+	title: "Aggregates on the %d-tuple relation vs processors",
+	sweep: sweep{
+		name: "aggregates", axis: byProcessors, machines: 1,
+		curves: []string{"count(*)", "min(unique1)", "sum by ten", "min by twenty"},
+		measure: func(o Options, d, _ int) []core.Result {
+			g := newGamma(o, d, d, o.FigureTuples, 1)
+			agg := func(fn core.AggFn, by *rel.Attr) core.Result {
+				a := g.m.RunAgg(core.AggQuery{Scan: scanAll(g.heap), Fn: fn, Attr: rel.Unique1, GroupBy: by, Mode: core.Remote})
+				return core.Result{Elapsed: a.Elapsed}
+			}
+			ten, twenty := rel.Ten, rel.Twenty
+			return []core.Result{agg(core.Count, nil), agg(core.Min, nil), agg(core.Sum, &ten), agg(core.Min, &twenty)}
+		},
+	},
+	notes: []string{
 		"Scalar aggregates are folded at the scan sites (one partial per site crosses the network);",
-		"grouped aggregates hash-partition tuples on the grouping attribute across the diskless processors.")
-	return t
+		"grouped aggregates hash-partition tuples on the grouping attribute across the diskless processors."},
 }
 
 // runHybrid repeats the Figure 13 memory sweep with both join algorithms.
 func runHybrid(o Options) *Table {
 	t := &Table{
-		ID:      "hybrid",
 		Title:   "joinABprime (Remote) as memory shrinks: Simple vs Hybrid hash join",
 		Unit:    "seconds; (ovf=N) = overflow resolutions at the most-overflowed site",
 		Columns: []string{"Simple", "Hybrid"},
@@ -209,22 +160,17 @@ func runHybrid(o Options) *Table {
 // runBitVector measures joinABprime with and without Babb filters.
 func runBitVector(o Options) *Table {
 	t := &Table{
-		ID:      "bitvector",
 		Title:   "joinABprime (Remote, non-key attributes) with and without bit-vector filters",
 		Unit:    "seconds; (pkts=N) = data packets on the ring",
 		Columns: []string{"no filters", "Babb filters"},
 	}
 	// Unfiltered, this is Figure 10's 8-processor Remote point.
-	plain := joinABprimePoint(o, 8, core.Remote, rel.Unique2)
+	plain := nonKeyJoinByProcessors.point(o, 8, slices.Index(joinModes, core.Remote))[0]
 	n := o.FigureTuples
 	g := newGamma(o, 8, 8, n, 1, heapRel("Bprime", n/10, 7))
-	filtered := g.joinRun(core.JoinQuery{
-		Build: core.ScanSpec{Rel: g.rel("Bprime"), Pred: rel.True(), Path: core.PathHeap}, BuildAttr: rel.Unique2,
-		Probe: core.ScanSpec{Rel: g.heap, Pred: rel.True(), Path: core.PathHeap}, ProbeAttr: rel.Unique2,
-		Mode:            core.Remote,
-		UseBitFilter:    true,
-		MemPerJoinBytes: ampleJoinMemory,
-	})
+	q := joinABprime(g, rel.Unique2, core.Remote, ampleJoinMemory)
+	q.UseBitFilter = true
+	filtered := g.joinRun(q)
 	t.Rows = append(t.Rows, Row{Label: "joinABprime", Cells: []Cell{
 		{Measured: plain.Elapsed.Seconds(), Extra: fmt.Sprintf("pkts=%d", plain.DataPackets)},
 		{Measured: filtered.Elapsed.Seconds(), Extra: fmt.Sprintf("pkts=%d", filtered.DataPackets)},
@@ -240,33 +186,25 @@ func runBitVector(o Options) *Table {
 // non-clustered index selections.
 func runPageSizeDefault(o Options) *Table {
 	t := &Table{
-		ID:      "pagesize-default",
 		Title:   "Default page size: 4 KB vs 8 KB across the selection workload",
 		Unit:    "seconds",
 		Columns: []string{"4 KB", "8 KB"},
 	}
 	n := o.FigureTuples
-	type workload struct {
+	workloads := []struct {
 		label string
-		run   func(g *gammaSetup) float64
-	}
-	workloads := []workload{
-		{"10% nonindexed selection", func(g *gammaSetup) float64 {
-			return g.selectSecs(core.SelectQuery{Scan: core.ScanSpec{Rel: g.heap, Pred: pct(rel.Unique2, n, 10), Path: core.PathHeap}})
-		}},
-		{"1% clustered index selection", func(g *gammaSetup) float64 {
-			return g.selectSecs(core.SelectQuery{Scan: core.ScanSpec{Rel: g.idx, Pred: pct(rel.Unique1, n, 1), Path: core.PathClustered}})
-		}},
-		{"1% non-clustered index selection", func(g *gammaSetup) float64 {
-			return g.selectSecs(core.SelectQuery{Scan: core.ScanSpec{Rel: g.idx, Pred: pct(rel.Unique2, n, 1), Path: core.PathNonClustered}})
-		}},
+		query selection
+	}{
+		{"10% nonindexed selection", heapSel(10)},
+		{"1% clustered index selection", clusteredSel(1)},
+		{"1% non-clustered index selection", nonClusteredSel(1)},
 	}
 	sums := [2]float64{}
 	for _, w := range workloads {
 		row := Row{Label: w.label}
 		for i, ps := range []int{4096, 8192} {
 			g := newGamma(o.withPage(ps), 8, 8, n, 1)
-			secs := w.run(g)
+			secs := g.selectSecs(w.query.on(g, n))
 			sums[i] += secs
 			row.Cells = append(row.Cells, Cell{Measured: secs})
 		}

@@ -7,13 +7,8 @@ import (
 
 	"gamma/internal/config"
 	"gamma/internal/core"
-	"gamma/internal/rel"
 	"gamma/internal/sim"
 )
-
-func init() {
-	register("kernelscale", "EOT kernel scaling: window occupancy and speedup across hardware generations", runKernelScale)
-}
 
 // kscalePoint is one (generation, worker count) kernel run: the deterministic
 // simulation outcome plus the host wall time it took to compute it.
@@ -115,9 +110,7 @@ func kscaleRealProbe(o Options, prm config.Params, tuples, workers int, f sim.Fu
 		panic("kernelscale: probe relation missing from machine image")
 	}
 	start := time.Now()
-	res := m.RunSelect(core.SelectQuery{
-		Scan: core.ScanSpec{Rel: r, Pred: pct(rel.Unique2, tuples, 10), Path: core.PathHeap},
-	})
+	res := m.RunSelect(heapSel(10).of(r, tuples))
 	wall := time.Since(start)
 	if res.Err != nil {
 		panic(fmt.Sprintf("kernelscale: probe query failed: %v", res.Err))
@@ -202,7 +195,6 @@ func runKernelScale(o Options) *Table {
 	})
 
 	t := &Table{
-		ID:      "kernelscale",
 		Title:   fmt.Sprintf("EOT kernel scaling (%d-shard ring, %d-event bursts)", nodes, work),
 		Unit:    "counts at 4 workers (wall speedups in metrics: wall_*/speedup_*)",
 		Columns: []string{"events", "simulated s", "windows", "occupancy", "events/window", "promises"},

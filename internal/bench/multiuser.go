@@ -8,10 +8,6 @@ import (
 	"gamma/internal/sim"
 )
 
-func init() {
-	register("multiuser", "Multiuser: closed-loop throughput vs multiprogramming level, shared scans on vs off", runMultiuser)
-}
-
 // The multiuser throughput experiment: a closed-loop terminal mix of 1%
 // heap selections spread over several relations, swept against the
 // multiprogramming level, with scan sharing off (every query drives its own
@@ -99,7 +95,6 @@ func muRun(o Options, spec muRow, shared bool) core.WorkloadResult {
 
 func runMultiuser(o Options) *Table {
 	t := &Table{
-		ID:      "multiuser",
 		Title:   "Closed-loop throughput vs multiprogramming level: private vs shared scans",
 		Unit:    "queries per simulated second (utilizations of the shared run)",
 		Columns: []string{"private q/s", "shared q/s", "speedup", "shared p95 (s)", "disk util", "cpu util"},

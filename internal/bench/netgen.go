@@ -8,10 +8,6 @@ import (
 	"gamma/internal/rel"
 )
 
-func init() {
-	registerWindowed("netgen", "Hardware generations: the binding resource migrates as network/CPU/disk evolve", runNetgen)
-}
-
 // netgenPoint is one (generation, query) measurement: simulated seconds plus
 // the bottleneck classification of the query's trace span.
 type netgenPoint struct {
@@ -61,19 +57,17 @@ func runNetgen(o Options) *Table {
 		g := newGamma(po, 8, 8, n, 1, heapRel("Bprime", n/10, 7))
 		g.m.EnableTrace()
 		var res core.Result
+		// These selections range over the partitioning attribute.
+		sel := func(percent float64) core.SelectQuery {
+			return selection{attr: rel.Unique1, percent: percent, path: core.PathHeap}.on(g, n)
+		}
 		switch q {
 		case 0:
-			res = g.m.RunSelect(core.SelectQuery{Scan: core.ScanSpec{Rel: g.heap, Pred: pct(rel.Unique1, n, 1), Path: core.PathHeap}})
+			res = g.m.RunSelect(sel(1))
 		case 1:
-			res = g.m.RunSelect(core.SelectQuery{Scan: core.ScanSpec{Rel: g.heap, Pred: pct(rel.Unique1, n, 10), Path: core.PathHeap}})
+			res = g.m.RunSelect(sel(10))
 		default:
-			bp := g.rel("Bprime")
-			res = g.m.RunJoin(core.JoinQuery{
-				Build: core.ScanSpec{Rel: bp, Pred: rel.True(), Path: core.PathHeap}, BuildAttr: rel.Unique1,
-				Probe: core.ScanSpec{Rel: g.heap, Pred: rel.True(), Path: core.PathHeap}, ProbeAttr: rel.Unique1,
-				Mode:            core.Remote,
-				MemPerJoinBytes: ampleJoinMemory,
-			})
+			res = g.m.RunJoin(joinABprime(g, rel.Unique1, core.Remote, ampleJoinMemory))
 		}
 		pt := netgenPoint{secs: res.Elapsed.Seconds()}
 		if res.Diag != nil {
@@ -83,7 +77,6 @@ func runNetgen(o Options) *Table {
 	})
 
 	t := &Table{
-		ID:      "netgen",
 		Title:   "Binding resource by hardware generation (8+8 processors)",
 		Unit:    "seconds (annotation = binding resource class)",
 		Columns: queries,

@@ -9,16 +9,7 @@ package bench
 // (Rödiger et al.'s high-speed networks, Hespe et al.'s cluster OLAP)
 // studies.
 
-import (
-	"fmt"
-
-	"gamma/internal/core"
-	"gamma/internal/rel"
-)
-
-func init() {
-	register("scale100", "Speedup and scaleup at 64/128/256 processors (beyond the paper's 30)", runScale100)
-}
+import "fmt"
 
 // scaleNodes are the cluster sizes of the scale experiment.
 var scaleNodes = []int{64, 128, 256}
@@ -34,7 +25,6 @@ var scaleNodes = []int{64, 128, 256}
 // (see the table notes).
 func runScale100(o Options) *Table {
 	t := &Table{
-		ID:      "scale100",
 		Title:   "Speedup and scaleup at 64-256 processors (1% nonindexed selection)",
 		Unit:    "seconds",
 		Columns: []string{"fixed DB", "speedup vs 64", "per-proc DB", "scaleup vs 64"},
@@ -57,15 +47,11 @@ func runScale100(o Options) *Table {
 		d := scaleNodes[i]
 		// Speedup: the same totalN-tuple relation declustered over d sites.
 		gf := setupScale(o, d, totalN)
-		fixed := gf.selectSecs(core.SelectQuery{
-			Scan: core.ScanSpec{Rel: gf.rel("S"), Pred: pct(rel.Unique2, totalN, 1), Path: core.PathHeap},
-		})
+		fixed := gf.selectSecs(heapSel(1).of(gf.rel("S"), totalN))
 		// Scaleup: the database grows with the machine.
 		ns := perProc * d
 		gs := setupScale(o, d, ns)
-		scaled := gs.selectSecs(core.SelectQuery{
-			Scan: core.ScanSpec{Rel: gs.rel("S"), Pred: pct(rel.Unique2, ns, 1), Path: core.PathHeap},
-		})
+		scaled := gs.selectSecs(heapSel(1).of(gs.rel("S"), ns))
 		return point{fixed: fixed, scaled: scaled}
 	})
 	for i, d := range scaleNodes {

@@ -10,6 +10,17 @@ import (
 	"testing"
 )
 
+// lookupRun regenerates an experiment the way gammabench does: through the
+// registry, so on the model the registry runs it on.
+func lookupRun(t *testing.T, id string, o Options) *Table {
+	t.Helper()
+	e, ok := Lookup(id)
+	if !ok {
+		t.Fatalf("experiment %q not registered", id)
+	}
+	return e.Run(o)
+}
+
 // cellsOf returns a row's cells by label.
 func cellsOf(t *testing.T, tbl *Table, label string) []Cell {
 	t.Helper()
@@ -37,7 +48,7 @@ func TestTable1Shape(t *testing.T) {
 		t.Skip("short mode")
 	}
 	o := Quick()
-	tbl := runTable1(o)
+	tbl := lookupRun(t, "table1", o)
 
 	// Rows with a Teradata measurement: Gamma must win at every size
 	// (the paper's Table 1 Gamma column is uniformly lower at 10k/100k).
@@ -88,7 +99,7 @@ func TestTable2Shape(t *testing.T) {
 		t.Skip("short mode")
 	}
 	o := Quick()
-	tbl := runTable2(o)
+	tbl := lookupRun(t, "table2", o)
 	for _, r := range tbl.Rows {
 		for si, n := range o.Sizes {
 			tera, gamma := teraGamma(r.Cells, si)
@@ -111,10 +122,14 @@ func TestFig4Anomaly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	procs, series := fig3Data(Quick())
+	tbl := lookupRun(t, "fig3", Quick())
+	procs := make([]int, len(tbl.Rows))
 	byName := map[string][]float64{}
-	for i, c := range fig3Curves {
-		byName[c.name] = series[i]
+	for i, r := range tbl.Rows {
+		procs[i] = i + 1
+		for c, col := range tbl.Columns {
+			byName[col] = append(byName[col], r.Cells[c].Measured)
+		}
 	}
 
 	zero := byName["0% non-clustered idx"]

@@ -54,15 +54,16 @@ func (c *onceMap[K, V]) len() int {
 	return len(c.entries)
 }
 
-// The point cache: the paper plots most sweeps twice — Figure 2 is Figure 1
-// as speedups, Figure 11 is Figure 9, the hybrid ablation's Simple column is
-// Figure 13's Remote column — but measured each once. A data point is one
-// fresh machine and a fixed query sequence, a pure function of its key, so a
-// suite simulates it for the first experiment that asks and hands the same
-// value to every later one.
+// The point cache: the paper plots every sweep but Figure 13's twice — Figure
+// 2 is Figure 1's sweep as speedups, Figure 11 is Figure 9's — and the hybrid
+// ablation's Simple column is Figure 13's Remote column, but measured each
+// once. A data point — of a sweep, the m-th machine at an x running its share
+// of the curves — is one fresh machine and a fixed query sequence, a pure
+// function of its key, so a suite simulates it for the first experiment that
+// asks and hands the same value to every later one.
 
-// pointKey identifies one data point: which measurement with which
-// arguments, plus everything of Options that shapes a simulated result
+// pointKey identifies one data point: which sweep (or other measurement) with
+// which arguments, plus everything of Options that shapes a simulated result
 // (maxProcs shapes a sweep, not a point; it is here so that a point which
 // ever reads it cannot alias; lookahead separates a windowed machine from a
 // serialized one, which differ by the §6.2.3 initiation latency). Kernel and
@@ -76,7 +77,8 @@ type pointKey struct {
 	lookahead    sim.Dur
 }
 
-// point builds the key of the named measurement under these options.
+// point builds the key of the named sweep's or measurement's point at args
+// under these options.
 func (o Options) point(name string, args ...any) pointKey {
 	return pointKey{
 		point:        fmt.Sprintf("%s%v", name, args),

@@ -112,14 +112,14 @@ func TestPointKeysIsolate(t *testing.T) {
 		t.Errorf("explicit default page size rendered a different key: %+v", k)
 	}
 
-	fig1, _ := Lookup("fig1")
-	fig2, _ := Lookup("fig2")
+	seconds, _ := Lookup("fig1")
+	speedup, _ := Lookup("fig2")
 	for run := 0; run < 2; run++ {
-		if r := RunSuite([]Experiment{fig2}, tinyOptions(), 1)[0]; r.SharedPoints != 0 || r.Events == 0 {
+		if r := RunSuite([]Experiment{speedup}, tinyOptions(), 1)[0]; r.SharedPoints != 0 || r.Events == 0 {
 			t.Errorf("run %d: fig2 alone took %d shared points and simulated %d events: it saw another suite's cache", run, r.SharedPoints, r.Events)
 		}
 	}
-	rs := RunSuite([]Experiment{fig1, fig2}, tinyOptions(), 1)
+	rs := RunSuite([]Experiment{seconds, speedup}, tinyOptions(), 1)
 	if got, want := rs[1].SharedPoints, int64(tinyOptions().MaxProcs); got != want || rs[1].Events != 0 {
 		t.Errorf("fig2 after fig1: %d shared points (want %d), %d events (want 0)", got, want, rs[1].Events)
 	}

@@ -72,118 +72,84 @@ func newTera(o Options, n int, seed uint64, extras ...relSpec) *teraSetup {
 	return setup
 }
 
-func init() {
-	registerWindowed("table1", "Selection queries (Table 1)", runTable1)
+// paperRows fills t with the rows of one of Tables 1-3: a Teradata and a
+// Gamma column per relation size, a row per label, the published values
+// beside the measured ones. Each size is an independent pair of machines, so
+// they fan out: measure(n) builds the pair for n tuples, runs the rows on it
+// in label order and returns each row's measured (Teradata, Gamma) cells.
+func paperRows(o Options, t *Table, labels []string, paper map[string][3][2]float64, measure func(n int) [][2]Cell) {
+	perSize := parMap(o, len(o.Sizes), func(i int) [][2]Cell { return measure(o.Sizes[i]) })
+	t.Rows = make([]Row, len(labels))
+	for i, n := range o.Sizes {
+		t.Columns = append(t.Columns, fmt.Sprintf("%d Tera", n), fmt.Sprintf("%d Gamma", n))
+		for r, label := range labels {
+			c := perSize[i][r]
+			c[0].Paper, c[1].Paper = paperOf(paper, label, n, 0), paperOf(paper, label, n, 1)
+			t.Rows[r].Label = label
+			t.Rows[r].Cells = append(t.Rows[r].Cells, c[0], c[1])
+		}
+	}
+}
+
+// teraSelection is the Teradata form of a percent selection on unique2: a
+// file scan or a secondary-index scan of the heap or the indexed version.
+func teraSelection(indexed bool, percent float64, kind teradata.SelectKind) func(ts *teraSetup) teradata.Result {
+	return func(ts *teraSetup) teradata.Result {
+		r := ts.heap
+		if indexed {
+			r = ts.idx
+		}
+		return ts.m.RunSelect(r, pct(rel.Unique2, r.N, percent), kind, false)
+	}
+}
+
+// table1Rows are the selections of Table 1 on both machines; tera is nil
+// where Teradata has nothing to run. The degraded-mode experiment repeats the
+// Gamma side under failures.
+var table1Rows = []struct {
+	label string
+	tera  func(ts *teraSetup) teradata.Result
+	gamma func(g *gammaSetup, n int) core.SelectQuery
+}{
+	{"1% nonindexed selection", teraSelection(false, 1, teradata.FileScan), heapSel(1).on},
+	{"10% nonindexed selection", teraSelection(false, 10, teradata.FileScan), heapSel(10).on},
+	{"1% selection using non-clustered index", teraSelection(true, 1, teradata.IndexScan), nonClusteredSel(1).on},
+	// The Teradata optimizer correctly declines the index (§5.1), and
+	// Gamma's picks a segment scan too (§5.2.1).
+	{"10% selection using non-clustered index", teraSelection(true, 10, teradata.FileScan),
+		selection{indexed: true, attr: rel.Unique2, percent: 10, path: core.PathHeap}.on},
+	{"1% selection using clustered index", nil, clusteredSel(1).on},
+	{"10% selection using clustered index", nil, clusteredSel(10).on},
+	{"single tuple select",
+		func(ts *teraSetup) teradata.Result {
+			return ts.m.RunSelect(ts.idx, rel.Eq(rel.Unique1, int32(ts.idx.N/2)), teradata.HashAccess, true)
+		},
+		func(g *gammaSetup, n int) core.SelectQuery {
+			return core.SelectQuery{
+				Scan:   core.ScanSpec{Rel: g.idx, Pred: rel.Eq(rel.Unique1, int32(n/2)), Path: core.PathClustered},
+				ToHost: true,
+			}
+		}},
 }
 
 func runTable1(o Options) *Table {
-	t := &Table{
-		ID:    "table1",
-		Title: "Selection Queries (execution times in seconds)",
-		Unit:  "seconds",
+	t := &Table{Title: "Selection Queries (execution times in seconds)", Unit: "seconds"}
+	labels := make([]string, len(table1Rows))
+	for i, r := range table1Rows {
+		labels[i] = r.label
 	}
-	type rowSpec struct {
-		label string
-		tera  func(ts *teraSetup) float64
-		gamma func(g *gammaSetup, n int) float64
-	}
-	rows := []rowSpec{
-		{
-			"1% nonindexed selection",
-			func(ts *teraSetup) float64 {
-				return ts.m.RunSelect(ts.heap, pct(rel.Unique2, ts.heap.N, 1), teradata.FileScan, false).Elapsed.Seconds()
-			},
-			func(g *gammaSetup, n int) float64 {
-				return g.selectSecs(core.SelectQuery{Scan: core.ScanSpec{Rel: g.heap, Pred: pct(rel.Unique2, n, 1), Path: core.PathHeap}})
-			},
-		},
-		{
-			"10% nonindexed selection",
-			func(ts *teraSetup) float64 {
-				return ts.m.RunSelect(ts.heap, pct(rel.Unique2, ts.heap.N, 10), teradata.FileScan, false).Elapsed.Seconds()
-			},
-			func(g *gammaSetup, n int) float64 {
-				return g.selectSecs(core.SelectQuery{Scan: core.ScanSpec{Rel: g.heap, Pred: pct(rel.Unique2, n, 10), Path: core.PathHeap}})
-			},
-		},
-		{
-			"1% selection using non-clustered index",
-			func(ts *teraSetup) float64 {
-				return ts.m.RunSelect(ts.idx, pct(rel.Unique2, ts.idx.N, 1), teradata.IndexScan, false).Elapsed.Seconds()
-			},
-			func(g *gammaSetup, n int) float64 {
-				return g.selectSecs(core.SelectQuery{Scan: core.ScanSpec{Rel: g.idx, Pred: pct(rel.Unique2, n, 1), Path: core.PathNonClustered}})
-			},
-		},
-		{
-			"10% selection using non-clustered index",
-			func(ts *teraSetup) float64 {
-				// The Teradata optimizer correctly declines the index (§5.1).
-				return ts.m.RunSelect(ts.idx, pct(rel.Unique2, ts.idx.N, 10), teradata.FileScan, false).Elapsed.Seconds()
-			},
-			func(g *gammaSetup, n int) float64 {
-				// Gamma's optimizer picks a segment scan too (§5.2.1).
-				return g.selectSecs(core.SelectQuery{Scan: core.ScanSpec{Rel: g.idx, Pred: pct(rel.Unique2, n, 10), Path: core.PathHeap}})
-			},
-		},
-		{
-			"1% selection using clustered index",
-			nil,
-			func(g *gammaSetup, n int) float64 {
-				return g.selectSecs(core.SelectQuery{Scan: core.ScanSpec{Rel: g.idx, Pred: pct(rel.Unique1, n, 1), Path: core.PathClustered}})
-			},
-		},
-		{
-			"10% selection using clustered index",
-			nil,
-			func(g *gammaSetup, n int) float64 {
-				return g.selectSecs(core.SelectQuery{Scan: core.ScanSpec{Rel: g.idx, Pred: pct(rel.Unique1, n, 10), Path: core.PathClustered}})
-			},
-		},
-		{
-			"single tuple select",
-			func(ts *teraSetup) float64 {
-				return ts.m.RunSelect(ts.idx, rel.Eq(rel.Unique1, int32(ts.idx.N/2)), teradata.HashAccess, true).Elapsed.Seconds()
-			},
-			func(g *gammaSetup, n int) float64 {
-				return g.selectSecs(core.SelectQuery{
-					Scan:   core.ScanSpec{Rel: g.idx, Pred: rel.Eq(rel.Unique1, int32(n/2)), Path: core.PathClustered},
-					ToHost: true,
-				})
-			},
-		},
-	}
-
-	// Each relation size is an independent pair of machines — fan them out.
-	perSize := parMap(o, len(o.Sizes), func(i int) map[string][2]Cell {
-		n := o.Sizes[i]
+	paperRows(o, t, labels, paperTable1, func(n int) [][2]Cell {
 		ts := newTera(o, n, 1)
 		g := newGamma(o, 8, 8, n, 1)
-		cells := map[string][2]Cell{}
-		for _, r := range rows {
-			tv := 0.0
+		cells := make([][2]Cell, len(table1Rows))
+		for i, r := range table1Rows {
 			if r.tera != nil {
-				tv = r.tera(ts)
+				cells[i][0].Measured = r.tera(ts).Elapsed.Seconds()
 			}
-			gv := r.gamma(g, n)
-			cells[r.label] = [2]Cell{
-				{Measured: tv, Paper: paperOf(paperTable1, r.label, n, 0)},
-				{Measured: gv, Paper: paperOf(paperTable1, r.label, n, 1)},
-			}
+			cells[i][1].Measured = g.selectSecs(r.gamma(g, n))
 		}
 		return cells
 	})
-	measured := map[string][]Cell{}
-	for i, n := range o.Sizes {
-		t.Columns = append(t.Columns, fmt.Sprintf("%d Tera", n), fmt.Sprintf("%d Gamma", n))
-		for _, r := range rows {
-			c := perSize[i][r.label]
-			measured[r.label] = append(measured[r.label], c[0], c[1])
-		}
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, Row{Label: r.label, Cells: measured[r.label]})
-	}
 	t.Notes = append(t.Notes,
 		"Gamma: 8 disk + 8 diskless processors, 4 KB pages; Teradata: 4 IFP / 20 AMP / 40 DSU.",
 		"Teradata has no clustered indices (§3); those rows are Gamma-only, as in the paper.")

@@ -17,39 +17,8 @@ var paperTable2 = map[string][3][2]float64{
 	"joinCselAselB, key join attribute":     {{23.8, 7.2}, {156.7, 37.4}, {1509.6, 712.8}},
 }
 
-func init() {
-	register("table2", "Join queries (Table 2)", runTable2)
-}
-
-// gammaJoinQueries builds the three paper join queries for a given join
-// attribute. Per §6.1: joinABprime probes with all of A; joinAselB carries a
-// 10% selection on the join attribute of B which the optimizer propagates to
-// A; joinCselAselB restricts both A and B to 10% and joins the result with C.
-func gammaJoinQueries(g *gammaSetup, n int, attr rel.Attr, bprime, b, c *core.Relation) map[string]core.JoinQuery {
-	tenPct := pct(attr, n, 10)
-	cSpec := core.ScanSpec{Rel: c, Pred: rel.True(), Path: core.PathHeap}
-	return map[string]core.JoinQuery{
-		"joinABprime": {
-			Build: core.ScanSpec{Rel: bprime, Pred: rel.True(), Path: core.PathHeap}, BuildAttr: attr,
-			Probe: core.ScanSpec{Rel: g.heap, Pred: rel.True(), Path: core.PathHeap}, ProbeAttr: attr,
-			Mode: core.Remote,
-		},
-		"joinAselB": {
-			Build: core.ScanSpec{Rel: b, Pred: tenPct, Path: core.PathHeap}, BuildAttr: attr,
-			Probe: core.ScanSpec{Rel: g.heap, Pred: tenPct, Path: core.PathHeap}, ProbeAttr: attr,
-			Mode: core.Remote,
-		},
-		"joinCselAselB": {
-			Build: core.ScanSpec{Rel: b, Pred: tenPct, Path: core.PathHeap}, BuildAttr: attr,
-			Probe: core.ScanSpec{Rel: g.heap, Pred: tenPct, Path: core.PathHeap}, ProbeAttr: attr,
-			Build2: &cSpec, Build2Attr: rel.Unique1, Probe2Attr: attr,
-			Mode: core.Remote,
-		},
-	}
-}
-
 func runTable2(o Options) *Table {
-	t := &Table{ID: "table2", Title: "Join Queries (execution times in seconds)", Unit: "seconds"}
+	t := &Table{Title: "Join Queries (execution times in seconds)", Unit: "seconds"}
 	queries := []string{"joinABprime", "joinAselB", "joinCselAselB"}
 	attrs := []struct {
 		name string
@@ -58,60 +27,40 @@ func runTable2(o Options) *Table {
 		{"non-key join attribute", rel.Unique2},
 		{"key join attribute", rel.Unique1},
 	}
-	// Each relation size is an independent pair of machines — fan them out.
-	perSize := parMap(o, len(o.Sizes), func(i int) map[string][2]Cell {
-		n := o.Sizes[i]
-
+	var labels []string
+	for _, av := range attrs {
+		for _, qn := range queries {
+			labels = append(labels, qn+", "+av.name)
+		}
+	}
+	paperRows(o, t, labels, paperTable2, func(n int) [][2]Cell {
 		joinRels := []relSpec{heapRel("Bprime", n/10, 7), heapRel("B", n, 8), heapRel("C", n/10, 9)}
-
-		// Teradata machine and relations.
 		ts := newTera(o, n, 1, joinRels...)
-		tbp, tb, tc := ts.extra["Bprime"], ts.extra["B"], ts.extra["C"]
-
-		// Gamma machine and relations.
 		g := newGamma(o, 8, 8, n, 1, joinRels...)
-		gbp, gb, gc := g.rel("Bprime"), g.rel("B"), g.rel("C")
-
-		cells := map[string][2]Cell{}
+		var cells [][2]Cell
 		for _, av := range attrs {
-			gq := gammaJoinQueries(g, n, av.attr, gbp, gb, gc)
-			for _, qn := range queries {
-				label := qn + ", " + av.name
-
-				tq := teraJoinQuery(qn, n, av.attr, ts, tbp, tb, tc)
-				tres := ts.m.RunJoin(tq)
-
-				gres := g.joinRun(gq[qn])
-
+			// Remote mode on the machine's default join memory, which the
+			// million-tuple build relations overflow as they did in the paper.
+			gamma := []core.JoinQuery{
+				joinABprime(g, av.attr, core.Remote, 0),
+				joinAselB(g, n, av.attr, 0),
+				joinCselAselB(g, n, av.attr),
+			}
+			for qi, qn := range queries {
+				tres := ts.m.RunJoin(teraJoinQuery(qn, n, av.attr, ts))
+				gres := g.joinRun(gamma[qi])
 				extra := ""
 				if gres.Overflows > 0 {
 					extra = fmt.Sprintf("ovf=%d", gres.Overflows)
 				}
-				cells[label] = [2]Cell{
-					{Measured: tres.Elapsed.Seconds(), Paper: paperOf(paperTable2, label, n, 0)},
-					{Measured: gres.Elapsed.Seconds(), Paper: paperOf(paperTable2, label, n, 1), Extra: extra},
-				}
+				cells = append(cells, [2]Cell{
+					{Measured: tres.Elapsed.Seconds()},
+					{Measured: gres.Elapsed.Seconds(), Extra: extra},
+				})
 			}
 		}
 		return cells
 	})
-	measured := map[string][]Cell{}
-	for i, n := range o.Sizes {
-		t.Columns = append(t.Columns, fmt.Sprintf("%d Tera", n), fmt.Sprintf("%d Gamma", n))
-		for _, av := range attrs {
-			for _, qn := range queries {
-				label := qn + ", " + av.name
-				c := perSize[i][label]
-				measured[label] = append(measured[label], c[0], c[1])
-			}
-		}
-	}
-	for _, av := range attrs {
-		for _, qn := range queries {
-			label := qn + ", " + av.name
-			t.Rows = append(t.Rows, Row{Label: label, Cells: measured[label]})
-		}
-	}
 	t.Notes = append(t.Notes,
 		"Gamma joins run in Remote mode (§6); overflow counts shown as ovf=N (max per site).",
 		"Teradata joinAselB has no selection propagation; Gamma's optimizer reduces it to joinselAselB (§6.1).")
@@ -119,8 +68,9 @@ func runTable2(o Options) *Table {
 }
 
 // teraJoinQuery maps a paper join query onto the Teradata machine.
-func teraJoinQuery(name string, n int, attr rel.Attr, ts *teraSetup, bprime, b, c *teradata.Relation) teradata.JoinQuery {
+func teraJoinQuery(name string, n int, attr rel.Attr, ts *teraSetup) teradata.JoinQuery {
 	tenPct := pct(attr, n, 10)
+	bprime, b, c := ts.extra["Bprime"], ts.extra["B"], ts.extra["C"]
 	switch name {
 	case "joinABprime":
 		return teradata.JoinQuery{

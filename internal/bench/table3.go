@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"fmt"
-
 	"gamma/internal/core"
 	"gamma/internal/rel"
 	"gamma/internal/teradata"
@@ -17,12 +15,8 @@ var paperTable3 = map[string][3][2]float64{
 	"modify 1 tuple (non-clustered index used)": {{0.84, 0.50}, {1.16, 0.46}, {3.72, 0.52}},
 }
 
-func init() {
-	register("table3", "Update queries (Table 3)", runTable3)
-}
-
 func runTable3(o Options) *Table {
-	t := &Table{ID: "table3", Title: "Update Queries (execution times in seconds)", Unit: "seconds"}
+	t := &Table{Title: "Update Queries (execution times in seconds)", Unit: "seconds"}
 	labels := []string{
 		"append 1 tuple (no indices exist)",
 		"append 1 tuple (one index exists)",
@@ -31,10 +25,7 @@ func runTable3(o Options) *Table {
 		"modify 1 tuple (non-indexed attribute)",
 		"modify 1 tuple (non-clustered index used)",
 	}
-	// Each relation size is an independent pair of machines — fan them out.
-	perSize := parMap(o, len(o.Sizes), func(i int) map[string][2]Cell {
-		n := o.Sizes[i]
-
+	paperRows(o, t, labels, paperTable3, func(n int) [][2]Cell {
 		ts := newTera(o, n, 1)
 		g := newGamma(o, 8, 8, n, 1)
 
@@ -42,47 +33,28 @@ func runTable3(o Options) *Table {
 		fresh.Set(rel.Unique1, int32(n+7))
 		fresh.Set(rel.Unique2, int32(n+7))
 
-		teraSecs := map[string]float64{}
-		gammaSecs := map[string]float64{}
-
-		teraSecs[labels[0]] = ts.m.RunUpdate(teradata.UpdateQuery{Rel: ts.heap, Kind: teradata.AppendTuple, Tuple: fresh}).Elapsed.Seconds()
-		gammaSecs[labels[0]] = g.m.RunUpdate(core.UpdateQuery{Rel: g.heap, Kind: core.AppendTuple, Tuple: fresh}).Elapsed.Seconds()
-
-		teraSecs[labels[1]] = ts.m.RunUpdate(teradata.UpdateQuery{Rel: ts.idx, Kind: teradata.AppendTuple, Tuple: fresh}).Elapsed.Seconds()
-		gammaSecs[labels[1]] = g.m.RunUpdate(core.UpdateQuery{Rel: g.idx, Kind: core.AppendTuple, Tuple: fresh}).Elapsed.Seconds()
-
-		teraSecs[labels[2]] = ts.m.RunUpdate(teradata.UpdateQuery{Rel: ts.idx, Kind: teradata.DeleteByKey, Key: int32(n + 7)}).Elapsed.Seconds()
-		gammaSecs[labels[2]] = g.m.RunUpdate(core.UpdateQuery{Rel: g.idx, Kind: core.DeleteByKey, Key: int32(n + 7)}).Elapsed.Seconds()
-
-		teraSecs[labels[3]] = ts.m.RunUpdate(teradata.UpdateQuery{Rel: ts.idx, Kind: teradata.ModifyKeyAttr, Key: int32(n / 3), Attr: rel.Unique1, NewValue: int32(n + 13)}).Elapsed.Seconds()
-		gammaSecs[labels[3]] = g.m.RunUpdate(core.UpdateQuery{Rel: g.idx, Kind: core.ModifyKeyAttr, Key: int32(n / 3), Attr: rel.Unique1, NewValue: int32(n + 13)}).Elapsed.Seconds()
-
-		teraSecs[labels[4]] = ts.m.RunUpdate(teradata.UpdateQuery{Rel: ts.idx, Kind: teradata.ModifyNonIndexed, Key: int32(n / 4), Attr: rel.OddOnePercent, NewValue: 1}).Elapsed.Seconds()
-		gammaSecs[labels[4]] = g.m.RunUpdate(core.UpdateQuery{Rel: g.idx, Kind: core.ModifyNonIndexed, Key: int32(n / 4), Attr: rel.OddOnePercent, NewValue: 1}).Elapsed.Seconds()
-
-		teraSecs[labels[5]] = ts.m.RunUpdate(teradata.UpdateQuery{Rel: ts.idx, Kind: teradata.ModifyIndexed, Key: int32(n / 5), Attr: rel.Unique2, NewValue: int32(n + 21)}).Elapsed.Seconds()
-		gammaSecs[labels[5]] = g.m.RunUpdate(core.UpdateQuery{Rel: g.idx, Kind: core.ModifyIndexed, Key: int32(n / 5), Attr: rel.Unique2, NewValue: int32(n + 21)}).Elapsed.Seconds()
-
-		cells := map[string][2]Cell{}
-		for _, l := range labels {
-			cells[l] = [2]Cell{
-				{Measured: teraSecs[l], Paper: paperOf(paperTable3, l, n, 0)},
-				{Measured: gammaSecs[l], Paper: paperOf(paperTable3, l, n, 1)},
+		// The updates run in label order, each on Teradata and then on Gamma.
+		run := func(tq teradata.UpdateQuery, gq core.UpdateQuery) [2]Cell {
+			return [2]Cell{
+				{Measured: ts.m.RunUpdate(tq).Elapsed.Seconds()},
+				{Measured: g.m.RunUpdate(gq).Elapsed.Seconds()},
 			}
 		}
-		return cells
-	})
-	measured := map[string][]Cell{}
-	for i, n := range o.Sizes {
-		t.Columns = append(t.Columns, fmt.Sprintf("%d Tera", n), fmt.Sprintf("%d Gamma", n))
-		for _, l := range labels {
-			c := perSize[i][l]
-			measured[l] = append(measured[l], c[0], c[1])
+		return [][2]Cell{
+			run(teradata.UpdateQuery{Rel: ts.heap, Kind: teradata.AppendTuple, Tuple: fresh},
+				core.UpdateQuery{Rel: g.heap, Kind: core.AppendTuple, Tuple: fresh}),
+			run(teradata.UpdateQuery{Rel: ts.idx, Kind: teradata.AppendTuple, Tuple: fresh},
+				core.UpdateQuery{Rel: g.idx, Kind: core.AppendTuple, Tuple: fresh}),
+			run(teradata.UpdateQuery{Rel: ts.idx, Kind: teradata.DeleteByKey, Key: int32(n + 7)},
+				core.UpdateQuery{Rel: g.idx, Kind: core.DeleteByKey, Key: int32(n + 7)}),
+			run(teradata.UpdateQuery{Rel: ts.idx, Kind: teradata.ModifyKeyAttr, Key: int32(n / 3), Attr: rel.Unique1, NewValue: int32(n + 13)},
+				core.UpdateQuery{Rel: g.idx, Kind: core.ModifyKeyAttr, Key: int32(n / 3), Attr: rel.Unique1, NewValue: int32(n + 13)}),
+			run(teradata.UpdateQuery{Rel: ts.idx, Kind: teradata.ModifyNonIndexed, Key: int32(n / 4), Attr: rel.OddOnePercent, NewValue: 1},
+				core.UpdateQuery{Rel: g.idx, Kind: core.ModifyNonIndexed, Key: int32(n / 4), Attr: rel.OddOnePercent, NewValue: 1}),
+			run(teradata.UpdateQuery{Rel: ts.idx, Kind: teradata.ModifyIndexed, Key: int32(n / 5), Attr: rel.Unique2, NewValue: int32(n + 21)},
+				core.UpdateQuery{Rel: g.idx, Kind: core.ModifyIndexed, Key: int32(n / 5), Attr: rel.Unique2, NewValue: int32(n + 21)}),
 		}
-	}
-	for _, l := range labels {
-		t.Rows = append(t.Rows, Row{Label: l, Cells: measured[l]})
-	}
+	})
 	t.Notes = append(t.Notes,
 		"Teradata runs full concurrency control and recovery; Gamma uses deferred update files for indices (§7).")
 	return t

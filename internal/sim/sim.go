@@ -137,7 +137,6 @@ type Sim struct {
 
 	executed uint64
 	counter  *atomic.Int64 // optional shared executed-event counter
-	trace    func(t Time, format string, args ...any)
 	sink     trace.Sink
 }
 
@@ -152,11 +151,6 @@ func New() *Sim {
 // Now returns the current simulated time. In a parallel window shards have
 // independent clocks; use Proc.Now or Shard.Now there.
 func (s *Sim) Now() Time { return s.now }
-
-// SetTrace installs a trace hook invoked by Proc.Tracef; nil disables
-// tracing. The hook is serial-only: Run panics if it is set on a simulation
-// about to execute parallel windows.
-func (s *Sim) SetTrace(fn func(t Time, format string, args ...any)) { s.trace = fn }
 
 // SetSink installs a structured event sink (typically a *trace.Collector)
 // that receives typed records from the kernel and every model built on it;
@@ -393,13 +387,6 @@ func (p *Proc) Now() Time { return p.sim.clockOf(p.shard) }
 // Emit forwards a structured event to the sink, attributed to the process's
 // shard — safe in every execution mode, including parallel windows.
 func (p *Proc) Emit(e trace.Event) { p.sim.emitOn(p.shard, e) }
-
-// Tracef reports a trace event if tracing is enabled on the simulation.
-func (p *Proc) Tracef(format string, args ...any) {
-	if p.sim.trace != nil {
-		p.sim.trace(p.Now(), "["+p.name+"] "+format, args...)
-	}
-}
 
 // park suspends the process until some event calls wake: it switches back to
 // the shard's event loop and returns at the next resume, unless the process
@@ -1064,9 +1051,6 @@ func (s *Sim) SetWindowCounters(c *WindowCounters) { s.wcount = c }
 func (s *Sim) runWindows() {
 	if s.closed {
 		panic("sim: Run on a closed simulation")
-	}
-	if s.trace != nil {
-		panic("sim: SetTrace hook is serial-only; remove it before running with workers > 1")
 	}
 	s.glevel = s.initLevel()
 	s.rebuildGroups()

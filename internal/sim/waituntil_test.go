@@ -35,22 +35,6 @@ func TestWaitUntilWithAsyncResource(t *testing.T) {
 	}
 }
 
-func TestTraceHook(t *testing.T) {
-	s := New()
-	var lines int
-	s.SetTrace(func(at Time, format string, args ...any) { lines++ })
-	s.Spawn("p", func(p *Proc) {
-		p.Tracef("hello %d", 1)
-		p.Sleep(1)
-		p.Tracef("world")
-	})
-	s.Run()
-	if lines != 2 {
-		t.Errorf("trace lines = %d", lines)
-	}
-	s.SetTrace(nil)
-}
-
 func TestSpawnAtFuture(t *testing.T) {
 	s := New()
 	var started Time
