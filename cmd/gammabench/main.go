@@ -55,10 +55,12 @@ import (
 
 // jsonExperiment is one experiment's entry in the -json report.
 // wall_seconds keeps its historical meaning (total experiment wall clock);
-// setup_wall_seconds/query_wall_seconds split it into machine-image
-// build/restore time vs query simulation time. Setup is cumulative across an
-// experiment's data points, so under -parallel it can exceed wall_seconds;
-// query_wall_seconds is clamped at zero in that case.
+// setup_wall_seconds/query_wall_seconds split it into machine-building time
+// (relation-image builds and attaches) vs query simulation time. Setup is
+// cumulative across an experiment's data points, so under -parallel it can
+// exceed wall_seconds; query_wall_seconds is clamped at zero in that case.
+// image_cache_hits/_misses count relations put on machines: a miss loaded
+// the relation and imaged it first, a hit attached an image the suite had.
 type jsonExperiment struct {
 	ID               string  `json:"id"`
 	Title            string  `json:"title"`
@@ -97,6 +99,7 @@ type jsonReport struct {
 	Workers          int              `json:"workers"`
 	GoMaxProcs       int              `json:"gomaxprocs"`
 	TotalWallSeconds float64          `json:"total_wall_seconds"`
+	SetupWallSeconds float64          `json:"setup_wall_seconds"` // sum over the experiments
 	ImageCacheHits   int64            `json:"image_cache_hits"`
 	ImageCacheMisses int64            `json:"image_cache_misses"`
 	SharedPoints     int64            `json:"shared_points"`
@@ -215,6 +218,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			TotalWallSeconds: total.Seconds(),
 		}
 		for _, r := range reports {
+			rep.SetupWallSeconds += r.Setup.Seconds()
 			rep.ImageCacheHits += r.ImageHits
 			rep.ImageCacheMisses += r.ImageMisses
 			rep.SharedPoints += r.SharedPoints
@@ -266,11 +270,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			case r.SharedPoints > 0:
 				work += fmt.Sprintf(", %d data points shared", r.SharedPoints)
 			}
-			fmt.Fprintf(stderr, "   [%s regenerated in %.1fs wall time (%.1fs setup + %.1fs query), %s, images %d hit/%d miss]\n\n",
+			fmt.Fprintf(stderr, "   [%s regenerated in %.1fs wall time (%.1fs setup + %.1fs query), %s, relations %d attached / %d built]\n\n",
 				r.ID, r.Wall.Seconds(), r.Setup.Seconds(), r.QueryWall().Seconds(),
-				work, r.ImageHits, r.ImageMisses)
+				work, r.ImageHits+r.ImageMisses, r.ImageMisses)
 		}
-		fmt.Fprintf(stderr, "   [machine-image cache: %d restores, %d builds; %d data points shared between experiments]\n", hits, misses, sharedPts)
+		fmt.Fprintf(stderr, "   [relation-image cache: %d relations attached, %d built; %d data points shared between experiments]\n", hits+misses, misses, sharedPts)
 	}
 
 	if *memprofile != "" {

@@ -73,12 +73,13 @@ func TestMultiuserMetricsInJSON(t *testing.T) {
 }
 
 // TestJSONSetupQuerySplitAndCacheCounters: the -json report carries the
-// setup/query wall split (old field names intact) and the machine-image
+// setup/query wall split (old field names intact) and the relation-image
 // cache counters, per experiment and as suite totals.
 func TestJSONSetupQuerySplitAndCacheCounters(t *testing.T) {
 	null := devNull(t)
 	var out bytes.Buffer
-	// bitvector runs two machines off one image: 1 miss + 1 hit guaranteed.
+	// bitvector runs two machines holding the same relations: every one is
+	// built for the first and attached from the cache for the second.
 	if code := run([]string{"-quick", "-json", "-parallel", "1", "bitvector"}, &out, null); code != 0 {
 		t.Fatalf("bitvector run: exit code %d", code)
 	}
@@ -104,6 +105,9 @@ func TestJSONSetupQuerySplitAndCacheCounters(t *testing.T) {
 	if rep.ImageCacheHits != e.ImageCacheHits || rep.ImageCacheMisses != e.ImageCacheMisses {
 		t.Errorf("suite totals (%d/%d) != experiment counters (%d/%d)",
 			rep.ImageCacheHits, rep.ImageCacheMisses, e.ImageCacheHits, e.ImageCacheMisses)
+	}
+	if rep.SetupWallSeconds != e.SetupWallSeconds {
+		t.Errorf("suite setup_wall_seconds %v != the one experiment's %v", rep.SetupWallSeconds, e.SetupWallSeconds)
 	}
 	// Raw field names are part of the tooling contract.
 	for _, field := range []string{`"wall_seconds"`, `"setup_wall_seconds"`, `"query_wall_seconds"`,

@@ -70,7 +70,7 @@ type Options struct {
 // simulated by the experiment that plots it, nothing counted.
 type runCtx struct {
 	// Shared by every experiment of one RunSuite call: the worker-slot
-	// semaphore (nil = serial), the machine-image cache (imagecache.go) and
+	// semaphore (nil = serial), the relation-image cache (imagecache.go) and
 	// the data-point cache (shared.go).
 	sem    chan struct{}
 	images *imageCache
@@ -113,24 +113,6 @@ func (c *runCtx) charge(events int64, ws sim.WindowStats) {
 		c.events.Add(events)
 		c.windows.Add(ws)
 	}
-}
-
-// machine returns the machine that build describes, on simulator s: built
-// there from scratch without an image cache, otherwise restored from the
-// cached image key names, which is built and snapshotted on first use — on a
-// throwaway simulator: loading schedules no events, so the suite's event
-// counters see exactly what an uncached run's would.
-func (c *runCtx) machine(s *sim.Sim, key imageKey, build func(*sim.Sim) *core.Machine) *core.Machine {
-	if c == nil || c.images == nil {
-		return build(s)
-	}
-	snap, hit := c.images.get(key, func() *core.Snapshot { return build(sim.New()).Snapshot() })
-	if hit {
-		c.imgHits.Add(1)
-	} else {
-		c.imgMisses.Add(1)
-	}
-	return core.RestoreMachine(s, snap)
 }
 
 // Full returns the paper-scale options.
@@ -279,8 +261,8 @@ func (t *Table) Render(w io.Writer) {
 
 // --- machine setup -------------------------------------------------------
 
-// relSpec declares one relation of a machine image: everything Load needs,
-// in a comparable/printable form so it can be part of an image-cache key.
+// relSpec declares one relation of a machine: everything Load needs, as a
+// comparable value so that, minus its name, it is part of an image-cache key.
 type relSpec struct {
 	name     string
 	n        int
@@ -307,40 +289,54 @@ func gammaRels(n int, seed uint64) []relSpec {
 }
 
 // loadSpecRel applies one relSpec to a machine.
-func loadSpecRel(m *core.Machine, rs relSpec) {
+func loadSpecRel(m *core.Machine, rs relSpec) *core.Relation {
 	spec := core.LoadSpec{Name: rs.name, Strategy: rs.strategy, PartAttr: rs.partAttr}
 	if rs.indexed {
 		u1 := rel.Unique1
 		spec.ClusteredIndex = &u1
 		spec.NonClusteredIndexes = []rel.Attr{rel.Unique2}
 	}
-	m.Load(spec, wisconsin.Shared(rs.n, rs.seed)) // Load only reads its input
+	return m.Load(spec, wisconsin.Shared(rs.n, rs.seed)) // Load only reads its input
 }
 
-// gammaMachine returns a loaded Gamma machine on a fresh simulation. With an
-// image cache (any RunSuite run) the database is built and snapshotted once
-// per distinct (geometry, mirroring, params, relations) key and every other
-// request restores the snapshot copy-on-write; without one (the uncached
-// reference path) it is built from scratch. Both paths are byte-identical
-// downstream: loading is free and eventless, restores rebase onto sim t=0
-// with cold buffer pools, and file ids and name counters are preserved by
-// the snapshot.
+// gammaMachine returns a Gamma machine on a fresh simulation holding the
+// given relations, its wall time charged to the experiment's setup clock.
 func (o Options) gammaMachine(nDisk, nDiskless int, mirrored bool, specs []relSpec) *core.Machine {
 	defer o.run.addSetup(time.Now())
-	build := func(s *sim.Sim) *core.Machine {
-		p := o.params()
+	return o.run.gammaOn(o.newSim(), o.params(), nDisk, nDiskless, mirrored, specs)
+}
+
+// gammaOn builds a Gamma machine on s and puts the relations on it in spec
+// order: loaded from scratch without an image cache (the reference path),
+// otherwise attached from the suite's relation images, each of which the
+// first machine to need it builds by loading that one relation onto a
+// throwaway machine of the same storage geometry. Both paths are
+// byte-identical downstream: loading is free and eventless (the throwaway
+// simulator never runs), a fresh machine starts at t=0 with cold buffer
+// pools either way, and Attach allocates file ids exactly as Load does.
+func (c *runCtx) gammaOn(s *sim.Sim, prm config.Params, nDisk, nDiskless int, mirrored bool, specs []relSpec) *core.Machine {
+	newMachine := func(s *sim.Sim, nDiskless int) *core.Machine {
+		p := prm // private copy: the machine keeps the pointer
 		m := core.NewMachine(s, &p, nDisk, nDiskless)
 		if mirrored {
 			m.EnableMirroring()
 		}
-		for _, rs := range specs {
-			loadSpecRel(m, rs)
-		}
 		return m
 	}
-	key := imageKey{nDisk: nDisk, nDiskless: nDiskless, mirrored: mirrored,
-		prm: o.params(), rels: relsKey(specs)}
-	return o.run.machine(o.newSim(), key, build)
+	m := newMachine(s, nDiskless)
+	for _, rs := range specs {
+		if c == nil {
+			loadSpecRel(m, rs)
+			continue
+		}
+		img := image(c, imageKey{nDisk: nDisk, mirrored: mirrored, prm: prm, rel: rs}, func() *core.RelationImage {
+			return loadSpecRel(newMachine(sim.New(), 0), rs).Image()
+		})
+		if _, err := m.Attach(rs.name, img); err != nil {
+			panic(err) // the key holds the geometry; a spec list naming a relation twice is a bug
+		}
+	}
+	return m
 }
 
 // gammaSetup is one Gamma machine with the standard benchmark relations.
@@ -352,9 +348,8 @@ type gammaSetup struct {
 	idx  *core.Relation
 }
 
-// newGamma builds a Gamma machine with nDisk+nDiskless processors and loads
-// an n-tuple relation in both physical versions, plus any extra relations —
-// part of the image, so they cache with it.
+// newGamma builds a Gamma machine with nDisk+nDiskless processors holding
+// an n-tuple relation in both physical versions, plus any extra relations.
 func newGamma(o Options, nDisk, nDiskless, n int, seed uint64, extras ...relSpec) *gammaSetup {
 	m := o.gammaMachine(nDisk, nDiskless, false, append(gammaRels(n, seed), extras...))
 	return setupFrom(m)
@@ -367,11 +362,11 @@ func setupFrom(m *core.Machine) *gammaSetup {
 	return g
 }
 
-// rel returns a relation loaded into the machine image by name.
+// rel returns one of the machine's relations by name.
 func (g *gammaSetup) rel(name string) *core.Relation {
 	r, ok := g.m.Relation(name)
 	if !ok {
-		panic("bench: relation " + name + " missing from machine image")
+		panic("bench: relation " + name + " missing from machine")
 	}
 	return r
 }

@@ -9,8 +9,8 @@ import (
 // newGammaMirrored is newGamma with chained-declustered backups, the
 // configuration the degraded-mode experiment runs in every column so the
 // fault-free baseline carries the same storage layout. The three fault
-// conditions of each row restore the same cached image: crashes and failover
-// are post-restore toggles, not part of the image.
+// conditions of each row attach the same cached relation images: crashes and
+// failover are toggles on the built machine, not part of its storage.
 func newGammaMirrored(o Options, nDisk, nDiskless, n int, seed uint64, extras ...relSpec) *gammaSetup {
 	m := o.gammaMachine(nDisk, nDiskless, true, append(gammaRels(n, seed), extras...))
 	return setupFrom(m)

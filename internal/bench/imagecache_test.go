@@ -2,13 +2,9 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
-
-	"gamma/internal/core"
-	"gamma/internal/rel"
-	"gamma/internal/sim"
 )
 
 // renderTable renders one table to bytes.
@@ -19,10 +15,11 @@ func renderTable(tbl *Table) []byte {
 }
 
 // TestCachedTablesMatchUncached is the acceptance contract of the image
-// cache: for every experiment, the table produced with cached machine images
-// (RunSuite always attaches a cache) must be byte-identical to the table
-// produced with no run context, where every data point loads its database
-// from scratch — both serially and under -parallel workers.
+// cache: for every experiment, the table produced on machines whose relations
+// were attached from cached images (RunSuite always has a cache) must be
+// byte-identical to the table produced with no run context, where every data
+// point loads its database from scratch — both serially and under -parallel
+// workers.
 func TestCachedTablesMatchUncached(t *testing.T) {
 	o := tinyOptions()
 	for _, e := range Experiments() {
@@ -40,22 +37,24 @@ func TestCachedTablesMatchUncached(t *testing.T) {
 	}
 }
 
-// TestSuiteReportsCacheHits: experiments that query one image from several
-// data points must restore it from the cache after the first build, every
+// TestSuiteReportsCacheHits: experiments that put one relation on several
+// machines must attach it from the cache after the first build, every
 // experiment records its setup/query wall split, the suite as a whole
-// reuses more images than it builds, and a sweep two experiments plot is
-// simulated by exactly one of them.
+// attaches far more relations than it builds, and a sweep two experiments
+// plot is simulated by exactly one of them.
 func TestSuiteReportsCacheHits(t *testing.T) {
-	// These revisit an image by construction, whatever the Options: the
+	// These revisit a relation by construction, whatever the Options: the
 	// fault conditions of a degraded row, hybrid's two algorithms per ratio,
-	// multiuser's private/shared pairs, fig13's memory ratios, and so on.
-	// (Others — scaleup's per-processor databases, table2's one machine per
-	// size — only hit via images earlier experiments built, or never.)
+	// multiuser's private/shared pairs, fig13's memory ratios, table1's
+	// sizes (Aheap and Aidx are one Teradata hash file), and so on. (Others —
+	// scaleup's per-processor databases — only hit via relations earlier
+	// experiments built, or never.)
 	intrinsicReuse := map[string]bool{
 		"bitvector": true, "degraded": true, "fig13": true, "hybrid": true,
 		"multiuser": true, "placement": true, "recovery": true, "pagesize-default": true,
+		"table1": true, "table2": true, "table3": true,
 		// kernelscale's real-query probes run three kernel configs per
-		// generation against one probe image each.
+		// generation against one probe relation each.
 		"kernelscale": true,
 	}
 	reports := RunSuite(Experiments(), tinyOptions(), 1)
@@ -70,7 +69,7 @@ func TestSuiteReportsCacheHits(t *testing.T) {
 			continue
 		}
 		if intrinsicReuse[r.ID] && r.ImageHits == 0 {
-			t.Errorf("%s: %d image misses but no hits — cache never reused an image",
+			t.Errorf("%s: %d image misses but no hits — cache never reused a relation",
 				r.ID, r.ImageMisses)
 		}
 		if r.Events == 0 {
@@ -90,7 +89,7 @@ func TestSuiteReportsCacheHits(t *testing.T) {
 		}
 	}
 	if hits <= misses {
-		t.Errorf("suite-wide image cache: %d hits vs %d misses; most data points should restore", hits, misses)
+		t.Errorf("suite-wide image cache: %d hits vs %d misses; most relations should be attached from it", hits, misses)
 	}
 
 	// The paper measured each of these sweeps once and plotted it twice; in
@@ -107,64 +106,102 @@ func TestSuiteReportsCacheHits(t *testing.T) {
 	}
 	// fig13 asks for 8 ratios x {Local, Remote}, hybrid for 8 ratios x
 	// {Simple, Hybrid} on Remote: 32 requests, 24 distinct memory points,
-	// one machine restore each.
+	// one machine each, holding Aheap, Aidx and Bprime.
 	f13, hyb := byID["fig13"], byID["hybrid"]
 	if got := f13.SharedPoints + hyb.SharedPoints; got != int64(len(fig13Ratios)) {
 		t.Errorf("fig13 + hybrid took %d shared points, want %d (the Simple/Remote column)", got, len(fig13Ratios))
 	}
-	if got := f13.ImageHits + f13.ImageMisses + hyb.ImageHits + hyb.ImageMisses; got != int64(3*len(fig13Ratios)) {
-		t.Errorf("fig13 + hybrid built %d machines, want %d memory points", got, 3*len(fig13Ratios))
+	if got := f13.ImageHits + f13.ImageMisses + hyb.ImageHits + hyb.ImageMisses; got != int64(3*3*len(fig13Ratios)) {
+		t.Errorf("fig13 + hybrid attached %d relations, want 3 on each of %d memory points", got, 3*len(fig13Ratios))
 	}
 }
 
-// TestImageCacheSingleflight hammers one key from many goroutines: the build
-// function must run exactly once, exactly one caller observes the miss, and
-// every restored machine answers queries identically (run under -race).
+// TestImageCacheSingleflight hammers one relation from many goroutines, each
+// building its own machine around it: the relation is loaded exactly once,
+// exactly one caller is charged the miss, and every machine — all sharing the
+// image's frozen pages — answers queries identically (run under -race).
 func TestImageCacheSingleflight(t *testing.T) {
 	o := tinyOptions()
 	o.run = &runCtx{images: newImageCache()}
-	var builds atomic.Int64
-	key := imageKey{nDisk: 2, nDiskless: 2, prm: o.params(), rels: relsKey(gammaRels(500, 1))}
 	var wg sync.WaitGroup
-	hits := make([]bool, 16)
 	secs := make([]float64, 16)
-	for i := range hits {
+	for i := range secs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			snap, hit := o.run.images.get(key, func() *core.Snapshot {
-				builds.Add(1)
-				uncached := o
-				uncached.run = nil
-				return uncached.gammaMachine(2, 2, false, gammaRels(500, 1)).Snapshot()
-			})
-			hits[i] = hit
-			// Restore concurrently and query: exercises shared frozen pages.
-			g := setupFrom(core.RestoreMachine(sim.New(), snap))
-			secs[i] = g.selectSecs(core.SelectQuery{
-				Scan: core.ScanSpec{Rel: g.heap, Pred: pct(rel.Unique2, 500, 10), Path: core.PathHeap},
-			})
+			// Different names and diskless counts: neither is storage.
+			g := &gammaSetup{m: o.gammaMachine(2, i%3, false, []relSpec{heapRel(fmt.Sprintf("R%d", i), 500, 1)})}
+			secs[i] = g.selectSecs(heapSel(10).of(g.rel(fmt.Sprintf("R%d", i)), 500))
 		}(i)
 	}
 	wg.Wait()
-	if b := builds.Load(); b != 1 {
-		t.Errorf("build ran %d times, want 1", b)
-	}
-	misses := 0
-	for _, h := range hits {
-		if !h {
-			misses++
-		}
-	}
-	if misses != 1 {
-		t.Errorf("%d goroutines reported a miss, want exactly 1", misses)
+	if h, m := o.run.imgHits.Load(), o.run.imgMisses.Load(); m != 1 || h != 15 {
+		t.Errorf("%d misses and %d hits, want exactly 1 build and 15 attaches of it", m, h)
 	}
 	if o.run.images.len() != 1 {
 		t.Errorf("cache holds %d entries, want 1", o.run.images.len())
 	}
 	for i, s := range secs {
 		if s != secs[0] {
-			t.Errorf("concurrent restore %d measured %v, want %v", i, s, secs[0])
+			t.Errorf("concurrent attach %d measured %v, want %v", i, s, secs[0])
+		}
+	}
+}
+
+// TestEveryRelationBuiltOnce: the suite loads a relation once however many
+// machines hold it. Tables 1-3 at one size need five Gamma relations (Aheap
+// and Aidx for all three tables, Table 2's Bprime, B and C) and four Teradata
+// hash files (A under both names, Bprime, B, C), serially and on four
+// workers; and over the whole registry every build is of a distinct relation.
+func TestEveryRelationBuiltOnce(t *testing.T) {
+	var tables []Experiment
+	for _, id := range []string{"table1", "table2", "table3"} {
+		e, _ := Lookup(id)
+		tables = append(tables, e)
+	}
+	o := tinyOptions()
+	o.Sizes = []int{10000}
+	for _, workers := range []int{1, 4} {
+		images := newImageCache()
+		var misses, lookups int64
+		for _, r := range runSuite(tables, o, workers, images) {
+			misses += r.ImageMisses
+			lookups += r.ImageHits + r.ImageMisses
+		}
+		gamma, tera := 0, 0
+		for k := range images.entries {
+			if k.tera {
+				tera++
+			} else {
+				gamma++
+			}
+		}
+		if gamma != 5 || tera != 4 || misses != 9 {
+			t.Errorf("workers=%d: built %d Gamma and %d Teradata relation images (%d misses), want 5 and 4",
+				workers, gamma, tera, misses)
+		}
+		// 2+5+2 Gamma relations attached, and 2+5+2 Teradata ones.
+		if lookups != 18 {
+			t.Errorf("workers=%d: %d relations attached, want 18", workers, lookups)
+		}
+	}
+
+	if testing.Short() {
+		t.Skip("runs the whole registry")
+	}
+	images := newImageCache()
+	var misses int64
+	for _, r := range runSuite(Experiments(), tinyOptions(), 2, images) {
+		misses += r.ImageMisses
+	}
+	if misses != int64(images.len()) {
+		t.Errorf("%d builds for %d distinct relations", misses, images.len())
+	}
+	// Two keys that differ only in what cannot shape storage would be one
+	// relation built twice.
+	for k := range images.entries {
+		if k.rel.name != "" {
+			t.Errorf("image key %+v carries a relation name", k.rel)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"gamma/internal/config"
-	"gamma/internal/core"
 	"gamma/internal/sim"
 )
 
@@ -89,11 +88,6 @@ type kprobePoint struct {
 // must reproduce its event count, end time, and query elapsed exactly.
 func kscaleRealProbe(o Options, prm config.Params, tuples, workers int, f sim.Fusion) kprobePoint {
 	spec := heapRel("Kprobe", tuples, 11)
-	build := func(s *sim.Sim) *core.Machine {
-		m := core.NewMachine(s, &prm, 8, 0)
-		loadSpecRel(m, spec)
-		return m
-	}
 	var ev atomic.Int64
 	var wc sim.WindowCounters
 	s := sim.New()
@@ -103,11 +97,11 @@ func kscaleRealProbe(o Options, prm config.Params, tuples, workers int, f sim.Fu
 	s.SetEventCounter(&ev)
 	s.SetWindowCounters(&wc)
 	setupStart := time.Now()
-	m := o.run.machine(s, imageKey{nDisk: 8, prm: prm, rels: relsKey([]relSpec{spec})}, build)
+	m := o.run.gammaOn(s, prm, 8, 0, false, []relSpec{spec})
 	o.run.addSetup(setupStart)
 	r, ok := m.Relation(spec.name)
 	if !ok {
-		panic("kernelscale: probe relation missing from machine image")
+		panic("kernelscale: probe relation missing from machine")
 	}
 	start := time.Now()
 	res := m.RunSelect(heapSel(10).of(r, tuples))

@@ -21,12 +21,13 @@ type Report struct {
 	// the suite total is schedule-independent while the per-experiment split
 	// under workers > 1 is first-come.
 	Events int64
-	// Setup is the cumulative machine-build wall time (image builds,
-	// restores, database loads) across the experiment's data points. Points
-	// can run in parallel, so Setup may exceed Wall.
+	// Setup is the cumulative machine-build wall time (relation-image
+	// builds, attaches, database loads) across the experiment's data points.
+	// Points can run in parallel, so Setup may exceed Wall.
 	Setup time.Duration
-	// ImageHits / ImageMisses count machine-image cache lookups: a miss
-	// built and snapshotted the database, a hit restored it copy-on-write.
+	// ImageHits / ImageMisses count relation-image cache lookups, one per
+	// relation per machine built: a miss loaded the relation and imaged it
+	// before attaching it, a hit attached an image the suite already had.
 	ImageHits   int64
 	ImageMisses int64
 	// SharedPoints counts the data points the experiment was handed from the
@@ -64,12 +65,18 @@ func (r Report) QueryWall() time.Duration {
 // with a fixed seed, so scheduling cannot reach the results. workers <= 1
 // runs everything on the calling goroutine.
 func RunSuite(exps []Experiment, o Options, workers int) []Report {
-	// One semaphore, one machine-image cache and one data-point cache serve
-	// the whole suite, always this run's own: experiments that build
-	// identical databases (the figure pairs, the table sizes) share images,
-	// and one that replots a sibling's sweep reads the sibling's
-	// measurements.
-	images, points := newImageCache(), newOnceMap[pointKey, any]()
+	return runSuite(exps, o, workers, newImageCache())
+}
+
+// runSuite is RunSuite on a given (empty) relation-image cache, which the
+// cache's tests read afterwards.
+func runSuite(exps []Experiment, o Options, workers int, images *imageCache) []Report {
+	// One semaphore, one relation-image cache and one data-point cache serve
+	// the whole suite, always this run's own: machines that hold the same
+	// relation (Tables 1-3 at one size, the figure pairs) attach one image
+	// of it, and an experiment that replots a sibling's sweep reads the
+	// sibling's measurements.
+	points := newOnceMap[pointKey, any]()
 	var sem chan struct{}
 	if workers > 1 {
 		sem = make(chan struct{}, workers)

@@ -21,6 +21,8 @@
 package teradata
 
 import (
+	"fmt"
+
 	"gamma/internal/config"
 	"gamma/internal/nose"
 	"gamma/internal/rel"
@@ -127,6 +129,55 @@ func (m *Machine) Load(name string, key rel.Attr, secondary []rel.Attr, tuples [
 	}
 	m.catalog[name] = r
 	return r
+}
+
+// RelationImage is an immutable image of one loaded relation's hash files,
+// one per AMP. It references no machine, so any number of machines — and
+// any number of names on one machine: on the DBC/1012 a relation with
+// secondary indices is physically the same hash file as one without, the
+// indices being catalog metadata — can attach it and share its pages
+// copy-on-write (every write goes through wiss.File's mutPage).
+type RelationImage struct {
+	n       int
+	keyAttr rel.Attr
+	files   []*wiss.FileImage
+}
+
+// Image captures the relation's files as an immutable image. The relation
+// stays usable; its pages are now copy-on-write.
+func (r *Relation) Image() *RelationImage {
+	img := &RelationImage{n: r.N, keyAttr: r.KeyAttr}
+	for _, fr := range r.Frags {
+		img.files = append(img.files, fr.File.Snapshot())
+	}
+	return img
+}
+
+// Attach catalogues the imaged relation under name with the given secondary
+// indices, exactly as if Load had just built it here: each AMP's store
+// allocates the next file id, so ids match a from-scratch Load of the same
+// relations in the same order. An image built for a different AMP count, or
+// a name already catalogued, is an error and leaves the machine untouched.
+func (m *Machine) Attach(name string, secondary []rel.Attr, img *RelationImage) (*Relation, error) {
+	if len(img.files) != len(m.AMPs) {
+		return nil, fmt.Errorf("teradata: attach %q: image built for %d AMPs, machine has %d",
+			name, len(img.files), len(m.AMPs))
+	}
+	if _, dup := m.catalog[name]; dup {
+		return nil, fmt.Errorf("teradata: attach %q: machine with %d AMPs already catalogues a relation of that name",
+			name, len(m.AMPs))
+	}
+	r := &Relation{Name: name, N: img.n, KeyAttr: img.keyAttr, Secondary: map[rel.Attr]bool{}}
+	for _, a := range secondary {
+		r.Secondary[a] = true
+	}
+	for i, nd := range m.AMPs {
+		f := m.stores[nd.ID].AdoptFile(img.files[i])
+		f.Name = name
+		r.Frags = append(r.Frags, &Fragment{Node: nd, File: f})
+	}
+	m.catalog[name] = r
+	return r, nil
 }
 
 // withSlack is the capacity to give a hash partition expected to hold n

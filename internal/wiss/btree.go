@@ -83,6 +83,10 @@ func NewBTree(f *File, attr rel.Attr, kind IndexKind) *BTree {
 // File returns the indexed data file.
 func (t *BTree) File() *File { return t.file }
 
+// FileID returns the id of the index's own file in its store's id space:
+// allocated after the indexed file's, in the order the indexes were built.
+func (t *BTree) FileID() int { return t.idxFileID }
+
 // Height returns the number of levels (0 for an empty tree).
 func (t *BTree) Height() int { return t.height }
 

@@ -15,6 +15,9 @@ import (
 // with each other; the copy-on-write paths in wiss.go (File.mutPage) and
 // btree.go (BTree.ensureOwned) clone on first write, so a restore is
 // O(file count + page directory), not O(data), and the image stays pristine.
+// One file's or index's image can also be adopted into a store that already
+// holds others, under a fresh id (AdoptFile, AdoptBTree): core's relation
+// images and the healer's re-replication are built on that.
 //
 // Taking a snapshot freezes the source store's pages too: the source keeps
 // working, but its next in-place write also goes through copy-on-write.
@@ -108,9 +111,10 @@ func (st *Store) FileByID(id int) (*File, bool) {
 // AdoptFile materializes a working copy of a file image on st under a FRESH
 // file id, sharing the image's pages copy-on-write. Unlike RestoreStore —
 // which rebuilds a whole store and must preserve ids — adoption grafts one
-// file into a store that already has its own id space (re-replication
-// streams a surviving fragment's image to a live node), so reusing the
-// source id could collide with an unrelated file there.
+// file into a store that has its own id space (core's Attach puts an imaged
+// relation on a machine as Load would; re-replication streams a surviving
+// fragment's image to a live node), so reusing the source id could collide
+// with an unrelated file there.
 func (st *Store) AdoptFile(img *FileImage) *File {
 	st.nextID++
 	f := &File{
