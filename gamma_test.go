@@ -4,6 +4,9 @@ import (
 	"testing"
 
 	"gamma"
+	"gamma/internal/config"
+	"gamma/internal/core"
+	"gamma/internal/sim"
 )
 
 // TestPublicAPIQuickstart exercises the facade end-to-end: machine
@@ -94,5 +97,41 @@ func TestConfigOverride(t *testing.T) {
 	slow, fast := run(0.6), run(6.0)
 	if fast >= slow {
 		t.Errorf("10x CPU did not help a CPU-bound scan: %v vs %v", fast, slow)
+	}
+}
+
+// TestLibraryMatchesBenchMachine: the machine this package hands out (a plain
+// sim.New()) and the one gammabench builds for its windowed experiments (a
+// simulation partitioned at the network's latency floor) are one model: the
+// same selection and joinABprime report the same response times and counts.
+// It is what keeps examples/, gammaql, gammatrace and gammaload printing the
+// numbers gammabench prints.
+func TestLibraryMatchesBenchMachine(t *testing.T) {
+	run := func(m *gamma.Machine) [2]gamma.Result {
+		u1 := gamma.Unique1
+		a := m.Load(gamma.LoadSpec{
+			Name: "tenktup", Strategy: gamma.Hashed, PartAttr: gamma.Unique1,
+			ClusteredIndex: &u1, NonClusteredIndexes: []gamma.Attr{gamma.Unique2},
+		}, gamma.Wisconsin(4000, 1))
+		b := m.Load(gamma.LoadSpec{Name: "bprime", Strategy: gamma.Hashed, PartAttr: gamma.Unique1},
+			gamma.Wisconsin(400, 7))
+		return [2]gamma.Result{
+			m.RunSelect(gamma.SelectQuery{Scan: gamma.ScanSpec{Rel: a, Pred: gamma.Between(gamma.Unique2, 0, 399)}}),
+			m.RunJoin(gamma.JoinQuery{
+				Build: gamma.ScanSpec{Rel: b, Pred: gamma.All()}, BuildAttr: gamma.Unique2,
+				Probe: gamma.ScanSpec{Rel: a, Pred: gamma.All()}, ProbeAttr: gamma.Unique2,
+				Mode: gamma.Remote,
+			}),
+		}
+	}
+	prm := config.Default()
+	s := sim.New()
+	s.Partition(prm.Net.MinLatency)
+	lib, bench := run(gamma.New(4, 4, nil)), run(core.NewMachine(s, &prm, 4, 4))
+	for i, name := range []string{"selection", "joinABprime"} {
+		if lib[i].Elapsed != bench[i].Elapsed || lib[i].Tuples != bench[i].Tuples || lib[i].Tuples == 0 {
+			t.Errorf("%s: library machine %v / %d tuples, partitioned machine %v / %d tuples",
+				name, lib[i].Elapsed, lib[i].Tuples, bench[i].Elapsed, bench[i].Tuples)
+		}
 	}
 }

@@ -50,13 +50,16 @@ type Options struct {
 	CampaignSeed   uint64
 	CampaignFaults int
 
-	// windowedOK marks the experiment as safe for positive-lookahead
-	// windowed execution: its Gamma workload routes every cross-node
-	// interaction through the nose latency floor. Experiments that inject
-	// faults, share machines across concurrent queries, or build Teradata
-	// machines leave it false and always run at lookahead 0. It is a value,
-	// not part of run: windowed()/serialized() flip it on copies, and a
-	// Gamma machine must not leak the flip to its Teradata reference.
+	// windowedOK is a hint to the host kernel, not a property of the
+	// simulated machine: the experiment's Gamma workload routes every
+	// cross-node interaction through the nose latency floor, so its shards
+	// may run in conservative windows of Net.MinLatency. Experiments that
+	// inject faults, share machines across concurrent queries, or build
+	// Teradata machines leave it false and run in one global event order.
+	// Either way the tables are the same (TestKernelEquivalenceAcrossLookahead).
+	// It is a value, not part of run: windowed()/serialized() flip it on
+	// copies, and a Gamma machine must not leak the flip to its Teradata
+	// reference.
 	windowedOK bool
 
 	// run is the plumbing RunSuite threads through an experiment; nil
@@ -143,16 +146,15 @@ func (o Options) withPage(pageBytes int) Options {
 }
 
 // windowed marks the experiment's machines as safe for positive-lookahead
-// windows. The registry applies it, from its windowed column, and nothing
-// else does.
+// windows. The registry applies it, from its windowed column.
 func (o Options) windowed() Options {
 	o.windowedOK = true
 	return o
 }
 
-// serialized is the inverse: it pins the machines built from the returned
-// options at lookahead 0 (Teradata models, fault injection, shared-machine
-// concurrency).
+// serialized is the inverse: the machines built from the returned options
+// run in one global event order (Teradata models, fault injection,
+// shared-machine concurrency).
 func (o Options) serialized() Options {
 	o.windowedOK = false
 	return o

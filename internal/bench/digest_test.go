@@ -23,12 +23,12 @@ import (
 // the commit before experiments became rows of declaration tables.
 var resultDigests = map[string]string{
 	"table1":    "1910f2e8ccef6e7e1c94185766ccc8505f526e36d2dffc2711f4e430d6266621",
-	"table2":    "8637a49a2e5b88d32316db5f01933e1b78649b224bfa903bf469162c0567819e",
-	"table3":    "2c27250c9ff24cd01b8ed8245cbf68b60fa23eb3d07aa32c6ac1b8d106a35633",
+	"table2":    "c859a2870a4952fc332d67a81b52187376234db5cca1bfb464455366b3ab36f6",
+	"table3":    "6e7477210c2a7b06ea37107c92e22c8b4c654c37b6909fc3b72bd5f23de13e53",
 	"fig1":      "1ad3d757cfec864ca29828be7ad9d9645de14c854da225ad49c240266ab6c714",
 	"fig9":      "90daedddb921d6e6c04fbfe035d8fddb679a0c3bb33cbc7aa9bb09acf8fec258",
-	"multiuser": "95657c0ec580504c4b562f66575bb01c0a9bf57f39ea06df57a443ea759d00d8",
-	"degraded":  "b24b64e04e57beab8733553924809a57c702c9ecf857636a25328d2121fd0f74",
+	"multiuser": "39386024342c039a6e78dc132f649899649530d2668921df5a427fe0c7331dab",
+	"degraded":  "4d97479a29ec403d27d8730ebd5550d578ed80dcbce56c617bb5de6b4eb29dad",
 
 	"fig2":      "6f3f4f37baec4f0a6db2eb6c812c0b1d795e92d8cc17d2caeeb27bdf9ae4d6e5",
 	"fig10":     "eb0c19fe7f755a3b847fd341ce86907593f948e539d8a515cfc726d264d315e0",
@@ -46,20 +46,20 @@ var resultDigests = map[string]string{
 	"fig8":             "58bf2aff3197c465a79006c9c9e322312777722d067277383372744795c82ff3",
 	"fig14":            "bbaefc4b5bf40eb5bc13d6aee80cef34a179014b97b7237c5d589f4986ffb2c3",
 	"fig15":            "2728b7295ee0b1a54f98c45defcb5d6cb0a500ee9cbe85191b564ba1938256ac",
-	"aggregate":        "9c4f0f7d321b61d2ea7e5ee16311c76987a9ae7d4425936fbdea2bfa3218bbf1",
-	"availability":     "85cd0399064f692bffe2d6b5dea4ddcce387725b7caf7f6104bfc04164de4f24",
+	"aggregate":        "8c378261dc35cd01cbab204863fca36b3f3b7c63a082b9d83030259e977e749e",
+	"availability":     "71d42bfed384db598fe4a63d5e87acf33dd63569a45bac7dec238976ff0b0013",
 	"netgen":           "006e1c521aaeaee143aaf6070dfb01edc0f69229ca5e5cc03b6d41f893ee39a3",
 	"pagesize-default": "c5992bbe91ed9a9ccd2d01fb33aba119eba0aa7de8abdd717ab154573f4dfd1e",
-	"placement":        "d59262d82da00b0b7e85ba26891036982e577f28a86672739d0d8db048eb87d0",
-	"recovery":         "22294c338dbbe352eb6386d170575249d1c88d6be0554de7c520ee47e41bd51c",
-	"scale100":         "15d3336393b0ec51d05f7c07006dc627149656bad7169601816fb34d1b5221a8",
+	"placement":        "6d57e461d86b06d49e21dd97ac2bce99d1490f793cf2d54fef33294160236e4e",
+	"recovery":         "ecee9754af8f77d3b891ae77684475f64dfb6d8d628f2e5e80f36fd08e33b1e9",
+	"scale100":         "0dcc7024d801e6100fb419bdfdfc122ac26722bb39f2e0e6e73570c27a9af6ec",
 	"scaleup":          "70098a5cfe37280deac26ad82dc9be8fb5a4f582e5dfec691776aaf22d24b8c4",
 }
 
 // suiteDigest is the sha256 of what `gammabench -quick -parallel 1` prints
 // for the resultDigests experiments in -list order: one number that says
 // whether anything the suite reports moved.
-const suiteDigest = "e1d884e35508410741590269d581638ab74382bc2fb2fb2bc3f1c384160f1a5c"
+const suiteDigest = "8ae477d1ad4ebc58d2a28972ccdf919c6c2224034ba1b51d0af9215d68c44989"
 
 func TestResultDigests(t *testing.T) {
 	if testing.Short() {

@@ -118,6 +118,26 @@ func TestKernelEquivalenceSuite(t *testing.T) {
 	}
 }
 
+// TestKernelEquivalenceAcrossLookahead: the registry's windowed column is a
+// hint to the host kernel and selects no model. A cross-section of windowed
+// experiments — selections with a Teradata reference, joins, the fast
+// generations' batched exchange, overflow rounds — prints the same bytes
+// with the hint on (shards at lookahead Net.MinLatency, per-shard event
+// keys) and off (one heap, one global key counter): every operator start
+// crosses the ring on both.
+func TestKernelEquivalenceAcrossLookahead(t *testing.T) {
+	o := tinyOptions()
+	for _, row := range registry {
+		switch row.id {
+		case "table1", "fig9", "netgen", "hybrid":
+			on, off := renderTable(row.run(o.windowed())), renderTable(row.run(o.serialized()))
+			if !bytes.Equal(on, off) {
+				t.Errorf("%s: windowed and serialized machines print different tables:\n--- windowed ---\n%s--- serialized ---\n%s", row.id, on, off)
+			}
+		}
+	}
+}
+
 // tracedWorkloadOn builds a small traced Gamma machine with the given
 // hardware parameters on kernel variant v at lookahead la, runs a heap
 // selection and an indexed selection, and returns the full trace stream

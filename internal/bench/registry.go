@@ -9,14 +9,15 @@ type Experiment struct {
 	Run   func(o Options) *Table
 }
 
-// registry is every experiment the package can run, and the only way to one:
-// an entry's run function is named nowhere else (TestRegistryOnlyEntryPoint),
-// so nothing can simulate an experiment on the wrong model. windowed marks
-// the experiments whose Gamma machines are safe to run in positive-lookahead
-// parallel windows: single-query-at-a-time workloads with no fault
-// injection, where every cross-node interaction goes through the nose
-// latency floor. Machines that must stay serialized inside one (Teradata
-// references) opt back out individually.
+// registry is every experiment the package can run. windowed is a hint to
+// the host kernel and selects no model: it marks the experiments whose Gamma
+// machines are safe to run in positive-lookahead parallel windows —
+// single-query-at-a-time workloads with no fault injection, where every
+// cross-node interaction goes through the nose latency floor. An experiment
+// prints the same table with the hint flipped
+// (TestKernelEquivalenceAcrossLookahead). Machines that must stay serialized
+// inside a windowed experiment (Teradata references) opt back out
+// individually.
 var registry = []struct {
 	id, title string
 	windowed  bool

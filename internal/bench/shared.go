@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"gamma/internal/config"
-	"gamma/internal/sim"
 )
 
 // onceMap is a singleflight cache: get builds the value of a key on first
@@ -65,16 +64,14 @@ func (c *onceMap[K, V]) len() int {
 // pointKey identifies one data point: which sweep (or other measurement) with
 // which arguments, plus everything of Options that shapes a simulated result
 // (maxProcs shapes a sweep, not a point; it is here so that a point which
-// ever reads it cannot alias; lookahead separates a windowed machine from a
-// serialized one, which differ by the §6.2.3 initiation latency). Kernel and
-// workers are absent on purpose: they are fixed for a suite and cannot reach
-// a table (the kernel-equivalence tests).
+// ever reads it cannot alias). Kernel, workers and the registry's windowed
+// hint are absent on purpose: they choose how the host runs a simulation and
+// cannot reach a table (the kernel-equivalence tests).
 type pointKey struct {
 	point        string // measurement name and arguments, canonically rendered
 	prm          config.Params
 	figureTuples int
 	maxProcs     int
-	lookahead    sim.Dur
 }
 
 // point builds the key of the named sweep's or measurement's point at args
@@ -85,7 +82,6 @@ func (o Options) point(name string, args ...any) pointKey {
 		prm:          o.params(),
 		figureTuples: o.FigureTuples,
 		maxProcs:     o.MaxProcs,
-		lookahead:    o.lookahead(),
 	}
 }
 

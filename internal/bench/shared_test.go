@@ -91,7 +91,6 @@ func TestPointKeysIsolate(t *testing.T) {
 	add("ratio 0.5", o.point("memJoin", core.Remote, core.SimpleHash, 0.5))
 	add("ratio 0.6", o.point("memJoin", core.Remote, core.SimpleHash, 0.6))
 	add("hybrid 0.5", o.point("memJoin", core.Remote, core.HybridHash, 0.5))
-	add("serialized", o.serialized().point("joinABprime", 1, core.Remote, rel.Unique1))
 	add("2 KB pages", o.withPage(2048).point("joinABprime", 1, core.Remote, rel.Unique1))
 	add("8 KB pages", o.withPage(8192).point("joinABprime", 1, core.Remote, rel.Unique1))
 	add("twice the tuples", bigger.point("joinABprime", 1, core.Remote, rel.Unique1))
@@ -110,6 +109,11 @@ func TestPointKeysIsolate(t *testing.T) {
 	}
 	if k := o.withPage(o.params().PageBytes).point("joinABprime", 1, core.Remote, rel.Unique1); keys[k] != "base" {
 		t.Errorf("explicit default page size rendered a different key: %+v", k)
+	}
+	// One machine model: the windowed hint picks a host kernel, so a
+	// serialized request for the point is the same point.
+	if k := o.serialized().point("joinABprime", 1, core.Remote, rel.Unique1); keys[k] != "base" {
+		t.Errorf("a serialized request rendered a different key than a windowed one: %+v", k)
 	}
 
 	seconds, _ := Lookup("fig1")

@@ -155,10 +155,9 @@ func (m *Machine) RunAgg(q AggQuery) AggResult {
 func (m *Machine) runScalarAgg(p *sim.Proc, ib *inbox, schedPort *nose.Port, q AggQuery, scan ScanSpec, frags []*Fragment, combiner *nose.Node, out *AggResult) {
 	// The combiner is a tiny operator: it receives one control message per
 	// scan site and folds the partials.
-	m.initOp(p, combiner)
 	comboPort := combiner.NewPort("agg-combine")
 	nSites := len(frags)
-	m.spawnOn(p, combiner, fmt.Sprintf("agg-combine@%d", combiner.ID), func(cp *sim.Proc) {
+	m.initiate(p, combiner, fmt.Sprintf("agg-combine@%d", combiner.ID), func(cp *sim.Proc) {
 		total := &aggState{}
 		seen := 0
 		for i := 0; i < nSites; i++ {
@@ -171,9 +170,8 @@ func (m *Machine) runScalarAgg(p *sim.Proc, ib *inbox, schedPort *nose.Port, q A
 		nose.SendCtl(cp, combiner, schedPort, aggDone{groups: map[int32]int64{0: total.value(q.Fn)}, seen: seen})
 	})
 	for si, frag := range frags {
-		m.initOp(p, frag.Node)
 		fr, site := frag, si
-		m.spawnOn(p, fr.Node, fmt.Sprintf("agg-scan@%d", fr.Node.ID), func(sp *sim.Proc) {
+		m.initiate(p, fr.Node, fmt.Sprintf("agg-scan@%d", fr.Node.ID), func(sp *sim.Proc) {
 			st := &aggState{}
 			seen := scanFold(sp, m, fr, scan, func(t rel.Tuple) { st.add(int64(t.Get(q.Attr))) })
 			conn := fr.Node.Dial(comboPort)
@@ -197,9 +195,8 @@ func (m *Machine) runGroupedAgg(p *sim.Proc, ib *inbox, schedPort *nose.Port, q 
 	groupAttr := *q.GroupBy
 	nSites := len(frags)
 	for ai, nd := range aggNodes {
-		m.initOp(p, nd)
 		node, port := nd, ports[ai]
-		m.spawnOn(p, nd, fmt.Sprintf("agg@%d", nd.ID), func(ap *sim.Proc) {
+		m.initiate(p, nd, fmt.Sprintf("agg@%d", nd.ID), func(ap *sim.Proc) {
 			groups := map[int32]*aggState{}
 			seen := 0
 			recvStream(ap, port, streamStore, nSites, func(ts []rel.Tuple) {
@@ -219,12 +216,11 @@ func (m *Machine) runGroupedAgg(p *sim.Proc, ib *inbox, schedPort *nose.Port, q 
 		})
 	}
 	for si, frag := range frags {
-		m.initOp(p, frag.Node)
 		spawnSelect(m, p, "agg-select", si, frag, scan.Pred, scan.Path, func() selectOutput {
 			return selectOutput{stream: streamStore, ports: ports, route: HashRoute(groupAttr, LoadSeed, nA)}
 		}, schedPort)
 	}
-	ib.mustDones("agg-select", nSites)
+	mustCollect(ib, ib.dones, "agg-select", nSites)
 	out.Groups = map[int32]int64{}
 	for i := 0; i < nA; i++ {
 		part := ib.waitAggPartial()

@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"gamma/internal/disk"
 	"gamma/internal/nose"
@@ -54,12 +55,12 @@ func (m *Machine) CrashDisk(site int) {
 	if nd.Failed() {
 		return
 	}
-	m.siteEpochs[site]++
+	m.crashes[nd.ID]++
 	m.Sim.Emit(trace.Event{
 		At: int64(m.Sim.Now()), Kind: trace.KindFault, Class: "node-crash",
 		Node: nd.ID, Site: site,
 	})
-	for _, p := range append([]*sim.Proc(nil), m.procs[nd.ID]...) {
+	for _, p := range slices.Clone(m.procs[nd.ID]) {
 		p.Kill()
 	}
 	nd.Fail()
@@ -221,47 +222,44 @@ func reportDriveLoss(m *Machine, p *sim.Proc, nd *nose.Node, opID string, sched 
 	panic(r)
 }
 
-// spawnOn starts an operator process bound to a node: a crash of that node
-// kills it, and a process spawned for an already-failed node never runs.
-// All operator processes go through here so CrashDisk can find them.
+// start runs fn as a process of node nd, registered so that a crash of the
+// node kills it; a process started for an already-failed node never runs.
+// Every process bound to a node's fate goes through here so CrashDisk can
+// find it.
 //
-// from is the process initiating the operator (the scheduler, usually); nil
-// means a serialized context outside any process. On the serialized kernel
-// (lookahead 0) the spawn is immediate and the process is registered so
-// CrashDisk can kill it. Under a positive-lookahead kernel a cross-shard
-// spawn is itself a network message: it is routed to the operator's shard
-// and the process starts one latency floor later, exactly like the
-// scheduler-initiation control messages it models (§6.2.3). Fault injection
-// is a lookahead-0 feature, so the kill registry is skipped on that path.
-func (m *Machine) spawnOn(from *sim.Proc, nd *nose.Node, name string, fn func(p *sim.Proc)) {
+// from is the process asking for the start, on another node: the request is
+// a message, so it crosses the ring and the process starts one Net.MinLatency
+// later — unless the node crashed while the request was in flight, which
+// loses it even if the node has rejoined by then (the crash count at send
+// and at landing differ). A nil from is a node starting a process of its
+// own, at once (kernel context, or a process on nd's shard). Either way the
+// registry entry of a node is written only from that node's shard.
+func (m *Machine) start(from *sim.Proc, nd *nose.Node, name string, fn func(p *sim.Proc)) {
 	if nd.Failed() {
 		return
 	}
-	if m.Sim.Lookahead() > 0 {
-		if from == nil || from.Shard() == nd.Part {
-			nd.Part.Spawn(name, fn)
-			return
-		}
-		from.Shard().Send(nd.Part, from.Now()+m.Prm.Net.MinLatency, func() {
-			if !nd.Failed() {
-				nd.Part.Spawn(name, fn)
-			}
+	run := func() {
+		var pr *sim.Proc
+		pr = nd.Part.Spawn(name, func(p *sim.Proc) {
+			defer func() {
+				// Deregister on any exit (normal, killed, or panicking).
+				live := m.procs[nd.ID]
+				if i := slices.Index(live, pr); i >= 0 {
+					m.procs[nd.ID] = slices.Delete(live, i, i+1)
+				}
+			}()
+			fn(p)
 		})
+		m.procs[nd.ID] = append(m.procs[nd.ID], pr)
+	}
+	if from == nil {
+		run()
 		return
 	}
-	var pr *sim.Proc
-	pr = m.Sim.SpawnOn(nd.Part, name, func(p *sim.Proc) {
-		defer func() {
-			// Deregister on any exit (normal, killed, or panicking).
-			live := m.procs[nd.ID]
-			for i, q := range live {
-				if q == pr {
-					m.procs[nd.ID] = append(live[:i], live[i+1:]...)
-					break
-				}
-			}
-		}()
-		fn(p)
+	sent := m.crashes[nd.ID]
+	from.Shard().Send(nd.Part, from.Now()+m.Prm.Net.MinLatency, func() {
+		if m.crashes[nd.ID] == sent {
+			run()
+		}
 	})
-	m.procs[nd.ID] = append(m.procs[nd.ID], pr)
 }

@@ -157,13 +157,13 @@ func (h *Healer) Stats() HealStats {
 	}
 }
 
-// spawnHeartbeat starts site's status reporter. Registered through spawnOn,
-// so a crash of the node kills it — which is exactly what makes the site go
-// silent at the healer.
+// spawnHeartbeat starts site's status reporter, the node's own process (no
+// scheduler pays for it). Registered through Machine.start, so a crash of the
+// node kills it — which is exactly what makes the site go silent at the healer.
 func (h *Healer) spawnHeartbeat(site int) {
 	m := h.m
 	nd := m.Disk[site]
-	m.spawnOn(nil, nd, fmt.Sprintf("heartbeat@%d", nd.ID), func(p *sim.Proc) {
+	m.start(nil, nd, fmt.Sprintf("heartbeat@%d", nd.ID), func(p *sim.Proc) {
 		for p.Now() < h.cfg.Horizon {
 			nose.SendCtl(p, nd, h.port, heartbeat{site: site, driveOK: !nd.Drive.Failed()})
 			p.Sleep(h.cfg.Interval)
@@ -335,7 +335,7 @@ func (h *Healer) startRebuild(p *sim.Proc, r *Relation, i int) {
 	newFile := st.AdoptFile(fimg)
 	pages := fimg.Pages()
 	pageBytes := m.Prm.PageBytes
-	m.spawnOn(p, src.Node, fmt.Sprintf("rebuild:%s", key), func(cp *sim.Proc) {
+	m.start(p, src.Node, fmt.Sprintf("rebuild:%s", key), func(cp *sim.Proc) {
 		done := false
 		defer func() {
 			// Any exit before completion — source crash (kill), source or

@@ -160,7 +160,10 @@ type joinSpec struct {
 // hash-partitioned join of [DEWI85] (§6).
 func spawnJoin(spec joinSpec) {
 	m := spec.m
-	m.spawnOn(spec.from, spec.node, fmt.Sprintf("%s@%d", spec.opID, spec.node.ID), func(p *sim.Proc) {
+	m.initiate(spec.from, spec.node, fmt.Sprintf("%s@%d", spec.opID, spec.node.ID), func(p *sim.Proc) {
+		if spec.port.Closed() {
+			return // the node went down, taking the mailbox, after the scheduler set the operator up
+		}
 		phase := func(kind trace.Kind, label string, n int) {
 			if !m.Sim.Tracing() {
 				return

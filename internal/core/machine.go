@@ -75,11 +75,11 @@ type Machine struct {
 	rec      *Recovery
 
 	// Fault/failover state (see fault-tolerance methods in fault.go).
-	mirrored   bool
-	ftDetect   sim.Dur             // operator-silence detection timeout; 0 = failover off
-	procs      map[int][]*sim.Proc // live operator processes per node
-	siteEpochs map[int]int         // per-disk-site crash count (bumped by CrashDisk)
-	healer     *Healer             // non-nil after EnableHealing (heal.go)
+	mirrored bool
+	ftDetect sim.Dur       // operator-silence detection timeout; 0 = failover off
+	procs    [][]*sim.Proc // live node-bound processes, by node ID; an entry is written only from its node's shard
+	crashes  []int         // crash count by node ID (bumped by CrashDisk)
+	healer   *Healer       // non-nil after EnableHealing (heal.go)
 
 	// Trace is the structured event collector, non-nil after EnableTrace.
 	Trace *trace.Collector
@@ -96,13 +96,11 @@ func NewMachine(s *sim.Sim, prm *config.Params, nDisk, nDiskless int) *Machine {
 		panic("core: need at least one disk processor")
 	}
 	m := &Machine{
-		Sim:        s,
-		Prm:        prm,
-		Net:        nose.NewNetwork(s, prm.Net, prm.CPU),
-		stores:     make(map[int]*wiss.Store),
-		catalog:    make(map[string]*Relation),
-		procs:      make(map[int][]*sim.Proc),
-		siteEpochs: make(map[int]int),
+		Sim:     s,
+		Prm:     prm,
+		Net:     nose.NewNetwork(s, prm.Net, prm.CPU),
+		stores:  make(map[int]*wiss.Store),
+		catalog: make(map[string]*Relation),
 	}
 	m.Host = m.Net.AddNode(false, prm.Disk)
 	m.Sched = m.Net.AddNode(false, prm.Disk)
@@ -117,6 +115,8 @@ func NewMachine(s *sim.Sim, prm *config.Params, nDisk, nDiskless int) *Machine {
 		nd := m.Net.AddNodeOn(m.Disk[i%nDisk])
 		m.Diskless = append(m.Diskless, nd)
 	}
+	m.procs = make([][]*sim.Proc, len(m.Net.Nodes()))
+	m.crashes = make([]int, len(m.Net.Nodes()))
 	return m
 }
 

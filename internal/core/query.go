@@ -90,18 +90,20 @@ type Result struct {
 	Attempts int
 }
 
-// initOp charges the scheduler the §6.2.3 cost of initiating one operator on
-// one node: MsgsPerOperatorInit control messages of CtlMsg each, serialized
-// on the scheduler's CPU. The cost is attributed in the trace as a control-
-// message event so Diagnose's "ctl" class can surface scheduler-bound
-// queries (§6.2.3's short-query regime).
-func (m *Machine) initOp(p *sim.Proc, node *nose.Node) {
-	n := m.Prm.Engine.MsgsPerOperatorInit
-	cost := sim.Dur(n) * m.Prm.Net.CtlMsg
+// initiate starts an operator process on a node the way Gamma's scheduler
+// does (§6.2.3), on every machine: MsgsPerOperatorInit control messages of
+// CtlMsg each, serialized on the scheduler's CPU, and then the start itself
+// crosses the ring (Machine.start), so the operator begins one Net.MinLatency
+// after the scheduler has paid for it. The cost is attributed in the trace as
+// a control-message event so Diagnose's "ctl" class can surface scheduler-
+// bound queries (§6.2.3's short-query regime).
+func (m *Machine) initiate(p *sim.Proc, node *nose.Node, name string, fn func(p *sim.Proc)) {
+	cost := sim.Dur(m.Prm.Engine.MsgsPerOperatorInit) * m.Prm.Net.CtlMsg
 	m.Sched.CPU.Use(p, cost)
 	if m.Sim.Tracing() {
 		p.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KindCtlMsg, From: m.Sched.ID, To: node.ID, Dur: int64(cost)})
 	}
+	m.start(p, node, name, fn)
 }
 
 // JoinNodes returns the processors that execute join operators in a mode,
@@ -260,8 +262,10 @@ func (ib *inbox) pump() error {
 
 // mustPump is pump for query types that do not participate in failover
 // (aggregates, updates, sorts): a site failure there is fatal.
-func (ib *inbox) mustPump() {
-	if err := ib.pump(); err != nil {
+func (ib *inbox) mustPump() { noFailover(ib.pump()) }
+
+func noFailover(err error) {
+	if err != nil {
 		panic("core: " + err.Error() + " (query type does not support failover)")
 	}
 }
@@ -293,67 +297,23 @@ func (ib *inbox) waitUpdates(n int) []updateDone {
 	return out
 }
 
-func (ib *inbox) waitDones(op string, n int) ([]doneMsg, error) {
-	for len(ib.dones[op]) < n {
+// collect blocks until n completion reports for op have been filed in box —
+// one of the inbox's per-kind maps — and takes them.
+func collect[T any](ib *inbox, box map[string][]T, op string, n int) ([]T, error) {
+	for len(box[op]) < n {
 		if err := ib.pump(); err != nil {
 			return nil, err
 		}
 	}
-	out := ib.dones[op]
-	delete(ib.dones, op)
+	out := box[op]
+	delete(box, op)
 	return out, nil
 }
 
-func (ib *inbox) waitBuilts(op string, n int) ([]builtMsg, error) {
-	for len(ib.builts[op]) < n {
-		if err := ib.pump(); err != nil {
-			return nil, err
-		}
-	}
-	out := ib.builts[op]
-	delete(ib.builts, op)
-	return out, nil
-}
-
-func (ib *inbox) waitProbeds(op string, n int) ([]probedMsg, error) {
-	for len(ib.probeds[op]) < n {
-		if err := ib.pump(); err != nil {
-			return nil, err
-		}
-	}
-	out := ib.probeds[op]
-	delete(ib.probeds, op)
-	return out, nil
-}
-
-func (ib *inbox) waitStores(op string, n int) ([]storeDone, error) {
-	for len(ib.stores[op]) < n {
-		if err := ib.pump(); err != nil {
-			return nil, err
-		}
-	}
-	out := ib.stores[op]
-	delete(ib.stores, op)
-	return out, nil
-}
-
-// mustDones is waitDones for non-failover query types.
-func (ib *inbox) mustDones(op string, n int) []doneMsg {
-	for len(ib.dones[op]) < n {
-		ib.mustPump()
-	}
-	out := ib.dones[op]
-	delete(ib.dones, op)
-	return out
-}
-
-// mustStores is waitStores for non-failover query types.
-func (ib *inbox) mustStores(op string, n int) []storeDone {
-	for len(ib.stores[op]) < n {
-		ib.mustPump()
-	}
-	out := ib.stores[op]
-	delete(ib.stores, op)
+// mustCollect is collect for non-failover query types.
+func mustCollect[T any](ib *inbox, box map[string][]T, op string, n int) []T {
+	out, err := collect(ib, box, op, n)
+	noFailover(err)
 	return out
 }
 
@@ -411,8 +371,8 @@ func (m *Machine) newQueryFT() *queryFT {
 // resnap records disk-site health at the start of an attempt.
 func (ft *queryFT) resnap() {
 	ft.snap = ft.snap[:0]
-	for i, nd := range ft.m.Disk {
-		ft.snap = append(ft.snap, siteSnap{up: ft.m.driveUp(nd), epoch: ft.m.siteEpochs[i]})
+	for _, nd := range ft.m.Disk {
+		ft.snap = append(ft.snap, siteSnap{up: ft.m.driveUp(nd), epoch: ft.m.crashes[nd.ID]})
 	}
 }
 
@@ -422,7 +382,7 @@ func (ft *queryFT) resnap() {
 func (ft *queryFT) newlyFailed() []int {
 	var out []int
 	for i, nd := range ft.m.Disk {
-		if ft.snap[i].up && (!ft.m.driveUp(nd) || ft.m.siteEpochs[i] != ft.snap[i].epoch) {
+		if ft.snap[i].up && (!ft.m.driveUp(nd) || ft.m.crashes[nd.ID] != ft.snap[i].epoch) {
 			out = append(out, i)
 		}
 	}
@@ -496,15 +456,10 @@ func (m *Machine) retryBackoff(p *sim.Proc, ib *inbox, res *Result) {
 // launchQuery spawns the host and scheduler processes around `body` without
 // running the simulation, so several queries can execute concurrently (each
 // query gets its own scheduler, as in Gamma, where the dispatcher activates
-// one idle scheduler process per query, §2).
-func (m *Machine) launchQuery(res *Result, body func(p *sim.Proc, ib *inbox, schedPort *nose.Port)) {
-	m.launchQueryDone(res, body, nil)
-}
-
-// launchQueryDone is launchQuery with a completion hook: onDone (if non-nil)
-// runs in the host process after the query's result is final. The closed-loop
-// workload driver uses it to wake the issuing terminal.
-func (m *Machine) launchQueryDone(res *Result, body func(p *sim.Proc, ib *inbox, schedPort *nose.Port), onDone func()) {
+// one idle scheduler process per query, §2). onDone, if non-nil, runs in the
+// host process after the query's result is final; the closed-loop workload
+// driver uses it to wake the issuing terminal.
+func (m *Machine) launchQuery(res *Result, body func(p *sim.Proc, ib *inbox, schedPort *nose.Port), onDone func()) {
 	start := m.Sim.Now()
 	m.nextQID++
 	res.Query = fmt.Sprintf("q%d", m.nextQID)
@@ -546,7 +501,7 @@ func (m *Machine) runQuery(res *Result, body func(p *sim.Proc, ib *inbox, schedP
 	net0 := m.Net.Stats()
 	hits0, misses0 := m.PoolStats()
 	scanned0, delivered0 := m.SharedScanStats()
-	m.launchQuery(res, body)
+	m.launchQuery(res, body, nil)
 	m.Sim.Run()
 	net1 := m.Net.Stats()
 	res.DataPackets = net1.DataPackets - net0.DataPackets
@@ -585,7 +540,6 @@ func (m *Machine) setupStores(p *sim.Proc, ib *inbox, schedPort *nose.Port, res 
 	res.ResultName = resRel.Name
 	for i, frag := range resRel.Frags {
 		pt := frag.Node.NewPort(fmt.Sprintf("%s%d", ss.op, i))
-		m.initOp(p, frag.Node)
 		spawnStore(m, p, ss.op, i, frag, pt, schedPort)
 		ss.ports = append(ss.ports, pt)
 	}
@@ -598,7 +552,7 @@ func (ss *storeSet) close(m *Machine, p *sim.Proc, ib *inbox, expectEOS int) (in
 	for _, pt := range ss.ports {
 		nose.SendCtl(p, m.Sched, pt, storeClose{expectEOS: expectEOS})
 	}
-	sds, err := ib.waitStores(ss.op, len(ss.ports))
+	sds, err := collect(ib, ib.stores, ss.op, len(ss.ports))
 	if err != nil {
 		return 0, err
 	}
@@ -700,7 +654,6 @@ func (m *Machine) trySelect(p *sim.Proc, ib *inbox, schedPort *nose.Port, q Sele
 	}
 	selOp := "select" + ib.tag()
 	for si, frag := range frags {
-		m.initOp(p, frag.Node)
 		spawnSelect(m, p, selOp, si, frag, scan.Pred, scan.Path, func() selectOutput {
 			return selectOutput{
 				stream: streamStore, ports: ss.ports, route: RRRoute(len(ss.ports)),
@@ -709,7 +662,7 @@ func (m *Machine) trySelect(p *sim.Proc, ib *inbox, schedPort *nose.Port, q Sele
 		}, schedPort)
 	}
 	err = func() error {
-		dones, err := ib.waitDones(selOp, len(frags))
+		dones, err := collect(ib, ib.dones, selOp, len(frags))
 		if err != nil {
 			return err
 		}
@@ -812,15 +765,14 @@ func (m *Machine) runRounds(p *sim.Proc, ib *inbox, schedPort *nose.Port, st *st
 			if info.owner != nil {
 				reader = info.owner
 			}
-			m.initOp(p, reader)
 			spawnSpoolScan(m, p, st.opID+".ovfbuild", si, info.build, info.owner, reader, func() selectOutput {
 				return selectOutput{stream: roundStream(l, false), ports: st.ports, route: HashRoute(st.buildAttr, roundSeed(l), nJ)}
 			}, schedPort)
 		}
-		if _, err := ib.waitDones(st.opID+".ovfbuild", nJ); err != nil {
+		if _, err := collect(ib, ib.dones, st.opID+".ovfbuild", nJ); err != nil {
 			return err
 		}
-		if _, err := ib.waitBuilts(st.opID, nJ); err != nil {
+		if _, err := collect(ib, ib.builts, st.opID, nJ); err != nil {
 			return err
 		}
 
@@ -834,15 +786,14 @@ func (m *Machine) runRounds(p *sim.Proc, ib *inbox, schedPort *nose.Port, st *st
 			if info.owner != nil {
 				reader = info.owner
 			}
-			m.initOp(p, reader)
 			spawnSpoolScan(m, p, st.opID+".ovfprobe", si, info.probe, info.owner, reader, func() selectOutput {
 				return selectOutput{stream: roundStream(l, true), ports: st.ports, route: HashRoute(st.probeAttr, roundSeed(l), nJ)}
 			}, schedPort)
 		}
-		if _, err := ib.waitDones(st.opID+".ovfprobe", nJ); err != nil {
+		if _, err := collect(ib, ib.dones, st.opID+".ovfprobe", nJ); err != nil {
 			return err
 		}
-		probeds, err := ib.waitProbeds(st.opID, nJ)
+		probeds, err := collect(ib, ib.probeds, st.opID, nJ)
 		if err != nil {
 			return err
 		}
@@ -947,7 +898,6 @@ func (m *Machine) tryJoin(p *sim.Proc, ib *inbox, schedPort *nose.Port, q JoinQu
 		if q.Build2 != nil {
 			st2 = m.newStage("join2"+tag, joinNodes, q.Build2Attr, q.Probe2Attr)
 			for si, nd := range joinNodes {
-				m.initOp(p, nd)
 				spawnJoin(joinSpec{
 					m: m, from: p, opID: st2.opID, site: si, node: nd, port: st2.ports[si], sched: schedPort,
 					buildAttr: q.Build2Attr, probeAttr: q.Probe2Attr,
@@ -957,15 +907,14 @@ func (m *Machine) tryJoin(p *sim.Proc, ib *inbox, schedPort *nose.Port, q JoinQu
 				})
 			}
 			for si, frag := range b2frags {
-				m.initOp(p, frag.Node)
 				spawnSelect(m, p, "sel-build2"+tag, si, frag, build2.Pred, build2.Path, func() selectOutput {
 					return selectOutput{stream: streamBuild, ports: st2.ports, route: HashRoute(q.Build2Attr, LoadSeed, nJ)}
 				}, schedPort)
 			}
-			if _, err := ib.waitDones("sel-build2"+tag, len(b2frags)); err != nil {
+			if _, err := collect(ib, ib.dones, "sel-build2"+tag, len(b2frags)); err != nil {
 				return err
 			}
-			if _, err := ib.waitBuilts(st2.opID, nJ); err != nil {
+			if _, err := collect(ib, ib.builts, st2.opID, nJ); err != nil {
 				return err
 			}
 		}
@@ -981,7 +930,6 @@ func (m *Machine) tryJoin(p *sim.Proc, ib *inbox, schedPort *nose.Port, q JoinQu
 			mkOutRoute = func() RouteFn { return HashRoute(q.Probe2Attr, LoadSeed, nJ) }
 		}
 		for si, nd := range joinNodes {
-			m.initOp(p, nd)
 			spawnJoin(joinSpec{
 				m: m, from: p, opID: st1.opID, site: si, node: nd, port: st1.ports[si], sched: schedPort,
 				buildAttr: q.BuildAttr, probeAttr: q.ProbeAttr,
@@ -994,15 +942,14 @@ func (m *Machine) tryJoin(p *sim.Proc, ib *inbox, schedPort *nose.Port, q JoinQu
 
 		// Build selections.
 		for si, frag := range bfrags {
-			m.initOp(p, frag.Node)
 			spawnSelect(m, p, "sel-build"+tag, si, frag, build.Pred, build.Path, func() selectOutput {
 				return selectOutput{stream: streamBuild, ports: st1.ports, route: HashRoute(q.BuildAttr, LoadSeed, nJ)}
 			}, schedPort)
 		}
-		if _, err := ib.waitDones("sel-build"+tag, len(bfrags)); err != nil {
+		if _, err := collect(ib, ib.dones, "sel-build"+tag, len(bfrags)); err != nil {
 			return err
 		}
-		builts, err := ib.waitBuilts(st1.opID, nJ)
+		builts, err := collect(ib, ib.builts, st1.opID, nJ)
 		if err != nil {
 			return err
 		}
@@ -1018,7 +965,6 @@ func (m *Machine) tryJoin(p *sim.Proc, ib *inbox, schedPort *nose.Port, q JoinQu
 			}
 		}
 		for si, frag := range pfrags {
-			m.initOp(p, frag.Node)
 			fr := frag
 			spawnSelect(m, p, "sel-probe"+tag, si, fr, probe.Pred, probe.Path, func() selectOutput {
 				out := selectOutput{stream: streamProbe, ports: st1.ports, route: HashRoute(q.ProbeAttr, LoadSeed, nJ)}
@@ -1029,10 +975,10 @@ func (m *Machine) tryJoin(p *sim.Proc, ib *inbox, schedPort *nose.Port, q JoinQu
 				return out
 			}, schedPort)
 		}
-		if _, err := ib.waitDones("sel-probe"+tag, len(pfrags)); err != nil {
+		if _, err := collect(ib, ib.dones, "sel-probe"+tag, len(pfrags)); err != nil {
 			return err
 		}
-		probeds, err := ib.waitProbeds(st1.opID, nJ)
+		probeds, err := collect(ib, ib.probeds, st1.opID, nJ)
 		if err != nil {
 			return err
 		}
@@ -1049,7 +995,7 @@ func (m *Machine) tryJoin(p *sim.Proc, ib *inbox, schedPort *nose.Port, q JoinQu
 			for _, pt := range st2.ports {
 				nose.SendCtl(p, m.Sched, pt, joinCtl{kind: ctlProbeClose, expectEOS: nJ * st1.phases})
 			}
-			probeds2, err := ib.waitProbeds(st2.opID, nJ)
+			probeds2, err := collect(ib, ib.probeds, st2.opID, nJ)
 			if err != nil {
 				return err
 			}
@@ -1104,9 +1050,9 @@ func (m *Machine) RunConcurrent(qs []ConcurrentQuery) []Result {
 	for i, q := range qs {
 		switch {
 		case q.Select != nil:
-			m.launchQuery(&results[i], m.selectBody(*q.Select, &results[i]))
+			m.launchQuery(&results[i], m.selectBody(*q.Select, &results[i]), nil)
 		case q.Join != nil:
-			m.launchQuery(&results[i], m.joinBody(*q.Join, &results[i]))
+			m.launchQuery(&results[i], m.joinBody(*q.Join, &results[i]), nil)
 		default:
 			panic("core: empty ConcurrentQuery")
 		}

@@ -48,9 +48,8 @@ func (m *Machine) RunSort(q SortQuery) Result {
 			InstrPerTupleMerge: m.Prm.Engine.InstrPerTupleScan,
 		}
 		for si, frag := range frags {
-			m.initOp(p, frag.Node)
 			site, fr := si, frag
-			m.spawnOn(p, fr.Node, fmt.Sprintf("sort@%d", fr.Node.ID), func(sp *sim.Proc) {
+			m.initiate(p, fr.Node, fmt.Sprintf("sort@%d", fr.Node.ID), func(sp *sim.Proc) {
 				st := m.StoreOf(fr.Node)
 				qual := st.CreateFile("sort.qual")
 				ap := qual.NewAppender()
@@ -65,8 +64,7 @@ func (m *Machine) RunSort(q SortQuery) Result {
 
 		// Phase 2: merge the runs at one site, reading remote run pages
 		// over the network, and store the ordered result locally.
-		m.initOp(p, mergeNode)
-		m.spawnOn(p, mergeNode, fmt.Sprintf("merge@%d", mergeNode.ID), func(mp *sim.Proc) {
+		m.initiate(p, mergeNode, fmt.Sprintf("merge@%d", mergeNode.ID), func(mp *sim.Proc) {
 			runs := make([]sortedRun, 0, len(frags))
 			for len(runs) < len(frags) {
 				msg := mergePort.Recv(mp)
@@ -83,8 +81,8 @@ func (m *Machine) RunSort(q SortQuery) Result {
 			nose.SendCtl(mp, mergeNode, schedPort, storeDone{op: "merge", site: 0, stored: total})
 		})
 
-		ib.mustDones("sort", len(frags))
-		res.Tuples = ib.mustStores("merge", 1)[0].stored
+		mustCollect(ib, ib.dones, "sort", len(frags))
+		res.Tuples = mustCollect(ib, ib.stores, "merge", 1)[0].stored
 	})
 	return res
 }

@@ -34,7 +34,10 @@ type storeDone struct {
 // drive with write-behind (§2: "store operators at each disk site assume
 // responsibility for writing the result tuples to disk").
 func spawnStore(m *Machine, from *sim.Proc, opID string, site int, frag *Fragment, in *nose.Port, sched *nose.Port) {
-	m.spawnOn(from, frag.Node, fmt.Sprintf("%s@%d", opID, frag.Node.ID), func(p *sim.Proc) {
+	m.initiate(from, frag.Node, fmt.Sprintf("%s@%d", opID, frag.Node.ID), func(p *sim.Proc) {
+		if in.Closed() {
+			return // the node went down, taking the mailbox, after the scheduler set the operator up
+		}
 		defer func() {
 			r := recover()
 			if r == nil {
@@ -85,9 +88,10 @@ func spawnStore(m *Machine, from *sim.Proc, opID string, site int, frag *Fragmen
 // spawnCollector starts a lightweight sink on a node (typically the host)
 // that gathers result tuples into memory instead of storing them — used for
 // single-tuple selects and aggregate results returned to the user. It obeys
-// the same close protocol as a store operator.
+// the same close protocol as a store operator, but its start is not charged
+// to the scheduler (Machine.start, not initiate).
 func spawnCollector(m *Machine, from *sim.Proc, opID string, node *nose.Node, in *nose.Port, sched *nose.Port, sink func(n int)) {
-	m.spawnOn(from, node, fmt.Sprintf("%s@%d", opID, node.ID), func(p *sim.Proc) {
+	m.start(from, node, fmt.Sprintf("%s@%d", opID, node.ID), func(p *sim.Proc) {
 		p.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KindOpStart, Op: opID, Node: node.ID, Site: 0, Class: "collect"})
 		eng := m.Prm.Engine
 		eos := 0

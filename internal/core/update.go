@@ -227,8 +227,7 @@ func (m *Machine) RunUpdate(q UpdateQuery) Result {
 		case AppendTuple:
 			site := q.Rel.siteForValue(q.Tuple.Get(q.Rel.PartAttr))
 			frag := q.Rel.Frags[site]
-			m.initOp(p, frag.Node)
-			m.spawnOn(p, frag.Node, fmt.Sprintf("append@%d", frag.Node.ID), func(up *sim.Proc) {
+			m.initiate(p, frag.Node, fmt.Sprintf("append@%d", frag.Node.ID), func(up *sim.Proc) {
 				insertTuple(up, m, frag, q.Tuple)
 				ccOverhead(up, m, frag)
 				q.Rel.N++
@@ -239,8 +238,7 @@ func (m *Machine) RunUpdate(q UpdateQuery) Result {
 		case DeleteByKey:
 			site := q.Rel.siteForValue(q.Key)
 			frag := q.Rel.Frags[site]
-			m.initOp(p, frag.Node)
-			m.spawnOn(p, frag.Node, fmt.Sprintf("delete@%d", frag.Node.ID), func(up *sim.Proc) {
+			m.initiate(p, frag.Node, fmt.Sprintf("delete@%d", frag.Node.ID), func(up *sim.Proc) {
 				changed := 0
 				if rid, t, ok := locateByClustered(up, m, frag, q.Rel.PartAttr, q.Key); ok {
 					deleteTuple(up, m, frag, rid, t)
@@ -257,8 +255,7 @@ func (m *Machine) RunUpdate(q UpdateQuery) Result {
 			newSite := q.Rel.siteForValue(q.NewValue)
 			oldFrag, newFrag := q.Rel.Frags[oldSite], q.Rel.Frags[newSite]
 			relocPort := newFrag.Node.NewPort("relocate")
-			m.initOp(p, newFrag.Node)
-			m.spawnOn(p, newFrag.Node, fmt.Sprintf("modkey-in@%d", newFrag.Node.ID), func(up *sim.Proc) {
+			m.initiate(p, newFrag.Node, fmt.Sprintf("modkey-in@%d", newFrag.Node.ID), func(up *sim.Proc) {
 				msg := relocPort.Recv(up)
 				rl, ok := msg.Payload.(relocated)
 				changed := 0
@@ -269,8 +266,7 @@ func (m *Machine) RunUpdate(q UpdateQuery) Result {
 				}
 				nose.SendCtl(up, newFrag.Node, schedPort, updateDone{site: newSite, changed: changed})
 			})
-			m.initOp(p, oldFrag.Node)
-			m.spawnOn(p, oldFrag.Node, fmt.Sprintf("modkey-out@%d", oldFrag.Node.ID), func(up *sim.Proc) {
+			m.initiate(p, oldFrag.Node, fmt.Sprintf("modkey-out@%d", oldFrag.Node.ID), func(up *sim.Proc) {
 				conn := oldFrag.Node.Dial(relocPort)
 				if rid, t, ok := locateByClustered(up, m, oldFrag, q.Rel.PartAttr, q.Key); ok {
 					deleteTuple(up, m, oldFrag, rid, t)
@@ -291,8 +287,7 @@ func (m *Machine) RunUpdate(q UpdateQuery) Result {
 		case ModifyNonIndexed:
 			site := q.Rel.siteForValue(q.Key)
 			frag := q.Rel.Frags[site]
-			m.initOp(p, frag.Node)
-			m.spawnOn(p, frag.Node, fmt.Sprintf("modify@%d", frag.Node.ID), func(up *sim.Proc) {
+			m.initiate(p, frag.Node, fmt.Sprintf("modify@%d", frag.Node.ID), func(up *sim.Proc) {
 				changed := 0
 				if rid, t, ok := locateByClustered(up, m, frag, q.Rel.PartAttr, q.Key); ok {
 					t.Set(q.Attr, q.NewValue)
@@ -312,9 +307,8 @@ func (m *Machine) RunUpdate(q UpdateQuery) Result {
 			// unique1, so a unique2 predicate gives no placement.)
 			n := len(q.Rel.Frags)
 			for si, frag := range q.Rel.Frags {
-				m.initOp(p, frag.Node)
 				site, fr := si, frag
-				m.spawnOn(p, fr.Node, fmt.Sprintf("modidx@%d", fr.Node.ID), func(up *sim.Proc) {
+				m.initiate(p, fr.Node, fmt.Sprintf("modidx@%d", fr.Node.ID), func(up *sim.Proc) {
 					changed := 0
 					bt, ok := fr.Indexes[q.Attr]
 					if ok && bt.Kind == wiss.NonClustered {

@@ -185,7 +185,7 @@ func (m *Machine) RunWorkload(spec WorkloadSpec) WorkloadResult {
 				}
 				done := false
 				doneQ := m.Sim.NewWaitQ("query-done")
-				m.launchQueryDone(&res, body, func() {
+				m.launchQuery(&res, body, func() {
 					done = true
 					doneQ.WakeOne()
 				})

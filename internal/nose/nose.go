@@ -202,8 +202,9 @@ type Node struct {
 // future messages are dropped with their window credits returned to the
 // senders) and ports created later start closed. The caller is responsible
 // for killing the node's processes and failing its drive; Fail only severs
-// the node from the network. Only supported on serialized simulations
-// (lookahead 0) — fault experiments run there. Idempotent.
+// the node from the network. It closes the ports in the node's registry,
+// which NewPort keeps only on simulations without windows (ports are created
+// from other shards), so experiments that inject faults run there. Idempotent.
 func (nd *Node) Fail() {
 	if nd.failed {
 		return
