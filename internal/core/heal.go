@@ -21,14 +21,13 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"gamma/internal/disk"
 	"gamma/internal/nose"
-	"gamma/internal/rel"
 	"gamma/internal/sim"
 	"gamma/internal/trace"
-	"gamma/internal/wiss"
 )
 
 // Default healing parameters: detection within ~1 s of a crash at ~3% added
@@ -292,13 +291,7 @@ func (h *Healer) healFrag(p *sim.Proc, r *Relation, i int) {
 // src is the only live disk node.
 func (h *Healer) rebuildTarget(src *nose.Node) *nose.Node {
 	m := h.m
-	si := 0
-	for i, nd := range m.Disk {
-		if nd == src {
-			si = i
-			break
-		}
-	}
+	si := slices.Index(m.Disk, src)
 	for off := 1; off < len(m.Disk); off++ {
 		nd := m.Disk[(si+off)%len(m.Disk)]
 		if m.driveUp(nd) {
@@ -326,14 +319,10 @@ func (h *Healer) startRebuild(p *sim.Proc, r *Relation, i int) {
 		return // no live target; a later round retries after a rejoin
 	}
 	h.rebuilding[key] = true
-	fimg := src.File.Snapshot()
-	idxImgs := map[rel.Attr]*wiss.BTreeImage{}
-	for a, bt := range src.Indexes {
-		idxImgs[a] = bt.Snapshot()
-	}
+	img := m.imageFragment(src)
 	st := m.stores[tgt.ID]
-	newFile := st.AdoptFile(fimg)
-	pages := fimg.Pages()
+	newFile := st.AdoptFile(img.file)
+	pages := img.file.Pages()
 	pageBytes := m.Prm.PageBytes
 	m.start(p, src.Node, fmt.Sprintf("rebuild:%s", key), func(cp *sim.Proc) {
 		done := false
@@ -386,11 +375,7 @@ func (h *Healer) startRebuild(p *sim.Proc, r *Relation, i int) {
 		if r.Backups[i] != nil || r.Frags[i] != src || !m.driveUp(tgt) {
 			return
 		}
-		frag := &Fragment{Node: tgt, File: newFile, Indexes: map[rel.Attr]*wiss.BTree{}}
-		for a, img := range idxImgs {
-			frag.Indexes[a] = st.AdoptBTree(newFile, img)
-		}
-		r.Backups[i] = frag
+		r.Backups[i] = m.adoptIndexes(tgt, newFile, img)
 		done = true
 		delete(h.rebuilding, key)
 		h.rebuilds++

@@ -70,6 +70,7 @@ type Machine struct {
 	Diskless []*nose.Node // join/aggregate processors
 	stores   map[int]*wiss.Store
 	catalog  map[string]*Relation
+	loads    int // relations catalogued so far: stamps Relation.seq
 	nextRes  int
 	nextQID  int
 	rec      *Recovery
@@ -227,6 +228,7 @@ type Relation struct {
 	// disk node leaves every fragment readable. Nil otherwise.
 	Backups []*Fragment
 	m       *Machine
+	seq     int // load order: the machine's seq-th relation catalogued
 }
 
 // width resolves the relation's logical tuple width.
@@ -327,7 +329,7 @@ func (m *Machine) Load(spec LoadSpec, tuples []rel.Tuple) *Relation {
 			r.Backups = append(r.Backups, m.buildFragment(nd, spec.Name+".bak", slices.Clone(parts[i]), spec))
 		}
 	}
-	m.catalog[spec.Name] = r
+	m.catalogue(r)
 	return r
 }
 
@@ -421,8 +423,15 @@ func (m *Machine) newResultRelation(name string, width int) (*Relation, error) {
 	if len(r.Frags) == 0 {
 		return nil, &ErrUnavailable{Rel: name}
 	}
-	m.catalog[name] = r
+	m.catalogue(r)
 	return r, nil
+}
+
+// catalogue enters r under its name, stamped with its load order.
+func (m *Machine) catalogue(r *Relation) {
+	m.loads++
+	r.seq = m.loads
+	m.catalog[r.Name] = r
 }
 
 // Drop removes a relation and its files (the QUEL abort/cleanup path).

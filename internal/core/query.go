@@ -472,11 +472,13 @@ func (m *Machine) launchQuery(res *Result, body func(p *sim.Proc, ib *inbox, sch
 		ib.ft = m.newQueryFT()
 		body(p, ib, schedPort)
 		nose.SendCtl(p, m.Sched, hostPort, "done")
+		schedPort.Close()
 	})
 	m.Sim.SpawnOn(m.Host.Part, "host", func(p *sim.Proc) {
 		m.Host.CPU.Use(p, m.Prm.Engine.HostStartup)
 		nose.SendCtl(p, m.Host, schedPort, "query")
 		hostPort.Recv(p)
+		hostPort.Close()
 		res.Elapsed = p.Now() - start
 		p.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KindQueryDone, Query: res.Query})
 		if onDone != nil {

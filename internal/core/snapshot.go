@@ -1,26 +1,23 @@
 package core
 
 import (
-	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"gamma/internal/config"
-	"gamma/internal/rel"
 	"gamma/internal/sim"
-	"gamma/internal/wiss"
 )
 
-// Snapshot is an immutable image of a machine's post-load state: the machine
-// shape, catalog, fragment directories, WiSS store images (file and page
-// arrays, index node graphs), and the name/query-id counters. It contains no
-// references to the source machine's simulator or nodes, so one Snapshot can
-// be restored any number of times — concurrently — onto fresh simulations.
+// Snapshot is an immutable image of a machine: its shape (parameters, node
+// counts, mirroring), its result-name and query-id counters, and an image of
+// every catalogued relation in load order. Like a RelationImage it references
+// no simulator or node, so one Snapshot can be restored any number of times —
+// concurrently — onto fresh simulations.
 //
 // Feature toggles (tracing, failover detection, recovery logging, shared
 // scans, armed fault schedules) are deliberately NOT captured: they are
 // cheap post-load switches, and callers re-apply them after RestoreMachine
-// exactly as they would after Load. Mirroring is captured, because it shaped
-// the storage layout at load time.
+// exactly as they would after Load.
 type Snapshot struct {
 	prm       config.Params
 	nDisk     int
@@ -28,39 +25,14 @@ type Snapshot struct {
 	mirrored  bool
 	nextRes   int
 	nextQID   int
-	stores    []*wiss.StoreImage // one per disk node, in m.Disk order
-	rels      []relImage
+	names     []string
+	rels      []*RelationImage // rels[i] is catalogued as names[i]
 }
 
-// relImage is the catalog entry of one relation.
-type relImage struct {
-	name     string
-	n        int
-	strategy PartStrategy
-	partAttr rel.Attr
-	bounds   []int32
-	width    int
-	frags    []fragImage
-	backups  []fragImage
-}
-
-// fragImage locates one fragment: the disk-node index it lives on, its heap
-// file id within that node's store, and its index images sorted by attribute.
-type fragImage struct {
-	site    int
-	fileID  int
-	indexes []idxImage
-}
-
-type idxImage struct {
-	attr rel.Attr
-	img  *wiss.BTreeImage
-}
-
-// Snapshot captures the machine's current state as an immutable image.
-// It must be taken while the machine is quiescent (no query in flight);
-// the intended moment is immediately after the last Load. The source machine
-// remains fully usable — its pages and index nodes become copy-on-write.
+// Snapshot images the machine. It must be taken while the machine is
+// quiescent (no query in flight); the intended moment is immediately after
+// the last Load. The source machine remains fully usable — its pages and
+// index nodes become copy-on-write.
 func (m *Machine) Snapshot() *Snapshot {
 	snap := &Snapshot{
 		prm:       *m.Prm,
@@ -70,102 +42,30 @@ func (m *Machine) Snapshot() *Snapshot {
 		nextRes:   m.nextRes,
 		nextQID:   m.nextQID,
 	}
-	site := make(map[int]int, len(m.Disk)) // node id -> disk index
-	for i, nd := range m.Disk {
-		site[nd.ID] = i
-		snap.stores = append(snap.stores, m.stores[nd.ID].Snapshot())
-	}
-	for _, name := range m.Relations() {
-		r := m.catalog[name]
-		ri := relImage{
-			name:     r.Name,
-			n:        r.N,
-			strategy: r.Strategy,
-			partAttr: r.PartAttr,
-			bounds:   append([]int32(nil), r.Bounds...),
-			width:    r.Width,
-		}
-		for _, fr := range r.Frags {
-			ri.frags = append(ri.frags, snapFragment(fr, site))
-		}
-		for _, fr := range r.Backups {
-			if fr == nil {
-				// A slot the healer condemned and has not yet rebuilt:
-				// recorded as a hole (site -1) and restored as one.
-				ri.backups = append(ri.backups, fragImage{site: -1})
-				continue
-			}
-			ri.backups = append(ri.backups, snapFragment(fr, site))
-		}
-		snap.rels = append(snap.rels, ri)
+	byLoad := func(a, b *Relation) int { return a.seq - b.seq }
+	for _, r := range slices.SortedFunc(maps.Values(m.catalog), byLoad) {
+		snap.names = append(snap.names, r.Name)
+		snap.rels = append(snap.rels, r.Image())
 	}
 	return snap
 }
 
-func snapFragment(fr *Fragment, site map[int]int) fragImage {
-	fi := fragImage{site: site[fr.Node.ID], fileID: fr.File.ID}
-	attrs := make([]rel.Attr, 0, len(fr.Indexes))
-	for a := range fr.Indexes {
-		attrs = append(attrs, a)
-	}
-	sort.Slice(attrs, func(i, j int) bool { return attrs[i] < attrs[j] })
-	for _, a := range attrs {
-		fi.indexes = append(fi.indexes, idxImage{attr: a, img: fr.Indexes[a].Snapshot()})
-	}
-	return fi
-}
-
-// RestoreMachine materializes a working machine from a snapshot onto the
-// given simulator — normally a fresh sim.New(), which rebases the restored
-// machine to t=0 so elapsed times, tables, and traces are byte-identical to
-// a from-scratch load-then-query run. Restores are O(metadata): pages and
-// index nodes are shared with the image copy-on-write, buffer pools start
-// empty with zeroed counters, and file ids (hence pool keys and drive
-// extents) are preserved exactly.
+// RestoreMachine builds a working machine from a snapshot on the given
+// simulator — normally a fresh sim.New(), so the restored machine starts at
+// t=0 — by attaching every relation image in load order. File ids are
+// therefore allocated as Load would allocate them, not copied, and results
+// and traces are byte-identical to a from-scratch load-then-query run.
 func RestoreMachine(s *sim.Sim, snap *Snapshot) *Machine {
 	prm := snap.prm // private copy; the machine may mutate Params via options
 	m := NewMachine(s, &prm, snap.nDisk, snap.nDiskless)
-	m.mirrored = snap.mirrored
-	m.nextRes = snap.nextRes
-	m.nextQID = snap.nextQID
-	for i, nd := range m.Disk {
-		m.stores[nd.ID] = wiss.RestoreStore(nd, m.Prm, snap.stores[i])
+	if snap.mirrored {
+		m.EnableMirroring()
 	}
-	for _, ri := range snap.rels {
-		r := &Relation{
-			Name:     ri.name,
-			N:        ri.n,
-			Strategy: ri.strategy,
-			PartAttr: ri.partAttr,
-			Bounds:   append([]int32(nil), ri.bounds...),
-			Width:    ri.width,
-			m:        m,
+	m.nextRes, m.nextQID = snap.nextRes, snap.nextQID
+	for i, img := range snap.rels {
+		if _, err := m.Attach(snap.names[i], img); err != nil {
+			panic(err) // the images were taken on a machine of this very shape
 		}
-		for _, fi := range ri.frags {
-			r.Frags = append(r.Frags, m.restoreFragment(fi))
-		}
-		for _, fi := range ri.backups {
-			if fi.site < 0 {
-				r.Backups = append(r.Backups, nil)
-				continue
-			}
-			r.Backups = append(r.Backups, m.restoreFragment(fi))
-		}
-		m.catalog[r.Name] = r
 	}
 	return m
-}
-
-func (m *Machine) restoreFragment(fi fragImage) *Fragment {
-	nd := m.Disk[fi.site]
-	st := m.stores[nd.ID]
-	f, ok := st.FileByID(fi.fileID)
-	if !ok {
-		panic(fmt.Sprintf("core: snapshot fragment references missing file id %d on site %d", fi.fileID, fi.site))
-	}
-	frag := &Fragment{Node: nd, File: f, Indexes: map[rel.Attr]*wiss.BTree{}}
-	for _, ix := range fi.indexes {
-		frag.Indexes[ix.attr] = wiss.RestoreBTree(st, f, ix.img)
-	}
-	return frag
 }

@@ -8,6 +8,7 @@ package core_test
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -22,16 +23,15 @@ import (
 // shape: hashed on unique1, clustered unique1 + dense unique2 indexes) plus a
 // small join relation, mirroring what internal/bench builds per data point.
 func benchLoad(m *core.Machine, n int) {
-	u1 := rel.Unique1
-	m.Load(core.LoadSpec{
-		Name:                "A",
-		Strategy:            core.Hashed,
-		PartAttr:            rel.Unique1,
-		ClusteredIndex:      &u1,
-		NonClusteredIndexes: []rel.Attr{rel.Unique2},
-	}, wisconsin.Generate(n, 1))
-	m.Load(core.LoadSpec{Name: "Bprime", Strategy: core.Hashed, PartAttr: rel.Unique1},
-		wisconsin.Generate(n/10, 7))
+	m.Load(indexedSpec(core.Hashed), wisconsin.Generate(n, 1))
+	m.Load(bprimeSpec, wisconsin.Generate(n/10, 7))
+}
+
+// benchLoadBprimeFirst loads the same relations in the other order, which is
+// not Relations()' sorted one.
+func benchLoadBprimeFirst(m *core.Machine, n int) {
+	m.Load(bprimeSpec, wisconsin.Generate(n/10, 7))
+	m.Load(indexedSpec(core.Hashed), wisconsin.Generate(n, 1))
 }
 
 // imageWorkload runs a representative query mix — index select, heap select
@@ -62,35 +62,37 @@ func imageWorkload(m *core.Machine) []core.Result {
 	return out
 }
 
+// benchMachine is a 4+4 machine holding what load puts on it.
+func benchMachine(load func(*core.Machine, int), n int) *core.Machine {
+	prm := config.Default()
+	m := core.NewMachine(sim.New(), &prm, 4, 4)
+	load(m, n)
+	return m
+}
+
 // freshResults runs the workload on a from-scratch machine and returns its
 // results plus the trace JSONL.
 func freshResults(t *testing.T, n int) ([]core.Result, []byte) {
 	t.Helper()
-	prm := config.Default()
-	m := core.NewMachine(sim.New(), &prm, 4, 4)
-	benchLoad(m, n)
-	col := m.EnableTrace()
-	res := imageWorkload(m)
-	var buf bytes.Buffer
-	if err := col.WriteJSONL(&buf); err != nil {
-		t.Fatalf("trace: %v", err)
-	}
-	return res, buf.Bytes()
+	return tracedResults(t, benchMachine(benchLoad, n))
 }
 
 // snapBench builds the benchmark database once and snapshots it.
 func snapBench(n int) *core.Snapshot {
-	prm := config.Default()
-	m := core.NewMachine(sim.New(), &prm, 4, 4)
-	benchLoad(m, n)
-	return m.Snapshot()
+	return benchMachine(benchLoad, n).Snapshot()
 }
 
 // restoredResults restores the snapshot onto a fresh sim and runs the
 // workload, returning results plus trace JSONL.
 func restoredResults(t *testing.T, snap *core.Snapshot) ([]core.Result, []byte) {
 	t.Helper()
-	m := core.RestoreMachine(sim.New(), snap)
+	return tracedResults(t, core.RestoreMachine(sim.New(), snap))
+}
+
+// tracedResults runs the workload on m with tracing on and returns its
+// results plus the trace JSONL.
+func tracedResults(t *testing.T, m *core.Machine) ([]core.Result, []byte) {
+	t.Helper()
 	col := m.EnableTrace()
 	res := imageWorkload(m)
 	var buf bytes.Buffer
@@ -102,16 +104,27 @@ func restoredResults(t *testing.T, snap *core.Snapshot) ([]core.Result, []byte) 
 
 // TestRestoreMatchesFreshLoad is the tentpole determinism contract: results
 // and traces from a restored machine are byte-identical to a from-scratch
-// load-then-query run.
+// load-then-query run, whichever order the relations were loaded in (file
+// ids, and so the trace, follow the load order).
 func TestRestoreMatchesFreshLoad(t *testing.T) {
 	const n = 3000
-	want, wantTrace := freshResults(t, n)
-	got, gotTrace := restoredResults(t, snapBench(n))
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("restored results differ from fresh load:\n got %+v\nwant %+v", got, want)
-	}
-	if !bytes.Equal(gotTrace, wantTrace) {
-		t.Errorf("restored trace differs from fresh load (%d vs %d bytes)", len(gotTrace), len(wantTrace))
+	for _, tc := range []struct {
+		name string
+		load func(*core.Machine, int)
+	}{
+		{"A first", benchLoad},
+		{"Bprime first", benchLoadBprimeFirst},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, wantTrace := tracedResults(t, benchMachine(tc.load, n))
+			got, gotTrace := restoredResults(t, benchMachine(tc.load, n).Snapshot())
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("restored results differ from fresh load:\n got %+v\nwant %+v", got, want)
+			}
+			if !bytes.Equal(gotTrace, wantTrace) {
+				t.Errorf("restored trace differs from fresh load (%d vs %d bytes)", len(gotTrace), len(wantTrace))
+			}
+		})
 	}
 }
 
@@ -248,6 +261,41 @@ func TestSnapshotSourceKeepsWorking(t *testing.T) {
 	again, _ := restoredResults(t, snap)
 	if !reflect.DeepEqual(again, want) {
 		t.Error("image dirtied by source machine's post-snapshot writes")
+	}
+}
+
+// TestSnapshotKeepsResultRelations: a snapshot taken after a query stored its
+// result on a mirrored machine (results have no backups) restores that
+// result too, and the restored machine's next result takes a fresh name.
+func TestSnapshotKeepsResultRelations(t *testing.T) {
+	prm := config.Default()
+	m := core.NewMachine(sim.New(), &prm, 4, 0)
+	m.EnableMirroring()
+	a := m.Load(core.LoadSpec{Name: "A", Strategy: core.Hashed, PartAttr: rel.Unique1}, wisconsin.Generate(2000, 1))
+	sel := func(m *core.Machine, a *core.Relation) core.Result {
+		return m.RunSelect(core.SelectQuery{
+			Scan: core.ScanSpec{Rel: a, Pred: rel.Between(rel.Unique1, 0, 99), Path: core.PathHeap},
+		})
+	}
+	first := sel(m, a)
+	want, _ := m.Relation(first.ResultName)
+
+	rest := core.RestoreMachine(sim.New(), m.Snapshot())
+	got, ok := rest.Relation(first.ResultName)
+	if !ok {
+		t.Fatalf("restored machine lost result relation %q", first.ResultName)
+	}
+	sorted := func(r *core.Relation) []rel.Tuple {
+		ts := r.AllTuples()
+		slices.SortFunc(ts, func(x, y rel.Tuple) int { return int(x.Get(rel.Unique1) - y.Get(rel.Unique1)) })
+		return ts
+	}
+	if g, w := sorted(got), sorted(want); !reflect.DeepEqual(g, w) {
+		t.Errorf("restored result holds %d tuples, source %d (or different ones)", len(g), len(w))
+	}
+	restA, _ := rest.Relation("A")
+	if next := sel(rest, restA); next.ResultName == first.ResultName {
+		t.Errorf("restored machine reused result name %q", next.ResultName)
 	}
 }
 

@@ -8,7 +8,9 @@ package fault_test
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"gamma/internal/core"
@@ -200,6 +202,39 @@ func TestHealCorrectness(t *testing.T) {
 		t.Fatalf("join on healed machine: %v", jres.Err)
 	}
 	diffMultisets(t, "joinAselB", expectJoinAselB(n, nB), tuplesOf(t, m2, jres.ResultName))
+}
+
+// TestRebuildIndexIDsDeterministic: re-replication adopts a rebuilt backup's
+// indexes in one order — the clustered index before the dense one, as Load
+// allocates them — so the file ids, and with them the disk trace, of a healed
+// machine are the same run after run.
+func TestRebuildIndexIDsDeterministic(t *testing.T) {
+	var want string
+	for run := 0; run < 20; run++ {
+		st := newSetup(4, 2, 4000)
+		h := st.m.EnableHealing(core.HealConfig{Horizon: sim.Time(60 * sim.Second)})
+		fault.Arm(st.m, fault.Schedule{Injections: []fault.Injection{
+			fault.Crash(sim.Time(1*sim.Second), 1),
+		}})
+		st.m.Sim.Run()
+		if hs := h.Stats(); hs.Rebuilds == 0 || hs.Episodes[0].RestoredAt < 0 {
+			t.Fatalf("run %d did not heal: %+v", run, hs)
+		}
+		var got strings.Builder
+		for i, fr := range st.idx.Backups {
+			cl, dense := fr.Indexes[rel.Unique1].FileID(), fr.Indexes[rel.Unique2].FileID()
+			if cl > dense {
+				t.Errorf("run %d: backup %d on node %d has clustered index file %d after dense %d",
+					run, i, fr.Node.ID, cl, dense)
+			}
+			fmt.Fprintf(&got, "backup %d: node %d file %d u1=%d u2=%d\n", i, fr.Node.ID, fr.File.ID, cl, dense)
+		}
+		if run == 0 {
+			want = got.String()
+		} else if got.String() != want {
+			t.Fatalf("run %d assigned\n%srun 0\n%s", run, got.String(), want)
+		}
+	}
 }
 
 // campaignWorkload runs one seeded campaign against a 32-node mirrored

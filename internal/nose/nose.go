@@ -34,6 +34,7 @@ package nose
 
 import (
 	"fmt"
+	"slices"
 
 	"gamma/internal/config"
 	"gamma/internal/disk"
@@ -320,10 +321,15 @@ type Port struct {
 // NewPort creates a named port on the node. A port created on a failed node
 // starts closed. The node's port registry (used only by Fail) is maintained
 // on serialized simulations; under positive lookahead ports may be created
-// cross-shard mid-window, and Fail is not supported there.
+// cross-shard mid-window, and Fail is not supported there. Closed ports are
+// dropped from the registry, in place and in order, whenever it is full, so
+// it holds about as many ports as the node ever has open at once.
 func (nd *Node) NewPort(name string) *Port {
 	pt := &Port{node: nd, name: name, recvq: nd.Part.NewWaitQ("port:" + name), closed: nd.failed}
 	if nd.net.sim.Lookahead() == 0 {
+		if len(nd.ports) == cap(nd.ports) {
+			nd.ports = slices.DeleteFunc(nd.ports, (*Port).Closed)
+		}
 		nd.ports = append(nd.ports, pt)
 	}
 	return pt
