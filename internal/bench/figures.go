@@ -234,7 +234,8 @@ func memJoinPoint(o Options, mode core.JoinMode, algo core.JoinAlgorithm, ratio 
 		n := o.FigureTuples
 		buildBytes := (n / 10) * 208
 		g := newGamma(o, 8, 8, n, 1, heapRel("Bprime", n/10, 7))
-		nJoin := len(g.m.JoinNodes(mode))
+		joinNodes, _ := g.m.JoinNodes(mode) // a fresh machine has every processor up
+		nJoin := len(joinNodes)
 		q := joinABprime(g, rel.Unique1, mode, int(ratio*float64(buildBytes)/float64(nJoin)))
 		q.Algorithm = algo
 		res := g.joinRun(q)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"gamma/internal/nose"
 	"gamma/internal/rel"
@@ -51,13 +50,14 @@ type AggQuery struct {
 	Mode    JoinMode // which processors run the aggregate operators
 }
 
-// AggResult is the outcome of an aggregate query.
+// AggResult is the outcome of an aggregate query. Its Result reports
+// Elapsed, Err, Degraded, Attempts and Diag as for every other query class;
+// Tuples counts the qualifying input tuples.
 type AggResult struct {
-	Elapsed sim.Dur
+	Result
 	// Groups maps group value -> aggregate value; scalar queries use the
 	// single key 0.
 	Groups map[int32]int64
-	Tuples int // qualifying input tuples
 }
 
 // aggState folds values.
@@ -119,84 +119,116 @@ func (a *aggState) value(fn AggFn) int64 {
 	}
 }
 
-// aggPartial carries per-site partial aggregates to the combiner.
+// aggPartial carries partial aggregates: from a scan site to the scalar
+// combiner, and from the combiner or a grouped-aggregate operator (op) to the
+// scheduler.
 type aggPartial struct {
+	op     string
 	site   int
 	groups map[int32]*aggState
 	seen   int
 }
 
-// aggDone reports the combiner's final result to the scheduler.
-type aggDone struct {
-	groups map[int32]int64
-	seen   int
-}
-
 // RunAgg executes an aggregate query.
 func (m *Machine) RunAgg(q AggQuery) AggResult {
-	scan := m.resolveScan(q.Scan)
-	aggNodes := m.JoinNodes(q.Mode)
 	var out AggResult
-	var res Result
-	m.runQuery(&res, func(p *sim.Proc, ib *inbox, schedPort *nose.Port) {
-		frags := m.mustScanSites(scan)
-		if q.GroupBy == nil {
-			m.runScalarAgg(p, ib, schedPort, q, scan, frags, aggNodes[0], &out)
-		} else {
-			m.runGroupedAgg(p, ib, schedPort, q, scan, frags, aggNodes, &out)
-		}
-	})
-	out.Elapsed = res.Elapsed
+	m.runQuery(&out.Result, m.aggBody(q, &out))
 	return out
 }
 
-// runScalarAgg: each scan site folds its fragment locally (aggregation is
-// pushed below the split table) and sends one partial to the combiner.
-func (m *Machine) runScalarAgg(p *sim.Proc, ib *inbox, schedPort *nose.Port, q AggQuery, scan ScanSpec, frags []*Fragment, combiner *nose.Node, out *AggResult) {
-	// The combiner is a tiny operator: it receives one control message per
+// aggBody builds the scheduler program for an aggregate query.
+func (m *Machine) aggBody(q AggQuery, out *AggResult) func(ib *inbox) {
+	scan := m.resolveScan(q.Scan)
+	return m.lifecycle(&out.Result, true, func(ib *inbox) error {
+		aggNodes, err := m.JoinNodes(q.Mode)
+		if err != nil {
+			return err
+		}
+		frags, degraded, err := m.scanSites(scan)
+		if err != nil {
+			return err
+		}
+		out.Degraded = degraded
+		var parts []aggPartial
+		if q.GroupBy == nil {
+			parts, err = m.scalarAgg(ib, q, scan, frags, aggNodes[0])
+		} else {
+			parts, err = m.groupedAgg(ib, q, scan, frags, aggNodes)
+		}
+		if err != nil {
+			return err
+		}
+		out.Groups = map[int32]int64{}
+		out.Tuples = 0
+		for _, part := range parts {
+			for g, st := range part.groups {
+				out.Groups[g] = st.value(q.Fn)
+			}
+			out.Tuples += part.seen
+		}
+		return nil
+	})
+}
+
+// scalarAgg: each scan site folds its fragment locally (aggregation is
+// pushed below the split table) and sends one partial to the combiner, which
+// reports the combined state.
+func (m *Machine) scalarAgg(ib *inbox, q AggQuery, scan ScanSpec, frags []*Fragment, combiner *nose.Node) ([]aggPartial, error) {
+	p, sched, tag := ib.p, ib.port, ib.tag()
+	// The combiner is a tiny operator: it receives one data message per
 	// scan site and folds the partials.
-	comboPort := combiner.NewPort("agg-combine")
+	combine := ib.track(&opGroup{op: "agg-combine" + tag, ports: []*nose.Port{combiner.NewPort("agg-combine")}})
+	comboPort := combine.ports[0]
 	nSites := len(frags)
 	m.initiate(p, combiner, fmt.Sprintf("agg-combine@%d", combiner.ID), func(cp *sim.Proc) {
+		if comboPort.Closed() {
+			return // the node went down, taking the mailbox, after the scheduler set the operator up
+		}
+		defer opExit(cp, combiner, combine.op, 0, comboPort, sched, nil)
 		total := &aggState{}
 		seen := 0
 		for i := 0; i < nSites; i++ {
-			msg := comboPort.Recv(cp)
-			part := msg.Payload.(aggPartial)
+			part := recvOp(cp, comboPort).(aggPartial)
 			combiner.UseCPU(cp, m.Prm.Engine.InstrPerTupleAgg)
 			total.merge(part.groups[0])
 			seen += part.seen
 		}
-		nose.SendCtl(cp, combiner, schedPort, aggDone{groups: map[int32]int64{0: total.value(q.Fn)}, seen: seen})
+		nose.SendCtl(cp, combiner, sched, aggPartial{op: combine.op, groups: map[int32]*aggState{0: total}, seen: seen})
+		comboPort.Close()
 	})
+	scanOp := "agg-scan" + tag
 	for si, frag := range frags {
 		fr, site := frag, si
 		m.initiate(p, fr.Node, fmt.Sprintf("agg-scan@%d", fr.Node.ID), func(sp *sim.Proc) {
+			defer opExit(sp, fr.Node, scanOp, site, nil, sched, nil)
 			st := &aggState{}
 			seen := scanFold(sp, m, fr, scan, func(t rel.Tuple) { st.add(int64(t.Get(q.Attr))) })
 			conn := fr.Node.Dial(comboPort)
 			conn.Send(sp, nose.Data, aggPartial{site: site, groups: map[int32]*aggState{0: st}, seen: seen}, m.Prm.TupleBytes)
 		})
 	}
-	done := ib.waitAgg()
-	out.Groups = done.groups
-	out.Tuples = done.seen
+	return collect(ib, ib.aggs, combine.op, 1)
 }
 
-// runGroupedAgg: scan sites split qualifying tuples by hash of the grouping
+// groupedAgg: scan sites split qualifying tuples by hash of the grouping
 // attribute across the aggregate processors; each processor folds its groups
 // and reports them.
-func (m *Machine) runGroupedAgg(p *sim.Proc, ib *inbox, schedPort *nose.Port, q AggQuery, scan ScanSpec, frags []*Fragment, aggNodes []*nose.Node, out *AggResult) {
+func (m *Machine) groupedAgg(ib *inbox, q AggQuery, scan ScanSpec, frags []*Fragment, aggNodes []*nose.Node) ([]aggPartial, error) {
+	p, sched, tag := ib.p, ib.port, ib.tag()
 	nA := len(aggNodes)
-	ports := make([]*nose.Port, nA)
+	aggs := ib.track(&opGroup{op: "agg" + tag})
 	for i, nd := range aggNodes {
-		ports[i] = nd.NewPort(fmt.Sprintf("agg%d", i))
+		aggs.ports = append(aggs.ports, nd.NewPort(fmt.Sprintf("agg%d", i)))
 	}
 	groupAttr := *q.GroupBy
 	nSites := len(frags)
 	for ai, nd := range aggNodes {
-		node, port := nd, ports[ai]
+		site, node, port := ai, nd, aggs.ports[ai]
 		m.initiate(p, nd, fmt.Sprintf("agg@%d", nd.ID), func(ap *sim.Proc) {
+			if port.Closed() {
+				return // the node went down, taking the mailbox, after the scheduler set the operator up
+			}
+			defer opExit(ap, node, aggs.op, site, port, sched, nil)
 			groups := map[int32]*aggState{}
 			seen := 0
 			recvStream(ap, port, streamStore, nSites, func(ts []rel.Tuple) {
@@ -212,33 +244,20 @@ func (m *Machine) runGroupedAgg(p *sim.Proc, ib *inbox, schedPort *nose.Port, q 
 					seen++
 				}
 			})
-			nose.SendCtl(ap, node, schedPort, aggPartial{groups: groups, seen: seen})
+			nose.SendCtl(ap, node, sched, aggPartial{op: aggs.op, site: site, groups: groups, seen: seen})
+			port.Close()
 		})
 	}
+	selOp := "agg-select" + tag
 	for si, frag := range frags {
-		spawnSelect(m, p, "agg-select", si, frag, scan.Pred, scan.Path, func() selectOutput {
-			return selectOutput{stream: streamStore, ports: ports, route: HashRoute(groupAttr, LoadSeed, nA)}
-		}, schedPort)
+		spawnSelect(m, p, selOp, si, frag, scan.Pred, scan.Path, func() selectOutput {
+			return selectOutput{stream: streamStore, ports: aggs.ports, route: HashRoute(groupAttr, LoadSeed, nA)}
+		}, sched)
 	}
-	mustCollect(ib, ib.dones, "agg-select", nSites)
-	out.Groups = map[int32]int64{}
-	for i := 0; i < nA; i++ {
-		part := ib.waitAggPartial()
-		for g, st := range part.groups {
-			out.Groups[g] = st.value(q.Fn)
-		}
-		out.Tuples += part.seen
+	if _, err := collect(ib, ib.dones, selOp, nSites); err != nil {
+		return nil, err
 	}
-}
-
-// sortedGroups returns group keys in order (reporting helper).
-func (r AggResult) sortedGroups() []int32 {
-	keys := make([]int32, 0, len(r.Groups))
-	for k := range r.Groups {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
+	return collect(ib, ib.aggs, aggs.op, nA)
 }
 
 // scanFold runs an access path over a fragment, invoking fold for every

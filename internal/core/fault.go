@@ -169,11 +169,13 @@ func (m *Machine) driveUp(nd *nose.Node) bool {
 
 // ErrUnavailable is the typed error a query returns when it cannot complete:
 // some fragment it needs has no readable copy (two adjacent failures, or no
-// mirroring), or its failover retries were exhausted. It fails only the
-// affected query — the machine and every other query keep running.
+// mirroring; an update needs its primary), its failover retries were
+// exhausted, or an update lost a site it runs on (updates are not retried).
+// It fails only the affected query — the machine and every other query keep
+// running.
 type ErrUnavailable struct {
-	// Rel and Frag name the unreadable fragment ("" when the failure is
-	// retry exhaustion rather than a specific lost fragment).
+	// Rel and Frag name the unreadable fragment ("" when the failure is a
+	// site lost mid-query rather than a specific fragment found unreadable).
 	Rel  string
 	Frag int
 	// Attempts is how many attempts the query made before giving up.
@@ -182,9 +184,9 @@ type ErrUnavailable struct {
 
 func (e *ErrUnavailable) Error() string {
 	if e.Rel != "" {
-		return fmt.Sprintf("core: fragment %d of %s unavailable (primary down, no live backup)", e.Frag, e.Rel)
+		return fmt.Sprintf("core: fragment %d of %s unavailable (no live copy)", e.Frag, e.Rel)
 	}
-	return fmt.Sprintf("core: unavailable after %d failover attempts (more failures than disk sites)", e.Attempts)
+	return fmt.Sprintf("core: unavailable after %d attempt(s): sites it ran on were lost", e.Attempts)
 }
 
 // liveFrag returns the readable copy of fragment i of r: the primary, or —
@@ -205,21 +207,36 @@ func (m *Machine) liveFrag(r *Relation, i int) (frag *Fragment, backup bool, err
 	return nil, false, &ErrUnavailable{Rel: r.Name, Frag: i}
 }
 
-// reportDriveLoss is the deferred recovery handler for operators without an
-// abort protocol (selections, spool scans): a disk.FailedError raised by a
-// failed drive becomes an opFailed report, so the scheduler detects the
-// loss immediately instead of waiting out the silence timeout. Any other
-// panic — including the kill sentinel of a crashed node — passes through.
-func reportDriveLoss(m *Machine, p *sim.Proc, nd *nose.Node, opID string, sched *nose.Port) {
+// opExit is every operator's deferred exit handler. An abortSignal (the
+// scheduler's ctlAbort) is acknowledged with abortedMsg; a disk.FailedError
+// raised by a failed drive becomes an opFailed report, so the scheduler
+// detects the loss at once instead of by silence. Either way drop (if any)
+// releases the operator's temporary files first, and its input port (if any)
+// closes so queued senders get their window credits back. Any other panic —
+// the kill sentinel of a crashed node included — passes through.
+func opExit(p *sim.Proc, nd *nose.Node, op string, site int, in, sched *nose.Port, drop func()) {
 	r := recover()
-	if r == nil {
+	var report any
+	switch r.(type) {
+	case nil:
 		return
+	case abortSignal:
+		report = abortedMsg{op: op, site: site}
+	case disk.FailedError:
+		if nd.Failed() {
+			panic(r)
+		}
+		report = opFailed{op: op, node: nd.ID}
+	default:
+		panic(r)
 	}
-	if _, ok := r.(disk.FailedError); ok && !nd.Failed() {
-		nose.SendCtl(p, nd, sched, opFailed{op: opID, node: nd.ID})
-		return
+	if drop != nil {
+		drop()
 	}
-	panic(r)
+	nose.SendCtl(p, nd, sched, report)
+	if in != nil {
+		in.Close()
+	}
 }
 
 // start runs fn as a process of node nd, registered so that a crash of the

@@ -30,32 +30,28 @@ import (
 	"gamma/internal/trace"
 )
 
-// Default healing parameters: detection within ~1 s of a crash at ~3% added
-// CPU per node (one 7 ms control message per 250 ms), and rebuild pacing
-// that copies 8 pages per burst with a 20 ms think time between bursts.
+// Healing parameters: detection within ~1 s of a crash at ~3% added CPU per
+// node (one 7 ms control message per 250 ms), and rebuild pacing that copies
+// 8 pages per burst with a 20 ms think time between bursts, which caps the
+// bandwidth a rebuild steals from foreground queries.
 const (
-	DefaultHealInterval  = 250 * sim.Millisecond
-	DefaultHealTimeout   = sim.Second
-	DefaultHealPageBatch = 8
-	DefaultHealPause     = 20 * sim.Millisecond
+	// healInterval is the heartbeat period (and the healer's sweep period).
+	healInterval = 250 * sim.Millisecond
+	// healTimeout is how long a site's heartbeats must be silent before the
+	// healer declares it down: a few intervals.
+	healTimeout = sim.Second
+	// healPageBatch is the number of pages a rebuild copies per burst.
+	healPageBatch = 8
+	// healPause is the rebuild's sleep between bursts.
+	healPause = 20 * sim.Millisecond
 )
 
 // HealConfig parameterizes the healing manager.
 type HealConfig struct {
-	// Interval is the heartbeat period (and the healer's sweep period).
-	Interval sim.Dur
-	// Timeout is how long a site's heartbeats must be silent before the
-	// healer declares it down. Should be a few Intervals.
-	Timeout sim.Dur
 	// Horizon is the absolute simulated time at which the heartbeat and
 	// healer processes exit. Required: without it the healing layer would
 	// keep the event loop alive forever.
 	Horizon sim.Time
-	// PageBatch is the number of pages a rebuild copies per burst.
-	PageBatch int
-	// Pause is the rebuild's sleep between bursts; together with PageBatch
-	// it caps the bandwidth a rebuild steals from foreground queries.
-	Pause sim.Dur
 }
 
 // HealEpisode is the availability record of one fault: when it was injected,
@@ -101,8 +97,7 @@ type Healer struct {
 }
 
 // EnableHealing starts the healing manager: one heartbeat process per disk
-// node and the healer process on the host. Zero-valued config fields take
-// the defaults above; Horizon is mandatory. Call after loading (and after
+// node and the healer process on the host. Call after loading (and after
 // EnableMirroring — without backups the healer can detect but not heal).
 func (m *Machine) EnableHealing(cfg HealConfig) *Healer {
 	if m.healer != nil {
@@ -110,18 +105,6 @@ func (m *Machine) EnableHealing(cfg HealConfig) *Healer {
 	}
 	if cfg.Horizon <= m.Sim.Now() {
 		panic("core: EnableHealing needs a horizon beyond the current time")
-	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = DefaultHealInterval
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = DefaultHealTimeout
-	}
-	if cfg.PageBatch <= 0 {
-		cfg.PageBatch = DefaultHealPageBatch
-	}
-	if cfg.Pause <= 0 {
-		cfg.Pause = DefaultHealPause
 	}
 	h := &Healer{
 		m:          m,
@@ -165,7 +148,7 @@ func (h *Healer) spawnHeartbeat(site int) {
 	m.start(nil, nd, fmt.Sprintf("heartbeat@%d", nd.ID), func(p *sim.Proc) {
 		for p.Now() < h.cfg.Horizon {
 			nose.SendCtl(p, nd, h.port, heartbeat{site: site, driveOK: !nd.Drive.Failed()})
-			p.Sleep(h.cfg.Interval)
+			p.Sleep(healInterval)
 		}
 	})
 }
@@ -202,7 +185,7 @@ func (h *Healer) run(p *sim.Proc) {
 			h.port.Close()
 			return
 		}
-		if msg, ok := h.port.RecvTimeout(p, h.cfg.Interval); ok {
+		if msg, ok := h.port.RecvTimeout(p, healInterval); ok {
 			hb := msg.Payload.(heartbeat)
 			h.lastSeen[hb.site] = p.Now()
 			if !hb.driveOK && !h.down[hb.site] {
@@ -213,7 +196,7 @@ func (h *Healer) run(p *sim.Proc) {
 		// overdue AND the node truly cannot serve (no false positives from
 		// a contended CPU delaying a beat).
 		for site, nd := range m.Disk {
-			if !h.down[site] && p.Now()-h.lastSeen[site] > h.cfg.Timeout && !m.driveUp(nd) {
+			if !h.down[site] && p.Now()-h.lastSeen[site] > healTimeout && !m.driveUp(nd) {
 				h.detect(p, site)
 			}
 		}
@@ -353,7 +336,7 @@ func (h *Healer) startRebuild(p *sim.Proc, r *Relation, i int) {
 			Res: r.Name, Site: i, From: src.Node.ID, To: tgt.ID, N: pages,
 		})
 		for copied := 0; copied < pages; {
-			batch := h.cfg.PageBatch
+			batch := healPageBatch
 			if rem := pages - copied; batch > rem {
 				batch = rem
 			}
@@ -366,7 +349,7 @@ func (h *Healer) startRebuild(p *sim.Proc, r *Relation, i int) {
 				tgt.Drive.Write(cp, newFile.ID, copied+j, pageBytes)
 			}
 			copied += batch
-			cp.Sleep(h.cfg.Pause)
+			cp.Sleep(healPause)
 		}
 		// Install: adopt the index images over the copied file and link the
 		// finished replica into the directory. The slot may have been

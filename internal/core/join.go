@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 
-	"gamma/internal/disk"
 	"gamma/internal/nose"
 	"gamma/internal/rel"
 	"gamma/internal/sim"
@@ -53,29 +52,40 @@ func roundStream(level int, probe bool) streamID {
 	return s
 }
 
-// Control messages between the scheduler and join operators.
+// Control messages from the scheduler to the operators that consume a port.
 
-type joinCtlKind int
+type ctlKind int
 
 const (
-	ctlRoundBuild joinCtlKind = iota
+	ctlRoundBuild ctlKind = iota
 	ctlRoundProbe
-	ctlProbeClose
+	// ctlClose carries the number of end-of-stream messages a consumer
+	// must see before its stream is complete.
+	ctlClose
 	ctlFinish
-	// ctlAbort tells a join operator to discard its table and spools and
-	// acknowledge with abortedMsg — part of mid-query failover teardown.
+	// ctlAbort tells an operator to discard its work and acknowledge with
+	// abortedMsg — part of mid-query failover teardown.
 	ctlAbort
 )
 
-// abortSignal unwinds a join operator out of whatever phase it is in when a
-// ctlAbort arrives; the operator's deferred handler turns it into cleanup
-// plus an acknowledgement.
+// abortSignal unwinds an operator out of whatever phase it is in when a
+// ctlAbort arrives; opExit turns it into cleanup plus an acknowledgement.
 type abortSignal struct{}
 
-type joinCtl struct {
-	kind      joinCtlKind
+type opCtl struct {
+	kind      ctlKind
 	level     int
-	expectEOS int // ctlProbeClose
+	expectEOS int // ctlClose
+}
+
+// recvOp receives one message of an operator's own protocol (not a tuple
+// stream; see recvStream). A ctlAbort unwinds the operator with abortSignal.
+func recvOp(p *sim.Proc, port *nose.Port) any {
+	pl := port.Recv(p).Payload
+	if c, ok := pl.(opCtl); ok && c.kind == ctlAbort {
+		panic(abortSignal{})
+	}
+	return pl
 }
 
 // builtMsg: a join site finished (re)building its hash table.
@@ -142,7 +152,7 @@ type joinSpec struct {
 	probeAttr  rel.Attr
 	nSites     int // number of join sites (round-stream producers)
 	nBuild     int // build-stream producers
-	nProbe     int // probe-stream producers; <0 means wait for ctlProbeClose
+	nProbe     int // probe-stream producers; <0 means wait for ctlClose
 	memBytes   int
 	outStream  streamID
 	outPorts   []*nose.Port
@@ -172,28 +182,9 @@ func spawnJoin(spec joinSpec) {
 		}
 		p.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KindOpStart, Op: spec.opID, Node: spec.node.ID, Site: spec.site, Class: "join"})
 		jt := newJoinTable(spec)
-		defer func() {
-			switch r := recover().(type) {
-			case nil:
-			case abortSignal:
-				// Scheduler-directed teardown: spool files are dropped
-				// (bookkeeping only — the cheap recovery path), the abort
-				// is acknowledged, and the port closes so queued senders
-				// get their window credits back.
-				jt.dropAllSpools()
-				nose.SendCtl(p, spec.node, spec.sched, abortedMsg{op: spec.opID, site: spec.site})
-				spec.port.Close()
-			case disk.FailedError:
-				// A spool read/write hit a failed drive: report so the
-				// scheduler aborts the attempt without waiting out the
-				// silence timeout.
-				jt.dropAllSpools()
-				nose.SendCtl(p, spec.node, spec.sched, opFailed{op: spec.opID, node: spec.node.ID})
-				spec.port.Close()
-			default:
-				panic(r)
-			}
-		}()
+		// Spool files are dropped on an abort or a failed spool drive:
+		// bookkeeping only, the cheap recovery path.
+		defer opExit(p, spec.node, spec.opID, spec.site, spec.port, spec.sched, jt.dropAllSpools)
 
 		// Main build phase.
 		phase(trace.KindPhaseStart, "build", 0)
@@ -218,18 +209,16 @@ func spawnJoin(spec joinSpec) {
 
 		// Overflow rounds.
 		for {
-			msg := spec.port.Recv(p)
-			jc, ok := msg.Payload.(joinCtl)
+			pl := recvOp(p, spec.port)
+			jc, ok := pl.(opCtl)
 			if !ok {
-				panic(fmt.Sprintf("join: unexpected message %T between phases", msg.Payload))
+				panic(fmt.Sprintf("join: unexpected message %T between phases", pl))
 			}
 			switch jc.kind {
 			case ctlFinish:
 				p.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KindOpDone, Op: spec.opID, Node: spec.node.ID, Site: spec.site})
 				spec.port.Close()
 				return
-			case ctlAbort:
-				panic(abortSignal{})
 			case ctlRoundBuild:
 				var label string
 				if m.Sim.Tracing() {
@@ -261,7 +250,7 @@ func spawnJoin(spec joinSpec) {
 }
 
 // recvStream consumes one stream: data packets and EOS messages until expect
-// producers have closed. expect < 0 waits for a ctlProbeClose carrying the
+// producers have closed. expect < 0 waits for a ctlClose carrying the
 // count (needed when the producer side has a dynamic number of phases).
 func recvStream(p *sim.Proc, port *nose.Port, want streamID, expect int, onPacket func([]rel.Tuple)) {
 	eos := 0
@@ -279,14 +268,14 @@ func recvStream(p *sim.Proc, port *nose.Port, want streamID, expect int, onPacke
 				panic(fmt.Sprintf("recvStream: eos for stream %d, want %d", pl.stream, want))
 			}
 			eos++
-		case joinCtl:
+		case opCtl:
 			switch pl.kind {
-			case ctlProbeClose:
+			case ctlClose:
 				expect = pl.expectEOS
 			case ctlAbort:
 				panic(abortSignal{})
 			default:
-				panic("recvStream: unexpected join control")
+				panic("recvStream: unexpected control kind")
 			}
 		default:
 			panic(fmt.Sprintf("recvStream: unexpected message %T", msg.Payload))

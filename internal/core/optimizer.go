@@ -90,17 +90,6 @@ func (m *Machine) scanSites(s ScanSpec) (frags []*Fragment, degraded bool, err e
 	return out, degraded, nil
 }
 
-// mustScanSites is scanSites for call sites that predate the typed error
-// path (aggregates, sorts, tests): unavailability panics, exactly like the
-// pre-healing behavior.
-func (m *Machine) mustScanSites(s ScanSpec) []*Fragment {
-	frags, _, err := m.scanSites(s)
-	if err != nil {
-		panic(err.Error())
-	}
-	return frags
-}
-
 // PropagateSelection applies the optimizer rewrite the paper describes for
 // joinAselB (§6.1): when a selection restricts the join attribute of one
 // relation, the same range restriction is valid on the other relation, so

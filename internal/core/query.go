@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"gamma/internal/nose"
@@ -79,8 +80,9 @@ type Result struct {
 	Diag *trace.Verdict
 
 	// Err is non-nil when the query could not complete: some fragment had no
-	// readable copy, or failover retries were exhausted (*ErrUnavailable).
-	// Only this query fails; the machine keeps serving others.
+	// readable copy, failover retries were exhausted, or an update lost a
+	// site it runs on (*ErrUnavailable). Only this query fails; the machine
+	// keeps serving others.
 	Err error
 	// Degraded reports that the successful attempt read at least one backup
 	// copy in place of a lost primary — the result is correct but was
@@ -106,21 +108,11 @@ func (m *Machine) initiate(p *sim.Proc, node *nose.Node, name string, fn func(p 
 	m.start(p, node, name, fn)
 }
 
-// JoinNodes returns the processors that execute join operators in a mode,
-// excluding crashed nodes (a node with only a failed drive still joins; its
-// spooling was re-pointed at a surviving drive). It panics when no
-// processor survives; the typed-error query path uses joinNodesErr.
-func (m *Machine) JoinNodes(mode JoinMode) []*nose.Node {
-	out, err := m.joinNodesErr(mode)
-	if err != nil {
-		panic("core: no surviving processor to run join operators")
-	}
-	return out
-}
-
-// joinNodesErr is JoinNodes for the typed-error query path: an empty
-// survivor set returns *ErrUnavailable instead of panicking.
-func (m *Machine) joinNodesErr(mode JoinMode) ([]*nose.Node, error) {
+// JoinNodes returns the processors that execute join (and aggregate)
+// operators in a mode, excluding crashed nodes (a node with only a failed
+// drive still joins; its spooling was re-pointed at a surviving drive). With
+// no surviving processor it returns *ErrUnavailable.
+func (m *Machine) JoinNodes(mode JoinMode) ([]*nose.Node, error) {
 	var cand []*nose.Node
 	switch mode {
 	case Local:
@@ -146,39 +138,43 @@ func (m *Machine) joinNodesErr(mode JoinMode) ([]*nose.Node, error) {
 	return out, nil
 }
 
-// inbox buffers the scheduler's incoming control messages by kind so phases
-// can await specific completions while unrelated reports arrive interleaved.
-// Completion reports are keyed by operator id; failover retries re-dispatch
-// under attempt-tagged ids (".r1", ".r2", ...), so a straggling report from
-// an aborted attempt can never satisfy a later attempt's wait.
+// inbox is one query's scheduler: its process, the port its operators report
+// to, and the reports filed there by kind and operator id, so phases can await
+// specific completions while unrelated reports arrive interleaved. Failover
+// retries re-dispatch under attempt-tagged ids (".r1", ".r2", ...), so a
+// straggling report from an aborted attempt can never satisfy a later
+// attempt's wait.
 type inbox struct {
-	p        *sim.Proc
-	port     *nose.Port
-	ft       *queryFT // non-nil when mid-query failover is armed
-	dones    map[string][]doneMsg
-	builts   map[string][]builtMsg
-	probeds  map[string][]probedMsg
-	stores   map[string][]storeDone
-	acked    map[string]map[int]bool // abort acks: op -> sites acked
-	aggParts []aggPartial
-	aggDones []aggDone
-	updDones []updateDone
+	p       *sim.Proc
+	port    *nose.Port
+	ft      *queryFT // non-nil when mid-query failover is armed
+	dones   map[string][]doneMsg
+	builts  map[string][]builtMsg
+	probeds map[string][]probedMsg
+	aggs    map[string][]aggPartial
+	acked   map[string]map[int]bool // abort acks: op -> sites acked
+	// groups are the current attempt's operator groups that own a port,
+	// in set-up order: what an abort must tear down.
+	groups []*opGroup
 }
 
 func newInbox(p *sim.Proc, port *nose.Port) *inbox {
-	return &inbox{
-		p:       p,
-		port:    port,
-		dones:   map[string][]doneMsg{},
-		builts:  map[string][]builtMsg{},
-		probeds: map[string][]probedMsg{},
-		stores:  map[string][]storeDone{},
-		acked:   map[string]map[int]bool{},
-	}
+	ib := &inbox{p: p, port: port, acked: map[string]map[int]bool{}}
+	ib.clearReports()
+	return ib
 }
 
-// errSiteFailed reports mid-query loss of operator sites; the scheduler's
-// attempt loop catches it, aborts, and replans against backup fragments.
+// clearReports frees every filed completion report.
+func (ib *inbox) clearReports() {
+	ib.dones = map[string][]doneMsg{}
+	ib.builts = map[string][]builtMsg{}
+	ib.probeds = map[string][]probedMsg{}
+	ib.aggs = map[string][]aggPartial{}
+}
+
+// errSiteFailed reports mid-query loss of operator sites; the query's
+// lifecycle catches it, aborts the attempt, and replans (or, for an update,
+// gives up).
 type errSiteFailed struct{ sites []int }
 
 func (e errSiteFailed) Error() string {
@@ -193,8 +189,8 @@ type opFailed struct {
 	node int
 }
 
-// abortedMsg acknowledges a ctlAbort/storeAbort: the operator has dropped
-// its buffered work and closed its port.
+// abortedMsg acknowledges a ctlAbort: the operator has dropped its buffered
+// work and closed its port.
 type abortedMsg struct {
 	op   string
 	site int
@@ -229,8 +225,8 @@ func (ib *inbox) pump() error {
 		ib.builts[pl.op] = append(ib.builts[pl.op], pl)
 	case probedMsg:
 		ib.probeds[pl.op] = append(ib.probeds[pl.op], pl)
-	case storeDone:
-		ib.stores[pl.op] = append(ib.stores[pl.op], pl)
+	case aggPartial:
+		ib.aggs[pl.op] = append(ib.aggs[pl.op], pl)
 	case opFailed:
 		if ib.ft == nil {
 			panic(fmt.Sprintf("core: operator %s on node %d lost its drive (failover not enabled)", pl.op, pl.node))
@@ -248,57 +244,15 @@ func (ib *inbox) pump() error {
 			ib.acked[pl.op] = acks
 		}
 		acks[pl.site] = true
-	case aggPartial:
-		ib.aggParts = append(ib.aggParts, pl)
-	case aggDone:
-		ib.aggDones = append(ib.aggDones, pl)
-	case updateDone:
-		ib.updDones = append(ib.updDones, pl)
 	default:
 		panic(fmt.Sprintf("scheduler: unexpected message %T", msg.Payload))
 	}
 	return nil
 }
 
-// mustPump is pump for query types that do not participate in failover
-// (aggregates, updates, sorts): a site failure there is fatal.
-func (ib *inbox) mustPump() { noFailover(ib.pump()) }
-
-func noFailover(err error) {
-	if err != nil {
-		panic("core: " + err.Error() + " (query type does not support failover)")
-	}
-}
-
-func (ib *inbox) waitAgg() aggDone {
-	for len(ib.aggDones) == 0 {
-		ib.mustPump()
-	}
-	out := ib.aggDones[0]
-	ib.aggDones = ib.aggDones[1:]
-	return out
-}
-
-func (ib *inbox) waitAggPartial() aggPartial {
-	for len(ib.aggParts) == 0 {
-		ib.mustPump()
-	}
-	out := ib.aggParts[0]
-	ib.aggParts = ib.aggParts[1:]
-	return out
-}
-
-func (ib *inbox) waitUpdates(n int) []updateDone {
-	for len(ib.updDones) < n {
-		ib.mustPump()
-	}
-	out := ib.updDones
-	ib.updDones = nil
-	return out
-}
-
 // collect blocks until n completion reports for op have been filed in box —
-// one of the inbox's per-kind maps — and takes them.
+// one of the inbox's per-kind maps — and takes them. It is the scheduler's
+// only wait.
 func collect[T any](ib *inbox, box map[string][]T, op string, n int) ([]T, error) {
 	for len(box[op]) < n {
 		if err := ib.pump(); err != nil {
@@ -310,29 +264,22 @@ func collect[T any](ib *inbox, box map[string][]T, op string, n int) ([]T, error
 	return out, nil
 }
 
-// mustCollect is collect for non-failover query types.
-func mustCollect[T any](ib *inbox, box map[string][]T, op string, n int) []T {
-	out, err := collect(ib, box, op, n)
-	noFailover(err)
-	return out
-}
-
-// waitAborts blocks until every port in the list has either acknowledged
-// the abort (an abortedMsg for op from its site index) or closed without
-// acknowledging (its node crashed, or its operator died of a drive failure
-// — both close the port). Failures reported meanwhile are absorbed: the
-// retry replans from fresh machine state anyway.
-func (ib *inbox) waitAborts(op string, ports []*nose.Port) {
+// waitAborts blocks until every port of g has either acknowledged the abort
+// (an abortedMsg for g.op from its site index) or closed without
+// acknowledging (its node crashed, its operator died of a drive failure, or
+// it finished first — all close the port). Failures reported meanwhile are
+// absorbed: a retry replans from fresh machine state anyway.
+func (ib *inbox) waitAborts(g *opGroup) {
 	for {
 		settled := true
-		for i, pt := range ports {
-			if !pt.Closed() && !ib.acked[op][i] {
+		for i, pt := range g.ports {
+			if !pt.Closed() && !ib.acked[g.op][i] {
 				settled = false
 				break
 			}
 		}
 		if settled {
-			delete(ib.acked, op)
+			delete(ib.acked, g.op)
 			return
 		}
 		_ = ib.pump()
@@ -350,13 +297,13 @@ type queryFT struct {
 	snap    []siteSnap
 }
 
-// siteSnap is one disk site's health at attempt planning time. epoch is the
-// site's crash count: a site that crashed and rejoined between two detection
-// sweeps still shows a changed epoch, so operators it killed are not waited
-// on forever.
+// siteSnap is one disk site's health at attempt planning time. watched means
+// the site was up and the attempt depends on it. epoch is the site's crash
+// count: a site that crashed and rejoined between two detection sweeps still
+// shows a changed epoch, so operators it killed are not waited on forever.
 type siteSnap struct {
-	up    bool
-	epoch int
+	watched bool
+	epoch   int
 }
 
 // newQueryFT returns failover state for one query, or nil when failover is
@@ -368,25 +315,39 @@ func (m *Machine) newQueryFT() *queryFT {
 	return &queryFT{m: m, detect: m.ftDetect}
 }
 
-// resnap records disk-site health at the start of an attempt.
+// resnap records disk-site health at the start of an attempt, watching every
+// site that is up.
 func (ft *queryFT) resnap() {
 	ft.snap = ft.snap[:0]
 	for _, nd := range ft.m.Disk {
-		ft.snap = append(ft.snap, siteSnap{up: ft.m.driveUp(nd), epoch: ft.m.crashes[nd.ID]})
+		ft.snap = append(ft.snap, siteSnap{watched: ft.m.driveUp(nd), epoch: ft.m.crashes[nd.ID]})
 	}
 }
 
-// newlyFailed lists disk sites lost since the attempt's snapshot: sites whose
-// drive went down, and sites that crashed at all since planning — even if
-// they already rejoined — because a crash killed any operator running there.
+// newlyFailed lists watched disk sites lost since the attempt's snapshot:
+// sites whose drive went down, and sites that crashed at all since planning —
+// even if they already rejoined — because a crash killed any operator
+// running there.
 func (ft *queryFT) newlyFailed() []int {
 	var out []int
 	for i, nd := range ft.m.Disk {
-		if ft.snap[i].up && (!ft.m.driveUp(nd) || ft.m.crashes[nd.ID] != ft.snap[i].epoch) {
+		if ft.snap[i].watched && (!ft.m.driveUp(nd) || ft.m.crashes[nd.ID] != ft.snap[i].epoch) {
 			out = append(out, i)
 		}
 	}
 	return out
+}
+
+// watchOnly narrows the attempt's failure detection to the disk sites of
+// nodes. An update depends on no other site, and must not report failure for
+// a write that completed while an unrelated site went down.
+func (ib *inbox) watchOnly(nodes []*nose.Node) {
+	if ib.ft == nil {
+		return
+	}
+	for i, nd := range ib.ft.m.Disk {
+		ib.ft.snap[i].watched = ib.ft.snap[i].watched && slices.Contains(nodes, nd)
+	}
 }
 
 // tag returns the attempt suffix for operator ids: "" for the first attempt
@@ -405,6 +366,7 @@ func (ib *inbox) tag() string {
 // *ErrUnavailable, bounding the retry loop with a typed per-query error.
 func (ib *inbox) beginAttempt(m *Machine, res *Result) error {
 	res.Attempts++
+	ib.groups = ib.groups[:0]
 	if ib.ft == nil {
 		return nil
 	}
@@ -431,10 +393,7 @@ const (
 	retryBackoffCap  = 500 * sim.Millisecond
 )
 
-func (m *Machine) retryBackoff(p *sim.Proc, ib *inbox, res *Result) {
-	if ib.ft == nil {
-		return
-	}
+func (m *Machine) retryBackoff(ib *inbox, res *Result) {
 	k := ib.ft.attempt // already incremented by abortAttempt
 	d := retryBackoffBase
 	for i := 1; i < k && d < retryBackoffCap; i++ {
@@ -450,7 +409,7 @@ func (m *Machine) retryBackoff(p *sim.Proc, ib *inbox, res *Result) {
 	}
 	state := h ^ uint64(k)
 	jitter := sim.Dur(splitmix64(&state) % uint64(d))
-	p.Sleep(d + jitter)
+	ib.p.Sleep(d + jitter)
 }
 
 // launchQuery spawns the host and scheduler processes around `body` without
@@ -459,7 +418,7 @@ func (m *Machine) retryBackoff(p *sim.Proc, ib *inbox, res *Result) {
 // one idle scheduler process per query, §2). onDone, if non-nil, runs in the
 // host process after the query's result is final; the closed-loop workload
 // driver uses it to wake the issuing terminal.
-func (m *Machine) launchQuery(res *Result, body func(p *sim.Proc, ib *inbox, schedPort *nose.Port), onDone func()) {
+func (m *Machine) launchQuery(res *Result, body func(ib *inbox), onDone func()) {
 	start := m.Sim.Now()
 	m.nextQID++
 	res.Query = fmt.Sprintf("q%d", m.nextQID)
@@ -470,7 +429,7 @@ func (m *Machine) launchQuery(res *Result, body func(p *sim.Proc, ib *inbox, sch
 		schedPort.Recv(p) // the compiled query arrives from the host
 		ib := newInbox(p, schedPort)
 		ib.ft = m.newQueryFT()
-		body(p, ib, schedPort)
+		body(ib)
 		nose.SendCtl(p, m.Sched, hostPort, "done")
 		schedPort.Close()
 	})
@@ -498,7 +457,7 @@ func (m *Machine) diagnose(res *Result) {
 }
 
 // runQuery launches one query and runs the simulation to completion.
-func (m *Machine) runQuery(res *Result, body func(p *sim.Proc, ib *inbox, schedPort *nose.Port)) {
+func (m *Machine) runQuery(res *Result, body func(ib *inbox)) {
 	m.ResetPools()
 	net0 := m.Net.Stats()
 	hits0, misses0 := m.PoolStats()
@@ -517,23 +476,66 @@ func (m *Machine) runQuery(res *Result, body func(p *sim.Proc, ib *inbox, schedP
 	m.diagnose(res)
 }
 
-// storeSet is one attempt's result-storage operators: the (attempt-tagged)
-// operator id and the destination ports.
-type storeSet struct {
+// lifecycle is the scheduler program of every query class: attempts of try,
+// each planned afresh against the directory. try returns nil when the query
+// is done, a terminal error when its plan cannot be satisfied (nothing has
+// been committed yet), or errSiteFailed when a site was lost mid-attempt. A
+// lost site aborts the attempt; a read-only query then backs off and replans
+// against backup fragments, while an update (retry false) ends there with a
+// typed error, so it is never applied twice.
+func (m *Machine) lifecycle(res *Result, retry bool, try func(ib *inbox) error) func(ib *inbox) {
+	return func(ib *inbox) {
+		for {
+			if err := ib.beginAttempt(m, res); err != nil {
+				res.Err = err
+				return
+			}
+			err := try(ib)
+			if _, lost := err.(errSiteFailed); !lost {
+				res.Err = err
+				return
+			}
+			m.abortAttempt(ib, res)
+			if !retry {
+				res.Err = &ErrUnavailable{Attempts: res.Attempts}
+				return
+			}
+			m.retryBackoff(ib, res)
+		}
+	}
+}
+
+// opGroup is one operator group of an attempt that consumes a port per site:
+// its (attempt-tagged) id and the ports — what the scheduler signals, and
+// what an abort must reach and hear acknowledged.
+type opGroup struct {
 	op    string
 	ports []*nose.Port
+}
+
+// track registers g with the current attempt, so an abort tears it down.
+func (ib *inbox) track(g *opGroup) *opGroup {
+	ib.groups = append(ib.groups, g)
+	return g
+}
+
+// signal sends c to every site of the group.
+func (g *opGroup) signal(m *Machine, p *sim.Proc, c opCtl) {
+	for _, pt := range g.ports {
+		nose.SendCtl(p, m.Sched, pt, c)
+	}
 }
 
 // setupStores creates the result relation (unless toHost) and initiates one
 // store operator per surviving disk node, or a host collector. It returns
 // *ErrUnavailable when no disk node survives to hold the result.
-func (m *Machine) setupStores(p *sim.Proc, ib *inbox, schedPort *nose.Port, res *Result, resultName string, toHost bool, width int) (*storeSet, error) {
-	ss := &storeSet{op: "store" + ib.tag()}
+func (m *Machine) setupStores(ib *inbox, res *Result, resultName string, toHost bool, width int) (*opGroup, error) {
+	ss := &opGroup{op: "store" + ib.tag()}
 	if toHost {
 		colPort := m.Host.NewPort(ss.op)
-		spawnCollector(m, p, ss.op, m.Host, colPort, schedPort, nil)
+		spawnCollector(m, ib.p, ss.op, m.Host, colPort, ib.port)
 		ss.ports = []*nose.Port{colPort}
-		return ss, nil
+		return ib.track(ss), nil
 	}
 	resRel, err := m.newResultRelation(resultName, width)
 	if err != nil {
@@ -542,25 +544,23 @@ func (m *Machine) setupStores(p *sim.Proc, ib *inbox, schedPort *nose.Port, res 
 	res.ResultName = resRel.Name
 	for i, frag := range resRel.Frags {
 		pt := frag.Node.NewPort(fmt.Sprintf("%s%d", ss.op, i))
-		spawnStore(m, p, ss.op, i, frag, pt, schedPort)
+		spawnStore(m, ib.p, ss.op, i, frag, pt, ib.port)
 		ss.ports = append(ss.ports, pt)
 	}
-	return ss, nil
+	return ib.track(ss), nil
 }
 
 // close sends the final EOS count to every store and awaits their reports,
 // returning the total tuples stored.
-func (ss *storeSet) close(m *Machine, p *sim.Proc, ib *inbox, expectEOS int) (int, error) {
-	for _, pt := range ss.ports {
-		nose.SendCtl(p, m.Sched, pt, storeClose{expectEOS: expectEOS})
-	}
-	sds, err := collect(ib, ib.stores, ss.op, len(ss.ports))
+func (ss *opGroup) close(m *Machine, ib *inbox, expectEOS int) (int, error) {
+	ss.signal(m, ib.p, opCtl{kind: ctlClose, expectEOS: expectEOS})
+	dones, err := collect(ib, ib.dones, ss.op, len(ss.ports))
 	if err != nil {
 		return 0, err
 	}
 	stored := 0
-	for _, sd := range sds {
-		stored += sd.stored
+	for _, d := range dones {
+		stored += d.produced
 	}
 	return stored, nil
 }
@@ -568,40 +568,28 @@ func (ss *storeSet) close(m *Machine, p *sim.Proc, ib *inbox, expectEOS int) (in
 // abortAttempt tears down a failed query attempt: surviving operators are
 // told to abort, their acknowledgements (or port closures — a crashed
 // operator cannot acknowledge) are awaited, and the partial result relation
-// is dropped, the paper's §4 cheap recovery path for "retrieve into". The
-// next attempt then replans against backup fragments under a fresh tag.
-func (m *Machine) abortAttempt(p *sim.Proc, ib *inbox, res *Result, stages []*stage, ss *storeSet) {
+// is dropped, the paper's §4 cheap recovery path for "retrieve into".
+// Operators are set up consumer-first, so the groups are torn down in reverse
+// set-up order: dataflow order. A retry then replans under a fresh tag.
+func (m *Machine) abortAttempt(ib *inbox, res *Result) {
+	p := ib.p
 	p.Emit(trace.Event{
 		At: int64(p.Now()), Kind: trace.KindFailover, Class: "abort",
 		Query: res.Query, N: ib.ft.attempt,
 	})
-	for _, st := range stages {
-		if st == nil {
-			continue
-		}
-		for _, pt := range st.ports {
+	for i := len(ib.groups) - 1; i >= 0; i-- {
+		for _, pt := range ib.groups[i].ports {
 			if !pt.Closed() {
-				nose.SendCtl(p, m.Sched, pt, joinCtl{kind: ctlAbort})
+				nose.SendCtl(p, m.Sched, pt, opCtl{kind: ctlAbort})
 			}
 		}
 	}
-	for _, pt := range ss.ports {
-		if !pt.Closed() {
-			nose.SendCtl(p, m.Sched, pt, storeAbort{})
-		}
+	for i := len(ib.groups) - 1; i >= 0; i-- {
+		ib.waitAborts(ib.groups[i])
 	}
-	for _, st := range stages {
-		if st != nil {
-			ib.waitAborts(st.opID, st.ports)
-		}
-	}
-	ib.waitAborts(ss.op, ss.ports)
 	// Straggling completion reports from the dead attempt are keyed under
 	// its tag and can never match a later wait; free them.
-	ib.dones = map[string][]doneMsg{}
-	ib.builts = map[string][]builtMsg{}
-	ib.probeds = map[string][]probedMsg{}
-	ib.stores = map[string][]storeDone{}
+	ib.clearReports()
 	if res.ResultName != "" {
 		m.Drop(res.ResultName)
 		res.ResultName = ""
@@ -616,54 +604,34 @@ func (m *Machine) RunSelect(q SelectQuery) Result {
 	return res
 }
 
-// selectBody builds the scheduler program for a selection query: an attempt
-// loop that re-dispatches against backup fragments after a mid-query site
-// failure, backing off between attempts. A terminal error (no readable copy,
-// retries exhausted) lands in res.Err and ends the loop.
-func (m *Machine) selectBody(q SelectQuery, res *Result) func(p *sim.Proc, ib *inbox, schedPort *nose.Port) {
+// selectBody builds the scheduler program for a selection query.
+func (m *Machine) selectBody(q SelectQuery, res *Result) func(ib *inbox) {
 	scan := m.resolveScan(q.Scan)
 	width := scan.Rel.width(m)
 	if len(q.Project) > 0 {
 		width = 4 * len(q.Project)
 	}
-	return func(p *sim.Proc, ib *inbox, schedPort *nose.Port) {
-		for !m.trySelect(p, ib, schedPort, q, res, scan, width) {
-			m.retryBackoff(p, ib, res)
+	return m.lifecycle(res, true, func(ib *inbox) error {
+		// Plan the scan sites before committing resources: a directory with
+		// no readable copy fails the query with nothing to tear down.
+		frags, degraded, err := m.scanSites(scan)
+		if err != nil {
+			return err
 		}
-	}
-}
-
-// trySelect runs one attempt of a selection; false means the attempt hit a
-// site failure, was aborted, and should be retried. Terminal failures
-// (typed unavailability) set res.Err and return true — the query is done.
-func (m *Machine) trySelect(p *sim.Proc, ib *inbox, schedPort *nose.Port, q SelectQuery, res *Result, scan ScanSpec, width int) bool {
-	if err := ib.beginAttempt(m, res); err != nil {
-		res.Err = err
-		return true
-	}
-	// Plan the scan sites before committing resources: a directory with no
-	// readable copy fails the attempt terminally with nothing to tear down.
-	frags, degraded, err := m.scanSites(scan)
-	if err != nil {
-		res.Err = err
-		return true
-	}
-	res.Degraded = degraded
-	ss, err := m.setupStores(p, ib, schedPort, res, q.ResultName, q.ToHost, width)
-	if err != nil {
-		res.Err = err
-		return true
-	}
-	selOp := "select" + ib.tag()
-	for si, frag := range frags {
-		spawnSelect(m, p, selOp, si, frag, scan.Pred, scan.Path, func() selectOutput {
-			return selectOutput{
-				stream: streamStore, ports: ss.ports, route: RRRoute(len(ss.ports)),
-				width: width, project: q.Project,
-			}
-		}, schedPort)
-	}
-	err = func() error {
+		res.Degraded = degraded
+		ss, err := m.setupStores(ib, res, q.ResultName, q.ToHost, width)
+		if err != nil {
+			return err
+		}
+		selOp := "select" + ib.tag()
+		for si, frag := range frags {
+			spawnSelect(m, ib.p, selOp, si, frag, scan.Pred, scan.Path, func() selectOutput {
+				return selectOutput{
+					stream: streamStore, ports: ss.ports, route: RRRoute(len(ss.ports)),
+					width: width, project: q.Project,
+				}
+			}, ib.port)
+		}
 		dones, err := collect(ib, ib.dones, selOp, len(frags))
 		if err != nil {
 			return err
@@ -672,7 +640,7 @@ func (m *Machine) trySelect(p *sim.Proc, ib *inbox, schedPort *nose.Port, q Sele
 		for _, d := range dones {
 			produced += d.produced
 		}
-		stored, err := ss.close(m, p, ib, len(frags))
+		stored, err := ss.close(m, ib, len(frags))
 		if err != nil {
 			return err
 		}
@@ -682,19 +650,13 @@ func (m *Machine) trySelect(p *sim.Proc, ib *inbox, schedPort *nose.Port, q Sele
 			res.Tuples = stored
 		}
 		return nil
-	}()
-	if err == nil {
-		return true
-	}
-	m.abortAttempt(p, ib, res, nil, ss)
-	return false
+	})
 }
 
 // stage tracks one hash join's sites and overflow state at the scheduler.
 type stage struct {
-	opID      string
+	opGroup
 	nodes     []*nose.Node
-	ports     []*nose.Port
 	buildAttr rel.Attr
 	probeAttr rel.Attr
 	// pending[level][site] = spool files awaiting an overflow round.
@@ -704,9 +666,9 @@ type stage struct {
 	produced int
 }
 
-func (m *Machine) newStage(opID string, nodes []*nose.Node, buildAttr, probeAttr rel.Attr) *stage {
+func (m *Machine) newStage(ib *inbox, opID string, nodes []*nose.Node, buildAttr, probeAttr rel.Attr) *stage {
 	st := &stage{
-		opID:      opID,
+		opGroup:   opGroup{op: opID},
 		nodes:     nodes,
 		buildAttr: buildAttr,
 		probeAttr: probeAttr,
@@ -716,6 +678,7 @@ func (m *Machine) newStage(opID string, nodes []*nose.Node, buildAttr, probeAttr
 	for i, nd := range nodes {
 		st.ports = append(st.ports, nd.NewPort(fmt.Sprintf("%s@%d", opID, i)))
 	}
+	ib.track(&st.opGroup)
 	return st
 }
 
@@ -740,7 +703,8 @@ func (st *stage) absorb(reports []probedMsg) {
 // runRounds drains the stage's overflow partitions: for each pending level,
 // every site's build spool is redistributed with a fresh hash function and
 // rebuilt, then the probe spools are redistributed and probed (§6.2.2).
-func (m *Machine) runRounds(p *sim.Proc, ib *inbox, schedPort *nose.Port, st *stage) error {
+func (m *Machine) runRounds(ib *inbox, st *stage) error {
+	p := ib.p
 	nJ := len(st.nodes)
 	for len(st.pending) > 0 {
 		levels := make([]int, 0, len(st.pending))
@@ -753,9 +717,7 @@ func (m *Machine) runRounds(p *sim.Proc, ib *inbox, schedPort *nose.Port, st *st
 		delete(st.pending, l)
 
 		// Round build: redistribute build spools under a new seed.
-		for si := range st.nodes {
-			nose.SendCtl(p, m.Sched, st.ports[si], joinCtl{kind: ctlRoundBuild, level: l})
-		}
+		st.signal(m, p, opCtl{kind: ctlRoundBuild, level: l})
 		for si, nd := range st.nodes {
 			info := infos[si]
 			// Spool files are rescanned by select-like operators at
@@ -767,48 +729,39 @@ func (m *Machine) runRounds(p *sim.Proc, ib *inbox, schedPort *nose.Port, st *st
 			if info.owner != nil {
 				reader = info.owner
 			}
-			spawnSpoolScan(m, p, st.opID+".ovfbuild", si, info.build, info.owner, reader, func() selectOutput {
+			spawnSpoolScan(m, p, st.op+".ovfbuild", si, info.build, info.owner, reader, func() selectOutput {
 				return selectOutput{stream: roundStream(l, false), ports: st.ports, route: HashRoute(st.buildAttr, roundSeed(l), nJ)}
-			}, schedPort)
+			}, ib.port)
 		}
-		if _, err := collect(ib, ib.dones, st.opID+".ovfbuild", nJ); err != nil {
+		if _, err := collect(ib, ib.dones, st.op+".ovfbuild", nJ); err != nil {
 			return err
 		}
-		if _, err := collect(ib, ib.builts, st.opID, nJ); err != nil {
+		if _, err := collect(ib, ib.builts, st.op, nJ); err != nil {
 			return err
 		}
 
 		// Round probe: redistribute probe spools likewise.
-		for si := range st.nodes {
-			nose.SendCtl(p, m.Sched, st.ports[si], joinCtl{kind: ctlRoundProbe, level: l})
-		}
+		st.signal(m, p, opCtl{kind: ctlRoundProbe, level: l})
 		for si, nd := range st.nodes {
 			info := infos[si]
 			reader := nd
 			if info.owner != nil {
 				reader = info.owner
 			}
-			spawnSpoolScan(m, p, st.opID+".ovfprobe", si, info.probe, info.owner, reader, func() selectOutput {
+			spawnSpoolScan(m, p, st.op+".ovfprobe", si, info.probe, info.owner, reader, func() selectOutput {
 				return selectOutput{stream: roundStream(l, true), ports: st.ports, route: HashRoute(st.probeAttr, roundSeed(l), nJ)}
-			}, schedPort)
+			}, ib.port)
 		}
-		if _, err := collect(ib, ib.dones, st.opID+".ovfprobe", nJ); err != nil {
+		if _, err := collect(ib, ib.dones, st.op+".ovfprobe", nJ); err != nil {
 			return err
 		}
-		probeds, err := collect(ib, ib.probeds, st.opID, nJ)
+		probeds, err := collect(ib, ib.probeds, st.op, nJ)
 		if err != nil {
 			return err
 		}
 		st.absorb(probeds)
 	}
 	return nil
-}
-
-// finish releases a stage's join operators.
-func (m *Machine) finishStage(p *sim.Proc, st *stage) {
-	for _, pt := range st.ports {
-		nose.SendCtl(p, m.Sched, pt, joinCtl{kind: ctlFinish})
-	}
 }
 
 // RunJoin executes a one- or two-stage hash join query (§6).
@@ -818,9 +771,8 @@ func (m *Machine) RunJoin(q JoinQuery) Result {
 	return res
 }
 
-// joinBody builds the scheduler program for a join query: an attempt loop
-// that replans join sites and scan fragments after a mid-query site failure.
-func (m *Machine) joinBody(q JoinQuery, res *Result) func(p *sim.Proc, ib *inbox, schedPort *nose.Port) {
+// joinBody builds the scheduler program for a join query.
+func (m *Machine) joinBody(q JoinQuery, res *Result) func(ib *inbox) {
 	build := m.resolveScan(q.Build)
 	probe := m.resolveScan(q.Probe)
 	var build2 ScanSpec
@@ -831,51 +783,36 @@ func (m *Machine) joinBody(q JoinQuery, res *Result) func(p *sim.Proc, ib *inbox
 	if memPer <= 0 {
 		memPer = m.Prm.Memory.JoinTableBytes
 	}
-	return func(p *sim.Proc, ib *inbox, schedPort *nose.Port) {
-		for !m.tryJoin(p, ib, schedPort, q, res, build, probe, build2, memPer) {
-			m.retryBackoff(p, ib, res)
-		}
-	}
+	return m.lifecycle(res, true, func(ib *inbox) error {
+		return m.tryJoin(ib, q, res, build, probe, build2, memPer)
+	})
 }
 
-// tryJoin runs one attempt of a join query; false means the attempt hit a
-// site failure, was aborted, and should be retried against the survivors.
-// Terminal failures (typed unavailability) set res.Err and return true.
-func (m *Machine) tryJoin(p *sim.Proc, ib *inbox, schedPort *nose.Port, q JoinQuery, res *Result, build, probe, build2 ScanSpec, memPer int) bool {
-	if err := ib.beginAttempt(m, res); err != nil {
-		res.Err = err
-		return true
-	}
-	tag := ib.tag()
+// tryJoin runs one attempt of a join query.
+func (m *Machine) tryJoin(ib *inbox, q JoinQuery, res *Result, build, probe, build2 ScanSpec, memPer int) error {
+	p, sched, tag := ib.p, ib.port, ib.tag()
 	// Plan everything that consults only directory state — join sites and
 	// every scan's fragment list — before committing resources, so a plan
 	// that cannot be satisfied fails terminally with nothing to tear down.
-	joinNodes, err := m.joinNodesErr(q.Mode)
+	joinNodes, err := m.JoinNodes(q.Mode)
 	if err != nil {
-		res.Err = err
-		return true
+		return err
 	}
 	nJ := len(joinNodes)
 	var b2frags []*Fragment
 	degraded := false
 	if q.Build2 != nil {
-		var bak bool
-		b2frags, bak, err = m.scanSites(build2)
-		if err != nil {
-			res.Err = err
-			return true
+		if b2frags, degraded, err = m.scanSites(build2); err != nil {
+			return err
 		}
-		degraded = degraded || bak
 	}
 	bfrags, bakB, err := m.scanSites(build)
 	if err != nil {
-		res.Err = err
-		return true
+		return err
 	}
 	pfrags, bakP, err := m.scanSites(probe)
 	if err != nil {
-		res.Err = err
-		return true
+		return err
 	}
 	res.Degraded = degraded || bakB || bakP
 	// Hybrid hash join plans its partition count from the optimizer's
@@ -888,151 +825,139 @@ func (m *Machine) tryJoin(p *sim.Proc, ib *inbox, schedPort *nose.Port, q JoinQu
 		}
 	}
 
-	ss, err := m.setupStores(p, ib, schedPort, res, q.ResultName, false, 0)
+	ss, err := m.setupStores(ib, res, q.ResultName, false, 0)
 	if err != nil {
-		res.Err = err
-		return true
+		return err
 	}
-	var st1, st2 *stage
-	err = func() error {
-		// Optional second stage, built first so stage one can stream
-		// into it.
-		if q.Build2 != nil {
-			st2 = m.newStage("join2"+tag, joinNodes, q.Build2Attr, q.Probe2Attr)
-			for si, nd := range joinNodes {
-				spawnJoin(joinSpec{
-					m: m, from: p, opID: st2.opID, site: si, node: nd, port: st2.ports[si], sched: schedPort,
-					buildAttr: q.Build2Attr, probeAttr: q.Probe2Attr,
-					nSites: nJ, nBuild: len(b2frags), nProbe: -1, memBytes: memPer,
-					outStream: streamStore, outPorts: ss.ports,
-					mkOutRoute: func() RouteFn { return RRRoute(len(ss.ports)) },
-				})
-			}
-			for si, frag := range b2frags {
-				spawnSelect(m, p, "sel-build2"+tag, si, frag, build2.Pred, build2.Path, func() selectOutput {
-					return selectOutput{stream: streamBuild, ports: st2.ports, route: HashRoute(q.Build2Attr, LoadSeed, nJ)}
-				}, schedPort)
-			}
-			if _, err := collect(ib, ib.dones, "sel-build2"+tag, len(b2frags)); err != nil {
-				return err
-			}
-			if _, err := collect(ib, ib.builts, st2.opID, nJ); err != nil {
-				return err
-			}
-		}
-
-		// Stage one join operators.
-		st1 = m.newStage("join1"+tag, joinNodes, q.BuildAttr, q.ProbeAttr)
-		outPorts := ss.ports
-		outStream := streamStore
-		mkOutRoute := func() RouteFn { return RRRoute(len(ss.ports)) }
-		if st2 != nil {
-			outPorts = st2.ports
-			outStream = streamProbe
-			mkOutRoute = func() RouteFn { return HashRoute(q.Probe2Attr, LoadSeed, nJ) }
-		}
+	// Optional second stage, built first so stage one can stream into it.
+	var st2 *stage
+	if q.Build2 != nil {
+		st2 = m.newStage(ib, "join2"+tag, joinNodes, q.Build2Attr, q.Probe2Attr)
 		for si, nd := range joinNodes {
 			spawnJoin(joinSpec{
-				m: m, from: p, opID: st1.opID, site: si, node: nd, port: st1.ports[si], sched: schedPort,
-				buildAttr: q.BuildAttr, probeAttr: q.ProbeAttr,
-				nSites: nJ, nBuild: len(bfrags), nProbe: len(pfrags), memBytes: memPer,
-				outStream: outStream, outPorts: outPorts, mkOutRoute: mkOutRoute,
-				makeFilter: q.UseBitFilter, filterBits: 1 << 16,
-				algo: q.Algorithm, hybridParts: hybridParts,
+				m: m, from: p, opID: st2.op, site: si, node: nd, port: st2.ports[si], sched: sched,
+				buildAttr: q.Build2Attr, probeAttr: q.Probe2Attr,
+				nSites: nJ, nBuild: len(b2frags), nProbe: -1, memBytes: memPer,
+				outStream: streamStore, outPorts: ss.ports,
+				mkOutRoute: func() RouteFn { return RRRoute(len(ss.ports)) },
 			})
 		}
-
-		// Build selections.
-		for si, frag := range bfrags {
-			spawnSelect(m, p, "sel-build"+tag, si, frag, build.Pred, build.Path, func() selectOutput {
-				return selectOutput{stream: streamBuild, ports: st1.ports, route: HashRoute(q.BuildAttr, LoadSeed, nJ)}
-			}, schedPort)
+		for si, frag := range b2frags {
+			spawnSelect(m, p, "sel-build2"+tag, si, frag, build2.Pred, build2.Path, func() selectOutput {
+				return selectOutput{stream: streamBuild, ports: st2.ports, route: HashRoute(q.Build2Attr, LoadSeed, nJ)}
+			}, sched)
 		}
-		if _, err := collect(ib, ib.dones, "sel-build"+tag, len(bfrags)); err != nil {
+		if _, err := collect(ib, ib.dones, "sel-build2"+tag, len(b2frags)); err != nil {
 			return err
 		}
-		builts, err := collect(ib, ib.builts, st1.opID, nJ)
-		if err != nil {
+		if _, err := collect(ib, ib.builts, st2.op, nJ); err != nil {
 			return err
 		}
-
-		// Probe selections, with Babb filters if every site produced one.
-		filters := make([]*BitFilter, nJ)
-		haveFilters := q.UseBitFilter
-		for _, b := range builts {
-			if b.filter == nil {
-				haveFilters = false
-			} else {
-				filters[b.site] = b.filter
-			}
-		}
-		for si, frag := range pfrags {
-			fr := frag
-			spawnSelect(m, p, "sel-probe"+tag, si, fr, probe.Pred, probe.Path, func() selectOutput {
-				out := selectOutput{stream: streamProbe, ports: st1.ports, route: HashRoute(q.ProbeAttr, LoadSeed, nJ)}
-				if haveFilters {
-					out.filters = filters
-					out.filterAttr = q.ProbeAttr
-				}
-				return out
-			}, schedPort)
-		}
-		if _, err := collect(ib, ib.dones, "sel-probe"+tag, len(pfrags)); err != nil {
-			return err
-		}
-		probeds, err := collect(ib, ib.probeds, st1.opID, nJ)
-		if err != nil {
-			return err
-		}
-		st1.absorb(probeds)
-
-		// Stage-one overflow rounds, then release its operators.
-		if err := m.runRounds(p, ib, schedPort, st1); err != nil {
-			return err
-		}
-		m.finishStage(p, st1)
-
-		finalStage := st1
-		if st2 != nil {
-			for _, pt := range st2.ports {
-				nose.SendCtl(p, m.Sched, pt, joinCtl{kind: ctlProbeClose, expectEOS: nJ * st1.phases})
-			}
-			probeds2, err := collect(ib, ib.probeds, st2.opID, nJ)
-			if err != nil {
-				return err
-			}
-			st2.absorb(probeds2)
-			if err := m.runRounds(p, ib, schedPort, st2); err != nil {
-				return err
-			}
-			m.finishStage(p, st2)
-			finalStage = st2
-		}
-
-		stored, err := ss.close(m, p, ib, nJ*finalStage.phases)
-		if err != nil {
-			return err
-		}
-		res.Tuples = stored
-		res.OverflowPerSite = append(st1.perSite[:0:0], st1.perSite...)
-		if st2 != nil {
-			for i, v := range st2.perSite {
-				res.OverflowPerSite[i] += v
-			}
-		}
-		res.Overflows = 0
-		for _, v := range res.OverflowPerSite {
-			if v > res.Overflows {
-				res.Overflows = v
-			}
-		}
-		return nil
-	}()
-	if err == nil {
-		return true
 	}
-	m.abortAttempt(p, ib, res, []*stage{st1, st2}, ss)
-	return false
+
+	// Stage one join operators.
+	st1 := m.newStage(ib, "join1"+tag, joinNodes, q.BuildAttr, q.ProbeAttr)
+	outPorts := ss.ports
+	outStream := streamStore
+	mkOutRoute := func() RouteFn { return RRRoute(len(ss.ports)) }
+	if st2 != nil {
+		outPorts = st2.ports
+		outStream = streamProbe
+		mkOutRoute = func() RouteFn { return HashRoute(q.Probe2Attr, LoadSeed, nJ) }
+	}
+	for si, nd := range joinNodes {
+		spawnJoin(joinSpec{
+			m: m, from: p, opID: st1.op, site: si, node: nd, port: st1.ports[si], sched: sched,
+			buildAttr: q.BuildAttr, probeAttr: q.ProbeAttr,
+			nSites: nJ, nBuild: len(bfrags), nProbe: len(pfrags), memBytes: memPer,
+			outStream: outStream, outPorts: outPorts, mkOutRoute: mkOutRoute,
+			makeFilter: q.UseBitFilter, filterBits: 1 << 16,
+			algo: q.Algorithm, hybridParts: hybridParts,
+		})
+	}
+
+	// Build selections.
+	for si, frag := range bfrags {
+		spawnSelect(m, p, "sel-build"+tag, si, frag, build.Pred, build.Path, func() selectOutput {
+			return selectOutput{stream: streamBuild, ports: st1.ports, route: HashRoute(q.BuildAttr, LoadSeed, nJ)}
+		}, sched)
+	}
+	if _, err := collect(ib, ib.dones, "sel-build"+tag, len(bfrags)); err != nil {
+		return err
+	}
+	builts, err := collect(ib, ib.builts, st1.op, nJ)
+	if err != nil {
+		return err
+	}
+
+	// Probe selections, with Babb filters if every site produced one.
+	filters := make([]*BitFilter, nJ)
+	haveFilters := q.UseBitFilter
+	for _, b := range builts {
+		if b.filter == nil {
+			haveFilters = false
+		} else {
+			filters[b.site] = b.filter
+		}
+	}
+	for si, frag := range pfrags {
+		spawnSelect(m, p, "sel-probe"+tag, si, frag, probe.Pred, probe.Path, func() selectOutput {
+			out := selectOutput{stream: streamProbe, ports: st1.ports, route: HashRoute(q.ProbeAttr, LoadSeed, nJ)}
+			if haveFilters {
+				out.filters = filters
+				out.filterAttr = q.ProbeAttr
+			}
+			return out
+		}, sched)
+	}
+	if _, err := collect(ib, ib.dones, "sel-probe"+tag, len(pfrags)); err != nil {
+		return err
+	}
+	probeds, err := collect(ib, ib.probeds, st1.op, nJ)
+	if err != nil {
+		return err
+	}
+	st1.absorb(probeds)
+
+	// Stage-one overflow rounds, then release its operators.
+	if err := m.runRounds(ib, st1); err != nil {
+		return err
+	}
+	st1.signal(m, p, opCtl{kind: ctlFinish})
+
+	finalStage := st1
+	if st2 != nil {
+		st2.signal(m, p, opCtl{kind: ctlClose, expectEOS: nJ * st1.phases})
+		probeds2, err := collect(ib, ib.probeds, st2.op, nJ)
+		if err != nil {
+			return err
+		}
+		st2.absorb(probeds2)
+		if err := m.runRounds(ib, st2); err != nil {
+			return err
+		}
+		st2.signal(m, p, opCtl{kind: ctlFinish})
+		finalStage = st2
+	}
+
+	stored, err := ss.close(m, ib, nJ*finalStage.phases)
+	if err != nil {
+		return err
+	}
+	res.Tuples = stored
+	res.OverflowPerSite = append(st1.perSite[:0:0], st1.perSite...)
+	if st2 != nil {
+		for i, v := range st2.perSite {
+			res.OverflowPerSite[i] += v
+		}
+	}
+	res.Overflows = 0
+	for _, v := range res.OverflowPerSite {
+		if v > res.Overflows {
+			res.Overflows = v
+		}
+	}
+	return nil
 }
 
 // ConcurrentQuery is one member of a multiuser workload: exactly one of the
@@ -1040,6 +965,18 @@ func (m *Machine) tryJoin(p *sim.Proc, ib *inbox, schedPort *nose.Port, q JoinQu
 type ConcurrentQuery struct {
 	Select *SelectQuery
 	Join   *JoinQuery
+}
+
+// concurrentBody returns the scheduler program of a multiuser workload
+// member, which fills res.
+func (m *Machine) concurrentBody(q ConcurrentQuery, res *Result) func(ib *inbox) {
+	switch {
+	case q.Select != nil:
+		return m.selectBody(*q.Select, res)
+	case q.Join != nil:
+		return m.joinBody(*q.Join, res)
+	}
+	panic("core: empty ConcurrentQuery")
 }
 
 // RunConcurrent starts every query at the same simulated instant — the
@@ -1050,14 +987,7 @@ func (m *Machine) RunConcurrent(qs []ConcurrentQuery) []Result {
 	m.ResetPools()
 	results := make([]Result, len(qs))
 	for i, q := range qs {
-		switch {
-		case q.Select != nil:
-			m.launchQuery(&results[i], m.selectBody(*q.Select, &results[i]), nil)
-		case q.Join != nil:
-			m.launchQuery(&results[i], m.joinBody(*q.Join, &results[i]), nil)
-		default:
-			panic("core: empty ConcurrentQuery")
-		}
+		m.launchQuery(&results[i], m.concurrentBody(q, &results[i]), nil)
 	}
 	m.Sim.Run()
 	for i := range results {

@@ -72,7 +72,7 @@ type doneMsg struct {
 // round-robin counters are per-operator, as in Gamma).
 func spawnSelect(m *Machine, from *sim.Proc, opID string, site int, frag *Fragment, pred rel.Pred, path AccessPath, mkOut func() selectOutput, sched *nose.Port) {
 	m.initiate(from, frag.Node, fmt.Sprintf("%s@%d", opID, frag.Node.ID), func(p *sim.Proc) {
-		defer reportDriveLoss(m, p, frag.Node, opID, sched)
+		defer opExit(p, frag.Node, opID, site, nil, sched, nil)
 		p.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KindOpStart, Op: opID, Node: frag.Node.ID, Site: site, Class: path.String()})
 		out := mkOut()
 		split := newSplitTable(frag.Node, m.Prm, out.stream, out.ports, out.route)
@@ -212,7 +212,7 @@ func nonClusteredSelect(p *sim.Proc, m *Machine, frag *Fragment, pred rel.Pred, 
 // the redistribution step of join-overflow resolution (§6.2.2).
 func spawnSpoolScan(m *Machine, from *sim.Proc, opID string, site int, file *wiss.File, owner, reader *nose.Node, mkOut func() selectOutput, sched *nose.Port) {
 	m.initiate(from, reader, fmt.Sprintf("%s@%d", opID, reader.ID), func(p *sim.Proc) {
-		defer reportDriveLoss(m, p, reader, opID, sched)
+		defer opExit(p, reader, opID, site, nil, sched, nil)
 		p.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KindOpStart, Op: opID, Node: reader.ID, Site: site, Class: "spool-scan"})
 		out := mkOut()
 		split := newSplitTable(reader, m.Prm, out.stream, out.ports, out.route)

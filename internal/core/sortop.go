@@ -30,26 +30,42 @@ type sortedRun struct {
 
 // RunSort executes a sorted retrieve.
 func (m *Machine) RunSort(q SortQuery) Result {
-	scan := m.resolveScan(q.Scan)
 	var res Result
-	m.runQuery(&res, func(p *sim.Proc, ib *inbox, schedPort *nose.Port) {
-		frags := m.mustScanSites(scan)
-		mergeNode := m.Disk[0]
-		mergePort := mergeNode.NewPort("merge")
-		resRel, rerr := m.newResultRelation(q.ResultName, 0)
-		if rerr != nil {
-			panic(rerr.Error()) // sorts predate the typed-error path
+	m.runQuery(&res, m.sortBody(q, &res))
+	return res
+}
+
+// sortBody builds the scheduler program for a sorted retrieve.
+func (m *Machine) sortBody(q SortQuery, res *Result) func(ib *inbox) {
+	scan := m.resolveScan(q.Scan)
+	costs := wiss.SortCosts{
+		InstrPerTupleRun:   m.Prm.Engine.InstrPerTupleScan * 3,
+		InstrPerTupleMerge: m.Prm.Engine.InstrPerTupleScan,
+	}
+	return m.lifecycle(res, true, func(ib *inbox) error {
+		p, sched, tag := ib.p, ib.port, ib.tag()
+		frags, degraded, err := m.scanSites(scan)
+		if err != nil {
+			return err
+		}
+		res.Degraded = degraded
+		resRel, err := m.newResultRelation(q.ResultName, 0)
+		if err != nil {
+			return err
 		}
 		res.ResultName = resRel.Name
+		// The ordered result goes to the first surviving disk site.
+		out := resRel.Frags[0]
+		mergeNode := out.Node
+		merge := ib.track(&opGroup{op: "merge" + tag, ports: []*nose.Port{mergeNode.NewPort("merge")}})
+		mergePort := merge.ports[0]
 
 		// Phase 1: per-site filter + external sort into a local run.
-		costs := wiss.SortCosts{
-			InstrPerTupleRun:   m.Prm.Engine.InstrPerTupleScan * 3,
-			InstrPerTupleMerge: m.Prm.Engine.InstrPerTupleScan,
-		}
+		sortOp := "sort" + tag
 		for si, frag := range frags {
 			site, fr := si, frag
 			m.initiate(p, fr.Node, fmt.Sprintf("sort@%d", fr.Node.ID), func(sp *sim.Proc) {
+				defer opExit(sp, fr.Node, sortOp, site, nil, sched, nil)
 				st := m.StoreOf(fr.Node)
 				qual := st.CreateFile("sort.qual")
 				ap := qual.NewAppender()
@@ -57,7 +73,7 @@ func (m *Machine) RunSort(q SortQuery) Result {
 				ap.Close(sp)
 				run := wiss.SortFile(sp, qual, q.By, m.Prm.Memory.NodeBytes/2, costs)
 				st.DropFile(qual)
-				nose.SendCtl(sp, fr.Node, schedPort, doneMsg{op: "sort", site: site, produced: n})
+				nose.SendCtl(sp, fr.Node, sched, doneMsg{op: sortOp, site: site, produced: n})
 				nose.SendCtl(sp, fr.Node, mergePort, sortedRun{site: site, file: run, owner: fr.Node, tuples: n})
 			})
 		}
@@ -65,26 +81,38 @@ func (m *Machine) RunSort(q SortQuery) Result {
 		// Phase 2: merge the runs at one site, reading remote run pages
 		// over the network, and store the ordered result locally.
 		m.initiate(p, mergeNode, fmt.Sprintf("merge@%d", mergeNode.ID), func(mp *sim.Proc) {
-			runs := make([]sortedRun, 0, len(frags))
-			for len(runs) < len(frags) {
-				msg := mergePort.Recv(mp)
-				runs = append(runs, msg.Payload.(sortedRun))
+			if mergePort.Closed() {
+				return // the node went down, taking the mailbox, after the scheduler set the operator up
 			}
-			out := resRel.Frags[0].File
-			ap := out.NewAppender()
+			runs := make([]sortedRun, 0, len(frags))
+			dropRuns := func() {
+				for _, r := range runs {
+					m.StoreOf(r.owner).DropFile(r.file)
+				}
+			}
+			defer opExit(mp, mergeNode, merge.op, 0, mergePort, sched, dropRuns)
+			for len(runs) < len(frags) {
+				runs = append(runs, recvOp(mp, mergePort).(sortedRun))
+			}
+			ap := out.File.NewAppender()
 			total := mergeSortedRuns(mp, m, mergeNode, runs, q.By, ap)
 			ap.Close(mp)
-			out.Sorted, out.SortKey = true, q.By
-			for _, r := range runs {
-				m.StoreOf(r.owner).DropFile(r.file)
-			}
-			nose.SendCtl(mp, mergeNode, schedPort, storeDone{op: "merge", site: 0, stored: total})
+			out.File.Sorted, out.File.SortKey = true, q.By
+			dropRuns()
+			nose.SendCtl(mp, mergeNode, sched, doneMsg{op: merge.op, site: 0, produced: total})
+			mergePort.Close()
 		})
 
-		mustCollect(ib, ib.dones, "sort", len(frags))
-		res.Tuples = mustCollect(ib, ib.stores, "merge", 1)[0].stored
+		if _, err := collect(ib, ib.dones, sortOp, len(frags)); err != nil {
+			return err
+		}
+		merged, err := collect(ib, ib.dones, merge.op, 1)
+		if err != nil {
+			return err
+		}
+		res.Tuples = merged[0].produced
+		return nil
 	})
-	return res
 }
 
 // runCursor2 walks one sorted run page by page, paying the owner's drive and

@@ -62,12 +62,6 @@ type UpdateQuery struct {
 	NewValue int32
 }
 
-// updateDone reports a finished update operator.
-type updateDone struct {
-	site    int
-	changed int
-}
-
 // relocated carries a tuple being moved between sites by ModifyKeyAttr.
 type relocated struct {
 	tuple rel.Tuple
@@ -219,125 +213,164 @@ func deleteTuple(p *sim.Proc, m *Machine, frag *Fragment, rid wiss.RID, t rel.Tu
 	}
 }
 
-// RunUpdate executes a single-tuple update query (§7, Table 3).
+// RunUpdate executes a single-tuple update query (§7, Table 3). An update
+// writes primary fragments only and gets one attempt: a site it needs that is
+// down at planning, or lost before its operators report, ends it with a
+// typed *ErrUnavailable, and it is never retried, so never applied twice.
 func (m *Machine) RunUpdate(q UpdateQuery) Result {
 	var res Result
-	m.runQuery(&res, func(p *sim.Proc, ib *inbox, schedPort *nose.Port) {
-		switch q.Kind {
-		case AppendTuple:
-			site := q.Rel.siteForValue(q.Tuple.Get(q.Rel.PartAttr))
-			frag := q.Rel.Frags[site]
-			m.initiate(p, frag.Node, fmt.Sprintf("append@%d", frag.Node.ID), func(up *sim.Proc) {
-				insertTuple(up, m, frag, q.Tuple)
-				ccOverhead(up, m, frag)
-				q.Rel.N++
-				nose.SendCtl(up, frag.Node, schedPort, updateDone{site: site, changed: 1})
-			})
-			res.Tuples = ib.waitUpdates(1)[0].changed
-
-		case DeleteByKey:
-			site := q.Rel.siteForValue(q.Key)
-			frag := q.Rel.Frags[site]
-			m.initiate(p, frag.Node, fmt.Sprintf("delete@%d", frag.Node.ID), func(up *sim.Proc) {
-				changed := 0
-				if rid, t, ok := locateByClustered(up, m, frag, q.Rel.PartAttr, q.Key); ok {
-					deleteTuple(up, m, frag, rid, t)
-					ccOverhead(up, m, frag)
-					q.Rel.N--
-					changed = 1
-				}
-				nose.SendCtl(up, frag.Node, schedPort, updateDone{site: site, changed: changed})
-			})
-			res.Tuples = ib.waitUpdates(1)[0].changed
-
-		case ModifyKeyAttr:
-			oldSite := q.Rel.siteForValue(q.Key)
-			newSite := q.Rel.siteForValue(q.NewValue)
-			oldFrag, newFrag := q.Rel.Frags[oldSite], q.Rel.Frags[newSite]
-			relocPort := newFrag.Node.NewPort("relocate")
-			m.initiate(p, newFrag.Node, fmt.Sprintf("modkey-in@%d", newFrag.Node.ID), func(up *sim.Proc) {
-				msg := relocPort.Recv(up)
-				rl, ok := msg.Payload.(relocated)
-				changed := 0
-				if ok {
-					insertTuple(up, m, newFrag, rl.tuple)
-					ccOverhead(up, m, newFrag)
-					changed = 1
-				}
-				nose.SendCtl(up, newFrag.Node, schedPort, updateDone{site: newSite, changed: changed})
-			})
-			m.initiate(p, oldFrag.Node, fmt.Sprintf("modkey-out@%d", oldFrag.Node.ID), func(up *sim.Proc) {
-				conn := oldFrag.Node.Dial(relocPort)
-				if rid, t, ok := locateByClustered(up, m, oldFrag, q.Rel.PartAttr, q.Key); ok {
-					deleteTuple(up, m, oldFrag, rid, t)
-					t.Set(q.Rel.PartAttr, q.NewValue)
-					if q.Attr != q.Rel.PartAttr {
-						t.Set(q.Attr, q.NewValue)
-					}
-					conn.Send(up, nose.Data, relocated{tuple: t}, m.Prm.TupleBytes)
-				} else {
-					conn.Send(up, nose.Data, "not-found", eosBytes)
-				}
-				nose.SendCtl(up, oldFrag.Node, schedPort, updateDone{site: oldSite, changed: 0})
-			})
-			for _, d := range ib.waitUpdates(2) {
-				res.Tuples += d.changed
-			}
-
-		case ModifyNonIndexed:
-			site := q.Rel.siteForValue(q.Key)
-			frag := q.Rel.Frags[site]
-			m.initiate(p, frag.Node, fmt.Sprintf("modify@%d", frag.Node.ID), func(up *sim.Proc) {
-				changed := 0
-				if rid, t, ok := locateByClustered(up, m, frag, q.Rel.PartAttr, q.Key); ok {
-					t.Set(q.Attr, q.NewValue)
-					m.logRecord(up, frag.Node, 2*m.Prm.TupleBytes) // before/after images
-					frag.File.UpdateRID(up, rid, t)
-					ccOverhead(up, m, frag)
-					changed = 1
-				}
-				nose.SendCtl(up, frag.Node, schedPort, updateDone{site: site, changed: changed})
-			})
-			res.Tuples = ib.waitUpdates(1)[0].changed
-
-		case ModifyIndexed:
-			// The victim could be on any site; every site probes its
-			// dense index, but only the holder does work beyond the
-			// index lookup. (The paper's benchmark relations hash on
-			// unique1, so a unique2 predicate gives no placement.)
-			n := len(q.Rel.Frags)
-			for si, frag := range q.Rel.Frags {
-				site, fr := si, frag
-				m.initiate(p, fr.Node, fmt.Sprintf("modidx@%d", fr.Node.ID), func(up *sim.Proc) {
-					changed := 0
-					bt, ok := fr.Indexes[q.Attr]
-					if ok && bt.Kind == wiss.NonClustered {
-						st := m.StoreOf(fr.Node)
-						for _, rid := range bt.SearchRIDs(up, q.Key) {
-							pg := fr.File.Page(int(rid.Page))
-							if !pg.Live(int(rid.Slot)) {
-								continue
-							}
-							t := fr.File.FetchRID(up, rid)
-							t.Set(q.Attr, q.NewValue)
-							m.logRecord(up, fr.Node, 2*m.Prm.TupleBytes)
-							fr.File.UpdateRID(up, rid, t)
-							rid, bt := rid, bt
-							deferredApply(up, st, func() {
-								bt.DeleteEntry(up, q.Key, rid)
-								bt.InsertEntry(up, q.NewValue, rid)
-							})
-							ccOverhead(up, m, fr)
-							changed++
-						}
-					}
-					nose.SendCtl(up, fr.Node, schedPort, updateDone{site: site, changed: changed})
-				})
-			}
-			for _, d := range ib.waitUpdates(n) {
-				res.Tuples += d.changed
-			}
-		}
-	})
+	m.runQuery(&res, m.lifecycle(&res, false, func(ib *inbox) error {
+		return m.tryUpdate(ib, q, &res)
+	}))
 	return res
+}
+
+// tryUpdate plans an update's sites and runs its operators, which report
+// under op "update".
+func (m *Machine) tryUpdate(ib *inbox, q UpdateQuery, res *Result) error {
+	p, sched := ib.p, ib.port
+	const op = "update"
+	var sites []int
+	switch q.Kind {
+	case AppendTuple:
+		sites = []int{q.Rel.siteForValue(q.Tuple.Get(q.Rel.PartAttr))}
+	case ModifyKeyAttr:
+		sites = []int{q.Rel.siteForValue(q.Key), q.Rel.siteForValue(q.NewValue)}
+	case ModifyIndexed:
+		// The victim could be on any site; every site probes its dense
+		// index, but only the holder does work beyond the index lookup.
+		// (The paper's benchmark relations hash on unique1, so a unique2
+		// predicate gives no placement.)
+		for i := range q.Rel.Frags {
+			sites = append(sites, i)
+		}
+	default:
+		sites = []int{q.Rel.siteForValue(q.Key)}
+	}
+	var nodes []*nose.Node
+	for _, i := range sites {
+		nd := q.Rel.Frags[i].Node
+		if !m.driveUp(nd) {
+			return &ErrUnavailable{Rel: q.Rel.Name, Frag: i}
+		}
+		nodes = append(nodes, nd)
+	}
+	ib.watchOnly(nodes)
+
+	// run initiates one update operator on fragment site's node.
+	run := func(name string, site int, fn func(up *sim.Proc, frag *Fragment) int) {
+		frag := q.Rel.Frags[site]
+		m.initiate(p, frag.Node, fmt.Sprintf("%s@%d", name, frag.Node.ID), func(up *sim.Proc) {
+			defer opExit(up, frag.Node, op, site, nil, sched, nil)
+			changed := fn(up, frag)
+			nose.SendCtl(up, frag.Node, sched, doneMsg{op: op, site: site, produced: changed})
+		})
+	}
+	switch q.Kind {
+	case AppendTuple:
+		run("append", sites[0], func(up *sim.Proc, frag *Fragment) int {
+			insertTuple(up, m, frag, q.Tuple)
+			ccOverhead(up, m, frag)
+			q.Rel.N++
+			return 1
+		})
+
+	case DeleteByKey:
+		run("delete", sites[0], func(up *sim.Proc, frag *Fragment) int {
+			rid, t, ok := locateByClustered(up, m, frag, q.Rel.PartAttr, q.Key)
+			if !ok {
+				return 0
+			}
+			deleteTuple(up, m, frag, rid, t)
+			ccOverhead(up, m, frag)
+			q.Rel.N--
+			return 1
+		})
+
+	case ModifyKeyAttr:
+		oldSite, newSite := sites[0], sites[1]
+		// The inserting operator waits on a port for the relocated tuple,
+		// so an abort must reach it.
+		in := ib.track(&opGroup{op: op, ports: []*nose.Port{q.Rel.Frags[newSite].Node.NewPort("relocate")}})
+		relocPort := in.ports[0]
+		newFrag := q.Rel.Frags[newSite]
+		m.initiate(p, newFrag.Node, fmt.Sprintf("modkey-in@%d", newFrag.Node.ID), func(up *sim.Proc) {
+			if relocPort.Closed() {
+				return // the node went down, taking the mailbox, after the scheduler set the operator up
+			}
+			defer opExit(up, newFrag.Node, op, 0, relocPort, sched, nil)
+			changed := 0
+			if rl, ok := recvOp(up, relocPort).(relocated); ok {
+				insertTuple(up, m, newFrag, rl.tuple)
+				ccOverhead(up, m, newFrag)
+				changed = 1
+			}
+			nose.SendCtl(up, newFrag.Node, sched, doneMsg{op: op, site: newSite, produced: changed})
+			relocPort.Close()
+		})
+		run("modkey-out", oldSite, func(up *sim.Proc, oldFrag *Fragment) int {
+			conn := oldFrag.Node.Dial(relocPort)
+			if rid, t, ok := locateByClustered(up, m, oldFrag, q.Rel.PartAttr, q.Key); ok {
+				deleteTuple(up, m, oldFrag, rid, t)
+				t.Set(q.Rel.PartAttr, q.NewValue)
+				if q.Attr != q.Rel.PartAttr {
+					t.Set(q.Attr, q.NewValue)
+				}
+				conn.Send(up, nose.Data, relocated{tuple: t}, m.Prm.TupleBytes)
+			} else {
+				conn.Send(up, nose.Data, "not-found", eosBytes)
+			}
+			return 0
+		})
+
+	case ModifyNonIndexed:
+		run("modify", sites[0], func(up *sim.Proc, frag *Fragment) int {
+			rid, t, ok := locateByClustered(up, m, frag, q.Rel.PartAttr, q.Key)
+			if !ok {
+				return 0
+			}
+			t.Set(q.Attr, q.NewValue)
+			m.logRecord(up, frag.Node, 2*m.Prm.TupleBytes) // before/after images
+			frag.File.UpdateRID(up, rid, t)
+			ccOverhead(up, m, frag)
+			return 1
+		})
+
+	case ModifyIndexed:
+		for _, site := range sites {
+			run("modidx", site, func(up *sim.Proc, fr *Fragment) int {
+				bt, ok := fr.Indexes[q.Attr]
+				if !ok || bt.Kind != wiss.NonClustered {
+					return 0
+				}
+				changed := 0
+				st := m.StoreOf(fr.Node)
+				for _, rid := range bt.SearchRIDs(up, q.Key) {
+					pg := fr.File.Page(int(rid.Page))
+					if !pg.Live(int(rid.Slot)) {
+						continue
+					}
+					t := fr.File.FetchRID(up, rid)
+					t.Set(q.Attr, q.NewValue)
+					m.logRecord(up, fr.Node, 2*m.Prm.TupleBytes)
+					fr.File.UpdateRID(up, rid, t)
+					deferredApply(up, st, func() {
+						bt.DeleteEntry(up, q.Key, rid)
+						bt.InsertEntry(up, q.NewValue, rid)
+					})
+					ccOverhead(up, m, fr)
+					changed++
+				}
+				return changed
+			})
+		}
+	}
+	dones, err := collect(ib, ib.dones, op, len(sites))
+	if err != nil {
+		return err
+	}
+	for _, d := range dones {
+		res.Tuples += d.produced
+	}
+	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"gamma/internal/nose"
 	"gamma/internal/sim"
 )
 
@@ -174,18 +173,9 @@ func (m *Machine) RunWorkload(spec WorkloadSpec) WorkloadResult {
 				submitted := p.Now()
 				adm.acquire(p)
 				var res Result
-				var body func(*sim.Proc, *inbox, *nose.Port)
-				switch {
-				case cq.Select != nil:
-					body = m.selectBody(*cq.Select, &res)
-				case cq.Join != nil:
-					body = m.joinBody(*cq.Join, &res)
-				default:
-					panic("core: empty ConcurrentQuery from WorkloadSpec.Make")
-				}
 				done := false
 				doneQ := m.Sim.NewWaitQ("query-done")
-				m.launchQuery(&res, body, func() {
+				m.launchQuery(&res, m.concurrentBody(cq, &res), func() {
 					done = true
 					doneQ.WakeOne()
 				})

@@ -73,7 +73,10 @@ func (s *Session) runRange(st *RangeStmt) (Output, error) {
 
 // runRetrieve dispatches plain, into, join, and aggregate retrieves.
 func (s *Session) runRetrieve(st *RetrieveStmt) (Output, error) {
-	q := buildQual(st.Where)
+	q, err := buildQual(st.Where)
+	if err != nil {
+		return Output{}, err
+	}
 	if st.Agg != nil {
 		return s.runAgg(st.Agg, st.GroupBy, q)
 	}
@@ -100,7 +103,7 @@ func (s *Session) runSelect(v, into string, project []rel.Attr, q *qual) (Output
 		return Output{}, err
 	}
 	res := s.m.RunSelect(core.SelectQuery{
-		Scan:       core.ScanSpec{Rel: r, Pred: q.pred(v, r.N)},
+		Scan:       core.ScanSpec{Rel: r, Pred: q.pred(v)},
 		ResultName: into,
 		ToHost:     into == "",
 		Project:    project,
@@ -122,8 +125,8 @@ func (s *Session) runJoin(tvar, into string, q *qual) (Output, error) {
 		return Output{}, err
 	}
 	// Propagate range restrictions across the join term (§6.1).
-	pa := q.pred(q.av, ra.N)
-	pb := q.pred(q.bv, rb.N)
+	pa := q.pred(q.av)
+	pb := q.pred(q.bv)
 	if prop, ok := core.PropagateSelection(q.aattr, q.battr, pb); ok && pa.IsTrue() {
 		pa = prop
 	}
@@ -156,7 +159,7 @@ func (s *Session) runAgg(a *AggTarget, groupBy *rel.Attr, q *qual) (Output, erro
 		return Output{}, err
 	}
 	res := s.m.RunAgg(core.AggQuery{
-		Scan:    core.ScanSpec{Rel: r, Pred: q.pred(a.Var, r.N)},
+		Scan:    core.ScanSpec{Rel: r, Pred: q.pred(a.Var)},
 		Fn:      a.Fn,
 		Attr:    a.Attr,
 		GroupBy: groupBy,
@@ -199,7 +202,10 @@ func (s *Session) runDelete(st *DeleteStmt) (Output, error) {
 	if err != nil {
 		return Output{}, err
 	}
-	q := buildQual(st.Where)
+	q, err := buildQual(st.Where)
+	if err != nil {
+		return Output{}, err
+	}
 	key, ok := exactKey(q, st.Var, r.PartAttr)
 	if !ok {
 		return Output{}, fmt.Errorf("quel: delete requires an exact predicate on %s", r.PartAttr)
@@ -214,7 +220,10 @@ func (s *Session) runReplace(st *ReplaceStmt) (Output, error) {
 	if err != nil {
 		return Output{}, err
 	}
-	q := buildQual(st.Where)
+	q, err := buildQual(st.Where)
+	if err != nil {
+		return Output{}, err
+	}
 	attr, newVal := st.Set.Attr, clamp32(st.Set.Val)
 
 	uq := core.UpdateQuery{Rel: r, Attr: attr, NewValue: newVal}

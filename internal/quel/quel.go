@@ -22,6 +22,7 @@ package quel
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -485,9 +486,10 @@ func newQual() *qual {
 }
 
 // buildQual folds a validated term list into per-variable bounds and the
-// join term. Parse has already rejected malformed shapes, so this cannot
-// fail.
-func buildQual(terms []Term) *qual {
+// join term. A scan applies one range predicate, so a qualification that
+// restricts one range variable on two or more attributes is rejected rather
+// than answered with some of its terms dropped.
+func buildQual(terms []Term) (*qual, error) {
 	q := newQual()
 	for _, t := range terms {
 		switch {
@@ -502,7 +504,27 @@ func buildQual(terms []Term) *qual {
 			q.applyCmp(t.Left.Var, t.Left.Attr, t.Op, t.Right.Const)
 		}
 	}
-	return q
+	vars := make([]string, 0, len(q.bounds))
+	for v := range q.bounds {
+		vars = append(vars, v)
+	}
+	slices.Sort(vars)
+	for _, v := range vars {
+		if len(q.bounds[v]) < 2 {
+			continue
+		}
+		attrs := make([]rel.Attr, 0, len(q.bounds[v]))
+		for a := range q.bounds[v] {
+			attrs = append(attrs, a)
+		}
+		slices.Sort(attrs)
+		names := make([]string, len(attrs))
+		for i, a := range attrs {
+			names[i] = v + "." + a.String()
+		}
+		return nil, fmt.Errorf("quel: %s restricted on %s; restrict each range variable on one attribute", v, strings.Join(names, " and "))
+	}
+	return q, nil
 }
 
 func (q *qual) restrict(v string, a rel.Attr, lo, hi int64) {
@@ -524,22 +546,13 @@ func (q *qual) restrict(v string, a rel.Attr, lo, hi int64) {
 	m[a] = b
 }
 
-// pred extracts the single-attribute predicate for a variable (the engine
-// compiles one range predicate per scan; the most selective attribute wins).
-func (q *qual) pred(v string, n int) rel.Pred {
-	m := q.bounds[v]
-	if len(m) == 0 {
-		return rel.True()
+// pred is a variable's scan predicate: the range on its one restricted
+// attribute (buildQual admits no more), or true.
+func (q *qual) pred(v string) rel.Pred {
+	for a, b := range q.bounds[v] {
+		return rel.Pred{Attr: a, Lo: clamp32(b[0]), Hi: clamp32(b[1])}
 	}
-	best := rel.True()
-	bestSel := 2.0
-	for a, b := range m {
-		pr := rel.Pred{Attr: a, Lo: clamp32(b[0]), Hi: clamp32(b[1])}
-		if sel := pr.Selectivity(n); sel < bestSel {
-			best, bestSel = pr, sel
-		}
-	}
-	return best
+	return rel.True()
 }
 
 func clamp32(v int64) int32 {

@@ -155,6 +155,33 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestMultiAttributeQualificationRejected: a scan applies one range
+// predicate, so restricting a range variable on two attributes must be an
+// error naming them — not an answer that silently drops one term (unique1 5
+// and unique2 6 never hold together, yet dropping either term finds a tuple),
+// or a plan picked in Go map order.
+func TestMultiAttributeQualificationRejected(t *testing.T) {
+	s := newSession(t)
+	for _, stmt := range []string{
+		"retrieve (t.all) where t.unique1 = 5 and t.unique2 = 6",
+		"retrieve (t.all) where t.unique2 < 9 and t.unique1 >= 0 and t.unique2 > 2",
+		"retrieve into j (t.all) where t.unique2 = b.unique2 and t.unique1 < 5 and t.unique2 < 10",
+		"retrieve (count(t.unique1)) where t.unique1 < 5 and t.unique2 < 10",
+		"delete t where t.unique1 = 5 and t.unique2 = 6",
+		"replace t (ten = 1) where t.unique1 = 5 and t.unique2 = 6",
+	} {
+		_, err := s.Exec(stmt)
+		if err == nil || !strings.Contains(err.Error(), "t.unique1 and t.unique2") {
+			t.Errorf("Exec(%q) = %v, want an error naming t.unique1 and t.unique2", stmt, err)
+		}
+	}
+	// One attribute per variable, as many terms as wanted, still runs.
+	out := mustExec(t, s, "retrieve (t.unique1) where t.unique1 >= 100 and t.unique1 < 200 and 150 > t.unique1")
+	if out.Result.Tuples != 50 {
+		t.Errorf("single-attribute conjunction: tuples = %d, want 50", out.Result.Tuples)
+	}
+}
+
 func TestCaseInsensitiveKeywords(t *testing.T) {
 	s := newSession(t)
 	out := mustExec(t, s, "RETRIEVE (t.all) WHERE t.unique2 < 10")
