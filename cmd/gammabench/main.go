@@ -15,8 +15,9 @@
 // worker goroutines (default GOMAXPROCS). Every data point is its own
 // single-threaded simulation with a fixed seed, so the rendered tables are
 // byte-identical at any worker count. -json replaces the tables with a
-// machine-readable report (wall-clock and simulated-events/sec per
-// experiment). -cpuprofile and -memprofile write pprof profiles.
+// machine-readable report: per experiment, its table's rows (label, and
+// measured, paper and extra for each cell) beside wall clock and simulated
+// events/sec. -cpuprofile and -memprofile write pprof profiles.
 //
 // -kernel selects the simulation kernel: "serial" (the default) or
 // "partitioned" (one shard per simulated node), and -kernel-workers N, valid
@@ -82,14 +83,16 @@ type jsonExperiment struct {
 	// the declared floors/promises, not on worker interleaving).
 	// Every counter key is always present — zero-valued when the serial
 	// kernel ran — so downstream tooling never needs key-presence checks.
-	KernelWindows         int64              `json:"kernel_windows"`
-	KernelWindowOccupancy float64            `json:"kernel_window_occupancy"`
-	KernelEventsPerWindow float64            `json:"kernel_events_per_window"`
-	KernelPromises        int64              `json:"kernel_promises"`
-	KernelGroupWindows    int64              `json:"kernel_group_windows"`
-	KernelFuseOps         int64              `json:"kernel_fuse_ops"`
-	KernelSplitOps        int64              `json:"kernel_split_ops"`
-	Metrics               map[string]float64 `json:"metrics,omitempty"`
+	KernelWindows         int64   `json:"kernel_windows"`
+	KernelWindowOccupancy float64 `json:"kernel_window_occupancy"`
+	KernelEventsPerWindow float64 `json:"kernel_events_per_window"`
+	KernelPromises        int64   `json:"kernel_promises"`
+	KernelGroupWindows    int64   `json:"kernel_group_windows"`
+	KernelFuseOps         int64   `json:"kernel_fuse_ops"`
+	KernelSplitOps        int64   `json:"kernel_split_ops"`
+	// Rows are the experiment's table, cell for cell: what the text output
+	// prints, at full precision.
+	Rows []bench.Row `json:"rows"`
 }
 
 type jsonReport struct {
@@ -238,7 +241,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				KernelGroupWindows: r.Windows.GroupWindows,
 				KernelFuseOps:      r.Windows.FuseOps,
 				KernelSplitOps:     r.Windows.SplitOps,
-				Metrics:            r.Table.Metrics,
+				Rows:               r.Table.Rows,
 			}
 			if r.Windows.Windows > 0 {
 				je.KernelWindowOccupancy = r.Windows.Occupancy()

@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"gamma/internal/bench"
 )
 
 func devNull(t *testing.T) *os.File {
@@ -43,16 +46,13 @@ func TestPositionalExperiments(t *testing.T) {
 	}
 }
 
-// TestMultiuserMetricsInJSON: the multiuser experiment's headline metrics —
-// including the shared-scan speedup — surface in the -json report.
-func TestMultiuserMetricsInJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs 16 closed-loop simulations")
-	}
+// TestJSONRowsMatchTable: -json carries the experiment's table cell for cell
+// — label, measured, paper and extra — exactly as the experiment returns it.
+func TestJSONRowsMatchTable(t *testing.T) {
 	null := devNull(t)
 	var out bytes.Buffer
-	if code := run([]string{"-quick", "-json", "-parallel", "1", "multiuser"}, &out, null); code != 0 {
-		t.Fatalf("multiuser run: exit code %d", code)
+	if code := run([]string{"-quick", "-json", "-parallel", "1", "table3"}, &out, null); code != 0 {
+		t.Fatalf("table3 run: exit code %d", code)
 	}
 	var rep jsonReport
 	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
@@ -61,14 +61,10 @@ func TestMultiuserMetricsInJSON(t *testing.T) {
 	if len(rep.Experiments) != 1 {
 		t.Fatalf("got %d experiments, want 1", len(rep.Experiments))
 	}
-	m := rep.Experiments[0].Metrics
-	for _, k := range []string{"qps_private_mpl8", "qps_shared_mpl8", "speedup_mpl8", "shared_pages_saved_mpl8"} {
-		if m[k] <= 0 {
-			t.Errorf("metrics[%q] = %v, want > 0 (metrics: %v)", k, m[k], m)
-		}
-	}
-	if m["speedup_mpl8"] < 2 {
-		t.Errorf("speedup_mpl8 = %.2f, want >= 2 at quick scale", m["speedup_mpl8"])
+	e, _ := bench.Lookup("table3")
+	want := e.Run(bench.Quick()).Rows
+	if got := rep.Experiments[0].Rows; !reflect.DeepEqual(got, want) {
+		t.Errorf("-json rows differ from the table:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -111,7 +107,7 @@ func TestJSONSetupQuerySplitAndCacheCounters(t *testing.T) {
 	}
 	// Raw field names are part of the tooling contract.
 	for _, field := range []string{`"wall_seconds"`, `"setup_wall_seconds"`, `"query_wall_seconds"`,
-		`"image_cache_hits"`, `"image_cache_misses"`, `"simulated_events"`} {
+		`"image_cache_hits"`, `"image_cache_misses"`, `"simulated_events"`, `"rows"`} {
 		if !bytes.Contains(out.Bytes(), []byte(field)) {
 			t.Errorf("-json output missing field %s", field)
 		}

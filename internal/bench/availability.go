@@ -154,9 +154,10 @@ func avRun(o Options, nDisk int) avPoint {
 }
 
 // mttr summarizes the restored episodes: mean and max fault-to-redundancy
-// time in seconds, plus how many of the episodes closed.
-func mttr(hs core.HealStats) (mean, max float64, restored int) {
+// time in seconds.
+func mttr(hs core.HealStats) (mean, max float64) {
 	var sum sim.Dur
+	restored := 0
 	for _, ep := range hs.Episodes {
 		if ep.RestoredAt < 0 {
 			continue
@@ -171,7 +172,7 @@ func mttr(hs core.HealStats) (mean, max float64, restored int) {
 	if restored > 0 {
 		mean = (sum / sim.Dur(restored)).Seconds()
 	}
-	return mean, max, restored
+	return mean, max
 }
 
 func runAvailability(o Options) *Table {
@@ -188,9 +189,8 @@ func runAvailability(o Options) *Table {
 		nDisks = []int{8, 32} // quick mode: skip the 64-node row
 	}
 	pts := parMap(o, len(nDisks), func(i int) avPoint { return avRun(o, nDisks[i]) })
-	t.Metrics = map[string]float64{}
 	for i, pt := range pts {
-		mean, max, restored := mttr(pt.hs)
+		mean, max := mttr(pt.hs)
 		t.Rows = append(t.Rows, Row{
 			Label: fmt.Sprintf("%d disk nodes", nDisks[i]),
 			Cells: []Cell{
@@ -206,19 +206,6 @@ func runAvailability(o Options) *Table {
 				{Measured: float64(pt.hs.Rebuilds)},
 			},
 		})
-		k := fmt.Sprintf("_%d", nDisks[i])
-		t.Metrics["qps"+k] = pt.wl.Throughput
-		t.Metrics["dip_qps"+k] = pt.dip
-		t.Metrics["post_qps"+k] = pt.end
-		t.Metrics["clean"+k] = float64(pt.wl.Clean)
-		t.Metrics["degraded"+k] = float64(pt.wl.Degraded)
-		t.Metrics["failed"+k] = float64(pt.wl.Failed)
-		t.Metrics["mttr_mean"+k] = mean
-		t.Metrics["mttr_max"+k] = max
-		t.Metrics["restored"+k] = float64(restored)
-		t.Metrics["promotions"+k] = float64(pt.hs.Promotions)
-		t.Metrics["rebuilds"+k] = float64(pt.hs.Rebuilds)
-		t.Metrics["pages_copied"+k] = float64(pt.hs.PagesCopied)
 	}
 	seed := o.CampaignSeed
 	if seed == 0 {

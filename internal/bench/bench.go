@@ -201,18 +201,19 @@ func (o Options) newSim() *sim.Sim {
 
 // Cell is one measured value with an optional published reference.
 type Cell struct {
-	Measured float64 // seconds (or unit of the table)
-	Paper    float64 // 0 = not published
-	Extra    string  // annotation such as an overflow count
+	Measured float64 `json:"measured"` // seconds (or unit of the table)
+	Paper    float64 `json:"paper"`    // 0 = not published
+	Extra    string  `json:"extra"`    // annotation such as an overflow count
 }
 
 // Row is one labelled line of a result table.
 type Row struct {
-	Label string
-	Cells []Cell
+	Label string `json:"label"`
+	Cells []Cell `json:"cells"`
 }
 
-// Table is one regenerated paper artifact.
+// Table is one regenerated paper artifact: the one result an experiment
+// reports. Render prints it and gammabench -json carries its rows.
 type Table struct {
 	ID      string
 	Title   string
@@ -220,10 +221,6 @@ type Table struct {
 	Columns []string
 	Rows    []Row
 	Notes   []string
-	// Metrics are headline scalar results (throughput, speedup, counters)
-	// for machine consumers: gammabench copies them into its -json report.
-	// Render does not print them; the Rows already show the same data.
-	Metrics map[string]float64
 }
 
 // Render writes the table as aligned text, showing measured values and, in

@@ -26,7 +26,7 @@ var resultDigests = map[string]string{
 	"table2":    "c859a2870a4952fc332d67a81b52187376234db5cca1bfb464455366b3ab36f6",
 	"table3":    "6e7477210c2a7b06ea37107c92e22c8b4c654c37b6909fc3b72bd5f23de13e53",
 	"fig1":      "1ad3d757cfec864ca29828be7ad9d9645de14c854da225ad49c240266ab6c714",
-	"fig9":      "90daedddb921d6e6c04fbfe035d8fddb679a0c3bb33cbc7aa9bb09acf8fec258",
+	"fig9":      "28540e9b6d91ea41eee127643bba6d55cf9f808e6654d3029f6ea0f47fad6435",
 	"multiuser": "39386024342c039a6e78dc132f649899649530d2668921df5a427fe0c7331dab",
 	"degraded":  "4d97479a29ec403d27d8730ebd5550d578ed80dcbce56c617bb5de6b4eb29dad",
 
@@ -59,8 +59,12 @@ var resultDigests = map[string]string{
 // suiteDigest is the sha256 of what `gammabench -quick -parallel 1` prints
 // for the resultDigests experiments in -list order: one number that says
 // whether anything the suite reports moved.
-const suiteDigest = "8ae477d1ad4ebc58d2a28972ccdf919c6c2224034ba1b51d0af9215d68c44989"
+const suiteDigest = "7010cce33b0942b99548977520e2101a45391138f71a6f77671481a435e34866"
 
+// TestResultDigests is the one quick-suite run that checks every result
+// oracle: each table's digest and the suite's, each table's facts
+// (facts_test.go) and well-formedness, and the fidelity score against its
+// committed ceiling.
 func TestResultDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the suite at Quick() sizes")
@@ -81,14 +85,27 @@ func TestResultDigests(t *testing.T) {
 		return hex.EncodeToString(sum[:])
 	}
 	var suite bytes.Buffer
+	var fid fidelity
 	for _, r := range RunSuite(exps, o, 2) {
 		one := renderTable(r.Table)
 		suite.Write(one)
 		if got := digest(one); got != resultDigests[r.ID] {
 			t.Errorf("%s renders to sha256 %s, committed %s: a simulated result moved\n%s", r.ID, got, resultDigests[r.ID], one)
 		}
+		if err := wellFormed(r.Table); err != nil {
+			t.Errorf("%s: %v", r.ID, err)
+		}
+		for _, err := range checkFacts(r.ID, r.Table) {
+			t.Error(err)
+		}
+		fid.add(r.Table)
 	}
 	if got := digest(suite.Bytes()); got != suiteDigest {
 		t.Errorf("the suite renders to sha256 %s, committed %s", got, suiteDigest)
+	}
+	if s := fid.score(); s > fidelityCeiling {
+		t.Errorf("fidelity score %v over %d published cells exceeds the committed %v", s, fid.cells, fidelityCeiling)
+	} else {
+		t.Logf("fidelity score %v over %d published cells", s, fid.cells)
 	}
 }

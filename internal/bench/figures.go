@@ -170,8 +170,8 @@ var (
 		"10% improves; clustered 1% worsens slightly past 16 KB (§5.2.2)."}}
 	fig8 = figure{title: "Speedup vs disk page size, indexed (2 KB reference)", sweep: idxByPageSize, ref: 1}
 	fig9 = figure{title: "joinABprime on the partitioning (key) attribute", sweep: keyJoinByProcessors, notes: []string{
-		"Expected shape: Local fastest (every input tuple short-circuits), then Allnodes,",
-		"then Remote; all identical at one processor (§6.2.1)."}}
+		"Paper (§6.2.1): Local fastest (every input tuple short-circuits), then Allnodes, then Remote.",
+		"Known deviation: here Allnodes runs below Local, its doubled join CPUs outweighing its network cost."}}
 	fig10 = figure{title: "joinABprime on a non-partitioning attribute", sweep: nonKeyJoinByProcessors, notes: []string{
 		"Expected shape: the mirror image of Figure 9 — Remote fastest, Local slowest,",
 		"because short-circuiting no longer helps and Local competes with the selections (§6.2.1)."}}

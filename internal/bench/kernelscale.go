@@ -9,12 +9,11 @@ import (
 	"gamma/internal/sim"
 )
 
-// kscalePoint is one (generation, worker count) kernel run: the deterministic
-// simulation outcome plus the host wall time it took to compute it.
+// kscalePoint is one (generation, worker count) kernel run: its deterministic
+// simulation outcome.
 type kscalePoint struct {
 	events int64
 	end    sim.Time
-	wall   time.Duration
 	ws     sim.WindowStats
 }
 
@@ -103,15 +102,13 @@ func kscaleRealProbe(o Options, prm config.Params, tuples, workers int, f sim.Fu
 	if !ok {
 		panic("kernelscale: probe relation missing from machine")
 	}
-	start := time.Now()
 	res := m.RunSelect(heapSel(10).of(r, tuples))
-	wall := time.Since(start)
 	if res.Err != nil {
 		panic(fmt.Sprintf("kernelscale: probe query failed: %v", res.Err))
 	}
 	o.run.charge(ev.Load(), wc.Stats())
 	return kprobePoint{
-		kscalePoint: kscalePoint{events: ev.Load(), end: s.Now(), wall: wall, ws: wc.Stats()},
+		kscalePoint: kscalePoint{events: ev.Load(), end: s.Now(), ws: wc.Stats()},
 		elapsed:     res.Elapsed,
 	}
 }
@@ -120,11 +117,10 @@ func kscaleRealProbe(o Options, prm config.Params, tuples, workers int, f sim.Fu
 // generations and worker counts on the synthetic ring above. The serial
 // kernel (one worker) is the oracle and the baseline; two- and four-worker
 // runs must execute the identical event count and reach the identical end
-// time, and their host wall times yield the speedup metrics. On gamma1988
-// the 4.3ms network floor alone grants enormous windows; on rdma the static
-// floor is 2µs and every window the scheduler finds comes from promises and
-// earliest output times — the case PR 8's static-lookahead kernel
-// degenerated to near-serial on.
+// time. On gamma1988 the 4.3ms network floor alone grants enormous windows;
+// on rdma the static floor is 2µs and every window the scheduler finds comes
+// from promises and earliest output times — the case a static-lookahead
+// window degenerates to near-serial on.
 func runKernelScale(o Options) *Table {
 	gens := config.Generations()
 	workersList := []int{1, 2, 4}
@@ -176,11 +172,9 @@ func runKernelScale(o Options) *Table {
 		s.SetEventCounter(&ev)
 		s.SetWindowCounters(&wc)
 		buildScaleRing(s, nodes, hops, work, prm.Net.MinLatency)
-		start := time.Now()
 		end := s.Run()
-		wall := time.Since(start)
 		o.run.charge(ev.Load(), wc.Stats())
-		return kscalePoint{events: ev.Load(), end: end, wall: wall, ws: wc.Stats()}
+		return kscalePoint{events: ev.Load(), end: end, ws: wc.Stats()}
 	})
 
 	probes := parMap(o, len(gens)*nP, func(i int) kprobePoint {
@@ -190,9 +184,8 @@ func runKernelScale(o Options) *Table {
 
 	t := &Table{
 		Title:   fmt.Sprintf("EOT kernel scaling (%d-shard ring, %d-event bursts)", nodes, work),
-		Unit:    "counts at 4 workers (wall speedups in metrics: wall_*/speedup_*)",
+		Unit:    "counts at 4 workers",
 		Columns: []string{"events", "simulated s", "windows", "occupancy", "events/window", "promises"},
-		Metrics: map[string]float64{},
 	}
 	for gi, gen := range gens {
 		base := pts[gi*nV] // one worker: the serial oracle
@@ -219,19 +212,6 @@ func runKernelScale(o Options) *Table {
 		t.Notes = append(t.Notes, fmt.Sprintf(
 			"%s: channel floor %v; %d windows at occupancy %.0f%%, %.0f events/window",
 			gen.Name, gen.Params().Net.MinLatency, p4.ws.Windows, 100*p4.ws.Occupancy(), epw))
-
-		t.Metrics["events_"+gen.Name] = float64(base.events)
-		t.Metrics[fmt.Sprintf("windows_%s_w4", gen.Name)] = float64(p4.ws.Windows)
-		t.Metrics[fmt.Sprintf("occupancy_%s_w4", gen.Name)] = p4.ws.Occupancy()
-		t.Metrics[fmt.Sprintf("events_per_window_%s_w4", gen.Name)] = epw
-		t.Metrics[fmt.Sprintf("promises_%s_w4", gen.Name)] = float64(p4.ws.Promises)
-		for v, w := range workersList {
-			t.Metrics[fmt.Sprintf("wall_%s_w%d", gen.Name, w)] = pts[gi*nV+v].wall.Seconds()
-			if v > 0 && pts[gi*nV+v].wall > 0 {
-				t.Metrics[fmt.Sprintf("speedup_%s_w%d", gen.Name, w)] =
-					base.wall.Seconds() / pts[gi*nV+v].wall.Seconds()
-			}
-		}
 	}
 	// Real-query rows: occupancy and fusion activity on an actual Gamma
 	// selection, where most shards sit idle most rounds — the regime the
@@ -265,21 +245,9 @@ func runKernelScale(o Options) *Table {
 			"%s real probe: occupancy %.0f%% adaptive vs %.0f%% unfused (ring: %.0f%%), %.1f events/window, %d fuse / %d split ops",
 			gen.Name, 100*adaptive.ws.Occupancy(), 100*unfused.ws.Occupancy(),
 			100*pts[gi*nV+nV-1].ws.Occupancy(), epw, adaptive.ws.FuseOps, adaptive.ws.SplitOps))
-
-		t.Metrics["real_events_"+gen.Name] = float64(oracle.events)
-		t.Metrics[fmt.Sprintf("real_windows_%s_w4", gen.Name)] = float64(adaptive.ws.Windows)
-		t.Metrics[fmt.Sprintf("real_occupancy_%s_w4", gen.Name)] = adaptive.ws.Occupancy()
-		t.Metrics[fmt.Sprintf("real_occupancy_unfused_%s_w4", gen.Name)] = unfused.ws.Occupancy()
-		t.Metrics[fmt.Sprintf("real_events_per_window_%s_w4", gen.Name)] = epw
-		t.Metrics[fmt.Sprintf("real_fuse_ops_%s_w4", gen.Name)] = float64(adaptive.ws.FuseOps)
-		t.Metrics[fmt.Sprintf("real_split_ops_%s_w4", gen.Name)] = float64(adaptive.ws.SplitOps)
-		for v, c := range probeCfgs {
-			t.Metrics[fmt.Sprintf("wall_real_%s_%s", gen.Name, c.name)] = probes[gi*nP+v].wall.Seconds()
-		}
 	}
 	t.Notes = append(t.Notes,
 		"One worker runs the serial oracle; multi-worker runs must match its event count and end time exactly.",
-		"Real-query rows run a pinned 8-node Gamma selection per kernel config; cells report the adaptive-fusion w4 run.",
-		"Table cells and metrics are deterministic except wall_*/speedup_*, which measure host wall time.")
+		"Real-query rows run a pinned 8-node Gamma selection per kernel config; cells report the adaptive-fusion w4 run.")
 	return t
 }

@@ -34,7 +34,7 @@ type muRow struct {
 	mode  core.JoinMode
 }
 
-// muRun executes one closed-loop run and returns its metrics.
+// muRun executes one closed-loop run and returns its workload result.
 func muRun(o Options, spec muRow, shared bool) core.WorkloadResult {
 	nDiskless := 0
 	if spec.joins {
@@ -109,11 +109,7 @@ func runMultiuser(o Options) *Table {
 		{label: "MPL 8 + joins (Local)", mpl: 8, joins: true, mode: core.Local},
 		{label: "MPL 8 + joins (Remote)", mpl: 8, joins: true, mode: core.Remote},
 	}
-	type point struct {
-		row        Row
-		priv, shrd core.WorkloadResult
-	}
-	pts := parMap(o, len(rows), func(i int) point {
+	t.Rows = parMap(o, len(rows), func(i int) Row {
 		spec := rows[i]
 		priv := muRun(o, spec, false)
 		shrd := muRun(o, spec, true)
@@ -121,30 +117,15 @@ func runMultiuser(o Options) *Table {
 		if priv.Throughput > 0 {
 			speedup = shrd.Throughput / priv.Throughput
 		}
-		return point{
-			row: Row{Label: spec.label, Cells: []Cell{
-				{Measured: priv.Throughput},
-				{Measured: shrd.Throughput},
-				{Measured: speedup},
-				{Measured: shrd.P95Response.Seconds()},
-				{Measured: shrd.DiskUtil},
-				{Measured: shrd.CPUUtil},
-			}},
-			priv: priv, shrd: shrd,
-		}
+		return Row{Label: spec.label, Cells: []Cell{
+			{Measured: priv.Throughput},
+			{Measured: shrd.Throughput},
+			{Measured: speedup},
+			{Measured: shrd.P95Response.Seconds()},
+			{Measured: shrd.DiskUtil},
+			{Measured: shrd.CPUUtil},
+		}}
 	})
-	t.Metrics = map[string]float64{}
-	for i, pt := range pts {
-		t.Rows = append(t.Rows, pt.row)
-		if rows[i].label == "MPL 8" {
-			t.Metrics["qps_private_mpl8"] = pt.priv.Throughput
-			t.Metrics["qps_shared_mpl8"] = pt.shrd.Throughput
-			t.Metrics["speedup_mpl8"] = pt.row.Cells[2].Measured
-			t.Metrics["pool_hits_private_mpl8"] = float64(pt.priv.PoolHits)
-			t.Metrics["pool_misses_private_mpl8"] = float64(pt.priv.PoolMisses)
-			t.Metrics["shared_pages_saved_mpl8"] = float64(pt.shrd.SharedPagesSaved)
-		}
-	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("%d heap relations of %d tuples each, round-robin over %d disk processors;",
 			muRels, 2*o.FigureTuples, muDisks),

@@ -17,24 +17,6 @@ type netgenPoint struct {
 	util    float64
 }
 
-// bindRank orders resource classes along the migration axis the experiment
-// narrates: disk-bound → network-bound → compute/control-bound.
-func bindRank(class string) float64 {
-	switch class {
-	case "disk":
-		return 0
-	case "nic":
-		return 1
-	case "ring":
-		return 2
-	case "cpu":
-		return 3
-	case "ctl":
-		return 4
-	}
-	return -1
-}
-
 // runNetgen sweeps the named hardware generations (1988 Gamma, a
 // GbE/SSD-era build, an RDMA-era build) through the Table 1 selections and
 // the joinABprime join on the standard 8+8 machine, tracing each query and
@@ -80,7 +62,6 @@ func runNetgen(o Options) *Table {
 		Title:   "Binding resource by hardware generation (8+8 processors)",
 		Unit:    "seconds (annotation = binding resource class)",
 		Columns: queries,
-		Metrics: map[string]float64{},
 	}
 	for gi, gen := range gens {
 		row := Row{Label: fmt.Sprintf("%s: %s", gen.Name, gen.Desc)}
@@ -92,7 +73,6 @@ func runNetgen(o Options) *Table {
 				note += ", "
 			}
 			note += fmt.Sprintf("%s %s-bound (%s %.0f%%)", queries[q], pt.binding, pt.res, 100*pt.util)
-			t.Metrics[fmt.Sprintf("bind_%s_q%d", gen.Name, q)] = bindRank(pt.binding)
 		}
 		t.Rows = append(t.Rows, row)
 		t.Notes = append(t.Notes, gen.Name+": "+note)
