@@ -7,6 +7,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"os"
 
 	"gamma/internal/config"
 	"gamma/internal/core"
@@ -15,15 +17,33 @@ import (
 	"gamma/internal/wisconsin"
 )
 
-func main() {
-	nDisk := flag.Int("disk", 8, "processors with disks")
-	tuples := flag.Int("tuples", 20000, "relation cardinality")
-	flag.Parse()
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("gammaload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	nDisk := fs.Int("disk", 8, "processors with disks")
+	tuples := fs.Int("tuples", 20000, "relation cardinality")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	var err error
+	switch {
+	case fs.NArg() > 0:
+		err = fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	case *nDisk < 1:
+		err = fmt.Errorf("-disk %d: need at least one disk processor", *nDisk)
+	case *tuples < 1:
+		err = fmt.Errorf("-tuples %d: need at least 1", *tuples)
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "gammaload: %v\n", err)
+		fs.Usage()
+		return 2
+	}
 
 	strategies := []core.PartStrategy{core.RoundRobin, core.Hashed, core.RangeUniform}
 	ts := wisconsin.Generate(*tuples, 1)
 
-	fmt.Printf("%-16s %-24s %14s %14s\n", "strategy", "fragment sizes", "exact-match", "1% range")
+	fmt.Fprintf(stdout, "%-16s %-24s %14s %14s\n", "strategy", "fragment sizes", "exact-match", "1% range")
 	for _, strat := range strategies {
 		prm := config.Default()
 		m := core.NewMachine(sim.New(), &prm, *nDisk, 0)
@@ -44,8 +64,13 @@ func main() {
 		rng := m.RunSelect(core.SelectQuery{
 			Scan: core.ScanSpec{Rel: r, Pred: rel.Between(rel.Unique1, 0, int32(*tuples/100-1)), Path: core.PathHeap},
 		})
-		fmt.Printf("%-16s %-24s %13.2fs %13.2fs\n", strat, sizes, exact.Elapsed.Seconds(), rng.Elapsed.Seconds())
+		fmt.Fprintf(stdout, "%-16s %-24s %13.2fs %13.2fs\n", strat, sizes, exact.Elapsed.Seconds(), rng.Elapsed.Seconds())
 	}
-	fmt.Println("\nHashed partitioning directs exact-match queries on the key to a single site;")
-	fmt.Println("range partitioning additionally confines range queries on the key (§2).")
+	fmt.Fprintln(stdout, "\nHashed partitioning directs exact-match queries on the key to a single site;")
+	fmt.Fprintln(stdout, "range partitioning additionally confines range queries on the key (§2).")
+	return 0
+}
+
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }

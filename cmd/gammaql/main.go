@@ -20,6 +20,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -43,11 +44,31 @@ const help = `statements:
 attributes: unique1 unique2 two four ten twenty onePercent tenPercent
             twentyPercent fiftyPercent unique3 evenOnePercent oddOnePercent`
 
-func main() {
-	nDisk := flag.Int("disk", 8, "processors with disks")
-	nDiskless := flag.Int("diskless", 8, "diskless processors")
-	tuples := flag.Int("tuples", 10000, "cardinality of the preloaded relation")
-	flag.Parse()
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("gammaql", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	nDisk := fs.Int("disk", 8, "processors with disks")
+	nDiskless := fs.Int("diskless", 8, "diskless processors")
+	tuples := fs.Int("tuples", 10000, "cardinality of the preloaded relation")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	var err error
+	switch {
+	case fs.NArg() > 0:
+		err = fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	case *nDisk < 1:
+		err = fmt.Errorf("-disk %d: need at least one disk processor", *nDisk)
+	case *nDiskless < 0:
+		err = fmt.Errorf("-diskless %d: must not be negative", *nDiskless)
+	case *tuples < 10:
+		err = fmt.Errorf("-tuples %d: need at least 10, so bprime (a tenth) is not empty", *tuples)
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "gammaql: %v\n", err)
+		fs.Usage()
+		return 2
+	}
 
 	prm := config.Default()
 	m := core.NewMachine(sim.New(), &prm, *nDisk, *nDiskless)
@@ -60,47 +81,52 @@ func main() {
 		wisconsin.Generate(*tuples/10, 7))
 
 	ses := quel.NewSession(m)
-	fmt.Printf("gammaql: %d disk + %d diskless processors; relations: %s\n",
+	fmt.Fprintf(stdout, "gammaql: %d disk + %d diskless processors; relations: %s\n",
 		*nDisk, *nDiskless, strings.Join(m.Relations(), ", "))
-	fmt.Println(`type \help for syntax, \quit to exit`)
+	fmt.Fprintln(stdout, `type \help for syntax, \quit to exit`)
 
-	sc := bufio.NewScanner(os.Stdin)
-	fmt.Print("gamma> ")
+	sc := bufio.NewScanner(stdin)
+	fmt.Fprint(stdout, "gamma> ")
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		switch {
 		case line == "":
 		case strings.HasPrefix(line, `\`):
-			if done := meta(m, ses, line); done {
-				return
+			if done := meta(stdout, m, ses, line); done {
+				return 0
 			}
 		default:
 			out, err := ses.Exec(line)
 			if err != nil {
-				fmt.Println("error:", err)
+				fmt.Fprintln(stdout, "error:", err)
 			} else if out.Message != "" {
-				fmt.Println(out.Message)
+				fmt.Fprintln(stdout, out.Message)
 			}
 		}
-		fmt.Print("gamma> ")
+		fmt.Fprint(stdout, "gamma> ")
 	}
+	return 0
 }
 
-func meta(m *core.Machine, ses *quel.Session, line string) bool {
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+func meta(stdout io.Writer, m *core.Machine, ses *quel.Session, line string) bool {
 	fields := strings.Fields(line)
 	switch fields[0] {
 	case `\quit`, `\q`:
 		return true
 	case `\help`:
-		fmt.Println(help)
+		fmt.Fprintln(stdout, help)
 	case `\relations`:
 		for _, name := range m.Relations() {
 			r, _ := m.Relation(name)
-			fmt.Printf("  %-16s %8d tuples  %s on %s\n", name, r.Count(), r.Strategy, r.PartAttr)
+			fmt.Fprintf(stdout, "  %-16s %8d tuples  %s on %s\n", name, r.Count(), r.Strategy, r.PartAttr)
 		}
 	case `\mode`:
 		if len(fields) < 2 {
-			fmt.Println("usage: \\mode local|remote|all")
+			fmt.Fprintln(stdout, "usage: \\mode local|remote|all")
 			break
 		}
 		switch fields[1] {
@@ -111,23 +137,23 @@ func meta(m *core.Machine, ses *quel.Session, line string) bool {
 		case "all":
 			ses.Mode = core.AllNodes
 		default:
-			fmt.Println("usage: \\mode local|remote|all")
+			fmt.Fprintln(stdout, "usage: \\mode local|remote|all")
 		}
 	case `\load`:
 		if len(fields) < 3 {
-			fmt.Println("usage: \\load <name> <tuples> [seed]")
+			fmt.Fprintln(stdout, "usage: \\load <name> <tuples> [seed]")
 			break
 		}
 		n, err := strconv.Atoi(fields[2])
 		if err != nil || n <= 0 {
-			fmt.Println("bad tuple count")
+			fmt.Fprintln(stdout, "bad tuple count")
 			break
 		}
 		seed := uint64(1)
 		if len(fields) > 3 {
 			s, err := strconv.ParseUint(fields[3], 10, 64)
 			if err != nil {
-				fmt.Println("bad seed")
+				fmt.Fprintln(stdout, "bad seed")
 				break
 			}
 			seed = s
@@ -137,9 +163,9 @@ func meta(m *core.Machine, ses *quel.Session, line string) bool {
 			Name: fields[1], Strategy: core.Hashed, PartAttr: rel.Unique1,
 			ClusteredIndex: &u1, NonClusteredIndexes: []rel.Attr{rel.Unique2},
 		}, wisconsin.Generate(n, seed))
-		fmt.Printf("loaded %s (%d tuples)\n", fields[1], n)
+		fmt.Fprintf(stdout, "loaded %s (%d tuples)\n", fields[1], n)
 	default:
-		fmt.Println("unknown meta command; try \\help")
+		fmt.Fprintln(stdout, "unknown meta command; try \\help")
 	}
 	return false
 }

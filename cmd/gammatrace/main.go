@@ -24,6 +24,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -70,7 +71,33 @@ func parseMode(s string) (core.JoinMode, error) {
 	}
 }
 
-func run(args []string, stdout, stderr *os.File) int {
+// checkFlags rejects the flag values a machine cannot be built, loaded or
+// queried with.
+func checkFlags(nDisk, nDiskless, tuples, pageSize int, query string, selPct float64) error {
+	minTuples := 1
+	switch query {
+	case "select":
+	case "join":
+		minTuples = 10 // Bprime holds a tenth of A's tuples
+	default:
+		return fmt.Errorf("unknown query %q (want select or join)", query)
+	}
+	switch {
+	case nDisk < 1:
+		return fmt.Errorf("-disk %d: need at least one disk processor", nDisk)
+	case nDiskless < 0:
+		return fmt.Errorf("-diskless %d: must not be negative", nDiskless)
+	case tuples < minTuples:
+		return fmt.Errorf("-tuples %d: a %s needs at least %d", tuples, query, minTuples)
+	case pageSize <= 0:
+		return fmt.Errorf("-pagesize %d: must be positive", pageSize)
+	case !(selPct >= 0 && selPct <= 100):
+		return fmt.Errorf("-sel %g: must be a percentage in [0, 100]", selPct)
+	}
+	return nil
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("gammatrace", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	nDisk := fs.Int("disk", 8, "processors with disks")
@@ -95,6 +122,9 @@ func run(args []string, stdout, stderr *os.File) int {
 	}
 
 	jm, err := parseMode(*mode)
+	if err == nil {
+		err = checkFlags(*nDisk, *nDiskless, *tuples, *pageSize, *query, *selPct)
+	}
 	if err != nil {
 		fmt.Fprintf(stderr, "gammatrace: %v\n", err)
 		fs.Usage()
@@ -122,13 +152,13 @@ func run(args []string, stdout, stderr *os.File) int {
 	}
 
 	pred := rel.Between(rel.Unique2, 0, int32(float64(*tuples)**selPct/100)-1)
-	snap := m.SnapshotUtil()
+	before := m.Counters()
 	var res core.Result
 	switch *query {
 	case "select":
 		res = m.RunSelect(core.SelectQuery{Scan: core.ScanSpec{Rel: r, Pred: pred, Path: core.PathHeap}})
 		fmt.Fprintf(stdout, "select %.0f%%: %d tuples in %.3fs simulated; %d packets, %d short-circuited\n\n",
-			*selPct, res.Tuples, res.Elapsed.Seconds(), res.DataPackets, res.LocalMsgs)
+			*selPct, res.Tuples, res.Elapsed.Seconds(), res.Counters.Net.DataPackets, res.Counters.Net.LocalMsgs)
 	case "join":
 		b := m.Load(core.LoadSpec{Name: "Bprime", Strategy: core.Hashed, PartAttr: rel.Unique1},
 			wisconsin.Generate(*tuples/10, 7))
@@ -139,11 +169,8 @@ func run(args []string, stdout, stderr *os.File) int {
 		})
 		fmt.Fprintf(stdout, "joinABprime (%s): %d tuples in %.3fs simulated; overflow resolutions: %d\n\n",
 			*mode, res.Tuples, res.Elapsed.Seconds(), res.Overflows)
-	default:
-		fmt.Fprintf(stderr, "gammatrace: unknown query %q (want select or join)\n", *query)
-		return 2
 	}
-	m.WriteUtilization(stdout, snap)
+	m.WriteUtilization(stdout, before)
 
 	if res.Diag != nil {
 		fmt.Fprintf(stdout, "\nverdict: %s\n", res.Diag)

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"gamma/internal/core"
@@ -103,5 +104,29 @@ func TestRunSelectWithFault(t *testing.T) {
 	args := []string{"-disk", "4", "-diskless", "0", "-tuples", "5000", "-fault", "1@0.2"}
 	if code := run(args, null, null); code != 0 {
 		t.Fatalf("run(%v): exit code %d, want 0", args, code)
+	}
+}
+
+func TestRunRejectsBadInput(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-disk", "0"}, "-disk 0: need at least one disk processor"},
+		{[]string{"-diskless", "-1"}, "-diskless -1: must not be negative"},
+		{[]string{"-tuples", "0"}, "-tuples 0: a select needs at least 1"},
+		{[]string{"-query", "join", "-tuples", "5"}, "-tuples 5: a join needs at least 10"},
+		{[]string{"-pagesize", "0"}, "-pagesize 0: must be positive"},
+		{[]string{"-sel", "-1"}, "-sel -1: must be a percentage in [0, 100]"},
+		{[]string{"-sel", "101"}, "-sel 101: must be a percentage in [0, 100]"},
+		{[]string{"-query", "nope"}, `unknown query "nope"`},
+	} {
+		var stdout, stderr strings.Builder
+		if code := run(tc.args, &stdout, &stderr); code != 2 {
+			t.Errorf("run(%v): exit code %d, want 2", tc.args, code)
+		}
+		if !strings.Contains(stderr.String(), "gammatrace: "+tc.want) || !strings.Contains(stderr.String(), "Usage") {
+			t.Errorf("run(%v): stderr lacks %q and the usage:\n%s", tc.args, tc.want, stderr.String())
+		}
 	}
 }

@@ -172,8 +172,8 @@ func runBitVector(o Options) *Table {
 	q.UseBitFilter = true
 	filtered := g.joinRun(q)
 	t.Rows = append(t.Rows, Row{Label: "joinABprime", Cells: []Cell{
-		{Measured: plain.Elapsed.Seconds(), Extra: fmt.Sprintf("pkts=%d", plain.DataPackets)},
-		{Measured: filtered.Elapsed.Seconds(), Extra: fmt.Sprintf("pkts=%d", filtered.DataPackets)},
+		{Measured: plain.Elapsed.Seconds(), Extra: fmt.Sprintf("pkts=%d", plain.Counters.Net.DataPackets)},
+		{Measured: filtered.Elapsed.Seconds(), Extra: fmt.Sprintf("pkts=%d", filtered.Counters.Net.DataPackets)},
 	}})
 	t.Notes = append(t.Notes,
 		"Filters drop probe tuples with no possible match before they reach the network (§2);",

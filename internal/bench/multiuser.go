@@ -122,8 +122,8 @@ func runMultiuser(o Options) *Table {
 			{Measured: shrd.Throughput},
 			{Measured: speedup},
 			{Measured: shrd.P95Response.Seconds()},
-			{Measured: shrd.DiskUtil},
-			{Measured: shrd.CPUUtil},
+			{Measured: shrd.Counters.DiskUtil(shrd.Elapsed)},
+			{Measured: shrd.Counters.CPUUtil(shrd.Elapsed)},
 		}}
 	})
 	t.Notes = append(t.Notes,

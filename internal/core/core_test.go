@@ -193,9 +193,9 @@ func TestJoinOnKeyAttributeShortCircuitsLocally(t *testing.T) {
 	}
 	// Local/key short-circuits all join input; remaining packets are the
 	// round-robin result-store traffic, which both modes share.
-	if keyLocal.DataPackets*5 > keyRemote.DataPackets {
+	if keyLocal.Counters.Net.DataPackets*5 > keyRemote.Counters.Net.DataPackets {
 		t.Errorf("local key join sent %d packets vs remote %d; expected near-total short-circuit",
-			keyLocal.DataPackets, keyRemote.DataPackets)
+			keyLocal.Counters.Net.DataPackets, keyRemote.Counters.Net.DataPackets)
 	}
 	nonKeyLocal := mkRes(Local, rel.Unique2)
 	nonKeyRemote := mkRes(Remote, rel.Unique2)
@@ -274,8 +274,8 @@ func TestBitVectorFilterReducesTraffic(t *testing.T) {
 	if filtered.Tuples != plain.Tuples {
 		t.Errorf("filter changed result: %d vs %d", filtered.Tuples, plain.Tuples)
 	}
-	if filtered.DataPackets >= plain.DataPackets {
-		t.Errorf("filter did not reduce packets: %d vs %d", filtered.DataPackets, plain.DataPackets)
+	if filtered.Counters.Net.DataPackets >= plain.Counters.Net.DataPackets {
+		t.Errorf("filter did not reduce packets: %d vs %d", filtered.Counters.Net.DataPackets, plain.Counters.Net.DataPackets)
 	}
 	if filtered.Elapsed >= plain.Elapsed {
 		t.Errorf("filtered join (%v) not faster than plain (%v)", filtered.Elapsed, plain.Elapsed)

@@ -176,17 +176,6 @@ func (m *Machine) EnableSharedScans() {
 // SharedScansEnabled reports whether the scan-sharing layer is on.
 func (m *Machine) SharedScansEnabled() bool { return m.scans != nil }
 
-// SharedScanStats returns the cumulative shared-scan page counters: pages
-// physically read by shared cursors, and page deliveries fanned to riders.
-// delivered - scanned is the number of page reads sharing saved. Both zero
-// when sharing is off.
-func (m *Machine) SharedScanStats() (scanned, delivered int64) {
-	if m.scans == nil {
-		return 0, 0
-	}
-	return m.scans.pagesScanned, m.scans.pagesDelivered
-}
-
 // PoolStats sums the cumulative buffer-pool hit/miss counters across every
 // disk node's store (counters survive ResetPools; see BufferPool.Stats).
 func (m *Machine) PoolStats() (hits, misses int64) {

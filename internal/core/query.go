@@ -62,17 +62,11 @@ type Result struct {
 	// overflowed site, and the per-site counts.
 	Overflows       int
 	OverflowPerSite []int
-	// Network activity during the query.
-	DataPackets int64
-	LocalMsgs   int64
-	CtlMsgs     int64
-	// Buffer-pool activity during the query (machine-wide deltas; exact
-	// per-query for serially executed queries).
-	PoolHits   int64
-	PoolMisses int64
-	// SharedPagesSaved is the number of physical page reads the scan-sharing
-	// layer avoided during the query (0 with sharing off).
-	SharedPagesSaved int64
+	// Counters is the machine's activity during the query: network
+	// messages, buffer-pool and shared-scan pages, busy time. The deltas are
+	// machine-wide, so exact per query for serially executed queries; they
+	// stay zero for queries run concurrently (RunConcurrent, RunWorkload).
+	Counters Counters
 	// Query is the trace span id ("q1", "q2", ...) assigned at launch.
 	Query string
 	// Diag is the bottleneck classification of the query's span, non-nil
@@ -459,20 +453,10 @@ func (m *Machine) diagnose(res *Result) {
 // runQuery launches one query and runs the simulation to completion.
 func (m *Machine) runQuery(res *Result, body func(ib *inbox)) {
 	m.ResetPools()
-	net0 := m.Net.Stats()
-	hits0, misses0 := m.PoolStats()
-	scanned0, delivered0 := m.SharedScanStats()
+	before := m.Counters()
 	m.launchQuery(res, body, nil)
 	m.Sim.Run()
-	net1 := m.Net.Stats()
-	res.DataPackets = net1.DataPackets - net0.DataPackets
-	res.LocalMsgs = net1.LocalMsgs - net0.LocalMsgs
-	res.CtlMsgs = net1.CtlMsgs - net0.CtlMsgs
-	hits1, misses1 := m.PoolStats()
-	res.PoolHits = hits1 - hits0
-	res.PoolMisses = misses1 - misses0
-	scanned1, delivered1 := m.SharedScanStats()
-	res.SharedPagesSaved = (delivered1 - delivered0) - (scanned1 - scanned0)
+	res.Counters = m.Counters().Sub(before)
 	m.diagnose(res)
 }
 

@@ -59,11 +59,11 @@ func TestSharedScanResultsMatchPrivate(t *testing.T) {
 			t.Errorf("query %d: result tuples differ (private %d, shared %d)", i, len(tp), len(ts))
 		}
 	}
-	if scanned, delivered := mShared.SharedScanStats(); delivered <= scanned {
-		t.Errorf("shared run saved no page reads: scanned=%d delivered=%d", scanned, delivered)
+	if c := mShared.Counters(); c.SharedPagesSaved() <= 0 {
+		t.Errorf("shared run saved no page reads: scanned=%d delivered=%d", c.SharedScanned, c.SharedDelivered)
 	}
-	if scanned, delivered := mPriv.SharedScanStats(); scanned != 0 || delivered != 0 {
-		t.Errorf("private run has shared-scan counters: %d/%d", scanned, delivered)
+	if c := mPriv.Counters(); c.SharedScanned != 0 || c.SharedDelivered != 0 {
+		t.Errorf("private run has shared-scan counters: %d/%d", c.SharedScanned, c.SharedDelivered)
 	}
 }
 

@@ -204,9 +204,9 @@ func TestRestoreResetsPools(t *testing.T) {
 		t.Errorf("pool stats after query: restored hits=%d misses=%d, fresh hits=%d misses=%d",
 			gotH, gotM, wantH, wantM)
 	}
-	if gotRes.PoolHits != wantRes.PoolHits || gotRes.PoolMisses != wantRes.PoolMisses {
+	if gotRes.Counters.PoolHits != wantRes.Counters.PoolHits || gotRes.Counters.PoolMisses != wantRes.Counters.PoolMisses {
 		t.Errorf("Result pool counters: restored %d/%d, fresh %d/%d",
-			gotRes.PoolHits, gotRes.PoolMisses, wantRes.PoolHits, wantRes.PoolMisses)
+			gotRes.Counters.PoolHits, gotRes.Counters.PoolMisses, wantRes.Counters.PoolHits, wantRes.Counters.PoolMisses)
 	}
 	if !reflect.DeepEqual(gotRes, wantRes) {
 		t.Errorf("restored query result differs from fresh:\n got %+v\nwant %+v", gotRes, wantRes)

@@ -80,16 +80,9 @@ type WorkloadResult struct {
 	// observed (≤ MaxConcurrent when capped).
 	MaxInFlight int
 
-	// Buffer-pool and shared-scan deltas over the run.
-	PoolHits           int64
-	PoolMisses         int64
-	SharedPagesScanned int64
-	SharedPagesSaved   int64
-
-	// Mean utilization of the disk drives and of the disk+diskless node
-	// CPUs over the run window.
-	DiskUtil float64
-	CPUUtil  float64
+	// Counters is the machine's activity over the run; CPUUtil and DiskUtil
+	// over Elapsed give its mean processor and drive utilization.
+	Counters Counters
 }
 
 // splitmix64 is the per-terminal RNG: tiny, seedable, and ours — workload
@@ -143,9 +136,7 @@ func (m *Machine) RunWorkload(spec WorkloadSpec) WorkloadResult {
 		panic("core: RunWorkload needs a Make function")
 	}
 	m.ResetPools()
-	hits0, misses0 := m.PoolStats()
-	scanned0, delivered0 := m.SharedScanStats()
-	cpu0, disk0 := m.busySnapshot()
+	before := m.Counters()
 
 	slots := spec.MaxConcurrent
 	if slots <= 0 || slots > spec.Terminals {
@@ -219,6 +210,7 @@ func (m *Machine) RunWorkload(spec WorkloadSpec) WorkloadResult {
 		Clean:       clean,
 		Degraded:    degraded,
 		Failed:      failed,
+		Counters:    m.Counters().Sub(before),
 	}
 	if out.Elapsed > 0 {
 		out.Throughput = float64(total) / out.Elapsed.Seconds()
@@ -236,35 +228,5 @@ func (m *Machine) RunWorkload(spec WorkloadSpec) WorkloadResult {
 	}
 	out.P95Response = sorted[idx-1]
 	out.MaxInFlight = adm.maxSeen
-
-	hits1, misses1 := m.PoolStats()
-	out.PoolHits = hits1 - hits0
-	out.PoolMisses = misses1 - misses0
-	scanned1, delivered1 := m.SharedScanStats()
-	out.SharedPagesScanned = scanned1 - scanned0
-	out.SharedPagesSaved = (delivered1 - delivered0) - (scanned1 - scanned0)
-
-	cpu1, disk1 := m.busySnapshot()
-	if out.Elapsed > 0 {
-		nCPU := len(m.Disk) + len(m.Diskless)
-		out.CPUUtil = (cpu1 - cpu0).Seconds() / (out.Elapsed.Seconds() * float64(nCPU))
-		out.DiskUtil = (disk1 - disk0).Seconds() / (out.Elapsed.Seconds() * float64(len(m.Disk)))
-	}
 	return out
-}
-
-// busySnapshot sums cumulative busy time over the disk+diskless node CPUs
-// and over the disk drives.
-func (m *Machine) busySnapshot() (cpu, disk sim.Dur) {
-	for _, nd := range m.Disk {
-		b, _, _ := nd.CPU.Stats()
-		cpu += b
-		db, _, _ := nd.Drive.Resource().Stats()
-		disk += db
-	}
-	for _, nd := range m.Diskless {
-		b, _, _ := nd.CPU.Stats()
-		cpu += b
-	}
-	return cpu, disk
 }

@@ -136,10 +136,10 @@ func TestSharedScanThroughputGain(t *testing.T) {
 		t.Errorf("shared/private throughput = %.2f (%.3f vs %.3f q/s), want >= 2",
 			gain, sharedr.Throughput, private.Throughput)
 	}
-	if sharedr.SharedPagesSaved <= 0 {
-		t.Errorf("shared run saved %d pages", sharedr.SharedPagesSaved)
+	if sharedr.Counters.SharedPagesSaved() <= 0 {
+		t.Errorf("shared run saved %d pages", sharedr.Counters.SharedPagesSaved())
 	}
-	if private.SharedPagesSaved != 0 {
-		t.Errorf("private run reports %d saved pages", private.SharedPagesSaved)
+	if private.Counters.SharedPagesSaved() != 0 {
+		t.Errorf("private run reports %d saved pages", private.Counters.SharedPagesSaved())
 	}
 }

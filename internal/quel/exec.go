@@ -182,6 +182,14 @@ func (s *Session) runAgg(a *AggTarget, groupBy *rel.Attr, q *qual) (Output, erro
 	return Output{Message: b.String(), Agg: &res}, nil
 }
 
+// tuples counts n tuples in a message: "1 tuple", "0 tuples".
+func tuples(n int) string {
+	if n == 1 {
+		return "1 tuple"
+	}
+	return fmt.Sprintf("%d tuples", n)
+}
+
 // runAppend builds the tuple from the set list and appends it.
 func (s *Session) runAppend(st *AppendStmt) (Output, error) {
 	r, ok := s.m.Relation(st.Rel)
@@ -193,7 +201,7 @@ func (s *Session) runAppend(st *AppendStmt) (Output, error) {
 		t.Set(c.Attr, clamp32(c.Val))
 	}
 	res := s.m.RunUpdate(core.UpdateQuery{Rel: r, Kind: core.AppendTuple, Tuple: t})
-	return Output{Message: fmt.Sprintf("appended %d tuple in %.3fs", res.Tuples, res.Elapsed.Seconds()), Result: &res}, nil
+	return Output{Message: fmt.Sprintf("appended %s in %.3fs", tuples(res.Tuples), res.Elapsed.Seconds()), Result: &res}, nil
 }
 
 // runDelete requires an exact predicate on the partitioning attribute.
@@ -211,7 +219,7 @@ func (s *Session) runDelete(st *DeleteStmt) (Output, error) {
 		return Output{}, fmt.Errorf("quel: delete requires an exact predicate on %s", r.PartAttr)
 	}
 	res := s.m.RunUpdate(core.UpdateQuery{Rel: r, Kind: core.DeleteByKey, Key: key})
-	return Output{Message: fmt.Sprintf("deleted %d tuple in %.3fs", res.Tuples, res.Elapsed.Seconds()), Result: &res}, nil
+	return Output{Message: fmt.Sprintf("deleted %s in %.3fs", tuples(res.Tuples), res.Elapsed.Seconds()), Result: &res}, nil
 }
 
 // runReplace picks the update kind from the modified attribute and indexes.
@@ -245,7 +253,7 @@ func (s *Session) runReplace(st *ReplaceStmt) (Output, error) {
 		}
 	}
 	res := s.m.RunUpdate(uq)
-	return Output{Message: fmt.Sprintf("replaced %d tuple in %.3fs (%s)", res.Tuples, res.Elapsed.Seconds(), uq.Kind), Result: &res}, nil
+	return Output{Message: fmt.Sprintf("replaced %s in %.3fs (%s)", tuples(res.Tuples), res.Elapsed.Seconds(), uq.Kind), Result: &res}, nil
 }
 
 func indexedNonClustered(r *core.Relation, attr rel.Attr) bool {

@@ -131,9 +131,20 @@ func TestAppendDeleteReplace(t *testing.T) {
 	if out.Result.Tuples != 1 {
 		t.Fatal("delete failed")
 	}
+	if !strings.HasPrefix(out.Message, "deleted 1 tuple in") {
+		t.Errorf("delete message %q", out.Message)
+	}
 	out = mustExec(t, s, "retrieve (t.all) where t.unique1 = 9999")
 	if out.Result.Tuples != 0 {
 		t.Fatal("tuple still present after delete")
+	}
+	out = mustExec(t, s, "delete t where t.unique1 = 9999")
+	if !strings.HasPrefix(out.Message, "deleted 0 tuples in") {
+		t.Errorf("delete of a missing key: message %q", out.Message)
+	}
+	out = mustExec(t, s, "replace t (ten = 5) where t.unique1 = 9999")
+	if !strings.HasPrefix(out.Message, "replaced 0 tuples in") {
+		t.Errorf("replace of a missing key: message %q", out.Message)
 	}
 }
 
