@@ -144,6 +144,10 @@ func meta(stdout io.Writer, m *core.Machine, ses *quel.Session, line string) boo
 			fmt.Fprintln(stdout, "usage: \\load <name> <tuples> [seed]")
 			break
 		}
+		if _, taken := m.Relation(fields[1]); taken {
+			fmt.Fprintf(stdout, "error: \\load %s: %v\n", fields[1], core.ErrNameTaken)
+			break
+		}
 		n, err := strconv.Atoi(fields[2])
 		if err != nil || n <= 0 {
 			fmt.Fprintln(stdout, "bad tuple count")

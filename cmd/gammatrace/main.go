@@ -33,6 +33,7 @@ import (
 	"gamma/internal/fault"
 	"gamma/internal/rel"
 	"gamma/internal/sim"
+	"gamma/internal/trace"
 	"gamma/internal/wisconsin"
 )
 
@@ -175,13 +176,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if res.Diag != nil {
 		fmt.Fprintf(stdout, "\nverdict: %s\n", res.Diag)
 	}
-	if evs := col.Faults(); len(evs) > 0 {
+	if evs := col.Of(trace.KindFault, trace.KindFailover); len(evs) > 0 {
 		fmt.Fprintf(stdout, "\nfaults:\n")
 		for _, e := range evs {
-			fmt.Fprintf(stdout, "  %9.3fs  %s node %d\n", float64(e.At)/1e6, e.Class, e.Node)
-		}
-		for _, e := range col.Failovers() {
-			fmt.Fprintf(stdout, "  %9.3fs  failover %s (attempt %d)\n", float64(e.At)/1e6, e.Class, e.N)
+			if e.Kind == trace.KindFault {
+				fmt.Fprintf(stdout, "  %9.3fs  %s node %d\n", float64(e.At)/1e6, e.Class, e.Node)
+			} else {
+				fmt.Fprintf(stdout, "  %9.3fs  failover %s (attempt %d)\n", float64(e.At)/1e6, e.Class, e.N)
+			}
 		}
 	}
 	if phases := col.MergedPhases(); len(phases) > 0 {

@@ -18,9 +18,7 @@ import (
 // finished clean / degraded / failed, and the mean and max MTTR — fault
 // injection to full redundancy restored.
 //
-// Rows run on the partitioned kernel (one shard per node) — the scale
-// configuration PR 6 introduced — and the whole report is a pure function of
-// the campaign seed, which is what the CI determinism check exercises.
+// The whole report is a pure function of the campaign seed.
 const (
 	avDefaultSeed = 7
 	avTerminals   = 8
@@ -51,7 +49,7 @@ func avFaults(o Options, nDisk int) int {
 // avPoint is one row's measurements.
 type avPoint struct {
 	wl       core.WorkloadResult
-	hs       core.HealStats
+	episodes []core.HealEpisode
 	campaign []fault.Injection
 	dip      float64 // worst 5s-window throughput during the campaign
 	end      float64 // throughput just after the campaign ends (recovery evidence)
@@ -132,7 +130,7 @@ func avRun(o Options, nDisk int) avPoint {
 		},
 	})
 
-	pt := avPoint{wl: wl, hs: m.Healer().Stats(), campaign: campaign}
+	pt := avPoint{wl: wl, episodes: m.Healer().Episodes(), campaign: campaign}
 	if len(wl.Completions) > 0 {
 		// Dip: the worst window while faults are landing. Post: the window
 		// right after the last fault clears, while every terminal is still
@@ -155,10 +153,10 @@ func avRun(o Options, nDisk int) avPoint {
 
 // mttr summarizes the restored episodes: mean and max fault-to-redundancy
 // time in seconds.
-func mttr(hs core.HealStats) (mean, max float64) {
+func mttr(episodes []core.HealEpisode) (mean, max float64) {
 	var sum sim.Dur
 	restored := 0
-	for _, ep := range hs.Episodes {
+	for _, ep := range episodes {
 		if ep.RestoredAt < 0 {
 			continue
 		}
@@ -176,9 +174,6 @@ func mttr(hs core.HealStats) (mean, max float64) {
 }
 
 func runAvailability(o Options) *Table {
-	// The partitioned kernel is the point of the scale rows; lookahead 0
-	// keeps it byte-identical to the serial oracle.
-	o.Kernel = "partitioned"
 	t := &Table{
 		Title:   "Availability under a seeded fault campaign (mirrored, self-healing)",
 		Unit:    "queries per simulated second; MTTR in seconds",
@@ -190,7 +185,7 @@ func runAvailability(o Options) *Table {
 	}
 	pts := parMap(o, len(nDisks), func(i int) avPoint { return avRun(o, nDisks[i]) })
 	for i, pt := range pts {
-		mean, max := mttr(pt.hs)
+		mean, max := mttr(pt.episodes)
 		t.Rows = append(t.Rows, Row{
 			Label: fmt.Sprintf("%d disk nodes", nDisks[i]),
 			Cells: []Cell{
@@ -202,8 +197,8 @@ func runAvailability(o Options) *Table {
 				{Measured: float64(pt.wl.Failed)},
 				{Measured: mean},
 				{Measured: max},
-				{Measured: float64(pt.hs.Promotions)},
-				{Measured: float64(pt.hs.Rebuilds)},
+				{Measured: float64(pt.wl.Counters.Promotions)},
+				{Measured: float64(pt.wl.Counters.Rebuilds)},
 			},
 		})
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
 	"gamma/internal/config"
@@ -109,4 +111,55 @@ func TestRecreateSameNameIndependent(t *testing.T) {
 			t.Errorf("fragment %d shares its file with the dropped relation", i)
 		}
 	}
+}
+
+// TestTakenNameRejected: a query naming its result after a catalogued
+// relation ends with ErrNameTaken and creates nothing — the catalog and every
+// store's files are as before — while automatic result names skip taken ones
+// and Load of a taken name panics.
+func TestTakenNameRejected(t *testing.T) {
+	m, a := newTestMachine(t, 4, 2, 1000)
+	b := m.Load(LoadSpec{Name: "B", Strategy: Hashed, PartAttr: rel.Unique1}, genTuples(100, 7))
+	m.Load(LoadSpec{Name: "result1", Strategy: Hashed, PartAttr: rel.Unique1}, genTuples(10, 9))
+	state := func() string {
+		s := fmt.Sprint(m.Relations())
+		for _, name := range m.Relations() {
+			r, _ := m.Relation(name)
+			s += fmt.Sprintf(" %s:%d/%p", name, r.Count(), r)
+		}
+		for _, nd := range m.Disk {
+			s += fmt.Sprintf(" files@%d=%d", nd.ID, m.StoreOf(nd).Files())
+		}
+		return s
+	}
+	want := state()
+	scan := ScanSpec{Rel: a, Pred: rel.Between(rel.Unique2, 0, 4), Path: PathHeap}
+	for _, tc := range []struct {
+		label string
+		res   Result
+	}{
+		{"select into B", m.RunSelect(SelectQuery{Scan: scan, ResultName: "B"})},
+		{"select into A", m.RunSelect(SelectQuery{Scan: scan, ResultName: a.Name})},
+		{"join into B", m.RunJoin(JoinQuery{
+			Build: ScanSpec{Rel: b, Pred: rel.True(), Path: PathHeap}, BuildAttr: rel.Unique1,
+			Probe: scan, ProbeAttr: rel.Unique1, Mode: Remote, ResultName: "B",
+		})},
+		{"sort into result1", m.RunSort(SortQuery{Scan: scan, By: rel.Unique1, ResultName: "result1"})},
+	} {
+		if !errors.Is(tc.res.Err, ErrNameTaken) {
+			t.Errorf("%s: err %v, want ErrNameTaken", tc.label, tc.res.Err)
+		}
+		if got := state(); got != want {
+			t.Errorf("%s changed the machine:\n got %s\nwant %s", tc.label, got, want)
+		}
+	}
+	if res := m.RunSelect(SelectQuery{Scan: scan}); res.Err != nil || res.ResultName != "result2" {
+		t.Errorf("unnamed result: %q, err %v; want result2", res.ResultName, res.Err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Load of a taken name did not panic")
+		}
+	}()
+	m.Load(LoadSpec{Name: "B", Strategy: Hashed, PartAttr: rel.Unique1}, genTuples(10, 3))
 }

@@ -29,9 +29,6 @@ const DefaultFailoverDetect = 250 * sim.Millisecond
 // called before the relations that should survive a failure are loaded.
 func (m *Machine) EnableMirroring() { m.mirrored = true }
 
-// Mirrored reports whether loads build chained-declustered backups.
-func (m *Machine) Mirrored() bool { return m.mirrored }
-
 // EnableFailover arms mid-query failure handling: the scheduler's inbox
 // waits time out after detect of silence, newly failed sites abort the
 // running attempt (partial results are dropped), and the work is

@@ -64,15 +64,6 @@ type HealEpisode struct {
 	RestoredAt sim.Time
 }
 
-// HealStats is a snapshot of the healer's counters.
-type HealStats struct {
-	Detections  int
-	Promotions  int
-	Rebuilds    int
-	PagesCopied int
-	Episodes    []HealEpisode
-}
-
 // heartbeat is one disk node's periodic status report to the healer.
 type heartbeat struct {
 	site    int
@@ -89,11 +80,10 @@ type Healer struct {
 	down       []bool          // the healer's view of each site
 	rebuilding map[string]bool // "rel/frag" keys with a copy in flight
 
-	detections  int
-	promotions  int
-	rebuilds    int
-	pagesCopied int
-	episodes    []HealEpisode
+	// Cumulative counts, read through Machine.Counters.
+	detections, promotions, rebuilds int
+
+	episodes []HealEpisode
 }
 
 // EnableHealing starts the healing manager: one heartbeat process per disk
@@ -127,17 +117,6 @@ func (m *Machine) EnableHealing(cfg HealConfig) *Healer {
 
 // Healer returns the machine's healing manager, nil before EnableHealing.
 func (m *Machine) Healer() *Healer { return m.healer }
-
-// Stats snapshots the healer's counters and episode records.
-func (h *Healer) Stats() HealStats {
-	return HealStats{
-		Detections:  h.detections,
-		Promotions:  h.promotions,
-		Rebuilds:    h.rebuilds,
-		PagesCopied: h.pagesCopied,
-		Episodes:    h.sortedEpisodes(),
-	}
-}
 
 // spawnHeartbeat starts site's status reporter, the node's own process (no
 // scheduler pays for it). Registered through Machine.start, so a crash of the
@@ -362,7 +341,6 @@ func (h *Healer) startRebuild(p *sim.Proc, r *Relation, i int) {
 		done = true
 		delete(h.rebuilding, key)
 		h.rebuilds++
-		h.pagesCopied += pages
 		cp.Emit(trace.Event{
 			At: int64(cp.Now()), Kind: trace.KindRebuild, Class: "done",
 			Res: r.Name, Site: i, From: src.Node.ID, To: tgt.ID,
@@ -411,8 +389,8 @@ func (h *Healer) checkRestored() {
 	})
 }
 
-// sortedEpisodes is a test/report helper: episodes ordered by fault time.
-func (h *Healer) sortedEpisodes() []HealEpisode {
+// Episodes returns the healer's fault episodes ordered by fault time.
+func (h *Healer) Episodes() []HealEpisode {
 	out := append([]HealEpisode(nil), h.episodes...)
 	sort.Slice(out, func(i, j int) bool { return out[i].FaultAt < out[j].FaultAt })
 	return out

@@ -11,6 +11,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -268,8 +269,12 @@ type LoadSpec struct {
 }
 
 // Load creates a relation from tuples per the spec. Loading takes no
-// simulated time: experiments begin with the database in place (§4).
+// simulated time: experiments begin with the database in place (§4). The
+// name must not be catalogued already.
 func (m *Machine) Load(spec LoadSpec, tuples []rel.Tuple) *Relation {
+	if _, taken := m.catalog[spec.Name]; taken {
+		panic(fmt.Sprintf("core: Load %q: %v", spec.Name, ErrNameTaken))
+	}
 	k := len(m.Disk)
 	r := &Relation{
 		Name:     spec.Name,
@@ -387,10 +392,16 @@ func rangeSite(bounds []int32, v int32) int {
 // Gamma's default for relations created by a query (§2). width narrows the
 // stored tuples (projection); 0 keeps full tuples. With no surviving disk
 // node it returns *ErrUnavailable — the query fails, the machine survives.
+// A name already catalogued is ErrNameTaken; an automatic "resultN" name
+// skips taken ones.
 func (m *Machine) newResultRelation(name string, width int) (*Relation, error) {
 	if name == "" {
-		m.nextRes++
-		name = fmt.Sprintf("result%d", m.nextRes)
+		for taken := true; taken; _, taken = m.catalog[name] {
+			m.nextRes++
+			name = fmt.Sprintf("result%d", m.nextRes)
+		}
+	} else if _, taken := m.catalog[name]; taken {
+		return nil, fmt.Errorf("core: result %q: %w", name, ErrNameTaken)
 	}
 	r := &Relation{Name: name, Strategy: RoundRobin, PartAttr: rel.Unique1, m: m}
 	if width > 0 && width < m.Prm.TupleBytes {
@@ -415,6 +426,11 @@ func (m *Machine) newResultRelation(name string, width int) (*Relation, error) {
 	m.catalogue(r)
 	return r, nil
 }
+
+// ErrNameTaken is why a relation cannot be created under a name the catalog
+// already holds: a query naming its result so ends with it wrapped in
+// Result.Err, and Load panics with it.
+var ErrNameTaken = errors.New("a relation of that name is already catalogued")
 
 // catalogue enters r under its name, stamped with its load order.
 func (m *Machine) catalogue(r *Relation) {

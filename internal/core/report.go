@@ -23,6 +23,9 @@ type Counters struct {
 	// SharedDelivered the page deliveries fanned out to riders; both stay
 	// zero with sharing off.
 	SharedScanned, SharedDelivered int64
+	// The healing manager's site-down detections, backup-to-primary
+	// promotions and completed fragment rebuilds; zero with healing off.
+	Detections, Promotions, Rebuilds int
 	// Nodes holds every node's counters, indexed by node id.
 	Nodes []NodeCounters
 	Ring  sim.Dur // token-ring transit time: accounting only, the ring is pure latency (§5.2.1)
@@ -44,6 +47,9 @@ func (m *Machine) Counters() Counters {
 	c.PoolHits, c.PoolMisses = m.PoolStats()
 	if m.scans != nil {
 		c.SharedScanned, c.SharedDelivered = m.scans.pagesScanned, m.scans.pagesDelivered
+	}
+	if h := m.healer; h != nil {
+		c.Detections, c.Promotions, c.Rebuilds = h.detections, h.promotions, h.rebuilds
 	}
 	nodes := m.Net.Nodes()
 	c.Nodes = make([]NodeCounters, len(nodes))
@@ -86,6 +92,9 @@ func (c Counters) Sub(was Counters) Counters {
 	d.PoolMisses -= was.PoolMisses
 	d.SharedScanned -= was.SharedScanned
 	d.SharedDelivered -= was.SharedDelivered
+	d.Detections -= was.Detections
+	d.Promotions -= was.Promotions
+	d.Rebuilds -= was.Rebuilds
 	d.Nodes = make([]NodeCounters, len(c.Nodes))
 	for i, n := range c.Nodes {
 		if i < len(was.Nodes) {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"gamma/internal/config"
@@ -67,24 +66,26 @@ func TestSharedScanResultsMatchPrivate(t *testing.T) {
 	}
 }
 
-// TestSharedScanTraceAttribution: attach/detach events land in the trace
-// and Diagnose sums saved pages over the window.
+// TestSharedScanTraceAttribution: attach/detach events land in the trace,
+// and the pages the detaches report saved are the ones Counters counts.
 func TestSharedScanTraceAttribution(t *testing.T) {
 	m, a := newTestMachine(t, 4, 0, 2000)
 	col := m.EnableTrace()
 	m.EnableSharedScans()
+	before := m.Counters()
 	s1 := SelectQuery{Scan: ScanSpec{Rel: a, Pred: rel.Between(rel.Unique2, 0, 99), Path: PathHeap}}
 	s2 := SelectQuery{Scan: ScanSpec{Rel: a, Pred: rel.Between(rel.Unique2, 100, 299), Path: PathHeap}}
 	m.RunConcurrent([]ConcurrentQuery{{Select: &s1}, {Select: &s2}})
 
-	evs := col.SharedScans()
-	attaches, detaches := 0, 0
+	evs := col.Of(trace.KindSharedScan)
+	attaches, detaches, saved := 0, 0, 0
 	for _, e := range evs {
 		switch e.Class {
 		case "attach":
 			attaches++
 		case "detach":
 			detaches++
+			saved += e.N
 		default:
 			t.Errorf("unexpected shared-scan class %q", e.Class)
 		}
@@ -96,15 +97,11 @@ func TestSharedScanTraceAttribution(t *testing.T) {
 	if attaches != 8 || detaches != 8 {
 		t.Fatalf("attaches=%d detaches=%d, want 8/8", attaches, detaches)
 	}
-	v := col.Diagnose(0, int64(m.Sim.Now()))
-	if v.SharedAttaches != 8 {
-		t.Errorf("verdict attaches = %d, want 8", v.SharedAttaches)
+	if saved <= 0 {
+		t.Errorf("detaches saved %d pages, want > 0", saved)
 	}
-	if v.SharedSavedPages <= 0 {
-		t.Errorf("verdict saved pages = %d, want > 0", v.SharedSavedPages)
-	}
-	if !strings.Contains(v.String(), "shared scans:") {
-		t.Errorf("verdict string missing shared-scan clause: %q", v.String())
+	if got := m.Counters().Sub(before).SharedPagesSaved(); got != int64(saved) {
+		t.Errorf("counters saved %d pages, trace detaches %d", got, saved)
 	}
 }
 
@@ -130,7 +127,7 @@ func TestSharedScanWrapAround(t *testing.T) {
 		t.Errorf("leader returned %d tuples, want 1500", rs[0].Tuples)
 	}
 	midScan := false
-	for _, e := range col.SharedScans() {
+	for _, e := range col.Of(trace.KindSharedScan) {
 		if e.Class == "attach" && e.Page != 0 {
 			midScan = true
 		}

@@ -20,14 +20,6 @@ type SortQuery struct {
 	ResultName string
 }
 
-// sortedRun announces one site's sorted spool file to the merge operator.
-type sortedRun struct {
-	site   int
-	file   *wiss.File
-	owner  *nose.Node
-	tuples int
-}
-
 // RunSort executes a sorted retrieve.
 func (m *Machine) RunSort(q SortQuery) Result {
 	var res Result
@@ -74,7 +66,7 @@ func (m *Machine) sortBody(q SortQuery, res *Result) func(ib *inbox) {
 				run := wiss.SortFile(sp, qual, q.By, m.Prm.Memory.NodeBytes/2, costs)
 				st.DropFile(qual)
 				nose.SendCtl(sp, fr.Node, sched, doneMsg{op: sortOp, site: site, produced: n})
-				nose.SendCtl(sp, fr.Node, mergePort, sortedRun{site: site, file: run, owner: fr.Node, tuples: n})
+				nose.SendCtl(sp, fr.Node, mergePort, run) // announce the sorted run to the merge
 			})
 		}
 
@@ -84,19 +76,25 @@ func (m *Machine) sortBody(q SortQuery, res *Result) func(ib *inbox) {
 			if mergePort.Closed() {
 				return // the node went down, taking the mailbox, after the scheduler set the operator up
 			}
-			runs := make([]sortedRun, 0, len(frags))
+			runs := make([]*wiss.File, 0, len(frags))
 			dropRuns := func() {
 				for _, r := range runs {
-					m.StoreOf(r.owner).DropFile(r.file)
+					r.Store().DropFile(r)
 				}
 			}
 			defer opExit(mp, mergeNode, merge.op, 0, mergePort, sched, dropRuns)
 			for len(runs) < len(frags) {
-				runs = append(runs, recvOp(mp, mergePort).(sortedRun))
+				runs = append(runs, recvOp(mp, mergePort).(*wiss.File))
+			}
+			// Every run page is read at its owner and shipped over the ring.
+			fetch := func(f *wiss.File, p *sim.Proc, i int) *wiss.Page {
+				pg := f.ReadPage(p, i)
+				m.Net.TransferBulk(p, f.Store().Node(), mergeNode, m.Prm.PageBytes)
+				return pg
 			}
 			ap := out.File.NewAppender()
-			total := mergeSortedRuns(mp, m, mergeNode, runs, q.By, ap)
-			ap.Close(mp)
+			wiss.MergeRuns(mp, runs, q.By, ap, fetch, mergeNode, m.Prm.Engine.InstrPerTupleStore)
+			total := ap.Close(mp)
 			out.File.Sorted, out.File.SortKey = true, q.By
 			dropRuns()
 			nose.SendCtl(mp, mergeNode, sched, doneMsg{op: merge.op, site: 0, produced: total})
@@ -113,75 +111,4 @@ func (m *Machine) sortBody(q SortQuery, res *Result) func(ib *inbox) {
 		res.Tuples = merged[0].produced
 		return nil
 	})
-}
-
-// runCursor2 walks one sorted run page by page, paying the owner's drive and
-// (for remote runs) the network per page.
-type runCursor2 struct {
-	run   sortedRun
-	page  int
-	slot  int
-	cache []rel.Tuple
-}
-
-func (c *runCursor2) load(p *sim.Proc, m *Machine, reader *nose.Node) bool {
-	// slot >= len(cache) also covers "nothing loaded yet" (nil cache) and an
-	// empty page, so the page buffer can be reused from one page to the next.
-	for c.slot >= len(c.cache) {
-		if c.page >= c.run.file.Pages() {
-			return false
-		}
-		pg := c.run.file.ReadPage(p, c.page)
-		m.Net.TransferBulk(p, c.run.owner, reader, m.Prm.PageBytes)
-		c.cache = pg.LiveTuples(c.cache[:0])
-		c.page++
-		c.slot = 0
-	}
-	return true
-}
-
-// mergeSortedRuns merges the per-site runs in key order into ap on the reader
-// node and returns the total count. Every tuple costs a store-CPU charge, then
-// moves from its run to the output page; p takes part only where a page does —
-// the output page filling, a run's cached page running out — and the tuples
-// in between are an itinerary (sim.Proc.Steps) of CPU charges.
-func mergeSortedRuns(p *sim.Proc, m *Machine, reader *nose.Node, runs []sortedRun, by rel.Attr, ap *wiss.Appender) int {
-	var h rel.KeyHeap[*runCursor2]
-	for _, r := range runs {
-		c := &runCursor2{run: r}
-		if c.load(p, m, reader) {
-			h.Add(c.cache[c.slot].A[by], c)
-		}
-	}
-	h.Init()
-	total := 0
-	charged := false // the tuple on top of the heap has paid its store CPU
-	step := func() (sim.Time, bool) {
-		if charged {
-			c := h.Top()
-			if ap.Room() == 1 || c.slot+1 == len(c.cache) {
-				return 0, false // moving it crosses a page boundary: p's part
-			}
-			ap.Append(p, c.cache[c.slot])
-			total++
-			c.slot++
-			h.FixTop(c.cache[c.slot].A[by])
-		}
-		charged = true
-		return reader.ReserveCPU(m.Prm.Engine.InstrPerTupleStore), true
-	}
-	for h.Len() > 0 {
-		p.Steps(step)
-		charged = false
-		c := h.Top()
-		ap.Append(p, c.cache[c.slot])
-		total++
-		c.slot++
-		if c.load(p, m, reader) {
-			h.FixTop(c.cache[c.slot].A[by])
-		} else {
-			h.PopTop()
-		}
-	}
-	return total
 }

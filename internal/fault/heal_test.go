@@ -102,19 +102,19 @@ func TestOutageRejoin(t *testing.T) {
 	}})
 	st.m.Sim.Run()
 
-	stats := h.Stats()
-	if len(stats.Episodes) != 3 {
-		t.Fatalf("episodes = %d, want 3", len(stats.Episodes))
+	episodes := h.Episodes()
+	if len(episodes) != 3 {
+		t.Fatalf("episodes = %d, want 3", len(episodes))
 	}
-	for _, ep := range stats.Episodes {
+	for _, ep := range episodes {
 		if ep.DetectedAt < 0 || ep.RestoredAt < 0 {
 			t.Errorf("episode %+v never detected/restored", ep)
 		}
 	}
 
 	rejoinAt := sim.Time(-1)
-	for _, e := range tr.Heals() {
-		if e.Kind == trace.KindHeal && e.Class == "rejoin" && e.Site == 3 {
+	for _, e := range tr.Of(trace.KindHeal) {
+		if e.Class == "rejoin" && e.Site == 3 {
 			rejoinAt = sim.Time(e.At)
 		}
 	}
@@ -122,8 +122,8 @@ func TestOutageRejoin(t *testing.T) {
 		t.Fatal("no rejoin event for site 3")
 	}
 	landedOnRejoined := false
-	for _, e := range tr.Heals() {
-		if e.Kind == trace.KindRebuild && e.Class == "done" &&
+	for _, e := range tr.Of(trace.KindRebuild) {
+		if e.Class == "done" &&
 			e.To == st.m.Disk[3].ID && sim.Time(e.At) > rejoinAt {
 			landedOnRejoined = true
 		}
@@ -157,7 +157,7 @@ func TestHealCorrectness(t *testing.T) {
 		fault.Crash(sim.Time(1*sim.Second), 1),
 	}})
 	st.m.Sim.Run()
-	for _, ep := range h.Stats().Episodes {
+	for _, ep := range h.Episodes() {
 		if ep.RestoredAt < 0 {
 			t.Fatalf("healing incomplete before snapshot: %+v", ep)
 		}
@@ -217,8 +217,8 @@ func TestRebuildIndexIDsDeterministic(t *testing.T) {
 			fault.Crash(sim.Time(1*sim.Second), 1),
 		}})
 		st.m.Sim.Run()
-		if hs := h.Stats(); hs.Rebuilds == 0 || hs.Episodes[0].RestoredAt < 0 {
-			t.Fatalf("run %d did not heal: %+v", run, hs)
+		if eps := h.Episodes(); st.m.Counters().Rebuilds == 0 || eps[0].RestoredAt < 0 {
+			t.Fatalf("run %d did not heal: %+v", run, eps)
 		}
 		var got strings.Builder
 		for i, fr := range st.idx.Backups {
@@ -237,13 +237,15 @@ func TestRebuildIndexIDsDeterministic(t *testing.T) {
 	}
 }
 
-// campaignWorkload runs one seeded campaign against a 32-node mirrored
-// machine under a closed-loop workload and returns the workload result and
-// healer stats — the sustained-campaign smoke and its determinism check.
-func campaignWorkload(t *testing.T, seed uint64) (core.WorkloadResult, core.HealStats) {
+// campaignWorkload runs one traced, seeded campaign against a 32-node
+// mirrored machine under a closed-loop workload and returns the workload
+// result, the healer's episodes and the trace — the sustained-campaign smoke
+// and its determinism check.
+func campaignWorkload(t *testing.T, seed uint64) (core.WorkloadResult, []core.HealEpisode, *trace.Collector) {
 	t.Helper()
 	const nDisk, n = 32, 8000
 	st := newSetup(nDisk, 0, n)
+	tr := st.m.EnableTrace()
 	camp := fault.Campaign(fault.CampaignSpec{
 		Seed: seed, Sites: nDisk, Faults: 12,
 		MTTF: 2 * sim.Second, Start: sim.Time(500 * sim.Millisecond),
@@ -273,26 +275,43 @@ func campaignWorkload(t *testing.T, seed uint64) (core.WorkloadResult, core.Heal
 			}}
 		},
 	})
-	return wl, st.m.Healer().Stats()
+	return wl, st.m.Healer().Episodes(), tr
 }
 
 // TestSustainedCampaign: a ≥10-fault seeded campaign at 32 nodes completes
-// with zero process panics, classifies every query, and is deterministic —
-// the same seed reproduces the identical workload result and heal history.
+// with zero process panics, classifies every query, counts each heal step
+// the trace records, and is deterministic — the same seed reproduces the
+// identical workload result (healer counts included) and heal history.
 func TestSustainedCampaign(t *testing.T) {
-	wl1, hs1 := campaignWorkload(t, 99)
+	wl1, eps1, tr := campaignWorkload(t, 99)
 	if got := wl1.Clean + wl1.Degraded + wl1.Failed; got != wl1.Queries {
 		t.Errorf("clean %d + degraded %d + failed %d = %d, want %d queries",
 			wl1.Clean, wl1.Degraded, wl1.Failed, got, wl1.Queries)
 	}
-	if hs1.Detections == 0 || hs1.Promotions == 0 {
-		t.Errorf("campaign healed nothing: %+v", hs1)
+	c := wl1.Counters
+	if c.Detections == 0 || c.Promotions == 0 {
+		t.Errorf("campaign healed nothing: %d detections, %d promotions", c.Detections, c.Promotions)
 	}
-	wl2, hs2 := campaignWorkload(t, 99)
+	var detects, promotes, rebuilt int
+	for _, e := range tr.Of(trace.KindHeal, trace.KindPromote, trace.KindRebuild) {
+		switch {
+		case e.Kind == trace.KindHeal && e.Class == "detect":
+			detects++
+		case e.Kind == trace.KindPromote:
+			promotes++
+		case e.Kind == trace.KindRebuild && e.Class == "done":
+			rebuilt++
+		}
+	}
+	if c.Detections != detects || c.Promotions != promotes || c.Rebuilds != rebuilt {
+		t.Errorf("counters: %d detections, %d promotions, %d rebuilds; trace: %d, %d, %d",
+			c.Detections, c.Promotions, c.Rebuilds, detects, promotes, rebuilt)
+	}
+	wl2, eps2, _ := campaignWorkload(t, 99)
 	if !reflect.DeepEqual(wl1, wl2) {
 		t.Error("same seed produced different workload results")
 	}
-	if !reflect.DeepEqual(hs1, hs2) {
+	if !reflect.DeepEqual(eps1, eps2) {
 		t.Error("same seed produced different heal histories")
 	}
 }

@@ -62,7 +62,7 @@ func TestKillBeforeStartSweep(t *testing.T) {
 		hop := prm.Net.MinLatency
 		initCost := int64(prm.Engine.MsgsPerOperatorInit) * int64(prm.Net.CtlMsg)
 		var sends []sim.Time
-		for _, e := range tr.CtlMsgs() {
+		for _, e := range tr.Of(trace.KindCtlMsg) {
 			if e.From == ref.m.Sched.ID && e.To == ref.m.Disk[victim].ID && e.Dur == initCost {
 				sends = append(sends, sim.Time(e.At))
 			}

@@ -198,7 +198,7 @@ func TestAggRetryIgnoresStaleReports(t *testing.T) {
 		isDisk[nd.ID] = i
 	}
 	var reports []trace.Event
-	for _, e := range tr.CtlMsgs() {
+	for _, e := range tr.Of(trace.KindCtlMsg) {
 		if _, ok := isDisk[e.From]; ok && e.To == ref.m.Sched.ID {
 			reports = append(reports, e)
 		}
@@ -227,14 +227,14 @@ func TestAggRetryIgnoresStaleReports(t *testing.T) {
 		// site at most; anything more from the disk sites is a partial of
 		// the attempt being aborted.
 		abort := sim.Time(-1)
-		for _, e := range tr.Failovers() {
+		for _, e := range tr.Of(trace.KindFailover) {
 			if e.Class == "abort" {
 				abort = sim.Time(e.At)
 				break
 			}
 		}
 		heard := 0
-		for _, e := range tr.CtlMsgs() {
+		for _, e := range tr.Of(trace.KindCtlMsg) {
 			if _, ok := isDisk[e.From]; ok && e.To == st.m.Sched.ID && sim.Time(e.At) < abort {
 				heard++
 			}

@@ -108,6 +108,9 @@ func (s *Session) runSelect(v, into string, project []rel.Attr, q *qual) (Output
 		ToHost:     into == "",
 		Project:    project,
 	})
+	if res.Err != nil {
+		return Output{}, res.Err
+	}
 	msg := fmt.Sprintf("%d tuples in %.3fs", res.Tuples, res.Elapsed.Seconds())
 	if into != "" {
 		msg += " -> " + res.ResultName
@@ -146,6 +149,9 @@ func (s *Session) runJoin(tvar, into string, q *qual) (Output, error) {
 		Mode:       s.Mode,
 		ResultName: into,
 	})
+	if res.Err != nil {
+		return Output{}, res.Err
+	}
 	msg := fmt.Sprintf("%d tuples in %.3fs (join, build=%s)", res.Tuples, res.Elapsed.Seconds(), buildRel.Name)
 	if res.Overflows > 0 {
 		msg += fmt.Sprintf(", %d overflow resolutions", res.Overflows)

@@ -111,12 +111,3 @@ func (r *Resource) BusyUntil() Time { return r.busyUntil }
 func (r *Resource) Stats() (busy Dur, requests int64, waited Dur) {
 	return r.busy, r.requests, r.waited
 }
-
-// Utilization returns the fraction of the interval [0, horizon] the resource
-// spent serving requests.
-func (r *Resource) Utilization(horizon Time) float64 {
-	if horizon <= 0 {
-		return 0
-	}
-	return float64(r.busy) / float64(horizon)
-}

@@ -228,9 +228,6 @@ func (s *Sim) Lookahead() Dur { return s.lookahead }
 // oracle path). n <= 1 selects serialized execution explicitly.
 func (s *Sim) SetWorkers(n int) { s.workers = n }
 
-// Workers returns the configured worker count (0 or 1 = serialized).
-func (s *Sim) Workers() int { return s.workers }
-
 // AddShard creates a new shard (partition) and returns its handle. Only
 // valid on a partitioned simulation.
 func (s *Sim) AddShard() *Shard {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 )
 
@@ -54,11 +55,7 @@ type Collector struct {
 	phases    []Span
 	openPhase map[string]int // "op@site/phase" -> index in phases
 
-	faults    []Event // KindFault events, in emission order
-	failovers []Event // KindFailover events, in emission order
-	shared    []Event // KindSharedScan events, in emission order
-	heals     []Event // KindHeal/KindPromote/KindRebuild events, in emission order
-	ctls      []Event // KindCtlMsg events carrying a Dur cost, in emission order
+	ctls []Event // KindCtlMsg events carrying a Dur cost, in emission order
 }
 
 // NewCollector returns an empty collector.
@@ -113,14 +110,6 @@ func (c *Collector) Emit(e Event) {
 		if e.Dur > 0 {
 			c.ctls = append(c.ctls, e)
 		}
-	case KindFault:
-		c.faults = append(c.faults, e)
-	case KindFailover:
-		c.failovers = append(c.failovers, e)
-	case KindSharedScan:
-		c.shared = append(c.shared, e)
-	case KindHeal, KindPromote, KindRebuild:
-		c.heals = append(c.heals, e)
 	}
 }
 
@@ -183,26 +172,15 @@ func (c *Collector) MergedPhases() []Span {
 	return out
 }
 
-// Faults returns every injected-failure event in emission order.
-func (c *Collector) Faults() []Event { return c.faults }
-
-// Failovers returns every failover (abort/retry) event in emission order.
-func (c *Collector) Failovers() []Event { return c.failovers }
-
-// SharedScans returns every shared-scan attach/detach event in emission order.
-func (c *Collector) SharedScans() []Event { return c.shared }
-
-// Heals returns every healing-layer event (heal, promote, rebuild) in
-// emission order.
-func (c *Collector) Heals() []Event { return c.heals }
-
-// CtlMsgs returns every control-message event that carried a Dur cost, in
-// emission order. These feed the "ctl" pseudo-class of Diagnose.
-func (c *Collector) CtlMsgs() []Event { return c.ctls }
-
-// Resources returns every resource name seen, in registration order.
-func (c *Collector) Resources() []string {
-	return append([]string(nil), c.resNames...)
+// Of returns the events of the given kinds, in emission order.
+func (c *Collector) Of(kinds ...Kind) []Event {
+	var out []Event
+	for _, e := range c.events {
+		if slices.Contains(kinds, e.Kind) {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // Busy returns the total service time resource res delivered inside the

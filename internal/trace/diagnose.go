@@ -25,25 +25,6 @@ type Verdict struct {
 	Res      string      // the binding resource itself, e.g. "nic9"
 	Util     float64     // its utilization of the window
 	Classes  []ClassUtil // every class, sorted by descending Util
-
-	// Degraded-run context: hardware failures that took effect inside the
-	// window (formatted "mode@node<N> t=<seconds>") and how many query
-	// attempts were re-dispatched to backup fragments. Both empty/zero for
-	// a healthy run.
-	Faults  []string
-	Retries int
-
-	// Shared-scan context: how many operators attached to a shared cursor
-	// inside the window, and how many page reads riding those cursors saved
-	// versus private scans. Both zero when scan sharing is off.
-	SharedAttaches   int
-	SharedSavedPages int
-
-	// Healing context: backup-to-primary promotions and fragment rebuilds
-	// the healing manager completed inside the window. Both zero when
-	// healing is off or the window saw no faults.
-	Promotions int
-	Rebuilds   int
 }
 
 // classRank breaks exact utilization ties deterministically, preferring the
@@ -137,38 +118,6 @@ func (c *Collector) Diagnose(from, to int64) Verdict {
 		v.Res = v.Classes[0].Res
 		v.Util = v.Classes[0].Util
 	}
-	for _, f := range c.faults {
-		if f.At >= from && f.At <= to {
-			v.Faults = append(v.Faults, fmt.Sprintf("%s@node%d t=%.3fs", f.Class, f.Node, float64(f.At)/1e6))
-		}
-	}
-	for _, f := range c.failovers {
-		if f.At >= from && f.At <= to && f.Class == "retry" {
-			v.Retries++
-		}
-	}
-	for _, e := range c.shared {
-		if e.At < from || e.At > to {
-			continue
-		}
-		switch e.Class {
-		case "attach":
-			v.SharedAttaches++
-		case "detach":
-			v.SharedSavedPages += e.N
-		}
-	}
-	for _, e := range c.heals {
-		if e.At < from || e.At > to {
-			continue
-		}
-		switch {
-		case e.Kind == KindPromote:
-			v.Promotions++
-		case e.Kind == KindRebuild && e.Class == "done":
-			v.Rebuilds++
-		}
-	}
 	return v
 }
 
@@ -200,21 +149,6 @@ func (v Verdict) String() string {
 	s := fmt.Sprintf("%s-bound (%s at %.1f%%)", v.Binding, v.Res, 100*v.Util)
 	if len(rest) > 0 {
 		s += "; " + strings.Join(rest, ", ")
-	}
-	if len(v.Faults) > 0 || v.Retries > 0 {
-		s += "; degraded: " + strings.Join(v.Faults, ", ")
-		if v.Retries == 1 {
-			s += " (1 retry)"
-		} else if v.Retries > 1 {
-			s += fmt.Sprintf(" (%d retries)", v.Retries)
-		}
-	}
-	if v.SharedAttaches > 0 || v.SharedSavedPages > 0 {
-		s += fmt.Sprintf("; shared scans: %d attaches saved %d page reads",
-			v.SharedAttaches, v.SharedSavedPages)
-	}
-	if v.Promotions > 0 || v.Rebuilds > 0 {
-		s += fmt.Sprintf("; healing: %d promotions, %d rebuilds", v.Promotions, v.Rebuilds)
 	}
 	return s
 }

@@ -166,6 +166,26 @@ func TestMergedPhases(t *testing.T) {
 	}
 }
 
+func TestOfFiltersByKindInEmissionOrder(t *testing.T) {
+	c := collect(
+		Event{At: 1, Kind: KindFault, Class: "node-crash", Node: 4},
+		rel("disk0", 0, 2),
+		Event{At: 3, Kind: KindFailover, Class: "abort"},
+		Event{At: 4, Kind: KindFault, Class: "drive-fail", Node: 5},
+		Event{At: 5, Kind: KindFailover, Class: "retry"},
+	)
+	var got []int64
+	for _, e := range c.Of(KindFault, KindFailover) {
+		got = append(got, e.At)
+	}
+	if want := []int64{1, 3, 4, 5}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Of(fault, failover) at %v, want %v", got, want)
+	}
+	if evs := c.Of(KindHeal); len(evs) != 0 {
+		t.Errorf("Of(heal) = %v, want none", evs)
+	}
+}
+
 func TestJSONLRoundTrip(t *testing.T) {
 	events := []Event{
 		{At: 0, Kind: KindQueryStart, Query: "q1"},

@@ -93,9 +93,6 @@ func (t *BTree) Height() int { return t.height }
 // Entries returns the number of leaf entries.
 func (t *BTree) Entries() int { return t.entries }
 
-// Fanout returns the per-node entry capacity (a function of page size).
-func (t *BTree) Fanout() int { return t.fanout }
-
 type entry struct {
 	key  int32
 	rid  RID
@@ -525,14 +522,6 @@ func (t *BTree) DeleteEntry(p *sim.Proc, key int32, rid RID) bool {
 		leaf = t.nextLeaf(p, leaf)
 	}
 	return false
-}
-
-// Rebuild reconstructs the index from the current file contents (used after
-// bulk file mutations that bypass entry-level maintenance). A shared tree
-// simply abandons the image's nodes: bulkBuild allocates a fresh graph.
-func (t *BTree) Rebuild() {
-	t.shared = false
-	t.bulkBuild()
 }
 
 // CheckInvariants verifies B+-tree structural invariants; tests use it.

@@ -1,6 +1,7 @@
 package wiss
 
 import (
+	"gamma/internal/nose"
 	"gamma/internal/rel"
 	"gamma/internal/sim"
 )
@@ -75,7 +76,11 @@ func SortFile(p *sim.Proc, src *File, key rel.Attr, memBytes int, costs SortCost
 			if end > len(runs) {
 				end = len(runs)
 			}
-			merged := mergeRuns(p, st, src.Name, runs[start:end], key, costs)
+			merged := st.CreateFile(src.Name + ".merge")
+			merged.Sorted, merged.SortKey = true, key
+			ap := merged.NewAppender()
+			MergeRuns(p, runs[start:end], key, ap, (*File).ReadPage, st.node, costs.InstrPerTupleMerge)
+			ap.Close(p)
 			next = append(next, merged)
 		}
 		for _, r := range runs {
@@ -88,83 +93,69 @@ func SortFile(p *sim.Proc, src *File, key rel.Attr, memBytes int, costs SortCost
 	return out
 }
 
-type runCursor struct {
-	f    *File
-	page int
-	slot int
-	cur  *Page
+// mergeCursor walks one run page by page. Runs are written by an Appender
+// and never updated, so every slot of a page is live.
+type mergeCursor struct {
+	f      *File
+	page   int         // next page to fetch
+	slot   int         // current tuple in tuples
+	tuples []rel.Tuple // the fetched page's tuples
 }
 
-func (rc *runCursor) tuple() *rel.Tuple { return &rc.cur.Tuples[rc.slot] }
-
-// advance moves to the next tuple, reading pages as needed. Reports false at
-// end of run.
-func (rc *runCursor) advance(p *sim.Proc) bool {
-	rc.slot++
-	if rc.cur != nil && rc.slot < len(rc.cur.Tuples) {
-		return true
+// load fetches pages until the cursor's slot holds a tuple. It reports false
+// at the end of the run.
+func (c *mergeCursor) load(p *sim.Proc, fetch func(*File, *sim.Proc, int) *Page) bool {
+	for c.slot >= len(c.tuples) {
+		if c.page >= c.f.Pages() {
+			return false
+		}
+		c.tuples = fetch(c.f, p, c.page).Tuples
+		c.page++
+		c.slot = 0
 	}
-	rc.page++
-	rc.slot = 0
-	if rc.page >= rc.f.Pages() {
-		rc.cur = nil
-		return false
-	}
-	rc.cur = rc.f.ReadPage(p, rc.page)
-	return len(rc.cur.Tuples) > 0
+	return true
 }
 
-func (rc *runCursor) open(p *sim.Proc) bool {
-	rc.page, rc.slot = 0, 0
-	rc.cur = nil
-	if rc.f.Pages() == 0 {
-		return false
-	}
-	rc.cur = rc.f.ReadPage(p, 0)
-	return len(rc.cur.Tuples) > 0
-}
-
-// mergeRuns merges sorted runs into one file. Every tuple costs a merge-CPU
-// charge, then moves from its run to the output page; p takes part only where
-// a page does — an output page filling, a run's page running out — and the
-// tuples in between are an itinerary (sim.Proc.Steps) of CPU charges.
-func mergeRuns(p *sim.Proc, st *Store, name string, runs []*File, key rel.Attr, costs SortCosts) *File {
-	out := st.CreateFile(name + ".merge")
-	out.Sorted, out.SortKey = true, key
-	ap := out.NewAppender()
-	var h rel.KeyHeap[*runCursor]
-	for _, r := range runs {
-		rc := &runCursor{f: r}
-		if rc.open(p) {
-			h.Add(rc.tuple().A[key], rc)
+// MergeRuns merges runs, each sorted on key, into ap. fetch reads page i of a run for the merging process: a local
+// read, or a read plus a transfer to a remote merger. Every tuple reserves
+// instr instructions on cpu's processor, then moves from its run to the output
+// page; p takes part only where a page does — an output page filling, a run's
+// page running out — and the tuples in between are an itinerary
+// (sim.Proc.Steps) of CPU charges.
+func MergeRuns(p *sim.Proc, runs []*File, key rel.Attr, ap *Appender,
+	fetch func(*File, *sim.Proc, int) *Page, cpu *nose.Node, instr int) {
+	var h rel.KeyHeap[*mergeCursor]
+	for _, f := range runs {
+		c := &mergeCursor{f: f}
+		if c.load(p, fetch) {
+			h.Add(c.tuples[c.slot].A[key], c)
 		}
 	}
 	h.Init()
-	charged := false // the tuple on top of the heap has paid its merge CPU
+	charged := false // the tuple on top of the heap has paid its CPU
 	step := func() (sim.Time, bool) {
 		if charged {
-			rc := h.Top()
-			if ap.Room() == 1 || rc.slot+1 == len(rc.cur.Tuples) {
+			c := h.Top()
+			if ap.Room() == 1 || c.slot+1 == len(c.tuples) {
 				return 0, false // moving it crosses a page boundary: p's part
 			}
-			ap.Append(p, *rc.tuple())
-			rc.slot++
-			h.FixTop(rc.tuple().A[key])
+			ap.Append(p, c.tuples[c.slot])
+			c.slot++
+			h.FixTop(c.tuples[c.slot].A[key])
 		}
 		charged = true
-		return st.node.ReserveCPU(costs.InstrPerTupleMerge), true
+		return cpu.ReserveCPU(instr), true
 	}
 	for h.Len() > 0 {
 		p.Steps(step)
 		charged = false
-		rc := h.Top()
-		ap.Append(p, *rc.tuple())
-		if rc.advance(p) {
-			h.FixTop(rc.tuple().A[key])
+		c := h.Top()
+		ap.Append(p, c.tuples[c.slot])
+		c.slot++
+		if c.load(p, fetch) {
+			h.FixTop(c.tuples[c.slot].A[key])
 		} else {
 			h.PopTop()
 		}
 	}
-	ap.Close(p)
-	return out
 }
