@@ -3,9 +3,8 @@
 //
 // Usage:
 //
-//	gammabench [-quick] [-list] [-parallel N] [-json] [-kernel serial|partitioned]
-//	           [-kernel-workers N] [-generation NAME] [-campaign-seed S]
-//	           [-campaign-faults N] [experiment ...]
+//	gammabench [-quick] [-list] [-parallel N] [-json] [-generation NAME]
+//	           [-campaign-seed S] [-campaign-faults N] [experiment ...]
 //
 // With no experiment arguments every registered experiment runs. -quick uses
 // reduced relation sizes for a fast smoke run; the default is paper scale
@@ -17,23 +16,16 @@
 // byte-identical at any worker count. -json replaces the tables with a
 // machine-readable report: per experiment, its table's rows (label, and
 // measured, paper and extra for each cell) beside wall clock and simulated
-// events/sec. -cpuprofile and -memprofile write pprof profiles.
-//
-// -kernel selects the simulation kernel: "serial" (the default) or
-// "partitioned" (one shard per simulated node), and -kernel-workers N, valid
-// only with the partitioned kernel, bounds the goroutines one simulation may
-// use for its conservative windows. That pair is the whole host-side
-// surface: the lookahead is always the network's delivery-latency floor on
-// machines that opted into windows and 0 elsewhere, shard fusion is always
-// adaptive, and the program reads no environment variable, so nothing but
-// sizes, -generation and the campaign flags can move a table. The serial
-// kernel is the byte-exact oracle for the partitioned one (same tables, JSON
-// and traces; DESIGN.md §9).
+// events/sec. -cpuprofile and -memprofile write pprof profiles. The program
+// reads no environment variable: nothing but sizes, -generation and the
+// campaign flags can move a table.
 //
 // -generation parameterizes every machine with a named hardware generation
 // (-list-generations enumerates them; the default is gamma1988, the paper's
-// VAX-era build). The -json report echoes the generation and carries the
-// kernel's window counters.
+// VAX-era build). The -json report echoes the generation.
+//
+// A retired experiment id (kernelscale) still resolves: it prints a one-row
+// table saying why it was retired, and -list does not show it.
 //
 // Every flag value is validated up front, before anything simulates; a bad
 // one prints a named error and the usage and exits 2.
@@ -77,19 +69,6 @@ type jsonExperiment struct {
 	// them, and carries their events and wall time. Under -parallel > 1 which
 	// sibling simulates is first-come; suite totals do not depend on it.
 	SharedPoints int64 `json:"shared_points"`
-	// EOT window-scheduler counters, aggregated over every simulation the
-	// experiment ran; all zero when it executed on the serial kernel. The
-	// counts are deterministic (they depend only on the event schedule and
-	// the declared floors/promises, not on worker interleaving).
-	// Every counter key is always present — zero-valued when the serial
-	// kernel ran — so downstream tooling never needs key-presence checks.
-	KernelWindows         int64   `json:"kernel_windows"`
-	KernelWindowOccupancy float64 `json:"kernel_window_occupancy"`
-	KernelEventsPerWindow float64 `json:"kernel_events_per_window"`
-	KernelPromises        int64   `json:"kernel_promises"`
-	KernelGroupWindows    int64   `json:"kernel_group_windows"`
-	KernelFuseOps         int64   `json:"kernel_fuse_ops"`
-	KernelSplitOps        int64   `json:"kernel_split_ops"`
 	// Rows are the experiment's table, cell for cell: what the text output
 	// prints, at full precision.
 	Rows []bench.Row `json:"rows"`
@@ -97,7 +76,6 @@ type jsonExperiment struct {
 
 type jsonReport struct {
 	Suite            string           `json:"suite"`      // "full" or "quick"
-	Kernel           string           `json:"kernel"`     // "serial" or "partitioned"
 	Generation       string           `json:"generation"` // hardware generation the machines were parameterized with
 	Workers          int              `json:"workers"`
 	GoMaxProcs       int              `json:"gomaxprocs"`
@@ -117,8 +95,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0),
 		"worker goroutines for experiments and independent data points")
 	jsonOut := fs.Bool("json", false, "emit a machine-readable report instead of tables")
-	kernel := fs.String("kernel", "serial", "simulation `kernel`: serial or partitioned (one shard per simulated node, with the serial order as oracle)")
-	kernelWorkers := fs.Int("kernel-workers", 0, "worker goroutines per partitioned simulation's conservative windows (0 = one; needs -kernel partitioned)")
 	generation := fs.String("generation", "gamma1988", "hardware `generation` to parameterize the machines with (see -list-generations)")
 	listGens := fs.Bool("list-generations", false, "list hardware generations and exit")
 	campaignSeed := fs.Uint64("campaign-seed", 0, "`seed` for the availability experiment's fault campaign (0 = default)")
@@ -151,11 +127,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		msg string
 	}{
 		{*parallel < 1, fmt.Sprintf("-parallel must be >= 1 (got %d)", *parallel)},
-		{*kernel != "serial" && *kernel != "partitioned",
-			fmt.Sprintf("-kernel must be serial or partitioned (got %q)", *kernel)},
-		{*kernelWorkers < 0, fmt.Sprintf("-kernel-workers must be >= 0 (got %d)", *kernelWorkers)},
-		{*kernelWorkers > 0 && *kernel != "partitioned",
-			fmt.Sprintf("-kernel-workers %d needs -kernel partitioned: the serial kernel has no windows to spread", *kernelWorkers)},
 		{*campaignFaults < 0, fmt.Sprintf("-campaign-faults must be >= 0 (got %d)", *campaignFaults)},
 		{!genOK, fmt.Sprintf("unknown generation %q (valid: %s)",
 			*generation, strings.Join(config.GenerationNames(), ", "))},
@@ -188,8 +159,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		suite = "quick"
 	}
 	opts.Params = &prm
-	opts.Kernel = *kernel
-	opts.KernelWorkers = *kernelWorkers
 	opts.CampaignSeed = *campaignSeed
 	opts.CampaignFaults = *campaignFaults
 
@@ -214,7 +183,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *jsonOut {
 		rep := jsonReport{
 			Suite:            suite,
-			Kernel:           *kernel,
 			Generation:       *generation,
 			Workers:          *parallel,
 			GoMaxProcs:       runtime.GOMAXPROCS(0),
@@ -225,29 +193,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 			rep.ImageCacheHits += r.ImageHits
 			rep.ImageCacheMisses += r.ImageMisses
 			rep.SharedPoints += r.SharedPoints
-			je := jsonExperiment{
-				ID:                 r.ID,
-				Title:              r.Title,
-				WallSeconds:        r.Wall.Seconds(),
-				SetupWallSeconds:   r.Setup.Seconds(),
-				QueryWallSeconds:   r.QueryWall().Seconds(),
-				SimEvents:          r.Events,
-				EventsPerSec:       r.EventsPerSec(),
-				ImageCacheHits:     r.ImageHits,
-				ImageCacheMisses:   r.ImageMisses,
-				SharedPoints:       r.SharedPoints,
-				KernelWindows:      r.Windows.Windows,
-				KernelPromises:     r.Windows.Promises,
-				KernelGroupWindows: r.Windows.GroupWindows,
-				KernelFuseOps:      r.Windows.FuseOps,
-				KernelSplitOps:     r.Windows.SplitOps,
-				Rows:               r.Table.Rows,
-			}
-			if r.Windows.Windows > 0 {
-				je.KernelWindowOccupancy = r.Windows.Occupancy()
-				je.KernelEventsPerWindow = float64(r.Windows.WindowEvents) / float64(r.Windows.Windows)
-			}
-			rep.Experiments = append(rep.Experiments, je)
+			rep.Experiments = append(rep.Experiments, jsonExperiment{
+				ID:               r.ID,
+				Title:            r.Title,
+				WallSeconds:      r.Wall.Seconds(),
+				SetupWallSeconds: r.Setup.Seconds(),
+				QueryWallSeconds: r.QueryWall().Seconds(),
+				SimEvents:        r.Events,
+				EventsPerSec:     r.EventsPerSec(),
+				ImageCacheHits:   r.ImageHits,
+				ImageCacheMisses: r.ImageMisses,
+				SharedPoints:     r.SharedPoints,
+				Rows:             r.Table.Rows,
+			})
 		}
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")

@@ -112,6 +112,25 @@ func TestJSONSetupQuerySplitAndCacheCounters(t *testing.T) {
 			t.Errorf("-json output missing field %s", field)
 		}
 	}
+	if bytes.Contains(out.Bytes(), []byte(`"kernel`)) {
+		t.Errorf("-json output still carries a kernel field:\n%s", out.String())
+	}
+}
+
+// TestRetiredExperiment: a retired id still runs, printing the one-row table
+// that says why it was retired, and -list leaves it out.
+func TestRetiredExperiment(t *testing.T) {
+	null := devNull(t)
+	var out, list bytes.Buffer
+	if code := run([]string{"-quick", "kernelscale"}, &out, null); code != 0 {
+		t.Fatalf("kernelscale: exit code %d, want 0", code)
+	}
+	if !strings.Contains(out.String(), "== kernelscale: retired: ") || strings.Count(out.String(), "\nretired ") != 1 {
+		t.Errorf("kernelscale printed no one-row tombstone:\n%s", out.String())
+	}
+	if code := run([]string{"-list"}, &list, null); code != 0 || strings.Contains(list.String(), "kernelscale") {
+		t.Errorf("-list (exit code %d) shows the retired id:\n%s", code, list.String())
+	}
 }
 
 func TestRunRejectsUnknownExperiment(t *testing.T) {
@@ -178,9 +197,9 @@ func TestRunRejectsBadParallel(t *testing.T) {
 }
 
 // TestRunRejectsBadFlagValues: every row of run's validation table, plus
-// the values the flag package rejects itself, exits 2 with a named error and
-// the usage before anything simulates — including -kernel-workers without the
-// partitioned kernel, which used to be silently ignored.
+// the values the flag package rejects itself — among them the retired kernel
+// flags — exits 2 with a named error and the usage before anything
+// simulates.
 func TestRunRejectsBadFlagValues(t *testing.T) {
 	null := devNull(t)
 	for _, tc := range []struct {
@@ -188,15 +207,12 @@ func TestRunRejectsBadFlagValues(t *testing.T) {
 		want string // substring of the error naming what was wrong
 	}{
 		{[]string{"-parallel", "0"}, "-parallel must be >= 1"},
-		{[]string{"-kernel", "bogus"}, "-kernel must be serial or partitioned"},
-		{[]string{"-kernel", ""}, "-kernel must be serial or partitioned"},
-		{[]string{"-kernel", "partitioned", "-kernel-workers", "-1"}, "-kernel-workers must be >= 0"},
-		{[]string{"-kernel-workers", "4"}, "needs -kernel partitioned"},
-		{[]string{"-kernel", "serial", "-kernel-workers", "2"}, "needs -kernel partitioned"},
 		{[]string{"-campaign-faults", "-1"}, "-campaign-faults must be >= 0"},
 		{[]string{"-generation", "gamma1989"}, `unknown generation "gamma1989"`},
 		{[]string{"table9"}, `unknown experiment "table9"`},
-		{[]string{"-list", "-kernel", "bogus"}, "-kernel must be"}, // validation precedes -list
+		{[]string{"-list", "-parallel", "0"}, "-parallel must be >= 1"}, // validation precedes -list
+		{[]string{"-kernel", "partitioned"}, "flag provided but not defined: -kernel"},
+		{[]string{"-kernel-workers", "4"}, "flag provided but not defined: -kernel-workers"},
 		{[]string{"-lookahead", "100"}, "flag provided but not defined"},
 		{[]string{"-fusion", "off"}, "flag provided but not defined"},
 		{[]string{"-experiment", "table3"}, "flag provided but not defined"},
@@ -211,10 +227,6 @@ func TestRunRejectsBadFlagValues(t *testing.T) {
 				t.Errorf("%v: stderr does not mention %q:\n%s", tc.args, want, errBuf.String())
 			}
 		}
-	}
-	// The pair that is valid runs.
-	if code := run([]string{"-quick", "-kernel", "partitioned", "-kernel-workers", "4", "table3"}, null, null); code != 0 {
-		t.Errorf("-kernel partitioned -kernel-workers 4: exit code %d, want 0", code)
 	}
 }
 
@@ -243,33 +255,6 @@ func TestEnvironmentIsIgnored(t *testing.T) {
 	}
 	if clean.Len() == 0 || !bytes.Equal(clean.Bytes(), dirty.Bytes()) {
 		t.Errorf("tables depend on the environment (%d bytes clean, %d with GAMMA_* set)", clean.Len(), dirty.Len())
-	}
-}
-
-// TestLookaheadInvariance: the rendered tables are byte-identical across the
-// serial kernel (the oracle: same partition, one worker) and the partitioned
-// kernel with and without a worker budget, all at the one lookahead there is
-// — the network's latency floor on windowed machines.
-func TestLookaheadInvariance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the same experiments three times")
-	}
-	null := devNull(t)
-	var oracle, w1, w4 bytes.Buffer
-	if code := run([]string{"-quick", "-parallel", "1", "table3", "bitvector"}, &oracle, null); code != 0 {
-		t.Fatalf("serial kernel: exit code %d", code)
-	}
-	if code := run([]string{"-quick", "-parallel", "1", "-kernel", "partitioned", "table3", "bitvector"}, &w1, null); code != 0 {
-		t.Fatalf("partitioned kernel: exit code %d", code)
-	}
-	if code := run([]string{"-quick", "-parallel", "1", "-kernel", "partitioned", "-kernel-workers", "4", "table3", "bitvector"}, &w4, null); code != 0 {
-		t.Fatalf("partitioned kernel, 4 workers: exit code %d", code)
-	}
-	if !bytes.Equal(oracle.Bytes(), w1.Bytes()) {
-		t.Error("serial-kernel and partitioned tables differ")
-	}
-	if !bytes.Equal(oracle.Bytes(), w4.Bytes()) {
-		t.Error("serial-kernel and partitioned 4-worker tables differ")
 	}
 }
 

@@ -100,10 +100,10 @@ func TestConfigOverride(t *testing.T) {
 	}
 }
 
-// TestLibraryMatchesBenchMachine: the machine this package hands out (a plain
-// sim.New()) and the one gammabench builds for its windowed experiments (a
-// simulation partitioned at the network's latency floor) are one model: the
-// same selection and joinABprime report the same response times and counts.
+// TestLibraryMatchesBenchMachine: the machine this package hands out and the
+// one gammabench builds (core.NewMachine on a fresh simulation) are one
+// model: the same selection and joinABprime report the same response times
+// and counts.
 // It is what keeps examples/, gammaql, gammatrace and gammaload printing the
 // numbers gammabench prints.
 func TestLibraryMatchesBenchMachine(t *testing.T) {
@@ -125,12 +125,10 @@ func TestLibraryMatchesBenchMachine(t *testing.T) {
 		}
 	}
 	prm := config.Default()
-	s := sim.New()
-	s.Partition(prm.Net.MinLatency)
-	lib, bench := run(gamma.New(4, 4, nil)), run(core.NewMachine(s, &prm, 4, 4))
+	lib, bench := run(gamma.New(4, 4, nil)), run(core.NewMachine(sim.New(), &prm, 4, 4))
 	for i, name := range []string{"selection", "joinABprime"} {
 		if lib[i].Elapsed != bench[i].Elapsed || lib[i].Tuples != bench[i].Tuples || lib[i].Tuples == 0 {
-			t.Errorf("%s: library machine %v / %d tuples, partitioned machine %v / %d tuples",
+			t.Errorf("%s: library machine %v / %d tuples, bench machine %v / %d tuples",
 				name, lib[i].Elapsed, lib[i].Tuples, bench[i].Elapsed, bench[i].Tuples)
 		}
 	}

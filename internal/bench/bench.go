@@ -20,8 +20,8 @@ import (
 )
 
 // Options is what a user sets for an experiment run: sizes, machine
-// parameters, the kernel pair and the fault campaign. Nothing else — no
-// flag, no environment variable — reaches a simulation.
+// parameters and the fault campaign. Nothing else — no flag, no environment
+// variable — reaches a simulation.
 type Options struct {
 	// Sizes are the source-relation cardinalities for Tables 1-3. The
 	// paper uses 10,000 / 100,000 / 1,000,000.
@@ -33,15 +33,6 @@ type Options struct {
 	MaxProcs int
 	// Params overrides the default machine parameters.
 	Params *config.Params
-	// Kernel selects the simulation kernel: "serial" (or empty, the
-	// default) or "partitioned" (one shard per node, conservative windows
-	// on the machines that opted in). Tables, JSON and traces are
-	// byte-identical on both; see DESIGN.md §9.
-	Kernel string
-	// KernelWorkers is the worker-goroutine budget of a partitioned
-	// simulation's windows; zero or less means one. Ignored by the serial
-	// kernel.
-	KernelWorkers int
 
 	// CampaignSeed seeds the availability experiment's generated fault
 	// campaign (0 selects the default seed) and CampaignFaults sets how
@@ -50,17 +41,7 @@ type Options struct {
 	CampaignSeed   uint64
 	CampaignFaults int
 
-	// windowedOK is a hint to the host kernel, not a property of the
-	// simulated machine: the experiment's Gamma workload routes every
-	// cross-node interaction through the nose latency floor, so its shards
-	// may run in conservative windows of Net.MinLatency. Experiments that
-	// inject faults, share machines across concurrent queries, or build
-	// Teradata machines leave it false and run in one global event order.
-	// Either way the tables are the same (TestKernelEquivalenceAcrossLookahead).
-	// It is a value, not part of run: windowed()/serialized() flip it on
-	// copies, and a Gamma machine must not leak the flip to its Teradata
-	// reference.
-	windowedOK bool
+	harnessOptions
 
 	// run is the plumbing RunSuite threads through an experiment; nil
 	// outside a suite run.
@@ -79,12 +60,10 @@ type runCtx struct {
 	images *imageCache
 	points *onceMap[pointKey, any]
 
-	// Per experiment: simulated events and window-scheduler counters over
-	// every machine it built, machine-build wall time (nanoseconds),
-	// image-cache lookups, and the points it was handed instead of
-	// simulating.
+	// Per experiment: simulated events over every machine it built,
+	// machine-build wall time (nanoseconds), image-cache lookups, and the
+	// points it was handed instead of simulating.
 	events, setup, imgHits, imgMisses, sharedPts atomic.Int64
-	windows                                      sim.WindowCounters
 }
 
 // slots returns the worker-slot semaphore, nil when the run is serial.
@@ -102,20 +81,13 @@ func (c *runCtx) addSetup(start time.Time) {
 	}
 }
 
-// attach wires a simulator to the experiment's event and window counters.
-func (c *runCtx) attach(s *sim.Sim) {
-	if c != nil {
-		s.SetEventCounter(&c.events)
-		s.SetWindowCounters(&c.windows)
+// newSim builds a simulator wired to the experiment's event counter.
+func (o Options) newSim() *sim.Sim {
+	s := sim.New()
+	if o.run != nil {
+		s.SetEventCounter(&o.run.events)
 	}
-}
-
-// charge adds the counts of a simulator that kept counters of its own.
-func (c *runCtx) charge(events int64, ws sim.WindowStats) {
-	if c != nil {
-		c.events.Add(events)
-		c.windows.Add(ws)
-	}
+	return s
 }
 
 // Full returns the paper-scale options.
@@ -143,60 +115,6 @@ func (o Options) withPage(pageBytes int) Options {
 	prm.PageBytes = pageBytes
 	o.Params = &prm
 	return o
-}
-
-// windowed marks the experiment's machines as safe for positive-lookahead
-// windows. The registry applies it, from its windowed column.
-func (o Options) windowed() Options {
-	o.windowedOK = true
-	return o
-}
-
-// serialized is the inverse: the machines built from the returned options
-// run in one global event order (Teradata models, fault injection,
-// shared-machine concurrency).
-func (o Options) serialized() Options {
-	o.windowedOK = false
-	return o
-}
-
-// lookahead returns the kernel lookahead this experiment's machines run at:
-// Net.MinLatency if the experiment opted into windowed execution, 0
-// otherwise. The latency floor is the largest provably safe value — every
-// remote delivery in the nose model arrives at least MinLatency after it was
-// sent (TestLookaheadFloorIsTight).
-func (o Options) lookahead() sim.Dur {
-	if !o.windowedOK {
-		return 0
-	}
-	return max(o.params().Net.MinLatency, 0)
-}
-
-// newSim builds a simulator wired to the experiment's counters. With the
-// "partitioned" kernel selected the simulation is partitioned before the
-// machine is built, so nose.AddNode homes every node on its own shard. The
-// "serial" kernel stays the oracle: for a windowed experiment it runs the
-// identical partitioned simulation with one worker — same event-order keys,
-// byte-identical traces — and for everything else the plain single-heap
-// kernel.
-func (o Options) newSim() *sim.Sim {
-	s := sim.New()
-	la := o.lookahead()
-	switch o.Kernel {
-	case "", "serial":
-		if la > 0 {
-			s.Partition(la)
-			s.SetWorkers(1)
-		}
-	case "partitioned":
-		s.Partition(la)
-		s.SetWorkers(max(o.KernelWorkers, 1))
-		s.SetFusion(sim.Fusion{}) // the adaptive policy, always
-	default:
-		panic(fmt.Sprintf("bench: unknown kernel %q (want serial or partitioned)", o.Kernel))
-	}
-	o.run.attach(s)
-	return s
 }
 
 // Cell is one measured value with an optional published reference.

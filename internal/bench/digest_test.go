@@ -8,12 +8,9 @@ import (
 )
 
 // resultDigests are the sha256s of the rendered tables of every
-// deterministic experiment at Quick() on the serial kernel. They pin every
-// simulated time the suite prints. A host-only change must leave them alone;
-// a PR that moves one updates it here and says which simulated quantity
-// changed and why. kernelscale is deliberately absent: its rows print kernel
-// event and window counts, which are costs of the simulator, not results of
-// the simulation.
+// deterministic experiment at Quick(). They pin every simulated time the
+// suite prints. A host-only change must leave them alone; a PR that moves one
+// updates it here and says which simulated quantity changed and why.
 //
 // The second block was taken at the commit before the point cache existed,
 // when every experiment simulated all it plots: fig2 with fig1, fig9 with
@@ -79,7 +76,6 @@ func TestResultDigests(t *testing.T) {
 		t.Fatalf("%d of the %d pinned experiments are registered", len(exps), len(resultDigests))
 	}
 	o := Quick()
-	o.Kernel = "serial"
 	digest := func(b []byte) string {
 		sum := sha256.Sum256(b)
 		return hex.EncodeToString(sum[:])

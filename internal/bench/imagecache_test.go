@@ -53,9 +53,6 @@ func TestSuiteReportsCacheHits(t *testing.T) {
 		"bitvector": true, "degraded": true, "fig13": true, "hybrid": true,
 		"multiuser": true, "placement": true, "recovery": true, "pagesize-default": true,
 		"table1": true, "table2": true, "table3": true,
-		// kernelscale's real-query probes run three kernel configs per
-		// generation against one probe relation each.
-		"kernelscale": true,
 	}
 	reports := RunSuite(Experiments(), tinyOptions(), 1)
 	byID := map[string]Report{}

@@ -5,8 +5,6 @@ import (
 	"runtime/pprof"
 	"sync"
 	"time"
-
-	"gamma/internal/sim"
 )
 
 // Report is the outcome of one experiment in a suite run.
@@ -17,7 +15,7 @@ type Report struct {
 	Wall  time.Duration
 	// Events counts the simulated events of every machine the experiment
 	// ran. A data point two experiments plot is simulated by whichever asks
-	// first and charged — events, wall time, setup, windows — to that one, so
+	// first and charged — events, wall time, setup — to that one, so
 	// the suite total is schedule-independent while the per-experiment split
 	// under workers > 1 is first-come.
 	Events int64
@@ -33,10 +31,8 @@ type Report struct {
 	// SharedPoints counts the data points the experiment was handed from the
 	// suite's point cache instead of simulating them (see shared.go).
 	SharedPoints int64
-	// Windows aggregates the partitioned kernel's EOT window-scheduler
-	// counters across every simulation the experiment ran; all zero when
-	// the experiment executed on the serial kernel.
-	Windows sim.WindowStats
+
+	harnessReport
 }
 
 // EventsPerSec returns the simulated-event throughput of the run.
@@ -98,7 +94,7 @@ func runSuite(exps []Experiment, o Options, workers int, images *imageCache) []R
 		reports[i] = Report{ID: e.ID, Title: e.Title, Table: tbl,
 			Wall: time.Since(start), Events: c.events.Load(),
 			Setup: time.Duration(c.setup.Load()), ImageHits: c.imgHits.Load(), ImageMisses: c.imgMisses.Load(),
-			SharedPoints: c.sharedPts.Load(), Windows: c.windows.Stats()}
+			SharedPoints: c.sharedPts.Load()}
 	}
 	if sem == nil {
 		for i, e := range exps {

@@ -1,13 +1,10 @@
 package bench
 
-// The 100+-node scale experiment the partitioned kernel exists for: the
-// paper's speedup and scaleup curves stop at 30 processors because the real
-// Gamma did, and our reproduction previously stopped near the same scale
-// because one serial event loop made larger clusters wall-clock-prohibitive.
-// With the kernel sharded per node, the same machine model runs at 64, 128,
-// and 256 simulated processors — the regime the follow-on literature
-// (Rödiger et al.'s high-speed networks, Hespe et al.'s cluster OLAP)
-// studies.
+// The 100+-node scale experiment: the paper's speedup and scaleup curves
+// stop at 30 processors because the real Gamma did. The same machine model
+// runs at 64, 128, and 256 simulated processors — the regime the follow-on
+// literature (Rödiger et al.'s high-speed networks, Hespe et al.'s cluster
+// OLAP) studies.
 
 import "fmt"
 
@@ -17,9 +14,8 @@ var scaleNodes = []int{64, 128, 256}
 // runScale100 extends the paper's §5 speedup and scaleup methodology past
 // its 30-processor ceiling: a fixed-size 1% non-indexed selection as the
 // cluster grows (speedup), and a constant tuples-per-processor selection
-// (scaleup). Both series run the standard Gamma machine model — one
-// simulation shard per node on the partitioned kernel — with the 64-node
-// row as the baseline. The headline measurement is negative, and honestly
+// (scaleup). Both series run the standard Gamma machine model with the
+// 64-node row as the baseline. The headline measurement is negative, and honestly
 // so: Gamma's serialized per-site query initiation, invisible at the
 // paper's 30 processors, dominates at 100+ sites and inverts both curves
 // (see the table notes).

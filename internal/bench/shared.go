@@ -64,9 +64,7 @@ func (c *onceMap[K, V]) len() int {
 // pointKey identifies one data point: which sweep (or other measurement) with
 // which arguments, plus everything of Options that shapes a simulated result
 // (maxProcs shapes a sweep, not a point; it is here so that a point which
-// ever reads it cannot alias). Kernel, workers and the registry's windowed
-// hint are absent on purpose: they choose how the host runs a simulation and
-// cannot reach a table (the kernel-equivalence tests).
+// ever reads it cannot alias).
 type pointKey struct {
 	point        string // measurement name and arguments, canonically rendered
 	prm          config.Params
@@ -87,7 +85,7 @@ func (o Options) point(name string, args ...any) pointKey {
 
 // shared returns the data point key names, simulating it with fn unless this
 // suite run already has. The experiment that simulates is charged the point's
-// events, wall time and window counters; one that is handed the value counts
+// events and wall time; one that is handed the value counts
 // a shared point instead. Without a point cache (any computation outside
 // RunSuite) fn always runs: that is the reference path the shared one must
 // match byte-for-byte. Values are handed out by reference — callers must not

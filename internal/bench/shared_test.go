@@ -69,7 +69,7 @@ func TestSharedMatchesUnshared(t *testing.T) {
 // the key, equal inputs give equal keys, and a point cache lives and dies with
 // its RunSuite.
 func TestPointKeysIsolate(t *testing.T) {
-	o := tinyOptions().windowed()
+	o := tinyOptions()
 	bigger := o
 	bigger.FigureTuples *= 2
 	wider := o
@@ -102,18 +102,13 @@ func TestPointKeysIsolate(t *testing.T) {
 		add("generation "+gen.Name, po.point("joinABprime", 1, core.Remote, rel.Unique1))
 	}
 
-	again := tinyOptions().windowed()
-	again.Kernel, again.KernelWorkers = "partitioned", 4 // cannot reach a table, so not in the key
+	again := tinyOptions()
+	again.Kernel, again.KernelWorkers = "partitioned", 4 // ignored (harness.go), so not in the key
 	if k := again.point("joinABprime", 1, core.Remote, rel.Unique1); keys[k] != "base" {
 		t.Errorf("equal options rendered a different key: %+v", k)
 	}
 	if k := o.withPage(o.params().PageBytes).point("joinABprime", 1, core.Remote, rel.Unique1); keys[k] != "base" {
 		t.Errorf("explicit default page size rendered a different key: %+v", k)
-	}
-	// One machine model: the windowed hint picks a host kernel, so a
-	// serialized request for the point is the same point.
-	if k := o.serialized().point("joinABprime", 1, core.Remote, rel.Unique1); keys[k] != "base" {
-		t.Errorf("a serialized request rendered a different key than a windowed one: %+v", k)
 	}
 
 	seconds, _ := Lookup("fig1")

@@ -57,7 +57,6 @@ type teraSetup struct {
 // loads from scratch without an image cache and otherwise attaches the
 // suite's relation images, and its wall time is charged to setup.
 func newTera(o Options, n int, seed uint64, extras ...relSpec) *teraSetup {
-	o = o.serialized() // the Teradata model predates the latency floor
 	defer o.run.addSetup(time.Now())
 	prm := o.params()
 	m := teradata.NewMachine(o.newSim(), &prm)

@@ -76,10 +76,8 @@ type Net struct {
 	// message: the communications software bypasses the NIC entirely (§2).
 	InstrPerLocalMsg int
 	// MinLatency is the minimum end-to-end delivery time of any remote
-	// message — data, EOS, or control. No arrival event may land closer
-	// than MinLatency after its send, which is what lets the partitioned
-	// simulation kernel run node shards concurrently with lookahead
-	// windows of exactly this width. For the 1988 generation it is
+	// message — data, EOS, or control: no arrival event lands closer than
+	// MinLatency after its send. For the 1988 generation it is
 	// derived in Default() from the Unibus + ring service time of one
 	// full packet; later generations set the NIC's advertised wire
 	// latency directly.
@@ -297,7 +295,7 @@ func Default() Params {
 	}
 	// The 1988 wire floor: a full packet must cross the sending Unibus and
 	// the token ring before any receiver can observe it. 2048*2.048 + 2*102
-	// = 4300 us — this is also the kernel lookahead the Gamma model derives.
+	// = 4300 us.
 	p.Net.MinLatency = p.Net.NICTime(p.Net.PacketBytes) + p.Net.RingTime(p.Net.PacketBytes)
 	return p
 }

@@ -15,13 +15,6 @@ import "gamma/internal/sim"
 // saturate at 1 us/KB (~1 GB/s). Generations beyond that express their edge
 // through latency (MinLatency, CtlMsg), protocol cost (InstrPerPacket), and
 // batching depth instead of raw per-KB bandwidth.
-//
-// MinLatency does double duty for the partitioned kernel: the nose declares
-// it as every node shard's output floor (and the derived lookahead), so a
-// generation's floor bounds the kernel's static windows. Fast generations
-// (gbe2015's 20 us, rdma's 2 us) get almost nothing from that static window
-// and lean entirely on earliest-output-time promises and per-channel floors
-// for their parallelism (DESIGN.md §9, the kernelscale experiment).
 type Generation struct {
 	Name string
 	// Desc is a one-line description used by reports.

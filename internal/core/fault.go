@@ -246,15 +246,14 @@ func opExit(p *sim.Proc, nd *nose.Node, op string, site int, in, sched *nose.Por
 // later — unless the node crashed while the request was in flight, which
 // loses it even if the node has rejoined by then (the crash count at send
 // and at landing differ). A nil from is a node starting a process of its
-// own, at once (kernel context, or a process on nd's shard). Either way the
-// registry entry of a node is written only from that node's shard.
+// own, at once.
 func (m *Machine) start(from *sim.Proc, nd *nose.Node, name string, fn func(p *sim.Proc)) {
 	if nd.Failed() {
 		return
 	}
 	run := func() {
 		var pr *sim.Proc
-		pr = nd.Part.Spawn(name, func(p *sim.Proc) {
+		pr = m.Sim.Spawn(name, func(p *sim.Proc) {
 			defer func() {
 				// Deregister on any exit (normal, killed, or panicking).
 				live := m.procs[nd.ID]
@@ -271,7 +270,7 @@ func (m *Machine) start(from *sim.Proc, nd *nose.Node, name string, fn func(p *s
 		return
 	}
 	sent := m.crashes[nd.ID]
-	from.Shard().Send(nd.Part, from.Now()+m.Prm.Net.MinLatency, func() {
+	m.Sim.At(from.Now()+m.Prm.Net.MinLatency, func() {
 		if m.crashes[nd.ID] == sent {
 			run()
 		}

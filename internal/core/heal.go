@@ -111,7 +111,7 @@ func (m *Machine) EnableHealing(cfg HealConfig) *Healer {
 	for site := range m.Disk {
 		h.spawnHeartbeat(site)
 	}
-	m.Sim.SpawnOn(m.Host.Part, "healer", h.run)
+	m.Sim.Spawn("healer", h.run)
 	return h
 }
 

@@ -79,7 +79,7 @@ type Machine struct {
 	// Fault/failover state (see fault-tolerance methods in fault.go).
 	mirrored bool
 	ftDetect sim.Dur       // operator-silence detection timeout; 0 = failover off
-	procs    [][]*sim.Proc // live node-bound processes, by node ID; an entry is written only from its node's shard
+	procs    [][]*sim.Proc // live node-bound processes, by node ID
 	crashes  []int         // crash count by node ID (bumped by CrashDisk)
 	healer   *Healer       // non-nil after EnableHealing (heal.go)
 
@@ -112,9 +112,8 @@ func NewMachine(s *sim.Sim, prm *config.Params, nDisk, nDiskless int) *Machine {
 		m.stores[nd.ID] = wiss.NewStore(nd, prm)
 	}
 	for i := 0; i < nDiskless; i++ {
-		// Diskless processors are homed on their spool node's shard so
-		// join-overflow spooling stays shard-local inside parallel windows.
-		nd := m.Net.AddNodeOn(m.Disk[i%nDisk])
+		nd := m.Net.AddNode(false, prm.Disk)
+		nd.SpoolNode = m.Disk[i%nDisk]
 		m.Diskless = append(m.Diskless, nd)
 	}
 	m.procs = make([][]*sim.Proc, len(m.Net.Nodes()))

@@ -419,7 +419,7 @@ func (m *Machine) launchQuery(res *Result, body func(ib *inbox), onDone func()) 
 	m.Sim.Emit(trace.Event{At: int64(start), Kind: trace.KindQueryStart, Query: res.Query})
 	schedPort := m.Sched.NewPort("sched")
 	hostPort := m.Host.NewPort("host")
-	m.Sim.SpawnOn(m.Sched.Part, "scheduler", func(p *sim.Proc) {
+	m.Sim.Spawn("scheduler", func(p *sim.Proc) {
 		schedPort.Recv(p) // the compiled query arrives from the host
 		ib := newInbox(p, schedPort)
 		ib.ft = m.newQueryFT()
@@ -427,7 +427,7 @@ func (m *Machine) launchQuery(res *Result, body func(ib *inbox), onDone func()) 
 		nose.SendCtl(p, m.Sched, hostPort, "done")
 		schedPort.Close()
 	})
-	m.Sim.SpawnOn(m.Host.Part, "host", func(p *sim.Proc) {
+	m.Sim.Spawn("host", func(p *sim.Proc) {
 		m.Host.CPU.Use(p, m.Prm.Engine.HostStartup)
 		nose.SendCtl(p, m.Host, schedPort, "query")
 		hostPort.Recv(p)

@@ -155,7 +155,7 @@ func (m *Machine) RunWorkload(spec WorkloadSpec) WorkloadResult {
 		term := term
 		state := spec.Seed + uint64(term)*0x9E3779B97F4A7C15 + 1
 		rng := func() uint64 { return splitmix64(&state) }
-		m.Sim.SpawnOn(m.Host.Part, fmt.Sprintf("terminal%d", term), func(p *sim.Proc) {
+		m.Sim.Spawn(fmt.Sprintf("terminal%d", term), func(p *sim.Proc) {
 			if spec.Ramp > 0 {
 				p.Sleep(sim.Dur(rng() % uint64(spec.Ramp)))
 			}

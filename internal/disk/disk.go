@@ -34,11 +34,10 @@ func (s Stats) Writes() int64 { return s.SeqWrites + s.RandWrites }
 
 // Drive is one simulated disk drive.
 type Drive struct {
-	sim   *sim.Sim
-	shard *sim.Shard
-	name  string
-	res   *sim.Resource
-	cfg   config.Disk
+	sim  *sim.Sim
+	name string
+	res  *sim.Resource
+	cfg  config.Disk
 
 	haveLast bool
 	lastFile int
@@ -48,17 +47,9 @@ type Drive struct {
 	stats Stats
 }
 
-// New creates a drive on s with the given cost model, homed on the default
-// shard.
+// New creates a drive on s with the given cost model.
 func New(s *sim.Sim, name string, cfg config.Disk) *Drive {
-	return NewOn(s.DefaultShard(), name, cfg)
-}
-
-// NewOn creates a drive whose FIFO resource is homed on shard sh — the
-// shard of the simulated node the drive is attached to, on a partitioned
-// simulation.
-func NewOn(sh *sim.Shard, name string, cfg config.Disk) *Drive {
-	return &Drive{sim: sh.Sim(), shard: sh, name: name, res: sh.NewResource(name), cfg: cfg}
+	return &Drive{sim: s, name: name, res: s.NewResource(name), cfg: cfg}
 }
 
 // FailedError is the panic value raised by any access to a failed drive.
@@ -128,8 +119,8 @@ func (d *Drive) serviceTime(file, page, bytes int, write bool) sim.Dur {
 		} else {
 			class += "read"
 		}
-		d.shard.Emit(trace.Event{
-			At: int64(d.shard.Now()), Kind: trace.KindDiskOp, Res: d.name,
+		d.sim.Emit(trace.Event{
+			At: int64(d.sim.Now()), Kind: trace.KindDiskOp, Res: d.name,
 			Class: class, Bytes: bytes, File: file, Page: page,
 		})
 	}

@@ -17,14 +17,9 @@
 //     (§5.2.1's explanation of the 10% selection speedup curve).
 //
 // Every remote delivery — data, end-of-stream, control, bulk transfer — is
-// floored at Net.MinLatency after its send instant and crosses shards via
-// Shard.Send, so on a partitioned simulation no node can affect another
-// sooner than MinLatency ahead. That bound is exactly the conservative
-// lookahead the parallel kernel windows run under: the Gamma model derives
-// its lookahead from MinLatency and its shards then execute concurrently.
-// Window credits return to the sender the same way (one MinLatency hop back),
-// and all activity counters are per-node, mutated only from the owning
-// node's shard.
+// floored at Net.MinLatency after its send instant, the physical delivery
+// floor of the ring: no node can affect another sooner. Window credits
+// return to the sender the same way (one MinLatency hop back).
 //
 // When Net.BatchPackets > 1 a single Send may carry several packets' worth
 // of tuples (the batched exchange of Rödiger et al.): it consumes one window
@@ -166,13 +161,8 @@ func (n *Network) RingBusy() sim.Dur {
 type Node struct {
 	ID  int
 	net *Network
-	// Part is the simulation shard the node's resources and processes are
-	// homed on: its own shard on a partitioned simulation (one partition
-	// per disk node; diskless processors share their spool node's shard),
-	// the default shard otherwise.
-	Part *sim.Shard
-	CPU  *sim.Resource
-	NIC  *sim.Resource
+	CPU *sim.Resource
+	NIC *sim.Resource
 	// Drive is nil on diskless processors.
 	Drive *disk.Drive
 	// SpoolNode is where this node's temporary files live: itself for
@@ -180,8 +170,7 @@ type Node struct {
 	// overflow resolution spools partitions to temporary files, §6).
 	SpoolNode *Node
 
-	// Activity counters, mutated only from this node's shard (the sender
-	// owns every counter a send touches), so parallel windows never race.
+	// Activity counters (the sender owns every counter a send touches).
 	stats       Stats
 	ringBusy    sim.Dur
 	lossCtr     int
@@ -192,7 +181,7 @@ type Node struct {
 
 	// free heads the list of in-flight records (see flight) of this node's
 	// outgoing connections that are not in use. Send takes one and the ACK
-	// returns it, both on this node's shard.
+	// returns it.
 	free *flight
 	// bulkFree heads the free list of TransferBulk call records whose sender
 	// is this node.
@@ -203,9 +192,7 @@ type Node struct {
 // future messages are dropped with their window credits returned to the
 // senders) and ports created later start closed. The caller is responsible
 // for killing the node's processes and failing its drive; Fail only severs
-// the node from the network. It closes the ports in the node's registry,
-// which NewPort keeps only on simulations without windows (ports are created
-// from other shards), so experiments that inject faults run there. Idempotent.
+// the node from the network. Idempotent.
 func (nd *Node) Fail() {
 	if nd.failed {
 		return
@@ -225,48 +212,17 @@ func (nd *Node) Failed() bool { return nd.failed }
 // restarting processes and repairing the drive, mirroring Fail. Idempotent.
 func (nd *Node) Recover() { nd.failed = false }
 
-// AddNode attaches a node; diskCfg is used only when withDisk is true. On a
-// partitioned simulation every node gets its own shard (the default shard
-// stays for machine-global objects), so the node's CPU, NIC, drive, ports,
-// and operator processes all live in one partition. Remote deliveries are
-// floored at Net.MinLatency, so the partition runs correctly under any
-// kernel lookahead up to MinLatency — including truly parallel windows.
+// AddNode attaches a node; diskCfg is used only when withDisk is true.
 func (n *Network) AddNode(withDisk bool, diskCfg config.Disk) *Node {
-	part := n.sim.DefaultShard()
-	if n.sim.Partitioned() {
-		part = n.sim.AddShard()
-	}
-	return n.addNode(part, withDisk, diskCfg)
-}
-
-// AddNodeOn attaches a diskless node homed on an existing node's shard and
-// spooling to that node's drive. Colocating a diskless processor with its
-// spool node keeps join-overflow spooling (file create/append/read on the
-// spool drive) shard-local, which is what lets joins run inside parallel
-// windows.
-func (n *Network) AddNodeOn(spool *Node) *Node {
-	nd := n.addNode(spool.Part, false, config.Disk{})
-	nd.SpoolNode = spool
-	return nd
-}
-
-func (n *Network) addNode(part *sim.Shard, withDisk bool, diskCfg config.Disk) *Node {
 	id := len(n.nodes)
 	nd := &Node{
-		ID:   id,
-		net:  n,
-		Part: part,
-		CPU:  part.NewResource(fmt.Sprintf("cpu%d", id)),
-		NIC:  part.NewResource(fmt.Sprintf("nic%d", id)),
+		ID:  id,
+		net: n,
+		CPU: n.sim.NewResource(fmt.Sprintf("cpu%d", id)),
+		NIC: n.sim.NewResource(fmt.Sprintf("nic%d", id)),
 	}
-	// Every remote effect a node initiates — data packets (Conn.arrival),
-	// credit returns, control messages, retries — is floored at MinLatency
-	// past its send instant, so the shard can declare that floor to the EOT
-	// window scheduler even when the simulation's global lookahead is
-	// smaller (a test's sub-floor Partition, or lookahead 0).
-	part.SetOutFloor(n.cfg.MinLatency)
 	if withDisk {
-		nd.Drive = disk.NewOn(part, fmt.Sprintf("disk%d", id), diskCfg)
+		nd.Drive = disk.New(n.sim, fmt.Sprintf("disk%d", id), diskCfg)
 		nd.SpoolNode = nd
 	}
 	n.nodes = append(n.nodes, nd)
@@ -319,19 +275,15 @@ type Port struct {
 }
 
 // NewPort creates a named port on the node. A port created on a failed node
-// starts closed. The node's port registry (used only by Fail) is maintained
-// on serialized simulations; under positive lookahead ports may be created
-// cross-shard mid-window, and Fail is not supported there. Closed ports are
-// dropped from the registry, in place and in order, whenever it is full, so
-// it holds about as many ports as the node ever has open at once.
+// starts closed. The node keeps a registry of its ports for Fail to close;
+// closed ports are dropped from it, in place and in order, whenever it is
+// full, so it holds about as many ports as the node ever has open at once.
 func (nd *Node) NewPort(name string) *Port {
-	pt := &Port{node: nd, name: name, recvq: nd.Part.NewWaitQ("port:" + name), closed: nd.failed}
-	if nd.net.sim.Lookahead() == 0 {
-		if len(nd.ports) == cap(nd.ports) {
-			nd.ports = slices.DeleteFunc(nd.ports, (*Port).Closed)
-		}
-		nd.ports = append(nd.ports, pt)
+	pt := &Port{node: nd, name: name, recvq: nd.net.sim.NewWaitQ("port:" + name), closed: nd.failed}
+	if len(nd.ports) == cap(nd.ports) {
+		nd.ports = slices.DeleteFunc(nd.ports, (*Port).Closed)
 	}
+	nd.ports = append(nd.ports, pt)
 	return pt
 }
 
@@ -366,9 +318,9 @@ func (pt *Port) Name() string { return pt.name }
 // Pending returns the number of queued, undelivered messages.
 func (pt *Port) Pending() int { return len(pt.queue) - pt.head }
 
-// deliver enqueues m and wakes one waiting receiver. Kernel context, on the
-// port's shard. Delivery to a closed port drops the message, immediately
-// returning the sender's window credits.
+// deliver enqueues m and wakes one waiting receiver. Kernel context.
+// Delivery to a closed port drops the message, immediately returning the
+// sender's window credits.
 func (pt *Port) deliver(m Message) {
 	if pt.closed {
 		if m.release != nil {
@@ -419,10 +371,9 @@ func (pt *Port) Recv(p *sim.Proc) Message {
 // or d elapses, reporting false on timeout. Used by a failover-armed
 // scheduler to detect a dead operator by silence on its inbox.
 func (pt *Port) RecvTimeout(p *sim.Proc, d sim.Dur) (Message, bool) {
-	sh := pt.node.Part
-	deadline := sh.Now() + d
+	deadline := p.Now() + d
 	for pt.Pending() == 0 {
-		if !pt.recvq.ParkTimeout(p, deadline-sh.Now()) && pt.Pending() == 0 {
+		if !pt.recvq.ParkTimeout(p, deadline-p.Now()) && pt.Pending() == 0 {
 			return Message{}, false
 		}
 	}
@@ -487,11 +438,11 @@ func (c *Conn) take() *flight {
 	return f
 }
 
-// onArrive runs on the receiver's shard at the arrival instant: the message
-// crosses the receiving Unibus.
+// onArrive runs at the arrival instant: the message crosses the receiving
+// Unibus.
 func (f *flight) onArrive() {
 	to := f.c.to.node
-	to.Part.At(to.NIC.UseAsync(to.net.cfg.NICTime(f.bytes)), f.land)
+	to.net.sim.At(to.NIC.UseAsync(to.net.cfg.NICTime(f.bytes)), f.land)
 }
 
 // onLand puts the message in the port. The credits return only when the
@@ -502,15 +453,14 @@ func (f *flight) onLand() {
 	f.payload = nil // the port owns it now; the record outlives it by an ACK
 }
 
-// onConsume is the message's release: it runs on the receiver's shard and
-// routes the window-credit ACK back to the sender one MinLatency hop later.
+// onConsume is the message's release: it routes the window-credit ACK back
+// to the sender one MinLatency hop later.
 func (f *flight) onConsume() {
-	recv, from := f.c.to.node.Part, f.c.from
-	recv.Send(from.Part, recv.Now()+from.net.cfg.MinLatency, f.ack)
+	net := f.c.from.net
+	net.sim.At(net.sim.Now()+net.cfg.MinLatency, f.ack)
 }
 
-// onAck runs on the sender's shard: the credits are back and the record is
-// free again.
+// onAck: the credits are back and the record is free again.
 func (f *flight) onAck() {
 	c := f.c
 	c.credits += f.npackets
@@ -525,7 +475,7 @@ func (nd *Node) Dial(to *Port) *Conn {
 	if w <= 0 {
 		w = 1
 	}
-	return &Conn{from: nd, to: to, credits: w, waitq: nd.Part.NewWaitQ("win")}
+	return &Conn{from: nd, to: to, credits: w, waitq: nd.net.sim.NewWaitQ("win")}
 }
 
 // Local reports whether the connection short-circuits (same node).
@@ -610,26 +560,26 @@ func (c *Conn) arrival(t0 sim.Time, nicDone sim.Time, bytes int) sim.Time {
 }
 
 // transmit puts f on the wire to arrive at arr — or loses it, when a fault
-// says so, and resends after the protocol's timeout. Sender's shard.
+// says so, and resends after the protocol's timeout.
 func (c *Conn) transmit(f *flight, arr sim.Time) {
 	if c.from.dropNext() {
-		c.from.Part.At(arr+retransmitTimeout, f.retransmit)
+		c.from.net.sim.At(arr+retransmitTimeout, f.retransmit)
 		return
 	}
-	c.from.Part.Send(c.to.node.Part, arr, f.arrive)
+	c.from.net.sim.At(arr, f.arrive)
 }
 
 // retransmit resends a dropped message: the sender's NIC and the ring are
 // charged again, the resend may itself be dropped, and the sender's process
 // is not re-blocked (the window already accounts for the unacknowledged
-// packets). Runs on the sender's shard.
+// packets).
 func (f *flight) retransmit() {
 	c := f.c
 	from, net := c.from, c.from.net
 	from.retransmits++
-	t0 := from.Part.Now()
+	t0 := net.sim.Now()
 	if net.sim.Tracing() {
-		from.Part.Emit(trace.Event{
+		net.sim.Emit(trace.Event{
 			At: int64(t0), Kind: trace.KindRetransmit,
 			From: from.ID, To: c.to.node.ID, Bytes: f.bytes,
 		})
@@ -644,9 +594,7 @@ func (f *flight) retransmit() {
 // machinery: the sender's NIC, ring transit floored at MinLatency past the send
 // instant, then the receiver's NIC. It is a sub-itinerary for sim.Proc.Steps:
 // Start arms it, and each Step call reserves the next stage and returns its
-// completion until none is left. Inside parallel windows the driving process
-// must be shard-colocated with both endpoints (diskless nodes are homed on
-// their spool node's shard for this reason). The zero Bulk has no stages.
+// completion until none is left. The zero Bulk has no stages.
 type Bulk struct {
 	from, to *Node
 	bytes    int
@@ -676,11 +624,11 @@ func (b *Bulk) Step() (sim.Time, bool) {
 	from, cfg := b.from, &b.from.net.cfg
 	switch b.stage {
 	case bulkSend:
-		b.t0 = from.Part.Now()
+		b.t0 = from.net.sim.Now()
 		b.stage = bulkTransit
 		return from.NIC.Reserve(cfg.NICTime(b.bytes)), true
 	case bulkTransit:
-		now := from.Part.Now()
+		now := from.net.sim.Now()
 		from.stats.RingBytes += int64(b.bytes)
 		from.ringBusy += cfg.RingTime(b.bytes)
 		b.stage = bulkRecv
@@ -757,9 +705,7 @@ func SendCtl(p *sim.Proc, from *Node, to *Port, payload any) {
 			From: from.ID, To: to.node.ID, Dur: int64(net.cfg.CtlMsg),
 		})
 	}
-	target := to
-	src := from
-	from.Part.Send(to.node.Part, p.Now()+net.cfg.MinLatency, func() {
-		target.deliver(Message{From: src, Kind: Control, Payload: payload})
+	net.sim.At(p.Now()+net.cfg.MinLatency, func() {
+		to.deliver(Message{From: from, Kind: Control, Payload: payload})
 	})
 }

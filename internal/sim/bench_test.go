@@ -24,7 +24,6 @@ func BenchmarkAfter(b *testing.B) {
 // the 4-ary heap at the depth the multi-user experiments reach.
 func BenchmarkAfterDeep(b *testing.B) {
 	s := New()
-	sh := s.sh0
 	nop := func() {}
 	for i := 0; i < 4096; i++ {
 		s.After(Dur(1+i%97), nop)
@@ -33,7 +32,7 @@ func BenchmarkAfterDeep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.After(Dur(1+i%97), nop)
-		s.fireSerial(sh, sh.events.pop())
+		s.fireSerial(s.events.pop())
 	}
 	b.StopTimer()
 	s.Run()
@@ -155,9 +154,9 @@ func TestHandoffAllocs(t *testing.T) {
 			return r.Reserve(1), true
 		}
 		steps = testing.AllocsPerRun(1000, func() { p.Steps(threeStages) })
-		pending = s.sh0.events.len()
+		pending = s.events.len()
 		async = testing.AllocsPerRun(1000, func() { r.UseAsync(1) })
-		pending -= s.sh0.events.len()
+		pending -= s.events.len()
 		child := func(*Proc) {}
 		spawn = testing.AllocsPerRun(1000, func() {
 			s.Spawn("child", child)
@@ -182,87 +181,6 @@ func TestHandoffAllocs(t *testing.T) {
 	}
 }
 
-// kernelLookahead is the modeled network latency of the benchmark cluster.
-const kernelLookahead = 10 * Microsecond
-
-// buildKernelCluster constructs the partitioned-kernel benchmark model: a
-// ring of nodes, one shard each, where every node runs `hops` rounds of a
-// burst of `work` chained local events (each charging a CPU Resource)
-// followed by one timestamped message to its right neighbor carrying the
-// declared lookahead. Shard-local work dominates cross-shard traffic — one
-// message per node per lookahead interval — which is the regime the
-// conservative window scheduler is built for (and the regime a sharded
-// Gamma cluster would be in: exchange packets are rare next to per-tuple
-// CPU and disk events).
-func buildKernelCluster(s *Sim, nodes, hops, work int) {
-	nshards := 1
-	if s.Partitioned() {
-		nshards = nodes
-	}
-	buildRing(s, nodes, nshards, hops, work)
-}
-
-// buildRing is the ring model with its nodes dealt round-robin over nshards
-// shards, so the same events can be run at any shard count.
-func buildRing(s *Sim, nodes, nshards, hops, work int) {
-	shards := make([]*Shard, nodes)
-	cpus := make([]*Resource, nodes)
-	for i := 0; i < nodes; i++ {
-		switch {
-		case i == 0:
-			shards[i] = s.DefaultShard()
-		case i < nshards:
-			shards[i] = s.AddShard()
-		default:
-			shards[i] = shards[i%nshards]
-		}
-		cpus[i] = shards[i].NewResource(fmt.Sprintf("cpu%d", i))
-	}
-	var hop func(i, remaining int) func()
-	hop = func(i, remaining int) func() {
-		return func() {
-			sh := shards[i]
-			n := work
-			var step func()
-			step = func() {
-				cpus[i].UseAsync(1)
-				n--
-				if n > 0 {
-					sh.After(0, step)
-				} else if remaining > 0 {
-					next := (i + 1) % len(shards)
-					sh.Send(shards[next], sh.Now()+kernelLookahead, hop(next, remaining-1))
-				}
-			}
-			step()
-		}
-	}
-	for i := range shards {
-		shards[i].At(Time(i%4), hop(i, hops))
-	}
-}
-
-// BenchmarkSerialShards runs one 64-node ring at lookahead 0 — the shape of
-// the ledger's sim.merged_ns_per_event probe — on 1, 8 and 64 shards: the
-// serialized loop's cost per event as a function of the shard count.
-func BenchmarkSerialShards(b *testing.B) {
-	const nodes, hops, work = 64, 16, 128
-	for _, nshards := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("shards=%d", nshards), func(b *testing.B) {
-			b.ReportAllocs()
-			var events uint64
-			for i := 0; i < b.N; i++ {
-				s := New()
-				s.Partition(0)
-				buildRing(s, nodes, nshards, hops, work)
-				s.Run()
-				events += s.fired()
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
-		})
-	}
-}
-
 // BenchmarkUseAsync measures a reservation nobody waits for: no allocation
 // and no calendar entry.
 func BenchmarkUseAsync(b *testing.B) {
@@ -274,46 +192,10 @@ func BenchmarkUseAsync(b *testing.B) {
 		r.UseAsync(1)
 	}
 	b.StopTimer()
-	if n := s.sh0.events.len(); n != 0 {
+	if n := s.events.len(); n != 0 {
 		b.Fatalf("UseAsync left %d calendar entries", n)
 	}
 	if end := s.Run(); end != r.BusyUntil() {
 		b.Fatalf("Run ended at %v, the resource is busy until %v", end, r.BusyUntil())
-	}
-}
-
-// benchKernel runs the ring model at a given node count in either kernel
-// mode. workers == 0 selects the serial (unpartitioned) oracle kernel.
-func benchKernel(b *testing.B, nodes, workers int) {
-	const (
-		hops = 32
-		work = 128
-	)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := New()
-		if workers > 0 {
-			s.Partition(kernelLookahead)
-			s.SetWorkers(workers)
-		}
-		buildKernelCluster(s, nodes, hops, work)
-		s.Run()
-	}
-}
-
-// BenchmarkKernel compares serial vs partitioned Run on the ring model at
-// 8/64/256 simulated nodes. The partitioned kernel at >=4 workers must beat
-// serial at >=64 nodes (EXPERIMENTS.md, "The partitioned kernel", PR 6).
-func BenchmarkKernel(b *testing.B) {
-	for _, nodes := range []int{8, 64, 256} {
-		b.Run(fmt.Sprintf("serial/nodes=%d", nodes), func(b *testing.B) {
-			benchKernel(b, nodes, 0)
-		})
-		for _, w := range []int{2, 4, 8} {
-			b.Run(fmt.Sprintf("part/nodes=%d/workers=%d", nodes, w), func(b *testing.B) {
-				benchKernel(b, nodes, w)
-			})
-		}
 	}
 }

@@ -1,13 +1,10 @@
 package sim
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 	"strings"
 	"testing"
-
-	"gamma/internal/trace"
 )
 
 // panicMessage calls fn and returns the message it panicked with ("" if it
@@ -51,7 +48,7 @@ func TestCloseUnwindsEveryParkedState(t *testing.T) {
 	s.Spawn("queued", body(func(p *Proc) { r.Use(p, 10) }))
 	s.SpawnAt(500, "unstarted", body(func(p *Proc) {}))
 	s.RunUntil(100)
-	if n := len(s.sh0.live); n != 6 {
+	if n := len(s.live); n != 6 {
 		t.Fatalf("%d live processes before Close, want 6", n)
 	}
 
@@ -117,18 +114,19 @@ func TestCloseUnwindingMayUseTheKernel(t *testing.T) {
 
 // TestRunFailureClosesSimulation: a Run that panics out — deadlock, process
 // panic, a panic in an event callback — unwinds every surviving process and
-// leaves no goroutine behind, in serialized and in windowed execution.
+// leaves no goroutine behind, whatever the harness told the partitioning shim
+// (workers=0 builds the simulation without it).
 func TestRunFailureClosesSimulation(t *testing.T) {
 	cases := []struct {
 		name string
-		fail func(sh *Shard) // nil: the waiters alone are the deadlock
+		fail func(s *Sim, sh *Shard) // nil: the waiters alone are the deadlock
 		want string
 	}{
 		{"deadlock", nil, "deadlock: 3 process(es) parked"},
-		{"process panic", func(sh *Shard) {
-			sh.Spawn("bad", func(p *Proc) { p.Sleep(50); panic("boom") })
+		{"process panic", func(s *Sim, sh *Shard) {
+			s.Spawn("bad", func(p *Proc) { p.Sleep(50); panic("boom") })
 		}, `process "bad" panicked: boom`},
-		{"event panic", func(sh *Shard) {
+		{"event panic", func(s *Sim, sh *Shard) {
 			sh.At(50, func() { panic("bang") })
 		}, "bang"},
 	}
@@ -136,44 +134,38 @@ func TestRunFailureClosesSimulation(t *testing.T) {
 		for _, workers := range []int{0, 1, 3} {
 			t.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(t *testing.T) {
 				baseline := runtime.NumGoroutine()
-				s := New()
-				shards := []*Shard{s.sh0, s.sh0, s.sh0}
-				if workers > 0 {
-					s.Partition(10)
-					s.SetWorkers(workers)
-					shards = []*Shard{s.AddShard(), s.AddShard(), s.AddShard()}
-				}
-				// Survivors on every shard: one parked on a WaitQ for good
+				s, shards := newShards(workers > 0, 10, workers, 3)
+				// Survivors on every node: one parked on a WaitQ for good
 				// and, when something else ends the run, one sleeping and
 				// one queueing on a Resource in a loop.
 				survivors, unwound := 0, 0
-				spawn := func(sh *Shard, name string, body func(p *Proc)) {
+				spawn := func(name string, body func(p *Proc)) {
 					survivors++
-					sh.Spawn(name, func(p *Proc) {
+					s.Spawn(name, func(p *Proc) {
 						defer func() { unwound++ }()
 						body(p)
 					})
 				}
 				for i, sh := range shards {
-					q := sh.NewWaitQ(fmt.Sprintf("q%d", i))
+					q := s.NewWaitQ(fmt.Sprintf("q%d", i))
 					r := sh.NewResource(fmt.Sprintf("r%d", i))
-					spawn(sh, "waiter", func(p *Proc) { q.Park(p) })
+					spawn("waiter", func(p *Proc) { q.Park(p) })
 					if c.fail == nil {
 						continue
 					}
-					spawn(sh, "sleeper", func(p *Proc) {
+					spawn("sleeper", func(p *Proc) {
 						for {
 							p.Sleep(7)
 						}
 					})
-					spawn(sh, "user", func(p *Proc) {
+					spawn("user", func(p *Proc) {
 						for {
 							r.Use(p, 3)
 						}
 					})
 				}
 				if c.fail != nil {
-					c.fail(shards[1])
+					c.fail(s, shards[1])
 				}
 				if msg := runPanics(s); !strings.Contains(msg, c.want) {
 					t.Errorf("Run panicked with %q, want %q", msg, c.want)
@@ -205,7 +197,7 @@ func TestCloseKeepsFirstFailure(t *testing.T) {
 	if !strings.Contains(msg, `process "first" panicked: original`) {
 		t.Errorf("Run panicked with %q, want the first failure", msg)
 	}
-	if f := s.sh0.failure; f == nil || f.name != "first" {
+	if f := s.failure; f == nil || f.name != "first" {
 		t.Errorf("recorded failure = %+v, want the one of process first", f)
 	}
 	checkSettled(t, s, baseline)
@@ -225,133 +217,37 @@ func TestCloseInsideRunPanics(t *testing.T) {
 }
 
 // TestGoexitInProcess: runtime.Goexit in a process body (t.FailNow, say)
-// ends the goroutine that called Run in serialized execution, exactly as if
-// the body had run there; under parallel windows it takes down the worker
-// that resumed the process and Run reports it as that process's failure.
-// Either way the simulation is closed and nothing leaks.
+// ends the goroutine that called Run, exactly as if the body had run there;
+// the simulation is closed and nothing leaks. "windows" builds the
+// simulation the way the harness once asked for parallel windows, which the
+// partitioning shim ignores.
 func TestGoexitInProcess(t *testing.T) {
-	build := func(s *Sim, shards []*Shard) {
-		for i, sh := range shards {
-			sh.Spawn(fmt.Sprintf("sleeper%d", i), func(p *Proc) {
-				for {
-					p.Sleep(5)
-				}
-			})
-		}
-		shards[len(shards)-1].Spawn("quitter", func(p *Proc) { p.Sleep(50); runtime.Goexit() })
-	}
-	t.Run("serial", func(t *testing.T) {
-		baseline := runtime.NumGoroutine()
-		s := New()
-		build(s, []*Shard{s.sh0, s.sh0})
-		returned, done := false, make(chan struct{})
-		go func() {
-			defer close(done)
-			s.Run()
-			returned = true
-		}()
-		<-done
-		if returned {
-			t.Error("Run returned although a process called Goexit")
-		}
-		checkSettled(t, s, baseline)
-	})
-	t.Run("windows", func(t *testing.T) {
-		baseline := runtime.NumGoroutine()
-		s := New()
-		s.Partition(10)
-		s.SetWorkers(2)
-		build(s, []*Shard{s.AddShard(), s.AddShard()})
-		if msg := runPanics(s); !strings.Contains(msg, `process "quitter" panicked: runtime.Goexit`) {
-			t.Errorf("Run panicked with %q, want the quitter's Goexit", msg)
-		}
-		checkSettled(t, s, baseline)
-	})
-}
-
-// goroutineID returns the id of the calling goroutine, parsed from its stack
-// header ("goroutine 123 [running]:").
-func goroutineID() string {
-	buf := make([]byte, 64)
-	buf = buf[:runtime.Stack(buf, false)]
-	return string(bytes.Fields(buf)[1])
-}
-
-// TestResumeFromAnotherWorker: under parallel windows a process parked in
-// one window is resumed in the next by whichever worker claims its shard —
-// a different goroutine from the one that ran it last. The coroutine switch
-// must be indifferent to that (and -race must see the barrier as the
-// ordering between the two), and the trace must equal the serial oracle's.
-func TestResumeFromAnotherWorker(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	const nodes, hops, work = 8, 40, 6
-	run := func(workers int) (out []byte, migrations int) {
-		s := New()
-		s.Partition(kernelLookahead)
-		s.SetWorkers(workers)
-		col := trace.NewCollector()
-		s.SetSink(col)
-		shards := make([]*Shard, nodes)
-		tokens := make([]int, nodes)
-		migrated := make([]int, nodes) // per shard: only its worker writes it
-		mail := make([]*WaitQ, nodes)
-		for i := range shards {
-			shards[i] = s.AddShard()
-			mail[i] = shards[i].NewWaitQ(fmt.Sprintf("mail%d", i))
-		}
-		for i, sh := range shards {
-			cpu := sh.NewResource(fmt.Sprintf("cpu%d", i))
-			next := (i + 1) % nodes
-			var lastWorker string
-			sh.Spawn(fmt.Sprintf("node%d", i), func(p *Proc) {
-				for h := 0; h < hops; h++ {
-					for w := 0; w < work; w++ {
-						// The callback fires in the same window as the wake
-						// that follows it, on the worker that will resume p.
-						sh.At(p.Now()+1, func() {
-							if id := goroutineID(); id != lastWorker {
-								if lastWorker != "" {
-									migrated[i]++
-								}
-								lastWorker = id
-							}
-						})
-						cpu.Use(p, 1)
+	for _, c := range []struct {
+		name        string
+		partitioned bool
+	}{{"serial", false}, {"windows", true}} {
+		t.Run(c.name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			s, _ := newShards(c.partitioned, 10, 2, 2)
+			for i := range 2 {
+				s.Spawn(fmt.Sprintf("sleeper%d", i), func(p *Proc) {
+					for {
+						p.Sleep(5)
 					}
-					sh.Send(shards[next], p.Now()+kernelLookahead, func() {
-						tokens[next]++
-						mail[next].WakeOne()
-					})
-					for tokens[i] == 0 {
-						mail[i].Park(p)
-					}
-					tokens[i]--
-				}
-			})
-		}
-		s.Run()
-		var buf bytes.Buffer
-		if err := col.WriteJSONL(&buf); err != nil {
-			t.Fatalf("WriteJSONL: %v", err)
-		}
-		for _, n := range migrated {
-			migrations += n
-		}
-		return buf.Bytes(), migrations
-	}
-	oracle, _ := run(1)
-	if len(oracle) == 0 {
-		t.Fatal("oracle run emitted no trace")
-	}
-	migrations := 0
-	for attempt := 0; attempt < 20 && migrations == 0; attempt++ {
-		got, migrated := run(4)
-		if !bytes.Equal(got, oracle) {
-			t.Fatalf("4-worker trace differs from the serial oracle (%d vs %d bytes)", len(got), len(oracle))
-		}
-		migrations += migrated
-	}
-	if migrations == 0 {
-		t.Error("no process was ever resumed by a different worker goroutine in 20 runs")
+				})
+			}
+			s.Spawn("quitter", func(p *Proc) { p.Sleep(50); runtime.Goexit() })
+			returned, done := false, make(chan struct{})
+			go func() {
+				defer close(done)
+				s.Run()
+				returned = true
+			}()
+			<-done
+			if returned {
+				t.Error("Run returned although a process called Goexit")
+			}
+			checkSettled(t, s, baseline)
+		})
 	}
 }

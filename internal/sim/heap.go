@@ -1,16 +1,14 @@
 package sim
 
-// event is one pending occurrence in a shard's calendar. Exactly one of
+// event is one pending occurrence in the calendar. Exactly one of
 // p/fn is set: wake events carry the process to resume — or, while it is on
 // an itinerary (Proc.Steps), whose next stage to run — directly (no closure
 // allocation per park/wake), fn events carry arbitrary kernel callbacks.
 //
-// ord is the global tie-break among equal-time events. In serialized
-// execution it is a global schedule counter (FIFO among equal times, exactly
-// the pre-partitioning kernel order); in lookahead execution it is a
-// per-shard stamp composite (see Sim.schedule). Either way (at, ord) is a
-// deterministic total order over all events of a run, independent of worker
-// count — the invariant every byte-identical-trace guarantee rests on.
+// ord is the global schedule counter (see Sim.schedule), the tie-break that
+// fires equal-time events in the order they were scheduled: (at, ord) is a
+// deterministic total order over all events of a run — the invariant every
+// byte-identical-trace guarantee rests on.
 type event struct {
 	at  Time
 	ord uint64 // tie-break so equal-time events fire in a fixed total order
@@ -94,22 +92,4 @@ func (h *eventHeap) siftDown(i int) {
 		h.ev[i], h.ev[min] = h.ev[min], h.ev[i]
 		i = min
 	}
-}
-
-// peek returns the earliest pending time (only valid when non-empty).
-func (h *eventHeap) peek() (Time, bool) {
-	if len(h.ev) == 0 {
-		return 0, false
-	}
-	return h.ev[0].at, true
-}
-
-// head returns the key of the earliest pending event (only valid when
-// non-empty). The merged serial loop and the window scheduler use it to
-// order shards against each other.
-func (h *eventHeap) head() (Time, uint64, bool) {
-	if len(h.ev) == 0 {
-		return 0, 0, false
-	}
-	return h.ev[0].at, h.ev[0].ord, true
 }

@@ -106,22 +106,3 @@ func TestSchedulePastTimestampClamps(t *testing.T) {
 		t.Fatalf("fire order %v, want [1 2]", order)
 	}
 }
-
-// TestEventHeapHead checks the head accessor used by the merged serial loop
-// and the window scheduler.
-func TestEventHeapHead(t *testing.T) {
-	var h eventHeap
-	if _, _, ok := h.head(); ok {
-		t.Fatal("head of empty heap reported ok")
-	}
-	h.push(event{at: 7, ord: 2})
-	h.push(event{at: 7, ord: 1})
-	h.push(event{at: 3, ord: 9})
-	if at, ord, ok := h.head(); !ok || at != 3 || ord != 9 {
-		t.Fatalf("head = (%d,%d,%v), want (3,9,true)", at, ord, ok)
-	}
-	h.pop()
-	if at, ord, _ := h.head(); at != 7 || ord != 1 {
-		t.Fatalf("head after pop = (%d,%d), want (7,1)", at, ord)
-	}
-}

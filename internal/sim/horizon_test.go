@@ -10,46 +10,13 @@ import (
 	"gamma/internal/trace"
 )
 
-// kernelModes are the execution paths a Run can take: the unpartitioned
-// kernel, the merged loop at lookahead 0, and positive lookahead serialized
-// and windowed.
-var kernelModes = []struct {
-	name        string
-	partitioned bool
-	lookahead   Dur
-	workers     int
-}{
-	{"unpartitioned", false, 0, 0},
-	{"merged", true, 0, 0},
-	{"lookahead/workers=1", true, 10, 1},
-	{"lookahead/workers=4", true, 10, 4},
-}
-
-// newShards returns a simulation in the given mode and n scheduling contexts:
-// n shards when partitioned, the default shard n times otherwise.
-func newShards(partitioned bool, lookahead Dur, workers, n int) (*Sim, []*Shard) {
-	s := New()
-	if partitioned {
-		s.Partition(lookahead)
-		s.SetWorkers(workers)
-	}
-	shards := make([]*Shard, n)
-	for i := range shards {
-		shards[i] = s.DefaultShard()
-		if partitioned && i > 0 {
-			shards[i] = s.AddShard()
-		}
-	}
-	return s, shards
-}
-
 // TestRunCoversAsyncCompletions: work nobody waits for is no event, yet Run
-// ends at its completion on every execution path.
+// ends at its completion however the harness built the simulation.
 func TestRunCoversAsyncCompletions(t *testing.T) {
-	for _, m := range kernelModes {
+	for _, m := range shimModes {
 		t.Run(m.name, func(t *testing.T) {
 			s, shards := newShards(m.partitioned, m.lookahead, m.workers, 8)
-			done := make([]Time, len(shards)) // per shard: windows run shards in parallel
+			done := make([]Time, len(shards))
 			for i, sh := range shards {
 				r := sh.NewResource(fmt.Sprintf("r%d", i))
 				sh.At(Time(i), func() {
@@ -63,11 +30,11 @@ func TestRunCoversAsyncCompletions(t *testing.T) {
 			if want := Time(7 + 30*8); latest != want || end != want || s.Now() != want {
 				t.Errorf("Run ended at %v (Now %v), latest completion %v, want %v", end, s.Now(), latest, want)
 			}
-			if got := s.fired(); got != uint64(len(shards)) {
+			if got := s.executed; got != uint64(len(shards)) {
 				t.Errorf("fired %d events, want %d: a completion never visits the calendar", got, len(shards))
 			}
 			if got := s.Executed(); got != uint64(3*len(shards)) {
-				t.Errorf("Executed %d, want %d: one callback and two completions a shard", got, 3*len(shards))
+				t.Errorf("Executed %d, want %d: one callback and two completions a node", got, 3*len(shards))
 			}
 		})
 	}
@@ -112,32 +79,32 @@ func TestDeadlockWithOutstandingCompletion(t *testing.T) {
 // the same reservation plus a completion event that does nothing.
 func useAsyncAsEvent(r *Resource, d Dur) Time {
 	done := r.Reserve(d)
-	r.shard.At(done, func() {})
+	r.sim.At(done, func() {})
 	return done
 }
 
-// asyncModel is a randomized model dense in same-instant ties: per shard two
+// asyncModel is a randomized model dense in same-instant ties: per node two
 // processes mix blocking CPU use, sleeps, overlapped disk writes and messages
-// to other shards whose handlers charge the receiver asynchronously. Every
+// to other nodes whose handlers charge the receiver asynchronously. Every
 // step ticks the trace, so any event that changed its (at, ord) key reorders
 // the stream. Randomness is drawn per process, never per execution order.
-func asyncModel(shards []*Shard, seed int64, async func(*Resource, Dur) Time) (calls []int) {
-	calls = make([]int, len(shards)) // per charged shard: windows run shards in parallel
+func asyncModel(s *Sim, nodes int, seed int64, async func(*Resource, Dur) Time) (calls *int) {
+	calls = new(int)
 	charge := func(r *Resource, d Dur) Time {
-		calls[r.shard.id]++
+		*calls++
 		return async(r, d)
 	}
-	cpus := make([]*Resource, len(shards))
-	disks := make([]*Resource, len(shards))
-	for i, sh := range shards {
-		cpus[i] = sh.NewResource(fmt.Sprintf("cpu%d", i))
-		disks[i] = sh.NewResource(fmt.Sprintf("disk%d", i))
+	cpus := make([]*Resource, nodes)
+	disks := make([]*Resource, nodes)
+	for i := range nodes {
+		cpus[i] = s.NewResource(fmt.Sprintf("cpu%d", i))
+		disks[i] = s.NewResource(fmt.Sprintf("disk%d", i))
 	}
 	zero := new(int)
-	for i, sh := range shards {
+	for i := range nodes {
 		for k := 0; k < 2; k++ {
 			rng := rand.New(rand.NewSource(seed + int64(16*i+k)))
-			sh.Spawn(fmt.Sprintf("p%d.%d", i, k), func(p *Proc) {
+			s.Spawn(fmt.Sprintf("p%d.%d", i, k), func(p *Proc) {
 				for step := 0; step < 40; step++ {
 					d := Dur(1 + rng.Intn(3))
 					switch rng.Intn(5) {
@@ -152,13 +119,13 @@ func asyncModel(shards []*Shard, seed int64, async func(*Resource, Dur) Time) (c
 						cpus[i].Use(p, 1)
 						p.WaitUntil(done)
 					case 4:
-						j := (i + 1 + rng.Intn(len(shards)-1)) % len(shards)
-						sh.Send(shards[j], p.Now()+10+d, func() {
-							tick(shards[j], fmt.Sprintf("msg%d", i), zero)
+						j := (i + 1 + rng.Intn(nodes-1)) % nodes
+						s.At(p.Now()+10+d, func() {
+							tick(s, fmt.Sprintf("msg%d", i), zero)
 							charge(cpus[j], d)
 						})
 					}
-					tick(sh, p.Name(), zero)
+					tick(s, p.Name(), zero)
 				}
 			})
 		}
@@ -167,47 +134,34 @@ func asyncModel(shards []*Shard, seed int64, async func(*Resource, Dur) Time) (c
 }
 
 // TestUseAsyncPreservesEventKeys is the proof that taking completions off the
-// calendar changed no surviving event's (at, ord): on every execution path
-// the model traces byte-identically whether its asynchronous charges are
-// UseAsync or the reservation plus an explicit no-op completion event, ends
-// at the same instant, retires as many events (Executed counts a completion
-// either way) and fires exactly one fewer per charge.
+// calendar changed no surviving event's (at, ord): the model traces
+// byte-identically whether its asynchronous charges are UseAsync or the
+// reservation plus an explicit no-op completion event, ends at the same
+// instant, retires as many events (Executed counts a completion either way)
+// and fires exactly one fewer per charge.
 func TestUseAsyncPreservesEventKeys(t *testing.T) {
-	run := func(partitioned bool, lookahead Dur, workers int, seed int64, async func(*Resource, Dur) Time) ([]byte, Time, [2]uint64, int) {
-		s, shards := newShards(partitioned, lookahead, workers, 6)
+	run := func(seed int64, async func(*Resource, Dur) Time) ([]byte, Time, [2]uint64, int) {
+		s := New()
 		col := trace.NewCollector()
 		s.SetSink(col)
-		calls := asyncModel(shards, seed, async)
+		calls := asyncModel(s, 6, seed, async)
 		tb := traceBytes(t, s, col)
-		n := 0
-		for _, c := range calls {
-			n += c
-		}
-		return tb, s.Now(), [2]uint64{s.Executed(), s.fired()}, n
+		return tb, s.Now(), [2]uint64{s.Executed(), s.executed}, *calls
 	}
-	serial := map[int64][]byte{} // the one-worker trace at positive lookahead, by seed
-	for _, m := range kernelModes {
-		for seed := int64(1); seed <= 3; seed++ {
-			ref, refEnd, refCount, calls := run(m.partitioned, m.lookahead, m.workers, seed, useAsyncAsEvent)
-			got, end, count, _ := run(m.partitioned, m.lookahead, m.workers, seed, (*Resource).UseAsync)
-			if len(ref) == 0 || calls == 0 {
-				t.Fatalf("%s seed %d: empty model (%d trace bytes, %d charges)", m.name, seed, len(ref), calls)
-			}
-			if !bytes.Equal(got, ref) {
-				t.Errorf("%s seed %d: trace differs from the completion-event model (%d vs %d bytes)", m.name, seed, len(got), len(ref))
-			}
-			if end != refEnd {
-				t.Errorf("%s seed %d: run ends at %v, with completion events at %v", m.name, seed, end, refEnd)
-			}
-			if count[0] != refCount[0] || count[1]+uint64(calls) != refCount[1] {
-				t.Errorf("%s seed %d: (executed, fired) = %v with %d charges, %v with completion events", m.name, seed, count, calls, refCount)
-			}
-			switch {
-			case m.workers == 1:
-				serial[seed] = got
-			case m.workers > 1 && !bytes.Equal(got, serial[seed]):
-				t.Errorf("%s seed %d: windowed trace differs from the one-worker oracle", m.name, seed)
-			}
+	for seed := int64(1); seed <= 3; seed++ {
+		ref, refEnd, refCount, calls := run(seed, useAsyncAsEvent)
+		got, end, count, _ := run(seed, (*Resource).UseAsync)
+		if len(ref) == 0 || calls == 0 {
+			t.Fatalf("seed %d: empty model (%d trace bytes, %d charges)", seed, len(ref), calls)
+		}
+		if !bytes.Equal(got, ref) {
+			t.Errorf("seed %d: trace differs from the completion-event model (%d vs %d bytes)", seed, len(got), len(ref))
+		}
+		if end != refEnd {
+			t.Errorf("seed %d: run ends at %v, with completion events at %v", seed, end, refEnd)
+		}
+		if count[0] != refCount[0] || count[1]+uint64(calls) != refCount[1] {
+			t.Errorf("seed %d: (executed, fired) = %v with %d charges, %v with completion events", seed, count, calls, refCount)
 		}
 	}
 }

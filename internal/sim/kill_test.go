@@ -22,13 +22,11 @@ func settledGoroutines(base int) int {
 // back to its pre-simulation baseline (no leaks).
 func checkSettled(t *testing.T, s *Sim, baseline int) {
 	t.Helper()
-	for _, sh := range s.shards {
-		if sh.parked != 0 {
-			t.Errorf("shard %d: %d processes still parked", sh.id, sh.parked)
-		}
-		if n := len(sh.live); n != 0 {
-			t.Errorf("shard %d: %d process goroutines still live", sh.id, n)
-		}
+	if s.parked != 0 {
+		t.Errorf("%d processes still parked", s.parked)
+	}
+	if n := len(s.live); n != 0 {
+		t.Errorf("%d process goroutines still live", n)
 	}
 	if n := settledGoroutines(baseline); n > baseline {
 		t.Errorf("goroutine leak: %d live, baseline %d", n, baseline)
@@ -163,26 +161,4 @@ func findProcOnQ(q *WaitQ, name string) *Proc {
 		}
 	}
 	return nil
-}
-
-// TestKillPartitionedWindow: kill semantics hold inside parallel windows —
-// a same-shard kill unwinds the victim and every shard settles to zero.
-func TestKillPartitionedWindow(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	s := New()
-	s.Partition(10)
-	s.SetWorkers(2)
-	a, b := s.AddShard(), s.AddShard()
-	reached := false
-	victim := a.Spawn("sleeper", func(p *Proc) {
-		p.Sleep(100)
-		reached = true
-	})
-	a.At(5, func() { victim.Kill() })
-	b.Spawn("other", func(p *Proc) { p.Sleep(50) })
-	s.Run()
-	if reached {
-		t.Error("killed sleeper ran past Sleep in partitioned run")
-	}
-	checkSettled(t, s, baseline)
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -144,5 +145,24 @@ func TestWaitQInterleavedParkWake(t *testing.T) {
 				t.Fatalf("round %d: FIFO violated: %v", r, order[r])
 			}
 		}
+	}
+}
+
+// TestSameInstantChildKeepsSerialOrder: an event that schedules a child at
+// its own instant does not let the child jump the queue. A bystander
+// scheduled for that instant before the parent fired runs first, because the
+// child draws its ord only when the parent fires.
+func TestSameInstantChildKeepsSerialOrder(t *testing.T) {
+	const T = Time(50)
+	s := New()
+	var order []string
+	s.At(T, func() {
+		order = append(order, "parent")
+		s.At(s.Now(), func() { order = append(order, "child") })
+	})
+	s.At(T, func() { order = append(order, "bystander") })
+	s.Run()
+	if got := strings.Join(order, " "); got != "parent bystander child" {
+		t.Errorf("fired %q, want parent, bystander, child", got)
 	}
 }

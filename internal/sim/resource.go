@@ -10,12 +10,8 @@ import "gamma/internal/trace"
 // Because arrivals are totally ordered by the deterministic event loop, FIFO
 // order is captured by a single "busy until" horizon rather than an explicit
 // queue.
-//
-// A resource is homed on a shard; under the window scheduler it must only be
-// used from that shard's context (its state is shard-private and unlocked).
 type Resource struct {
 	sim       *Sim
-	shard     *Shard
 	name      string
 	busyUntil Time
 
@@ -25,22 +21,13 @@ type Resource struct {
 	waited   Dur   // total time requests spent queued before service
 }
 
-// NewResource creates a named FIFO resource homed on the scheduling
-// context's shard.
+// NewResource creates a named FIFO resource.
 func (s *Sim) NewResource(name string) *Resource {
-	return &Resource{sim: s, shard: s.ctxShard(), name: name}
-}
-
-// NewResource creates a named FIFO resource homed on this shard.
-func (sh *Shard) NewResource(name string) *Resource {
-	return &Resource{sim: sh.s, shard: sh, name: name}
+	return &Resource{sim: s, name: name}
 }
 
 // Name returns the resource name.
 func (r *Resource) Name() string { return r.name }
-
-// Shard returns the shard the resource is homed on.
-func (r *Resource) Shard() *Shard { return r.shard }
 
 // Use blocks p while the resource queues and then serves a request of
 // duration d. It returns after service completes.
@@ -55,15 +42,14 @@ func (r *Resource) Use(p *Proc, d Dur) {
 // write-behind disk flush). Nothing happens at the completion instant, so the
 // completion never visits the calendar: the call consumes the ord its event
 // would have carried — every other event of the run keeps its (at, ord) key —
-// counts it as retired (see Executed), and raises the shard's completion
+// counts it as retired (see Executed), and raises the simulation's completion
 // horizon, which Run folds into the final clock.
 func (r *Resource) UseAsync(d Dur) Time {
 	done := r.Reserve(d)
-	r.sim.nextOrd(r.shard)
-	r.shard.elided++
-	if done > r.shard.horizon {
-		r.shard.horizon = done
-	}
+	s := r.sim
+	s.seq++
+	s.elided++
+	s.horizon = max(s.horizon, done)
 	return done
 }
 
@@ -76,7 +62,7 @@ func (r *Resource) Reserve(d Dur) Time {
 	if d < 0 {
 		d = 0
 	}
-	now := r.sim.clockOf(r.shard)
+	now := r.sim.now
 	start := now
 	if r.busyUntil > start {
 		r.waited += r.busyUntil - start
@@ -85,17 +71,17 @@ func (r *Resource) Reserve(d Dur) Time {
 	r.busyUntil = start + d
 	r.busy += d
 	r.requests++
-	if r.sim.sink != nil {
+	if sink := r.sim.sink; sink != nil {
 		// Both records are emitted at schedule time: arrivals are totally
 		// ordered by the event loop, so the service interval [start, end]
 		// is already final. The release record's At is the completion
 		// instant; the stream is therefore in emission order, not
 		// timestamp order.
-		r.sim.emitOn(r.shard, trace.Event{
+		sink.Emit(trace.Event{
 			At: int64(now), Kind: trace.KindAcquire, Res: r.name,
 			Wait: int64(start - now),
 		})
-		r.sim.emitOn(r.shard, trace.Event{
+		sink.Emit(trace.Event{
 			At: int64(r.busyUntil), Kind: trace.KindRelease, Res: r.name,
 			Start: int64(start), End: int64(r.busyUntil),
 		})

@@ -1,9 +1,30 @@
 package sim
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
+
+	"gamma/internal/trace"
 )
+
+// tick emits an order-sensitive trace record: it embeds the current value of
+// *state, so any change in execution order — not just in emission order —
+// changes the trace bytes.
+func tick(s *Sim, label string, state *int) {
+	s.Emit(trace.Event{At: int64(s.Now()), Kind: "tick", Res: label, N: *state})
+}
+
+// traceBytes runs the simulation and returns the collected JSONL trace.
+func traceBytes(t testing.TB, s *Sim, col *trace.Collector) []byte {
+	t.Helper()
+	s.Run()
+	var buf bytes.Buffer
+	if err := col.WriteJSONL(&buf); err != nil {
+		t.Fatalf("WriteJSONL: %v", err)
+	}
+	return buf.Bytes()
+}
 
 func TestClockAdvancesOnSleep(t *testing.T) {
 	s := New()

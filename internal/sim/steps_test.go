@@ -13,12 +13,12 @@ import (
 // An itinerary program: what a process does between two points where it needs
 // to be itself. Blocking ops are the stages; the others happen in passing.
 const (
-	opUse   = iota // blocking use of the shard's CPU
-	opDisk         // blocking use of the shard's disk
+	opUse   = iota // blocking use of the node's CPU
+	opDisk         // blocking use of the node's disk
 	opSleep        // sleep
 	opAsync        // charge the disk without waiting; remember the completion
 	opWait         // wait for the remembered completion: a stage only if it lies ahead
-	opSend         // message another shard, whose handler charges its CPU
+	opSend         // message another node, whose handler charges its CPU
 	opKinds
 )
 
@@ -28,23 +28,23 @@ type stepOp struct {
 	to   int
 }
 
-// stepsModel is a randomized model of contending processes, two per shard,
+// stepsModel is a randomized model of contending processes, two per node,
 // each running legs of random ops with a WaitQ hand-off between legs. Every
 // process is generated from its own seed before anything runs, so the parked
 // and the Steps form of a leg consume identical programs. parked selects the
 // blocking primitives (Use, Sleep, WaitUntil); otherwise each leg is one Steps
 // call whose step runs the same ops with Reserve. Every op ticks the trace
 // after it completes.
-func stepsModel(shards []*Shard, seed int64, parked bool) {
-	cpus := make([]*Resource, len(shards))
-	disks := make([]*Resource, len(shards))
-	for i, sh := range shards {
-		cpus[i] = sh.NewResource(fmt.Sprintf("cpu%d", i))
-		disks[i] = sh.NewResource(fmt.Sprintf("disk%d", i))
+func stepsModel(s *Sim, nodes int, seed int64, parked bool) {
+	cpus := make([]*Resource, nodes)
+	disks := make([]*Resource, nodes)
+	for i := range nodes {
+		cpus[i] = s.NewResource(fmt.Sprintf("cpu%d", i))
+		disks[i] = s.NewResource(fmt.Sprintf("disk%d", i))
 	}
 	zero := new(int)
-	for i, sh := range shards {
-		baton := sh.NewWaitQ(fmt.Sprintf("baton%d", i))
+	for i := range nodes {
+		baton := s.NewWaitQ(fmt.Sprintf("baton%d", i))
 		for k := 0; k < 2; k++ {
 			rng := rand.New(rand.NewSource(seed + int64(16*i+k)))
 			legs := make([][]stepOp, 12)
@@ -54,11 +54,11 @@ func stepsModel(shards []*Shard, seed int64, parked bool) {
 					legs[l][o] = stepOp{
 						kind: rng.Intn(opKinds),
 						d:    Dur(rng.Intn(4)), // zero-length stages are still events
-						to:   (i + 1 + rng.Intn(len(shards)-1)) % len(shards),
+						to:   (i + 1 + rng.Intn(nodes-1)) % nodes,
 					}
 				}
 			}
-			sh.Spawn(fmt.Sprintf("p%d.%d", i, k), func(p *Proc) {
+			s.Spawn(fmt.Sprintf("p%d.%d", i, k), func(p *Proc) {
 				var asyncDone Time
 				// passing runs a non-blocking op.
 				passing := func(o stepOp) {
@@ -66,9 +66,8 @@ func stepsModel(shards []*Shard, seed int64, parked bool) {
 					case opAsync:
 						asyncDone = disks[i].UseAsync(o.d)
 					case opSend:
-						dst := shards[o.to]
-						sh.Send(dst, p.Now()+10+o.d, func() {
-							tick(dst, fmt.Sprintf("msg%d", i), zero)
+						s.At(p.Now()+10+o.d, func() {
+							tick(s, fmt.Sprintf("msg%d", i), zero)
 							cpus[o.to].UseAsync(o.d)
 						})
 					}
@@ -88,13 +87,13 @@ func stepsModel(shards []*Shard, seed int64, parked bool) {
 							default:
 								passing(o)
 							}
-							tick(sh, p.Name(), zero)
+							tick(s, p.Name(), zero)
 						}
 					} else {
 						pc := 0
 						p.Steps(func() (Time, bool) {
 							if pc > 0 {
-								tick(sh, p.Name(), zero) // the op that just completed
+								tick(s, p.Name(), zero) // the op that just completed
 							}
 							for pc < len(leg) {
 								o := leg[pc]
@@ -113,14 +112,14 @@ func stepsModel(shards []*Shard, seed int64, parked bool) {
 								default:
 									passing(o)
 								}
-								tick(sh, p.Name(), zero)
+								tick(s, p.Name(), zero)
 							}
 							return 0, false
 						})
 					}
 					// Between legs the process is itself again: it hands the
-					// shard's baton to its sibling.
-					tick(sh, fmt.Sprintf("%s/leg%d", p.Name(), l), zero)
+					// node's baton to its sibling.
+					tick(s, fmt.Sprintf("%s/leg%d", p.Name(), l), zero)
 					if !baton.WakeOne() && l%3 == 0 {
 						baton.ParkTimeout(p, 5)
 					}
@@ -136,16 +135,14 @@ type eventKey struct {
 	ord uint64
 }
 
-// firedKeys runs an unpartitioned simulation with the kernel's own one-shard
-// loop, recording the key of every event it fires.
+// firedKeys runs a simulation with the kernel's own firing step, recording
+// the key of every event it fires.
 func firedKeys(s *Sim) []eventKey {
 	var keys []eventKey
-	sh := s.sh0
-	defer func() { s.cur = nil }()
-	for sh.events.len() > 0 {
-		e := sh.events.pop()
+	for s.events.len() > 0 {
+		e := s.events.pop()
 		keys = append(keys, eventKey{e.at, e.ord})
-		s.fireSerial(sh, e)
+		s.fireSerial(e)
 	}
 	return keys
 }
@@ -153,16 +150,15 @@ func firedKeys(s *Sim) []eventKey {
 // TestStepsPreservesEventKeys is the proof that an itinerary is its blocking
 // twin with the hand-offs taken out: random programs of contending processes
 // fire the identical (at, ord) sequence whether each stage parks its process
-// or the whole leg is one Steps call, and on every execution path — merged,
-// serialized and windowed at positive lookahead — the two forms trace
+// or the whole leg is one Steps call, and the two forms trace
 // byte-identically, retire and fire as many events and end at the same
 // instant. Only the resumes differ: the Steps form never has more.
 func TestStepsPreservesEventKeys(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		var keys [2][]eventKey
 		for form, parked := range []bool{true, false} {
-			s, shards := newShards(false, 0, 0, 5)
-			stepsModel(shards, seed, parked)
+			s := New()
+			stepsModel(s, 5, seed, parked)
 			keys[form] = firedKeys(s)
 		}
 		if len(keys[0]) == 0 {
@@ -184,38 +180,29 @@ func TestStepsPreservesEventKeys(t *testing.T) {
 		executed, fired uint64
 		resumes         uint64
 	}
-	run := func(partitioned bool, lookahead Dur, workers int, seed int64, parked bool) outcome {
-		s, shards := newShards(partitioned, lookahead, workers, 5)
+	run := func(seed int64, parked bool) outcome {
+		s := New()
 		col := trace.NewCollector()
 		s.SetSink(col)
-		stepsModel(shards, seed, parked)
+		stepsModel(s, 5, seed, parked)
 		tb := traceBytes(t, s, col)
-		return outcome{tb, s.Now(), s.Executed(), s.fired(), s.Resumes()}
+		return outcome{tb, s.Now(), s.Executed(), s.executed, s.Resumes()}
 	}
-	serial := map[int64][]byte{} // the one-worker trace at positive lookahead, by seed
-	for _, m := range kernelModes {
-		for seed := int64(1); seed <= 4; seed++ {
-			ref := run(m.partitioned, m.lookahead, m.workers, seed, true)
-			got := run(m.partitioned, m.lookahead, m.workers, seed, false)
-			if len(ref.trace) == 0 {
-				t.Fatalf("%s seed %d: empty model", m.name, seed)
-			}
-			if !bytes.Equal(got.trace, ref.trace) {
-				t.Errorf("%s seed %d: Steps trace differs from the parked one (%d vs %d bytes)", m.name, seed, len(got.trace), len(ref.trace))
-			}
-			if got.end != ref.end || got.executed != ref.executed || got.fired != ref.fired {
-				t.Errorf("%s seed %d: Steps ends at %v with %d retired, %d fired; parked at %v with %d, %d",
-					m.name, seed, got.end, got.executed, got.fired, ref.end, ref.executed, ref.fired)
-			}
-			if got.resumes >= ref.resumes {
-				t.Errorf("%s seed %d: %d resumes as Steps, %d parked: itineraries saved none", m.name, seed, got.resumes, ref.resumes)
-			}
-			switch {
-			case m.workers == 1:
-				serial[seed] = got.trace
-			case m.workers > 1 && !bytes.Equal(got.trace, serial[seed]):
-				t.Errorf("%s seed %d: windowed Steps trace differs from the one-worker oracle", m.name, seed)
-			}
+	for seed := int64(1); seed <= 4; seed++ {
+		ref := run(seed, true)
+		got := run(seed, false)
+		if len(ref.trace) == 0 {
+			t.Fatalf("seed %d: empty model", seed)
+		}
+		if !bytes.Equal(got.trace, ref.trace) {
+			t.Errorf("seed %d: Steps trace differs from the parked one (%d vs %d bytes)", seed, len(got.trace), len(ref.trace))
+		}
+		if got.end != ref.end || got.executed != ref.executed || got.fired != ref.fired {
+			t.Errorf("seed %d: Steps ends at %v with %d retired, %d fired; parked at %v with %d, %d",
+				seed, got.end, got.executed, got.fired, ref.end, ref.executed, ref.fired)
+		}
+		if got.resumes >= ref.resumes {
+			t.Errorf("seed %d: %d resumes as Steps, %d parked: itineraries saved none", seed, got.resumes, ref.resumes)
 		}
 	}
 }

@@ -7,27 +7,17 @@ package sim
 // (timeouts, kills) tombstone their slot via the index cached on the Proc,
 // so both WakeOne and remove are O(1). The backing slice is recycled each
 // time the queue drains, so a steady park/wake cycle allocates nothing.
-// A wait queue is homed on a shard; under the window scheduler it must only
-// be touched from that shard's context (its state is shard-private and
-// unlocked).
 type WaitQ struct {
 	sim   *Sim
-	shard *Shard
 	name  string
 	procs []*Proc // procs[head:] holds waiters in FIFO order; nil = removed
 	head  int     // index of the longest-waiting live entry
 	n     int     // number of live (non-nil) entries
 }
 
-// NewWaitQ creates a named wait queue homed on the scheduling context's
-// shard.
+// NewWaitQ creates a named wait queue.
 func (s *Sim) NewWaitQ(name string) *WaitQ {
-	return &WaitQ{sim: s, shard: s.ctxShard(), name: name}
-}
-
-// NewWaitQ creates a named wait queue homed on this shard.
-func (sh *Shard) NewWaitQ(name string) *WaitQ {
-	return &WaitQ{sim: sh.s, shard: sh, name: name}
+	return &WaitQ{sim: s, name: name}
 }
 
 // enqueue appends p and records its slot for O(1) removal.
@@ -56,13 +46,13 @@ func (q *WaitQ) ParkTimeout(p *Proc, d Dur) bool {
 	seq := p.parkSeq
 	q.enqueue(p)
 	timedOut := false
-	q.shard.After(d, func() {
+	q.sim.After(d, func() {
 		// The parkSeq check makes a timer from an earlier, already-woken
 		// park harmless even if p has since re-parked on this queue.
 		if p.wq == q && p.parkSeq == seq && q.remove(p) {
 			timedOut = true
 			p.wq = nil
-			p.wake(q.sim.clockOf(q.shard))
+			p.wake(q.sim.now)
 		}
 	})
 	p.park()
@@ -93,7 +83,7 @@ func (q *WaitQ) WakeOne() bool {
 		if p != nil {
 			q.n--
 			q.compact()
-			p.wake(q.sim.clockOf(q.shard))
+			p.wake(q.sim.now)
 			return true
 		}
 	}
@@ -105,7 +95,7 @@ func (q *WaitQ) WakeOne() bool {
 // many were woken.
 func (q *WaitQ) WakeAll() int {
 	woken := 0
-	now := q.sim.clockOf(q.shard)
+	now := q.sim.now
 	for i := q.head; i < len(q.procs); i++ {
 		if p := q.procs[i]; p != nil {
 			p.wake(now)
