@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	gammabench [-quick] [-list] [-parallel N] [-json] [-generation NAME]
+//	gammabench [-quick] [-list] [-parallel N] [-json]
 //	           [-campaign-seed S] [-campaign-faults N] [experiment ...]
 //
 // With no experiment arguments every registered experiment runs. -quick uses
@@ -17,15 +17,12 @@
 // machine-readable report: per experiment, its table's rows (label, and
 // measured, paper and extra for each cell) beside wall clock and simulated
 // events/sec. -cpuprofile and -memprofile write pprof profiles. The program
-// reads no environment variable: nothing but sizes, -generation and the
-// campaign flags can move a table.
+// reads no environment variable: nothing but sizes and the campaign flags can
+// move a table.
 //
-// -generation parameterizes every machine with a named hardware generation
-// (-list-generations enumerates them; the default is gamma1988, the paper's
-// VAX-era build). The -json report echoes the generation.
-//
-// A retired experiment id (kernelscale) still resolves: it prints a one-row
-// table saying why it was retired, and -list does not show it.
+// A retired experiment id (kernelscale, degraded, scaleup, netgen) still
+// resolves: it prints a one-row table saying why it was retired, and -list
+// does not show it.
 //
 // Every flag value is validated up front, before anything simulates; a bad
 // one prints a named error and the usage and exits 2.
@@ -39,11 +36,9 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"time"
 
 	"gamma/internal/bench"
-	"gamma/internal/config"
 )
 
 // jsonExperiment is one experiment's entry in the -json report.
@@ -75,8 +70,7 @@ type jsonExperiment struct {
 }
 
 type jsonReport struct {
-	Suite            string           `json:"suite"`      // "full" or "quick"
-	Generation       string           `json:"generation"` // hardware generation the machines were parameterized with
+	Suite            string           `json:"suite"` // "full" or "quick"
 	Workers          int              `json:"workers"`
 	GoMaxProcs       int              `json:"gomaxprocs"`
 	TotalWallSeconds float64          `json:"total_wall_seconds"`
@@ -95,8 +89,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0),
 		"worker goroutines for experiments and independent data points")
 	jsonOut := fs.Bool("json", false, "emit a machine-readable report instead of tables")
-	generation := fs.String("generation", "gamma1988", "hardware `generation` to parameterize the machines with (see -list-generations)")
-	listGens := fs.Bool("list-generations", false, "list hardware generations and exit")
 	campaignSeed := fs.Uint64("campaign-seed", 0, "`seed` for the availability experiment's fault campaign (0 = default)")
 	campaignFaults := fs.Int("campaign-faults", 0, "faults per availability campaign (0 = default)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to `file`")
@@ -117,7 +109,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(ids) == 0 {
 		exps = bench.Experiments()
 	}
-	prm, genOK := config.ByGeneration(*generation)
 
 	// The one validation table: every rejected flag value is a row, checked
 	// up front — a typo must not cost hours of simulation or silently run
@@ -128,8 +119,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}{
 		{*parallel < 1, fmt.Sprintf("-parallel must be >= 1 (got %d)", *parallel)},
 		{*campaignFaults < 0, fmt.Sprintf("-campaign-faults must be >= 0 (got %d)", *campaignFaults)},
-		{!genOK, fmt.Sprintf("unknown generation %q (valid: %s)",
-			*generation, strings.Join(config.GenerationNames(), ", "))},
 		{unknownExp != "", fmt.Sprintf("unknown experiment %q (-list prints the valid ids)", unknownExp)},
 	} {
 		if c.bad {
@@ -145,12 +134,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	if *listGens {
-		for _, g := range config.Generations() {
-			fmt.Fprintf(stdout, "%-12s %s\n", g.Name, g.Desc)
-		}
-		return 0
-	}
 
 	opts := bench.Full()
 	suite := "full"
@@ -158,7 +141,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opts = bench.Quick()
 		suite = "quick"
 	}
-	opts.Params = &prm
 	opts.CampaignSeed = *campaignSeed
 	opts.CampaignFaults = *campaignFaults
 
@@ -183,7 +165,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *jsonOut {
 		rep := jsonReport{
 			Suite:            suite,
-			Generation:       *generation,
 			Workers:          *parallel,
 			GoMaxProcs:       runtime.GOMAXPROCS(0),
 			TotalWallSeconds: total.Seconds(),

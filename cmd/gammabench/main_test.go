@@ -112,24 +112,36 @@ func TestJSONSetupQuerySplitAndCacheCounters(t *testing.T) {
 			t.Errorf("-json output missing field %s", field)
 		}
 	}
-	if bytes.Contains(out.Bytes(), []byte(`"kernel`)) {
-		t.Errorf("-json output still carries a kernel field:\n%s", out.String())
+	for _, gone := range []string{`"kernel`, `"generation"`} {
+		if bytes.Contains(out.Bytes(), []byte(gone)) {
+			t.Errorf("-json output still carries a %s field:\n%s", gone, out.String())
+		}
 	}
 }
 
-// TestRetiredExperiment: a retired id still runs, printing the one-row table
-// that says why it was retired, and -list leaves it out.
+// TestRetiredExperiment: each retired id still runs, printing the one-row
+// table that says why it was retired, and -list leaves it out.
 func TestRetiredExperiment(t *testing.T) {
 	null := devNull(t)
-	var out, list bytes.Buffer
-	if code := run([]string{"-quick", "kernelscale"}, &out, null); code != 0 {
-		t.Fatalf("kernelscale: exit code %d, want 0", code)
+	var list bytes.Buffer
+	if code := run([]string{"-list"}, &list, null); code != 0 {
+		t.Fatalf("-list: exit code %d, want 0", code)
 	}
-	if !strings.Contains(out.String(), "== kernelscale: retired: ") || strings.Count(out.String(), "\nretired ") != 1 {
-		t.Errorf("kernelscale printed no one-row tombstone:\n%s", out.String())
+	listed := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(list.String()), "\n") {
+		listed[strings.Fields(line)[0]] = true
 	}
-	if code := run([]string{"-list"}, &list, null); code != 0 || strings.Contains(list.String(), "kernelscale") {
-		t.Errorf("-list (exit code %d) shows the retired id:\n%s", code, list.String())
+	for _, id := range []string{"kernelscale", "degraded", "scaleup", "netgen"} {
+		var out bytes.Buffer
+		if code := run([]string{"-quick", id}, &out, null); code != 0 {
+			t.Fatalf("%s: exit code %d, want 0", id, code)
+		}
+		if !strings.Contains(out.String(), "== "+id+": retired: ") || strings.Count(out.String(), "\nretired ") != 1 {
+			t.Errorf("%s printed no one-row tombstone:\n%s", id, out.String())
+		}
+		if listed[id] {
+			t.Errorf("-list shows the retired %s:\n%s", id, list.String())
+		}
 	}
 }
 
@@ -145,48 +157,6 @@ func TestRunRejectsUnknownExperiment(t *testing.T) {
 	}
 }
 
-// TestGenerationFlag: -generation selects a hardware generation, rejects
-// unknown names with the valid list before anything simulates, and the -json
-// report echoes it.
-func TestGenerationFlag(t *testing.T) {
-	null := devNull(t)
-	var errBuf bytes.Buffer
-	if code := run([]string{"-quick", "-generation", "gamma1989", "table3"}, null, &errBuf); code != 2 {
-		t.Errorf("-generation with unknown name: exit code %d, want 2", code)
-	}
-	for _, want := range []string{"unknown generation", "gamma1988", "gbe2015", "rdma"} {
-		if !bytes.Contains(errBuf.Bytes(), []byte(want)) {
-			t.Errorf("error output missing %q:\n%s", want, errBuf.String())
-		}
-	}
-	var out bytes.Buffer
-	if code := run([]string{"-quick", "-json", "-parallel", "1", "-generation", "rdma", "table3"}, &out, null); code != 0 {
-		t.Fatalf("-generation rdma run: exit code %d", code)
-	}
-	var rep jsonReport
-	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
-		t.Fatalf("bad -json output: %v", err)
-	}
-	if rep.Generation != "rdma" {
-		t.Errorf("json generation = %q, want rdma", rep.Generation)
-	}
-}
-
-// TestListGenerations: -list-generations enumerates every registered
-// generation and exits cleanly.
-func TestListGenerations(t *testing.T) {
-	null := devNull(t)
-	var out bytes.Buffer
-	if code := run([]string{"-list-generations"}, &out, null); code != 0 {
-		t.Fatalf("-list-generations: exit code %d, want 0", code)
-	}
-	for _, want := range []string{"gamma1988", "gbe2015", "rdma"} {
-		if !bytes.Contains(out.Bytes(), []byte(want)) {
-			t.Errorf("-list-generations output missing %q:\n%s", want, out.String())
-		}
-	}
-}
-
 func TestRunRejectsBadParallel(t *testing.T) {
 	null := devNull(t)
 	for _, v := range []string{"0", "-3", "two"} {
@@ -198,8 +168,8 @@ func TestRunRejectsBadParallel(t *testing.T) {
 
 // TestRunRejectsBadFlagValues: every row of run's validation table, plus
 // the values the flag package rejects itself — among them the retired kernel
-// flags — exits 2 with a named error and the usage before anything
-// simulates.
+// and hardware-generation flags — exits 2 with a named error and the usage
+// before anything simulates.
 func TestRunRejectsBadFlagValues(t *testing.T) {
 	null := devNull(t)
 	for _, tc := range []struct {
@@ -208,7 +178,6 @@ func TestRunRejectsBadFlagValues(t *testing.T) {
 	}{
 		{[]string{"-parallel", "0"}, "-parallel must be >= 1"},
 		{[]string{"-campaign-faults", "-1"}, "-campaign-faults must be >= 0"},
-		{[]string{"-generation", "gamma1989"}, `unknown generation "gamma1989"`},
 		{[]string{"table9"}, `unknown experiment "table9"`},
 		{[]string{"-list", "-parallel", "0"}, "-parallel must be >= 1"}, // validation precedes -list
 		{[]string{"-kernel", "partitioned"}, "flag provided but not defined: -kernel"},
@@ -216,6 +185,8 @@ func TestRunRejectsBadFlagValues(t *testing.T) {
 		{[]string{"-lookahead", "100"}, "flag provided but not defined"},
 		{[]string{"-fusion", "off"}, "flag provided but not defined"},
 		{[]string{"-experiment", "table3"}, "flag provided but not defined"},
+		{[]string{"-generation", "rdma"}, "flag provided but not defined: -generation"},
+		{[]string{"-list-generations"}, "flag provided but not defined: -list-generations"},
 	} {
 		var errBuf bytes.Buffer
 		args := append([]string{"-quick"}, tc.args...)

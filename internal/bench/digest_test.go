@@ -25,14 +25,13 @@ var resultDigests = map[string]string{
 	"fig1":      "1ad3d757cfec864ca29828be7ad9d9645de14c854da225ad49c240266ab6c714",
 	"fig9":      "28540e9b6d91ea41eee127643bba6d55cf9f808e6654d3029f6ea0f47fad6435",
 	"multiuser": "39386024342c039a6e78dc132f649899649530d2668921df5a427fe0c7331dab",
-	"degraded":  "4d97479a29ec403d27d8730ebd5550d578ed80dcbce56c617bb5de6b4eb29dad",
 
 	"fig2":      "6f3f4f37baec4f0a6db2eb6c812c0b1d795e92d8cc17d2caeeb27bdf9ae4d6e5",
 	"fig10":     "eb0c19fe7f755a3b847fd341ce86907593f948e539d8a515cfc726d264d315e0",
 	"fig11":     "844390e3d0a0994ba22ebe387ba0000551a5a552acb60a4afdbfbbc9c5f74edc",
 	"fig12":     "b76beff9561d2e287d135b2204a6a80c974a7587547314b58f69d8214baf1f9d",
 	"fig13":     "72bd0968ace7a8d25817b4e3d5dccb239b9624fb7ae8f30bc31b80b8b4e78751",
-	"hybrid":    "13d4eddd4bc17ff4140fbf672a21917b3ddcb391c5594791dfe87d44be0b452b",
+	"hybrid":    "bd0d62d8be523f0521575c5ce4ce79955da762dc8abef32af59456c02b10bc73",
 	"bitvector": "072772340cd507b2db3e3b3e9de0ab29e9f0396ea03d273390a3b5a2fa6c3436",
 
 	"fig3":             "7fa009608aba4927339f67fa7ec13ae2592b455ded66a2787d771fa07382b4ff",
@@ -45,18 +44,16 @@ var resultDigests = map[string]string{
 	"fig15":            "2728b7295ee0b1a54f98c45defcb5d6cb0a500ee9cbe85191b564ba1938256ac",
 	"aggregate":        "8c378261dc35cd01cbab204863fca36b3f3b7c63a082b9d83030259e977e749e",
 	"availability":     "71d42bfed384db598fe4a63d5e87acf33dd63569a45bac7dec238976ff0b0013",
-	"netgen":           "006e1c521aaeaee143aaf6070dfb01edc0f69229ca5e5cc03b6d41f893ee39a3",
 	"pagesize-default": "c5992bbe91ed9a9ccd2d01fb33aba119eba0aa7de8abdd717ab154573f4dfd1e",
 	"placement":        "6d57e461d86b06d49e21dd97ac2bce99d1490f793cf2d54fef33294160236e4e",
 	"recovery":         "ecee9754af8f77d3b891ae77684475f64dfb6d8d628f2e5e80f36fd08e33b1e9",
 	"scale100":         "0dcc7024d801e6100fb419bdfdfc122ac26722bb39f2e0e6e73570c27a9af6ec",
-	"scaleup":          "70098a5cfe37280deac26ad82dc9be8fb5a4f582e5dfec691776aaf22d24b8c4",
 }
 
 // suiteDigest is the sha256 of what `gammabench -quick -parallel 1` prints
 // for the resultDigests experiments in -list order: one number that says
 // whether anything the suite reports moved.
-const suiteDigest = "7010cce33b0942b99548977520e2101a45391138f71a6f77671481a435e34866"
+const suiteDigest = "5af58608d36dbfec343d32ed05809b78f252043b9560a86b9f4ead41a973601b"
 
 // TestResultDigests is the one quick-suite run that checks every result
 // oracle: each table's digest and the suite's, each table's facts

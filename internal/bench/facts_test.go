@@ -186,25 +186,105 @@ var facts = map[string][]fact{
 	"fig14": {pageGainsDiminish},
 	"fig15": {pageGainsDiminish},
 
-	"netgen": {
-		{"gamma1988's selections are disk-bound", func(t *Table) error {
-			cells := generationRow(t, "gamma1988")
-			for c, name := range t.Columns {
-				if strings.Contains(name, "selection") && cells[c].Extra != "disk" {
-					return fmt.Errorf("%s is %s-bound", name, cells[c].Extra)
+	"aggregate": {
+		{"the scalar aggregates speed up with each added processor", func(t *Table) error {
+			for _, c := range []string{"count(*)", "min(unique1)"} {
+				if err := strictly(t, -1, column(t, c), 0); err != nil {
+					return fmt.Errorf("%s, %w", c, err)
 				}
 			}
 			return nil
 		}},
-		{"every rdma cell is cpu- or ctl-bound", func(t *Table) error {
-			for c, cell := range generationRow(t, "rdma") {
-				if cell.Extra != "cpu" && cell.Extra != "ctl" {
-					return fmt.Errorf("%s is %s-bound", t.Columns[c], cell.Extra)
+		{"a grouped aggregate costs more than either scalar one at every processor count", func(t *Table) error {
+			at := rowLabels(t)
+			for _, grouped := range []string{"sum by ten", "min by twenty"} {
+				for _, scalar := range []string{"count(*)", "min(unique1)"} {
+					if err := below(at, column(t, scalar), column(t, grouped)); err != nil {
+						return fmt.Errorf("%s vs %s: %w", scalar, grouped, err)
+					}
 				}
 			}
 			return nil
 		}},
 	},
+	"hybrid": {
+		{"Simple and Hybrid agree while no partition is planned (memory ratio 1.0 and up)", func(t *Table) error {
+			for _, r := range t.Rows {
+				if ratio := memoryRatio(r.Label); ratio >= 1 && r.Cells[0] != r.Cells[1] {
+					return fmt.Errorf("%s: %v vs %v", r.Label, r.Cells[0], r.Cells[1])
+				}
+			}
+			return nil
+		}},
+		{"Hybrid is slower than Simple at memory ratios 0.8 and 0.6 and faster from 0.5 down", func(t *Table) error {
+			simple, hybrid := colIndex(t, "Simple"), colIndex(t, "Hybrid")
+			for _, r := range t.Rows {
+				s, h := r.Cells[simple].Measured, r.Cells[hybrid].Measured
+				switch ratio := memoryRatio(r.Label); {
+				case ratio >= 1:
+				case ratio > 0.5 && !(s < h):
+					return fmt.Errorf("%s: Simple %.4g is not below Hybrid %.4g", r.Label, s, h)
+				case ratio <= 0.5 && !(h < s):
+					return fmt.Errorf("%s: Hybrid %.4g is not below Simple %.4g", r.Label, h, s)
+				}
+			}
+			return nil
+		}},
+	},
+	"bitvector": {{"Babb filters cut both the response time and the data packets on the ring", func(t *Table) error {
+		cells := rowCells(t, "joinABprime")
+		plain, filtered := cells[colIndex(t, "no filters")], cells[colIndex(t, "Babb filters")]
+		if !(filtered.Measured < plain.Measured) {
+			return fmt.Errorf("filtered %.4g s is not below unfiltered %.4g s", filtered.Measured, plain.Measured)
+		}
+		if pf, pp := packets(filtered), packets(plain); !(pf < pp) {
+			return fmt.Errorf("filtered %d packets is not below unfiltered %d", pf, pp)
+		}
+		return nil
+	}}},
+	"pagesize-default": {
+		{"8 KB pages lower the workload total and the nonindexed selection", func(t *Table) error {
+			for _, label := range []string{"TOTAL", "10% nonindexed selection"} {
+				if c := rowCells(t, label); !(c[1].Measured < c[0].Measured) {
+					return fmt.Errorf("%s: 8 KB %.4g is not below 4 KB %.4g", label, c[1].Measured, c[0].Measured)
+				}
+			}
+			return nil
+		}},
+		{"each index selection is slower with 8 KB pages, by under 5%", func(t *Table) error {
+			for _, label := range []string{"1% clustered index selection", "1% non-clustered index selection"} {
+				c := rowCells(t, label)
+				if loss := c[1].Measured / c[0].Measured; !(loss > 1 && loss < 1.05) {
+					return fmt.Errorf("%s: 8 KB costs %.4g times 4 KB", label, loss)
+				}
+			}
+			return nil
+		}},
+	},
+	"placement": {
+		{"the concurrent selections average fastest beside a Remote join", func(t *Table) error {
+			return lowestIn(t, "selection avg", "Remote join")
+		}},
+		{"the Remote join itself finishes first", func(t *Table) error {
+			return lowestIn(t, "join", "Remote join")
+		}},
+	},
+	"recovery": {{"log shipping costs time on every row, and under 20%", func(t *Table) error {
+		for _, r := range t.Rows {
+			if cost := r.Cells[1].Measured / r.Cells[0].Measured; !(cost > 1 && cost < 1.2) {
+				return fmt.Errorf("%s: logging costs %.4g times no logging", r.Label, cost)
+			}
+		}
+		return nil
+	}}},
+	"scale100": {{"speedup and scaleup against 64 processors fall at each doubling (the initiation wall)", func(t *Table) error {
+		for _, c := range []string{"speedup vs 64", "scaleup vs 64"} {
+			if err := strictly(t, -1, column(t, c), 0); err != nil {
+				return fmt.Errorf("%s, %w", c, err)
+			}
+		}
+		return nil
+	}}},
 	"availability": {{"every row rebuilds, serves queries after the campaign and restores redundancy (rebuild, post q/s and MTTR mean > 0)", func(t *Table) error {
 		for _, name := range []string{"rebuild", "post q/s", "MTTR mean"} {
 			for i, v := range column(t, name) {
@@ -414,14 +494,35 @@ func rowCells(t *Table, label string) []Cell {
 	panic(fmt.Sprintf("no row %q", label))
 }
 
-// generationRow returns the cells of the named hardware generation's row.
-func generationRow(t *Table, gen string) []Cell {
+// lowestIn names the first row whose value in the column is not above the
+// named row's.
+func lowestIn(t *Table, col, label string) error {
+	c := colIndex(t, col)
+	low := rowCells(t, label)[c].Measured
 	for _, r := range t.Rows {
-		if strings.HasPrefix(r.Label, gen+":") {
-			return r.Cells
+		if r.Label != label && !(low < r.Cells[c].Measured) {
+			return fmt.Errorf("%s, %s: %.4g is not above %s's %.4g", col, r.Label, r.Cells[c].Measured, label, low)
 		}
 	}
-	panic(fmt.Sprintf("no row for generation %q", gen))
+	return nil
+}
+
+// memoryRatio parses a memory-sweep row's "memory/smaller relation = R".
+func memoryRatio(label string) float64 {
+	var r float64
+	if _, err := fmt.Sscanf(label, "memory/smaller relation = %f", &r); err != nil {
+		panic(fmt.Sprintf("no memory ratio in %q", label))
+	}
+	return r
+}
+
+// packets parses a cell's (pkts=N) annotation.
+func packets(c Cell) int {
+	var n int
+	if _, err := fmt.Sscanf(c.Extra, "pkts=%d", &n); err != nil {
+		panic(fmt.Sprintf("no packet count in %q", c.Extra))
+	}
+	return n
 }
 
 // paperCells returns a Table 1-3 row's measured cells, one per relation
@@ -469,56 +570,151 @@ func strictly(t *Table, dir float64, xs []float64, from int) error {
 	return nil
 }
 
-// TestFactsComplete: every fact is checked — its experiment is registered
-// and on the digest run — and every paper artefact has one, as do netgen,
-// availability and multiuser.
-func TestFactsComplete(t *testing.T) {
-	for id := range facts {
-		if _, ok := Lookup(id); !ok {
-			t.Errorf("facts for %q, which is not registered", id)
-		} else if _, pinned := resultDigests[id]; !pinned {
-			t.Errorf("facts for %q, which the digest run does not run", id)
+// live returns the registered experiment id names, failing the test for an
+// unknown or retired id: Lookup would hand back a retired id's one-row
+// tombstone, which no fact or comparison should be run against.
+func live(t *testing.T, id string) Experiment {
+	t.Helper()
+	for _, e := range Experiments() {
+		if e.ID == id {
+			return e
 		}
 	}
-	want := []string{"table1", "table2", "table3", "netgen", "availability", "multiuser"}
-	for i := 1; i <= 15; i++ {
-		want = append(want, fmt.Sprintf("fig%d", i))
+	t.Fatalf("experiment %q is not registered", id)
+	return Experiment{}
+}
+
+// TestFactsComplete: every registered experiment states at least one fact and
+// is on the digest run that checks it, and every fact belongs to one.
+func TestFactsComplete(t *testing.T) {
+	registered := map[string]bool{}
+	for _, e := range Experiments() {
+		registered[e.ID] = true
+		if len(facts[e.ID]) == 0 {
+			t.Errorf("%s has no fact", e.ID)
+		}
+		if _, pinned := resultDigests[e.ID]; !pinned {
+			t.Errorf("%s is not on the digest run", e.ID)
+		}
 	}
-	for _, id := range want {
-		if len(facts[id]) == 0 {
-			t.Errorf("%s has no fact", id)
+	for id := range facts {
+		if !registered[id] {
+			t.Errorf("facts for %q, which is not registered", id)
 		}
 	}
 }
 
-// TestFactsCanFail: a fact can fail, and its failure names it. Swapping two
-// cells of a real table — Figure 3's 0% non-clustered selection on one and
-// on eight processors — breaks exactly the claim that the curve rises.
+// doctored breaks one cell of a real table so that exactly one fact fails:
+// the mutation pass showing each claim reads the cells it names.
+var doctored = []struct {
+	id     string
+	fact   int // index into facts[id]
+	doctor func(t *Table)
+}{
+	// Figure 3's 0% non-clustered selection on one and on eight processors
+	// swap places.
+	{"fig3", 0, func(t *Table) {
+		c := colIndex(t, "0% non-clustered idx")
+		first, last := &t.Rows[0].Cells[c], &t.Rows[len(t.Rows)-1].Cells[c]
+		*first, *last = *last, *first
+	}},
+	{"aggregate", 0, func(t *Table) { // min(unique1) stalls at 8 processors
+		c, n := colIndex(t, "min(unique1)"), len(t.Rows)
+		t.Rows[n-1].Cells[c] = t.Rows[n-2].Cells[c]
+	}},
+	{"aggregate", 1, func(t *Table) { // one processor sums by ten as fast as it counts
+		t.Rows[0].Cells[colIndex(t, "sum by ten")].Measured = t.Rows[0].Cells[colIndex(t, "count(*)")].Measured
+	}},
+	{"hybrid", 0, func(t *Table) { // Hybrid differs with ample memory
+		t.Rows[0].Cells[colIndex(t, "Hybrid")].Measured++
+	}},
+	{"hybrid", 1, func(t *Table) { // Hybrid ties Simple at the smallest memory
+		last := t.Rows[len(t.Rows)-1].Cells
+		last[colIndex(t, "Hybrid")].Measured = last[colIndex(t, "Simple")].Measured
+	}},
+	{"bitvector", 0, func(t *Table) { // the filters ship as many packets as none
+		t.Rows[0].Cells[colIndex(t, "Babb filters")].Extra = t.Rows[0].Cells[colIndex(t, "no filters")].Extra
+	}},
+	{"pagesize-default", 0, func(t *Table) { // the 8 KB total ties 4 KB's
+		c := rowCells(t, "TOTAL")
+		c[1].Measured = c[0].Measured
+	}},
+	{"pagesize-default", 1, func(t *Table) { // the clustered index loses 6% at 8 KB
+		c := rowCells(t, "1% clustered index selection")
+		c[1].Measured = c[0].Measured * 1.06
+	}},
+	{"placement", 0, func(t *Table) { // selections beside a Local join tie Remote's
+		c := colIndex(t, "selection avg")
+		rowCells(t, "Local join")[c].Measured = rowCells(t, "Remote join")[c].Measured
+	}},
+	{"placement", 1, func(t *Table) { // the Allnodes join ties Remote's
+		c := colIndex(t, "join")
+		rowCells(t, "Allnodes join")[c].Measured = rowCells(t, "Remote join")[c].Measured
+	}},
+	{"recovery", 0, func(t *Table) { // logging makes the append free
+		r := t.Rows[len(t.Rows)-1].Cells
+		r[1].Measured = r[0].Measured
+	}},
+	{"scale100", 0, func(t *Table) { // speedup stalls from 128 to 256 processors
+		c, n := colIndex(t, "speedup vs 64"), len(t.Rows)
+		t.Rows[n-1].Cells[c] = t.Rows[n-2].Cells[c]
+	}},
+}
+
+// TestFactsCanFail: a fact can fail, and its failure names it. Each doctored
+// cell of a real quick-suite table breaks exactly the claim it targets, and
+// every fact of the seven extensions is targeted.
 func TestFactsCanFail(t *testing.T) {
-	e, _ := Lookup("fig3")
-	tbl := e.Run(Quick())
-	if errs := checkFacts("fig3", tbl); len(errs) != 0 {
-		t.Fatalf("the real table already breaks a fact: %v", errs)
+	var exps []Experiment
+	targeted := map[string]map[int]bool{}
+	for _, d := range doctored {
+		if targeted[d.id] == nil {
+			targeted[d.id] = map[int]bool{}
+			exps = append(exps, live(t, d.id))
+		}
+		targeted[d.id][d.fact] = true
 	}
-	c := colIndex(tbl, "0% non-clustered idx")
-	first, last := &tbl.Rows[0].Cells[c], &tbl.Rows[len(tbl.Rows)-1].Cells[c]
-	*first, *last = *last, *first
-	errs := checkFacts("fig3", tbl)
-	if len(errs) != 1 || !strings.Contains(errs[0].Error(), emptyProbeSlows.claim) {
-		t.Errorf("doctored fig3: got %v, want one error naming %q", errs, emptyProbeSlows.claim)
+	for _, id := range []string{"aggregate", "hybrid", "bitvector", "pagesize-default", "placement", "recovery", "scale100"} {
+		for k := range facts[id] {
+			if !targeted[id][k] {
+				t.Errorf("%s: no doctored cell breaks %q", id, facts[id][k].claim)
+			}
+		}
 	}
+	tables := map[string]*Table{}
+	for _, r := range RunSuite(exps, Quick(), 2) {
+		if errs := checkFacts(r.ID, r.Table); len(errs) != 0 {
+			t.Fatalf("the real table already breaks a fact: %v", errs)
+		}
+		tables[r.ID] = r.Table
+	}
+	for _, d := range doctored {
+		tbl := cloneTable(tables[d.id])
+		d.doctor(tbl)
+		claim := facts[d.id][d.fact].claim
+		if errs := checkFacts(d.id, tbl); len(errs) != 1 || !strings.Contains(errs[0].Error(), claim) {
+			t.Errorf("doctored %s: got %v, want one error naming %q", d.id, errs, claim)
+		}
+	}
+}
+
+// cloneTable copies a table deep enough that doctoring a cell leaves the
+// original alone.
+func cloneTable(t *Table) *Table {
+	c := *t
+	c.Rows = make([]Row, len(t.Rows))
+	for i, r := range t.Rows {
+		c.Rows[i] = Row{Label: r.Label, Cells: append([]Cell(nil), r.Cells...)}
+	}
+	return &c
 }
 
 // ownRun regenerates an experiment the way gammabench does — through the
-// registry, on the default kernel, apart from the digest run's serial suite —
-// and fails the test on a malformed table or on any fact the table breaks.
+// registry, apart from the digest run's suite — and fails the test on a
+// malformed table or on any fact the table breaks.
 func ownRun(t *testing.T, id string, o Options) *Table {
 	t.Helper()
-	e, ok := Lookup(id)
-	if !ok {
-		t.Fatalf("experiment %q not registered", id)
-	}
-	tbl := e.Run(o)
+	tbl := live(t, id).Run(o)
 	if err := wellFormed(tbl); err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}

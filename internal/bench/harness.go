@@ -20,12 +20,15 @@ type harnessReport struct {
 	Windows sim.WindowStats
 }
 
-// retired are the ids the harness pins (benchmark/workloads.go:52, 65) that
-// no experiment answers to any more, with why. Lookup resolves them to a
+// retired are the ids the harness pins (benchmark/workloads.go:49–53, 64–65)
+// that no experiment answers to any more, with why. Lookup resolves them to a
 // one-row tombstone table; Experiments, and so -list and the digests, never
 // show them (benchmark/child.go:180, benchmark/benchmark_test.go:243).
 var retired = map[string]string{
 	"kernelscale": "the partitioned kernel it measured is gone; every simulation runs on one event calendar",
+	"degraded":    "it ran the crash, chained-backup and failover path availability runs, with no claim of its own",
+	"scaleup":     "its 1-8 processor range is what the fig2 and fig11 near-linear facts check; scale100 measures scaleup past it",
+	"netgen":      "the hardware generations it swept are gone; its finding, a serialized control path binding, is scale100's initiation wall",
 }
 
 // tombstone returns the experiment standing in for a retired id.

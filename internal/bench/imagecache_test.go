@@ -43,14 +43,13 @@ func TestCachedTablesMatchUncached(t *testing.T) {
 // attaches far more relations than it builds, and a sweep two experiments
 // plot is simulated by exactly one of them.
 func TestSuiteReportsCacheHits(t *testing.T) {
-	// These revisit a relation by construction, whatever the Options: the
-	// fault conditions of a degraded row, hybrid's two algorithms per ratio,
-	// multiuser's private/shared pairs, fig13's memory ratios, table1's
-	// sizes (Aheap and Aidx are one Teradata hash file), and so on. (Others —
-	// scaleup's per-processor databases — only hit via relations earlier
-	// experiments built, or never.)
+	// These revisit a relation by construction, whatever the Options:
+	// hybrid's two algorithms per ratio, multiuser's private/shared pairs,
+	// fig13's memory ratios, table1's sizes (Aheap and Aidx are one Teradata
+	// hash file), and so on. (Others — scale100's per-processor databases —
+	// only hit via relations earlier experiments built, or never.)
 	intrinsicReuse := map[string]bool{
-		"bitvector": true, "degraded": true, "fig13": true, "hybrid": true,
+		"bitvector": true, "fig13": true, "hybrid": true,
 		"multiuser": true, "placement": true, "recovery": true, "pagesize-default": true,
 		"table1": true, "table2": true, "table3": true,
 	}

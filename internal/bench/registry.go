@@ -40,12 +40,9 @@ var registry = []struct {
 	{"pagesize-default", "Ablation: 4 KB vs 8 KB default page size (§8)", runPageSizeDefault},
 	{"placement", "Placement: Remote joins shield concurrent selections (§6.2.1's deferred validation)", runPlacement},
 	{"recovery", "Ablation: the §8 recovery server's cost on the Table 1/3 workload", runRecovery},
-	{"scaleup", "Scaleup: constant per-processor data as processors grow", runScaleup},
 	{"multiuser", "Multiuser: closed-loop throughput vs multiprogramming level, shared scans on vs off", runMultiuser},
-	{"degraded", "Degraded-mode selections and join under failures", runDegraded},
 	{"availability", "Availability under a seeded fault campaign: throughput dip, MTTR, self-healing", runAvailability},
 	{"scale100", "Speedup and scaleup at 64/128/256 processors (beyond the paper's 30)", runScale100},
-	{"netgen", "Hardware generations: the binding resource migrates as network/CPU/disk evolve", runNetgen},
 }
 
 // Experiments lists all registered experiments in a stable order.

@@ -34,19 +34,16 @@ func TestParMapSerialWithoutSemaphore(t *testing.T) {
 }
 
 // TestSuiteSerialParallelIdentical runs a cross-section of the experiments —
-// per-size tables, per-processor and per-page-size sweeps, the mirrored
-// degraded-mode matrix — serially and on eight workers, and asserts the
-// rendered tables are byte-identical. Each data point is an independent
-// simulation with a fixed seed, so scheduling must not reach the results.
+// per-size tables, per-processor and per-page-size sweeps, the 64-256
+// processor machines, the fault-injecting availability matrix — serially and
+// on eight workers, and asserts the rendered tables are byte-identical. Each
+// data point is an independent simulation with a fixed seed, so scheduling
+// must not reach the results.
 func TestSuiteSerialParallelIdentical(t *testing.T) {
-	ids := []string{"table1", "table2", "table3", "fig1", "fig5", "fig9", "fig13", "scaleup", "degraded", "multiuser"}
+	ids := []string{"table1", "table2", "table3", "fig1", "fig5", "fig9", "fig13", "scale100", "availability", "multiuser"}
 	var exps []Experiment
 	for _, id := range ids {
-		e, ok := Lookup(id)
-		if !ok {
-			t.Fatalf("experiment %q not registered", id)
-		}
-		exps = append(exps, e)
+		exps = append(exps, live(t, id))
 	}
 
 	render := func(reports []Report) []byte {

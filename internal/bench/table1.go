@@ -119,8 +119,7 @@ func teraSelection(indexed bool, percent float64, kind teradata.SelectKind) func
 }
 
 // table1Rows are the selections of Table 1 on both machines; tera is nil
-// where Teradata has nothing to run. The degraded-mode experiment repeats the
-// Gamma side under failures.
+// where Teradata has nothing to run.
 var table1Rows = []struct {
 	label string
 	tera  func(ts *teraSetup) teradata.Result

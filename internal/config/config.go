@@ -77,21 +77,9 @@ type Net struct {
 	InstrPerLocalMsg int
 	// MinLatency is the minimum end-to-end delivery time of any remote
 	// message — data, EOS, or control: no arrival event lands closer than
-	// MinLatency after its send. For the 1988 generation it is
-	// derived in Default() from the Unibus + ring service time of one
-	// full packet; later generations set the NIC's advertised wire
-	// latency directly.
+	// MinLatency after its send. Default() derives it from the Unibus +
+	// ring service time of one full packet.
 	MinLatency sim.Dur
-	// BatchPackets is how many packets' worth of tuples an exchange
-	// producer coalesces per destination before flushing (the batched
-	// exchange of Rödiger et al.). 1 means flush every full packet —
-	// the original per-packet NOSE behavior.
-	BatchPackets int
-	// FlushAfter bounds how long a partially filled exchange buffer may
-	// sit before the next send forces it onto the wire; 0 disables
-	// time-triggered flushes (buffers still flush when full and at
-	// end-of-stream).
-	FlushAfter sim.Dur
 }
 
 // NICTime returns the Unibus transfer time for n bytes.
@@ -249,7 +237,6 @@ func Default() Params {
 			Window:           4,
 			InstrPerPacket:   6000,
 			InstrPerLocalMsg: 300,
-			BatchPackets:     1,
 		},
 		Engine: Engine{
 			InstrPerTupleScan:   160,

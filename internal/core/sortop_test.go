@@ -70,9 +70,8 @@ func TestRunSortEmpty(t *testing.T) {
 // merge operator reads over the network, on a many-valued key — to the event
 // stream, response time and retired-event count it had when the merge parked
 // its process for every tuple and took its order from container/heap
-// (recorded at the commit before the merge became an itinerary, on a
-// simulation partitioned at Net.MinLatency: the one initiation model, where the
-// five operator starts each cross the ring).
+// (recorded at the commit before the merge became an itinerary, under the
+// one initiation model, where the five operator starts each cross the ring).
 func TestRunSortTracePins(t *testing.T) {
 	m, r := newMachineWithRel(4, 0, 3000)
 	col := trace.NewCollector()

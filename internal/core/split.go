@@ -117,17 +117,9 @@ type splitTable struct {
 	// both of which may need dropped attributes.
 	project []rel.Attr
 
-	// pp caches perPacket() so the per-tuple send path does no division.
+	// pp is the flush threshold: perPacket(), cached so the per-tuple send
+	// path does no division.
 	pp int
-	// cap is the flush threshold in tuples: Net.BatchPackets packets' worth
-	// (capped at the flow-control window), so producers on fast-network
-	// generations amortize per-message latency over a burst of wire packets.
-	// BatchPackets=1 reproduces the 1988 one-packet-at-a-time exchange.
-	cap int
-	// since records, per destination, when its buffer went non-empty;
-	// Net.FlushAfter bounds how long a partial batch may age before the
-	// next send to that destination flushes it (0 = no time trigger).
-	since []sim.Time
 
 	sent    int
 	dropped int
@@ -140,27 +132,11 @@ type splitTable struct {
 func newSplitTable(node *nose.Node, prm *config.Params, stream streamID, ports []*nose.Port, route RouteFn) *splitTable {
 	st := &splitTable{node: node, prm: prm, stream: stream, ports: ports, route: route, tupleBytes: prm.TupleBytes}
 	st.pp = st.perPacket()
-	st.cap = st.pp * st.batchPackets()
 	for _, pt := range ports {
 		st.conns = append(st.conns, node.Dial(pt))
 		st.bufs = append(st.bufs, nil)
 	}
-	st.since = make([]sim.Time, len(ports))
 	return st
-}
-
-// batchPackets returns how many wire packets one exchange message may
-// coalesce: Net.BatchPackets clamped to [1, Net.Window] (a message larger
-// than the flow-control window could never acquire enough credits).
-func (st *splitTable) batchPackets() int {
-	b := st.prm.Net.BatchPackets
-	if b < 1 {
-		b = 1
-	}
-	if w := st.prm.Net.Window; w > 0 && b > w {
-		b = w
-	}
-	return b
 }
 
 // setWidth narrows the stream's tuple width (projection).
@@ -168,7 +144,6 @@ func (st *splitTable) setWidth(bytes int) {
 	if bytes > 0 {
 		st.tupleBytes = bytes
 		st.pp = st.perPacket()
-		st.cap = st.pp * st.batchPackets()
 	}
 }
 
@@ -206,16 +181,10 @@ func (st *splitTable) send(p *sim.Proc, t rel.Tuple) {
 		t = pt
 	}
 	if st.bufs[d] == nil {
-		st.bufs[d] = getTupleBuf(st.cap)
-		st.since[d] = p.Now()
+		st.bufs[d] = getTupleBuf(st.pp)
 	}
 	st.bufs[d] = append(st.bufs[d], t)
-	if len(st.bufs[d]) >= st.cap {
-		st.flush(p, d)
-	} else if fa := st.prm.Net.FlushAfter; fa > 0 && p.Now()-st.since[d] >= sim.Time(fa) {
-		// Time-triggered flush, piggybacked on the send path: a partial
-		// batch never ages more than FlushAfter beyond the next tuple
-		// routed its way, bounding the latency cost of deep batching.
+	if len(st.bufs[d]) >= st.pp {
 		st.flush(p, d)
 	}
 }

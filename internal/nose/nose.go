@@ -21,10 +21,8 @@
 // floor of the ring: no node can affect another sooner. Window credits
 // return to the sender the same way (one MinLatency hop back).
 //
-// When Net.BatchPackets > 1 a single Send may carry several packets' worth
-// of tuples (the batched exchange of Rödiger et al.): it consumes one window
-// credit and one protocol-CPU charge per packet but crosses the simulation
-// as one event, collapsing the per-packet event storm on fast networks.
+// A data message is one wire packet: it takes one window credit and one
+// protocol-CPU charge on each side, and never exceeds Net.PacketBytes.
 package nose
 
 import (
@@ -65,11 +63,7 @@ type Message struct {
 	From    *Node
 	Kind    MsgKind
 	Payload any
-	// packets is how many wire packets the message occupied (batched
-	// exchange coalesces several); 0 means 1. Drives the receiver's
-	// protocol CPU charge and the number of window credits returned.
-	packets int
-	// release returns the sender's window credits; set on remote sends and
+	// release returns the sender's window credit; set on remote sends and
 	// invoked when the receiver consumes the message.
 	release func()
 }
@@ -341,8 +335,8 @@ func (pt *Port) deliver(m Message) {
 }
 
 // Recv blocks p until a message is available and returns it. Receiving a
-// remote data message charges the protocol-processing CPU cost to p, once
-// per wire packet the message occupied.
+// remote data message charges the protocol-processing CPU cost of one packet
+// to p.
 func (pt *Port) Recv(p *sim.Proc) Message {
 	for pt.Pending() == 0 {
 		pt.recvq.Park(p)
@@ -354,11 +348,7 @@ func (pt *Port) Recv(p *sim.Proc) Message {
 		pt.queue, pt.head = pt.queue[:0], 0
 	}
 	if m.From != nil && m.From != pt.node && m.Kind == Data {
-		np := m.packets
-		if np < 1 {
-			np = 1
-		}
-		pt.node.UseCPU(p, pt.node.net.cfg.InstrPerPacket*np)
+		pt.node.UseCPU(p, pt.node.net.cfg.InstrPerPacket)
 	}
 	if m.release != nil {
 		m.release()
@@ -398,13 +388,13 @@ type Conn struct {
 	// lastArr is the latest arrival scheduled on this connection. The
 	// window protocol delivers in order, so a later message never arrives
 	// before an earlier one — without this floor a small end-of-stream
-	// message could overtake a deep batched data message whose ring
-	// transit dominates its arrival time.
+	// message could overtake a full data packet whose ring transit
+	// dominates its arrival time.
 	lastArr sim.Time
 }
 
 // flight is one remote message in transit, from Send until its window
-// credits are back. Its four callbacks are the four events a remote message
+// credit is back. Its four callbacks are the four events a remote message
 // costs; they are bound when the record is first allocated, and a free record
 // serves any connection of its sending node (connections live for one
 // operator, nodes for the machine), so a node in steady state sends without
@@ -413,12 +403,11 @@ type Conn struct {
 // dies before releasing it is never acknowledged, so its record is garbage
 // rather than recycled.
 type flight struct {
-	c        *Conn // the connection it is travelling on
-	kind     MsgKind
-	payload  any
-	bytes    int
-	npackets int
-	next     *flight // free list
+	c       *Conn // the connection it is travelling on
+	kind    MsgKind
+	payload any
+	bytes   int
+	next    *flight // free list
 
 	arrive, land, consume, ack func()
 }
@@ -445,11 +434,11 @@ func (f *flight) onArrive() {
 	to.net.sim.At(to.NIC.UseAsync(to.net.cfg.NICTime(f.bytes)), f.land)
 }
 
-// onLand puts the message in the port. The credits return only when the
+// onLand puts the message in the port. The credit returns only when the
 // receiving process consumes it (Port.Recv), so a slow consumer stalls its
 // producers once the window fills.
 func (f *flight) onLand() {
-	f.c.to.deliver(Message{From: f.c.from, Kind: f.kind, Payload: f.payload, packets: f.npackets, release: f.consume})
+	f.c.to.deliver(Message{From: f.c.from, Kind: f.kind, Payload: f.payload, release: f.consume})
 	f.payload = nil // the port owns it now; the record outlives it by an ACK
 }
 
@@ -460,10 +449,10 @@ func (f *flight) onConsume() {
 	net.sim.At(net.sim.Now()+net.cfg.MinLatency, f.ack)
 }
 
-// onAck: the credits are back and the record is free again.
+// onAck: the credit is back and the record is free again.
 func (f *flight) onAck() {
 	c := f.c
-	c.credits += f.npackets
+	c.credits++
 	c.waitq.WakeOne()
 	f.c = nil
 	f.next, c.from.free = c.from.free, f
@@ -483,12 +472,12 @@ func (c *Conn) Local() bool { return c.from == c.to.node }
 
 // Send transmits a data message of the given byte size carrying payload.
 // Same-node sends short-circuit: a little CPU and immediate delivery.
-// Remote sends occupy ceil(bytes/PacketBytes) wire packets: they consume
-// that many window credits (blocking while the window lacks them), the
-// sender's protocol CPU and NIC, and the ring's transit latency; the
-// arrival is floored at MinLatency after the send instant, the receiver's
-// NIC is charged on arrival, and the credits return one MinLatency hop
-// after the receiver consumes the message.
+// A remote send is one wire packet of at most PacketBytes: it consumes one
+// window credit (blocking while the window has none), the sender's protocol
+// CPU and NIC, and the ring's transit latency; the arrival is floored at
+// MinLatency after the send instant, the receiver's NIC is charged on
+// arrival, and the credit returns one MinLatency hop after the receiver
+// consumes the message.
 func (c *Conn) Send(p *sim.Proc, kind MsgKind, payload any, bytes int) {
 	net := c.from.net
 	if c.Local() {
@@ -503,39 +492,27 @@ func (c *Conn) Send(p *sim.Proc, kind MsgKind, payload any, bytes int) {
 		c.to.deliver(Message{From: c.from, Kind: kind, Payload: payload})
 		return
 	}
-	npackets := 1
-	if pb := net.cfg.PacketBytes; pb > 0 && bytes > pb {
-		npackets = (bytes + pb - 1) / pb
+	if pb := net.cfg.PacketBytes; bytes > pb {
+		panic(fmt.Sprintf("nose: %d-byte message exceeds the %d-byte packet", bytes, pb))
 	}
-	window := net.cfg.Window
-	if window <= 0 {
-		window = 1
-	}
-	if npackets > window {
-		panic(fmt.Sprintf("nose: %d-packet message exceeds window %d (batch too deep)", npackets, window))
-	}
-	for c.credits < npackets {
+	for c.credits == 0 {
 		c.waitq.Park(p)
 	}
-	c.credits -= npackets
-	c.from.UseCPU(p, net.cfg.InstrPerPacket*npackets)
+	c.credits--
+	c.from.UseCPU(p, net.cfg.InstrPerPacket)
 	t0 := p.Now()
 	nicDone := c.from.NIC.UseAsync(net.cfg.NICTime(bytes))
-	c.from.stats.DataPackets += int64(npackets)
+	c.from.stats.DataPackets++
 	c.from.stats.RingBytes += int64(bytes)
 	c.from.ringBusy += net.cfg.RingTime(bytes)
 	if net.sim.Tracing() {
-		e := trace.Event{
+		p.Emit(trace.Event{
 			At: int64(t0), Kind: trace.KindPacket,
 			Class: kind.String(), From: c.from.ID, To: c.to.node.ID, Bytes: bytes,
-		}
-		if npackets > 1 {
-			e.N = npackets
-		}
-		p.Emit(e)
+		})
 	}
 	f := c.take()
-	f.kind, f.payload, f.bytes, f.npackets = kind, payload, bytes, npackets
+	f.kind, f.payload, f.bytes = kind, payload, bytes
 	c.transmit(f, c.arrival(t0, nicDone, bytes))
 	// The sender's process is occupied while its Unibus pushes the message
 	// out, exactly as the old blocking NIC charge behaved.

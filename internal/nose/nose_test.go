@@ -1,6 +1,8 @@
 package nose
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"gamma/internal/config"
@@ -320,4 +322,20 @@ func TestRemoteSendSteadyStateAllocs(t *testing.T) {
 	if received != 64+501 {
 		t.Errorf("received %d messages, want %d", received, 64+501)
 	}
+}
+
+// TestRemoteSendOverPacketPanics: a data message is one wire packet, so a
+// sender handing Send more than PacketBytes is a bug and panics by name.
+func TestRemoteSendOverPacketPanics(t *testing.T) {
+	s, n := testNet(t, 2)
+	port := n.Nodes()[1].NewPort("p")
+	s.Spawn("send", func(p *sim.Proc) {
+		n.Nodes()[0].Dial(port).Send(p, Data, nil, n.Config().PacketBytes+1)
+	})
+	defer func() {
+		if r := recover(); !strings.Contains(fmt.Sprint(r), "2049-byte message exceeds the 2048-byte packet") {
+			t.Errorf("Run recovered %v, want the over-packet panic", r)
+		}
+	}()
+	s.Run()
 }
