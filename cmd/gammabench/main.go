@@ -4,7 +4,7 @@
 // Usage:
 //
 //	gammabench [-quick] [-list] [-parallel N] [-json]
-//	           [-campaign-seed S] [-campaign-faults N] [experiment ...]
+//	           [-campaign-seed S] [experiment ...]
 //
 // With no experiment arguments every registered experiment runs. -quick uses
 // reduced relation sizes for a fast smoke run; the default is paper scale
@@ -17,7 +17,7 @@
 // machine-readable report: per experiment, its table's rows (label, and
 // measured, paper and extra for each cell) beside wall clock and simulated
 // events/sec. -cpuprofile and -memprofile write pprof profiles. The program
-// reads no environment variable: nothing but sizes and the campaign flags can
+// reads no environment variable: nothing but sizes and the campaign seed can
 // move a table.
 //
 // A retired experiment id (kernelscale, degraded, scaleup, netgen) still
@@ -90,7 +90,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"worker goroutines for experiments and independent data points")
 	jsonOut := fs.Bool("json", false, "emit a machine-readable report instead of tables")
 	campaignSeed := fs.Uint64("campaign-seed", 0, "`seed` for the availability experiment's fault campaign (0 = default)")
-	campaignFaults := fs.Int("campaign-faults", 0, "faults per availability campaign (0 = default)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to `file`")
 	memprofile := fs.String("memprofile", "", "write a heap profile to `file`")
 	if err := fs.Parse(args); err != nil {
@@ -118,7 +117,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		msg string
 	}{
 		{*parallel < 1, fmt.Sprintf("-parallel must be >= 1 (got %d)", *parallel)},
-		{*campaignFaults < 0, fmt.Sprintf("-campaign-faults must be >= 0 (got %d)", *campaignFaults)},
 		{unknownExp != "", fmt.Sprintf("unknown experiment %q (-list prints the valid ids)", unknownExp)},
 	} {
 		if c.bad {
@@ -142,7 +140,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		suite = "quick"
 	}
 	opts.CampaignSeed = *campaignSeed
-	opts.CampaignFaults = *campaignFaults
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

@@ -177,7 +177,7 @@ func TestRunRejectsBadFlagValues(t *testing.T) {
 		want string // substring of the error naming what was wrong
 	}{
 		{[]string{"-parallel", "0"}, "-parallel must be >= 1"},
-		{[]string{"-campaign-faults", "-1"}, "-campaign-faults must be >= 0"},
+		{[]string{"-campaign-faults", "-1"}, "flag provided but not defined: -campaign-faults"},
 		{[]string{"table9"}, `unknown experiment "table9"`},
 		{[]string{"-list", "-parallel", "0"}, "-parallel must be >= 1"}, // validation precedes -list
 		{[]string{"-kernel", "partitioned"}, "flag provided but not defined: -kernel"},

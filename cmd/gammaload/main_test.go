@@ -12,6 +12,7 @@ func TestRun(t *testing.T) {
 		want string // in stdout when code is 0, else in stderr
 	}{
 		{[]string{"-disk", "2", "-tuples", "200"}, 0, "range(uniform)"},
+		{[]string{"-disk", "4", "-tuples", "600"}, 0, "range(user)      100/100/100/300"},
 		{[]string{"-disk", "0"}, 2, "gammaload: -disk 0: need at least one disk processor"},
 		{[]string{"-tuples", "0"}, 2, "gammaload: -tuples 0: need at least 1"},
 		{[]string{"-tuples", "-5"}, 2, "gammaload: -tuples -5: need at least 1"},

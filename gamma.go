@@ -50,9 +50,6 @@ type (
 	JoinQuery   = core.JoinQuery
 	AggQuery    = core.AggQuery
 	UpdateQuery = core.UpdateQuery
-	// SortQuery retrieves a relation in globally sorted order via the
-	// WiSS sort utility at each site plus a merge operator.
-	SortQuery = core.SortQuery
 	// ConcurrentQuery is one member of a multiuser workload for
 	// Machine.RunConcurrent.
 	ConcurrentQuery = core.ConcurrentQuery

@@ -32,10 +32,7 @@ const (
 // avFaults picks the per-row campaign length: half the cluster, clamped so
 // the small row isn't annihilated (permanent faults arrive at ~2/5 of the
 // mix) and the large rows still see a sustained ≥10-fault campaign.
-func avFaults(o Options, nDisk int) int {
-	if o.CampaignFaults > 0 {
-		return o.CampaignFaults
-	}
+func avFaults(nDisk int) int {
 	f := nDisk / 2
 	if f < 4 {
 		f = 4
@@ -72,7 +69,7 @@ func avRun(o Options, nDisk int) avPoint {
 	if seed == 0 {
 		seed = avDefaultSeed
 	}
-	faults := avFaults(o, nDisk)
+	faults := avFaults(nDisk)
 	n := o.FigureTuples
 	// Range-partitioned on Unique1 so a 1% range selection is confined to
 	// the one or two overlapping sites: queries are site-local, a fault

@@ -35,11 +35,9 @@ type Options struct {
 	Params *config.Params
 
 	// CampaignSeed seeds the availability experiment's generated fault
-	// campaign (0 selects the default seed) and CampaignFaults sets how
-	// many faults it injects per row (0 selects the default count). Same
-	// seed, same campaign, byte-identical report.
-	CampaignSeed   uint64
-	CampaignFaults int
+	// campaign (0 selects the default seed). Same seed, same campaign,
+	// byte-identical report.
+	CampaignSeed uint64
 
 	harnessOptions
 

@@ -43,8 +43,6 @@ type Disk struct {
 	// USPerKB is transfer time per kilobyte. §5.2.2: a 32 KB page
 	// transfers in 13 ms -> 406 us/KB (~2.46 MB/s).
 	USPerKB sim.Dur
-	// TrackBytes is the track size; §5.2.2 gives 40 KB.
-	TrackBytes int
 }
 
 // TransferTime returns the media transfer time for n bytes.
@@ -127,7 +125,8 @@ type Engine struct {
 
 // Memory describes per-node memory (§2: 2 MB per processor).
 type Memory struct {
-	// NodeBytes is physical memory per node.
+	// NodeBytes is physical memory per node. Half of it is a Teradata AMP's
+	// sort memory in the join's sort phase.
 	NodeBytes int
 	// BufferPoolBytes is the memory dedicated to the buffer pool; the
 	// frame count is BufferPoolBytes / PageBytes, so doubling the page
@@ -142,11 +141,10 @@ type Memory struct {
 }
 
 // Teradata describes the DBC/1012 baseline (§3) and the software behaviours
-// §4-§6 identify as decisive.
+// §4-§6 identify as decisive. The 4 interface processors are folded into the
+// host's startup cost, and each AMP's two disk storage units into one drive.
 type Teradata struct {
-	IFPs  int // interface processors (4)
-	AMPs  int // access module processors (20)
-	Disks int // disk storage units (40; 2 per AMP)
+	AMPs int // access module processors (20)
 	// MIPS of the Intel 80286 AMP processors. Calibrated against the
 	// Gamma/Teradata ratio of Table 1's non-indexed selections.
 	MIPS float64
@@ -224,10 +222,9 @@ func Default() Params {
 	p := Params{
 		CPU: CPU{MIPS: 0.6},
 		Disk: Disk{
-			SeqPos:     15800 * sim.Microsecond,
-			RandPos:    21300 * sim.Microsecond,
-			USPerKB:    406 * sim.Microsecond,
-			TrackBytes: 40 * 1024,
+			SeqPos:  15800 * sim.Microsecond,
+			RandPos: 21300 * sim.Microsecond,
+			USPerKB: 406 * sim.Microsecond,
 		},
 		Net: Net{
 			PacketBytes:      2048,
@@ -256,9 +253,7 @@ func Default() Params {
 			JoinTableBytes:  600 * 1024,
 		},
 		Tera: Teradata{
-			IFPs:               4,
 			AMPs:               20,
-			Disks:              40,
 			MIPS:               0.5,
 			YNetUSPerKB:        85 * sim.Microsecond,
 			PageBytes:          8 * 1024,

@@ -23,9 +23,8 @@ func TestDefaultMatchesPaperConstants(t *testing.T) {
 	if p.Engine.MsgsPerOperatorInit != 4 {
 		t.Errorf("init messages = %d, want 4 (§6.2.3)", p.Engine.MsgsPerOperatorInit)
 	}
-	if p.Tera.AMPs != 20 || p.Tera.IFPs != 4 || p.Tera.Disks != 40 {
-		t.Errorf("Teradata config %d/%d/%d, want 4 IFP / 20 AMP / 40 DSU (§3)",
-			p.Tera.IFPs, p.Tera.AMPs, p.Tera.Disks)
+	if p.Tera.AMPs != 20 {
+		t.Errorf("Teradata has %d AMPs, want 20 (§3)", p.Tera.AMPs)
 	}
 	if p.Tera.InsertIOs < 3 {
 		t.Errorf("insert I/Os = %d; §4 says at least 3", p.Tera.InsertIOs)

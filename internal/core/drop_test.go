@@ -144,7 +144,6 @@ func TestTakenNameRejected(t *testing.T) {
 			Build: ScanSpec{Rel: b, Pred: rel.True(), Path: PathHeap}, BuildAttr: rel.Unique1,
 			Probe: scan, ProbeAttr: rel.Unique1, Mode: Remote, ResultName: "B",
 		})},
-		{"sort into result1", m.RunSort(SortQuery{Scan: scan, By: rel.Unique1, ResultName: "result1"})},
 	} {
 		if !errors.Is(tc.res.Err, ErrNameTaken) {
 			t.Errorf("%s: err %v, want ErrNameTaken", tc.label, tc.res.Err)

@@ -89,9 +89,8 @@ func (m *Machine) FailDrive(site int) {
 
 // NICOutage blocks a node's network interface for d, modeling a transient
 // interface fault: traffic queues behind the outage and drains afterwards.
-// No failover is involved — the sliding-window protocol simply stalls — and
-// it composes with Network.InjectLoss packet drops. node is a node ID (any
-// processor, not just disk sites).
+// No failover is involved: the sliding-window protocol simply stalls. node is
+// a node ID (any processor, not just disk sites).
 func (m *Machine) NICOutage(node int, d sim.Dur) {
 	nd := m.Net.Nodes()[node]
 	m.Sim.Emit(trace.Event{

@@ -173,9 +173,6 @@ func (m *Machine) EnableSharedScans() {
 	}
 }
 
-// SharedScansEnabled reports whether the scan-sharing layer is on.
-func (m *Machine) SharedScansEnabled() bool { return m.scans != nil }
-
 // PoolStats sums the cumulative buffer-pool hit/miss counters across every
 // disk node's store (counters survive ResetPools; see BufferPool.Stats).
 func (m *Machine) PoolStats() (hits, misses int64) {

@@ -44,9 +44,6 @@ func (m *Machine) EnableRecovery() *Recovery {
 	return m.rec
 }
 
-// RecoveryEnabled reports whether log shipping is active.
-func (m *Machine) RecoveryEnabled() bool { return m.rec != nil }
-
 // logRecord ships one log record of the given payload size from node to the
 // recovery server. Records are buffered into page-sized batches per source;
 // each batch costs a network transfer plus a sequential write on the log

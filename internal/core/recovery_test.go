@@ -9,7 +9,7 @@ import (
 func TestRecoveryShipsLogRecords(t *testing.T) {
 	m, r := newMachineWithRel(4, 0, 2000)
 	rec := m.EnableRecovery()
-	if !m.RecoveryEnabled() {
+	if m.rec != rec {
 		t.Fatal("recovery not enabled")
 	}
 	res := m.RunSelect(SelectQuery{

@@ -142,11 +142,11 @@ func TestSharedScanOffByDefault(t *testing.T) {
 	s := sim.New()
 	prm := config.Default()
 	m := NewMachine(s, &prm, 2, 0)
-	if m.SharedScansEnabled() {
+	if m.scans != nil {
 		t.Fatal("sharing enabled without EnableSharedScans")
 	}
 	m.EnableSharedScans()
-	if !m.SharedScansEnabled() {
+	if m.scans == nil {
 		t.Fatal("EnableSharedScans did not stick")
 	}
 }

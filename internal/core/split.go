@@ -85,13 +85,6 @@ func (b *BitFilter) MayContain(v int32) bool {
 // Bytes returns the wire size of the filter.
 func (b *BitFilter) Bytes() int { return len(b.bits) * 8 }
 
-// Merge ORs another filter into this one.
-func (b *BitFilter) Merge(o *BitFilter) {
-	for i := range b.bits {
-		b.bits[i] |= o.bits[i]
-	}
-}
-
 // splitTable demultiplexes an operator's output stream across destination
 // ports (§2). Tuples are buffered per destination and sent as network
 // packets; Close flushes partial packets and sends end-of-stream to every

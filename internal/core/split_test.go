@@ -97,17 +97,6 @@ func TestBitFilterRejectsMostAbsentKeys(t *testing.T) {
 	}
 }
 
-func TestBitFilterMerge(t *testing.T) {
-	a := NewBitFilter(1<<10, 3)
-	b := NewBitFilter(1<<10, 3)
-	a.Add(1)
-	b.Add(2)
-	a.Merge(b)
-	if !a.MayContain(1) || !a.MayContain(2) {
-		t.Error("merge lost keys")
-	}
-}
-
 func TestOvfBitSlicesPartitionKeySpace(t *testing.T) {
 	// Within one generation the seven slices plus the survivors must
 	// partition values: each value claimed by at most one slice per

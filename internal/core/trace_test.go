@@ -6,6 +6,7 @@ package core_test
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -13,6 +14,7 @@ import (
 	"gamma/internal/core"
 	"gamma/internal/rel"
 	"gamma/internal/sim"
+	"gamma/internal/trace"
 	"gamma/internal/wisconsin"
 )
 
@@ -192,29 +194,38 @@ func TestTraceSpansWellFormed(t *testing.T) {
 	if q.End < 0 || q.Dur() != int64(res.Elapsed) {
 		t.Errorf("query span %+v; want closed with duration %d", q, int64(res.Elapsed))
 	}
-	ops := col.OpSpans()
-	if len(ops) == 0 {
+	// Every operator and phase start is closed by a matching done, and both
+	// lie inside the query span.
+	open := map[string]int64{}
+	for _, e := range col.Of(trace.KindOpStart, trace.KindOpDone, trace.KindPhaseStart, trace.KindPhaseDone) {
+		if e.At < q.Start || e.At > q.End {
+			t.Errorf("%s of %s@%d at %d outside query span [%d,%d]", e.Kind, e.Op, e.Site, e.At, q.Start, q.End)
+		}
+		k := fmt.Sprintf("%s@%d", e.Op, e.Site)
+		if e.Kind == trace.KindPhaseStart || e.Kind == trace.KindPhaseDone {
+			k += "/" + e.Class
+		}
+		if e.Kind == trace.KindOpStart || e.Kind == trace.KindPhaseStart {
+			open[k]++
+		} else {
+			open[k]--
+		}
+	}
+	if len(open) == 0 {
 		t.Fatal("no operator spans")
 	}
-	for _, op := range ops {
-		if op.End < 0 {
-			t.Errorf("operator span %s@%d never closed", op.ID, op.Site)
-		}
-		if op.Start < q.Start || op.End > q.End {
-			t.Errorf("operator span %s@%d [%d,%d] outside query span [%d,%d]",
-				op.ID, op.Site, op.Start, op.End, q.Start, q.End)
+	for k, n := range open {
+		if n != 0 {
+			t.Errorf("span %s opened %d more times than closed", k, n)
 		}
 	}
 	var sawBuild, sawProbe bool
-	for _, ph := range col.PhaseSpans() {
+	for _, ph := range col.MergedPhases() {
 		switch ph.ID {
 		case "join1/build":
 			sawBuild = true
 		case "join1/probe":
 			sawProbe = true
-		}
-		if ph.End < 0 {
-			t.Errorf("phase span %s@%d never closed", ph.ID, ph.Site)
 		}
 	}
 	if !sawBuild || !sawProbe {

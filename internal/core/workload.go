@@ -9,32 +9,25 @@ import (
 
 // This file is the closed-loop multiuser workload driver: N simulated
 // terminals each issue a stream of queries drawn from a deterministic
-// per-terminal RNG, sleeping for a think time between them, with an
-// admission queue capping the number of queries in flight — the classic
-// closed-loop throughput harness (Gray, "A Measure of Transaction
-// Processing 20 Years Later"). It reports throughput (queries/sec of
-// simulated time), mean and p95 response time, and disk/CPU utilization,
-// the axes the shared-scan experiment sweeps against multiprogramming
-// level.
+// per-terminal RNG, each submitted as soon as the terminal's previous one
+// completes — the classic closed-loop throughput harness (Gray, "A Measure
+// of Transaction Processing 20 Years Later") at full pressure. It reports
+// throughput (queries/sec of simulated time), mean and p95 response time,
+// and disk/CPU utilization, the axes the shared-scan experiment sweeps
+// against multiprogramming level.
 
 // WorkloadSpec describes one closed-loop multiuser run.
 type WorkloadSpec struct {
-	// Terminals is the number of concurrent simulated users (the
-	// multiprogramming level when MaxConcurrent doesn't cap below it).
+	// Terminals is the number of concurrent simulated users: the
+	// multiprogramming level.
 	Terminals int
 	// PerTerminal is how many queries each terminal issues back to back.
 	PerTerminal int
-	// Think is the simulated pause between a query's completion and the
-	// terminal's next submission (0 = closed loop at full pressure).
-	Think sim.Dur
 	// Ramp staggers session starts: each terminal sleeps an RNG-drawn
 	// offset in [0, Ramp) before its first query, so the machine sees
 	// phase-shifted arrivals (real users are not phase-locked) rather than
 	// a simultaneous stampede at t=0.
 	Ramp sim.Dur
-	// MaxConcurrent caps queries admitted into execution at once; queued
-	// submissions wait in FIFO order. 0 means no cap beyond Terminals.
-	MaxConcurrent int
 	// Seed derives every terminal's private RNG stream, so a run is a pure
 	// function of (machine state, spec).
 	Seed uint64
@@ -42,10 +35,6 @@ type WorkloadSpec struct {
 	// deterministic generator; drawing from it is how workloads mix query
 	// types and predicate ranges.
 	Make func(term, q int, rng func() uint64) ConcurrentQuery
-	// KeepResults stores each query's result relation instead of dropping
-	// it as soon as the query completes (correctness tests want the
-	// relations; throughput sweeps don't, and dropping bounds memory).
-	KeepResults bool
 }
 
 // WorkloadResult aggregates one closed-loop run.
@@ -55,7 +44,7 @@ type WorkloadResult struct {
 	Elapsed sim.Dur // first submission to last completion
 
 	Throughput   float64 // queries per simulated second
-	MeanResponse sim.Dur // submission (pre-admission) to completion
+	MeanResponse sim.Dur // submission to completion
 	P95Response  sim.Dur
 
 	// Responses holds every query's response time, terminal-major:
@@ -76,10 +65,6 @@ type WorkloadResult struct {
 	Degraded int
 	Failed   int
 
-	// MaxInFlight is the highest number of concurrently executing queries
-	// observed (≤ MaxConcurrent when capped).
-	MaxInFlight int
-
 	// Counters is the machine's activity over the run; CPUUtil and DiskUtil
 	// over Elapsed give its mean processor and drive utilization.
 	Counters Counters
@@ -93,31 +78,6 @@ func splitmix64(state *uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)
-}
-
-// admission is the FIFO gate capping concurrent queries.
-type admission struct {
-	slots    int
-	wq       *sim.WaitQ
-	inFlight int
-	maxSeen  int
-}
-
-func (a *admission) acquire(p *sim.Proc) {
-	for a.slots == 0 {
-		a.wq.Park(p)
-	}
-	a.slots--
-	a.inFlight++
-	if a.inFlight > a.maxSeen {
-		a.maxSeen = a.inFlight
-	}
-}
-
-func (a *admission) release() {
-	a.slots++
-	a.inFlight--
-	a.wq.WakeOne()
 }
 
 // RunWorkload executes one closed-loop multiuser run to completion and
@@ -138,12 +98,6 @@ func (m *Machine) RunWorkload(spec WorkloadSpec) WorkloadResult {
 	m.ResetPools()
 	before := m.Counters()
 
-	slots := spec.MaxConcurrent
-	if slots <= 0 || slots > spec.Terminals {
-		slots = spec.Terminals
-	}
-	adm := &admission{slots: slots, wq: m.Sim.NewWaitQ("admission")}
-
 	total := spec.Terminals * spec.PerTerminal
 	responses := make([]sim.Dur, total)
 	completions := make([]sim.Time, 0, total)
@@ -162,7 +116,6 @@ func (m *Machine) RunWorkload(spec WorkloadSpec) WorkloadResult {
 			for q := 0; q < spec.PerTerminal; q++ {
 				cq := spec.Make(term, q, rng)
 				submitted := p.Now()
-				adm.acquire(p)
 				var res Result
 				done := false
 				doneQ := m.Sim.NewWaitQ("query-done")
@@ -173,7 +126,6 @@ func (m *Machine) RunWorkload(spec WorkloadSpec) WorkloadResult {
 				for !done {
 					doneQ.Park(p)
 				}
-				adm.release()
 				now := p.Now()
 				responses[term*spec.PerTerminal+q] = now - submitted
 				completions = append(completions, now)
@@ -190,11 +142,8 @@ func (m *Machine) RunWorkload(spec WorkloadSpec) WorkloadResult {
 					clean++
 					tuples += res.Tuples
 				}
-				if !spec.KeepResults && res.ResultName != "" {
+				if res.ResultName != "" {
 					m.Drop(res.ResultName)
-				}
-				if spec.Think > 0 && q+1 < spec.PerTerminal {
-					p.Sleep(spec.Think)
 				}
 			}
 		})
@@ -227,6 +176,5 @@ func (m *Machine) RunWorkload(spec WorkloadSpec) WorkloadResult {
 		idx = total
 	}
 	out.P95Response = sorted[idx-1]
-	out.MaxInFlight = adm.maxSeen
 	return out
 }

@@ -87,34 +87,6 @@ func TestRunWorkloadDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunWorkloadAdmissionCap: MaxConcurrent bounds in-flight queries.
-func TestRunWorkloadAdmissionCap(t *testing.T) {
-	m := newWorkloadMachine(t, 2, 2, 4000, false)
-	spec := workloadSpec(m, 2, 4000, 6, 0)
-	spec.MaxConcurrent = 2
-	out := m.RunWorkload(spec)
-	if out.MaxInFlight > 2 {
-		t.Errorf("MaxInFlight = %d, cap 2", out.MaxInFlight)
-	}
-	if out.MaxInFlight < 2 {
-		t.Errorf("MaxInFlight = %d; six closed-loop terminals should saturate a cap of 2", out.MaxInFlight)
-	}
-}
-
-// TestRunWorkloadThinkTime: think time lowers pressure without losing work.
-func TestRunWorkloadThinkTime(t *testing.T) {
-	m := newWorkloadMachine(t, 2, 2, 4000, false)
-	spec := workloadSpec(m, 2, 4000, 3, 0)
-	spec.Think = 2 * sim.Second
-	out := m.RunWorkload(spec)
-	if out.Queries != 6 {
-		t.Errorf("queries = %d, want 6", out.Queries)
-	}
-	if out.Elapsed < 2*sim.Second {
-		t.Errorf("elapsed %v shorter than one think time", out.Elapsed)
-	}
-}
-
 // TestSharedScanThroughputGain is the PR's acceptance criterion: at
 // multiprogramming level 8 on a selection-heavy mix, shared scans must at
 // least double closed-loop throughput over private scans, and the result

@@ -9,10 +9,9 @@ import (
 
 func testCfg() config.Disk {
 	return config.Disk{
-		SeqPos:     10 * sim.Millisecond,
-		RandPos:    20 * sim.Millisecond,
-		USPerKB:    500 * sim.Microsecond,
-		TrackBytes: 40 * 1024,
+		SeqPos:  10 * sim.Millisecond,
+		RandPos: 20 * sim.Millisecond,
+		USPerKB: 500 * sim.Microsecond,
 	}
 }
 

@@ -1,6 +1,6 @@
 package fault_test
 
-// Tests of the one query lifecycle for aggregates, sorts and updates: on a
+// Tests of the one query lifecycle for aggregates and updates: on a
 // failover-armed machine they run exactly as on an unarmed one, a site lost
 // at any instant ends them in the fault-free answer or a typed
 // *core.ErrUnavailable, a report from an aborted aggregate attempt never
@@ -25,10 +25,9 @@ import (
 
 const lcDisk, lcDiskless, lcTuples = 4, 2, 4000
 
-// lifecycleCase is one aggregate, sort or update query. run returns the
-// query's Result and its answer rendered as a string: the groups, the result
-// relation's keys in stored order, or the changed-tuple count. sites lists
-// the disk sites an update writes (nil for the read-only classes).
+// lifecycleCase is one aggregate or update query. run returns the query's
+// Result and its answer rendered as a string: the groups or the changed-tuple
+// count. sites lists the disk sites an update writes (nil for aggregates).
 type lifecycleCase struct {
 	label string
 	sites []int
@@ -66,19 +65,6 @@ func lifecycleCases() []lifecycleCase {
 		{label: "avg", run: agg(core.Avg, nil)},
 		{label: "count by ten", run: agg(core.Count, &ten)},
 		{label: "max by onePercent", run: agg(core.Max, &onePercent)},
-		{label: "sort", run: func(st *setup) (core.Result, string) {
-			r := st.m.RunSort(core.SortQuery{
-				Scan: core.ScanSpec{Rel: st.heap, Pred: pct(rel.Unique1, lcTuples, 10), Path: core.PathHeap},
-				By:   rel.Unique2,
-			})
-			var keys []int32
-			if rr, ok := st.m.Relation(r.ResultName); ok {
-				for _, tp := range rr.AllTuples() {
-					keys = append(keys, tp.Get(rel.Unique2))
-				}
-			}
-			return r, fmt.Sprint(r.Tuples, keys)
-		}},
 		{label: "append", sites: []int{hashSite(n+1, lcDisk)}, run: upd(core.UpdateQuery{Kind: core.AppendTuple, Tuple: appended})},
 		{label: "delete", sites: []int{hashSite(7, lcDisk)}, run: upd(core.UpdateQuery{Kind: core.DeleteByKey, Key: 7})},
 		{label: "modify-key", sites: []int{hashSite(11, lcDisk), hashSite(n+5, lcDisk)},
@@ -104,7 +90,7 @@ func runSafely(t *testing.T, label string, fn func()) (ok bool) {
 }
 
 // TestArmedLifecycleMatchesUnarmed: arming failover with no fault injected
-// changes nothing an aggregate, sort or update reports — not the answer, not
+// changes nothing an aggregate or update reports — not the answer, not
 // the response time.
 func TestArmedLifecycleMatchesUnarmed(t *testing.T) {
 	for _, c := range lifecycleCases() {
@@ -125,7 +111,7 @@ func TestArmedLifecycleMatchesUnarmed(t *testing.T) {
 }
 
 // TestLifecycleCrashSweep crashes each disk site of a mirrored, failover-armed
-// machine at several instants of every aggregate, sort and update. Each case
+// machine at several instants of every aggregate and update. Each case
 // must end in the fault-free answer or a typed *core.ErrUnavailable, with no
 // panic, and no goroutine may outlive the closed simulations. A read-only
 // query always gets its answer (one crash leaves every fragment a copy); an
@@ -250,7 +236,7 @@ func TestAggRetryIgnoresStaleReports(t *testing.T) {
 }
 
 // TestUnmirroredSiteDownIsTypedError: with one site down and no mirror, an
-// aggregate (scalar or grouped), a sort and an update that needs the site
+// aggregate (scalar or grouped) and an update that needs the site
 // each fail with a typed *core.ErrUnavailable instead of a panic.
 func TestUnmirroredSiteDownIsTypedError(t *testing.T) {
 	ten := rel.Ten
@@ -263,9 +249,6 @@ func TestUnmirroredSiteDownIsTypedError(t *testing.T) {
 		}},
 		{"grouped aggregate", func(m *core.Machine, scan core.ScanSpec) core.Result {
 			return m.RunAgg(core.AggQuery{Scan: scan, Fn: core.Count, Attr: rel.Unique1, GroupBy: &ten}).Result
-		}},
-		{"sort", func(m *core.Machine, scan core.ScanSpec) core.Result {
-			return m.RunSort(core.SortQuery{Scan: scan, By: rel.Unique2})
 		}},
 		{"modify-indexed", func(m *core.Machine, scan core.ScanSpec) core.Result {
 			return m.RunUpdate(core.UpdateQuery{Rel: scan.Rel, Kind: core.ModifyIndexed, Key: 5, Attr: rel.Unique2, NewValue: lcTuples + 5})

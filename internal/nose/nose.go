@@ -82,34 +82,6 @@ type Network struct {
 	cfg   config.Net
 	cpu   config.CPU
 	nodes []*Node
-	// Fault injection: lossNum/lossDen packets are dropped in transit and
-	// recovered by the sliding-window protocol's timeout retransmission.
-	// The drop counters themselves live per sender node.
-	lossNum, lossDen int
-}
-
-// retransmitTimeout is the sliding-window protocol's retransmission timer.
-const retransmitTimeout = 50 * sim.Millisecond
-
-// InjectLoss makes every (den/num)-th data packet of each sender vanish in
-// transit, deterministically, exercising the NOSE protocol's reliability
-// machinery (§2: "reliable, datagram communication services using a multiple
-// bit, sliding window protocol"). num 0 disables loss.
-func (n *Network) InjectLoss(num, den int) {
-	n.lossNum, n.lossDen = num, den
-	for _, nd := range n.nodes {
-		nd.lossCtr = 0
-	}
-}
-
-// Retransmits reports how many packets the protocol had to resend, across
-// all nodes.
-func (n *Network) Retransmits() int64 {
-	var total int64
-	for _, nd := range n.nodes {
-		total += nd.retransmits
-	}
-	return total
 }
 
 // NewNetwork creates an empty ring.
@@ -165,10 +137,8 @@ type Node struct {
 	SpoolNode *Node
 
 	// Activity counters (the sender owns every counter a send touches).
-	stats       Stats
-	ringBusy    sim.Dur
-	lossCtr     int
-	retransmits int64
+	stats    Stats
+	ringBusy sim.Dur
 
 	failed bool
 	ports  []*Port
@@ -238,17 +208,6 @@ func (nd *Node) UseCPU(p *sim.Proc, instr int) {
 // (sim.Proc.Steps). Unlike UseCPU it reserves even when instr is zero.
 func (nd *Node) ReserveCPU(instr int) sim.Time {
 	return nd.CPU.Reserve(nd.net.cpu.Time(instr))
-}
-
-// dropNext deterministically decides whether this node's next data packet
-// is lost in transit.
-func (nd *Node) dropNext() bool {
-	net := nd.net
-	if net.lossNum <= 0 || net.lossDen <= 0 {
-		return false
-	}
-	nd.lossCtr++
-	return nd.lossCtr%((net.lossDen+net.lossNum-1)/net.lossNum) == 0
 }
 
 // Port is a well-known mailbox on a node. Operator processes receive their
@@ -370,14 +329,6 @@ func (pt *Port) RecvTimeout(p *sim.Proc, d sim.Dur) (Message, bool) {
 	return pt.Recv(p), true
 }
 
-// TryRecv returns a queued message without blocking, if one is available.
-func (pt *Port) TryRecv(p *sim.Proc) (Message, bool) {
-	if pt.Pending() == 0 {
-		return Message{}, false
-	}
-	return pt.Recv(p), true
-}
-
 // Conn is a sender's sliding-window connection to a destination port. Each
 // (producer process, destination) pair uses its own Conn.
 type Conn struct {
@@ -398,10 +349,9 @@ type Conn struct {
 // costs; they are bound when the record is first allocated, and a free record
 // serves any connection of its sending node (connections live for one
 // operator, nodes for the machine), so a node in steady state sends without
-// allocating. Two fault paths are outside that: a dropped packet's timer
-// binds retransmit afresh (one closure per drop), and a message whose receiver
-// dies before releasing it is never acknowledged, so its record is garbage
-// rather than recycled.
+// allocating. One fault path is outside that: a message whose receiver dies
+// before releasing it is never acknowledged, so its record is garbage rather
+// than recycled.
 type flight struct {
 	c       *Conn // the connection it is travelling on
 	kind    MsgKind
@@ -513,7 +463,7 @@ func (c *Conn) Send(p *sim.Proc, kind MsgKind, payload any, bytes int) {
 	}
 	f := c.take()
 	f.kind, f.payload, f.bytes = kind, payload, bytes
-	c.transmit(f, c.arrival(t0, nicDone, bytes))
+	net.sim.At(c.arrival(t0, nicDone, bytes), f.arrive)
 	// The sender's process is occupied while its Unibus pushes the message
 	// out, exactly as the old blocking NIC charge behaved.
 	p.WaitUntil(nicDone)
@@ -534,37 +484,6 @@ func (c *Conn) arrival(t0 sim.Time, nicDone sim.Time, bytes int) sim.Time {
 	}
 	c.lastArr = arr
 	return arr
-}
-
-// transmit puts f on the wire to arrive at arr — or loses it, when a fault
-// says so, and resends after the protocol's timeout.
-func (c *Conn) transmit(f *flight, arr sim.Time) {
-	if c.from.dropNext() {
-		c.from.net.sim.At(arr+retransmitTimeout, f.retransmit)
-		return
-	}
-	c.from.net.sim.At(arr, f.arrive)
-}
-
-// retransmit resends a dropped message: the sender's NIC and the ring are
-// charged again, the resend may itself be dropped, and the sender's process
-// is not re-blocked (the window already accounts for the unacknowledged
-// packets).
-func (f *flight) retransmit() {
-	c := f.c
-	from, net := c.from, c.from.net
-	from.retransmits++
-	t0 := net.sim.Now()
-	if net.sim.Tracing() {
-		net.sim.Emit(trace.Event{
-			At: int64(t0), Kind: trace.KindRetransmit,
-			From: from.ID, To: c.to.node.ID, Bytes: f.bytes,
-		})
-	}
-	nicDone := from.NIC.UseAsync(net.cfg.NICTime(f.bytes))
-	from.stats.RingBytes += int64(f.bytes)
-	from.ringBusy += net.cfg.RingTime(f.bytes)
-	c.transmit(f, c.arrival(t0, nicDone, f.bytes))
 }
 
 // Bulk is the itinerary of one bulk transfer, outside the port/window

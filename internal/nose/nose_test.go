@@ -181,23 +181,6 @@ func TestCtlMsgSerializesAtScheduler(t *testing.T) {
 	}
 }
 
-func TestTryRecv(t *testing.T) {
-	s, n := testNet(t, 1)
-	nd := n.Nodes()[0]
-	port := nd.NewPort("p")
-	s.Spawn("p", func(p *sim.Proc) {
-		if _, ok := port.TryRecv(p); ok {
-			t.Error("TryRecv on empty port returned a message")
-		}
-		nd.Dial(port).Send(p, Data, 7, 64)
-		m, ok := port.TryRecv(p)
-		if !ok || m.Payload.(int) != 7 {
-			t.Errorf("TryRecv = %v %v", m, ok)
-		}
-	})
-	s.Run()
-}
-
 func TestNodeSpoolAssignment(t *testing.T) {
 	s := sim.New()
 	p := config.Default()

@@ -43,9 +43,6 @@ const infTime = Time(1) << 62
 // Seconds converts a simulated time span to floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// FromSeconds converts floating-point seconds to a simulated duration.
-func FromSeconds(s float64) Dur { return Dur(s * float64(Second)) }
-
 func (t Time) String() string { return fmt.Sprintf("%.6fs", t.Seconds()) }
 
 // Sim is a discrete-event simulation instance. The zero value is not usable;
@@ -75,6 +72,7 @@ type Sim struct {
 	resumes  uint64 // switches into a process (see Resumes)
 
 	counter *atomic.Int64 // optional shared executed-event counter
+	flushed uint64        // the executed count counter already holds
 	sink    trace.Sink
 }
 
@@ -424,10 +422,11 @@ func (s *Sim) Resumes() uint64 { return s.resumes }
 func (s *Sim) SetEventCounter(c *atomic.Int64) { s.counter = c }
 
 // flushCounter adds the events fired since the last flush to the shared
-// event counter.
+// event counter. It leaves Executed alone: the watermark, not a reset, keeps
+// the next flush a delta.
 func (s *Sim) flushCounter() {
-	if s.counter != nil && s.executed > 0 {
-		s.counter.Add(int64(s.executed))
-		s.executed, s.elided = 0, 0
+	if s.counter != nil && s.executed > s.flushed {
+		s.counter.Add(int64(s.executed - s.flushed))
+		s.flushed = s.executed
 	}
 }

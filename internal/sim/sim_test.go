@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -214,6 +215,43 @@ func TestRunUntilAdvancesClockOnly(t *testing.T) {
 	}
 }
 
+// TestEventCounterLeavesExecutedAlone: one program, run in two legs (RunUntil,
+// then Run) with and without a shared event counter, reads the same
+// Executed() after each leg, and the counter ends holding every calendar event
+// fired once — completions nobody waits for left out.
+func TestEventCounterLeavesExecutedAlone(t *testing.T) {
+	run := func(counter *atomic.Int64) (legs [2]uint64, fired uint64) {
+		s := New()
+		if counter != nil {
+			s.SetEventCounter(counter)
+		}
+		r := s.NewResource("r")
+		s.Spawn("p", func(p *Proc) {
+			r.UseAsync(3 * Millisecond)
+			p.Sleep(40)
+			r.Use(p, 20)
+			p.Sleep(100)
+		})
+		s.At(10, func() {})
+		s.At(150, func() {})
+		s.RunUntil(50)
+		legs[0] = s.Executed()
+		s.Run()
+		legs[1] = s.Executed()
+		return legs, s.executed
+	}
+	want, fired := run(nil)
+	var counter atomic.Int64
+	got, _ := run(&counter)
+	if got != want || want[0] == 0 || want[1] <= want[0] {
+		t.Errorf("Executed() after each leg = %v with a counter, %v without", got, want)
+	}
+	if counter.Load() != int64(fired) || fired >= want[1] {
+		t.Errorf("counter holds %d events, want the %d the calendar fired (Executed %d counts completions too)",
+			counter.Load(), fired, want[1])
+	}
+}
+
 // TestDeterminism: the same program produces the same schedule every run.
 func TestDeterminism(t *testing.T) {
 	runOnce := func() []Time {
@@ -285,8 +323,8 @@ func TestSleepExactProperty(t *testing.T) {
 }
 
 func TestSecondsRoundTrip(t *testing.T) {
-	if got := FromSeconds(1.5); got != 1500*Millisecond {
-		t.Errorf("FromSeconds(1.5) = %v", got)
+	if got := (1500 * Millisecond).Seconds(); got != 1.5 {
+		t.Errorf("1500ms = %vs", got)
 	}
 	if got := (2 * Second).Seconds(); got != 2.0 {
 		t.Errorf("Seconds = %v", got)

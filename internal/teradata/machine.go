@@ -46,8 +46,6 @@ type Machine struct {
 	// ioSeq spaces out the page numbers of logging/temp-file writes so
 	// the drive model treats them as random accesses.
 	ioSeq int
-	// fallback enables FALLBACK row copies (§4 loaded NO FALLBACK).
-	fallback bool
 }
 
 // ampParams derives the parameter set AMP-side WiSS machinery runs with:
@@ -57,10 +55,9 @@ func ampParams(p *config.Params) config.Params {
 	d.CPU = config.CPU{MIPS: p.Tera.MIPS}
 	d.PageBytes = p.Tera.PageBytes
 	d.Disk = config.Disk{
-		SeqPos:     p.Tera.SeqPos,
-		RandPos:    p.Tera.RandPos,
-		USPerKB:    p.Tera.USPerKB,
-		TrackBytes: p.Disk.TrackBytes,
+		SeqPos:  p.Tera.SeqPos,
+		RandPos: p.Tera.RandPos,
+		USPerKB: p.Tera.USPerKB,
 	}
 	d.Net.RingUSPerKB = p.Tera.YNetUSPerKB
 	// The Y-net interfaces are not Unibus-limited; approximate them as
@@ -264,14 +261,6 @@ func (m *Machine) catalogResult(out *Relation, n int) {
 	m.catalog[out.Name] = out
 }
 
-// Fallback mirrors Teradata's FALLBACK option: every row is also written to
-// a "fallback" copy on a second AMP. §4 notes the benchmark relations were
-// loaded NO FALLBACK; enabling it roughly doubles insert-side work.
-var fallbackOffset = 7 // fallback copy lands on AMP (primary+7) mod n
-
-// Fallback toggles fallback-copy maintenance for subsequent queries.
-func (m *Machine) SetFallback(on bool) { m.fallback = on }
-
 // insertion is the INSERT INTO itinerary of one result tuple arriving at the
 // destination AMP chosen by hashing the result's primary key: Y-net transfer
 // plus the logging I/Os and CPU (§4). It is a sub-itinerary (sim.Proc.Steps) of
@@ -291,7 +280,6 @@ type insertion struct {
 const (
 	insArrive = 1 + iota
 	insLog
-	insFallback
 )
 
 // start arms the itinerary for tuple t produced on AMP from. t must stay put
@@ -305,7 +293,7 @@ func (x *insertion) start(from int, t *rel.Tuple) {
 }
 
 // step reserves the insertion's next stage and returns its completion time, or
-// reports false once the row (and its FALLBACK copy's transfer) is done.
+// reports false once the row is stored.
 func (x *insertion) step() (sim.Time, bool) {
 	m, tc := x.m, &x.m.Prm.Tera
 	to := m.AMPs[x.dst]
@@ -324,32 +312,10 @@ func (x *insertion) step() (sim.Time, bool) {
 			return to.Drive.ReserveWrite(-1-x.dst, m.ioSeq, m.Prm.TupleBytes), true
 		}
 		x.out.Frags[x.dst].File.LoadAppend(*x.t)
-		if !m.fallback {
-			break
-		}
-		// FALLBACK: ship and write the row's fallback copy on another
-		// AMP (asynchronously; the primary insert does not wait).
-		x.xfer.Start(to, m.AMPs[x.fallbackAMP()], m.Prm.TupleBytes)
-		x.stage = insFallback
-		fallthrough
-	case insFallback:
-		if at, more := x.xfer.Step(); more {
-			return at, true
-		}
-		fb := x.fallbackAMP()
-		fbNode := m.AMPs[fb]
-		fbNode.CPU.UseAsync(m.ampPrm.CPU.Time(tc.InstrPerInsert / 2))
-		for i := 0; i < tc.InsertIOs; i++ {
-			m.ioSeq += 2
-			fbNode.Drive.WriteAsync(-300-fb, m.ioSeq, m.Prm.TupleBytes)
-		}
 	}
 	x.stage = 0
 	return 0, false
 }
-
-// fallbackAMP is where the FALLBACK copy of the row being inserted lands.
-func (x *insertion) fallbackAMP() int { return (x.dst + fallbackOffset) % len(x.m.AMPs) }
 
 // tempInsert is the itinerary of one tuple of join redistribution: Y-net
 // transfer plus the "store in temporary file in hash-key order" cost at the

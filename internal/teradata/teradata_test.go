@@ -126,24 +126,6 @@ func TestTwoStageJoin(t *testing.T) {
 	}
 }
 
-func TestFallbackCostsMore(t *testing.T) {
-	// §4: the benchmark relations were loaded NO FALLBACK; with FALLBACK
-	// every inserted row is duplicated on a second AMP.
-	run := func(fb bool) Result {
-		m, r := newTera(t, 3000)
-		m.SetFallback(fb)
-		return m.RunSelect(r, rel.Between(rel.Unique2, 0, 299), FileScan, false)
-	}
-	off := run(false)
-	on := run(true)
-	if on.Tuples != off.Tuples {
-		t.Fatalf("fallback changed results: %d vs %d", on.Tuples, off.Tuples)
-	}
-	if on.Elapsed <= off.Elapsed {
-		t.Errorf("FALLBACK (%v) should cost more than NO FALLBACK (%v)", on.Elapsed, off.Elapsed)
-	}
-}
-
 func TestInsertLoggingDominatesLargeResults(t *testing.T) {
 	// The Table 1 phenomenon: the 10% selection costs far more than 10x
 	// the I/O difference because every stored tuple pays ~3 logged I/Os.
@@ -188,13 +170,11 @@ func TestUpdates(t *testing.T) {
 	}
 }
 
-// TestElapsedCoversWriteBehind pins the response time of the two queries that
-// hand work to a device without waiting for it (Resource.UseAsync): the
-// temp-file inserts of a redistributing join, which the sort phase then
-// queues behind on the same drives, and the fallback copies of a stored
-// selection, which are still being written when the host process finishes.
-// Such work is not a calendar event; the tail stays inside Elapsed only
-// because Run ends at the latest completion.
+// TestElapsedCoversWriteBehind pins the response time of a query that hands
+// work to a device without waiting for it (Resource.UseAsync): the temp-file
+// inserts of a redistributing join, which the sort phase then queues behind on
+// the same drives. Such work is not a calendar event; its tail stays inside
+// Elapsed only because Run ends at the latest completion.
 func TestElapsedCoversWriteBehind(t *testing.T) {
 	m, a := newTera(t, 10000)
 	b := m.Load("Bprime", rel.Unique1, nil, wisconsin.Generate(1000, 7))
@@ -204,12 +184,6 @@ func TestElapsedCoversWriteBehind(t *testing.T) {
 	})
 	if join.Tuples != 1000 || join.Elapsed != 33799358 {
 		t.Errorf("redistributing join: %d tuples in %d us, want 1000 in 33799358", join.Tuples, join.Elapsed)
-	}
-	m, r := newTera(t, 10000)
-	m.SetFallback(true)
-	sel := m.RunSelect(r, rel.Between(rel.Unique2, 0, 999), FileScan, false)
-	if sel.Tuples != 1000 || sel.Elapsed != 16483323 {
-		t.Errorf("fallback selection: %d tuples in %d us, want 1000 in 16483323", sel.Tuples, sel.Elapsed)
 	}
 }
 
@@ -261,10 +235,9 @@ func resumesOf(m *Machine, body func(ap *sim.Proc, amp int)) int {
 // per-tuple paths of a join. Redistributing a fragment resumes the AMP's
 // process at most once per page on top of what scanning it costs anyway —
 // whether the page's tuples stay or each crosses the Y-net — and storing an
-// AMP's batch of result tuples, FALLBACK copies included, resumes it once.
+// AMP's batch of result tuples resumes it once.
 func TestItinerariesResumePerPageNotPerTuple(t *testing.T) {
 	m, a := newTera(t, 4000)
-	m.SetFallback(true)
 	pages := 0
 	for _, fr := range a.Frags {
 		pages += fr.File.Pages()

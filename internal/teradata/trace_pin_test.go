@@ -15,8 +15,7 @@ import (
 // TestTracePins holds the Teradata model's per-tuple itineraries to the event
 // stream they produced when every stage parked its process: the sha256 of the
 // JSONL trace, the retired-event count and the response time of queries that
-// cover redistribution, the merge pass and INSERT INTO with and without
-// FALLBACK. The values were recorded at the commit before the itineraries
+// cover redistribution, the merge pass and INSERT INTO. The values were recorded at the commit before the itineraries
 // moved into the kernel (Proc.Steps); they change only if a stage reserves at
 // another instant or in another order.
 func TestTracePins(t *testing.T) {
@@ -29,13 +28,12 @@ func TestTracePins(t *testing.T) {
 	// attached builds the machine from relation images instead of loading it
 	// in place; the pins do not tell the two apart. twice also attaches A's
 	// image under a second name, as a suite's machines hold it.
-	run := func(attached, twice, fallback bool, query func(m *Machine, a, b, c *Relation) Result) outcome {
+	run := func(attached, twice bool, query func(m *Machine, a, b, c *Relation) Result) outcome {
 		s := sim.New()
 		col := trace.NewCollector()
 		s.SetSink(col)
 		prm := config.Default()
 		m := NewMachine(s, &prm)
-		m.SetFallback(fallback)
 		place := m.Load
 		if attached {
 			place = func(name string, key rel.Attr, secondary []rel.Attr, tuples []rel.Tuple) *Relation {
@@ -79,23 +77,20 @@ func TestTracePins(t *testing.T) {
 	// relations' — are in its trace; only the others can hold a fourth
 	// relation and keep their pin.
 	for _, tc := range []struct {
-		name     string
-		fallback bool
-		join     bool
-		query    func(m *Machine, a, b, c *Relation) Result
-		want     outcome
+		name  string
+		join  bool
+		query func(m *Machine, a, b, c *Relation) Result
+		want  outcome
 	}{
-		{"joinABprime", false, true, joinABprime, outcome{"f82942aace8eeb94ebccf77edaecb842d1fb8b4c208749e5b32d8cdc87009376", 19446, 12315517, 300}},
-		{"joinABprime/fallback", true, true, joinABprime, outcome{"195f08db120191db232bca06d473118a711c63b8fbe624949d03d42c4002f787", 21546, 13046030, 300}},
-		{"joinCselAselB", false, true, joinCselAselB, outcome{"f8f3d6cb21a1d2fef802aa2a0a787840a5892a19108d032c4d24de25285df4cc", 9132, 9321137, 300}},
-		{"select-into", false, false, selectInto, outcome{"e9e3b433f651db5d5a62c541c174410c2fd7b9e72d6ae3d5cf700089126efdab", 1546, 5781289, 300}},
-		{"index-select-into", false, false, indexSelectInto, outcome{"f21ffa255cced4e10f5e19b41c1b3680d4bc03fe43439d4f2a63f36e31678748", 1563, 6438689, 300}},
-		{"select-into/fallback", true, false, selectInto, outcome{"23fc74fc6517478924f9e3b9532e21f638229df0b87bb249de127eb4b604a2e5", 3646, 6576296, 300}},
+		{"joinABprime", true, joinABprime, outcome{"f82942aace8eeb94ebccf77edaecb842d1fb8b4c208749e5b32d8cdc87009376", 19446, 12315517, 300}},
+		{"joinCselAselB", true, joinCselAselB, outcome{"f8f3d6cb21a1d2fef802aa2a0a787840a5892a19108d032c4d24de25285df4cc", 9132, 9321137, 300}},
+		{"select-into", false, selectInto, outcome{"e9e3b433f651db5d5a62c541c174410c2fd7b9e72d6ae3d5cf700089126efdab", 1546, 5781289, 300}},
+		{"index-select-into", false, indexSelectInto, outcome{"f21ffa255cced4e10f5e19b41c1b3680d4bc03fe43439d4f2a63f36e31678748", 1563, 6438689, 300}},
 	} {
-		if got := run(false, false, tc.fallback, tc.query); got != tc.want {
+		if got := run(false, false, tc.query); got != tc.want {
 			t.Errorf("%s: got %+v, want %+v", tc.name, got, tc.want)
 		}
-		if got := run(true, !tc.join, tc.fallback, tc.query); got != tc.want {
+		if got := run(true, !tc.join, tc.query); got != tc.want {
 			t.Errorf("%s on attached relations: got %+v, want %+v", tc.name, got, tc.want)
 		}
 	}

@@ -14,15 +14,15 @@ type ival struct {
 	start, end int64
 }
 
-// Span is one bracketed region of the timeline: a query, an operator, or a
-// phase inside an operator.
+// Span is one bracketed region of the timeline: a query, or a phase inside
+// an operator.
 type Span struct {
-	ID    string // query id, or "op" / "op/phase"
+	ID    string // query id, or "op/phase"
 	Node  int
 	Site  int
 	Start int64
 	End   int64 // -1 while still open
-	N     int   // tuples produced (op/phase spans), when reported
+	N     int   // tuples produced (phase spans), when reported
 }
 
 // Dur returns the span length in microseconds (0 for open spans).
@@ -35,7 +35,7 @@ func (s Span) Dur() int64 {
 
 // Collector accumulates the event stream into an in-memory timeline:
 // the raw events in emission order, per-resource service intervals, and
-// query/operator/phase spans. It is the standard Sink.
+// query and phase spans. It is the standard Sink.
 //
 // The simulation kernel's strict hand-off discipline means Emit is never
 // called concurrently, so the Collector needs no locking.
@@ -50,8 +50,6 @@ type Collector struct {
 
 	queries   []Span
 	openQuery map[string]int // query id -> index in queries
-	ops       []Span
-	openOp    map[string]int // "op@site" -> index in ops
 	phases    []Span
 	openPhase map[string]int // "op@site/phase" -> index in phases
 
@@ -63,7 +61,6 @@ func NewCollector() *Collector {
 	return &Collector{
 		intervals: map[string][]ival{},
 		openQuery: map[string]int{},
-		openOp:    map[string]int{},
 		openPhase: map[string]int{},
 	}
 }
@@ -84,16 +81,6 @@ func (c *Collector) Emit(e Event) {
 		if i, ok := c.openQuery[e.Query]; ok {
 			c.queries[i].End = e.At
 			delete(c.openQuery, e.Query)
-		}
-	case KindOpStart:
-		k := opKey(e.Op, e.Site)
-		c.openOp[k] = len(c.ops)
-		c.ops = append(c.ops, Span{ID: e.Op, Node: e.Node, Site: e.Site, Start: e.At, End: -1})
-	case KindOpDone:
-		if i, ok := c.openOp[opKey(e.Op, e.Site)]; ok {
-			c.ops[i].End = e.At
-			c.ops[i].N = e.N
-			delete(c.openOp, opKey(e.Op, e.Site))
 		}
 	case KindPhaseStart:
 		k := opKey(e.Op, e.Site) + "/" + e.Class
@@ -133,12 +120,6 @@ func (c *Collector) Query(id string) (Span, bool) {
 	}
 	return Span{}, false
 }
-
-// OpSpans returns every operator span in start order.
-func (c *Collector) OpSpans() []Span { return c.ops }
-
-// PhaseSpans returns every operator-phase span in start order.
-func (c *Collector) PhaseSpans() []Span { return c.phases }
 
 // MergedPhases folds per-site phase spans into one span per phase label
 // (earliest start, latest end, summed N) in first-seen order — the unit the
@@ -223,19 +204,4 @@ func (c *Collector) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadJSONL decodes a stream written by WriteJSONL (offline analysis).
-func ReadJSONL(r io.Reader) ([]Event, error) {
-	dec := json.NewDecoder(r)
-	var out []Event
-	for {
-		var e Event
-		if err := dec.Decode(&e); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return nil, err
-		}
-		out = append(out, e)
-	}
 }

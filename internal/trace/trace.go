@@ -39,8 +39,6 @@ const (
 	KindLocalMsg Kind = "local-msg"
 	// KindCtlMsg: an inter-node scheduler/operator control message.
 	KindCtlMsg Kind = "ctl-msg"
-	// KindRetransmit: the sliding-window protocol resent a dropped packet.
-	KindRetransmit Kind = "retransmit"
 	// KindOpStart / KindOpDone bracket one operator process (selection
 	// scan, store, join, spool scan) at one site.
 	KindOpStart Kind = "op-start"

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"testing"
@@ -132,12 +133,12 @@ func TestQueryAndOpSpans(t *testing.T) {
 	if !ok || q.Start != 0 || q.End != 50 {
 		t.Fatalf("query span = %+v, ok=%v", q, ok)
 	}
-	ops := c.OpSpans()
-	if len(ops) != 2 {
-		t.Fatalf("got %d op spans, want 2", len(ops))
+	ops := c.Of(KindOpStart, KindOpDone)
+	if len(ops) != 4 {
+		t.Fatalf("got %d operator events, want 4", len(ops))
 	}
-	if ops[1].N != 9 || ops[1].Dur() != 40 {
-		t.Errorf("op span = %+v, want N=9 dur=40", ops[1])
+	if last := ops[3]; last.Kind != KindOpDone || last.Site != 1 || last.N != 9 || last.At != 45 {
+		t.Errorf("last operator event = %+v, want site 1 done at 45 with N=9", last)
 	}
 	if _, ok := c.Query("q2"); ok {
 		t.Error("found nonexistent query")
@@ -200,9 +201,13 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err := c.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
+	var got []Event
+	for dec := json.NewDecoder(&buf); dec.More(); {
+		var e Event
+		if err := dec.Decode(&e); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, e)
 	}
 	if !reflect.DeepEqual(got, events) {
 		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, events)

@@ -1,7 +1,6 @@
 package wiss
 
 import (
-	"gamma/internal/nose"
 	"gamma/internal/rel"
 	"gamma/internal/sim"
 )
@@ -79,7 +78,7 @@ func SortFile(p *sim.Proc, src *File, key rel.Attr, memBytes int, costs SortCost
 			merged := st.CreateFile(src.Name + ".merge")
 			merged.Sorted, merged.SortKey = true, key
 			ap := merged.NewAppender()
-			MergeRuns(p, runs[start:end], key, ap, (*File).ReadPage, st.node, costs.InstrPerTupleMerge)
+			st.mergeRuns(p, runs[start:end], key, ap, costs.InstrPerTupleMerge)
 			ap.Close(p)
 			next = append(next, merged)
 		}
@@ -102,32 +101,30 @@ type mergeCursor struct {
 	tuples []rel.Tuple // the fetched page's tuples
 }
 
-// load fetches pages until the cursor's slot holds a tuple. It reports false
-// at the end of the run.
-func (c *mergeCursor) load(p *sim.Proc, fetch func(*File, *sim.Proc, int) *Page) bool {
+// load reads pages until the cursor's slot holds a tuple. It reports false at
+// the end of the run.
+func (c *mergeCursor) load(p *sim.Proc) bool {
 	for c.slot >= len(c.tuples) {
 		if c.page >= c.f.Pages() {
 			return false
 		}
-		c.tuples = fetch(c.f, p, c.page).Tuples
+		c.tuples = c.f.ReadPage(p, c.page).Tuples
 		c.page++
 		c.slot = 0
 	}
 	return true
 }
 
-// MergeRuns merges runs, each sorted on key, into ap. fetch reads page i of a run for the merging process: a local
-// read, or a read plus a transfer to a remote merger. Every tuple reserves
-// instr instructions on cpu's processor, then moves from its run to the output
-// page; p takes part only where a page does — an output page filling, a run's
-// page running out — and the tuples in between are an itinerary
-// (sim.Proc.Steps) of CPU charges.
-func MergeRuns(p *sim.Proc, runs []*File, key rel.Attr, ap *Appender,
-	fetch func(*File, *sim.Proc, int) *Page, cpu *nose.Node, instr int) {
+// mergeRuns merges runs of the store, each sorted on key, into ap. Every tuple
+// reserves instr instructions on the store's processor, then moves from its
+// run to the output page; p takes part only where a page does — an output page
+// filling, a run's page running out — and the tuples in between are an
+// itinerary (sim.Proc.Steps) of CPU charges.
+func (st *Store) mergeRuns(p *sim.Proc, runs []*File, key rel.Attr, ap *Appender, instr int) {
 	var h rel.KeyHeap[*mergeCursor]
 	for _, f := range runs {
 		c := &mergeCursor{f: f}
-		if c.load(p, fetch) {
+		if c.load(p) {
 			h.Add(c.tuples[c.slot].A[key], c)
 		}
 	}
@@ -144,7 +141,7 @@ func MergeRuns(p *sim.Proc, runs []*File, key rel.Attr, ap *Appender,
 			h.FixTop(c.tuples[c.slot].A[key])
 		}
 		charged = true
-		return cpu.ReserveCPU(instr), true
+		return st.node.ReserveCPU(instr), true
 	}
 	for h.Len() > 0 {
 		p.Steps(step)
@@ -152,7 +149,7 @@ func MergeRuns(p *sim.Proc, runs []*File, key rel.Attr, ap *Appender,
 		c := h.Top()
 		ap.Append(p, c.tuples[c.slot])
 		c.slot++
-		if c.load(p, fetch) {
+		if c.load(p) {
 			h.FixTop(c.tuples[c.slot].A[key])
 		} else {
 			h.PopTop()
