@@ -8,20 +8,8 @@
 //
 // Queries run for real (real tuples, real B+-trees, real hash tables); the
 // clock is simulated, so a Result's Elapsed field is directly comparable to
-// the paper's response times.
-//
-// Quick start:
-//
-//	m := gamma.New(8, 8, nil) // 8 disk + 8 diskless processors
-//	r := m.Load(gamma.LoadSpec{
-//		Name:     "tenktup",
-//		Strategy: gamma.Hashed,
-//		PartAttr: gamma.Unique1,
-//	}, gamma.Wisconsin(10000, 1))
-//	res := m.RunSelect(gamma.SelectQuery{
-//		Scan: gamma.ScanSpec{Rel: r, Pred: gamma.Between(gamma.Unique2, 0, 99)},
-//	})
-//	fmt.Printf("%d tuples in %v\n", res.Tuples, res.Elapsed)
+// the paper's response times. Example_quickstart is the quick start: the
+// standard configuration, the benchmark relation and one query per class.
 package gamma
 
 import (
@@ -44,6 +32,8 @@ type (
 	LoadSpec = core.LoadSpec
 	// ScanSpec is one access-path-resolved relation scan.
 	ScanSpec = core.ScanSpec
+	// AccessPath is how a scan reads its relation (the Path* constants).
+	AccessPath = core.AccessPath
 	// SelectQuery, JoinQuery, AggQuery, and UpdateQuery are the four
 	// query classes of the paper's evaluation.
 	SelectQuery = core.SelectQuery

@@ -104,8 +104,8 @@ func TestConfigOverride(t *testing.T) {
 // one gammabench builds (core.NewMachine on a fresh simulation) are one
 // model: the same selection and joinABprime report the same response times
 // and counts.
-// It is what keeps examples/, gammaql, gammatrace and gammaload printing the
-// numbers gammabench prints.
+// It is what keeps the examples, gammaql and gammaload printing the numbers
+// gammabench prints.
 func TestLibraryMatchesBenchMachine(t *testing.T) {
 	run := func(m *gamma.Machine) [2]gamma.Result {
 		u1 := gamma.Unique1

@@ -104,7 +104,9 @@ func avRun(o Options, nDisk int) avPoint {
 			campaignEnd = end
 		}
 	}
-	fault.Arm(m, fault.Schedule{Injections: campaign})
+	if err := fault.Arm(m, fault.Schedule{Injections: campaign}); err != nil {
+		panic(err) // the campaign draws its sites from the machine
+	}
 	m.EnableHealing(core.HealConfig{Horizon: campaignEnd + avHealSlack})
 
 	// Size the run so terminals keep issuing well past the campaign's end

@@ -104,11 +104,36 @@ func NICStall(at sim.Time, node int, d sim.Dur) Injection {
 	return Injection{At: at, Kind: NICOutage, Site: node, Dur: d}
 }
 
+// SiteError reports an injection aimed past the machine: a disk-site index
+// beyond its disk processors, or a node ID beyond its processors.
+type SiteError struct {
+	Injection Injection
+	Limit     int // disk sites, or nodes for a NIC outage
+}
+
+func (e *SiteError) Error() string {
+	what := "disk sites"
+	if e.Injection.Kind == NICOutage {
+		what = "nodes"
+	}
+	return fmt.Sprintf("fault %s: the machine has %d %s", e.Injection, e.Limit, what)
+}
+
 // Arm enables mid-query failover on the machine and stages every injection
 // as a simulator event. Call it before the queries whose lifetime the
 // schedule overlaps; injections whose instant has already passed fire
-// immediately (the simulator clamps to now).
-func Arm(m *core.Machine, s Schedule) {
+// immediately (the simulator clamps to now). A schedule naming a site or
+// node the machine lacks is a *SiteError, and nothing is staged.
+func Arm(m *core.Machine, s Schedule) error {
+	for _, in := range s.Injections {
+		limit := len(m.Disk)
+		if in.Kind == NICOutage {
+			limit = len(m.Net.Nodes())
+		}
+		if in.Site < 0 || in.Site >= limit {
+			return &SiteError{Injection: in, Limit: limit}
+		}
+	}
 	m.EnableFailover(s.Detect)
 	for _, in := range s.Injections {
 		in := in
@@ -127,6 +152,7 @@ func Arm(m *core.Machine, s Schedule) {
 			}
 		})
 	}
+	return nil
 }
 
 // maxSpecSeconds bounds the times a schedule spec may carry: one simulated

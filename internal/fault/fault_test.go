@@ -40,6 +40,14 @@ func newSetup(nDisk, nDiskless, n int) *setup {
 	return st
 }
 
+// arm stages injections that must fit the machine.
+func (st *setup) arm(t *testing.T, in ...fault.Injection) {
+	t.Helper()
+	if err := fault.Arm(st.m, fault.Schedule{Injections: in}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // pct is a predicate on attr selecting k percent of an n-tuple relation.
 func pct(attr rel.Attr, n, k int) rel.Pred {
 	return rel.Between(attr, 0, int32(n*k/100-1))
@@ -138,7 +146,7 @@ func TestSelectFailoverAllVariants(t *testing.T) {
 		st := newSetup(nDisk, nDiskless, n)
 		q := table1Variants(st)[vi].q
 		at := st.m.Sim.Now() + sim.Time(refRes.Elapsed/2)
-		fault.Arm(st.m, fault.Schedule{Injections: []fault.Injection{fault.Crash(at, site)}})
+		st.arm(t, fault.Crash(at, site))
 		res := st.m.RunSelect(q)
 
 		if v.q.ToHost {
@@ -201,7 +209,7 @@ func TestJoinFailoverMidQuery(t *testing.T) {
 		st := newSetup(nDisk, nDiskless, nA)
 		b := st.m.Load(core.LoadSpec{Name: "B", Strategy: core.Hashed, PartAttr: rel.Unique1}, wisconsin.Generate(nB, 8))
 		at := st.m.Sim.Now() + sim.Time(refRes.Elapsed/2)
-		fault.Arm(st.m, fault.Schedule{Injections: []fault.Injection{fault.Crash(at, 2)}})
+		st.arm(t, fault.Crash(at, 2))
 		res := st.m.RunJoin(joinAselB(st, b, mem))
 
 		want := expectJoinAselB(nA, nB)
@@ -226,7 +234,7 @@ func TestDriveFailover(t *testing.T) {
 	st := newSetup(nDisk, nDiskless, n)
 	tr := st.m.EnableTrace()
 	at := st.m.Sim.Now() + sim.Time(refRes.Elapsed/2)
-	fault.Arm(st.m, fault.Schedule{Injections: []fault.Injection{fault.BadDrive(at, 1)}})
+	st.arm(t, fault.BadDrive(at, 1))
 	res := st.m.RunSelect(q(st))
 
 	diffMultisets(t, "drive-fail", expectSelect(n, pct(rel.Unique2, n, 10)), tuplesOf(t, st.m, res.ResultName))
@@ -262,9 +270,7 @@ func TestNICOutage(t *testing.T) {
 	st := newSetup(nDisk, nDiskless, n)
 	tr := st.m.EnableTrace()
 	at := st.m.Sim.Now() + sim.Time(refRes.Elapsed/4)
-	fault.Arm(st.m, fault.Schedule{Injections: []fault.Injection{
-		fault.NICStall(at, st.m.Disk[1].ID, 1*sim.Second),
-	}})
+	st.arm(t, fault.NICStall(at, st.m.Disk[1].ID, 1*sim.Second))
 	res := st.m.RunSelect(q(st))
 
 	diffMultisets(t, "nic-outage", expectSelect(n, pct(rel.Unique2, n, 10)), tuplesOf(t, st.m, res.ResultName))
@@ -309,7 +315,7 @@ func TestDegradedShape(t *testing.T) {
 
 	st := newSetup(nDisk, nDiskless, n)
 	at := st.m.Sim.Now() + sim.Time(t0/2)
-	fault.Arm(st.m, fault.Schedule{Injections: []fault.Injection{fault.Crash(at, 1)}})
+	st.arm(t, fault.Crash(at, 1))
 	t1 := st.m.RunSelect(q(st)).Elapsed
 
 	if t1 <= t0 {
@@ -330,10 +336,9 @@ func TestFaultDeterminism(t *testing.T) {
 		st := newSetup(nDisk, nDiskless, nA)
 		tr := st.m.EnableTrace()
 		b := st.m.Load(core.LoadSpec{Name: "B", Strategy: core.Hashed, PartAttr: rel.Unique1}, wisconsin.Generate(nB, 8))
-		fault.Arm(st.m, fault.Schedule{Injections: []fault.Injection{
+		st.arm(t,
 			fault.Crash(st.m.Sim.Now()+400*sim.Millisecond, 2),
-			fault.NICStall(st.m.Sim.Now()+100*sim.Millisecond, st.m.Diskless[0].ID, 50*sim.Millisecond),
-		}})
+			fault.NICStall(st.m.Sim.Now()+100*sim.Millisecond, st.m.Diskless[0].ID, 50*sim.Millisecond))
 		res := st.m.RunJoin(joinAselB(st, b, 64<<20))
 		var buf bytes.Buffer
 		if err := tr.WriteJSONL(&buf); err != nil {
@@ -370,5 +375,33 @@ func TestParseInjection(t *testing.T) {
 		if _, err := fault.ParseInjection(s); err == nil {
 			t.Errorf("ParseInjection(%q): no error", s)
 		}
+	}
+}
+
+// TestArmRejectsSitesPastTheMachine: an injection aimed at a site or node the
+// machine lacks is a *SiteError, one row per kind, and Arm stages nothing —
+// not even the schedule's valid injections.
+func TestArmRejectsSitesPastTheMachine(t *testing.T) {
+	st := newSetup(2, 1, 100)
+	nodes := len(st.m.Net.Nodes())
+	for _, tc := range []struct {
+		in    fault.Injection
+		limit int
+		want  string
+	}{
+		{fault.Crash(0, 2), 2, "fault node-crash@2 t=0.000s: the machine has 2 disk sites"},
+		{fault.BadDrive(0, 2), 2, "fault drive-fail@2 t=0.000s: the machine has 2 disk sites"},
+		{fault.Outage(0, 5, sim.Second), 2, "fault outage@5 t=0.000s for 1.000s: the machine has 2 disk sites"},
+		{fault.NICStall(0, nodes, sim.Second), nodes, fmt.Sprintf("fault nic-outage@%d t=0.000s for 1.000s: the machine has %d nodes", nodes, nodes)},
+	} {
+		err := fault.Arm(st.m, fault.Schedule{Injections: []fault.Injection{fault.Crash(0, 0), tc.in}})
+		se, ok := err.(*fault.SiteError)
+		if !ok || se.Injection != tc.in || se.Limit != tc.limit || err.Error() != tc.want {
+			t.Errorf("Arm(%v) = %v, want *SiteError %q", tc.in, err, tc.want)
+		}
+	}
+	st.m.Sim.Run()
+	if st.m.Disk[0].Failed() {
+		t.Error("a rejected schedule crashed site 0")
 	}
 }

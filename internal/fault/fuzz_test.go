@@ -14,7 +14,7 @@ import (
 )
 
 // seedSpecs are the schedule spellings used across the test suite and the
-// gammatrace -fault documentation, plus grammar corners (bare crash form,
+// gammaql -fault documentation, plus grammar corners (bare crash form,
 // zero time, sub-microsecond rounding, exponent notation, junk).
 var seedSpecs = []string{
 	"2@1.5",

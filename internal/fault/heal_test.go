@@ -36,10 +36,7 @@ func TestBothChainMembersDown(t *testing.T) {
 	const nDisk, nDiskless, n = 4, 2, 10000
 	st := newSetup(nDisk, nDiskless, n)
 	// Fragment 1's primary is on site 1 and its backup on site 2.
-	fault.Arm(st.m, fault.Schedule{Injections: []fault.Injection{
-		fault.Crash(sim.Time(1*sim.Millisecond), 1),
-		fault.Crash(sim.Time(2*sim.Millisecond), 2),
-	}})
+	st.arm(t, fault.Crash(sim.Time(1*sim.Millisecond), 1), fault.Crash(sim.Time(2*sim.Millisecond), 2))
 
 	res := st.m.RunSelect(core.SelectQuery{
 		Scan: core.ScanSpec{Rel: st.heap, Pred: pct(rel.Unique2, n, 1), Path: core.PathHeap},
@@ -95,11 +92,10 @@ func TestOutageRejoin(t *testing.T) {
 	// redundancy (rebuilds finish ~25 s): with every fragment doubly held
 	// again, losing any single node is survivable, and the ring now routes
 	// some of the new rebuilds onto the rejoined site 3.
-	fault.Arm(st.m, fault.Schedule{Injections: []fault.Injection{
+	st.arm(t,
 		fault.Crash(sim.Time(1*sim.Second), 2),
 		fault.Outage(sim.Time(1200*sim.Millisecond), 3, 3*sim.Second),
-		fault.Crash(sim.Time(40*sim.Second), 0),
-	}})
+		fault.Crash(sim.Time(40*sim.Second), 0))
 	st.m.Sim.Run()
 
 	episodes := h.Episodes()
@@ -153,9 +149,7 @@ func TestHealCorrectness(t *testing.T) {
 		wisconsin.Generate(nB, 8))
 	_ = b
 	h := st.m.EnableHealing(core.HealConfig{Horizon: sim.Time(120 * sim.Second)})
-	fault.Arm(st.m, fault.Schedule{Injections: []fault.Injection{
-		fault.Crash(sim.Time(1*sim.Second), 1),
-	}})
+	st.arm(t, fault.Crash(sim.Time(1*sim.Second), 1))
 	st.m.Sim.Run()
 	for _, ep := range h.Episodes() {
 		if ep.RestoredAt < 0 {
@@ -213,9 +207,7 @@ func TestRebuildIndexIDsDeterministic(t *testing.T) {
 	for run := 0; run < 20; run++ {
 		st := newSetup(4, 2, 4000)
 		h := st.m.EnableHealing(core.HealConfig{Horizon: sim.Time(60 * sim.Second)})
-		fault.Arm(st.m, fault.Schedule{Injections: []fault.Injection{
-			fault.Crash(sim.Time(1*sim.Second), 1),
-		}})
+		st.arm(t, fault.Crash(sim.Time(1*sim.Second), 1))
 		st.m.Sim.Run()
 		if eps := h.Episodes(); st.m.Counters().Rebuilds == 0 || eps[0].RestoredAt < 0 {
 			t.Fatalf("run %d did not heal: %+v", run, eps)
@@ -260,7 +252,7 @@ func campaignWorkload(t *testing.T, seed uint64) (core.WorkloadResult, []core.He
 			end = e
 		}
 	}
-	fault.Arm(st.m, fault.Schedule{Injections: camp})
+	st.arm(t, camp...)
 	st.m.EnableHealing(core.HealConfig{Horizon: end + sim.Time(20*sim.Second)})
 	wl := st.m.RunWorkload(core.WorkloadSpec{
 		Terminals:   4,

@@ -83,7 +83,9 @@ func TestKillBeforeStartSweep(t *testing.T) {
 					label := fmt.Sprintf("%s, %v (initiation sent at %v)", q.label, in, send)
 					st, b := build()
 					tr := st.m.EnableTrace()
-					fault.Arm(st.m, fault.Schedule{Detect: 20 * sim.Millisecond, Injections: []fault.Injection{in}})
+					if err := fault.Arm(st.m, fault.Schedule{Detect: 20 * sim.Millisecond, Injections: []fault.Injection{in}}); err != nil {
+						t.Fatal(err)
+					}
 					var res core.Result
 					func() {
 						defer func() {

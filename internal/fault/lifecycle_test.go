@@ -128,7 +128,7 @@ func TestLifecycleCrashSweep(t *testing.T) {
 				at := sim.Time(int64(want.Elapsed) * frac / 3)
 				label := fmt.Sprintf("%s, site %d crashed at %v", c.label, site, at)
 				st := newSetup(lcDisk, lcDiskless, lcTuples)
-				fault.Arm(st.m, fault.Schedule{Injections: []fault.Injection{fault.Crash(at, site)}})
+				st.arm(t, fault.Crash(at, site))
 				var got core.Result
 				var answer string
 				ok := runSafely(t, label, func() { got, answer = c.run(st) })
@@ -203,7 +203,7 @@ func TestAggRetryIgnoresStaleReports(t *testing.T) {
 		label := fmt.Sprintf("site %d crashed at %v", victim, at)
 		st := newSetup(lcDisk, lcDiskless, lcTuples)
 		tr := st.m.EnableTrace()
-		fault.Arm(st.m, fault.Schedule{Injections: []fault.Injection{fault.Crash(at, victim)}})
+		st.arm(t, fault.Crash(at, victim))
 		var got core.AggResult
 		ok := runSafely(t, label, func() { got = st.m.RunAgg(q(st)) })
 		if ok && (got.Err != nil || got.Tuples != want.Tuples || fmt.Sprint(got.Groups) != fmt.Sprint(want.Groups)) {

@@ -26,9 +26,9 @@ func NewSession(m *core.Machine) *Session {
 type Output struct {
 	// Message is a human-readable summary.
 	Message string
-	// Result holds the engine result for retrieve/append/delete/replace.
+	// Result holds the engine result of every statement that ran a query.
 	Result *core.Result
-	// Agg holds the result of an aggregate retrieve.
+	// Agg holds the result of an aggregate retrieve, groups included.
 	Agg *core.AggResult
 }
 
@@ -185,7 +185,7 @@ func (s *Session) runAgg(a *AggTarget, groupBy *rel.Attr, q *qual) (Output, erro
 		}
 	}
 	fmt.Fprintf(&b, "  (%.3fs)", res.Elapsed.Seconds())
-	return Output{Message: b.String(), Agg: &res}, nil
+	return Output{Message: b.String(), Result: &res.Result, Agg: &res}, nil
 }
 
 // tuples counts n tuples in a message: "1 tuple", "0 tuples".

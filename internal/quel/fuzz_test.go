@@ -2,15 +2,15 @@ package quel
 
 // Round-trip fuzzing of the QUEL parser: any accepted input must print to a
 // canonical form that parses again and is a fixed point of print∘parse. The
-// seed corpus mirrors the gammaql \help examples plus one variant per
-// statement form; CI runs FuzzParseRoundTrip as a short smoke on top of the
+// seed corpus spells each statement form of gammaql's \help once, plus one
+// variant per form; CI runs FuzzParseRoundTrip as a short smoke on top of the
 // deterministic corpus test.
 
 import (
 	"testing"
 )
 
-// seedStatements are the gammaql examples and grammar-corner variants.
+// seedStatements are the \help statement forms and grammar-corner variants.
 var seedStatements = []string{
 	"range of t is tenktup",
 	"retrieve (t.all) where t.unique2 < 100",
