@@ -16,7 +16,6 @@ import (
 	"gamma/internal/core"
 	"gamma/internal/rel"
 	"gamma/internal/sim"
-	"gamma/internal/wisconsin"
 )
 
 // Options is what a user sets for an experiment run: sizes, machine
@@ -52,10 +51,10 @@ type Options struct {
 // simulated by the experiment that plots it, nothing counted.
 type runCtx struct {
 	// Shared by every experiment of one RunSuite call: the worker-slot
-	// semaphore (nil = serial), the relation-image cache (imagecache.go) and
-	// the data-point cache (shared.go).
+	// semaphore (nil = serial) and the data-point cache (shared.go). rels
+	// (imagecache.go) is the suite's relation cache, or the experiment's own.
 	sem    chan struct{}
-	images *imageCache
+	rels   *relCache
 	points *onceMap[pointKey, any]
 
 	// Per experiment: simulated events over every machine it built,
@@ -203,15 +202,16 @@ func gammaRels(n int, seed uint64) []relSpec {
 	}
 }
 
-// loadSpecRel applies one relSpec to a machine.
-func loadSpecRel(m *core.Machine, rs relSpec) *core.Relation {
+// loadSpecRel applies one relSpec to a machine, loading the relation from
+// the experiment's relation cache (generated afresh without a run context).
+func loadSpecRel(c *runCtx, m *core.Machine, rs relSpec) *core.Relation {
 	spec := core.LoadSpec{Name: rs.name, Strategy: rs.strategy, PartAttr: rs.partAttr}
 	if rs.indexed {
 		u1 := rel.Unique1
 		spec.ClusteredIndex = &u1
 		spec.NonClusteredIndexes = []rel.Attr{rel.Unique2}
 	}
-	return m.Load(spec, wisconsin.Shared(rs.n, rs.seed)) // Load only reads its input
+	return m.Load(spec, c.tuples(rs.n, rs.seed))
 }
 
 // gammaMachine returns a Gamma machine on a fresh simulation holding the
@@ -241,11 +241,11 @@ func (c *runCtx) gammaOn(s *sim.Sim, prm config.Params, nDisk, nDiskless int, mi
 	m := newMachine(s, nDiskless)
 	for _, rs := range specs {
 		if c == nil {
-			loadSpecRel(m, rs)
+			loadSpecRel(c, m, rs)
 			continue
 		}
 		img := image(c, imageKey{nDisk: nDisk, mirrored: mirrored, prm: prm, rel: rs}, func() *core.RelationImage {
-			return loadSpecRel(newMachine(sim.New(), 0), rs).Image()
+			return loadSpecRel(c, newMachine(sim.New(), 0), rs).Image()
 		})
 		if _, err := m.Attach(rs.name, img); err != nil {
 			panic(err) // the key holds the geometry; a spec list naming a relation twice is a bug

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"gamma/internal/rel"
 )
 
 // renderTable renders one table to bytes.
@@ -118,7 +120,7 @@ func TestSuiteReportsCacheHits(t *testing.T) {
 // image's frozen pages — answers queries identically (run under -race).
 func TestImageCacheSingleflight(t *testing.T) {
 	o := tinyOptions()
-	o.run = &runCtx{images: newImageCache()}
+	o.run = &runCtx{rels: newRelCache()}
 	var wg sync.WaitGroup
 	secs := make([]float64, 16)
 	for i := range secs {
@@ -134,8 +136,8 @@ func TestImageCacheSingleflight(t *testing.T) {
 	if h, m := o.run.imgHits.Load(), o.run.imgMisses.Load(); m != 1 || h != 15 {
 		t.Errorf("%d misses and %d hits, want exactly 1 build and 15 attaches of it", m, h)
 	}
-	if o.run.images.len() != 1 {
-		t.Errorf("cache holds %d entries, want 1", o.run.images.len())
+	if o.run.rels.images.len() != 1 {
+		t.Errorf("cache holds %d entries, want 1", o.run.rels.images.len())
 	}
 	for i, s := range secs {
 		if s != secs[0] {
@@ -144,11 +146,65 @@ func TestImageCacheSingleflight(t *testing.T) {
 	}
 }
 
+// TestTuplesGeneratedOncePerCache: within one cache every load of a Wisconsin
+// relation reads the one slice generated for it, concurrent first requests
+// included; another cache generates its own, and without a run context every
+// call generates afresh.
+func TestTuplesGeneratedOncePerCache(t *testing.T) {
+	c := &runCtx{rels: newRelCache()}
+	got := make([][]rel.Tuple, 16)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = c.tuples(500, 1)
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if &got[i][0] != &got[0][0] {
+			t.Fatalf("request %d got a second generation of (500, 1)", i)
+		}
+	}
+	if n := c.rels.tuples.len(); n != 1 {
+		t.Errorf("cache holds %d generated relations, want 1", n)
+	}
+	other := &runCtx{rels: newRelCache()}
+	if &other.tuples(500, 1)[0] == &got[0][0] {
+		t.Error("two caches hand out one generated relation")
+	}
+	var none *runCtx
+	if &none.tuples(500, 1)[0] == &none.tuples(500, 1)[0] {
+		t.Error("without a run context two calls returned one generated relation")
+	}
+}
+
+// recordCaches returns a relation-cache factory for runSuite and the caches it
+// has made, the suite's first.
+func recordCaches() (func() *relCache, func() []*relCache) {
+	var mu sync.Mutex
+	var made []*relCache
+	return func() *relCache {
+			c := newRelCache()
+			mu.Lock()
+			defer mu.Unlock()
+			made = append(made, c)
+			return c
+		}, func() []*relCache {
+			mu.Lock()
+			defer mu.Unlock()
+			return made
+		}
+}
+
 // TestEveryRelationBuiltOnce: the suite loads a relation once however many
 // machines hold it. Tables 1-3 at one size need five Gamma relations (Aheap
 // and Aidx for all three tables, Table 2's Bprime, B and C) and four Teradata
 // hash files (A under both names, Bprime, B, C), serially and on four
-// workers; and over the whole registry every build is of a distinct relation.
+// workers. Over the whole registry every build, in the suite's cache or in an
+// experiment's own, is of a distinct relation: an experiment that owns its
+// relations shares no key with any other.
 func TestEveryRelationBuiltOnce(t *testing.T) {
 	var tables []Experiment
 	for _, id := range []string{"table1", "table2", "table3"} {
@@ -158,14 +214,17 @@ func TestEveryRelationBuiltOnce(t *testing.T) {
 	o := tinyOptions()
 	o.Sizes = []int{10000}
 	for _, workers := range []int{1, 4} {
-		images := newImageCache()
+		newRels, made := recordCaches()
 		var misses, lookups int64
-		for _, r := range runSuite(tables, o, workers, images) {
+		for _, r := range runSuite(tables, o, workers, newRels) {
 			misses += r.ImageMisses
 			lookups += r.ImageHits + r.ImageMisses
 		}
+		if len(made()) != 1 {
+			t.Fatalf("workers=%d: Tables 1-3 made %d relation caches, want the suite's alone", workers, len(made()))
+		}
 		gamma, tera := 0, 0
-		for k := range images.entries {
+		for k := range made()[0].images.entries {
 			if k.tera {
 				tera++
 			} else {
@@ -185,19 +244,38 @@ func TestEveryRelationBuiltOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole registry")
 	}
-	images := newImageCache()
+	newRels, made := recordCaches()
+	exps := Experiments()
 	var misses int64
-	for _, r := range runSuite(Experiments(), tinyOptions(), 2, images) {
+	for _, r := range runSuite(exps, tinyOptions(), 2, newRels) {
 		misses += r.ImageMisses
 	}
-	if misses != int64(images.len()) {
-		t.Errorf("%d builds for %d distinct relations", misses, images.len())
-	}
-	// Two keys that differ only in what cannot shape storage would be one
-	// relation built twice.
-	for k := range images.entries {
-		if k.rel.name != "" {
-			t.Errorf("image key %+v carries a relation name", k.rel)
+	own := 0
+	for _, e := range exps {
+		if e.ownRelations {
+			own++
 		}
+	}
+	if len(made()) != 1+own {
+		t.Errorf("%d relation caches for %d experiments that own their relations, want one more", len(made()), own)
+	}
+	for i, c := range made()[1:] {
+		if c.images.len() == 0 {
+			t.Errorf("experiment-owned cache %d holds no relation", i+1)
+		}
+	}
+	distinct := map[imageKey]bool{}
+	for _, c := range made() {
+		for k := range c.images.entries {
+			distinct[k] = true
+			// Two keys that differ only in what cannot shape storage would
+			// be one relation built twice.
+			if k.rel.name != "" {
+				t.Errorf("image key %+v carries a relation name", k.rel)
+			}
+		}
+	}
+	if misses != int64(len(distinct)) {
+		t.Errorf("%d builds for %d distinct relations across %d caches", misses, len(distinct), len(made()))
 	}
 }

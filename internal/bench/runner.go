@@ -61,17 +61,20 @@ func (r Report) QueryWall() time.Duration {
 // with a fixed seed, so scheduling cannot reach the results. workers <= 1
 // runs everything on the calling goroutine.
 func RunSuite(exps []Experiment, o Options, workers int) []Report {
-	return runSuite(exps, o, workers, newImageCache())
+	return runSuite(exps, o, workers, newRelCache)
 }
 
-// runSuite is RunSuite on a given (empty) relation-image cache, which the
-// cache's tests read afterwards.
-func runSuite(exps []Experiment, o Options, workers int, images *imageCache) []Report {
-	// One semaphore, one relation-image cache and one data-point cache serve
-	// the whole suite, always this run's own: machines that hold the same
+// runSuite is RunSuite making its relation caches with newRels, through which
+// the caches' tests see every one of them.
+func runSuite(exps []Experiment, o Options, workers int, newRels func() *relCache) []Report {
+	// One semaphore, one relation cache and one data-point cache serve the
+	// whole suite, always this run's own: machines that hold the same
 	// relation (Tables 1-3 at one size, the figure pairs) attach one image
 	// of it, and an experiment that replots a sibling's sweep reads the
-	// sibling's measurements.
+	// sibling's measurements. An experiment that owns its relations gets a
+	// relation cache of its own, referenced only by its runCtx, so its
+	// relations become garbage as soon as it returns.
+	suite := newRels()
 	points := newOnceMap[pointKey, any]()
 	var sem chan struct{}
 	if workers > 1 {
@@ -79,7 +82,10 @@ func runSuite(exps []Experiment, o Options, workers int, images *imageCache) []R
 	}
 	reports := make([]Report, len(exps))
 	run := func(i int, e Experiment) {
-		c := &runCtx{sem: sem, images: images, points: points}
+		c := &runCtx{sem: sem, rels: suite, points: points}
+		if e.ownRelations {
+			c.rels = newRels()
+		}
 		oo := o
 		oo.run = c
 		start := time.Now()

@@ -9,7 +9,8 @@ import (
 
 // onceMap is a singleflight cache: get builds the value of a key on first
 // use and hands every later (or concurrent) caller the same value. It backs
-// both things one suite run shares — relation images and data points.
+// everything a suite run shares — generated relations, relation images and
+// data points.
 type onceMap[K comparable, V any] struct {
 	mu      sync.Mutex
 	entries map[K]*onceEntry[V]

@@ -8,7 +8,6 @@ import (
 	"gamma/internal/rel"
 	"gamma/internal/sim"
 	"gamma/internal/teradata"
-	"gamma/internal/wisconsin"
 )
 
 // paperTable1[row][size][machine]: published seconds; machine 0 = Teradata,
@@ -60,14 +59,13 @@ func newTera(o Options, n int, seed uint64, extras ...relSpec) *teraSetup {
 	defer o.run.addSetup(time.Now())
 	prm := o.params()
 	m := teradata.NewMachine(o.newSim(), &prm)
-	// teradata's Load only reads its input, so both paths take the memo's master.
 	place := func(name string, n int, seed uint64, secondary ...rel.Attr) *teradata.Relation {
 		if o.run == nil {
-			return m.Load(name, rel.Unique1, secondary, wisconsin.Shared(n, seed))
+			return m.Load(name, rel.Unique1, secondary, o.run.tuples(n, seed))
 		}
 		img := image(o.run, imageKey{tera: true, prm: prm, rel: relSpec{n: n, seed: seed}}, func() *teradata.RelationImage {
 			p := prm // private copy: the machine keeps the pointer
-			return teradata.NewMachine(sim.New(), &p).Load(name, rel.Unique1, nil, wisconsin.Shared(n, seed)).Image()
+			return teradata.NewMachine(sim.New(), &p).Load(name, rel.Unique1, nil, o.run.tuples(n, seed)).Image()
 		})
 		r, err := m.Attach(name, secondary, img)
 		if err != nil {

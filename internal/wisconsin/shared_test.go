@@ -25,18 +25,16 @@ func checksum(ts []rel.Tuple) uint64 {
 	return h.Sum64()
 }
 
-// TestLoadersLeaveSharedMasterAlone pins the contract Shared rests on: the
-// machine loaders copy their input into fragment files and never write it —
-// not when a clustered index sorts each fragment, not when mirroring builds
-// backups, not on the Teradata model, and not when a later update rewrites
-// pages of the loaded relation.
+// TestLoadersLeaveSharedMasterAlone pins the contract the bench suite's
+// generated-relation caches rest on, which hand one slice to every load of a
+// relation: the machine loaders copy their input into fragment files and
+// never write it — not when a clustered index sorts each fragment, not when
+// mirroring builds backups, not on the Teradata model, and not when a later
+// update rewrites pages of the loaded relation.
 func TestLoadersLeaveSharedMasterAlone(t *testing.T) {
 	const n, seed = 3000, 77
-	master := wisconsin.Shared(n, seed)
+	master := wisconsin.Generate(n, seed)
 	want := checksum(master)
-	if &wisconsin.Shared(n, seed)[0] != &master[0] {
-		t.Fatal("two Shared calls returned different backing arrays")
-	}
 	check := func(after string) {
 		t.Helper()
 		if got := checksum(master); got != want {
@@ -66,21 +64,24 @@ func TestLoadersLeaveSharedMasterAlone(t *testing.T) {
 	check("teradata.Machine.Load")
 }
 
-// TestGenerateStaysPrivate: whatever a caller does to a Generate result, later
-// Generate and Shared calls see the pristine relation.
+// TestGenerateStaysPrivate: Generate is pure. Two calls return equal
+// relations in distinct arrays, and whatever a caller does to one result, the
+// next call sees the pristine relation.
 func TestGenerateStaysPrivate(t *testing.T) {
 	const n, seed = 500, 78
-	want := checksum(wisconsin.Generate(n, seed)) // first call: generates and memoizes
-	for round := 0; round < 2; round++ {
-		ts := wisconsin.Generate(n, seed)
-		if got := checksum(ts); got != want {
-			t.Fatalf("round %d: Generate returned checksum %x, want %x", round, got, want)
-		}
-		for i := range ts {
-			ts[i] = rel.Tuple{}
-		}
+	first := wisconsin.Generate(n, seed)
+	want := checksum(first)
+	second := wisconsin.Generate(n, seed)
+	if got := checksum(second); got != want {
+		t.Fatalf("second Generate returned checksum %x, want %x", got, want)
 	}
-	if got := checksum(wisconsin.Shared(n, seed)); got != want {
-		t.Errorf("Shared returned checksum %x after Generate results were zeroed, want %x", got, want)
+	if &first[0] == &second[0] {
+		t.Fatal("two Generate calls returned one backing array")
+	}
+	for i := range first {
+		first[i] = rel.Tuple{}
+	}
+	if got := checksum(wisconsin.Generate(n, seed)); got != want {
+		t.Errorf("Generate returned checksum %x after an earlier result was zeroed, want %x", got, want)
 	}
 }

@@ -5,15 +5,11 @@
 //
 // Generation is deterministic: a relation is fully determined by its
 // cardinality and seed, so experiments are reproducible and fragments can be
-// regenerated without storing source data.
+// regenerated without storing source data. The package holds no state: a
+// caller that wants a relation generated once keeps it itself.
 package wisconsin
 
-import (
-	"slices"
-	"sync"
-
-	"gamma/internal/rel"
-)
+import "gamma/internal/rel"
 
 // Perm is a pseudo-random permutation of [0, n) built from a four-round
 // Feistel network with cycle-walking, so even the million-tuple relations
@@ -102,73 +98,16 @@ func makeTuple(u1, u2 int) rel.Tuple {
 	return t
 }
 
-// genKey identifies one generated relation shape for the memo cache.
-type genKey struct {
-	n    int
-	seed uint64
-}
-
-var genMu sync.Mutex
-var genCache = map[genKey][]rel.Tuple{}
-var genCacheTuples int
-
-// genCacheLimit bounds the memo to a handful of full-size benchmark
-// relations (~10M tuples at 52 B each ≈ 500 MB worst case, far below that
-// in practice since the suite reuses a few shapes).
-const genCacheLimit = 12 << 20
-
-// Generate materializes all n tuples of a relation.
-//
-// The bench suite builds the same (n, seed) relations dozens of times —
-// once per machine configuration — so results are memoized. Callers get a
-// private copy each time and may do with it what they like; a loader that
-// only reads its input takes Shared instead and skips the copy.
+// Generate materializes all n tuples of a relation. It is a pure function of
+// (n, seed): every call generates afresh and the caller owns the result. The
+// bench suite, which loads the same relations onto many machines, keeps its
+// own generated-relation caches (internal/bench, DESIGN.md §8).
 func Generate(n int, seed uint64) []rel.Tuple {
-	master, memoized := generate(n, seed)
-	if memoized {
-		return slices.Clone(master)
-	}
-	return master
-}
-
-// Shared returns the memoized relation itself: every caller of Shared with
-// the same (n, seed) holds the same backing array, so the result is
-// read-only. It exists for the machine loaders (core.Machine.Load,
-// teradata.Machine.Load), which copy their input into fragment files and
-// never write it.
-func Shared(n int, seed uint64) []rel.Tuple {
-	master, _ := generate(n, seed)
-	return master
-}
-
-// generate returns the relation and whether it is the memo's master (in
-// which case it must not be modified) or a private slice the memo had no
-// room for. The memo is guarded by a mutex for the parallel bench runner;
-// generation itself stays deterministic because the tuple content depends
-// only on (n, seed).
-func generate(n int, seed uint64) (tuples []rel.Tuple, memoized bool) {
-	key := genKey{n, seed}
-	genMu.Lock()
-	master, ok := genCache[key]
-	genMu.Unlock()
-	if ok {
-		return master, true
-	}
 	p1 := NewPerm(n, seed*2+1)
 	p2 := NewPerm(n, seed*2+2)
 	out := make([]rel.Tuple, n)
 	for i := range out {
 		out[i] = makeTuple(p1.At(i), p2.At(i))
 	}
-	genMu.Lock()
-	defer genMu.Unlock()
-	if master, dup := genCache[key]; dup {
-		return master, true // a concurrent caller generated it first
-	}
-	if genCacheTuples+n > genCacheLimit {
-		return out, false
-	}
-	genCache[key] = out
-	genCacheTuples += n
-	return out, true
+	return out
 }
