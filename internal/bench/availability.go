@@ -63,6 +63,11 @@ func avWindowQPS(completions []sim.Time, from sim.Time, w sim.Dur) float64 {
 	return float64(n) / w.Seconds()
 }
 
+// avReads declares the two mirrored relations every cluster size holds.
+func avReads(o Options) []genKey {
+	return []genKey{{o.FigureTuples, 11}, {o.FigureTuples, 12}}
+}
+
 // avRun plays one campaign against one cluster size.
 func avRun(o Options, nDisk int) avPoint {
 	seed := o.CampaignSeed

@@ -51,11 +51,15 @@ type Options struct {
 // simulated by the experiment that plots it, nothing counted.
 type runCtx struct {
 	// Shared by every experiment of one RunSuite call: the worker-slot
-	// semaphore (nil = serial) and the data-point cache (shared.go). rels
-	// (imagecache.go) is the suite's relation cache, or the experiment's own.
+	// semaphore (nil = serial), the relation cache (imagecache.go) and the
+	// data-point cache (shared.go).
 	sem    chan struct{}
 	rels   *relCache
 	points *onceMap[pointKey, any]
+
+	// The experiment, and the relations it declares: it may read no other.
+	exp   string
+	reads []genKey
 
 	// Per experiment: simulated events over every machine it built,
 	// machine-build wall time (nanoseconds), image-cache lookups, and the
@@ -203,7 +207,7 @@ func gammaRels(n int, seed uint64) []relSpec {
 }
 
 // loadSpecRel applies one relSpec to a machine, loading the relation from
-// the experiment's relation cache (generated afresh without a run context).
+// the suite's relation cache (generated afresh without a run context).
 func loadSpecRel(c *runCtx, m *core.Machine, rs relSpec) *core.Relation {
 	spec := core.LoadSpec{Name: rs.name, Strategy: rs.strategy, PartAttr: rs.partAttr}
 	if rs.indexed {

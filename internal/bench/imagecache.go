@@ -1,12 +1,16 @@
 package bench
 
 import (
+	"fmt"
+	"slices"
+	"sync"
+
 	"gamma/internal/config"
 	"gamma/internal/rel"
 	"gamma/internal/wisconsin"
 )
 
-// The relation caches: the paper loaded its Wisconsin database once per
+// The relation cache: the paper loaded its Wisconsin database once per
 // machine and ran every query against it, and a suite run does the same. A
 // loaded relation — partitioned, sorted, indexed — is a pure function of the
 // storage geometry it is declustered over, the parameter set and its spec, so
@@ -16,7 +20,9 @@ import (
 // image to a fresh simulation in O(page directory). Copy-on-write pages keep
 // the image immutable; Attach allocates file ids in Load's order, so the
 // tables stay byte-identical to the uncached path's. The Wisconsin relations
-// the images are loaded from are generated once per cache as well.
+// the images are loaded from are generated once per suite run as well, and
+// each lives, with its images, until the last experiment that declares it
+// returns.
 
 // imageKey identifies one distinct loaded relation on either machine.
 type imageKey struct {
@@ -37,25 +43,53 @@ type genKey struct {
 	seed uint64
 }
 
-// relCache is one scope's relations: the generated Wisconsin relations and
-// the relation images (*core.RelationImage or *teradata.RelationImage) built
-// from them. A suite run has one suite-wide relCache, whose entries live until
-// the run ends, and one of its own for each experiment whose relations no
-// other experiment reads (the registry's own column), which becomes garbage
-// when that experiment returns.
+// relCache is a suite run's relations: the generated Wisconsin relations
+// and the relation images (*core.RelationImage or *teradata.RelationImage)
+// built from them. readers counts, per (n, seed), the experiments of the run
+// that declare it and have not returned; at zero the relation and every image
+// built from it leave the cache. An entry still being built has a declarer
+// that has not returned, so it is never freed.
 type relCache struct {
-	tuples *onceMap[genKey, []rel.Tuple]
-	images *onceMap[imageKey, any]
+	mu      sync.Mutex
+	readers map[genKey]int
+	tuples  *onceMap[genKey, []rel.Tuple]
+	images  *onceMap[imageKey, any]
 }
 
 func newRelCache() *relCache {
-	return &relCache{tuples: newOnceMap[genKey, []rel.Tuple](), images: newOnceMap[imageKey, any]()}
+	return &relCache{readers: map[genKey]int{},
+		tuples: newOnceMap[genKey, []rel.Tuple](), images: newOnceMap[imageKey, any]()}
+}
+
+// declare counts one more reader of each of keys.
+func (c *relCache) declare(keys []genKey) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, k := range keys {
+		c.readers[k]++
+	}
+}
+
+// release counts one reader of each of keys out, freeing the relations that
+// have no reader left.
+func (c *relCache) release(keys []genKey) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, k := range keys {
+		if c.readers[k]--; c.readers[k] > 0 {
+			continue
+		}
+		delete(c.readers, k)
+		c.tuples.deleteFunc(func(g genKey) bool { return g == k })
+		c.images.deleteFunc(func(ik imageKey) bool { return ik.rel.n == k.n && ik.rel.seed == k.seed })
+	}
 }
 
 // image returns the relation image key names, built with build by the first
-// machine of the experiment's cache scope to ask; the caller is charged a
-// miss if it built, a hit otherwise.
+// machine of the suite run to ask; the caller is charged a miss if it built,
+// a hit otherwise.
 func image[T any](c *runCtx, key imageKey, build func() T) T {
+	c.mustDeclare(genKey{key.rel.n, key.rel.seed})
 	key.rel.name = ""
 	v, hit := c.rels.images.get(key, func() any { return build() })
 	if hit {
@@ -66,13 +100,23 @@ func image[T any](c *runCtx, key imageKey, build func() T) T {
 	return v.(T)
 }
 
-// tuples returns the Wisconsin relation (n, seed), generated once per cache
-// scope and handed to every load of it: the machine loaders only read their
+// tuples returns the Wisconsin relation (n, seed), generated once per suite
+// run and handed to every load of it: the machine loaders only read their
 // input. Without a run context it generates afresh.
 func (c *runCtx) tuples(n int, seed uint64) []rel.Tuple {
 	if c == nil {
 		return wisconsin.Generate(n, seed)
 	}
-	ts, _ := c.rels.tuples.get(genKey{n, seed}, func() []rel.Tuple { return wisconsin.Generate(n, seed) })
+	k := genKey{n, seed}
+	c.mustDeclare(k)
+	ts, _ := c.rels.tuples.get(k, func() []rel.Tuple { return wisconsin.Generate(n, seed) })
 	return ts
+}
+
+// mustDeclare panics unless the experiment declares k: the suite may already
+// have freed an undeclared relation, or free it while the experiment reads.
+func (c *runCtx) mustDeclare(k genKey) {
+	if !slices.Contains(c.reads, k) {
+		panic(fmt.Sprintf("bench: experiment %s reads relation (n=%d, seed=%d), which it does not declare", c.exp, k.n, k.seed))
+	}
 }

@@ -3,6 +3,8 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"testing"
 
@@ -120,7 +122,7 @@ func TestSuiteReportsCacheHits(t *testing.T) {
 // image's frozen pages — answers queries identically (run under -race).
 func TestImageCacheSingleflight(t *testing.T) {
 	o := tinyOptions()
-	o.run = &runCtx{rels: newRelCache()}
+	o.run = &runCtx{rels: newRelCache(), reads: []genKey{{500, 1}}}
 	var wg sync.WaitGroup
 	secs := make([]float64, 16)
 	for i := range secs {
@@ -148,10 +150,11 @@ func TestImageCacheSingleflight(t *testing.T) {
 
 // TestTuplesGeneratedOncePerCache: within one cache every load of a Wisconsin
 // relation reads the one slice generated for it, concurrent first requests
-// included; another cache generates its own, and without a run context every
-// call generates afresh.
+// included; another cache (another suite run) generates its own, and without a
+// run context every call generates afresh.
 func TestTuplesGeneratedOncePerCache(t *testing.T) {
-	c := &runCtx{rels: newRelCache()}
+	reads := []genKey{{500, 1}}
+	c := &runCtx{rels: newRelCache(), reads: reads}
 	got := make([][]rel.Tuple, 16)
 	var wg sync.WaitGroup
 	for i := range got {
@@ -170,7 +173,7 @@ func TestTuplesGeneratedOncePerCache(t *testing.T) {
 	if n := c.rels.tuples.len(); n != 1 {
 		t.Errorf("cache holds %d generated relations, want 1", n)
 	}
-	other := &runCtx{rels: newRelCache()}
+	other := &runCtx{rels: newRelCache(), reads: reads}
 	if &other.tuples(500, 1)[0] == &got[0][0] {
 		t.Error("two caches hand out one generated relation")
 	}
@@ -180,31 +183,64 @@ func TestTuplesGeneratedOncePerCache(t *testing.T) {
 	}
 }
 
-// recordCaches returns a relation-cache factory for runSuite and the caches it
-// has made, the suite's first.
-func recordCaches() (func() *relCache, func() []*relCache) {
-	var mu sync.Mutex
-	var made []*relCache
-	return func() *relCache {
-			c := newRelCache()
-			mu.Lock()
-			defer mu.Unlock()
-			made = append(made, c)
-			return c
-		}, func() []*relCache {
-			mu.Lock()
-			defer mu.Unlock()
-			return made
+// heldKeys returns the keys m holds.
+func heldKeys[K comparable, V any](m *onceMap[K, V]) []K {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return slices.Collect(maps.Keys(m.entries))
+}
+
+// cacheRecorder wraps experiments so that, as each returns, it records what
+// the suite's relation cache holds. Every relation an experiment read is still
+// there at that moment: the suite frees it only after the experiment returns.
+type cacheRecorder struct {
+	mu     sync.Mutex
+	cache  *relCache
+	images map[imageKey]bool
+	tuples map[genKey]bool
+}
+
+func newCacheRecorder() *cacheRecorder {
+	return &cacheRecorder{images: map[imageKey]bool{}, tuples: map[genKey]bool{}}
+}
+
+func (r *cacheRecorder) wrap(exps []Experiment) []Experiment {
+	out := slices.Clone(exps)
+	for i, e := range out {
+		out[i].Run = func(o Options) *Table {
+			tbl := e.Run(o)
+			r.mu.Lock()
+			defer r.mu.Unlock()
+			r.cache = o.run.rels
+			for _, k := range heldKeys(o.run.rels.images) {
+				r.images[k] = true
+			}
+			for _, k := range heldKeys(o.run.rels.tuples) {
+				r.tuples[k] = true
+			}
+			return tbl
 		}
+	}
+	return out
+}
+
+// left reports what the suite's relation cache still holds.
+func (r *cacheRecorder) left() (readers, tuples, images int) {
+	c := r.cache
+	c.mu.Lock()
+	readers = len(c.readers)
+	c.mu.Unlock()
+	return readers, c.tuples.len(), c.images.len()
 }
 
 // TestEveryRelationBuiltOnce: the suite loads a relation once however many
-// machines hold it. Tables 1-3 at one size need five Gamma relations (Aheap
-// and Aidx for all three tables, Table 2's Bprime, B and C) and four Teradata
-// hash files (A under both names, Bprime, B, C), serially and on four
-// workers. Over the whole registry every build, in the suite's cache or in an
-// experiment's own, is of a distinct relation: an experiment that owns its
-// relations shares no key with any other.
+// machines hold it, and frees it when its last reader returns. Tables 1-3 at
+// one size need five Gamma relations (Aheap and Aidx for all three tables,
+// Table 2's Bprime, B and C) and four Teradata hash files (A under both names,
+// Bprime, B, C), serially and on four workers. Over the whole registry, where
+// at tinyOptions the figure and table relations coincide, every build is of a
+// distinct relation — serially, and in reverse order on two workers — and the
+// cache is empty when RunSuite returns.
 func TestEveryRelationBuiltOnce(t *testing.T) {
 	var tables []Experiment
 	for _, id := range []string{"table1", "table2", "table3"} {
@@ -214,17 +250,14 @@ func TestEveryRelationBuiltOnce(t *testing.T) {
 	o := tinyOptions()
 	o.Sizes = []int{10000}
 	for _, workers := range []int{1, 4} {
-		newRels, made := recordCaches()
+		rec := newCacheRecorder()
 		var misses, lookups int64
-		for _, r := range runSuite(tables, o, workers, newRels) {
+		for _, r := range RunSuite(rec.wrap(tables), o, workers) {
 			misses += r.ImageMisses
 			lookups += r.ImageHits + r.ImageMisses
 		}
-		if len(made()) != 1 {
-			t.Fatalf("workers=%d: Tables 1-3 made %d relation caches, want the suite's alone", workers, len(made()))
-		}
 		gamma, tera := 0, 0
-		for k := range made()[0].images.entries {
+		for k := range rec.images {
 			if k.tera {
 				tera++
 			} else {
@@ -244,38 +277,33 @@ func TestEveryRelationBuiltOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole registry")
 	}
-	newRels, made := recordCaches()
-	exps := Experiments()
-	var misses int64
-	for _, r := range runSuite(exps, tinyOptions(), 2, newRels) {
-		misses += r.ImageMisses
-	}
-	own := 0
-	for _, e := range exps {
-		if e.ownRelations {
-			own++
-		}
-	}
-	if len(made()) != 1+own {
-		t.Errorf("%d relation caches for %d experiments that own their relations, want one more", len(made()), own)
-	}
-	for i, c := range made()[1:] {
-		if c.images.len() == 0 {
-			t.Errorf("experiment-owned cache %d holds no relation", i+1)
-		}
-	}
-	distinct := map[imageKey]bool{}
-	for _, c := range made() {
-		for k := range c.images.entries {
-			distinct[k] = true
-			// Two keys that differ only in what cannot shape storage would
-			// be one relation built twice.
-			if k.rel.name != "" {
-				t.Errorf("image key %+v carries a relation name", k.rel)
+	reversed := Experiments()
+	slices.Reverse(reversed)
+	for _, run := range []struct {
+		name    string
+		exps    []Experiment
+		workers int
+	}{{"serial", Experiments(), 1}, {"reversed on 2 workers", reversed, 2}} {
+		t.Run(run.name, func(t *testing.T) {
+			rec := newCacheRecorder()
+			var misses int64
+			for _, r := range RunSuite(rec.wrap(run.exps), tinyOptions(), run.workers) {
+				misses += r.ImageMisses
 			}
-		}
-	}
-	if misses != int64(len(distinct)) {
-		t.Errorf("%d builds for %d distinct relations across %d caches", misses, len(distinct), len(made()))
+			if misses != int64(len(rec.images)) {
+				t.Errorf("%d builds for %d distinct relations", misses, len(rec.images))
+			}
+			for k := range rec.images {
+				// Two keys that differ only in what cannot shape storage
+				// would be one relation built twice.
+				if k.rel.name != "" {
+					t.Errorf("image key %+v carries a relation name", k.rel)
+				}
+			}
+			if readers, tuples, images := rec.left(); readers+tuples+images != 0 {
+				t.Errorf("after RunSuite the cache holds %d readers, %d generated relations and %d images, want none",
+					readers, tuples, images)
+			}
+		})
 	}
 }

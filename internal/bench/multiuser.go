@@ -34,6 +34,16 @@ type muRow struct {
 	mode  core.JoinMode
 }
 
+// muReads declares the muRels relations and the join rows' MuBprime.
+func muReads(o Options) []genKey {
+	tuples := 2 * o.FigureTuples
+	out := []genKey{{tuples / 10, 7}}
+	for i := range muRels {
+		out = append(out, genKey{tuples, uint64(11 + i)})
+	}
+	return out
+}
+
 // muRun executes one closed-loop run and returns its workload result.
 func muRun(o Options, spec muRow, shared bool) core.WorkloadResult {
 	nDiskless := 0

@@ -61,20 +61,21 @@ func (r Report) QueryWall() time.Duration {
 // with a fixed seed, so scheduling cannot reach the results. workers <= 1
 // runs everything on the calling goroutine.
 func RunSuite(exps []Experiment, o Options, workers int) []Report {
-	return runSuite(exps, o, workers, newRelCache)
-}
-
-// runSuite is RunSuite making its relation caches with newRels, through which
-// the caches' tests see every one of them.
-func runSuite(exps []Experiment, o Options, workers int, newRels func() *relCache) []Report {
 	// One semaphore, one relation cache and one data-point cache serve the
 	// whole suite, always this run's own: machines that hold the same
 	// relation (Tables 1-3 at one size, the figure pairs) attach one image
 	// of it, and an experiment that replots a sibling's sweep reads the
-	// sibling's measurements. An experiment that owns its relations gets a
-	// relation cache of its own, referenced only by its runCtx, so its
-	// relations become garbage as soon as it returns.
-	suite := newRels()
+	// sibling's measurements. A relation leaves the cache when the last
+	// experiment of exps that declares it returns, so each is still built
+	// once and none outlives its readers.
+	rels := newRelCache()
+	reads := make([][]genKey, len(exps))
+	for i, e := range exps {
+		if e.reads != nil {
+			reads[i] = e.reads(o)
+			rels.declare(reads[i])
+		}
+	}
 	points := newOnceMap[pointKey, any]()
 	var sem chan struct{}
 	if workers > 1 {
@@ -82,10 +83,7 @@ func runSuite(exps []Experiment, o Options, workers int, newRels func() *relCach
 	}
 	reports := make([]Report, len(exps))
 	run := func(i int, e Experiment) {
-		c := &runCtx{sem: sem, rels: suite, points: points}
-		if e.ownRelations {
-			c.rels = newRels()
-		}
+		c := &runCtx{sem: sem, rels: rels, points: points, exp: e.ID, reads: reads[i]}
 		oo := o
 		oo.run = c
 		start := time.Now()
@@ -101,6 +99,7 @@ func runSuite(exps []Experiment, o Options, workers int, newRels func() *relCach
 			Wall: time.Since(start), Events: c.events.Load(),
 			Setup: time.Duration(c.setup.Load()), ImageHits: c.imgHits.Load(), ImageMisses: c.imgMisses.Load(),
 			SharedPoints: c.sharedPts.Load()}
+		rels.release(reads[i])
 	}
 	if sem == nil {
 		for i, e := range exps {

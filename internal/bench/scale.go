@@ -25,16 +25,7 @@ func runScale100(o Options) *Table {
 		Unit:    "seconds",
 		Columns: []string{"fixed DB", "speedup vs 64", "per-proc DB", "scaleup vs 64"},
 	}
-	// Fixed database for the speedup series; per-processor density for the
-	// scaleup series. The fixed database is 8x the figure size so per-site
-	// fragments stay scan-dominated out to 256 sites (at the figure size
-	// itself, per-site startup swamps a sub-page fragment and the curve
-	// inverts). Quick options: 160,000 total and 500 per processor.
-	totalN := o.FigureTuples * 8
-	perProc := o.FigureTuples / 40
-	if perProc < 500 {
-		perProc = 500
-	}
+	totalN, perProc := scaleSizes(o)
 	type point struct {
 		fixed, scaled float64
 	}
@@ -69,6 +60,25 @@ func runScale100(o Options) *Table {
 		"This is §5's 'query initiation grows with the number of sites' extrapolated to where it bites,",
 		"and exactly the coordination cost the 100+-node literature (PAPERS.md) redesigns away.")
 	return t
+}
+
+// scaleSizes returns the fixed database of the speedup series and the
+// per-processor density of the scaleup series. The fixed database is 8x the
+// figure size so per-site fragments stay scan-dominated out to 256 sites (at
+// the figure size itself, per-site startup swamps a sub-page fragment and the
+// curve inverts). Quick options: 160,000 total and 500 per processor.
+func scaleSizes(o Options) (totalN, perProc int) {
+	return o.FigureTuples * 8, max(o.FigureTuples/40, 500)
+}
+
+// scaleReads declares the fixed database and the scaleup series' databases.
+func scaleReads(o Options) []genKey {
+	totalN, perProc := scaleSizes(o)
+	out := []genKey{{totalN, 1}}
+	for _, d := range scaleNodes {
+		out = append(out, genKey{perProc * d, 1})
+	}
+	return out
 }
 
 // setupScale builds a d-disk-site machine loaded with one n-tuple heap

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 
 	"gamma/internal/config"
@@ -47,7 +48,15 @@ func (c *onceMap[K, V]) get(key K, build func() V) (val V, hit bool) {
 	return e.val, hit
 }
 
-// len reports the number of distinct keys requested so far.
+// deleteFunc drops every entry whose key matches. No caller may be asking for
+// those keys, or building them, when they go.
+func (c *onceMap[K, V]) deleteFunc(match func(K) bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	maps.DeleteFunc(c.entries, func(k K, _ *onceEntry[V]) bool { return match(k) })
+}
+
+// len reports the number of keys held.
 func (c *onceMap[K, V]) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

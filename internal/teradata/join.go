@@ -192,27 +192,32 @@ func (m *Machine) sortMerge(ap *sim.Proc, amp int, s1 []rel.Tuple, a1 rel.Attr, 
 	u1, f1 := mk(s1, a1, "join.s1")
 	u2, f2 := mk(s2, a2, "join.s2")
 
-	// Merge pass: read both sorted files sequentially.
-	t1 := fileTuples(ap, f1)
-	t2 := fileTuples(ap, f2)
-	nd.UseCPU(ap, tc.InstrPerTupleMerge*(len(t1)+len(t2)))
+	// Merge pass: read both sorted files sequentially, then merge over their
+	// pages in place.
+	c1 := sortedRun{pages: readPages(ap, f1)}
+	c2 := sortedRun{pages: readPages(ap, f2)}
+	nd.UseCPU(ap, tc.InstrPerTupleMerge*(f1.Len()+f2.Len()))
 	var outT []rel.Tuple
-	i, j := 0, 0
-	for i < len(t1) && j < len(t2) {
-		v1, v2 := t1[i].Get(a1), t2[j].Get(a2)
+	t1, t2 := c1.tuple(), c2.tuple()
+	for t1 != nil && t2 != nil {
+		v1, v2 := t1.Get(a1), t2.Get(a2)
 		switch {
 		case v1 < v2:
-			i++
+			t1 = c1.next()
 		case v1 > v2:
-			j++
+			t2 = c2.next()
 		default:
-			// Emit the cross product of the equal runs.
-			j2 := j
-			for j2 < len(t2) && t2[j2].Get(a2) == v1 {
-				outT = append(outT, t1[i])
-				j2++
+			// Emit the cross product of the equal runs: every side-1 tuple
+			// of the key once per side-2 tuple of it.
+			run := 0
+			for ; t2 != nil && t2.Get(a2) == v1; t2 = c2.next() {
+				run++
 			}
-			i++
+			for ; t1 != nil && t1.Get(a1) == v1; t1 = c1.next() {
+				for range run {
+					outT = append(outT, *t1)
+				}
+			}
 		}
 	}
 	// Dropped only now, after the last read: dropping purges the buffer pool.
@@ -222,12 +227,36 @@ func (m *Machine) sortMerge(ap *sim.Proc, amp int, s1 []rel.Tuple, a1 rel.Attr, 
 	return outT
 }
 
-// fileTuples reads a whole file sequentially (charged) into memory.
-func fileTuples(ap *sim.Proc, f *wiss.File) []rel.Tuple {
-	out := make([]rel.Tuple, 0, f.Len())
+// readPages reads a whole file sequentially (charged) and returns its pages.
+func readPages(ap *sim.Proc, f *wiss.File) []*wiss.Page {
+	var out []*wiss.Page
 	sc := f.NewScanner()
 	for pg := sc.NextPage(ap); pg != nil; pg = sc.NextPage(ap) {
-		out = pg.LiveTuples(out)
+		out = append(out, pg)
 	}
 	return out
+}
+
+// sortedRun walks the tuples of a sorted file's pages. The sort wrote them
+// with an Appender, so every slot is live.
+type sortedRun struct {
+	pages      []*wiss.Page
+	page, slot int
+}
+
+// tuple returns the current tuple, nil past the last.
+func (r *sortedRun) tuple() *rel.Tuple {
+	for r.page < len(r.pages) && r.slot == len(r.pages[r.page].Tuples) {
+		r.page, r.slot = r.page+1, 0
+	}
+	if r.page == len(r.pages) {
+		return nil
+	}
+	return &r.pages[r.page].Tuples[r.slot]
+}
+
+// next advances to the following tuple and returns it.
+func (r *sortedRun) next() *rel.Tuple {
+	r.slot++
+	return r.tuple()
 }

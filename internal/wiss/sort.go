@@ -27,16 +27,22 @@ func SortFile(p *sim.Proc, src *File, key rel.Attr, memBytes int, costs SortCost
 	// Pass 0: run formation.
 	var runs []*File
 	buf := make([]rel.Tuple, 0, min(src.Len(), tuplesPerMem)) // one run's worth, reused by every run
+	keys := make([]int32, 0, cap(buf))
 	flushRun := func() {
 		if len(buf) == 0 {
 			return
 		}
 		st.node.UseCPU(p, costs.InstrPerTupleRun*len(buf))
-		rel.SortByAttr(buf, key)
+		keys = keys[:0]
+		for i := range buf {
+			keys = append(keys, buf[i].Get(key))
+		}
 		run := st.CreateFile(src.Name + ".run")
 		ap := run.NewAppender()
-		for _, t := range buf {
-			ap.Append(p, t)
+		// Appended in key order straight from the buffer, with no sorted
+		// copy of it; the permutation is stable among equal keys.
+		for _, i := range rel.RadixPermutation(keys) {
+			ap.Append(p, buf[i])
 		}
 		ap.Close(p)
 		run.Sorted, run.SortKey = true, key
