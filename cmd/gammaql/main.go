@@ -93,13 +93,39 @@ func (sh *shell) exec(line string) (quit bool, err error) {
 	return false, err
 }
 
+// phases is a statement's sink: it forwards every event to the statement's
+// collector and snapshots the machine's counters at each phase label's
+// ("join1/build") first start and latest done on any site, so each phase is
+// classified over its own window.
+type phases struct {
+	*trace.Collector
+	m           *core.Machine
+	labels      []string // in first-start order
+	start, done map[string]core.Counters
+}
+
+func (ph *phases) Emit(e trace.Event) {
+	ph.Collector.Emit(e)
+	switch e.Kind {
+	case trace.KindPhaseStart:
+		label := e.Op + "/" + e.Class
+		if _, ok := ph.start[label]; !ok {
+			ph.labels = append(ph.labels, label)
+			ph.start[label] = ph.m.Counters()
+		}
+	case trace.KindPhaseDone:
+		ph.done[e.Op+"/"+e.Class] = ph.m.Counters()
+	}
+}
+
 // query runs one statement into a trace of its own, prints its result line
 // and, if it ran a query, the report of what bound it. Tracing costs no
 // simulated time.
 func (sh *shell) query(stmt string) (quel.Output, error) {
 	col := trace.NewCollector()
+	ph := &phases{Collector: col, m: sh.m, start: map[string]core.Counters{}, done: map[string]core.Counters{}}
 	sh.m.Trace = col
-	sh.m.Sim.SetSink(col)
+	sh.m.Sim.SetSink(ph)
 	if sh.keep {
 		sh.traces = append(sh.traces, col)
 	}
@@ -118,9 +144,7 @@ func (sh *shell) query(stmt string) (quel.Output, error) {
 	}
 	fmt.Fprintln(w)
 	sh.m.WriteUtilization(w, before)
-	if res.Diag != nil {
-		fmt.Fprintf(w, "\nverdict: %s\n", res.Diag)
-	}
+	fmt.Fprintf(w, "\nverdict: %s\n", res.Counters.Verdict())
 	if evs := col.Of(trace.KindFault, trace.KindFailover); len(evs) > 0 {
 		fmt.Fprintf(w, "\nfaults:\n")
 		for _, e := range evs {
@@ -131,10 +155,13 @@ func (sh *shell) query(stmt string) (quel.Output, error) {
 			}
 		}
 	}
-	if phases := col.MergedPhases(); len(phases) > 0 {
+	if len(ph.done) > 0 {
 		fmt.Fprintf(w, "\nphases:\n")
-		for _, ph := range phases {
-			fmt.Fprintf(w, "  %-16s %9.3fs  %s\n", ph.ID, float64(ph.Dur())/1e6, col.DiagnoseSpan(ph))
+		for _, label := range ph.labels {
+			if done, ok := ph.done[label]; ok {
+				d := done.Sub(ph.start[label])
+				fmt.Fprintf(w, "  %-16s %9.3fs  %s\n", label, d.Clock.Seconds(), d.Verdict())
+			}
 		}
 	}
 	return out, nil

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -36,6 +37,7 @@ func TestRun(t *testing.T) {
 		in    string // stdin
 		code  int
 		wants []string // in stdout and stderr; a usage on stderr when code is 2
+		match string   // a regular expression stdout must match, if set
 	}
 	for _, group := range []struct {
 		name string
@@ -43,19 +45,19 @@ func TestRun(t *testing.T) {
 	}{
 		{"Shell", []row{
 			{small, "range of a is A\nretrieve (a.all) where a.unique2 < 20\ndelete a where a.unique1 = 5\n\\quit", 0,
-				[]string{"20 tuples in ", "deleted 1 tuple in", "window:", "verdict:"}},
+				[]string{"20 tuples in ", "deleted 1 tuple in", "window:", "verdict:"}, ""},
 			{small, taken("retrieve into Bprime (a.all) where a.unique2 < 5"), 0,
-				[]string{`error: core: result "Bprime": a relation of that name is already catalogued`, intact}},
+				[]string{`error: core: result "Bprime": a relation of that name is already catalogued`, intact}, ""},
 			{small, taken("retrieve into A (a.all) where a.unique2 < 5"), 0,
-				[]string{`error: core: result "A": a relation of that name is already catalogued`, intact}},
+				[]string{`error: core: result "A": a relation of that name is already catalogued`, intact}, ""},
 			{small, taken(`\load A 100`), 0,
-				[]string{`error: \load A: a relation of that name is already catalogued`, intact}},
+				[]string{`error: \load A: a relation of that name is already catalogued`, intact}, ""},
 			// A failing -e statement ends the run after its error; in the
 			// shell the next line still runs.
 			{with("-e", "range of a is A", "-e", "retrieve (a.all) where a.unique2 < 5 and", "-e", `\relations`), "", 1,
-				[]string{"error: quel: "}},
+				[]string{"error: quel: "}, ""},
 			{small, "range of a is A\nretrieve (a.all) where a.unique2 < 5 and\nretrieve (a.all) where a.unique2 < 5\n", 0,
-				[]string{"error: quel: ", "5 tuples in "}},
+				[]string{"error: quel: ", "5 tuples in "}, ""},
 		}},
 		// Every join placement is accepted; an unknown one, or one in the
 		// wrong case, is reported in the shell and the next line still runs.
@@ -65,13 +67,13 @@ func TestRun(t *testing.T) {
 				[]string{"gamma> gamma> gamma> error: \\mode: usage: \\mode local|remote|all\n" +
 					"gamma> error: \\mode bogus: usage: \\mode local|remote|all\n" +
 					"gamma> error: \\mode Remote: usage: \\mode local|remote|all\n" +
-					"gamma> error: \\mode everywhere: usage: \\mode local|remote|all\n", intact}},
+					"gamma> error: \\mode everywhere: usage: \\mode local|remote|all\n", intact}, ""},
 		}},
 		// An unknown placement given with -e ends the run before the join.
 		{"RejectsUnknownMode", []row{
 			{with("-e", "range of a is A", "-e", "range of b is Bprime", "-e", `\mode bogus`,
 				"-e", "retrieve into j (a.all) where a.unique2 = b.unique2"), "", 1,
-				[]string{"error: \\mode bogus: usage: \\mode local|remote|all"}},
+				[]string{"error: \\mode bogus: usage: \\mode local|remote|all"}, ""},
 		}},
 		// A select and a join export a trace with -out, the join's
 		// byte-identical run to run; an unwritable -out exits 1 after the
@@ -79,33 +81,34 @@ func TestRun(t *testing.T) {
 		{"SelectWritesJSONL", []row{
 			{[]string{"-disk", "2", "-diskless", "0", "-tuples", "2000", "-out", filepath.Join(dir, "select.jsonl"),
 				"-e", "range of a is A", "-e", "retrieve into r (a.all) where a.unique2 < 200"}, "", 0,
-				[]string{"200 tuples in ", "wrote "}},
-			{with(append(join, "-out", out1)...), "", 0, []string{"phases:\n  join1/build", "join1/probe", "wrote "}},
-			{with(append(join, "-out", out2)...), "", 0, []string{"wrote "}},
+				[]string{"200 tuples in ", "wrote "}, ""},
+			{with(append(join, "-out", out1)...), "", 0, []string{"phases:\n  join1/build", "join1/probe", "wrote "},
+				`\nphases:\n  join1/build +[0-9.]+s  [a-z]+-bound \([a-z]+[0-9]* at [0-9.]+%\)`},
+			{with(append(join, "-out", out2)...), "", 0, []string{"wrote "}, ""},
 			{with(append(join, "-out", filepath.Join(dir, "missing", "t.jsonl"))...), "", 1,
-				[]string{"verdict:", "gammaql: open "}},
+				[]string{"verdict:", "gammaql: open "}, ""},
 		}},
 		{"SelectWithFault", []row{
 			{[]string{"-disk", "4", "-diskless", "0", "-tuples", "5000", "-fault", "1@0.2",
 				"-e", "range of a is A", "-e", "retrieve into r (a.all) where a.unique2 < 500"}, "", 0,
-				[]string{"faults:\n      0.200s  node-crash node 3\n", "failover abort"}},
+				[]string{"faults:\n      0.200s  node-crash node 3\n", "failover abort"}, ""},
 		}},
 		{"RejectsBadInput", []row{
-			{[]string{"-disk", "0"}, "", 2, []string{"gammaql: -disk 0: need at least one disk processor"}},
-			{[]string{"-diskless", "-1"}, "", 2, []string{"gammaql: -diskless -1: must not be negative"}},
-			{[]string{"-tuples", "0"}, "", 2, []string{"gammaql: -tuples 0: need at least 10"}},
-			{[]string{"-tuples", "5"}, "", 2, []string{"gammaql: -tuples 5: need at least 10"}},
-			{[]string{"-pagesize", "0"}, "", 2, []string{"gammaql: -pagesize 0: must be positive"}},
+			{[]string{"-disk", "0"}, "", 2, []string{"gammaql: -disk 0: need at least one disk processor"}, ""},
+			{[]string{"-diskless", "-1"}, "", 2, []string{"gammaql: -diskless -1: must not be negative"}, ""},
+			{[]string{"-tuples", "0"}, "", 2, []string{"gammaql: -tuples 0: need at least 10"}, ""},
+			{[]string{"-tuples", "5"}, "", 2, []string{"gammaql: -tuples 5: need at least 10"}, ""},
+			{[]string{"-pagesize", "0"}, "", 2, []string{"gammaql: -pagesize 0: must be positive"}, ""},
 		}},
 		// A fault spec that does not parse, or names a site beyond the
 		// machine, and a stray argument exit 2 with the usage.
 		{"RejectsBadFault", []row{
-			{[]string{"-fault", "bogus"}, "", 2, []string{`invalid value "bogus" for flag -fault`}},
-			{[]string{"-fault", "nic:1@0.5"}, "", 2, []string{`invalid value "nic:1@0.5" for flag -fault`}},
-			{[]string{"-fault", "2@-1"}, "", 2, []string{`invalid value "2@-1" for flag -fault`}},
-			{[]string{"-tuples", "2000", "stray"}, "", 2, []string{`gammaql: unexpected argument "stray"`}},
+			{[]string{"-fault", "bogus"}, "", 2, []string{`invalid value "bogus" for flag -fault`}, ""},
+			{[]string{"-fault", "nic:1@0.5"}, "", 2, []string{`invalid value "nic:1@0.5" for flag -fault`}, ""},
+			{[]string{"-fault", "2@-1"}, "", 2, []string{`invalid value "2@-1" for flag -fault`}, ""},
+			{[]string{"-tuples", "2000", "stray"}, "", 2, []string{`gammaql: unexpected argument "stray"`}, ""},
 			{with("-disk", "2", "-fault", "2@0.5", "-e", "range of a is A"), "", 2,
-				[]string{"gammaql: fault node-crash@2 t=0.500s: the machine has 2 disk sites"}},
+				[]string{"gammaql: fault node-crash@2 t=0.500s: the machine has 2 disk sites"}, ""},
 		}},
 	} {
 		t.Run(group.name, func(t *testing.T) {
@@ -123,6 +126,9 @@ func TestRun(t *testing.T) {
 					if !strings.Contains(out, want) {
 						t.Errorf("run(%v) with %q: want %q in:\n%s", tc.args, tc.in, want, out)
 					}
+				}
+				if tc.match != "" && !regexp.MustCompile(tc.match).MatchString(stdout.String()) {
+					t.Errorf("run(%v): stdout does not match %q:\n%s", tc.args, tc.match, stdout.String())
 				}
 			}
 		})
@@ -195,4 +201,56 @@ func TestMatchesDirectCalls(t *testing.T) {
 			t.Errorf("%s (%s):\ngammaql %s\ndirect  %s", tc.stmt, tc.mode, got, tc.want)
 		}
 	}
+}
+
+// TestREADMEFaultSample runs the README's -fault example as the README writes
+// it and requires the verdict and faults lines it shows (its "#   " comment
+// lines) to be what gammaql prints.
+func TestREADMEFaultSample(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.ReplaceAll(string(readme), "\\\n", ""), "\n")
+	var cmd string
+	var want []string
+	for i, l := range lines {
+		if strings.HasPrefix(l, "go run ./cmd/gammaql ") && strings.Contains(l, "-fault 2@0.8") {
+			cmd = l
+			for _, c := range lines[i+1:] {
+				if !strings.HasPrefix(c, "#   ") {
+					break
+				}
+				want = append(want, strings.TrimPrefix(c, "#   "))
+			}
+			break
+		}
+	}
+	if cmd == "" || len(want) == 0 {
+		t.Fatalf("README has no -fault 2@0.8 example followed by its output (found %q, %d lines)", cmd, len(want))
+	}
+	var stdout, stderr strings.Builder
+	args := shellWords(strings.TrimPrefix(cmd, "go run ./cmd/gammaql "))
+	if code := run(args, strings.NewReader(""), &stdout, &stderr); code != 0 {
+		t.Fatalf("run(%q) = %d:\n%s%s", args, code, stdout.String(), stderr.String())
+	}
+	out := stdout.String()
+	for _, w := range want {
+		if !strings.Contains(out, "\n"+w+"\n") {
+			t.Errorf("README shows %q; gammaql %q printed:\n%s", w, args, out)
+		}
+	}
+}
+
+// shellWords splits a command line on blanks, keeping 'quoted' words whole.
+func shellWords(s string) []string {
+	var words []string
+	for i, part := range strings.Split(s, "'") {
+		if i%2 == 1 {
+			words = append(words, part)
+		} else {
+			words = append(words, strings.Fields(part)...)
+		}
+	}
+	return words
 }

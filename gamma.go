@@ -57,14 +57,15 @@ type (
 	Attr = rel.Attr
 	// Teradata is the DBC/1012 baseline machine.
 	Teradata = teradata.Machine
-	// TraceCollector accumulates the structured event stream of a traced
-	// machine (Machine.EnableTrace) into a queryable timeline.
+	// TraceCollector logs the structured event stream of a traced machine
+	// (Machine.EnableTrace) in emission order, for filtering and JSONL export.
 	TraceCollector = trace.Collector
 	// TraceEvent is one typed record of the stream.
 	TraceEvent = trace.Event
 	// Verdict is the bottleneck classifier's output: which resource class
-	// (disk, CPU, NIC, ring) bound a window of the simulation.
-	Verdict = trace.Verdict
+	// (disk, CPU, NIC, ring, control messages) bound a window of the
+	// simulation, from Result.Counters.Verdict(), traced or not.
+	Verdict = core.Verdict
 )
 
 // Declustering strategies (§2).

@@ -51,7 +51,7 @@ type AggQuery struct {
 }
 
 // AggResult is the outcome of an aggregate query. Its Result reports
-// Elapsed, Err, Degraded, Attempts and Diag as for every other query class;
+// Elapsed, Counters, Err, Degraded and Attempts as for every other query class;
 // Tuples counts the qualifying input tuples.
 type AggResult struct {
 	Result

@@ -124,7 +124,8 @@ func NewMachine(s *sim.Sim, prm *config.Params, nDisk, nDiskless int) *Machine {
 // EnableTrace installs a structured event collector on the machine's
 // simulation and returns it. Every subsequent query emits the typed event
 // stream (resource intervals, disk ops, packets, operator and query spans)
-// into the collector, and each Result carries a bottleneck Verdict.
+// into the collector. The bottleneck verdict does not need it: every
+// Result's Counters classify the query, traced or not.
 // Tracing changes no simulated behavior: events are recorded synchronously
 // at the instants the simulation already passes through.
 func (m *Machine) EnableTrace() *trace.Collector {

@@ -63,15 +63,13 @@ type Result struct {
 	Overflows       int
 	OverflowPerSite []int
 	// Counters is the machine's activity during the query: network
-	// messages, buffer-pool and shared-scan pages, busy time. The deltas are
+	// messages, buffer-pool and shared-scan pages, busy time; its Verdict
+	// names the resource that bound the query, traced or not. The deltas are
 	// machine-wide, so exact per query for serially executed queries; they
 	// stay zero for queries run concurrently (RunConcurrent, RunWorkload).
 	Counters Counters
 	// Query is the trace span id ("q1", "q2", ...) assigned at launch.
 	Query string
-	// Diag is the bottleneck classification of the query's span, non-nil
-	// when the machine has tracing enabled (Machine.EnableTrace).
-	Diag *trace.Verdict
 
 	// Err is non-nil when the query could not complete: some fragment had no
 	// readable copy, failover retries were exhausted, or an update lost a
@@ -90,12 +88,12 @@ type Result struct {
 // does (§6.2.3), on every machine: MsgsPerOperatorInit control messages of
 // CtlMsg each, serialized on the scheduler's CPU, and then the start itself
 // crosses the ring (Machine.start), so the operator begins one Net.MinLatency
-// after the scheduler has paid for it. The cost is attributed in the trace as
-// a control-message event so Diagnose's "ctl" class can surface scheduler-
-// bound queries (§6.2.3's short-query regime).
+// after the scheduler has paid for it. The cost is counted as the scheduler's
+// control-plane time, so a verdict's "ctl" class can surface scheduler-bound
+// queries (§6.2.3's short-query regime).
 func (m *Machine) initiate(p *sim.Proc, node *nose.Node, name string, fn func(p *sim.Proc)) {
 	cost := sim.Dur(m.Prm.Engine.MsgsPerOperatorInit) * m.Prm.Net.CtlMsg
-	m.Sched.CPU.Use(p, cost)
+	m.Sched.UseCtl(p, cost)
 	if m.Sim.Tracing() {
 		p.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KindCtlMsg, From: m.Sched.ID, To: node.ID, Dur: int64(cost)})
 	}
@@ -440,16 +438,6 @@ func (m *Machine) launchQuery(res *Result, body func(ib *inbox), onDone func()) 
 	})
 }
 
-// diagnose fills res.Diag from the collected trace, if tracing is enabled.
-func (m *Machine) diagnose(res *Result) {
-	if m.Trace == nil {
-		return
-	}
-	if v, ok := m.Trace.DiagnoseQuery(res.Query); ok {
-		res.Diag = &v
-	}
-}
-
 // runQuery launches one query and runs the simulation to completion.
 func (m *Machine) runQuery(res *Result, body func(ib *inbox)) {
 	m.ResetPools()
@@ -457,7 +445,6 @@ func (m *Machine) runQuery(res *Result, body func(ib *inbox)) {
 	m.launchQuery(res, body, nil)
 	m.Sim.Run()
 	res.Counters = m.Counters().Sub(before)
-	m.diagnose(res)
 }
 
 // lifecycle is the scheduler program of every query class: attempts of try,
@@ -966,7 +953,10 @@ func (m *Machine) concurrentBody(q ConcurrentQuery, res *Result) func(ib *inbox)
 // RunConcurrent starts every query at the same simulated instant — the
 // multiuser scenario §6.2.1 defers to "future multiuser benchmarks" — and
 // returns each query's response time. Each query gets its own scheduler
-// process, as Gamma's dispatcher would assign.
+// process, as Gamma's dispatcher would assign. The Results' Counters stay
+// zero, so no query gets a verdict of its own; classify the run's window
+// instead: before := m.Counters(); m.RunConcurrent(qs);
+// m.Counters().Sub(before).Verdict().
 func (m *Machine) RunConcurrent(qs []ConcurrentQuery) []Result {
 	m.ResetPools()
 	results := make([]Result, len(qs))
@@ -974,8 +964,5 @@ func (m *Machine) RunConcurrent(qs []ConcurrentQuery) []Result {
 		m.launchQuery(&results[i], m.concurrentBody(q, &results[i]), nil)
 	}
 	m.Sim.Run()
-	for i := range results {
-		m.diagnose(&results[i])
-	}
 	return results
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"io"
+	"sort"
+	"strings"
 
 	"gamma/internal/disk"
 	"gamma/internal/nose"
@@ -37,7 +39,10 @@ type NodeCounters struct {
 	Role            string // host, scheduler, recovery, disk or diskless
 	HasDrive        bool
 	CPU, NIC, Drive sim.Dur
-	Access          disk.Stats
+	// Ctl is the part of CPU spent sending control messages and initiating
+	// operators (§6.2.3's 7 ms per message).
+	Ctl    sim.Dur
+	Access disk.Stats
 }
 
 // Counters snapshots the machine's cumulative counters. (Machine.Snapshot,
@@ -69,6 +74,7 @@ func (m *Machine) Counters() Counters {
 		}
 		n.CPU, _, _ = nd.CPU.Stats()
 		n.NIC, _, _ = nd.NIC.Stats()
+		n.Ctl = nd.CtlBusy()
 		if nd.Drive != nil {
 			n.HasDrive = true
 			n.Drive, _, _ = nd.Drive.Resource().Stats()
@@ -102,6 +108,7 @@ func (c Counters) Sub(was Counters) Counters {
 			n.CPU -= w.CPU
 			n.NIC -= w.NIC
 			n.Drive -= w.Drive
+			n.Ctl -= w.Ctl
 			n.Access.SeqReads -= w.Access.SeqReads
 			n.Access.RandReads -= w.Access.RandReads
 			n.Access.SeqWrites -= w.Access.SeqWrites
@@ -146,6 +153,99 @@ func (c Counters) meanBusy(window sim.Dur, of func(NodeCounters) (sim.Dur, bool)
 		return 0
 	}
 	return busy.Seconds() / (window.Seconds() * float64(count))
+}
+
+// ClassUtil is one resource class's share of a verdict's window.
+type ClassUtil struct {
+	Class string  // "disk", "nic", "cpu", "ring" or "ctl"
+	Res   string  // the class's busiest instance, e.g. "disk3"
+	Util  float64 // that instance's utilization of the window [0, 1]
+	Busy  sim.Dur // busy time summed over every instance of the class
+}
+
+// Verdict is the bottleneck classification of a window, in the paper's
+// §5.2/§6.2 sense: the binding class is the one whose busiest instance has
+// the highest utilization. A query is "disk-bound" when a drive is the most
+// saturated device, "cpu-bound" when a processor is, "nic-bound" when a
+// network interface (the 4 Mbit/s Unibus path) is.
+type Verdict struct {
+	Window  sim.Dur     // the classified window's length
+	Binding string      // class of the binding resource
+	Res     string      // the binding resource itself, e.g. "nic9"
+	Util    float64     // its utilization of the window
+	Classes []ClassUtil // every class with activity, by descending Util
+}
+
+// verdictClasses lists the classes in tie-break order: at an exact
+// utilization tie the physically scarcer resource binds. "ring" is the token
+// ring's transit time, one instance for the machine; "ctl" is each node's
+// control-message time, which is also part of its cpu, so it ranks last and
+// real hardware wins exact ties.
+var verdictClasses = [...]string{"disk", "nic", "cpu", "ring", "ctl"}
+
+// Verdict classifies the activity of c over c.Clock: for each class it finds
+// the busiest instance (the lowest node id at an exact tie) and names the
+// class whose busiest instance is the most saturated. On a query's Result
+// the window is the query's. Concurrent queries carry zero Counters, so a
+// concurrent run is classified over its whole window:
+// m.Counters().Sub(before).Verdict(), or WorkloadResult.Counters.Verdict().
+func (c Counters) Verdict() Verdict {
+	v := Verdict{Window: c.Clock}
+	if c.Clock <= 0 {
+		return v
+	}
+	var classes [len(verdictClasses)]ClassUtil
+	var busiest [len(verdictClasses)]int // node id of each class's Res
+	add := func(k, node int, busy sim.Dur) {
+		if busy <= 0 {
+			return
+		}
+		cu := &classes[k]
+		cu.Busy += busy
+		if u := float64(busy) / float64(c.Clock); u > cu.Util {
+			cu.Util, busiest[k] = u, node
+		}
+	}
+	for id, n := range c.Nodes {
+		add(0, id, n.Drive)
+		add(1, id, n.NIC)
+		add(2, id, n.CPU)
+		add(4, id, n.Ctl)
+	}
+	add(3, 0, c.Ring)
+	for k, cu := range classes {
+		if cu.Busy == 0 {
+			continue
+		}
+		cu.Class, cu.Res = verdictClasses[k], verdictClasses[k]
+		if cu.Class != "ring" {
+			cu.Res += fmt.Sprint(busiest[k])
+		}
+		v.Classes = append(v.Classes, cu)
+	}
+	sort.SliceStable(v.Classes, func(i, j int) bool { return v.Classes[i].Util > v.Classes[j].Util })
+	if len(v.Classes) > 0 {
+		v.Binding, v.Res, v.Util = v.Classes[0].Class, v.Classes[0].Res, v.Classes[0].Util
+	}
+	return v
+}
+
+// String renders the verdict in the §5/§6 style:
+//
+//	disk-bound (disk3 at 97.2%); cpu 41.0%, nic 12.4%, ring 0.6%
+func (v Verdict) String() string {
+	if v.Binding == "" {
+		return "idle (no resource activity in window)"
+	}
+	s := fmt.Sprintf("%s-bound (%s at %.1f%%)", v.Binding, v.Res, 100*v.Util)
+	var rest []string
+	for _, cu := range v.Classes[1:] {
+		rest = append(rest, fmt.Sprintf("%s %.1f%%", cu.Class, 100*cu.Util))
+	}
+	if len(rest) > 0 {
+		s += "; " + strings.Join(rest, ", ")
+	}
+	return s
 }
 
 // WriteUtilization reports each resource's busy time and utilization since

@@ -1,8 +1,9 @@
 package core_test
 
-// Acceptance tests for the structured tracing layer: trace.Diagnose must
-// reproduce the paper's bottleneck transitions, and the event stream must be
-// strictly deterministic (byte-identical JSONL across runs).
+// Acceptance tests for the bottleneck verdict and the tracing layer: a
+// query's Counters verdict must reproduce the paper's bottleneck transitions,
+// traced or not, and the event stream must be strictly deterministic
+// (byte-identical JSONL across runs).
 
 import (
 	"bytes"
@@ -18,23 +19,22 @@ import (
 	"gamma/internal/wisconsin"
 )
 
-// tracedSelect runs a 1% non-indexed selection on the standard 8+8 machine
-// at the given page size and returns its result.
-func tracedSelect(t *testing.T, pageBytes int) core.Result {
-	t.Helper()
+// selectAt runs a 1% non-indexed selection on the standard 8+8 machine at
+// the given page size, traced when col is true, and returns its result and
+// the machine's collector (nil untraced).
+func selectAt(pageBytes int, col bool) (core.Result, *trace.Collector) {
 	prm := config.Default()
 	prm.PageBytes = pageBytes
 	m := core.NewMachine(sim.New(), &prm, 8, 8)
 	r := m.Load(core.LoadSpec{Name: "A", Strategy: core.Hashed, PartAttr: rel.Unique1},
 		wisconsin.Generate(100000, 1))
-	m.EnableTrace()
+	if col {
+		m.EnableTrace()
+	}
 	res := m.RunSelect(core.SelectQuery{
 		Scan: core.ScanSpec{Rel: r, Pred: rel.Between(rel.Unique2, 0, 999), Path: core.PathHeap},
 	})
-	if res.Diag == nil {
-		t.Fatal("traced query has no Diag verdict")
-	}
-	return res
+	return res, m.Trace
 }
 
 // TestSelectionBottleneckTransition asserts the Figures 5-6 claim: a
@@ -42,23 +42,23 @@ func tracedSelect(t *testing.T, pageBytes int) core.Result {
 // CPU-bound as the page size grows — larger pages amortize positioning cost
 // over more tuples until the 0.6-MIPS VAX predicate evaluation dominates.
 func TestSelectionBottleneckTransition(t *testing.T) {
-	small := tracedSelect(t, 4096)
-	if small.Diag.Binding != "disk" {
-		t.Errorf("4 KB pages: %s; want disk-bound (Figure 5)", small.Diag)
+	small, _ := selectAt(4096, false)
+	if v := small.Counters.Verdict(); v.Binding != "disk" {
+		t.Errorf("4 KB pages: %s; want disk-bound (Figure 5)", v)
 	}
-	large := tracedSelect(t, 32768)
-	if large.Diag.Binding != "cpu" {
-		t.Errorf("32 KB pages: %s; want cpu-bound (Figure 6)", large.Diag)
+	large, _ := selectAt(32768, false)
+	if v := large.Counters.Verdict(); v.Binding != "cpu" {
+		t.Errorf("32 KB pages: %s; want cpu-bound (Figure 6)", v)
 	}
 	if large.Elapsed >= small.Elapsed {
 		t.Errorf("32 KB selection (%v) not faster than 4 KB (%v)", large.Elapsed, small.Elapsed)
 	}
 }
 
-// tracedRemoteJoin runs joinABprime on a 1-disk + 1-diskless machine in
-// Remote mode: every build and probe tuple crosses the network.
-func tracedRemoteJoin(t *testing.T, mips float64, pageBytes int) core.Result {
-	t.Helper()
+// remoteJoin runs joinABprime on a 1-disk + 1-diskless machine in Remote
+// mode, where every build and probe tuple crosses the network, traced when
+// col is true; it returns the result and the collector (nil untraced).
+func remoteJoin(mips float64, pageBytes int, col bool) (core.Result, *trace.Collector) {
 	prm := config.Default()
 	prm.CPU.MIPS = mips
 	prm.PageBytes = pageBytes
@@ -67,16 +67,15 @@ func tracedRemoteJoin(t *testing.T, mips float64, pageBytes int) core.Result {
 		wisconsin.Generate(20000, 1))
 	b := m.Load(core.LoadSpec{Name: "Bprime", Strategy: core.Hashed, PartAttr: rel.Unique1},
 		wisconsin.Generate(2000, 7))
-	m.EnableTrace()
+	if col {
+		m.EnableTrace()
+	}
 	res := m.RunJoin(core.JoinQuery{
 		Build: core.ScanSpec{Rel: b, Pred: rel.True(), Path: core.PathHeap}, BuildAttr: rel.Unique2,
 		Probe: core.ScanSpec{Rel: a, Pred: rel.True(), Path: core.PathHeap}, ProbeAttr: rel.Unique2,
 		Mode: core.Remote,
 	})
-	if res.Diag == nil {
-		t.Fatal("traced query has no Diag verdict")
-	}
-	return res
+	return res, m.Trace
 }
 
 // TestRemoteJoinUnibusBound asserts the Figure 3 / §6.2.3 discussion: in the
@@ -87,12 +86,13 @@ func TestRemoteJoinUnibusBound(t *testing.T) {
 	// At VAX speed the join CPU masks the network, but the NIC must
 	// already dominate the ring by an order of magnitude: all data
 	// funnels through the per-node Unibus, not the shared ring.
-	vax := tracedRemoteJoin(t, 0.6, 4096)
-	if vax.Diag.Binding == "ring" {
-		t.Fatalf("VAX join: %s; the ring must never bind (§5.2.1)", vax.Diag)
+	vax, _ := remoteJoin(0.6, 4096, false)
+	v := vax.Counters.Verdict()
+	if v.Binding == "ring" {
+		t.Fatalf("VAX join: %s; the ring must never bind (§5.2.1)", v)
 	}
 	var nicU, ringU float64
-	for _, cu := range vax.Diag.Classes {
+	for _, cu := range v.Classes {
 		switch cu.Class {
 		case "nic":
 			nicU = cu.Util
@@ -100,16 +100,48 @@ func TestRemoteJoinUnibusBound(t *testing.T) {
 			ringU = cu.Util
 		}
 	}
-	if nicU < 10*ringU {
-		t.Errorf("VAX join: nic %.1f%% vs ring %.1f%%; want Unibus >= 10x ring", 100*nicU, 100*ringU)
+	if ringU == 0 || nicU < 10*ringU {
+		t.Errorf("VAX join: nic %.1f%% vs ring %.1f%%; want a busy ring and the Unibus >= 10x it", 100*nicU, 100*ringU)
 	}
 
 	// §6.2.3's thought experiment: with faster processors (8x the VAX;
 	// pages large enough that disk positioning no longer dominates) the
 	// network interface emerges as the bottleneck.
-	fast := tracedRemoteJoin(t, 4.8, 32768)
-	if fast.Diag.Binding != "nic" {
-		t.Errorf("fast-CPU remote join: %s; want nic-bound (§6.2.3)", fast.Diag)
+	fast, _ := remoteJoin(4.8, 32768, false)
+	if v := fast.Counters.Verdict(); v.Binding != "nic" {
+		t.Errorf("fast-CPU remote join: %s; want nic-bound (§6.2.3)", v)
+	}
+}
+
+// TestVerdictTracedOrNot: tracing changes no verdict. A selection and a join
+// read the same Counters and the same verdict on a traced and an untraced
+// machine, and the control-message time each node's counters hold is what
+// its ctl-msg events charge.
+func TestVerdictTracedOrNot(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(col bool) (core.Result, *trace.Collector)
+	}{
+		{"select", func(col bool) (core.Result, *trace.Collector) { return selectAt(4096, col) }},
+		{"join", func(col bool) (core.Result, *trace.Collector) { return remoteJoin(0.6, 4096, col) }},
+	} {
+		plain, _ := tc.run(false)
+		traced, col := tc.run(true)
+		if !reflect.DeepEqual(plain.Counters, traced.Counters) {
+			t.Errorf("%s: counters differ:\nuntraced %+v\n  traced %+v", tc.name, plain.Counters, traced.Counters)
+		}
+		if pv, tv := plain.Counters.Verdict(), traced.Counters.Verdict(); !reflect.DeepEqual(pv, tv) || pv.Binding == "" {
+			t.Errorf("%s: verdict untraced %s, traced %s", tc.name, pv, tv)
+		}
+		ctl := make([]sim.Dur, len(traced.Counters.Nodes))
+		for _, e := range col.Of(trace.KindCtlMsg) {
+			ctl[e.From] += sim.Dur(e.Dur)
+		}
+		for id, n := range traced.Counters.Nodes {
+			if n.Ctl != ctl[id] {
+				t.Errorf("%s: node %d counts %v of control messages, its ctl-msg events %v", tc.name, id, n.Ctl, ctl[id])
+			}
+		}
 	}
 }
 
@@ -187,19 +219,20 @@ func TestTraceSpansWellFormed(t *testing.T) {
 		Mode: core.Remote,
 	})
 
-	q, ok := col.Query(res.Query)
-	if !ok {
-		t.Fatalf("query %q has no span", res.Query)
+	q := col.Of(trace.KindQueryStart, trace.KindQueryDone)
+	if len(q) != 2 || q[0].Kind != trace.KindQueryStart || q[0].Query != res.Query || q[1].Query != res.Query {
+		t.Fatalf("query %q: events %+v, want one start and one done", res.Query, q)
 	}
-	if q.End < 0 || q.Dur() != int64(res.Elapsed) {
-		t.Errorf("query span %+v; want closed with duration %d", q, int64(res.Elapsed))
+	from, to := q[0].At, q[1].At
+	if to-from != int64(res.Elapsed) {
+		t.Errorf("query span [%d,%d]; want duration %d", from, to, int64(res.Elapsed))
 	}
 	// Every operator and phase start is closed by a matching done, and both
 	// lie inside the query span.
 	open := map[string]int64{}
 	for _, e := range col.Of(trace.KindOpStart, trace.KindOpDone, trace.KindPhaseStart, trace.KindPhaseDone) {
-		if e.At < q.Start || e.At > q.End {
-			t.Errorf("%s of %s@%d at %d outside query span [%d,%d]", e.Kind, e.Op, e.Site, e.At, q.Start, q.End)
+		if e.At < from || e.At > to {
+			t.Errorf("%s of %s@%d at %d outside query span [%d,%d]", e.Kind, e.Op, e.Site, e.At, from, to)
 		}
 		k := fmt.Sprintf("%s@%d", e.Op, e.Site)
 		if e.Kind == trace.KindPhaseStart || e.Kind == trace.KindPhaseDone {
@@ -219,22 +252,23 @@ func TestTraceSpansWellFormed(t *testing.T) {
 			t.Errorf("span %s opened %d more times than closed", k, n)
 		}
 	}
+	// Both join phases ran, and the probe phase's sites report the join's
+	// output cardinality between them.
 	var sawBuild, sawProbe bool
-	for _, ph := range col.MergedPhases() {
-		switch ph.ID {
+	probed := 0
+	for _, e := range col.Of(trace.KindPhaseDone) {
+		switch e.Op + "/" + e.Class {
 		case "join1/build":
 			sawBuild = true
 		case "join1/probe":
 			sawProbe = true
+			probed += e.N
 		}
 	}
 	if !sawBuild || !sawProbe {
 		t.Errorf("missing join phases: build=%v probe=%v", sawBuild, sawProbe)
 	}
-	// The merged probe phase reports the join's output cardinality.
-	for _, ph := range col.MergedPhases() {
-		if ph.ID == "join1/probe" && ph.N != res.Tuples {
-			t.Errorf("probe phase N=%d, want %d result tuples", ph.N, res.Tuples)
-		}
+	if probed != res.Tuples {
+		t.Errorf("probe phase N=%d, want %d result tuples", probed, res.Tuples)
 	}
 }

@@ -66,7 +66,9 @@ type WorkloadResult struct {
 	Failed   int
 
 	// Counters is the machine's activity over the run; CPUUtil and DiskUtil
-	// over Elapsed give its mean processor and drive utilization.
+	// over Elapsed give its mean processor and drive utilization, and
+	// Verdict the resource that bound the mix (its queries have no verdict
+	// of their own).
 	Counters Counters
 }
 

@@ -139,6 +139,7 @@ type Node struct {
 	// Activity counters (the sender owns every counter a send touches).
 	stats    Stats
 	ringBusy sim.Dur
+	ctlBusy  sim.Dur
 
 	failed bool
 	ports  []*Port
@@ -195,6 +196,17 @@ func (n *Network) AddNode(withDisk bool, diskCfg config.Disk) *Node {
 
 // Network returns the ring the node is attached to.
 func (nd *Node) Network() *Network { return nd.net }
+
+// UseCtl charges d of control-message CPU time to the node on behalf of p:
+// CPU time like any other, also counted apart (CtlBusy), so a verdict can
+// tell control-plane time from data-plane time (§6.2.3).
+func (nd *Node) UseCtl(p *sim.Proc, d sim.Dur) {
+	nd.CPU.Use(p, d)
+	nd.ctlBusy += d
+}
+
+// CtlBusy returns the CPU time the node has spent on control messages.
+func (nd *Node) CtlBusy() sim.Dur { return nd.ctlBusy }
 
 // UseCPU charges instr instructions to the node's CPU on behalf of p.
 func (nd *Node) UseCPU(p *sim.Proc, instr int) {
@@ -576,9 +588,8 @@ func (n *Network) TransferBulk(p *sim.Proc, from, to *Node, bytes int) {
 // serializes a scheduler initiating operators across many nodes, since each
 // initiation occupies the scheduler's CPU before the next can start — and
 // then crosses the wire with the MinLatency floor like any other remote
-// send. The trace event carries the CtlMsg cost in Dur so Diagnose can
-// attribute control-plane time (the "ctl" pseudo-class). Same-node control
-// messages short-circuit.
+// send. The cost is counted as control-plane time (UseCtl), and the trace
+// event carries it in Dur. Same-node control messages short-circuit.
 func SendCtl(p *sim.Proc, from *Node, to *Port, payload any) {
 	net := from.net
 	if from == to.node {
@@ -593,7 +604,7 @@ func SendCtl(p *sim.Proc, from *Node, to *Port, payload any) {
 		to.deliver(Message{From: from, Kind: Control, Payload: payload})
 		return
 	}
-	from.CPU.Use(p, net.cfg.CtlMsg)
+	from.UseCtl(p, net.cfg.CtlMsg)
 	from.stats.CtlMsgs++
 	if net.sim.Tracing() {
 		p.Emit(trace.Event{

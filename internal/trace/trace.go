@@ -1,10 +1,9 @@
 // Package trace defines the typed, structured event stream emitted by the
 // simulation kernel (internal/sim), the device models (internal/disk,
-// internal/nose), and the Gamma engine (internal/core), and the analysis
-// built on top of it: per-resource busy-interval accounting, per-operator
-// phase spans, and a bottleneck classifier (Diagnose) that reports which
-// resource — disk, CPU, NIC, or ring — bound a query, the diagnostic axis of
-// the paper's §5.2 and §6.2.
+// internal/nose), and the Gamma engine (internal/core), and the Collector
+// that logs it and exports it as JSONL. Which resource bound a query is not
+// decided here: core.Counters.Verdict classifies the machine's counters,
+// traced or not.
 //
 // The package is a leaf: it imports nothing from the repository, so every
 // layer above it can emit events without cycles. Times are simulated
@@ -112,18 +111,4 @@ type Event struct {
 // exists so emitters (sim, disk, nose, core) depend only on this package.
 type Sink interface {
 	Emit(e Event)
-}
-
-// ResClass maps a resource name to its hardware class by stripping the
-// numeric suffix: "cpu3" -> "cpu", "disk0" -> "disk", "nic12" -> "nic",
-// "ring" -> "ring". Unknown names map to themselves sans digits.
-func ResClass(name string) string {
-	i := len(name)
-	for i > 0 && name[i-1] >= '0' && name[i-1] <= '9' {
-		i--
-	}
-	if i == 0 {
-		return name
-	}
-	return name[:i]
 }

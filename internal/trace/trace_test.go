@@ -8,23 +8,6 @@ import (
 	"testing"
 )
 
-func TestResClass(t *testing.T) {
-	tests := []struct{ name, want string }{
-		{"cpu0", "cpu"},
-		{"cpu12", "cpu"},
-		{"disk5", "disk"},
-		{"nic3", "nic"},
-		{"ring", "ring"},
-		{"42", "42"},
-		{"", ""},
-	}
-	for _, tc := range tests {
-		if got := ResClass(tc.name); got != tc.want {
-			t.Errorf("ResClass(%q) = %q, want %q", tc.name, got, tc.want)
-		}
-	}
-}
-
 func collect(events ...Event) *Collector {
 	c := NewCollector()
 	for _, e := range events {
@@ -37,101 +20,22 @@ func rel(res string, start, end int64) Event {
 	return Event{At: end, Kind: KindRelease, Res: res, Start: start, End: end}
 }
 
-func TestBusyWindows(t *testing.T) {
-	c := collect(
-		rel("disk0", 0, 10),
-		rel("disk0", 10, 30),
-		rel("disk0", 50, 60),
-	)
-	tests := []struct {
-		from, to int64
-		want     int64
-	}{
-		{0, 60, 40},
-		{0, 10, 10},
-		{5, 15, 10},  // straddles two intervals
-		{30, 50, 0},  // idle gap
-		{55, 100, 5}, // clipped tail
-		{60, 60, 0},  // empty window
-	}
-	for _, tc := range tests {
-		if got := c.Busy("disk0", tc.from, tc.to); got != tc.want {
-			t.Errorf("Busy(disk0, %d, %d) = %d, want %d", tc.from, tc.to, got, tc.want)
-		}
-	}
-	if got := c.Busy("nope", 0, 100); got != 0 {
-		t.Errorf("Busy on unknown resource = %d, want 0", got)
-	}
-}
-
-func TestDiagnose(t *testing.T) {
-	c := collect(
-		rel("disk0", 0, 90), // 90% of [0,100]
-		rel("disk1", 0, 50), // 50%
-		rel("cpu0", 0, 60),  // 60%
-		rel("ring", 0, 10),  // 10%
-	)
-	v := c.Diagnose(0, 100)
-	if v.Binding != "disk" || v.Res != "disk0" {
-		t.Fatalf("Diagnose: binding %s/%s, want disk/disk0 (%v)", v.Binding, v.Res, v)
-	}
-	if v.Util != 0.9 {
-		t.Errorf("Diagnose: util %.2f, want 0.90", v.Util)
-	}
-	// Classes sorted by descending utilization of the busiest instance.
-	var order []string
-	for _, cu := range v.Classes {
-		order = append(order, cu.Class)
-	}
-	if want := []string{"disk", "cpu", "ring"}; !reflect.DeepEqual(order, want) {
-		t.Errorf("class order %v, want %v", order, want)
-	}
-	// Busy sums across the class, not just the busiest instance.
-	if v.Classes[0].Busy != 140 {
-		t.Errorf("disk class busy %d, want 140", v.Classes[0].Busy)
-	}
-}
-
-func TestDiagnoseTieBreak(t *testing.T) {
-	// Exact utilization tie: the scarcer class (disk before cpu) wins.
-	c := collect(rel("cpu0", 0, 50), rel("disk0", 0, 50))
-	if v := c.Diagnose(0, 100); v.Binding != "disk" {
-		t.Errorf("tie-break binding %s, want disk", v.Binding)
-	}
-}
-
-func TestDiagnoseEmpty(t *testing.T) {
-	c := NewCollector()
-	v := c.Diagnose(0, 100)
-	if v.Binding != "" || len(v.Classes) != 0 {
-		t.Errorf("empty diagnose = %+v, want idle", v)
-	}
-	if s := v.String(); s != "idle (no resource activity in window)" {
-		t.Errorf("idle verdict string = %q", s)
-	}
-}
-
-func TestVerdictString(t *testing.T) {
-	c := collect(rel("disk3", 0, 97), rel("cpu1", 0, 41))
-	got := c.Diagnose(0, 100).String()
-	want := "disk-bound (disk3 at 97.0%); cpu 41.0%"
-	if got != want {
-		t.Errorf("verdict = %q, want %q", got, want)
-	}
-}
-
 func TestQueryAndOpSpans(t *testing.T) {
 	c := collect(
 		Event{At: 0, Kind: KindQueryStart, Query: "q1"},
 		Event{At: 5, Kind: KindOpStart, Op: "select", Node: 2, Site: 0},
 		Event{At: 5, Kind: KindOpStart, Op: "select", Node: 3, Site: 1},
+		rel("disk0", 5, 30),
 		Event{At: 40, Kind: KindOpDone, Op: "select", Node: 2, Site: 0, N: 7},
 		Event{At: 45, Kind: KindOpDone, Op: "select", Node: 3, Site: 1, N: 9},
 		Event{At: 50, Kind: KindQueryDone, Query: "q1"},
 	)
-	q, ok := c.Query("q1")
-	if !ok || q.Start != 0 || q.End != 50 {
-		t.Fatalf("query span = %+v, ok=%v", q, ok)
+	if c.Len() != 7 || len(c.Events()) != 7 {
+		t.Fatalf("collected %d events, want 7", c.Len())
+	}
+	q := c.Of(KindQueryStart, KindQueryDone)
+	if len(q) != 2 || q[0].At != 0 || q[1].At != 50 || q[1].Query != "q1" {
+		t.Errorf("query events = %+v, want q1 from 0 to 50", q)
 	}
 	ops := c.Of(KindOpStart, KindOpDone)
 	if len(ops) != 4 {
@@ -139,31 +43,6 @@ func TestQueryAndOpSpans(t *testing.T) {
 	}
 	if last := ops[3]; last.Kind != KindOpDone || last.Site != 1 || last.N != 9 || last.At != 45 {
 		t.Errorf("last operator event = %+v, want site 1 done at 45 with N=9", last)
-	}
-	if _, ok := c.Query("q2"); ok {
-		t.Error("found nonexistent query")
-	}
-}
-
-func TestMergedPhases(t *testing.T) {
-	c := collect(
-		Event{At: 10, Kind: KindPhaseStart, Op: "join1", Site: 0, Class: "build"},
-		Event{At: 12, Kind: KindPhaseStart, Op: "join1", Site: 1, Class: "build"},
-		Event{At: 30, Kind: KindPhaseDone, Op: "join1", Site: 0, Class: "build", N: 3},
-		Event{At: 35, Kind: KindPhaseDone, Op: "join1", Site: 1, Class: "build", N: 4},
-		Event{At: 35, Kind: KindPhaseStart, Op: "join1", Site: 0, Class: "probe"},
-		Event{At: 60, Kind: KindPhaseDone, Op: "join1", Site: 0, Class: "probe", N: 11},
-	)
-	merged := c.MergedPhases()
-	if len(merged) != 2 {
-		t.Fatalf("got %d merged phases, want 2: %+v", len(merged), merged)
-	}
-	b := merged[0]
-	if b.ID != "join1/build" || b.Start != 10 || b.End != 35 || b.N != 7 {
-		t.Errorf("merged build = %+v", b)
-	}
-	if merged[1].ID != "join1/probe" || merged[1].N != 11 {
-		t.Errorf("merged probe = %+v", merged[1])
 	}
 }
 
