@@ -70,6 +70,7 @@ type shell struct {
 	stdout io.Writer
 	keep   bool               // keep the traces, for -out
 	traces []*trace.Collector // in statement order
+	last   *trace.Collector   // the last statement's trace
 }
 
 // newShell builds the machine and preloads A and Bprime.
@@ -124,7 +125,7 @@ func (ph *phases) Emit(e trace.Event) {
 func (sh *shell) query(stmt string) (quel.Output, error) {
 	col := trace.NewCollector()
 	ph := &phases{Collector: col, m: sh.m, start: map[string]core.Counters{}, done: map[string]core.Counters{}}
-	sh.m.Trace = col
+	sh.last = col
 	sh.m.Sim.SetSink(ph)
 	if sh.keep {
 		sh.traces = append(sh.traces, col)

@@ -93,6 +93,16 @@ func TestRun(t *testing.T) {
 				"-e", "range of a is A", "-e", "retrieve into r (a.all) where a.unique2 < 500"}, "", 0,
 				[]string{"faults:\n      0.200s  node-crash node 3\n", "failover abort"}, ""},
 		}},
+		// A statement that needs a fragment with no live copy fails, an
+		// aggregate or an update as well as a selection.
+		{"UnavailableIsAnError", []row{
+			{[]string{"-tuples", "2000", "-fault", "2@0", "-fault", "3@0", "-e", "range of a is A",
+				"-e", "retrieve (count(a.unique1))"}, "", 1,
+				[]string{"error: core: fragment 2 of A unavailable (no live copy)"}, ""},
+			{[]string{"-tuples", "2000", "-fault", "2@0", "-e", "range of a is A",
+				"-e", "append to A (unique1 = 100003, unique2 = 100003)"}, "", 1,
+				[]string{"error: core: fragment 2 of A unavailable (no live copy)"}, ""},
+		}},
 		{"RejectsBadInput", []row{
 			{[]string{"-disk", "0"}, "", 2, []string{"gammaql: -disk 0: need at least one disk processor"}, ""},
 			{[]string{"-diskless", "-1"}, "", 2, []string{"gammaql: -diskless -1: must not be negative"}, ""},
@@ -197,7 +207,7 @@ func TestMatchesDirectCalls(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := summary(out.Result.Elapsed, sh.m.Sim.Executed(), sh.m.Trace); got != tc.want {
+		if got := summary(out.Result.Elapsed, sh.m.Sim.Executed(), sh.last); got != tc.want {
 			t.Errorf("%s (%s):\ngammaql %s\ndirect  %s", tc.stmt, tc.mode, got, tc.want)
 		}
 	}

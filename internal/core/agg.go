@@ -124,7 +124,6 @@ func (a *aggState) value(fn AggFn) int64 {
 // scheduler.
 type aggPartial struct {
 	op     string
-	site   int
 	groups map[int32]*aggState
 	seen   int
 }
@@ -180,11 +179,7 @@ func (m *Machine) scalarAgg(ib *inbox, q AggQuery, scan ScanSpec, frags []*Fragm
 	combine := ib.track(&opGroup{op: "agg-combine" + tag, ports: []*nose.Port{combiner.NewPort("agg-combine")}})
 	comboPort := combine.ports[0]
 	nSites := len(frags)
-	m.initiate(p, combiner, fmt.Sprintf("agg-combine@%d", combiner.ID), func(cp *sim.Proc) {
-		if comboPort.Closed() {
-			return // the node went down, taking the mailbox, after the scheduler set the operator up
-		}
-		defer opExit(cp, combiner, combine.op, 0, comboPort, sched, nil)
+	m.spawnOp(p, opSpec{op: combine.op, class: "agg-combine", node: combiner, in: comboPort, sched: sched}, func(cp *sim.Proc) (int, any) {
 		total := &aggState{}
 		seen := 0
 		for i := 0; i < nSites; i++ {
@@ -193,18 +188,16 @@ func (m *Machine) scalarAgg(ib *inbox, q AggQuery, scan ScanSpec, frags []*Fragm
 			total.merge(part.groups[0])
 			seen += part.seen
 		}
-		nose.SendCtl(cp, combiner, sched, aggPartial{op: combine.op, groups: map[int32]*aggState{0: total}, seen: seen})
-		comboPort.Close()
+		return seen, aggPartial{op: combine.op, groups: map[int32]*aggState{0: total}, seen: seen}
 	})
 	scanOp := "agg-scan" + tag
 	for si, frag := range frags {
-		fr, site := frag, si
-		m.initiate(p, fr.Node, fmt.Sprintf("agg-scan@%d", fr.Node.ID), func(sp *sim.Proc) {
-			defer opExit(sp, fr.Node, scanOp, site, nil, sched, nil)
+		m.spawnOp(p, opSpec{op: scanOp, class: "agg-scan", site: si, node: frag.Node, sched: sched}, func(sp *sim.Proc) (int, any) {
 			st := &aggState{}
-			seen := scanFold(sp, m, fr, scan, func(t rel.Tuple) { st.add(int64(t.Get(q.Attr))) })
-			conn := fr.Node.Dial(comboPort)
-			conn.Send(sp, nose.Data, aggPartial{site: site, groups: map[int32]*aggState{0: st}, seen: seen}, m.Prm.TupleBytes)
+			seen := scanFold(sp, m, frag, scan, func(t rel.Tuple) { st.add(int64(t.Get(q.Attr))) })
+			conn := frag.Node.Dial(comboPort)
+			conn.Send(sp, nose.Data, aggPartial{groups: map[int32]*aggState{0: st}, seen: seen}, m.Prm.TupleBytes)
+			return seen, nil
 		})
 	}
 	return collect(ib, ib.aggs, combine.op, 1)
@@ -223,16 +216,12 @@ func (m *Machine) groupedAgg(ib *inbox, q AggQuery, scan ScanSpec, frags []*Frag
 	groupAttr := *q.GroupBy
 	nSites := len(frags)
 	for ai, nd := range aggNodes {
-		site, node, port := ai, nd, aggs.ports[ai]
-		m.initiate(p, nd, fmt.Sprintf("agg@%d", nd.ID), func(ap *sim.Proc) {
-			if port.Closed() {
-				return // the node went down, taking the mailbox, after the scheduler set the operator up
-			}
-			defer opExit(ap, node, aggs.op, site, port, sched, nil)
+		port := aggs.ports[ai]
+		m.spawnOp(p, opSpec{op: aggs.op, class: "agg", site: ai, node: nd, in: port, sched: sched}, func(ap *sim.Proc) (int, any) {
 			groups := map[int32]*aggState{}
 			seen := 0
 			recvStream(ap, port, streamStore, nSites, func(ts []rel.Tuple) {
-				node.UseCPU(ap, m.Prm.Engine.InstrPerTupleAgg*len(ts))
+				nd.UseCPU(ap, m.Prm.Engine.InstrPerTupleAgg*len(ts))
 				for _, t := range ts {
 					g := t.Get(groupAttr)
 					st := groups[g]
@@ -244,8 +233,7 @@ func (m *Machine) groupedAgg(ib *inbox, q AggQuery, scan ScanSpec, frags []*Frag
 					seen++
 				}
 			})
-			nose.SendCtl(ap, node, sched, aggPartial{op: aggs.op, site: site, groups: groups, seen: seen})
-			port.Close()
+			return seen, aggPartial{op: aggs.op, groups: groups, seen: seen}
 		})
 	}
 	selOp := "agg-select" + tag

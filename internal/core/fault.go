@@ -203,35 +203,36 @@ func (m *Machine) liveFrag(r *Relation, i int) (frag *Fragment, backup bool, err
 	return nil, false, &ErrUnavailable{Rel: r.Name, Frag: i}
 }
 
-// opExit is every operator's deferred exit handler. An abortSignal (the
-// scheduler's ctlAbort) is acknowledged with abortedMsg; a disk.FailedError
-// raised by a failed drive becomes an opFailed report, so the scheduler
-// detects the loss at once instead of by silence. Either way drop (if any)
-// releases the operator's temporary files first, and its input port (if any)
-// closes so queued senders get their window credits back. Any other panic —
-// the kill sentinel of a crashed node included — passes through.
-func opExit(p *sim.Proc, nd *nose.Node, op string, site int, in, sched *nose.Port, drop func()) {
+// opExit is every operator's deferred exit handler (spawnOp). An abortSignal
+// (the scheduler's ctlAbort) is acknowledged with abortedMsg; a
+// disk.FailedError raised by a failed drive becomes an opFailed report, so
+// the scheduler detects the loss at once instead of by silence. Either way
+// o.drop (if any) releases the operator's temporary files first, and its
+// input port (if any) closes so queued senders get their window credits
+// back. Any other panic — the kill sentinel of a crashed node included —
+// passes through.
+func opExit(p *sim.Proc, o *opSpec) {
 	r := recover()
 	var report any
 	switch r.(type) {
 	case nil:
 		return
 	case abortSignal:
-		report = abortedMsg{op: op, site: site}
+		report = abortedMsg{op: o.op, site: o.site}
 	case disk.FailedError:
-		if nd.Failed() {
+		if o.node.Failed() {
 			panic(r)
 		}
-		report = opFailed{op: op, node: nd.ID}
+		report = opFailed{op: o.op, node: o.node.ID}
 	default:
 		panic(r)
 	}
-	if drop != nil {
-		drop()
+	if o.drop != nil {
+		o.drop()
 	}
-	nose.SendCtl(p, nd, sched, report)
-	if in != nil {
-		in.Close()
+	nose.SendCtl(p, o.node, o.sched, report)
+	if o.in != nil {
+		o.in.Close()
 	}
 }
 

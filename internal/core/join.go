@@ -170,21 +170,17 @@ type joinSpec struct {
 // hash-partitioned join of [DEWI85] (§6).
 func spawnJoin(spec joinSpec) {
 	m := spec.m
-	m.initiate(spec.from, spec.node, fmt.Sprintf("%s@%d", spec.opID, spec.node.ID), func(p *sim.Proc) {
-		if spec.port.Closed() {
-			return // the node went down, taking the mailbox, after the scheduler set the operator up
-		}
+	// Spool files are dropped on an abort or a failed spool drive:
+	// bookkeeping only, the cheap recovery path.
+	jt := newJoinTable(spec)
+	o := opSpec{op: spec.opID, class: "join", site: spec.site, node: spec.node, in: spec.port, sched: spec.sched, drop: jt.dropAllSpools}
+	m.spawnOp(spec.from, o, func(p *sim.Proc) (int, any) {
 		phase := func(kind trace.Kind, label string, n int) {
 			if !m.Sim.Tracing() {
 				return
 			}
 			p.Emit(trace.Event{At: int64(p.Now()), Kind: kind, Op: spec.opID, Node: spec.node.ID, Site: spec.site, Class: label, N: n})
 		}
-		p.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KindOpStart, Op: spec.opID, Node: spec.node.ID, Site: spec.site, Class: "join"})
-		jt := newJoinTable(spec)
-		// Spool files are dropped on an abort or a failed spool drive:
-		// bookkeeping only, the cheap recovery path.
-		defer opExit(p, spec.node, spec.opID, spec.site, spec.port, spec.sched, jt.dropAllSpools)
 
 		// Main build phase.
 		phase(trace.KindPhaseStart, "build", 0)
@@ -207,7 +203,8 @@ func spawnJoin(spec joinSpec) {
 		jt.runProbePhase(p, streamProbe, spec.nProbe)
 		phase(trace.KindPhaseDone, "probe", jt.produced)
 
-		// Overflow rounds.
+		// Overflow rounds, until the scheduler releases the operator. Its
+		// output went out per probe phase, so its span's N stays 0.
 		for {
 			pl := recvOp(p, spec.port)
 			jc, ok := pl.(opCtl)
@@ -216,9 +213,7 @@ func spawnJoin(spec joinSpec) {
 			}
 			switch jc.kind {
 			case ctlFinish:
-				p.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KindOpDone, Op: spec.opID, Node: spec.node.ID, Site: spec.site})
-				spec.port.Close()
-				return
+				return 0, nil
 			case ctlRoundBuild:
 				var label string
 				if m.Sim.Tracing() {

@@ -83,9 +83,6 @@ type Machine struct {
 	crashes  []int         // crash count by node ID (bumped by CrashDisk)
 	healer   *Healer       // non-nil after EnableHealing (heal.go)
 
-	// Trace is the structured event collector, non-nil after EnableTrace.
-	Trace *trace.Collector
-
 	// scans is the scan-sharing layer, non-nil after EnableSharedScans.
 	scans *scanHub
 }
@@ -121,19 +118,18 @@ func NewMachine(s *sim.Sim, prm *config.Params, nDisk, nDiskless int) *Machine {
 	return m
 }
 
-// EnableTrace installs a structured event collector on the machine's
-// simulation and returns it. Every subsequent query emits the typed event
-// stream (resource intervals, disk ops, packets, operator and query spans)
-// into the collector. The bottleneck verdict does not need it: every
-// Result's Counters classify the query, traced or not.
-// Tracing changes no simulated behavior: events are recorded synchronously
-// at the instants the simulation already passes through.
+// EnableTrace installs a new structured event collector on the machine's
+// simulation, in place of any sink installed before, and returns it. Every
+// subsequent query emits the typed event stream (resource service intervals,
+// disk ops, packets, operator and query spans) into the collector. The
+// bottleneck verdict does not need it: every Result's Counters classify the
+// query, traced or not. Tracing changes no simulated behavior: events are
+// recorded synchronously at the instants the simulation already passes
+// through.
 func (m *Machine) EnableTrace() *trace.Collector {
-	if m.Trace == nil {
-		m.Trace = trace.NewCollector()
-		m.Sim.SetSink(m.Trace)
-	}
-	return m.Trace
+	col := trace.NewCollector()
+	m.Sim.SetSink(col)
+	return col
 }
 
 // StoreOf returns the WiSS instance of a disk node (nil for diskless nodes).

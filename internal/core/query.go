@@ -58,10 +58,9 @@ type Result struct {
 	Elapsed    sim.Dur
 	Tuples     int
 	ResultName string
-	// Overflow telemetry (joins): resolutions observed at the most-
-	// overflowed site, and the per-site counts.
-	Overflows       int
-	OverflowPerSite []int
+	// Overflows (joins) is the number of overflow resolutions observed at
+	// the most-overflowed site.
+	Overflows int
 	// Counters is the machine's activity during the query: network
 	// messages, buffer-pool and shared-scan pages, busy time; its Verdict
 	// names the resource that bound the query, traced or not. The deltas are
@@ -84,20 +83,56 @@ type Result struct {
 	Attempts int
 }
 
-// initiate starts an operator process on a node the way Gamma's scheduler
-// does (§6.2.3), on every machine: MsgsPerOperatorInit control messages of
-// CtlMsg each, serialized on the scheduler's CPU, and then the start itself
-// crosses the ring (Machine.start), so the operator begins one Net.MinLatency
-// after the scheduler has paid for it. The cost is counted as the scheduler's
-// control-plane time, so a verdict's "ctl" class can surface scheduler-bound
-// queries (§6.2.3's short-query regime).
-func (m *Machine) initiate(p *sim.Proc, node *nose.Node, name string, fn func(p *sim.Proc)) {
-	cost := sim.Dur(m.Prm.Engine.MsgsPerOperatorInit) * m.Prm.Net.CtlMsg
-	m.Sched.UseCtl(p, cost)
-	if m.Sim.Tracing() {
-		p.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KindCtlMsg, From: m.Sched.ID, To: node.ID, Dur: int64(cost)})
+// opSpec names one Gamma operator process. op is its (attempt-tagged) id:
+// the span's Op, and the key of its reports and of its abort
+// acknowledgement. class is the kind op-start records; site is its index in
+// its group; in is its input port (nil for a scan); sched is the scheduler
+// port it reports to.
+type opSpec struct {
+	op, class string
+	site      int
+	node      *nose.Node
+	in, sched *nose.Port
+	// uncharged starts the process without the scheduler's initiation
+	// messages: the host's result collector.
+	uncharged bool
+	// drop, if set, releases the operator's temporary files when it aborts.
+	drop func()
+}
+
+// spawnOp is every Gamma operator's lifecycle. It starts the process the way
+// Gamma's scheduler initiates an operator (§6.2.3): MsgsPerOperatorInit
+// control messages of CtlMsg each, serialized on the scheduler's CPU and
+// counted as its control-plane time (so a verdict's "ctl" class can surface
+// §6.2.3's scheduler-bound short queries), and then the start itself crosses
+// the ring (Machine.start), one Net.MinLatency later. The process defers
+// opExit, brackets body with the op-start/op-done span (N is the count body
+// returns), sends the report body returns, if any, to the scheduler and
+// closes its input port. An operator that aborts or dies leaves its span
+// open.
+func (m *Machine) spawnOp(from *sim.Proc, o opSpec, body func(p *sim.Proc) (n int, report any)) {
+	if !o.uncharged {
+		cost := sim.Dur(m.Prm.Engine.MsgsPerOperatorInit) * m.Prm.Net.CtlMsg
+		m.Sched.UseCtl(from, cost)
+		if m.Sim.Tracing() {
+			from.Emit(trace.Event{At: int64(from.Now()), Kind: trace.KindCtlMsg, From: m.Sched.ID, To: o.node.ID, Dur: int64(cost)})
+		}
 	}
-	m.start(p, node, name, fn)
+	m.start(from, o.node, fmt.Sprintf("%s@%d", o.op, o.node.ID), func(p *sim.Proc) {
+		if o.in != nil && o.in.Closed() {
+			return // the node went down, taking the mailbox, after the scheduler set the operator up
+		}
+		defer opExit(p, &o)
+		p.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KindOpStart, Op: o.op, Node: o.node.ID, Site: o.site, Class: o.class})
+		n, report := body(p)
+		p.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KindOpDone, Op: o.op, Node: o.node.ID, Site: o.site, N: n})
+		if report != nil {
+			nose.SendCtl(p, o.node, o.sched, report)
+		}
+		if o.in != nil {
+			o.in.Close()
+		}
+	})
 }
 
 // JoinNodes returns the processors that execute join (and aggregate)
@@ -916,17 +951,12 @@ func (m *Machine) tryJoin(ib *inbox, q JoinQuery, res *Result, build, probe, bui
 		return err
 	}
 	res.Tuples = stored
-	res.OverflowPerSite = append(st1.perSite[:0:0], st1.perSite...)
-	if st2 != nil {
-		for i, v := range st2.perSite {
-			res.OverflowPerSite[i] += v
-		}
-	}
 	res.Overflows = 0
-	for _, v := range res.OverflowPerSite {
-		if v > res.Overflows {
-			res.Overflows = v
+	for i, v := range st1.perSite {
+		if st2 != nil {
+			v += st2.perSite[i]
 		}
+		res.Overflows = max(res.Overflows, v)
 	}
 	return nil
 }

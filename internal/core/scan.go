@@ -1,12 +1,9 @@
 package core
 
 import (
-	"fmt"
-
 	"gamma/internal/nose"
 	"gamma/internal/rel"
 	"gamma/internal/sim"
-	"gamma/internal/trace"
 	"gamma/internal/wiss"
 )
 
@@ -63,7 +60,6 @@ type selectOutput struct {
 // completion (§2: the third of the three control messages).
 type doneMsg struct {
 	op       string
-	site     int
 	produced int
 }
 
@@ -71,9 +67,7 @@ type doneMsg struct {
 // routeMaker is called inside the operator to build its split table (so
 // round-robin counters are per-operator, as in Gamma).
 func spawnSelect(m *Machine, from *sim.Proc, opID string, site int, frag *Fragment, pred rel.Pred, path AccessPath, mkOut func() selectOutput, sched *nose.Port) {
-	m.initiate(from, frag.Node, fmt.Sprintf("%s@%d", opID, frag.Node.ID), func(p *sim.Proc) {
-		defer opExit(p, frag.Node, opID, site, nil, sched, nil)
-		p.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KindOpStart, Op: opID, Node: frag.Node.ID, Site: site, Class: path.String()})
+	m.spawnOp(from, opSpec{op: opID, class: path.String(), site: site, node: frag.Node, sched: sched}, func(p *sim.Proc) (int, any) {
 		out := mkOut()
 		split := newSplitTable(frag.Node, m.Prm, out.stream, out.ports, out.route)
 		if out.filters != nil {
@@ -97,8 +91,7 @@ func spawnSelect(m *Machine, from *sim.Proc, opID string, site int, frag *Fragme
 			panic("core: unresolved access path " + path.String())
 		}
 		split.close(p)
-		p.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KindOpDone, Op: opID, Node: frag.Node.ID, Site: site, N: n})
-		nose.SendCtl(p, frag.Node, sched, doneMsg{op: opID, site: site, produced: n})
+		return n, doneMsg{op: opID, produced: n}
 	})
 }
 
@@ -211,9 +204,7 @@ func nonClusteredSelect(p *sim.Proc, m *Machine, frag *Fragment, pred rel.Pred, 
 // (resident on `owner`, possibly a different node) through a split table —
 // the redistribution step of join-overflow resolution (§6.2.2).
 func spawnSpoolScan(m *Machine, from *sim.Proc, opID string, site int, file *wiss.File, owner, reader *nose.Node, mkOut func() selectOutput, sched *nose.Port) {
-	m.initiate(from, reader, fmt.Sprintf("%s@%d", opID, reader.ID), func(p *sim.Proc) {
-		defer opExit(p, reader, opID, site, nil, sched, nil)
-		p.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KindOpStart, Op: opID, Node: reader.ID, Site: site, Class: "spool-scan"})
+	m.spawnOp(from, opSpec{op: opID, class: "spool-scan", site: site, node: reader, sched: sched}, func(p *sim.Proc) (int, any) {
 		out := mkOut()
 		split := newSplitTable(reader, m.Prm, out.stream, out.ports, out.route)
 		n := 0
@@ -229,7 +220,6 @@ func spawnSpoolScan(m *Machine, from *sim.Proc, opID string, site int, file *wis
 			})
 		}
 		split.close(p)
-		p.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KindOpDone, Op: opID, Node: reader.ID, Site: site, N: n})
-		nose.SendCtl(p, reader, sched, doneMsg{op: opID, site: site, produced: n})
+		return n, doneMsg{op: opID, produced: n}
 	})
 }

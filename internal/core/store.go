@@ -1,12 +1,9 @@
 package core
 
 import (
-	"fmt"
-
 	"gamma/internal/nose"
 	"gamma/internal/rel"
 	"gamma/internal/sim"
-	"gamma/internal/trace"
 )
 
 // spawnStore starts a store operator on a result fragment's node: it
@@ -17,14 +14,9 @@ import (
 // count is sent when the number of producer phases is finally known:
 // overflow rounds make it dynamic).
 func spawnStore(m *Machine, from *sim.Proc, opID string, site int, frag *Fragment, in *nose.Port, sched *nose.Port) {
-	m.initiate(from, frag.Node, fmt.Sprintf("%s@%d", opID, frag.Node.ID), func(p *sim.Proc) {
-		if in.Closed() {
-			return // the node went down, taking the mailbox, after the scheduler set the operator up
-		}
-		// An abort needs no flush: the scheduler drops the partial result
-		// relation afterwards.
-		defer opExit(p, frag.Node, opID, site, in, sched, nil)
-		p.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KindOpStart, Op: opID, Node: frag.Node.ID, Site: site, Class: "store"})
+	// An abort needs no flush: the scheduler drops the partial result
+	// relation afterwards.
+	m.spawnOp(from, opSpec{op: opID, class: "store", site: site, node: frag.Node, in: in, sched: sched}, func(p *sim.Proc) (int, any) {
 		eng := m.Prm.Engine
 		ap := frag.File.NewAppender()
 		recvStream(p, in, streamStore, -1, func(ts []rel.Tuple) {
@@ -36,29 +28,22 @@ func spawnStore(m *Machine, from *sim.Proc, opID string, site int, frag *Fragmen
 		})
 		n := ap.Close(p)
 		m.logForce(p, frag.Node)
-		p.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KindOpDone, Op: opID, Node: frag.Node.ID, Site: site, N: n})
-		nose.SendCtl(p, frag.Node, sched, doneMsg{op: opID, site: site, produced: n})
-		in.Close()
+		return n, doneMsg{op: opID, produced: n}
 	})
 }
 
 // spawnCollector starts a lightweight sink on a node (typically the host)
 // that counts result tuples instead of storing them — used for single-tuple
 // selects returned to the user. It obeys the same close protocol as a store
-// operator, but its start is not charged to the scheduler (Machine.start,
-// not initiate).
+// operator, but its start is not charged to the scheduler.
 func spawnCollector(m *Machine, from *sim.Proc, opID string, node *nose.Node, in *nose.Port, sched *nose.Port) {
-	m.start(from, node, fmt.Sprintf("%s@%d", opID, node.ID), func(p *sim.Proc) {
-		defer opExit(p, node, opID, 0, in, sched, nil)
-		p.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KindOpStart, Op: opID, Node: node.ID, Site: 0, Class: "collect"})
+	m.spawnOp(from, opSpec{op: opID, class: "collect", node: node, in: in, sched: sched, uncharged: true}, func(p *sim.Proc) (int, any) {
 		eng := m.Prm.Engine
 		total := 0
 		recvStream(p, in, streamStore, -1, func(ts []rel.Tuple) {
 			node.UseCPU(p, eng.InstrPerTupleStore*len(ts))
 			total += len(ts)
 		})
-		p.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KindOpDone, Op: opID, Node: node.ID, Site: 0, N: total})
-		nose.SendCtl(p, node, sched, doneMsg{op: opID, site: 0, produced: total})
-		in.Close()
+		return total, doneMsg{op: opID, produced: total}
 	})
 }

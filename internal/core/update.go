@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"gamma/internal/nose"
 	"gamma/internal/rel"
 	"gamma/internal/sim"
@@ -110,29 +108,18 @@ func ccOverhead(p *sim.Proc, m *Machine, frag *Fragment) {
 }
 
 // locateByClustered finds the tuple with partAttr == key through the
-// clustered index (or by scanning if none exists) and returns its RID.
+// clustered index, reading the one page the index names, or by scanning the
+// whole file if there is no such index or overflow inserts unordered the
+// file; it returns the tuple's RID.
 func locateByClustered(p *sim.Proc, m *Machine, frag *Fragment, attr rel.Attr, key int32) (wiss.RID, rel.Tuple, bool) {
+	start, end := 0, frag.File.Pages()
 	if bt, ok := frag.Indexes[attr]; ok && bt.Kind == wiss.Clustered {
-		start := bt.StartPage(p, key)
-		end := start + 1
-		if frag.File.Unordered {
-			start, end = 0, frag.File.Pages()
+		pn := bt.StartPage(p, key)
+		if !frag.File.Unordered { // else overflow pages are out of key order
+			start, end = pn, min(pn+1, end)
 		}
-		if end > frag.File.Pages() {
-			end = frag.File.Pages()
-		}
-		for pn := start; pn < end; pn++ {
-			pg := frag.File.ReadPage(p, pn)
-			frag.Node.UseCPU(p, m.Prm.Engine.InstrPerTupleScan*len(pg.Tuples))
-			for s, t := range pg.Tuples {
-				if pg.Live(s) && t.Get(attr) == key {
-					return wiss.RID{Page: int32(pn), Slot: int32(s)}, t, true
-				}
-			}
-		}
-		return wiss.RID{}, rel.Tuple{}, false
 	}
-	for pn := 0; pn < frag.File.Pages(); pn++ {
+	for pn := start; pn < end; pn++ {
 		pg := frag.File.ReadPage(p, pn)
 		frag.Node.UseCPU(p, m.Prm.Engine.InstrPerTupleScan*len(pg.Tuples))
 		for s, t := range pg.Tuples {
@@ -257,13 +244,13 @@ func (m *Machine) tryUpdate(ib *inbox, q UpdateQuery, res *Result) error {
 	}
 	ib.watchOnly(nodes)
 
-	// run initiates one update operator on fragment site's node.
-	run := func(name string, site int, fn func(up *sim.Proc, frag *Fragment) int) {
+	// run starts one update operator, of the given class, on fragment
+	// site's node.
+	run := func(class string, site int, fn func(up *sim.Proc, frag *Fragment) int) {
 		frag := q.Rel.Frags[site]
-		m.initiate(p, frag.Node, fmt.Sprintf("%s@%d", name, frag.Node.ID), func(up *sim.Proc) {
-			defer opExit(up, frag.Node, op, site, nil, sched, nil)
+		m.spawnOp(p, opSpec{op: op, class: class, site: site, node: frag.Node, sched: sched}, func(up *sim.Proc) (int, any) {
 			changed := fn(up, frag)
-			nose.SendCtl(up, frag.Node, sched, doneMsg{op: op, site: site, produced: changed})
+			return changed, doneMsg{op: op, produced: changed}
 		})
 	}
 	switch q.Kind {
@@ -294,19 +281,16 @@ func (m *Machine) tryUpdate(ib *inbox, q UpdateQuery, res *Result) error {
 		in := ib.track(&opGroup{op: op, ports: []*nose.Port{q.Rel.Frags[newSite].Node.NewPort("relocate")}})
 		relocPort := in.ports[0]
 		newFrag := q.Rel.Frags[newSite]
-		m.initiate(p, newFrag.Node, fmt.Sprintf("modkey-in@%d", newFrag.Node.ID), func(up *sim.Proc) {
-			if relocPort.Closed() {
-				return // the node went down, taking the mailbox, after the scheduler set the operator up
-			}
-			defer opExit(up, newFrag.Node, op, 0, relocPort, sched, nil)
+		// Its site is its port's index in the group, as the abort's
+		// acknowledgement names it.
+		m.spawnOp(p, opSpec{op: op, class: "modkey-in", node: newFrag.Node, in: relocPort, sched: sched}, func(up *sim.Proc) (int, any) {
 			changed := 0
 			if rl, ok := recvOp(up, relocPort).(relocated); ok {
 				insertTuple(up, m, newFrag, rl.tuple)
 				ccOverhead(up, m, newFrag)
 				changed = 1
 			}
-			nose.SendCtl(up, newFrag.Node, sched, doneMsg{op: op, site: newSite, produced: changed})
-			relocPort.Close()
+			return changed, doneMsg{op: op, produced: changed}
 		})
 		run("modkey-out", oldSite, func(up *sim.Proc, oldFrag *Fragment) int {
 			conn := oldFrag.Node.Dial(relocPort)

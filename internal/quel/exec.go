@@ -44,21 +44,30 @@ func (s *Session) Exec(line string) (Output, error) {
 	return s.Run(st)
 }
 
-// Run executes a parsed statement against the session's machine.
+// Run executes a parsed statement against the session's machine. A query
+// that could not complete (its Result.Err) fails the statement, whatever its
+// class.
 func (s *Session) Run(st Stmt) (Output, error) {
+	var out Output
+	var err error
 	switch st := st.(type) {
 	case *RangeStmt:
-		return s.runRange(st)
+		out, err = s.runRange(st)
 	case *RetrieveStmt:
-		return s.runRetrieve(st)
+		out, err = s.runRetrieve(st)
 	case *AppendStmt:
-		return s.runAppend(st)
+		out, err = s.runAppend(st)
 	case *DeleteStmt:
-		return s.runDelete(st)
+		out, err = s.runDelete(st)
 	case *ReplaceStmt:
-		return s.runReplace(st)
+		out, err = s.runReplace(st)
+	default:
+		return Output{}, fmt.Errorf("quel: unsupported statement %T", st)
 	}
-	return Output{}, fmt.Errorf("quel: unsupported statement %T", st)
+	if err == nil && out.Result != nil && out.Result.Err != nil {
+		return Output{}, out.Result.Err
+	}
+	return out, err
 }
 
 // runRange binds a range variable to a catalogued relation.
@@ -108,9 +117,6 @@ func (s *Session) runSelect(v, into string, project []rel.Attr, q *qual) (Output
 		ToHost:     into == "",
 		Project:    project,
 	})
-	if res.Err != nil {
-		return Output{}, res.Err
-	}
 	msg := fmt.Sprintf("%d tuples in %.3fs", res.Tuples, res.Elapsed.Seconds())
 	if into != "" {
 		msg += " -> " + res.ResultName
@@ -149,9 +155,6 @@ func (s *Session) runJoin(tvar, into string, q *qual) (Output, error) {
 		Mode:       s.Mode,
 		ResultName: into,
 	})
-	if res.Err != nil {
-		return Output{}, res.Err
-	}
 	msg := fmt.Sprintf("%d tuples in %.3fs (join, build=%s)", res.Tuples, res.Elapsed.Seconds(), buildRel.Name)
 	if res.Overflows > 0 {
 		msg += fmt.Sprintf(", %d overflow resolutions", res.Overflows)

@@ -1,6 +1,8 @@
 package quel
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -145,6 +147,56 @@ func TestAppendDeleteReplace(t *testing.T) {
 	out = mustExec(t, s, "replace t (ten = 5) where t.unique1 = 9999")
 	if !strings.HasPrefix(out.Message, "replaced 0 tuples in") {
 		t.Errorf("replace of a missing key: message %q", out.Message)
+	}
+}
+
+// TestUnavailableIsAnError: with both copies of fragment 1 lost (sites 1 and
+// 2 of a chain-declustered 4+4 machine crashed), every statement class that
+// needs that fragment fails with core's *ErrUnavailable — aggregates and
+// updates as well as selections — and one that does not still runs.
+func TestUnavailableIsAnError(t *testing.T) {
+	prm := config.Default()
+	m := core.NewMachine(sim.New(), &prm, 4, 4)
+	m.EnableMirroring()
+	u1 := rel.Unique1
+	m.Load(core.LoadSpec{
+		Name: "tenktup", Strategy: core.Hashed, PartAttr: rel.Unique1,
+		ClusteredIndex: &u1, NonClusteredIndexes: []rel.Attr{rel.Unique2},
+	}, wisconsin.Generate(2000, 1))
+	m.CrashDisk(1)
+	m.CrashDisk(2)
+	s := NewSession(m)
+	mustExec(t, s, "range of t is tenktup")
+	// keyOn returns the first unique1 value from lo up that hashes to site.
+	keyOn := func(site, lo int) int {
+		site4 := core.HashRoute(rel.Unique1, core.LoadSeed, 4)
+		for k := lo; ; k++ {
+			var tup rel.Tuple
+			tup.Set(rel.Unique1, int32(k))
+			if site4(tup) == site {
+				return k
+			}
+		}
+	}
+	lost, live := keyOn(1, 0), keyOn(0, 0)
+	for _, stmt := range []string{
+		"retrieve (t.all) where t.unique2 < 3",
+		"retrieve (count(t.unique1))",
+		"retrieve (sum(t.unique2)) by t.ten",
+		fmt.Sprintf("append to tenktup (unique1 = %d, unique2 = 100003)", keyOn(1, 100000)),
+		fmt.Sprintf("delete t where t.unique1 = %d", lost),
+		fmt.Sprintf("replace t (ten = 3) where t.unique1 = %d", lost),
+		fmt.Sprintf("replace t (unique1 = %d) where t.unique1 = %d", keyOn(0, 100000), lost),
+		"replace t (unique2 = 100999) where t.unique2 = 58",
+	} {
+		out, err := s.Exec(stmt)
+		var unavailable *core.ErrUnavailable
+		if !errors.As(err, &unavailable) {
+			t.Errorf("Exec(%q) = %q, %v; want *core.ErrUnavailable", stmt, out.Message, err)
+		}
+	}
+	if out := mustExec(t, s, fmt.Sprintf("delete t where t.unique1 = %d", live)); out.Result.Tuples != 1 {
+		t.Errorf("delete on a live site: %q", out.Message)
 	}
 }
 

@@ -72,17 +72,8 @@ func (r *Resource) Reserve(d Dur) Time {
 	r.busy += d
 	r.requests++
 	if sink := r.sim.sink; sink != nil {
-		// Both records are emitted at schedule time: arrivals are totally
-		// ordered by the event loop, so the service interval [start, end]
-		// is already final. The release record's At is the completion
-		// instant; the stream is therefore in emission order, not
-		// timestamp order.
 		sink.Emit(trace.Event{
-			At: int64(now), Kind: trace.KindAcquire, Res: r.name,
-			Wait: int64(start - now),
-		})
-		sink.Emit(trace.Event{
-			At: int64(r.busyUntil), Kind: trace.KindRelease, Res: r.name,
+			At: int64(now), Kind: trace.KindService, Res: r.name,
 			Start: int64(start), End: int64(r.busyUntil),
 		})
 	}

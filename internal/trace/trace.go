@@ -1,9 +1,11 @@
 // Package trace defines the typed, structured event stream emitted by the
 // simulation kernel (internal/sim), the device models (internal/disk,
 // internal/nose), and the Gamma engine (internal/core), and the Collector
-// that logs it and exports it as JSONL. Which resource bound a query is not
-// decided here: core.Counters.Verdict classifies the machine's counters,
-// traced or not.
+// that logs it and exports it as JSONL. Each fact is one record, emitted by
+// the one place that knows it: a resource reservation is one service event
+// from sim.Resource, a Gamma operator one op-start/op-done span from core's
+// operator lifecycle. Which resource bound a query is not decided here:
+// core.Counters.Verdict classifies the machine's counters, traced or not.
 //
 // The package is a leaf: it imports nothing from the repository, so every
 // layer above it can emit events without cycles. Times are simulated
@@ -21,12 +23,12 @@ package trace
 type Kind string
 
 const (
-	// KindAcquire: a request entered a resource's FIFO queue. Wait is the
-	// queueing delay it will experience before service.
-	KindAcquire Kind = "acquire"
-	// KindRelease: a service interval [Start, End] on a resource. Emitted
-	// at schedule time with At = End (the simulated completion instant).
-	KindRelease Kind = "release"
+	// KindService: one reservation of a FIFO resource (sim.Resource: a CPU,
+	// NIC or drive). At is the request instant and [Start, End] the service
+	// interval, so the queueing delay is Start - At. Emitted when the
+	// request is made: arrivals are totally ordered, so the interval is
+	// already final.
+	KindService Kind = "service"
 	// KindDiskOp: one page access with its positioning class
 	// (seq-read/rand-read/seq-write/rand-write) in Class.
 	KindDiskOp Kind = "disk-op"
@@ -38,8 +40,12 @@ const (
 	KindLocalMsg Kind = "local-msg"
 	// KindCtlMsg: an inter-node scheduler/operator control message.
 	KindCtlMsg Kind = "ctl-msg"
-	// KindOpStart / KindOpDone bracket one operator process (selection
-	// scan, store, join, spool scan) at one site.
+	// KindOpStart / KindOpDone bracket one Gamma operator process at one
+	// site (selection, spool scan, store, collect, join, the aggregate and
+	// the update operators). Op-start's Class names the operator kind;
+	// op-done's N is the count the operator reports: tuples produced,
+	// folded or changed (a join reports its output per probe phase, so its
+	// N is 0). An operator that aborts or dies has no op-done.
 	KindOpStart Kind = "op-start"
 	KindOpDone  Kind = "op-done"
 	// KindPhaseStart / KindPhaseDone bracket one phase inside an operator
@@ -89,7 +95,7 @@ const (
 type Event struct {
 	At    int64  `json:"at"` // simulated µs at emission
 	Kind  Kind   `json:"kind"`
-	Res   string `json:"res,omitempty"`   // resource name (acquire/release)
+	Res   string `json:"res,omitempty"`   // resource name (service, disk ops)
 	Class string `json:"class,omitempty"` // disk positioning class, packet kind, phase label
 	Op    string `json:"op,omitempty"`    // operator id (op/phase spans)
 	Query string `json:"query,omitempty"` // query id (query spans)
@@ -97,9 +103,8 @@ type Event struct {
 	Site  int    `json:"site,omitempty"`  // operator site index
 	From  int    `json:"from,omitempty"`  // sending node (packets)
 	To    int    `json:"to,omitempty"`    // receiving node (packets)
-	Start int64  `json:"start,omitempty"` // service interval start (release)
-	End   int64  `json:"end,omitempty"`   // service interval end (release)
-	Wait  int64  `json:"wait,omitempty"`  // queueing delay (acquire)
+	Start int64  `json:"start,omitempty"` // service interval start (service)
+	End   int64  `json:"end,omitempty"`   // service interval end (service)
 	Bytes int    `json:"bytes,omitempty"` // payload size (disk ops, packets)
 	File  int    `json:"file,omitempty"`  // file id (disk ops)
 	Page  int    `json:"page,omitempty"`  // page number (disk ops)

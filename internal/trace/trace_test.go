@@ -16,8 +16,8 @@ func collect(events ...Event) *Collector {
 	return c
 }
 
-func rel(res string, start, end int64) Event {
-	return Event{At: end, Kind: KindRelease, Res: res, Start: start, End: end}
+func svc(res string, start, end int64) Event {
+	return Event{At: start, Kind: KindService, Res: res, Start: start, End: end}
 }
 
 func TestQueryAndOpSpans(t *testing.T) {
@@ -25,7 +25,7 @@ func TestQueryAndOpSpans(t *testing.T) {
 		Event{At: 0, Kind: KindQueryStart, Query: "q1"},
 		Event{At: 5, Kind: KindOpStart, Op: "select", Node: 2, Site: 0},
 		Event{At: 5, Kind: KindOpStart, Op: "select", Node: 3, Site: 1},
-		rel("disk0", 5, 30),
+		svc("disk0", 5, 30),
 		Event{At: 40, Kind: KindOpDone, Op: "select", Node: 2, Site: 0, N: 7},
 		Event{At: 45, Kind: KindOpDone, Op: "select", Node: 3, Site: 1, N: 9},
 		Event{At: 50, Kind: KindQueryDone, Query: "q1"},
@@ -49,7 +49,7 @@ func TestQueryAndOpSpans(t *testing.T) {
 func TestOfFiltersByKindInEmissionOrder(t *testing.T) {
 	c := collect(
 		Event{At: 1, Kind: KindFault, Class: "node-crash", Node: 4},
-		rel("disk0", 0, 2),
+		svc("disk0", 0, 2),
 		Event{At: 3, Kind: KindFailover, Class: "abort"},
 		Event{At: 4, Kind: KindFault, Class: "drive-fail", Node: 5},
 		Event{At: 5, Kind: KindFailover, Class: "retry"},
@@ -69,8 +69,7 @@ func TestOfFiltersByKindInEmissionOrder(t *testing.T) {
 func TestJSONLRoundTrip(t *testing.T) {
 	events := []Event{
 		{At: 0, Kind: KindQueryStart, Query: "q1"},
-		{At: 3, Kind: KindAcquire, Res: "disk0", Wait: 2},
-		{At: 9, Kind: KindRelease, Res: "disk0", Start: 5, End: 9},
+		{At: 3, Kind: KindService, Res: "disk0", Start: 5, End: 9},
 		{At: 9, Kind: KindDiskOp, Res: "disk0", Class: "seq-read", Bytes: 4096, File: 1, Page: 7},
 		{At: 12, Kind: KindPacket, Class: "data", From: 2, To: 4, Bytes: 2048},
 		{At: 20, Kind: KindQueryDone, Query: "q1"},
