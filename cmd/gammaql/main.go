@@ -144,7 +144,7 @@ func (sh *shell) query(stmt string) (quel.Output, error) {
 		return out, nil
 	}
 	fmt.Fprintln(w)
-	sh.m.WriteUtilization(w, before)
+	sh.m.Counters().Sub(before).WriteUtilization(w)
 	fmt.Fprintf(w, "\nverdict: %s\n", res.Counters.Verdict())
 	if evs := col.Of(trace.KindFault, trace.KindFailover); len(evs) > 0 {
 		fmt.Fprintf(w, "\nfaults:\n")

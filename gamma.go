@@ -15,6 +15,7 @@ package gamma
 import (
 	"gamma/internal/config"
 	"gamma/internal/core"
+	"gamma/internal/nose"
 	"gamma/internal/rel"
 	"gamma/internal/sim"
 	"gamma/internal/teradata"
@@ -63,9 +64,9 @@ type (
 	// TraceEvent is one typed record of the stream.
 	TraceEvent = trace.Event
 	// Verdict is the bottleneck classifier's output: which resource class
-	// (disk, CPU, NIC, ring, control messages) bound a window of the
-	// simulation, from Result.Counters.Verdict(), traced or not.
-	Verdict = core.Verdict
+	// (disk, CPU, NIC, ring, control messages) bound a window of either
+	// machine's simulation, from Result.Counters.Verdict(), traced or not.
+	Verdict = nose.Verdict
 )
 
 // Declustering strategies (§2).

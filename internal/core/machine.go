@@ -310,10 +310,11 @@ func (m *Machine) Load(spec LoadSpec, tuples []rel.Tuple) *Relation {
 		// (i+1) mod k, fully indexed, so node i's loss leaves both its
 		// primary (via the backup on i+1) and its backup duty (fragment
 		// i-1's primary on node i-1) covered by distinct survivors.
-		for i := range parts {
-			nd := m.Disk[(i+1)%k]
-			// The primary's file owns parts[i]; the mirror gets its own copy.
-			r.Backups = append(r.Backups, m.buildFragment(nd, spec.Name+".bak", slices.Clone(parts[i]), spec))
+		// The backup adopts the primary's image, copy-on-write.
+		for i, fr := range r.Frags {
+			fi := m.imageFragment(fr)
+			fi.site = (i + 1) % k
+			r.Backups = append(r.Backups, m.attachFragment(spec.Name+".bak", fi))
 		}
 	}
 	m.catalogue(r)

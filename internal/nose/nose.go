@@ -110,18 +110,6 @@ func (n *Network) Stats() Stats {
 // Nodes returns all attached nodes in attachment order.
 func (n *Network) Nodes() []*Node { return n.nodes }
 
-// RingBusy sums the token-ring transit time charged across all nodes — the
-// ring's cumulative busy time for utilization reports. The ring is modeled
-// as pure latency (§5.2.1: "never a bottleneck"), so this is accounting,
-// not a contended resource.
-func (n *Network) RingBusy() sim.Dur {
-	var busy sim.Dur
-	for _, nd := range n.nodes {
-		busy += nd.ringBusy
-	}
-	return busy
-}
-
 // Node is one processor: a CPU, a network interface, and optionally a disk
 // drive (§2: 8 of Gamma's 17 processors have disks).
 type Node struct {
@@ -198,15 +186,12 @@ func (n *Network) AddNode(withDisk bool, diskCfg config.Disk) *Node {
 func (nd *Node) Network() *Network { return nd.net }
 
 // UseCtl charges d of control-message CPU time to the node on behalf of p:
-// CPU time like any other, also counted apart (CtlBusy), so a verdict can
-// tell control-plane time from data-plane time (§6.2.3).
+// CPU time like any other, also counted apart (NodeCounters.Ctl), so a
+// verdict can tell control-plane time from data-plane time (§6.2.3).
 func (nd *Node) UseCtl(p *sim.Proc, d sim.Dur) {
 	nd.CPU.Use(p, d)
 	nd.ctlBusy += d
 }
-
-// CtlBusy returns the CPU time the node has spent on control messages.
-func (nd *Node) CtlBusy() sim.Dur { return nd.ctlBusy }
 
 // UseCPU charges instr instructions to the node's CPU on behalf of p.
 func (nd *Node) UseCPU(p *sim.Proc, instr int) {

@@ -34,20 +34,21 @@ func (m *Machine) RunJoin(q JoinQuery) Result {
 	tc := m.Prm.Tera
 	nA := len(m.AMPs)
 	out := m.newResult()
-	total := 0
-	elapsed := m.run(tc.HostStartup, func(p *sim.Proc) {
+	res := m.run(tc.HostStartup, func(p *sim.Proc) int {
 		// Phase 1: scan + (maybe) redistribute both relations.
 		side1 := m.routeBuffers(q.R1, q.Pred1)
 		side2 := m.routeBuffers(q.R2, q.Pred2)
-		m.fanout(p, func(ap *sim.Proc, amp int) {
+		m.fanout(p, "route", func(ap *sim.Proc, amp int) int {
 			m.scanRoute(ap, amp, q.R1, q.Pred1, q.Attr1, side1)
 			m.scanRoute(ap, amp, q.R2, q.Pred2, q.Attr2, side2)
+			return 0
 		})
 
 		// Phase 2: per-AMP sort-merge join.
 		inter := make([][]rel.Tuple, nA)
-		m.fanout(p, func(ap *sim.Proc, amp int) {
+		m.fanout(p, "merge", func(ap *sim.Proc, amp int) int {
 			inter[amp] = m.sortMerge(ap, amp, side1[amp], q.Attr1, side2[amp], q.Attr2)
+			return len(inter[amp])
 		})
 
 		if q.R3 != nil {
@@ -55,29 +56,27 @@ func (m *Machine) RunJoin(q JoinQuery) Result {
 			// on Attr3, then sort-merge again.
 			i1 := make([][]rel.Tuple, nA)
 			i2 := m.routeBuffers(q.R3, q.Pred3)
-			m.fanout(p, func(ap *sim.Proc, amp int) {
+			m.fanout(p, "route2", func(ap *sim.Proc, amp int) int {
 				rd := m.newRedistribution(amp, rel.True(), q.AttrI, i1, hashSeed^0xbeef, true)
 				rd.batch(inter[amp])
 				ap.Steps(rd.step)
 				m.scanRouteSeed(ap, amp, q.R3, q.Pred3, q.Attr3, i2, hashSeed^0xbeef, true)
+				return 0
 			})
-			m.fanout(p, func(ap *sim.Proc, amp int) {
+			m.fanout(p, "merge2", func(ap *sim.Proc, amp int) int {
 				inter[amp] = m.sortMerge(ap, amp, i1[amp], q.AttrI, i2[amp], q.Attr3)
+				return len(inter[amp])
 			})
 		}
 
 		// Result storage with INSERT INTO logging.
-		counts := make([]int, nA)
-		m.fanout(p, func(ap *sim.Proc, amp int) {
+		return m.fanout(p, "store", func(ap *sim.Proc, amp int) int {
 			m.storeBatch(ap, amp, inter[amp], out)
-			counts[amp] = len(inter[amp])
+			return len(inter[amp])
 		})
-		for _, c := range counts {
-			total += c
-		}
 	})
-	m.catalogResult(out, total)
-	return Result{Elapsed: elapsed, Tuples: total}
+	m.catalogResult(out, res.Tuples)
+	return res
 }
 
 // storeBatch is INSERT INTO for the result tuples one AMP produced: one

@@ -27,6 +27,7 @@ import (
 	"gamma/internal/nose"
 	"gamma/internal/rel"
 	"gamma/internal/sim"
+	"gamma/internal/trace"
 	"gamma/internal/wiss"
 )
 
@@ -43,9 +44,8 @@ type Machine struct {
 	AMPs    []*nose.Node
 	stores  map[int]*wiss.Store
 	catalog map[string]*Relation
-	// ioSeq spaces out the page numbers of logging/temp-file writes so
-	// the drive model treats them as random accesses.
-	ioSeq int
+	ioSeq   int // see randPage
+	queries int // the queries run, for the ids of their trace spans
 }
 
 // ampParams derives the parameter set AMP-side WiSS machinery runs with:
@@ -199,34 +199,71 @@ func (m *Machine) ResetPools() {
 type Result struct {
 	Elapsed sim.Dur
 	Tuples  int
+	// Counters is the machine's activity during the query; its Clock is
+	// Elapsed, and its Verdict names the resource that bound the query.
+	Counters nose.Counters
 }
 
-// run executes body as the host process and returns the elapsed time.
-func (m *Machine) run(startup sim.Dur, body func(p *sim.Proc)) sim.Dur {
+// role names a node's part in the machine for its counters.
+func (m *Machine) role(nd *nose.Node) string {
+	if nd == m.Host {
+		return "host"
+	}
+	return "amp"
+}
+
+// run executes body as the host process and returns the query's result: the
+// tuples body reports, and the counters and elapsed time until the simulation
+// drains (so they cover device work handed off without waiting). Traced, the
+// query is one span.
+func (m *Machine) run(startup sim.Dur, body func(p *sim.Proc) (tuples int)) Result {
 	m.ResetPools()
-	start := m.Sim.Now()
-	var elapsed sim.Dur
+	before := m.Net.Counters(m.role)
+	m.queries++
+	query := ""
+	if m.Sim.Tracing() {
+		query = fmt.Sprintf("q%d", m.queries)
+		m.Sim.Emit(trace.Event{At: int64(before.Clock), Kind: trace.KindQueryStart, Query: query})
+	}
+	tuples := 0
 	m.Sim.Spawn("tera-host", func(p *sim.Proc) {
 		m.Host.CPU.Use(p, startup)
-		body(p)
-		elapsed = p.Now() - start
+		tuples = body(p)
 	})
 	m.Sim.Run()
-	if end := m.Sim.Now() - start; end > elapsed {
-		elapsed = end
+	c := m.Net.Counters(m.role).Sub(before)
+	if query != "" {
+		m.Sim.Emit(trace.Event{At: int64(m.Sim.Now()), Kind: trace.KindQueryDone, Query: query})
 	}
-	return elapsed
+	return Result{Elapsed: c.Clock, Tuples: tuples, Counters: c}
 }
 
-// fanout runs fn concurrently on every AMP (one process each) and blocks the
-// host until all complete.
-func (m *Machine) fanout(p *sim.Proc, fn func(ap *sim.Proc, amp int)) {
+// step is every Teradata AMP step's lifecycle, as core's spawnOp is Gamma's:
+// body runs, by p (the AMP's own process, or the host's for a hash access or
+// an update), as AMP amp's part of step op (its id and kind, unique in the
+// query), inside one op-start/op-done span whose N is the count body returns.
+func (m *Machine) step(p *sim.Proc, op string, amp int, body func() int) int {
+	if !m.Sim.Tracing() {
+		return body()
+	}
+	e := trace.Event{At: int64(p.Now()), Kind: trace.KindOpStart, Op: op, Class: op, Node: m.AMPs[amp].ID, Site: amp}
+	p.Emit(e)
+	e.Kind, e.Class, e.N = trace.KindOpDone, "", body()
+	e.At = int64(p.Now())
+	p.Emit(e)
+	return e.N
+}
+
+// fanout runs fn concurrently on every AMP, one process each and each run one
+// step op, blocks the host until all complete, and returns the sum of their
+// counts.
+func (m *Machine) fanout(p *sim.Proc, op string, fn func(ap *sim.Proc, amp int) int) (n int) {
 	done := m.Sim.NewWaitQ("tera-barrier")
 	remaining := len(m.AMPs)
 	for i := range m.AMPs {
 		amp := i
 		m.Sim.Spawn("amp", func(ap *sim.Proc) {
-			fn(ap, amp)
+			n += m.step(ap, op, amp, func() int { return fn(ap, amp) })
 			remaining--
 			if remaining == 0 {
 				done.WakeAll()
@@ -236,6 +273,14 @@ func (m *Machine) fanout(p *sim.Proc, fn func(ap *sim.Proc, amp int)) {
 	if remaining > 0 {
 		done.Park(p)
 	}
+	return n
+}
+
+// randPage is the page number of a logging, index or temporary-file I/O,
+// spaced out from every other so the drive model treats it as random.
+func (m *Machine) randPage() int {
+	m.ioSeq += 2
+	return m.ioSeq
 }
 
 // newResult creates the (empty) relation a query's INSERT INTO fills: one
@@ -308,8 +353,7 @@ func (x *insertion) step() (sim.Time, bool) {
 		if x.ios < tc.InsertIOs {
 			// Logging and data-block writes land in distinct areas: random.
 			x.ios++
-			m.ioSeq += 2
-			return to.Drive.ReserveWrite(-1-x.dst, m.ioSeq, m.Prm.TupleBytes), true
+			return to.Drive.ReserveWrite(-1-x.dst, m.randPage(), m.Prm.TupleBytes), true
 		}
 		x.out.Frags[x.dst].File.LoadAppend(*x.t)
 	}
@@ -352,8 +396,7 @@ func (x *tempInsert) step() (sim.Time, bool) {
 	to := m.AMPs[x.to]
 	to.CPU.UseAsync(m.ampPrm.CPU.Time(tc.InstrPerTempInsert))
 	for i := 0; i < tc.TempInsertIOs; i++ {
-		m.ioSeq += 2
-		to.Drive.WriteAsync(-100-x.to, m.ioSeq, m.Prm.TupleBytes)
+		to.Drive.WriteAsync(-100-x.to, m.randPage(), m.Prm.TupleBytes)
 	}
 	x.dest[x.to] = append(x.dest[x.to], *x.t)
 	x.t = nil

@@ -23,35 +23,35 @@ const (
 )
 
 // RunSelect executes a selection and stores its result via INSERT INTO
-// (with per-tuple logging) unless toHost is set.
+// (with per-tuple logging) unless toHost is set. A HashAccess predicate must
+// be an exact match on the primary key.
 func (m *Machine) RunSelect(r *Relation, pred rel.Pred, kind SelectKind, toHost bool) Result {
 	tc := m.Prm.Tera
+	if kind == HashAccess && (pred.Attr != r.KeyAttr || pred.Lo != pred.Hi) {
+		panic("teradata: HashAccess needs an exact match on the primary key " + r.KeyAttr.String())
+	}
 	var out *Relation
 	if !toHost {
 		out = m.newResult()
 	}
-	total := 0
-	elapsed := m.run(tc.HostStartup, func(p *sim.Proc) {
+	res := m.run(tc.HostStartup, func(p *sim.Proc) int {
 		if kind == HashAccess {
-			amp := int(rel.Hash64(pred.Lo, hashSeed) % uint64(len(m.AMPs)))
-			nd := m.AMPs[amp]
-			fr := r.Frags[amp]
 			// One hash access locates the block (§3).
-			nd.UseCPU(p, tc.InstrPerTupleScan)
-			m.ioSeq += 2
-			nd.Drive.Read(p, fr.File.ID, m.ioSeq, m.ampPrm.PageBytes)
-			for pg := 0; pg < fr.File.Pages(); pg++ {
-				for s, t := range fr.File.PageTuples(pg) {
-					if fr.File.Page(pg).Live(s) && pred.Match(t) {
-						total++
-					}
+			amp := m.ampFor(pred.Lo)
+			return m.step(p, "hash", amp, func() int {
+				var found []rel.Tuple
+				if _, t, ok := m.hashLocate(p, amp, r, pred.Lo); ok {
+					found = append(found, t)
 				}
-			}
-			m.Net.TransferBulk(p, nd, m.Host, m.Prm.TupleBytes)
-			return
+				if toHost {
+					m.Net.TransferBulk(p, m.AMPs[amp], m.Host, m.Prm.TupleBytes)
+				} else {
+					m.storeBatch(p, amp, found, out)
+				}
+				return len(found)
+			})
 		}
-		counts := make([]int, len(m.AMPs))
-		m.fanout(p, func(ap *sim.Proc, amp int) {
+		return m.fanout(p, [...]string{FileScan: "file-scan", IndexScan: "index-scan"}[kind], func(ap *sim.Proc, amp int) int {
 			q := &selection{
 				qualifying: qualifying{pred: pred},
 				m:          m, amp: amp, file: r.Frags[amp].File,
@@ -71,16 +71,13 @@ func (m *Machine) RunSelect(r *Relation, pred rel.Pred, kind SelectKind, toHost 
 				}
 				ap.Steps(q.indexScan)
 			}
-			counts[amp] = q.n
+			return q.n
 		})
-		for _, c := range counts {
-			total += c
-		}
 	})
 	if out != nil {
-		m.catalogResult(out, total)
+		m.catalogResult(out, res.Tuples)
 	}
-	return Result{Elapsed: elapsed, Tuples: total}
+	return res
 }
 
 // selection is one AMP's part of a FileScan or IndexScan selection: the walk
@@ -171,9 +168,8 @@ func (q *selection) indexScan() (sim.Time, bool) {
 				break
 			}
 			// Each qualifying tuple: one random data-block access.
-			m.ioSeq += 2
 			q.fetched = t
-			return nd.Drive.ReserveRead(q.file.ID, m.ioSeq, m.ampPrm.PageBytes), true
+			return nd.Drive.ReserveRead(q.file.ID, m.randPage(), m.ampPrm.PageBytes), true
 		}
 	}
 	return 0, false

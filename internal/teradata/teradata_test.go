@@ -224,7 +224,9 @@ func TestStoresStayFlatAcrossJoins(t *testing.T) {
 func resumesOf(m *Machine, body func(ap *sim.Proc, amp int)) int {
 	cost := func(body func(ap *sim.Proc, amp int)) int {
 		before := m.Sim.Resumes()
-		m.run(0, func(p *sim.Proc) { m.fanout(p, body) })
+		m.run(0, func(p *sim.Proc) int {
+			return m.fanout(p, "probe", func(ap *sim.Proc, amp int) int { body(ap, amp); return 0 })
+		})
 		return int(m.Sim.Resumes() - before)
 	}
 	harness := cost(func(*sim.Proc, int) {})

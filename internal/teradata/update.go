@@ -33,7 +33,6 @@ type UpdateQuery struct {
 // adds hashed index-row updates.
 func (m *Machine) RunUpdate(q UpdateQuery) Result {
 	tc := m.Prm.Tera
-	changed := 0
 	startup := tc.UpdateStartup
 	if q.Kind == ModifyKeyAttr {
 		// Relocating a row between AMPs is a cross-AMP transaction and
@@ -41,92 +40,87 @@ func (m *Machine) RunUpdate(q UpdateQuery) Result {
 		// the most expensive Teradata update by far).
 		startup = tc.HostStartup
 	}
-	elapsed := m.run(startup, func(p *sim.Proc) {
-		switch q.Kind {
-		case AppendTuple:
-			amp := m.ampFor(q.Tuple.Get(q.Rel.KeyAttr))
-			m.logWrite(p, amp, tc.InsertIOs)
-			q.Rel.Frags[amp].File.LoadAppend(q.Tuple)
-			q.Rel.N++
-			changed = 1
-			for range q.Rel.Secondary {
-				m.indexRowUpdate(p, amp)
-			}
-
-		case DeleteByKey:
-			amp := m.ampFor(q.Key)
-			if rid, t, ok := m.hashLocate(p, amp, q.Rel, q.Key); ok {
-				m.logWrite(p, amp, tc.InsertIOs-1)
-				q.Rel.Frags[amp].File.DeleteRID(p, rid)
-				q.Rel.N--
-				changed = 1
-				for a := range q.Rel.Secondary {
-					_ = a
-					m.indexRowUpdate(p, amp)
-				}
-				_ = t
-			}
-
-		case ModifyKeyAttr:
-			// The row moves to the AMP its new key hashes to, and
-			// every secondary index row must be rewritten (§7 row 4,
-			// the most expensive case).
-			oldAmp := m.ampFor(q.Key)
-			newAmp := m.ampFor(q.NewValue)
-			if rid, t, ok := m.hashLocate(p, oldAmp, q.Rel, q.Key); ok {
-				m.logWrite(p, oldAmp, tc.InsertIOs)
-				q.Rel.Frags[oldAmp].File.DeleteRID(p, rid)
-				t.Set(q.Rel.KeyAttr, q.NewValue)
-				m.Net.TransferBulk(p, m.AMPs[oldAmp], m.AMPs[newAmp], m.Prm.TupleBytes)
-				m.logWrite(p, newAmp, tc.InsertIOs)
-				q.Rel.Frags[newAmp].File.LoadAppend(t)
-				changed = 1
-				for range q.Rel.Secondary {
-					m.indexRowUpdate(p, oldAmp)
-					m.indexRowUpdate(p, newAmp)
-				}
-			}
-
-		case ModifyNonIndexed:
-			amp := m.ampFor(q.Key)
-			if rid, t, ok := m.hashLocate(p, amp, q.Rel, q.Key); ok {
-				t.Set(q.Attr, q.NewValue)
-				q.Rel.Frags[amp].File.UpdateRID(p, rid, t)
-				m.logWrite(p, amp, 1)
-				changed = 1
-			}
-
-		case ModifyIndexed:
+	return m.run(startup, func(p *sim.Proc) int {
+		if q.Kind == ModifyIndexed {
 			// The hashed secondary index locates the row in one index
-			// access (exact match on the indexed value), then the row
-			// and its index row are both rewritten.
+			// access (exact match on the indexed value) at each AMP
+			// until one holds it; then the row and its index row are
+			// both rewritten.
 			if !q.Rel.Secondary[q.Attr] {
 				panic("teradata: ModifyIndexed without index")
 			}
-			for amp, fr := range q.Rel.Frags {
-				nd := m.AMPs[amp]
-				m.ioSeq += 2
-				nd.Drive.Read(p, -200-amp, m.ioSeq, m.ampPrm.PageBytes)
-				for pg := 0; pg < fr.File.Pages() && changed == 0; pg++ {
-					page := fr.File.Page(pg)
-					for s, t := range fr.File.PageTuples(pg) {
-						if page.Live(s) && t.Get(q.Attr) == q.Key {
-							t.Set(q.Attr, q.NewValue)
-							fr.File.UpdateRID(p, wiss.RID{Page: int32(pg), Slot: int32(s)}, t)
-							m.logWrite(p, amp, 1)
-							m.indexRowUpdate(p, amp)
-							changed = 1
-							break
-						}
+			changed := 0
+			for amp := 0; amp < len(q.Rel.Frags) && changed == 0; amp++ {
+				changed = m.step(p, "modidx", amp, func() int {
+					m.AMPs[amp].Drive.Read(p, -200-amp, m.randPage(), m.ampPrm.PageBytes)
+					rid, t, ok := find(q.Rel.Frags[amp], q.Attr, q.Key)
+					if !ok {
+						return 0
 					}
-				}
-				if changed > 0 {
-					break
-				}
+					t.Set(q.Attr, q.NewValue)
+					q.Rel.Frags[amp].File.UpdateRID(p, rid, t)
+					m.logWrite(p, amp, 1)
+					m.indexRowUpdate(p, amp)
+					return 1
+				})
 			}
+			return changed
 		}
+		key := q.Key
+		if q.Kind == AppendTuple {
+			key = q.Tuple.Get(q.Rel.KeyAttr)
+		}
+		amp := m.ampFor(key)
+		return m.step(p, [...]string{"append", "delete", "modkey-out", "modify"}[q.Kind], amp, func() int {
+			if q.Kind == AppendTuple {
+				m.logWrite(p, amp, tc.InsertIOs)
+				q.Rel.Frags[amp].File.LoadAppend(q.Tuple)
+				q.Rel.N++
+				for range q.Rel.Secondary {
+					m.indexRowUpdate(p, amp)
+				}
+				return 1
+			}
+			rid, t, ok := m.hashLocate(p, amp, q.Rel, q.Key)
+			if !ok {
+				return 0
+			}
+			switch q.Kind {
+			case DeleteByKey:
+				m.logWrite(p, amp, tc.InsertIOs-1)
+				q.Rel.Frags[amp].File.DeleteRID(p, rid)
+				q.Rel.N--
+				for range q.Rel.Secondary {
+					m.indexRowUpdate(p, amp)
+				}
+
+			case ModifyKeyAttr:
+				// The row moves to the AMP its new key hashes to (whose
+				// step is the row's insertion), and every secondary
+				// index row is rewritten (§7 row 4, the most expensive).
+				newAmp := m.ampFor(q.NewValue)
+				m.logWrite(p, amp, tc.InsertIOs)
+				q.Rel.Frags[amp].File.DeleteRID(p, rid)
+				t.Set(q.Rel.KeyAttr, q.NewValue)
+				m.Net.TransferBulk(p, m.AMPs[amp], m.AMPs[newAmp], m.Prm.TupleBytes)
+				m.step(p, "modkey-in", newAmp, func() int {
+					m.logWrite(p, newAmp, tc.InsertIOs)
+					q.Rel.Frags[newAmp].File.LoadAppend(t)
+					return 1
+				})
+				for range q.Rel.Secondary {
+					m.indexRowUpdate(p, amp)
+					m.indexRowUpdate(p, newAmp)
+				}
+
+			case ModifyNonIndexed:
+				t.Set(q.Attr, q.NewValue)
+				q.Rel.Frags[amp].File.UpdateRID(p, rid, t)
+				m.logWrite(p, amp, 1)
+			}
+			return 1
+		})
 	})
-	return Result{Elapsed: elapsed, Tuples: changed}
 }
 
 func (m *Machine) ampFor(key int32) int {
@@ -138,12 +132,17 @@ func (m *Machine) hashLocate(p *sim.Proc, amp int, r *Relation, key int32) (wiss
 	nd := m.AMPs[amp]
 	fr := r.Frags[amp]
 	nd.UseCPU(p, m.Prm.Tera.InstrPerTupleScan)
-	m.ioSeq += 2
-	nd.Drive.Read(p, fr.File.ID, m.ioSeq, m.ampPrm.PageBytes)
+	nd.Drive.Read(p, fr.File.ID, m.randPage(), m.ampPrm.PageBytes)
+	return find(fr, r.KeyAttr, key)
+}
+
+// find returns the first live row of the fragment whose attribute a is v, by
+// a walk in memory that charges nothing.
+func find(fr *Fragment, a rel.Attr, v int32) (wiss.RID, rel.Tuple, bool) {
 	for pg := 0; pg < fr.File.Pages(); pg++ {
 		page := fr.File.Page(pg)
 		for s, t := range fr.File.PageTuples(pg) {
-			if page.Live(s) && t.Get(r.KeyAttr) == key {
+			if page.Live(s) && t.Get(a) == v {
 				return wiss.RID{Page: int32(pg), Slot: int32(s)}, t, true
 			}
 		}
@@ -156,16 +155,13 @@ func (m *Machine) logWrite(p *sim.Proc, amp int, n int) {
 	nd := m.AMPs[amp]
 	nd.UseCPU(p, m.Prm.Tera.InstrPerInsert/2)
 	for i := 0; i < n; i++ {
-		m.ioSeq += 2
-		nd.Drive.Write(p, -1-amp, m.ioSeq, m.Prm.TupleBytes)
+		nd.Drive.Write(p, -1-amp, m.randPage(), m.Prm.TupleBytes)
 	}
 }
 
 // indexRowUpdate charges one hashed secondary-index row rewrite.
 func (m *Machine) indexRowUpdate(p *sim.Proc, amp int) {
 	nd := m.AMPs[amp]
-	m.ioSeq += 2
-	nd.Drive.Read(p, -200-amp, m.ioSeq, m.ampPrm.PageBytes)
-	m.ioSeq += 2
-	nd.Drive.Write(p, -200-amp, m.ioSeq, m.ampPrm.PageBytes)
+	nd.Drive.Read(p, -200-amp, m.randPage(), m.ampPrm.PageBytes)
+	nd.Drive.Write(p, -200-amp, m.randPage(), m.ampPrm.PageBytes)
 }

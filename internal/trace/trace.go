@@ -1,11 +1,12 @@
 // Package trace defines the typed, structured event stream emitted by the
 // simulation kernel (internal/sim), the device models (internal/disk,
-// internal/nose), and the Gamma engine (internal/core), and the Collector
-// that logs it and exports it as JSONL. Each fact is one record, emitted by
-// the one place that knows it: a resource reservation is one service event
-// from sim.Resource, a Gamma operator one op-start/op-done span from core's
-// operator lifecycle. Which resource bound a query is not decided here:
-// core.Counters.Verdict classifies the machine's counters, traced or not.
+// internal/nose), and both machines (internal/core, internal/teradata), and
+// the Collector that logs it and exports it as JSONL. Each fact is one
+// record, emitted by the one place that knows it: a resource reservation is
+// one service event from sim.Resource, a query one span on either machine, a
+// Gamma operator or a Teradata AMP step one op-start/op-done span from its
+// machine's one lifecycle. Which resource bound a query is not decided here:
+// nose.Counters.Verdict classifies the machine's counters, traced or not.
 //
 // The package is a leaf: it imports nothing from the repository, so every
 // layer above it can emit events without cycles. Times are simulated
@@ -42,10 +43,11 @@ const (
 	KindCtlMsg Kind = "ctl-msg"
 	// KindOpStart / KindOpDone bracket one Gamma operator process at one
 	// site (selection, spool scan, store, collect, join, the aggregate and
-	// the update operators). Op-start's Class names the operator kind;
-	// op-done's N is the count the operator reports: tuples produced,
-	// folded or changed (a join reports its output per probe phase, so its
-	// N is 0). An operator that aborts or dies has no op-done.
+	// the update operators), or one Teradata AMP step. Op-start's Class
+	// names the kind; op-done's N is the count it reports: tuples produced,
+	// folded or changed (a join reports its output per probe phase, and a
+	// Teradata route nothing, so their N is 0). An operator that aborts or
+	// dies has no op-done.
 	KindOpStart Kind = "op-start"
 	KindOpDone  Kind = "op-done"
 	// KindPhaseStart / KindPhaseDone bracket one phase inside an operator

@@ -43,33 +43,32 @@ func NewPerm(n int, seed uint64) *Perm {
 	return p
 }
 
-func (p *Perm) round(half uint64, key uint64) uint64 {
+// At returns the image of i under the permutation: the four Feistel rounds,
+// unrolled, walked until the value falls in [0, n).
+func (p *Perm) At(i int) int {
+	h, mask := p.halfBits, p.mask
+	k0, k1, k2, k3 := p.keys[0], p.keys[1], p.keys[2], p.keys[3]
+	v := uint64(i)
+	for {
+		l, r := v>>h, v&mask
+		l ^= feistel(r, k0, mask)
+		r ^= feistel(l, k1, mask)
+		l ^= feistel(r, k2, mask)
+		r ^= feistel(l, k3, mask)
+		if v = l<<h | r; v < p.n {
+			return int(v)
+		}
+	}
+}
+
+// feistel is the round function: a multiply-xorshift mix of one half and the
+// round key, cut to a half's width.
+func feistel(half, key, mask uint64) uint64 {
 	x := half*0x9e3779b97f4a7c15 + key
 	x ^= x >> 29
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 32
-	return x & p.mask
-}
-
-// encryptOnce applies the Feistel network to a value in [0, 2^(2*halfBits)).
-func (p *Perm) encryptOnce(v uint64) uint64 {
-	l := v >> p.halfBits
-	r := v & p.mask
-	for _, k := range p.keys {
-		l, r = r, l^p.round(r, k)
-	}
-	return l<<p.halfBits | r
-}
-
-// At returns the image of i under the permutation.
-func (p *Perm) At(i int) int {
-	v := uint64(i)
-	for {
-		v = p.encryptOnce(v)
-		if v < p.n {
-			return int(v)
-		}
-	}
+	return x & mask
 }
 
 // Tuple returns tuple i of an n-tuple relation with the given seed. The
