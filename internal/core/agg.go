@@ -219,10 +219,10 @@ func (m *Machine) groupedAgg(ib *inbox, q AggQuery, scan ScanSpec, frags []*Frag
 		port := aggs.ports[ai]
 		m.spawnOp(p, opSpec{op: aggs.op, class: "agg", site: ai, node: nd, in: port, sched: sched}, func(ap *sim.Proc) (int, any) {
 			groups := map[int32]*aggState{}
-			seen := 0
-			recvStream(ap, port, streamStore, nSites, func(ts []rel.Tuple) {
-				nd.UseCPU(ap, m.Prm.Engine.InstrPerTupleAgg*len(ts))
-				for _, t := range ts {
+			rx := streamIn{
+				port: port, want: streamStore, expect: nSites, node: nd,
+				instr: m.Prm.Engine.InstrPerTupleAgg,
+				take: func(t *rel.Tuple) (int, bool) {
 					g := t.Get(groupAttr)
 					st := groups[g]
 					if st == nil {
@@ -230,10 +230,11 @@ func (m *Machine) groupedAgg(ib *inbox, q AggQuery, scan ScanSpec, frags []*Frag
 						groups[g] = st
 					}
 					st.add(int64(t.Get(q.Attr)))
-					seen++
-				}
-			})
-			return seen, aggPartial{op: aggs.op, groups: groups, seen: seen}
+					return 0, true
+				},
+			}
+			rx.run(ap)
+			return rx.tuples, aggPartial{op: aggs.op, groups: groups, seen: rx.tuples}
 		})
 	}
 	selOp := "agg-select" + tag
@@ -253,7 +254,7 @@ func (m *Machine) groupedAgg(ib *inbox, q AggQuery, scan ScanSpec, frags []*Frag
 // pushdown path: no split table, no network.
 func scanFold(p *sim.Proc, m *Machine, frag *Fragment, scan ScanSpec, fold func(rel.Tuple)) int {
 	sink := &foldSink{fold: fold}
-	split := &splitTable{node: frag.Node, prm: m.Prm, route: func(t rel.Tuple) int { sink.fold(t); sink.n++; return -1 }}
+	split := newSplitTable(frag.Node, m.Prm, 0, nil, func(t rel.Tuple) int { sink.fold(t); sink.n++; return -1 })
 	switch scan.Path {
 	case PathHeap:
 		heapSelect(p, m, frag, scan.Pred, split)
@@ -264,7 +265,7 @@ func scanFold(p *sim.Proc, m *Machine, frag *Fragment, scan ScanSpec, fold func(
 	default:
 		panic("core: unresolved path in scanFold")
 	}
-	split.chargePending(p)
+	split.close(p) // no destinations: the routing CPU is all it charges
 	return sink.n
 }
 

@@ -79,7 +79,7 @@ type opCtl struct {
 }
 
 // recvOp receives one message of an operator's own protocol (not a tuple
-// stream; see recvStream). A ctlAbort unwinds the operator with abortSignal.
+// stream; see streamIn). A ctlAbort unwinds the operator with abortSignal.
 func recvOp(p *sim.Proc, port *nose.Port) any {
 	pl := port.Recv(p).Payload
 	if c, ok := pl.(opCtl); ok && c.kind == ctlAbort {
@@ -185,12 +185,7 @@ func spawnJoin(spec joinSpec) {
 		// Main build phase.
 		phase(trace.KindPhaseStart, "build", 0)
 		jt.beginPhase(0)
-		recvStream(p, spec.port, streamBuild, spec.nBuild, func(ts []rel.Tuple) {
-			spec.node.UseCPU(p, m.Prm.Engine.InstrPerTupleBuild*len(ts))
-			for _, t := range ts {
-				jt.insert(p, t)
-			}
-		})
+		jt.build(p, streamBuild, spec.nBuild)
 		var filter *BitFilter
 		if spec.makeFilter && !jt.phaseOverflowed {
 			filter = jt.buildFilter(spec.filterBits)
@@ -221,12 +216,7 @@ func spawnJoin(spec joinSpec) {
 				}
 				phase(trace.KindPhaseStart, label, 0)
 				jt.beginPhase(jc.level)
-				recvStream(p, spec.port, roundStream(jc.level, false), spec.nSites, func(ts []rel.Tuple) {
-					spec.node.UseCPU(p, m.Prm.Engine.InstrPerTupleBuild*len(ts))
-					for _, t := range ts {
-						jt.insert(p, t)
-					}
-				})
+				jt.build(p, roundStream(jc.level, false), spec.nSites)
 				phase(trace.KindPhaseDone, label, 0)
 				nose.SendCtl(p, spec.node, spec.sched, builtMsg{op: spec.opID, site: spec.site, overflowed: jt.phaseOverflowed})
 			case ctlRoundProbe:
@@ -244,37 +234,131 @@ func spawnJoin(spec joinSpec) {
 	})
 }
 
-// recvStream consumes one stream: data packets and EOS messages until expect
-// producers have closed. expect < 0 waits for a ctlClose carrying the
-// count (needed when the producer side has a dynamic number of phases).
-func recvStream(p *sim.Proc, port *nose.Port, want streamID, expect int, onPacket func([]rel.Tuple)) {
-	eos := 0
-	for expect < 0 || eos < expect {
-		msg := port.Recv(p)
-		switch pl := msg.Payload.(type) {
-		case packet:
-			if pl.stream != want {
-				panic(fmt.Sprintf("recvStream: stream %d, want %d", pl.stream, want))
-			}
-			onPacket(pl.tuples)
-			putTupleBuf(pl.tuples)
-		case eosPayload:
-			if pl.stream != want {
-				panic(fmt.Sprintf("recvStream: eos for stream %d, want %d", pl.stream, want))
-			}
-			eos++
-		case opCtl:
-			switch pl.kind {
-			case ctlClose:
-				expect = pl.expectEOS
-			case ctlAbort:
-				panic(abortSignal{})
-			default:
-				panic("recvStream: unexpected control kind")
-			}
-		default:
-			panic(fmt.Sprintf("recvStream: unexpected message %T", msg.Payload))
+// streamIn is an operator's receive loop over one input stream, as an
+// itinerary (sim.Proc.Steps): the port's messages until expect producers have
+// closed the stream (expect < 0: until a ctlClose carries the count). A data
+// packet costs instr CPU per tuple; then take sees each tuple in kernel
+// context and reports how many times to route it through out (a probe's
+// matches), or false to hand it to the process's slow (a tuple that spools or
+// overflows the table). take may arm sub, run before the next tuple (a page
+// write), after which halt may end the loop. A ctlAbort unwinds the process
+// with abortSignal. take nil only counts the tuples.
+type streamIn struct {
+	port   *nose.Port
+	want   streamID
+	expect int
+	node   *nose.Node
+	instr  int
+	take   func(t *rel.Tuple) (sends int, ok bool)
+	slow   func(p *sim.Proc, t *rel.Tuple)
+	out    *splitTable
+	sub    func() (sim.Time, bool)
+	halt   func() bool
+	tuples int // tuples received
+
+	p                *sim.Proc
+	eos              int
+	pkt              []rel.Tuple // the packet in hand
+	next             int         // its next tuple
+	t                *rel.Tuple  // the tuple being routed through out
+	sends            int         // routings of t still due
+	handed           *rel.Tuple  // the tuple the process must take
+	recving, aborted bool
+}
+
+func (in *streamIn) run(p *sim.Proc) {
+	in.p = p
+	step := in.step
+	for {
+		p.Steps(step)
+		if in.aborted {
+			panic(abortSignal{})
 		}
+		t := in.handed
+		if t == nil {
+			return
+		}
+		in.handed = nil
+		in.slow(p, t)
+	}
+}
+
+func (in *streamIn) step() (sim.Time, bool) {
+	for {
+		if in.recving {
+			if at, more := in.port.StepRecv(); more {
+				return at, true
+			}
+			in.recving = false
+			switch pl := in.port.Received().Payload.(type) {
+			case packet:
+				if pl.stream != in.want {
+					panic(fmt.Sprintf("streamIn: stream %d, want %d", pl.stream, in.want))
+				}
+				in.pkt, in.next = pl.tuples, 0
+				in.tuples += len(pl.tuples)
+				if in.take == nil {
+					in.next = len(pl.tuples)
+				}
+				if instr := in.instr * len(pl.tuples); instr > 0 {
+					return in.node.ReserveCPU(instr), true
+				}
+			case eosPayload:
+				if pl.stream != in.want {
+					panic(fmt.Sprintf("streamIn: eos for stream %d, want %d", pl.stream, in.want))
+				}
+				in.eos++
+			case opCtl:
+				switch pl.kind {
+				case ctlClose:
+					in.expect = pl.expectEOS
+				case ctlAbort:
+					in.aborted = true
+					return 0, false
+				default:
+					panic("streamIn: unexpected control kind")
+				}
+			default:
+				panic(fmt.Sprintf("streamIn: unexpected message %T", pl))
+			}
+			continue
+		}
+		if in.pkt != nil {
+			if in.sub != nil {
+				if at, more := in.sub(); more {
+					return at, true
+				}
+				if in.sub = nil; in.halt != nil && in.halt() {
+					return 0, false
+				}
+			}
+			switch {
+			case in.sends > 0:
+				in.sends--
+				if d := in.out.put(in.t); d >= 0 {
+					in.out.start(in.p, d, false)
+					in.sub = in.out.stepFn
+				}
+			case in.next < len(in.pkt):
+				t := &in.pkt[in.next]
+				in.next++
+				n, ok := in.take(t)
+				if !ok {
+					in.handed = t
+					return 0, false
+				}
+				in.t, in.sends = t, n
+			default:
+				putTupleBuf(in.pkt)
+				in.pkt = nil
+			}
+			continue
+		}
+		if in.expect >= 0 && in.eos >= in.expect {
+			return 0, false
+		}
+		in.port.StartRecv(in.p)
+		in.recving = true
 	}
 }
 
@@ -374,6 +458,32 @@ func (jt *joinTable) spoolLevel(v int32) int {
 	return 0
 }
 
+// build consumes one build stream into the table. A tuple that spools or
+// overflows the table is the process's to insert.
+func (jt *joinTable) build(p *sim.Proc, stream streamID, expect int) {
+	spec := jt.spec
+	in := streamIn{
+		port: spec.port, want: stream, expect: expect, node: spec.node,
+		instr: spec.m.Prm.Engine.InstrPerTupleBuild,
+		take:  jt.admit,
+		slow:  func(p *sim.Proc, t *rel.Tuple) { jt.insert(p, *t) },
+	}
+	in.run(p)
+}
+
+// admit puts t in the table if that needs no process — it neither spools nor
+// overflows the table — and reports whether it did.
+func (jt *joinTable) admit(t *rel.Tuple) (int, bool) {
+	v := t.Get(jt.spec.buildAttr)
+	if jt.bytes+jt.spec.m.Prm.TupleBytes > jt.prm || jt.spoolLevel(v) > 0 {
+		return 0, false
+	}
+	jt.table[v] = append(jt.table[v], *t)
+	jt.bytes += jt.spec.m.Prm.TupleBytes
+	return 0, true
+}
+
+// insert puts t in the table, spooling it or resolving the overflow it causes.
 func (jt *joinTable) insert(p *sim.Proc, t rel.Tuple) {
 	v := t.Get(jt.spec.buildAttr)
 	if l := jt.spoolLevel(v); l > 0 {
@@ -472,18 +582,17 @@ func (jt *joinTable) spool(p *sim.Proc, level int, probe bool, t rel.Tuple) {
 	}
 }
 
-// probe matches one probe tuple against the table, emitting the result
-// tuple for each match, or spools it if its subpartition overflowed.
-func (jt *joinTable) probe(p *sim.Proc, out *splitTable, t rel.Tuple) {
+// probe matches one probe tuple against the table and reports the number of
+// result tuples it yields, or false if its subpartition overflowed: spooling
+// it is the process's.
+func (jt *joinTable) probe(t *rel.Tuple) (int, bool) {
 	v := t.Get(jt.spec.probeAttr)
-	if l := jt.spoolLevel(v); l > 0 {
-		jt.spool(p, l, true, t)
-		return
+	if jt.spoolLevel(v) > 0 {
+		return 0, false
 	}
-	for range jt.table[v] {
-		jt.produced++
-		out.send(p, t)
-	}
+	k := len(jt.table[v])
+	jt.produced += k
+	return k, true
 }
 
 // runProbePhase consumes one probe stream, emits matches through a fresh
@@ -493,12 +602,16 @@ func (jt *joinTable) runProbePhase(p *sim.Proc, stream streamID, expect int) {
 	m := spec.m
 	jt.produced = 0
 	out := newSplitTable(spec.node, m.Prm, spec.outStream, spec.outPorts, spec.mkOutRoute())
-	recvStream(p, spec.port, stream, expect, func(ts []rel.Tuple) {
-		spec.node.UseCPU(p, m.Prm.Engine.InstrPerTupleProbe*len(ts))
-		for _, t := range ts {
-			jt.probe(p, out, t)
-		}
-	})
+	in := streamIn{
+		port: spec.port, want: stream, expect: expect, node: spec.node,
+		instr: m.Prm.Engine.InstrPerTupleProbe,
+		take:  jt.probe,
+		slow: func(p *sim.Proc, t *rel.Tuple) {
+			jt.spool(p, jt.spoolLevel(t.Get(spec.probeAttr)), true, *t)
+		},
+		out: out,
+	}
+	in.run(p)
 	out.close(p)
 	news := jt.closeDirtySpools(p)
 	// The spool pair just consumed by this round can never be written

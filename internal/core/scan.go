@@ -95,44 +95,92 @@ func spawnSelect(m *Machine, from *sim.Proc, opID string, site int, frag *Fragme
 	})
 }
 
-// forEachPage streams every page of f through fn sequentially with one page
-// of read-ahead — the single page-iteration loop behind heap selections and
-// spool scans.
-func forEachPage(p *sim.Proc, f *wiss.File, fn func(pg *wiss.Page)) {
-	sc := f.NewScanner()
-	for pg := sc.NextPage(p); pg != nil; pg = sc.NextPage(p) {
-		fn(pg)
-	}
+// pageSelect is one query's page pipeline, a sub-itinerary (sim.Proc.Steps):
+// a page's scan CPU, the predicate over its live slots, and each qualifying
+// tuple routed through the split table, with the packet flushes that fill.
+// Private and shared scans and aggregate pushdown all use it, so per-query
+// instruction costs are charged identically.
+type pageSelect struct {
+	p     *sim.Proc // the process the flushes run for
+	node  *nose.Node
+	instr int // scan CPU per tuple
+	pred  rel.Pred
+	split *splitTable
+	n     int // qualifying tuples routed
+
+	pg      *wiss.Page
+	slot    int
+	charged bool
+	// beyond: every live tuple of pg looked at so far lies past the range.
+	beyond bool
 }
 
-// selectPage applies one query's predicate pipeline to one page: it charges
-// the per-tuple scan CPU and routes live, qualifying tuples through the
-// split table, returning the match count. Both private heap selections and
-// shared-scan riders consume pages through this, so per-query instruction
-// costs are charged identically either way.
-func selectPage(p *sim.Proc, m *Machine, frag *Fragment, pred rel.Pred, split *splitTable, pg *wiss.Page) int {
-	frag.Node.UseCPU(p, m.Prm.Engine.InstrPerTupleScan*len(pg.Tuples))
-	n := 0
-	tuples := pg.Tuples
-	for s := range tuples {
-		// Liveness is read slot by slot: send can block, and a concurrent
-		// delete may tombstone a slot of this page meanwhile.
-		if pred.MatchRef(&tuples[s]) && pg.Live(s) {
-			n++
-			split.send(p, tuples[s])
+func newPageSelect(m *Machine, frag *Fragment, pred rel.Pred, split *splitTable) pageSelect {
+	return pageSelect{node: frag.Node, instr: m.Prm.Engine.InstrPerTupleScan, pred: pred, split: split}
+}
+
+func (w *pageSelect) begin(p *sim.Proc, pg *wiss.Page) {
+	w.p, w.pg, w.slot, w.charged, w.beyond = p, pg, 0, false, true
+}
+
+// step takes the page's next stage and returns its completion, or reports
+// false once every tuple of the page is routed.
+func (w *pageSelect) step() (sim.Time, bool) {
+	pg := w.pg
+	if !w.charged {
+		w.charged = true
+		if instr := w.instr * len(pg.Tuples); instr > 0 {
+			return w.node.ReserveCPU(instr), true
 		}
 	}
-	return n
+	st := w.split
+	if st.busy() {
+		if at, more := st.step(); more {
+			return at, true
+		}
+	}
+	// Liveness is read slot by slot, and afresh after every wait: a
+	// concurrent delete may tombstone a slot of this page meanwhile.
+	attr, lo, hi := w.pred.Attr, w.pred.Lo, w.pred.Hi
+	tuples, allLive := pg.Tuples, pg.AllLive()
+	for s := w.slot; s < len(tuples); s++ {
+		if !allLive && !pg.Live(s) {
+			continue
+		}
+		v := tuples[s].A[attr]
+		if v > hi {
+			continue
+		}
+		w.beyond = false
+		if v < lo {
+			continue
+		}
+		w.n++
+		if d := st.put(&tuples[s]); d >= 0 {
+			st.start(w.p, d, false)
+			if at, more := st.step(); more {
+				w.slot = s + 1
+				return at, true
+			}
+		}
+	}
+	w.slot = len(tuples)
+	return 0, false
 }
 
 // heapSelect reads every page of the fragment sequentially (with one page of
 // read-ahead) and applies the compiled predicate to every tuple.
 func heapSelect(p *sim.Proc, m *Machine, frag *Fragment, pred rel.Pred, split *splitTable) int {
-	n := 0
-	forEachPage(p, frag.File, func(pg *wiss.Page) {
-		n += selectPage(p, m, frag, pred, split, pg)
-	})
-	return n
+	return scanSelect(p, m, frag, pred, split, frag.File.NewScanner(), false)
+}
+
+// scanSelect runs the page pipeline over a scanner's pages as one itinerary,
+// with earlyStop (a clustered file in key order) ending after a page whose
+// live tuples all lie past the range.
+func scanSelect(p *sim.Proc, m *Machine, frag *Fragment, pred rel.Pred, split *splitTable, sc *wiss.Scanner, earlyStop bool) int {
+	w := newPageSelect(m, frag, pred, split)
+	sc.Run(p, func(pg *wiss.Page) { w.begin(p, pg) }, w.step, func() bool { return earlyStop && w.beyond })
+	return w.n
 }
 
 // clusteredSelect descends the clustered B-tree to the first qualifying page
@@ -144,38 +192,13 @@ func clusteredSelect(p *sim.Proc, m *Machine, frag *Fragment, pred rel.Pred, spl
 	if !ok || bt.Kind != wiss.Clustered {
 		panic("core: clustered path without clustered index on " + pred.Attr.String())
 	}
-	eng := m.Prm.Engine
 	start := bt.StartPage(p, pred.Lo)
-	earlyStop := !frag.File.Unordered
 	if frag.File.Unordered {
 		// Overflow inserts appended pages out of key order; the whole
 		// file must be visited.
 		start = 0
 	}
-	n := 0
-	sc := frag.File.NewScannerAt(start)
-	for pg := sc.NextPage(p); pg != nil; pg = sc.NextPage(p) {
-		frag.Node.UseCPU(p, eng.InstrPerTupleScan*len(pg.Tuples))
-		beyond := true // every live tuple on the page is past the range
-		tuples := pg.Tuples
-		for s := range tuples {
-			if !pg.Live(s) { // per slot: send can block (see selectPage)
-				continue
-			}
-			k := tuples[s].A[pred.Attr]
-			if k <= pred.Hi {
-				beyond = false
-				if k >= pred.Lo {
-					n++
-					split.send(p, tuples[s])
-				}
-			}
-		}
-		if earlyStop && beyond {
-			break
-		}
-	}
-	return n
+	return scanSelect(p, m, frag, pred, split, frag.File.NewScannerAt(start), !frag.File.Unordered)
 }
 
 // nonClusteredSelect walks the dense index's leaf chain over the key range
@@ -210,14 +233,15 @@ func spawnSpoolScan(m *Machine, from *sim.Proc, opID string, site int, file *wis
 		n := 0
 		if file != nil {
 			eng := m.Prm.Engine
-			forEachPage(p, file, func(pg *wiss.Page) {
+			sc := file.NewScanner()
+			for pg := sc.NextPage(p); pg != nil; pg = sc.NextPage(p) {
 				m.Net.TransferBulk(p, owner, reader, m.Prm.PageBytes)
 				reader.UseCPU(p, eng.InstrPerTupleScan*len(pg.Tuples))
 				for _, t := range pg.Tuples {
 					n++
 					split.send(p, t)
 				}
-			})
+			}
 		}
 		split.close(p)
 		return n, doneMsg{op: opID, produced: n}

@@ -13,9 +13,10 @@ import (
 // fans it to every attached query's predicate/split pipeline. A late
 // arrival attaches at the cursor's current position and detaches after a
 // full revolution, so it sees every page exactly once — just not starting
-// at page 0. Each rider runs selectPage itself, so per-query CPU costs
-// (predicate evaluation, split-table routing) are charged exactly as a
-// private scan would; only the physical page reads are amortized.
+// at page 0. Each rider's pages go through its own page pipeline
+// (pageSelect), so per-query CPU costs (predicate evaluation, split-table
+// routing) are charged exactly as a private scan would; only the physical
+// page reads are amortized.
 //
 // Cursor duty follows the paper's self-scheduling operator style: the first
 // attacher drives the cursor from its own operator process; when it
@@ -41,18 +42,16 @@ type scanHub struct {
 
 // sharedConsumer is one selection operator attached to a shared cursor.
 type sharedConsumer struct {
-	op    string
-	site  int
-	frag  *Fragment
-	pred  rel.Pred
-	split *splitTable
+	op   string
+	site int
+	frag *Fragment
+	sel  pageSelect // the rider's page pipeline; sel.n counts its matches
 
 	// wq blocks the rider's operator process while another consumer holds
 	// the cursor; nil for the consumer that created the scan.
 	wq *sim.WaitQ
 
 	seen      int   // pages delivered so far (done at seen == npages)
-	matched   int   // qualifying tuples routed
 	scanned   int64 // pages this consumer read while holding the cursor
 	delivered int64 // pages this consumer received (== seen, wider type)
 	done      bool
@@ -70,6 +69,14 @@ type sharedScan struct {
 	// failure, typically); parked riders rethrow it in their own processes
 	// so each operator reports its own failure to its scheduler.
 	failed any
+
+	// The holder's turn in stage form (see lead): the consumers the page in
+	// hand goes to, the one it is at, and whether a read is under way.
+	p       *sim.Proc
+	self    *sharedConsumer
+	snap    []*sharedConsumer
+	at      int
+	reading bool
 }
 
 // scanShared runs one query's heap selection of frag through the sharing
@@ -90,7 +97,7 @@ func (h *scanHub) scanShared(p *sim.Proc, frag *Fragment, pred rel.Pred, split *
 		// page count.
 		return heapSelect(p, h.m, frag, pred, split)
 	}
-	c := &sharedConsumer{op: op, site: site, frag: frag, pred: pred, split: split}
+	c := &sharedConsumer{op: op, site: site, frag: frag, sel: newPageSelect(h.m, frag, pred, split)}
 	if s == nil {
 		s = &sharedScan{hub: h, key: key, ws: f.NewWrapScanner(0), npages: npages}
 		h.active[key] = s
@@ -113,7 +120,7 @@ func (h *scanHub) scanShared(p *sim.Proc, frag *Fragment, pred rel.Pred, split *
 		}
 	}
 	h.emit(p, "detach", c, 0)
-	return c.matched
+	return c.sel.n
 }
 
 // lead drives the cursor from self's operator process until self has seen
@@ -121,12 +128,65 @@ func (h *scanHub) scanShared(p *sim.Proc, frag *Fragment, pred rel.Pred, split *
 // hands the cursor to the longest-waiting rider (or retires it).
 func (s *sharedScan) lead(p *sim.Proc, self *sharedConsumer) {
 	defer s.recoverCursor(self)
+	s.p, s.self, s.snap, s.at = p, self, s.snap[:0], 0
+	p.Steps(s.step)
+	s.ws.Fault()
+	if len(s.consumers) > 0 {
+		next := s.consumers[0]
+		next.cursor = true
+		next.wq.WakeOne()
+	} else {
+		delete(s.hub.active, s.key)
+	}
+}
+
+// step is the holder's turn as an itinerary: read the cursor's next page, run
+// it through the page pipeline of every consumer attached when the read was
+// issued, until the holder has seen the whole file or a read found its drive
+// failed (lead makes that read).
+func (s *sharedScan) step() (sim.Time, bool) {
 	h := s.hub
-	for !self.done {
-		// Snapshot before the read blocks: consumers attaching while the
-		// page is in flight start at the next page (the cursor position
-		// advances before the read parks), so they are excluded here.
-		snap := append([]*sharedConsumer(nil), s.consumers...)
+	for {
+		if s.reading {
+			if at, more := s.ws.Step(); more {
+				return at, true
+			}
+			s.reading = false
+			if s.ws.Page() == nil {
+				return 0, false
+			}
+			s.self.scanned++
+			h.pagesScanned++
+		}
+		if s.at < len(s.snap) {
+			c := s.snap[s.at] // attached, so not done
+			if c.sel.pg == nil {
+				c.sel.begin(s.p, s.ws.Page())
+			}
+			if at, more := c.sel.step(); more {
+				return at, true
+			}
+			c.sel.pg = nil
+			s.at++
+			c.seen++
+			c.delivered++
+			h.pagesDelivered++
+			if c.seen == s.npages {
+				c.done = true
+				s.remove(c)
+				if c != s.self {
+					c.wq.WakeOne()
+				}
+			}
+			continue
+		}
+		if s.self.done {
+			return 0, false
+		}
+		// Snapshot before the read: consumers attaching while the page is in
+		// flight start at the next page (the cursor position advances as the
+		// read is issued), so they are excluded here.
+		s.snap, s.at = append(s.snap[:0], s.consumers...), 0
 		prefetch := false
 		for _, c := range s.consumers {
 			if c.seen+1 < s.npages {
@@ -134,32 +194,8 @@ func (s *sharedScan) lead(p *sim.Proc, self *sharedConsumer) {
 				break
 			}
 		}
-		pg := s.ws.NextPage(p, prefetch)
-		self.scanned++
-		h.pagesScanned++
-		for _, c := range snap {
-			if c.done {
-				continue
-			}
-			c.matched += selectPage(p, h.m, c.frag, c.pred, c.split, pg)
-			c.seen++
-			c.delivered++
-			h.pagesDelivered++
-			if c.seen == s.npages {
-				c.done = true
-				s.remove(c)
-				if c != self {
-					c.wq.WakeOne()
-				}
-			}
-		}
-	}
-	if len(s.consumers) > 0 {
-		next := s.consumers[0]
-		next.cursor = true
-		next.wq.WakeOne()
-	} else {
-		delete(s.hub.active, s.key)
+		s.ws.Start(prefetch)
+		s.reading = true
 	}
 }
 

@@ -120,10 +120,26 @@ type splitTable struct {
 	// packet boundaries to keep the event count proportional to packets,
 	// not tuples.
 	pendingInstr int
+
+	// The output under way in stage form (see start).
+	p        *sim.Proc
+	stage, d int
+	closing  bool
+	sending  *nose.Conn
+	stepFn   func() (sim.Time, bool)
 }
+
+// The stages of a split table's output.
+const (
+	splitIdle = iota
+	splitCharge
+	splitData
+	splitEOS
+)
 
 func newSplitTable(node *nose.Node, prm *config.Params, stream streamID, ports []*nose.Port, route RouteFn) *splitTable {
 	st := &splitTable{node: node, prm: prm, stream: stream, ports: ports, route: route, tupleBytes: prm.TupleBytes}
+	st.stepFn = st.step
 	st.pp = st.perPacket()
 	for _, pt := range ports {
 		st.conns = append(st.conns, node.Dial(pt))
@@ -157,60 +173,102 @@ func (st *splitTable) setFilters(attr rel.Attr, filters []*BitFilter) {
 
 // send routes one tuple, transmitting a packet when a buffer fills.
 func (st *splitTable) send(p *sim.Proc, t rel.Tuple) {
+	if d := st.put(&t); d >= 0 {
+		st.start(p, d, false)
+		p.Steps(st.stepFn)
+	}
+}
+
+// put routes one tuple into its destination's buffer without sending
+// anything, and returns the destination whose packet is full, or -1.
+func (st *splitTable) put(t *rel.Tuple) int {
 	st.pendingInstr += st.prm.Engine.InstrPerTupleRoute
-	d := st.route(t)
+	d := st.route(*t)
 	if d < 0 {
-		return
+		return -1
 	}
 	if st.filters != nil && st.filters[d] != nil && !st.filters[d].MayContain(t.Get(st.filterAttr)) {
 		st.dropped++
-		return
+		return -1
 	}
 	if st.project != nil {
 		var pt rel.Tuple
 		for _, a := range st.project {
 			pt.Set(a, t.Get(a))
 		}
-		t = pt
+		t = &pt
 	}
 	if st.bufs[d] == nil {
 		st.bufs[d] = getTupleBuf(st.pp)
 	}
-	st.bufs[d] = append(st.bufs[d], t)
+	st.bufs[d] = append(st.bufs[d], *t)
 	if len(st.bufs[d]) >= st.pp {
-		st.flush(p, d)
+		return d
 	}
-}
-
-// chargePending flushes accumulated per-tuple CPU to the node's CPU.
-func (st *splitTable) chargePending(p *sim.Proc) {
-	if st.pendingInstr > 0 {
-		st.node.UseCPU(p, st.pendingInstr)
-		st.pendingInstr = 0
-	}
-}
-
-func (st *splitTable) flush(p *sim.Proc, d int) {
-	st.chargePending(p)
-	buf := st.bufs[d]
-	if len(buf) == 0 {
-		return
-	}
-	st.bufs[d] = nil
-	st.sent += len(buf)
-	bytes := len(buf) * st.tupleBytes
-	st.conns[d].Send(p, nose.Data, packet{stream: st.stream, tuples: buf}, bytes)
+	return -1
 }
 
 // close flushes all partial packets and sends end-of-stream to every
 // destination (§2: closing the output streams sends end-of-stream messages
 // to each destination process).
 func (st *splitTable) close(p *sim.Proc) {
-	st.chargePending(p)
-	for d := range st.conns {
-		st.flush(p, d)
-	}
-	for d := range st.conns {
-		st.conns[d].Send(p, nose.EndOfStream, eosPayload{stream: st.stream}, eosBytes)
+	st.start(p, 0, true)
+	p.Steps(st.stepFn)
+}
+
+// start arms, on p's behalf, the stage form of sending destination d's packet
+// — the pending routing CPU, then the packet — or, closing, of close.
+func (st *splitTable) start(p *sim.Proc, d int, closing bool) {
+	st.p, st.stage, st.d, st.closing = p, splitCharge, d, closing
+}
+
+// busy reports whether a flush or close is under way.
+func (st *splitTable) busy() bool { return st.stage != splitIdle || st.sending != nil }
+
+// step takes the output's next stage, a sub-itinerary (sim.Proc.Steps).
+func (st *splitTable) step() (sim.Time, bool) {
+	for {
+		if c := st.sending; c != nil {
+			if at, more := c.Step(); more {
+				return at, true
+			}
+			st.sending = nil
+		}
+		switch st.stage {
+		case splitCharge:
+			st.stage = splitData
+			if instr := st.pendingInstr; instr > 0 {
+				st.pendingInstr = 0
+				return st.node.ReserveCPU(instr), true
+			}
+		case splitData:
+			if st.d == len(st.conns) { // closing: every packet is out
+				st.stage, st.d = splitEOS, 0
+				continue
+			}
+			d := st.d
+			if st.closing {
+				st.d++
+			} else {
+				st.stage = splitIdle
+			}
+			if buf := st.bufs[d]; len(buf) > 0 {
+				st.bufs[d] = nil
+				st.sent += len(buf)
+				st.sending = st.conns[d]
+				st.sending.Start(st.p, nose.Data, packet{stream: st.stream, tuples: buf}, len(buf)*st.tupleBytes)
+			}
+		case splitEOS:
+			if st.d == len(st.conns) {
+				st.stage = splitIdle
+				continue
+			}
+			st.sending = st.conns[st.d]
+			st.d++
+			st.sending.Start(st.p, nose.EndOfStream, eosPayload{stream: st.stream}, eosBytes)
+		default:
+			st.p = nil
+			return 0, false
+		}
 	}
 }

@@ -17,15 +17,31 @@ func spawnStore(m *Machine, from *sim.Proc, opID string, site int, frag *Fragmen
 	// An abort needs no flush: the scheduler drops the partial result
 	// relation afterwards.
 	m.spawnOp(from, opSpec{op: opID, class: "store", site: site, node: frag.Node, in: in, sched: sched}, func(p *sim.Proc) (int, any) {
-		eng := m.Prm.Engine
 		ap := frag.File.NewAppender()
-		recvStream(p, in, streamStore, -1, func(ts []rel.Tuple) {
-			frag.Node.UseCPU(p, eng.InstrPerTupleStore*len(ts))
-			for _, t := range ts {
-				ap.Append(p, t)
+		var rx streamIn
+		write := ap.Step
+		rx = streamIn{
+			port: in, want: streamStore, expect: -1, node: frag.Node,
+			instr: m.Prm.Engine.InstrPerTupleStore,
+			// With a recovery server, logging is the process's: shipping a
+			// log page waits.
+			take: func(t *rel.Tuple) (int, bool) {
+				if m.rec != nil {
+					return 0, false
+				}
+				if ap.Put(*t) {
+					rx.sub = write
+				}
+				return 0, true
+			},
+			slow: func(p *sim.Proc, t *rel.Tuple) {
+				ap.Append(p, *t)
 				m.logRecord(p, frag.Node, m.Prm.TupleBytes)
-			}
-		})
+			},
+			halt: ap.Failed,
+		}
+		rx.run(p)
+		ap.Fault()
 		n := ap.Close(p)
 		m.logForce(p, frag.Node)
 		return n, doneMsg{op: opID, produced: n}
@@ -38,12 +54,8 @@ func spawnStore(m *Machine, from *sim.Proc, opID string, site int, frag *Fragmen
 // operator, but its start is not charged to the scheduler.
 func spawnCollector(m *Machine, from *sim.Proc, opID string, node *nose.Node, in *nose.Port, sched *nose.Port) {
 	m.spawnOp(from, opSpec{op: opID, class: "collect", node: node, in: in, sched: sched, uncharged: true}, func(p *sim.Proc) (int, any) {
-		eng := m.Prm.Engine
-		total := 0
-		recvStream(p, in, streamStore, -1, func(ts []rel.Tuple) {
-			node.UseCPU(p, eng.InstrPerTupleStore*len(ts))
-			total += len(ts)
-		})
-		return total, doneMsg{op: opID, produced: total}
+		rx := streamIn{port: in, want: streamStore, expect: -1, node: node, instr: m.Prm.Engine.InstrPerTupleStore}
+		rx.run(p)
+		return rx.tuples, doneMsg{op: opID, produced: rx.tuples}
 	})
 }

@@ -222,6 +222,13 @@ type Port struct {
 	head   int
 	recvq  *sim.WaitQ
 	closed bool
+
+	// The receive under way in stage form (see StartRecv): its process, its
+	// stage (1 waiting for a message, 2 charging its CPU) and the message.
+	rp     *sim.Proc
+	rstage int
+	got    Message
+	recv   func() (sim.Time, bool) // StepRecv, bound once for Recv
 }
 
 // NewPort creates a named port on the node. A port created on a failed node
@@ -230,6 +237,7 @@ type Port struct {
 // full, so it holds about as many ports as the node ever has open at once.
 func (nd *Node) NewPort(name string) *Port {
 	pt := &Port{node: nd, name: name, recvq: nd.net.sim.NewWaitQ("port:" + name), closed: nd.failed}
+	pt.recv = pt.StepRecv
 	if len(nd.ports) == cap(nd.ports) {
 		nd.ports = slices.DeleteFunc(nd.ports, (*Port).Closed)
 	}
@@ -294,22 +302,51 @@ func (pt *Port) deliver(m Message) {
 // remote data message charges the protocol-processing CPU cost of one packet
 // to p.
 func (pt *Port) Recv(p *sim.Proc) Message {
-	for pt.Pending() == 0 {
-		pt.recvq.Park(p)
+	pt.StartRecv(p)
+	p.Steps(pt.recv)
+	return pt.Received()
+}
+
+// StartRecv arms the stage form of Recv for p: StepRecv is a sub-itinerary
+// (sim.Proc.Steps) that waits on the port while it is empty, takes the next
+// message and charges its protocol CPU; Received then returns the message.
+func (pt *Port) StartRecv(p *sim.Proc) {
+	pt.rp, pt.rstage = p, 1
+}
+
+// StepRecv takes the receive's next stage and returns its completion time, or
+// reports false once the message is taken and its window credit released.
+func (pt *Port) StepRecv() (sim.Time, bool) {
+	switch pt.rstage {
+	case 1:
+		if pt.Pending() == 0 {
+			return pt.recvq.ParkStep(pt.rp), true
+		}
+		m := pt.queue[pt.head]
+		pt.queue[pt.head] = Message{}
+		pt.head++
+		if pt.head == len(pt.queue) {
+			pt.queue, pt.head = pt.queue[:0], 0
+		}
+		pt.got, pt.rstage = m, 2
+		if instr := pt.node.net.cfg.InstrPerPacket; instr > 0 && m.From != nil && m.From != pt.node && m.Kind == Data {
+			return pt.node.ReserveCPU(instr), true
+		}
+		fallthrough
+	case 2:
+		if pt.got.release != nil {
+			pt.got.release()
+			pt.got.release = nil
+		}
+		pt.rp, pt.rstage = nil, 0
 	}
-	m := pt.queue[pt.head]
-	pt.queue[pt.head] = Message{}
-	pt.head++
-	if pt.head == len(pt.queue) {
-		pt.queue, pt.head = pt.queue[:0], 0
-	}
-	if m.From != nil && m.From != pt.node && m.Kind == Data {
-		pt.node.UseCPU(p, pt.node.net.cfg.InstrPerPacket)
-	}
-	if m.release != nil {
-		m.release()
-		m.release = nil
-	}
+	return 0, false
+}
+
+// Received returns the message the last receive took, and forgets it.
+func (pt *Port) Received() Message {
+	m := pt.got
+	pt.got = Message{}
 	return m
 }
 
@@ -339,7 +376,23 @@ type Conn struct {
 	// message could overtake a full data packet whose ring transit
 	// dominates its arrival time.
 	lastArr sim.Time
+
+	// The send under way in stage form (see Start).
+	p            *sim.Proc
+	kind         MsgKind
+	payload      any
+	bytes, stage int
+	step         func() (sim.Time, bool) // Step, bound once for Send
 }
+
+// The stages of a send.
+const (
+	sendIdle = iota
+	sendStart
+	sendCredit
+	sendPacket
+	sendLocal
+)
 
 // flight is one remote message in transit, from Send until its window
 // credit is back. Its four callbacks are the four events a remote message
@@ -411,7 +464,9 @@ func (nd *Node) Dial(to *Port) *Conn {
 	if w <= 0 {
 		w = 1
 	}
-	return &Conn{from: nd, to: to, credits: w, waitq: nd.net.sim.NewWaitQ("win")}
+	c := &Conn{from: nd, to: to, credits: w, waitq: nd.net.sim.NewWaitQ("win")}
+	c.step = c.Step
+	return c
 }
 
 // Local reports whether the connection short-circuits (same node).
@@ -426,44 +481,80 @@ func (c *Conn) Local() bool { return c.from == c.to.node }
 // arrival, and the credit returns one MinLatency hop after the receiver
 // consumes the message.
 func (c *Conn) Send(p *sim.Proc, kind MsgKind, payload any, bytes int) {
-	net := c.from.net
-	if c.Local() {
-		c.from.UseCPU(p, net.cfg.InstrPerLocalMsg)
-		c.from.stats.LocalMsgs++
-		if net.sim.Tracing() {
-			p.Emit(trace.Event{
-				At: int64(p.Now()), Kind: trace.KindLocalMsg,
-				Class: kind.String(), Node: c.from.ID, Bytes: bytes,
-			})
-		}
-		c.to.deliver(Message{From: c.from, Kind: kind, Payload: payload})
-		return
-	}
-	if pb := net.cfg.PacketBytes; bytes > pb {
+	c.Start(p, kind, payload, bytes)
+	p.Steps(c.step)
+}
+
+// Start arms the stage form of Send on p's behalf: Step is a sub-itinerary
+// (sim.Proc.Steps) that makes the kernel calls of Send in Send's order.
+func (c *Conn) Start(p *sim.Proc, kind MsgKind, payload any, bytes int) {
+	if pb := c.from.net.cfg.PacketBytes; bytes > pb && !c.Local() {
 		panic(fmt.Sprintf("nose: %d-byte message exceeds the %d-byte packet", bytes, pb))
 	}
-	for c.credits == 0 {
-		c.waitq.Park(p)
+	c.p, c.kind, c.payload, c.bytes, c.stage = p, kind, payload, bytes, sendStart
+}
+
+// Step takes the send's next stage — a wait for a window credit, the protocol
+// CPU, the sender's wait while its NIC pushes the packet out — and returns its
+// completion time, or reports false once the message is on its way.
+func (c *Conn) Step() (sim.Time, bool) {
+	net := c.from.net
+	cfg := &net.cfg
+	switch c.stage {
+	case sendStart:
+		if c.Local() {
+			c.stage = sendLocal
+			if instr := cfg.InstrPerLocalMsg; instr > 0 {
+				return c.from.ReserveCPU(instr), true
+			}
+			return c.Step()
+		}
+		c.stage = sendCredit
+		fallthrough
+	case sendCredit:
+		if c.credits == 0 {
+			return c.waitq.ParkStep(c.p), true
+		}
+		c.credits--
+		c.stage = sendPacket
+		if instr := cfg.InstrPerPacket; instr > 0 {
+			return c.from.ReserveCPU(instr), true
+		}
+		fallthrough
+	case sendPacket:
+		t0 := net.sim.Now()
+		nicDone := c.from.NIC.UseAsync(cfg.NICTime(c.bytes))
+		c.from.stats.DataPackets++
+		c.from.stats.RingBytes += int64(c.bytes)
+		c.from.ringBusy += cfg.RingTime(c.bytes)
+		if net.sim.Tracing() {
+			net.sim.Emit(trace.Event{
+				At: int64(t0), Kind: trace.KindPacket,
+				Class: c.kind.String(), From: c.from.ID, To: c.to.node.ID, Bytes: c.bytes,
+			})
+		}
+		f := c.take()
+		f.kind, f.payload, f.bytes = c.kind, c.payload, c.bytes
+		net.sim.At(c.arrival(t0, nicDone, c.bytes), f.arrive)
+		c.p, c.payload, c.stage = nil, nil, sendIdle
+		// The sender's process is occupied while its Unibus pushes the
+		// message out, exactly as the old blocking NIC charge behaved.
+		if nicDone > t0 {
+			return nicDone, true
+		}
+	case sendLocal:
+		c.from.stats.LocalMsgs++
+		if net.sim.Tracing() {
+			net.sim.Emit(trace.Event{
+				At: int64(net.sim.Now()), Kind: trace.KindLocalMsg,
+				Class: c.kind.String(), Node: c.from.ID, Bytes: c.bytes,
+			})
+		}
+		m := Message{From: c.from, Kind: c.kind, Payload: c.payload}
+		c.p, c.payload, c.stage = nil, nil, sendIdle
+		c.to.deliver(m)
 	}
-	c.credits--
-	c.from.UseCPU(p, net.cfg.InstrPerPacket)
-	t0 := p.Now()
-	nicDone := c.from.NIC.UseAsync(net.cfg.NICTime(bytes))
-	c.from.stats.DataPackets++
-	c.from.stats.RingBytes += int64(bytes)
-	c.from.ringBusy += net.cfg.RingTime(bytes)
-	if net.sim.Tracing() {
-		p.Emit(trace.Event{
-			At: int64(t0), Kind: trace.KindPacket,
-			Class: kind.String(), From: c.from.ID, To: c.to.node.ID, Bytes: bytes,
-		})
-	}
-	f := c.take()
-	f.kind, f.payload, f.bytes = kind, payload, bytes
-	net.sim.At(c.arrival(t0, nicDone, bytes), f.arrive)
-	// The sender's process is occupied while its Unibus pushes the message
-	// out, exactly as the old blocking NIC charge behaved.
-	p.WaitUntil(nicDone)
+	return 0, false
 }
 
 // arrival computes when a message sent at t0 whose sender-NIC copy finishes

@@ -162,3 +162,30 @@ func findProcOnQ(q *WaitQ, name string) *Proc {
 	}
 	return nil
 }
+
+// TestKillAfterWakeOne kills a process whose wake WakeOne has already
+// scheduled: that one wake unwinds it, and no second one resumes a finished
+// coroutine or drives the parked count negative (which could hide a real
+// deadlock from Run).
+func TestKillAfterWakeOne(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	s := New()
+	q := s.NewWaitQ("q")
+	ran := false
+	victim := s.Spawn("victim", func(p *Proc) {
+		q.Park(p)
+		ran = true
+	})
+	s.At(5, func() {
+		q.WakeOne()
+		victim.Kill()
+	})
+	s.Run()
+	if ran {
+		t.Error("the killed process ran past its park")
+	}
+	if got := s.Resumes(); got != 2 {
+		t.Errorf("%d resumes, want 2 (the spawn, the unwinding)", got)
+	}
+	checkSettled(t, s, baseline)
+}

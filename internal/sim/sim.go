@@ -176,8 +176,9 @@ func (p *Proc) Kill() {
 		return
 	}
 	p.killed = true
-	if p.wq != nil {
-		p.wq.remove(p)
+	// A process WakeOne has already dequeued has its wake pending: that wake
+	// unwinds it, and a second one would resume a finished coroutine.
+	if p.wq != nil && p.wq.remove(p) {
 		p.wq = nil
 		p.wake(p.sim.now)
 	}
@@ -225,6 +226,10 @@ func (p *Proc) WaitUntil(t Time) {
 // unwinds at the firing that would have run the next stage, which then never
 // reserves.
 //
+// A stage may also queue p on a wait queue (WaitQ.ParkStep) instead of
+// reserving: no wake is scheduled for it, and the WakeOne or WakeAll that
+// dequeues p runs the next stage, as the blocking Park would have resumed p.
+//
 // step must not block (no Use, Sleep, Park or nested Steps).
 func (p *Proc) Steps(step func() (at Time, more bool)) {
 	at, more := step()
@@ -232,7 +237,9 @@ func (p *Proc) Steps(step func() (at Time, more bool)) {
 		return
 	}
 	p.step = step
-	p.wake(at)
+	if at != queued {
+		p.wake(at)
+	}
 	p.park()
 }
 
@@ -316,8 +323,11 @@ func (s *Sim) fireSerial(e event) {
 		e.fn()
 	} else {
 		if p.step != nil && !p.killed {
+			p.wq = nil // whatever woke p dequeued it
 			if at, more := p.step(); more {
-				p.wake(at)
+				if at != queued {
+					p.wake(at)
+				}
 				return
 			}
 			p.step = nil

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"gamma/internal/trace"
@@ -19,6 +20,7 @@ const (
 	opAsync        // charge the disk without waiting; remember the completion
 	opWait         // wait for the remembered completion: a stage only if it lies ahead
 	opSend         // message another node, whose handler charges its CPU
+	opGate         // wait on the node's gate: a stage, woken by a bell the waiter rings ahead
 	opKinds
 )
 
@@ -33,14 +35,20 @@ type stepOp struct {
 // process is generated from its own seed before anything runs, so the parked
 // and the Steps form of a leg consume identical programs. parked selects the
 // blocking primitives (Use, Sleep, WaitUntil); otherwise each leg is one Steps
-// call whose step runs the same ops with Reserve. Every op ticks the trace
-// after it completes.
+// call whose step runs the same ops with Reserve and WaitQ.ParkStep. Every op
+// ticks the trace after it completes.
+//
+// A gate wait first schedules a bell that wakes the longest waiter on the
+// gate d+1 later, so the two siblings of a node wake each other as often as
+// themselves, and no waiter is left without a bell.
 func stepsModel(s *Sim, nodes int, seed int64, parked bool) {
 	cpus := make([]*Resource, nodes)
 	disks := make([]*Resource, nodes)
+	gates := make([]*WaitQ, nodes)
 	for i := range nodes {
 		cpus[i] = s.NewResource(fmt.Sprintf("cpu%d", i))
 		disks[i] = s.NewResource(fmt.Sprintf("disk%d", i))
+		gates[i] = s.NewWaitQ(fmt.Sprintf("gate%d", i))
 	}
 	zero := new(int)
 	for i := range nodes {
@@ -60,6 +68,7 @@ func stepsModel(s *Sim, nodes int, seed int64, parked bool) {
 			}
 			s.Spawn(fmt.Sprintf("p%d.%d", i, k), func(p *Proc) {
 				var asyncDone Time
+				bell := func(o stepOp) { s.After(o.d+1, func() { gates[i].WakeOne() }) }
 				// passing runs a non-blocking op.
 				passing := func(o stepOp) {
 					switch o.kind {
@@ -84,6 +93,9 @@ func stepsModel(s *Sim, nodes int, seed int64, parked bool) {
 								p.Sleep(o.d)
 							case opWait:
 								p.WaitUntil(asyncDone)
+							case opGate:
+								bell(o)
+								gates[i].Park(p)
 							default:
 								passing(o)
 							}
@@ -109,6 +121,9 @@ func stepsModel(s *Sim, nodes int, seed int64, parked bool) {
 									if asyncDone > p.Now() {
 										return asyncDone, true
 									}
+								case opGate:
+									bell(o)
+									return gates[i].ParkStep(p), true
 								default:
 									passing(o)
 								}
@@ -150,7 +165,8 @@ func firedKeys(s *Sim) []eventKey {
 // TestStepsPreservesEventKeys is the proof that an itinerary is its blocking
 // twin with the hand-offs taken out: random programs of contending processes
 // fire the identical (at, ord) sequence whether each stage parks its process
-// or the whole leg is one Steps call, and the two forms trace
+// (Use, Sleep, WaitUntil, WaitQ.Park) or the whole leg is one Steps call
+// (Reserve, WaitQ.ParkStep), and the two forms trace
 // byte-identically, retire and fire as many events and end at the same
 // instant. Only the resumes differ: the Steps form never has more.
 func TestStepsPreservesEventKeys(t *testing.T) {
@@ -333,4 +349,106 @@ func BenchmarkSteps(b *testing.B) {
 	if got := s.Resumes(); got != 2 {
 		b.Fatalf("%d resumes, want 2", got)
 	}
+}
+
+// parkStaged spawns a process whose one itinerary makes two stages on r and
+// then waits on q, twice over, recording each stage it starts; stages are
+// logged as "r@t" and "q@t".
+func parkStaged(s *Sim, r *Resource, q *WaitQ, log *[]string, done *bool) *Proc {
+	return s.Spawn("armed", func(p *Proc) {
+		n := 0
+		p.Steps(func() (Time, bool) {
+			if n == 6 {
+				return 0, false
+			}
+			n++
+			if n%3 == 0 {
+				*log = append(*log, fmt.Sprintf("q@%d", p.Now()))
+				return q.ParkStep(p), true
+			}
+			*log = append(*log, fmt.Sprintf("r@%d", p.Now()))
+			return r.Reserve(10), true
+		})
+		*done = true
+	})
+}
+
+// TestParkStepKill kills a process whose itinerary waits on a queue: it
+// unwinds at the wake Kill schedules, no further stage runs, and the queue
+// no longer holds it.
+func TestParkStepKill(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	s := New()
+	r, q := s.NewResource("r"), s.NewWaitQ("q")
+	var log []string
+	done := false
+	p := parkStaged(s, r, q, &log, &done)
+	s.At(50, func() { p.Kill() })
+	if end := s.Run(); end != 50 {
+		t.Errorf("run ended at %d, want 50", end)
+	}
+	if fmt.Sprint(log) != "[r@0 r@10 q@20]" || done {
+		t.Errorf("stages %v, done=%v; want [r@0 r@10 q@20] and no completion", log, done)
+	}
+	if q.Len() != 0 || s.Resumes() != 2 {
+		t.Errorf("queue holds %d, %d resumes; want 0 and 2 (the spawn, the unwinding)", q.Len(), s.Resumes())
+	}
+	checkSettled(t, s, baseline)
+}
+
+// TestParkStepWakeAll: WakeAll continues every armed itinerary at its next
+// stage — and only that, the processes themselves resuming once each at the
+// end.
+func TestParkStepWakeAll(t *testing.T) {
+	s := New()
+	q := s.NewWaitQ("q")
+	rs := []*Resource{s.NewResource("r0"), s.NewResource("r1"), s.NewResource("r2")}
+	logs := make([][]string, len(rs))
+	dones := make([]bool, len(rs))
+	for i, r := range rs {
+		parkStaged(s, r, q, &logs[i], &dones[i])
+	}
+	s.At(25, func() { q.WakeAll() })
+	s.At(60, func() { q.WakeAll() })
+	if end := s.Run(); end != 60 {
+		t.Errorf("run ended at %d, want 60", end)
+	}
+	for i := range rs {
+		if fmt.Sprint(logs[i]) != "[r@0 r@10 q@20 r@25 r@35 q@45]" || !dones[i] {
+			t.Errorf("itinerary %d: stages %v, done=%v", i, logs[i], dones[i])
+		}
+	}
+	if got := s.Resumes(); got != 6 {
+		t.Errorf("%d resumes, want 6: a spawn and an end per process", got)
+	}
+}
+
+// TestParkStepClose: Close unwinds a process whose itinerary waits on a queue.
+func TestParkStepClose(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	s := New()
+	var log []string
+	done := false
+	parkStaged(s, s.NewResource("r"), s.NewWaitQ("q"), &log, &done)
+	s.RunUntil(100)
+	s.Close()
+	if fmt.Sprint(log) != "[r@0 r@10 q@20]" || done {
+		t.Errorf("stages %v, done=%v; want [r@0 r@10 q@20] and no completion", log, done)
+	}
+	checkSettled(t, s, baseline)
+}
+
+// TestParkStepDeadlock: an armed itinerary whose queue is never woken is a
+// parked process, and Run reports the deadlock.
+func TestParkStepDeadlock(t *testing.T) {
+	s := New()
+	var log []string
+	done := false
+	parkStaged(s, s.NewResource("r"), s.NewWaitQ("q"), &log, &done)
+	defer func() {
+		if r := recover(); !strings.Contains(fmt.Sprint(r), "deadlock") {
+			t.Errorf("Run recovered %v, want a deadlock panic", r)
+		}
+	}()
+	s.Run()
 }

@@ -29,11 +29,24 @@ func (q *WaitQ) enqueue(p *Proc) {
 
 // Park suspends p until another process calls WakeOne or WakeAll.
 func (q *WaitQ) Park(p *Proc) {
+	q.ParkStep(p)
+	p.park()
+	p.wq = nil
+}
+
+// queued is the completion time a ParkStep stage reports: no instant, so the
+// kernel schedules no wake for it.
+const queued = -infTime
+
+// ParkStep is the stage form of Park, for an itinerary (Proc.Steps): it
+// queues p and returns a time for which the kernel schedules nothing. The
+// WakeOne or WakeAll that dequeues p runs the itinerary's next stage, in the
+// event that would have resumed p from Park; a Kill dequeues and unwinds p.
+func (q *WaitQ) ParkStep(p *Proc) Time {
 	p.parkSeq++
 	p.wq = q
 	q.enqueue(p)
-	p.park()
-	p.wq = nil
+	return queued
 }
 
 // ParkTimeout parks p until woken or until d elapses, whichever comes first.

@@ -121,19 +121,16 @@ func (m *Machine) scanRoute(ap *sim.Proc, amp int, r *Relation, pred rel.Pred, a
 
 func (m *Machine) scanRouteSeed(ap *sim.Proc, amp int, r *Relation, pred rel.Pred, attr rel.Attr, dest [][]rel.Tuple, seed uint64, redistribute bool) {
 	rd := m.newRedistribution(amp, pred, attr, dest, seed, redistribute)
-	step := rd.step
-	sc := r.Frags[amp].File.NewScanner()
-	for pg := sc.NextPage(ap); pg != nil; pg = sc.NextPage(ap) {
-		rd.scan(pg, m.Prm.Tera.InstrPerTupleScan)
-		ap.Steps(step)
-	}
+	instr := m.Prm.Tera.InstrPerTupleScan
+	r.Frags[amp].File.NewScanner().Run(ap, func(pg *wiss.Page) { rd.scan(pg, instr) }, rd.step, nil)
 }
 
 // redistribution is one AMP's itinerary (sim.Proc.Steps) over a batch of
 // tuples — a page of a scan, or an intermediate result in memory: the scan CPU
 // for the batch, if any, then every qualifying tuple in turn goes to the AMP
 // its join attribute hashes to, or straight into this AMP's destination when
-// the tuples are already placed. The AMP's process is resumed once per batch.
+// the tuples are already placed. The AMP's process is resumed once per batch
+// or scan.
 type redistribution struct {
 	qualifying
 	amp  int
@@ -229,12 +226,12 @@ func (m *Machine) sortMerge(ap *sim.Proc, amp int, s1 []rel.Tuple, a1 rel.Attr, 
 // readPages reads a whole file sequentially (charged) and returns its pages.
 func readPages(ap *sim.Proc, f *wiss.File) []*wiss.Page {
 	var out []*wiss.Page
-	sc := f.NewScanner()
-	for pg := sc.NextPage(ap); pg != nil; pg = sc.NextPage(ap) {
-		out = append(out, pg)
-	}
+	f.NewScanner().Run(ap, func(pg *wiss.Page) { out = append(out, pg) }, noStages, nil)
 	return out
 }
+
+// noStages: the page costs nothing past its read.
+func noStages() (sim.Time, bool) { return 0, false }
 
 // sortedRun walks the tuples of a sorted file's pages. The sort wrote them
 // with an Appender, so every slot is live.

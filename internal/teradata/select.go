@@ -59,12 +59,7 @@ func (m *Machine) RunSelect(r *Relation, pred rel.Pred, kind SelectKind, toHost 
 			}
 			switch kind {
 			case FileScan:
-				step := q.filePage
-				sc := q.file.NewScanner()
-				for pg := sc.NextPage(ap); pg != nil; pg = sc.NextPage(ap) {
-					q.scan(pg, tc.InstrPerTupleScan)
-					ap.Steps(step)
-				}
+				q.file.NewScanner().Run(ap, func(pg *wiss.Page) { q.scan(pg, tc.InstrPerTupleScan) }, q.filePage, nil)
 			case IndexScan:
 				if !r.Secondary[pred.Attr] {
 					panic("teradata: IndexScan without a secondary index on " + pred.Attr.String())
@@ -83,7 +78,7 @@ func (m *Machine) RunSelect(r *Relation, pred rel.Pred, kind SelectKind, toHost 
 // selection is one AMP's part of a FileScan or IndexScan selection: the walk
 // over its fragment, the count of selected tuples and, unless they go to the
 // host, their INSERT INTO. Its two itineraries (sim.Proc.Steps) resume the
-// AMP's process once per page of a file scan and once per index scan.
+// AMP's process once per file scan and once per index scan.
 type selection struct {
 	qualifying
 	m    *Machine

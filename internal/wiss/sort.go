@@ -15,7 +15,8 @@ type SortCosts struct {
 // merge sort with memBytes of sort memory, charging all I/O and CPU to p.
 // It reproduces the cost structure of WiSS's sort utility and of the
 // Teradata AMPs' sort phase: sequential run formation, then merge passes
-// whose interleaved run reads are random I/Os.
+// whose interleaved run reads are random I/Os. Reading the source and each
+// merge are itineraries (sim.Proc.Steps).
 func SortFile(p *sim.Proc, src *File, key rel.Attr, memBytes int, costs SortCosts) *File {
 	st := src.st
 	pageBytes := st.prm.PageBytes
@@ -49,17 +50,24 @@ func SortFile(p *sim.Proc, src *File, key rel.Attr, memBytes int, costs SortCost
 		runs = append(runs, run)
 		buf = buf[:0]
 	}
+	// The source is read as one itinerary that hands p each memory load.
+	var pg *Page
+	slot := 0
+	fill := func() (sim.Time, bool) {
+		for ; slot < len(pg.Tuples) && len(buf) < tuplesPerMem; slot++ {
+			if pg.Live(slot) {
+				buf = append(buf, pg.Tuples[slot])
+			}
+		}
+		return 0, false
+	}
+	full := func() bool { return len(buf) >= tuplesPerMem }
 	sc := src.NewScanner()
-	for pg := sc.NextPage(p); pg != nil; pg = sc.NextPage(p) {
-		allLive := pg.AllLive()
-		for s := range pg.Tuples {
-			if !allLive && !pg.Live(s) {
-				continue
-			}
-			buf = append(buf, pg.Tuples[s])
-			if len(buf) >= tuplesPerMem {
-				flushRun()
-			}
+	begin := func(next *Page) { pg, slot = next, 0 }
+	for sc.Run(p, begin, fill, full); full(); sc.Run(p, begin, fill, full) {
+		for full() {
+			flushRun()
+			fill() // the rest of the page in hand
 		}
 	}
 	flushRun()
@@ -98,6 +106,13 @@ func SortFile(p *sim.Proc, src *File, key rel.Attr, memBytes int, costs SortCost
 	return out
 }
 
+// The stages of a merge.
+const (
+	mergeCharge = iota
+	mergeMove
+	mergeNext
+)
+
 // mergeCursor walks one run page by page. Runs are written by an Appender
 // and never updated, so every slot of a page is live.
 type mergeCursor struct {
@@ -121,11 +136,12 @@ func (c *mergeCursor) load(p *sim.Proc) bool {
 	return true
 }
 
-// mergeRuns merges runs of the store, each sorted on key, into ap. Every tuple
-// reserves instr instructions on the store's processor, then moves from its
-// run to the output page; p takes part only where a page does — an output page
-// filling, a run's page running out — and the tuples in between are an
-// itinerary (sim.Proc.Steps) of CPU charges.
+// mergeRuns merges runs of the store, each sorted on key, into ap, as one
+// itinerary (sim.Proc.Steps): every tuple reserves instr instructions on the
+// store's processor, then moves from its run to the output page — the page's
+// write when it fills, and the run's next page read when it runs out, are
+// stages too. p is resumed at the end, or where a write or read would reach a
+// failed drive.
 func (st *Store) mergeRuns(p *sim.Proc, runs []*File, key rel.Attr, ap *Appender, instr int) {
 	var h rel.KeyHeap[*mergeCursor]
 	for _, f := range runs {
@@ -135,30 +151,56 @@ func (st *Store) mergeRuns(p *sim.Proc, runs []*File, key rel.Attr, ap *Appender
 		}
 	}
 	h.Init()
-	charged := false // the tuple on top of the heap has paid its CPU
-	step := func() (sim.Time, bool) {
-		if charged {
-			c := h.Top()
-			if ap.Room() == 1 || c.slot+1 == len(c.tuples) {
-				return 0, false // moving it crosses a page boundary: p's part
+	var rd pageRead
+	stage, writing, reading := mergeCharge, false, false
+	p.Steps(func() (sim.Time, bool) {
+		for {
+			if writing {
+				if at, more := ap.Step(); more {
+					return at, true
+				}
+				if writing = false; ap.Failed() {
+					return 0, false
+				}
 			}
-			ap.Append(p, c.tuples[c.slot])
-			c.slot++
-			h.FixTop(c.tuples[c.slot].A[key])
+			if reading {
+				if at, more := rd.step(); more {
+					return at, true
+				}
+				if reading = false; rd.failed {
+					return 0, false
+				}
+				t := h.Top()
+				t.tuples, t.slot = t.f.pages[t.page].Tuples, 0
+				t.page++
+			}
+			switch stage {
+			case mergeCharge:
+				if h.Len() == 0 {
+					return 0, false
+				}
+				stage = mergeMove
+				return st.node.ReserveCPU(instr), true
+			case mergeMove: // the tuple on top has paid its CPU
+				t := h.Top()
+				writing = ap.Put(t.tuples[t.slot])
+				t.slot++
+				stage = mergeNext
+			case mergeNext: // find the run's next tuple
+				switch t := h.Top(); {
+				case t.slot < len(t.tuples):
+					h.FixTop(t.tuples[t.slot].A[key])
+					stage = mergeCharge
+				case t.page < t.f.Pages():
+					rd.start(t.f, t.page, false)
+					reading = true
+				default:
+					h.PopTop()
+					stage = mergeCharge
+				}
+			}
 		}
-		charged = true
-		return st.node.ReserveCPU(instr), true
-	}
-	for h.Len() > 0 {
-		p.Steps(step)
-		charged = false
-		c := h.Top()
-		ap.Append(p, c.tuples[c.slot])
-		c.slot++
-		if c.load(p) {
-			h.FixTop(c.tuples[c.slot].A[key])
-		} else {
-			h.PopTop()
-		}
-	}
+	})
+	ap.Fault()
+	rd.fault()
 }

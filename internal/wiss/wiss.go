@@ -258,30 +258,62 @@ func (f *File) Page(i int) *Page { return f.pages[i] }
 // ReadPage returns page i, charging buffer-pool CPU and (on a miss) a drive
 // read to the calling process.
 func (f *File) ReadPage(p *sim.Proc, i int) *Page {
-	f.chargeRead(p, i, true)
+	var r pageRead
+	r.start(f, i, false)
+	p.Steps(r.step)
+	r.fault()
 	return f.pages[i]
 }
 
-// ReadPageAsync issues the drive read for page i without blocking and
-// returns the page plus the simulated time at which it is ready. Used for
-// double-buffered sequential scans: issue page i+1 while processing page i.
-func (f *File) ReadPageAsync(p *sim.Proc, i int) (*Page, sim.Time) {
-	ready := f.chargeRead(p, i, false)
-	return f.pages[i], ready
+// pageRead is the stage form of a page read, a sub-itinerary (sim.Proc.Steps):
+// the buffer-pool CPU, then on a miss the drive — waited for, or with ahead
+// set issued as read-ahead, ready saying when the page is in memory. A read
+// that would reach a failed drive ends it with failed set, and fault makes
+// that read in the process, where disk.FailedError unwinds it.
+type pageRead struct {
+	f             *File
+	i, stage      int
+	ahead, failed bool
+	ready         sim.Time
 }
 
-func (f *File) chargeRead(p *sim.Proc, i int, block bool) sim.Time {
-	st := f.st
-	st.node.UseCPU(p, st.prm.Engine.InstrPerPageIO)
-	if st.pool.Get(f.ID, i) {
-		return p.Now() // buffer hit: no I/O
+func (r *pageRead) start(f *File, i int, ahead bool) {
+	*r = pageRead{f: f, i: i, ahead: ahead, stage: 1}
+}
+
+func (r *pageRead) step() (sim.Time, bool) {
+	st := r.f.st
+	switch r.stage {
+	case 1: // the buffer-pool CPU
+		r.stage = 2
+		if instr := st.prm.Engine.InstrPerPageIO; instr > 0 {
+			return st.node.ReserveCPU(instr), true
+		}
+		fallthrough
+	case 2:
+		r.stage = 0
+		r.ready = st.node.Network().Sim().Now()
+		if st.pool.Get(r.f.ID, r.i) {
+			return 0, false // buffer hit: no I/O
+		}
+		st.pool.Put(r.f.ID, r.i)
+		switch d := st.node.Drive; {
+		case d.Failed():
+			r.failed = true
+		case r.ahead:
+			r.ready = d.ReadAsync(r.f.ID, r.i, st.prm.PageBytes)
+		default:
+			return d.ReserveRead(r.f.ID, r.i, st.prm.PageBytes), true
+		}
 	}
-	st.pool.Put(f.ID, i)
-	if block {
-		st.node.Drive.Read(p, f.ID, i, st.prm.PageBytes)
-		return p.Now()
+	return 0, false
+}
+
+func (r *pageRead) fault() {
+	if r.failed {
+		r.failed = false
+		r.f.st.node.Drive.ReadAsync(r.f.ID, r.i, r.f.st.prm.PageBytes)
 	}
-	return st.node.Drive.ReadAsync(f.ID, i, st.prm.PageBytes)
 }
 
 // WritePage writes page i back (read-modify-write path of update queries).
@@ -300,7 +332,7 @@ func (f *File) FetchRID(p *sim.Proc, rid RID) rel.Tuple {
 
 // UpdateRID overwrites the tuple at rid in place (read page, modify, write).
 func (f *File) UpdateRID(p *sim.Proc, rid RID, t rel.Tuple) {
-	f.chargeRead(p, int(rid.Page), true)
+	f.ReadPage(p, int(rid.Page))
 	pg := f.mutPage(int(rid.Page))
 	pg.Tuples[rid.Slot] = t
 	f.WritePage(p, int(rid.Page))
@@ -310,7 +342,7 @@ func (f *File) UpdateRID(p *sim.Proc, rid RID, t rel.Tuple) {
 // Slots are stable, so index entries for other tuples remain valid; index
 // entries for the deleted tuple must be removed by the caller.
 func (f *File) DeleteRID(p *sim.Proc, rid RID) {
-	f.chargeRead(p, int(rid.Page), true)
+	f.ReadPage(p, int(rid.Page))
 	pg := f.mutPage(int(rid.Page))
 	if pg.Kill(int(rid.Slot)) {
 		f.nTuples--
@@ -357,15 +389,54 @@ type Appender struct {
 	cur     *Page
 	lastIO  sim.Time
 	written int
+
+	// The page write under way in stage form (see Put, Close).
+	stage, pageNo   int
+	closing, failed bool
+	step            func() (sim.Time, bool)
 }
 
+// The stages of a page write.
+const (
+	writeIdle  = iota
+	writePage  // the full page joins the file; its CPU
+	writeWait  // one page of write buffering: the previous write must finish
+	writeIssue // the write-behind
+	writeDrain // Close: the last write must finish
+)
+
 // NewAppender starts appending at the end of the file.
-func (f *File) NewAppender() *Appender { return &Appender{f: f} }
+func (f *File) NewAppender() *Appender {
+	a := &Appender{f: f}
+	a.step = a.Step
+	return a
+}
 
 // Append adds one tuple, writing the page to disk when it fills. The write
 // is asynchronous (write-behind): the appender only blocks when the drive
 // falls an entire page behind.
 func (a *Appender) Append(p *sim.Proc, t rel.Tuple) {
+	if a.Put(t) {
+		p.Steps(a.step)
+		a.Fault()
+	}
+}
+
+// Close flushes the final partial page and blocks until the drive is idle on
+// this appender's writes. Returns the number of tuples appended.
+func (a *Appender) Close(p *sim.Proc) int {
+	a.closing, a.stage = true, writeDrain
+	if a.cur != nil && len(a.cur.Tuples) > 0 {
+		a.stage = writePage
+	}
+	p.Steps(a.step)
+	a.Fault()
+	return a.written
+}
+
+// Put is the stage form of Append: it adds t and reports whether that filled
+// the page, whose write Step then takes as a sub-itinerary (sim.Proc.Steps).
+func (a *Appender) Put(t rel.Tuple) bool {
 	f := a.f
 	if a.cur == nil {
 		a.cur = &Page{Tuples: make([]rel.Tuple, 0, f.capacity())}
@@ -373,87 +444,230 @@ func (a *Appender) Append(p *sim.Proc, t rel.Tuple) {
 	a.cur.Tuples = append(a.cur.Tuples, t)
 	f.nTuples++
 	a.written++
-	if len(a.cur.Tuples) == f.capacity() {
-		a.flush(p)
+	if len(a.cur.Tuples) < f.capacity() {
+		return false
 	}
+	a.stage = writePage
+	return true
 }
 
-// Room returns how many more tuples fit before Append writes the page out:
-// the Append that finds Room() == 1 is the one that may block.
-func (a *Appender) Room() int {
-	if a.cur == nil {
-		return a.f.capacity()
-	}
-	return a.f.capacity() - len(a.cur.Tuples)
-}
-
-func (a *Appender) flush(p *sim.Proc) {
+// Step takes the write's next stage and returns its completion time, or
+// reports false once it is done — or at a write that would reach a failed
+// drive, which Fault then makes.
+func (a *Appender) Step() (sim.Time, bool) {
 	f := a.f
 	st := f.st
-	pageNo := len(f.pages)
-	f.pages = append(f.pages, a.cur)
-	a.cur = nil
-	st.node.UseCPU(p, st.prm.Engine.InstrPerPageIO)
-	// Wait for the previous write-behind to finish before issuing the
-	// next (one page of write buffering).
-	p.WaitUntil(a.lastIO)
-	a.lastIO = st.node.Drive.WriteAsync(f.ID, pageNo, st.prm.PageBytes)
-	st.pool.Put(f.ID, pageNo)
+	now := st.node.Network().Sim().Now()
+	switch a.stage {
+	case writePage:
+		a.pageNo = len(f.pages)
+		f.pages = append(f.pages, a.cur)
+		a.cur = nil
+		a.stage = writeWait
+		if instr := st.prm.Engine.InstrPerPageIO; instr > 0 {
+			return st.node.ReserveCPU(instr), true
+		}
+		fallthrough
+	case writeWait:
+		a.stage = writeIssue
+		if a.lastIO > now {
+			return a.lastIO, true
+		}
+		fallthrough
+	case writeIssue:
+		a.stage = writeIdle
+		if a.failed = st.node.Drive.Failed(); a.failed {
+			return 0, false
+		}
+		a.lastIO = st.node.Drive.WriteAsync(f.ID, a.pageNo, st.prm.PageBytes)
+		st.pool.Put(f.ID, a.pageNo)
+		if !a.closing {
+			return 0, false
+		}
+		fallthrough
+	case writeDrain:
+		a.stage, a.closing = writeIdle, false
+		if a.lastIO > now {
+			return a.lastIO, true
+		}
+	}
+	return 0, false
 }
 
-// Close flushes the final partial page and blocks until the drive is idle on
-// this appender's writes. Returns the number of tuples appended.
-func (a *Appender) Close(p *sim.Proc) int {
-	if a.cur != nil && len(a.cur.Tuples) > 0 {
-		a.flush(p)
+// Failed reports whether the last write stopped at a failed drive.
+func (a *Appender) Failed() bool { return a.failed }
+
+// Fault makes that write in the calling process: it panics with
+// disk.FailedError.
+func (a *Appender) Fault() {
+	if a.failed {
+		a.failed = false
+		a.f.st.node.Drive.WriteAsync(a.f.ID, a.pageNo, a.f.st.prm.PageBytes)
 	}
-	p.WaitUntil(a.lastIO)
-	return a.written
 }
+
+// cursor is the read-ahead machinery of both scanners, in stage form: an
+// advance delivers page idx — from the read-ahead if that was issued for idx,
+// else read now — then issues the read-ahead of the page after it, if any,
+// and waits for the delivered page: the kernel calls of a blocking advance,
+// in its order.
+type cursor struct {
+	f    *File
+	next int // the page the next advance delivers
+	// wrap: circular, reading ahead if prefetch is set; else linear, reading
+	// ahead while pages remain, and at EOF once an advance found none.
+	wrap, prefetch, eof bool
+
+	pending    *Page // the read-ahead
+	pendingIdx int
+	pendingAt  sim.Time
+	hasPending bool
+
+	// The advance under way (see Step): the page it delivers, and when.
+	idx, stage int
+	rd         pageRead
+	pg         *Page
+	ready      sim.Time
+	step       func() (sim.Time, bool)
+}
+
+// The stages of an advance.
+const (
+	advIdle = iota
+	advStart
+	advRead  // reading the page to deliver
+	advTake  // issue the read-ahead
+	advAhead // the read-ahead
+	advWait
+)
+
+func (c *cursor) begin(idx int) { c.idx, c.stage, c.pg = idx, advStart, nil }
+
+// Step is the stage form of an advance armed by Start, a sub-itinerary
+// (sim.Proc.Steps): it returns a stage's completion time, or reports false
+// once the page is in memory, at EOF, or at a read that found its drive
+// failed (see Fault).
+func (c *cursor) Step() (sim.Time, bool) {
+	f := c.f
+	for {
+		switch c.stage {
+		case advStart:
+			c.stage = advTake
+			if c.hasPending && c.pendingIdx == c.idx {
+				c.pg, c.ready = c.pending, c.pendingAt
+			} else {
+				c.rd.start(f, c.idx, true)
+				c.stage = advRead
+			}
+		case advRead, advAhead:
+			if at, more := c.rd.step(); more {
+				return at, true
+			}
+			if c.rd.failed {
+				c.stage, c.pg = advIdle, nil
+				return 0, false
+			}
+			if c.stage == advRead {
+				c.pg, c.ready = f.pages[c.idx], c.rd.ready
+				c.stage = advTake
+				continue
+			}
+			c.pending, c.pendingIdx, c.pendingAt, c.hasPending = f.pages[c.rd.i], c.rd.i, c.rd.ready, true
+			c.stage = advWait
+		case advTake:
+			c.hasPending = false
+			c.stage = advWait
+			ahead := c.next
+			if !c.wrap {
+				ahead = c.idx + 1
+				c.eof = ahead >= len(f.pages)
+			}
+			if c.wrap && c.prefetch || !c.wrap && !c.eof {
+				c.rd.start(f, ahead, true)
+				c.stage = advAhead
+			}
+		case advWait:
+			c.stage = advIdle
+			if c.ready > f.st.node.Network().Sim().Now() {
+				return c.ready, true
+			}
+			return 0, false
+		default:
+			return 0, false
+		}
+	}
+}
+
+// Page returns the page the last advance delivered: nil at EOF or failure.
+func (c *cursor) Page() *Page { return c.pg }
+
+// Fault makes that read in the calling process: it panics with
+// disk.FailedError.
+func (c *cursor) Fault() { c.rd.fault() }
 
 // Scanner iterates a file's tuples sequentially with one page of read-ahead
 // (the drive fetches page i+1 while the CPU works on page i).
-type Scanner struct {
-	f        *File
-	nextPage int
-	cur      *Page
-	curReady sim.Time
-	slot     int
-	started  bool
-}
+type Scanner struct{ cursor }
 
 // NewScanner returns a scanner positioned before the first tuple.
-func (f *File) NewScanner() *Scanner { return &Scanner{f: f} }
+func (f *File) NewScanner() *Scanner { return f.NewScannerAt(0) }
 
 // NewScannerAt returns a scanner positioned at the start of page pageNo
 // (used by clustered-index range scans).
-func (f *File) NewScannerAt(pageNo int) *Scanner { return &Scanner{f: f, nextPage: pageNo} }
+func (f *File) NewScannerAt(pageNo int) *Scanner {
+	s := &Scanner{cursor{f: f, next: pageNo}}
+	s.step = s.Step
+	return s
+}
 
 // NextPage advances to the next page and returns it, or nil at EOF. The
 // caller processes the returned page's tuples, charging its own CPU.
 func (s *Scanner) NextPage(p *sim.Proc) *Page {
-	f := s.f
-	if !s.started {
-		s.started = true
-		if s.nextPage >= len(f.pages) {
-			return nil
+	s.Start()
+	p.Steps(s.step)
+	s.Fault()
+	return s.pg
+}
+
+// Start arms the stage form of NextPage (see Step and Page).
+func (s *Scanner) Start() {
+	if s.eof || s.next >= len(s.f.pages) {
+		s.eof, s.stage, s.pg = true, advIdle, nil
+		return
+	}
+	s.begin(s.next)
+	s.next++
+}
+
+// Run makes the rest of the scan one itinerary (sim.Proc.Steps) of p: each
+// page goes to begin, in kernel context, and page takes its stages. It ends at
+// EOF, or when stop (if set) reports true after a page; a read that found its
+// drive failed is made in p, which panics with disk.FailedError.
+func (s *Scanner) Run(p *sim.Proc, begin func(pg *Page), page func() (sim.Time, bool), stop func() bool) {
+	reading := true
+	s.Start()
+	p.Steps(func() (sim.Time, bool) {
+		for {
+			if reading {
+				if at, more := s.Step(); more {
+					return at, true
+				}
+				if reading = false; s.pg == nil {
+					return 0, false
+				}
+				begin(s.pg)
+			}
+			if at, more := page(); more {
+				return at, true
+			}
+			if stop != nil && stop() {
+				return 0, false
+			}
+			s.Start()
+			reading = true
 		}
-		s.cur, s.curReady = f.ReadPageAsync(p, s.nextPage)
-		s.nextPage++
-	}
-	if s.cur == nil {
-		return nil
-	}
-	pg, ready := s.cur, s.curReady
-	// Prefetch the next page before blocking on the current one.
-	if s.nextPage < len(f.pages) {
-		s.cur, s.curReady = f.ReadPageAsync(p, s.nextPage)
-		s.nextPage++
-	} else {
-		s.cur = nil
-	}
-	p.WaitUntil(ready)
-	return pg
+	})
+	s.Fault()
 }
 
 // WrapScanner is a circular page cursor: it starts at an arbitrary page and
@@ -463,19 +677,13 @@ func (s *Scanner) NextPage(p *sim.Proc) *Page {
 // turning for later arrivals. The one-page read-ahead state lives in the
 // scanner, not the driving process, so the cursor can be handed between
 // processes without losing a pending prefetch.
-type WrapScanner struct {
-	f          *File
-	next       int
-	pending    *Page
-	pendingIdx int
-	pendingAt  sim.Time
-	hasPending bool
-}
+type WrapScanner struct{ cursor }
 
 // NewWrapScanner returns a circular cursor positioned at page start
 // (modulo the file length).
 func (f *File) NewWrapScanner(start int) *WrapScanner {
-	ws := &WrapScanner{f: f}
+	ws := &WrapScanner{cursor{f: f, wrap: true}}
+	ws.step = ws.Step
 	if n := len(f.pages); n > 0 {
 		ws.next = ((start % n) + n) % n
 	}
@@ -489,26 +697,20 @@ func (ws *WrapScanner) NextIdx() int { return ws.next }
 // issuing a read-ahead for the page after it, and advances the cursor.
 // Returns nil only for an empty file.
 func (ws *WrapScanner) NextPage(p *sim.Proc, prefetch bool) *Page {
-	f := ws.f
-	n := len(f.pages)
+	ws.Start(prefetch)
+	p.Steps(ws.step)
+	ws.Fault()
+	return ws.pg
+}
+
+// Start arms the stage form of NextPage (see Scanner.Start).
+func (ws *WrapScanner) Start(prefetch bool) {
+	n := len(ws.f.pages)
 	if n == 0 {
-		return nil
+		ws.stage, ws.pg = advIdle, nil
+		return
 	}
-	idx := ws.next
-	ws.next = (idx + 1) % n
-	var pg *Page
-	var ready sim.Time
-	if ws.hasPending && ws.pendingIdx == idx {
-		pg, ready = ws.pending, ws.pendingAt
-	} else {
-		pg, ready = f.ReadPageAsync(p, idx)
-	}
-	ws.hasPending = false
-	if prefetch {
-		ws.pending, ws.pendingAt = f.ReadPageAsync(p, ws.next)
-		ws.pendingIdx = ws.next
-		ws.hasPending = true
-	}
-	p.WaitUntil(ready)
-	return pg
+	ws.begin(ws.next)
+	ws.next = (ws.idx + 1) % n
+	ws.prefetch = prefetch
 }
