@@ -254,7 +254,7 @@ func (m *Machine) groupedAgg(ib *inbox, q AggQuery, scan ScanSpec, frags []*Frag
 // pushdown path: no split table, no network.
 func scanFold(p *sim.Proc, m *Machine, frag *Fragment, scan ScanSpec, fold func(rel.Tuple)) int {
 	sink := &foldSink{fold: fold}
-	split := newSplitTable(frag.Node, m.Prm, 0, nil, func(t rel.Tuple) int { sink.fold(t); sink.n++; return -1 })
+	split := newSplitTable(frag.Node, m.Prm, 0, nil, func(t *rel.Tuple) int { sink.fold(*t); sink.n++; return -1 })
 	switch scan.Path {
 	case PathHeap:
 		heapSelect(p, m, frag, scan.Pred, split)

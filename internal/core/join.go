@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -366,11 +368,16 @@ func (in *streamIn) step() (sim.Time, bool) {
 // resolution: when memory fills, a second hash function splits off a
 // subpartition whose build and probe tuples are spooled to temporary files
 // and joined recursively (§6, [DEWI85]).
+//
+// The resident build tuples are one flat array in arrival order, and counts
+// says how many carry each key: all a probe needs. An overflow walks the
+// array for the tuples it evicts.
 type joinTable struct {
-	spec  joinSpec
-	prm   int // memory budget in bytes
-	table map[int32][]rel.Tuple
-	bytes int
+	spec   joinSpec
+	prm    int // memory budget in bytes
+	tuples []rel.Tuple
+	counts keyCounts
+	bytes  int
 
 	curRound       int
 	evictLevels    []int // ascending
@@ -409,7 +416,8 @@ func newJoinTable(spec joinSpec) *joinTable {
 // beginPhase resets the in-memory table for a new (round) build.
 func (jt *joinTable) beginPhase(round int) {
 	jt.curRound = round
-	jt.table = make(map[int32][]rel.Tuple)
+	jt.tuples = jt.tuples[:0]
+	jt.counts.reset()
 	jt.bytes = 0
 	jt.evictLevels = nil
 	jt.phaseOverflowed = false
@@ -478,9 +486,15 @@ func (jt *joinTable) admit(t *rel.Tuple) (int, bool) {
 	if jt.bytes+jt.spec.m.Prm.TupleBytes > jt.prm || jt.spoolLevel(v) > 0 {
 		return 0, false
 	}
-	jt.table[v] = append(jt.table[v], *t)
-	jt.bytes += jt.spec.m.Prm.TupleBytes
+	jt.add(v, t)
 	return 0, true
+}
+
+// add puts t, whose key is v, in the table.
+func (jt *joinTable) add(v int32, t *rel.Tuple) {
+	jt.tuples = append(jt.tuples, *t)
+	jt.counts.add(v)
+	jt.bytes += jt.spec.m.Prm.TupleBytes
 }
 
 // insert puts t in the table, spooling it or resolving the overflow it causes.
@@ -490,8 +504,7 @@ func (jt *joinTable) insert(p *sim.Proc, t rel.Tuple) {
 		jt.spool(p, l, false, t)
 		return
 	}
-	jt.table[v] = append(jt.table[v], t)
-	jt.bytes += jt.spec.m.Prm.TupleBytes
+	jt.add(v, &t)
 	for jt.bytes > jt.prm {
 		if !jt.overflow(p) {
 			break
@@ -520,22 +533,36 @@ func (jt *joinTable) overflow(p *sim.Proc) bool {
 	}
 	jt.phaseOverflowed = true
 
-	var keys []int32
-	for v := range jt.table {
-		if ovfBit(v, jt.curRound, next) {
-			keys = append(keys, v)
-		}
-	}
-	slices.Sort(keys)
+	evicted := jt.evict(next)
 	dst := jt.curRound + jt.spec.hybridParts + 1
-	for _, v := range keys {
-		for _, t := range jt.table[v] {
-			jt.spool(p, dst, false, t)
-			jt.bytes -= jt.spec.m.Prm.TupleBytes
-		}
-		delete(jt.table, v)
+	for _, t := range evicted {
+		jt.spool(p, dst, false, t)
+		jt.bytes -= jt.spec.m.Prm.TupleBytes
 	}
-	return len(keys) > 0
+	return len(evicted) > 0
+}
+
+// evict takes the resident tuples that overflow slice `slice` claims out of
+// the table and returns them in spool order: by key, each key's in arrival
+// order. The rest stay, in arrival order.
+func (jt *joinTable) evict(slice int) []rel.Tuple {
+	attr := jt.spec.buildAttr
+	var evicted []rel.Tuple
+	kept := jt.tuples[:0]
+	for _, t := range jt.tuples {
+		if ovfBit(t.Get(attr), jt.curRound, slice) {
+			evicted = append(evicted, t)
+		} else {
+			kept = append(kept, t)
+		}
+	}
+	slices.SortStableFunc(evicted, func(a, b rel.Tuple) int { return cmp.Compare(a.Get(attr), b.Get(attr)) })
+	jt.tuples = kept
+	jt.counts.reset()
+	for i := range kept {
+		jt.counts.add(kept[i].Get(attr))
+	}
+	return evicted
 }
 
 // spool writes a tuple to the (site, level) overflow partition file. The
@@ -590,7 +617,7 @@ func (jt *joinTable) probe(t *rel.Tuple) (int, bool) {
 	if jt.spoolLevel(v) > 0 {
 		return 0, false
 	}
-	k := len(jt.table[v])
+	k := jt.counts.count(v)
 	jt.produced += k
 	return k, true
 }
@@ -687,8 +714,67 @@ func (jt *joinTable) dropAllSpools() {
 // buildFilter snapshots the table's keys into a Babb bit-vector filter.
 func (jt *joinTable) buildFilter(bits int) *BitFilter {
 	f := NewBitFilter(bits, ovfBitSeed^0xf117e4)
-	for v := range jt.table {
-		f.Add(v)
+	for _, c := range jt.counts.slots {
+		if c.n > 0 {
+			f.Add(c.key)
+		}
 	}
 	return f
+}
+
+// keyCounts is an open-addressing table (linear probing, power-of-two size)
+// of the build keys resident at a join site and how many tuples carry each.
+type keyCounts struct {
+	slots []keyCount
+	keys  int
+	shift uint // a key's home slot is the top bits of its hash
+}
+
+type keyCount struct {
+	key, n int32 // n == 0: a free slot
+}
+
+// slot returns v's slot, or the free slot where v would go.
+func (kc *keyCounts) slot(v int32) *keyCount {
+	mask := len(kc.slots) - 1
+	for i := int(uint32(v) * 0x9e3779b1 >> kc.shift); ; i = (i + 1) & mask {
+		if c := &kc.slots[i]; c.n == 0 || c.key == v {
+			return c
+		}
+	}
+}
+
+// count returns the number of tuples with key v.
+func (kc *keyCounts) count(v int32) int {
+	if kc.keys == 0 {
+		return 0
+	}
+	return int(kc.slot(v).n)
+}
+
+// add counts one more tuple with key v, growing the table to keep it at most
+// three quarters full.
+func (kc *keyCounts) add(v int32) {
+	if 4*(kc.keys+1) > 3*len(kc.slots) {
+		old := kc.slots
+		kc.slots = make([]keyCount, max(2*len(old), 64))
+		kc.shift = uint(32 - bits.TrailingZeros(uint(len(kc.slots))))
+		for _, c := range old {
+			if c.n > 0 {
+				*kc.slot(c.key) = c
+			}
+		}
+	}
+	c := kc.slot(v)
+	if c.n == 0 {
+		c.key = v
+		kc.keys++
+	}
+	c.n++
+}
+
+// reset empties the table, keeping its size.
+func (kc *keyCounts) reset() {
+	clear(kc.slots)
+	kc.keys = 0
 }

@@ -211,14 +211,15 @@ func nonClusteredSelect(p *sim.Proc, m *Machine, frag *Fragment, pred rel.Pred, 
 	}
 	eng := m.Prm.Engine
 	n := 0
+	var t rel.Tuple // the fetched tuple, a copy: the page may change while p waits
 	bt.RangeRIDs(p, pred.Lo, pred.Hi, func(r wiss.RID) {
-		t := frag.File.FetchRID(p, r)
+		t = frag.File.FetchRID(p, r)
 		frag.Node.UseCPU(p, eng.InstrPerTupleScan)
 		if !frag.File.Page(int(r.Page)).Live(int(r.Slot)) {
 			return // stale entry for a tombstoned slot
 		}
 		n++
-		split.send(p, t)
+		split.send(p, &t)
 	})
 	return n
 }
@@ -237,9 +238,9 @@ func spawnSpoolScan(m *Machine, from *sim.Proc, opID string, site int, file *wis
 			for pg := sc.NextPage(p); pg != nil; pg = sc.NextPage(p) {
 				m.Net.TransferBulk(p, owner, reader, m.Prm.PageBytes)
 				reader.UseCPU(p, eng.InstrPerTupleScan*len(pg.Tuples))
-				for _, t := range pg.Tuples {
+				for i := range pg.Tuples {
 					n++
-					split.send(p, t)
+					split.send(p, &pg.Tuples[i])
 				}
 			}
 		}

@@ -34,13 +34,13 @@ type eosPayload struct {
 const eosBytes = 64 // an end-of-stream message is a small packet
 
 // RouteFn maps a tuple to a destination index, or -1 to drop it.
-type RouteFn func(t rel.Tuple) int
+type RouteFn func(t *rel.Tuple) int
 
 // HashRoute routes by hashing attr with the given seed — the same function
 // used to decluster relations at load time when seed == LoadSeed, which is
 // what makes Local joins on the partitioning attribute short-circuit.
 func HashRoute(attr rel.Attr, seed uint64, n int) RouteFn {
-	return func(t rel.Tuple) int {
+	return func(t *rel.Tuple) int {
 		return int(rel.Hash64(t.Get(attr), seed) % uint64(n))
 	}
 }
@@ -48,7 +48,7 @@ func HashRoute(attr rel.Attr, seed uint64, n int) RouteFn {
 // RRRoute routes round-robin, Gamma's default for result relations.
 func RRRoute(n int) RouteFn {
 	i := -1
-	return func(rel.Tuple) int {
+	return func(*rel.Tuple) int {
 		i++
 		return i % n
 	}
@@ -172,8 +172,8 @@ func (st *splitTable) setFilters(attr rel.Attr, filters []*BitFilter) {
 }
 
 // send routes one tuple, transmitting a packet when a buffer fills.
-func (st *splitTable) send(p *sim.Proc, t rel.Tuple) {
-	if d := st.put(&t); d >= 0 {
+func (st *splitTable) send(p *sim.Proc, t *rel.Tuple) {
+	if d := st.put(t); d >= 0 {
 		st.start(p, d, false)
 		p.Steps(st.stepFn)
 	}
@@ -183,7 +183,7 @@ func (st *splitTable) send(p *sim.Proc, t rel.Tuple) {
 // anything, and returns the destination whose packet is full, or -1.
 func (st *splitTable) put(t *rel.Tuple) int {
 	st.pendingInstr += st.prm.Engine.InstrPerTupleRoute
-	d := st.route(*t)
+	d := st.route(t)
 	if d < 0 {
 		return -1
 	}
@@ -191,17 +191,18 @@ func (st *splitTable) put(t *rel.Tuple) int {
 		st.dropped++
 		return -1
 	}
+	if st.bufs[d] == nil {
+		st.bufs[d] = getTupleBuf(st.pp)
+	}
 	if st.project != nil {
 		var pt rel.Tuple
 		for _, a := range st.project {
 			pt.Set(a, t.Get(a))
 		}
-		t = &pt
+		st.bufs[d] = append(st.bufs[d], pt)
+	} else {
+		st.bufs[d] = append(st.bufs[d], *t)
 	}
-	if st.bufs[d] == nil {
-		st.bufs[d] = getTupleBuf(st.pp)
-	}
-	st.bufs[d] = append(st.bufs[d], *t)
 	if len(st.bufs[d]) >= st.pp {
 		return d
 	}

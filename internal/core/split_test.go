@@ -32,7 +32,7 @@ func TestHashRouteIsStableAndInRange(t *testing.T) {
 		r := HashRoute(rel.Unique2, LoadSeed, n)
 		var tp rel.Tuple
 		tp.Set(rel.Unique2, v)
-		d1, d2 := r(tp), r(tp)
+		d1, d2 := r(&tp), r(&tp)
 		return d1 == d2 && d1 >= 0 && d1 < n
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -48,7 +48,7 @@ func TestHashRouteMatchesLoadPartitioning(t *testing.T) {
 	for v := int32(0); v < 1000; v++ {
 		var tp rel.Tuple
 		tp.Set(rel.Unique1, v)
-		if got, want := r(tp), int(rel.Hash64(v, LoadSeed)%n); got != want {
+		if got, want := r(&tp), int(rel.Hash64(v, LoadSeed)%n); got != want {
 			t.Fatalf("route(%d) = %d, loader chose %d", v, got, want)
 		}
 	}
@@ -57,7 +57,7 @@ func TestHashRouteMatchesLoadPartitioning(t *testing.T) {
 func TestRRRouteCycles(t *testing.T) {
 	r := RRRoute(4)
 	for i := 0; i < 20; i++ {
-		if got := r(rel.Tuple{}); got != i%4 {
+		if got := r(&rel.Tuple{}); got != i%4 {
 			t.Fatalf("round-robin step %d = %d", i, got)
 		}
 	}

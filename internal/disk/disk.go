@@ -139,8 +139,8 @@ func (d *Drive) ReadAsync(file, page, bytes int) sim.Time {
 }
 
 // ReserveRead queues a page read and returns its completion time without
-// blocking anyone or drawing an ord: the stage form of Read, for an itinerary
-// (sim.Proc.Steps).
+// blocking anyone or scheduling an event: the stage form of Read, for an
+// itinerary (sim.Proc.Steps).
 func (d *Drive) ReserveRead(file, page, bytes int) sim.Time {
 	return d.res.Reserve(d.serviceTime(file, page, bytes, false))
 }

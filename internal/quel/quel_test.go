@@ -173,7 +173,7 @@ func TestUnavailableIsAnError(t *testing.T) {
 		for k := lo; ; k++ {
 			var tup rel.Tuple
 			tup.Set(rel.Unique1, int32(k))
-			if site4(tup) == site {
+			if site4(&tup) == site {
 				return k
 			}
 		}

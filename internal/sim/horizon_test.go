@@ -86,8 +86,8 @@ func useAsyncAsEvent(r *Resource, d Dur) Time {
 // asyncModel is a randomized model dense in same-instant ties: per node two
 // processes mix blocking CPU use, sleeps, overlapped disk writes and messages
 // to other nodes whose handlers charge the receiver asynchronously. Every
-// step ticks the trace, so any event that changed its (at, ord) key reorders
-// the stream. Randomness is drawn per process, never per execution order.
+// step ticks the trace, so any event that changed its place in the calendar
+// reorders the stream. Randomness is drawn per process, never per execution order.
 func asyncModel(s *Sim, nodes int, seed int64, async func(*Resource, Dur) Time) (calls *int) {
 	calls = new(int)
 	charge := func(r *Resource, d Dur) Time {
@@ -134,9 +134,9 @@ func asyncModel(s *Sim, nodes int, seed int64, async func(*Resource, Dur) Time) 
 }
 
 // TestUseAsyncPreservesEventKeys is the proof that taking completions off the
-// calendar changed no surviving event's (at, ord): the model traces
-// byte-identically whether its asynchronous charges are UseAsync or the
-// reservation plus an explicit no-op completion event, ends at the same
+// calendar moved no surviving event: the model traces byte-identically
+// whether its asynchronous charges are UseAsync or the reservation plus an
+// explicit no-op completion event, ends at the same
 // instant, retires as many events (Executed counts a completion either way)
 // and fires exactly one fewer per charge.
 func TestUseAsyncPreservesEventKeys(t *testing.T) {

@@ -7,8 +7,8 @@ import (
 	"testing/quick"
 )
 
-// TestEqualTimeFIFOProperty drives the rewritten 4-ary heap with random
-// batches of events that share timestamps and asserts the (time, seq) total
+// TestEqualTimeFIFOProperty drives the calendar with random batches of
+// events that share timestamps and asserts the (time, push order) total
 // order: within one timestamp, events fire in exactly the order they were
 // scheduled. This is the invariant every byte-identical-trace guarantee
 // rests on.
@@ -151,7 +151,7 @@ func TestWaitQInterleavedParkWake(t *testing.T) {
 // TestSameInstantChildKeepsSerialOrder: an event that schedules a child at
 // its own instant does not let the child jump the queue. A bystander
 // scheduled for that instant before the parent fired runs first, because the
-// child draws its ord only when the parent fires.
+// child is pushed only when the parent fires.
 func TestSameInstantChildKeepsSerialOrder(t *testing.T) {
 	const T = Time(50)
 	s := New()

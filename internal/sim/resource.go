@@ -40,14 +40,13 @@ func (r *Resource) Use(p *Proc, d Dur) {
 // returns the simulated time at which service will complete. It models work
 // handed to a device that the requesting process does not wait for (e.g. a
 // write-behind disk flush). Nothing happens at the completion instant, so the
-// completion never visits the calendar: the call consumes the ord its event
-// would have carried — every other event of the run keeps its (at, ord) key —
-// counts it as retired (see Executed), and raises the simulation's completion
-// horizon, which Run folds into the final clock.
+// completion never visits the calendar — every other event of the run fires
+// in the order it would have — and the call counts it as retired (see
+// Executed) and raises the simulation's completion horizon, which Run folds
+// into the final clock.
 func (r *Resource) UseAsync(d Dur) Time {
 	done := r.Reserve(d)
 	s := r.sim
-	s.seq++
 	s.elided++
 	s.horizon = max(s.horizon, done)
 	return done
@@ -55,7 +54,7 @@ func (r *Resource) UseAsync(d Dur) Time {
 
 // Reserve queues a request of duration d behind the work already accepted and
 // returns the time at which its service completes, without blocking anyone
-// and without drawing an ord. It is the reservation half of Use, for the
+// and without scheduling an event. It is the reservation half of Use, for the
 // stages of an itinerary (Proc.Steps): a stage returns the completion time
 // and the kernel schedules what Use's wake would have been.
 func (r *Resource) Reserve(d Dur) Time {

@@ -9,11 +9,10 @@
 // Resource.Use, WaitQ.Park); pure computation takes zero simulated time
 // unless it is explicitly charged to a Resource.
 //
-// A simulation is one event calendar: one heap ordered by (time, ord), where
-// ord is a global schedule counter, so events at equal times fire in the
-// order they were scheduled. The kernel is the substrate on which the Gamma
-// and Teradata machine models are built: CPUs, disks, and network interfaces
-// are Resources, and operator processes are Procs.
+// A simulation is one event calendar in (time, push order): events at equal
+// times fire in the order they were scheduled. The kernel is the substrate on
+// which the Gamma and Teradata machine models are built: CPUs, disks, and
+// network interfaces are Resources, and operator processes are Procs.
 package sim
 
 import (
@@ -48,9 +47,8 @@ func (t Time) String() string { return fmt.Sprintf("%.6fs", t.Seconds()) }
 // Sim is a discrete-event simulation instance. The zero value is not usable;
 // create one with New.
 type Sim struct {
-	events eventHeap
+	events calendar
 	now    Time
-	seq    uint64 // the ord of the latest scheduling action
 
 	running bool // inside Run or RunUntil
 	closed  bool // Close was called; the simulation cannot run again
@@ -101,19 +99,13 @@ func (s *Sim) Emit(e trace.Event) {
 // Tracing reports whether a structured event sink is installed.
 func (s *Sim) Tracing() bool { return s.sink != nil }
 
-// schedule enqueues an event at time at (clamped to now). It is the single
-// ordering point of the kernel: every At, wake, and spawn passes through
-// here and draws the next ord.
-func (s *Sim) schedule(at Time, p *Proc, fn func()) {
-	if at < s.now {
-		at = s.now
-	}
-	s.seq++
-	s.events.push(event{at: at, ord: s.seq, p: p, fn: fn})
+// At schedules fn to run at absolute time t (clamped to now). It is the
+// single ordering point of the kernel: every callback, wake and spawn passes
+// through here, and fires after every event scheduled before it for the same
+// or an earlier time.
+func (s *Sim) At(t Time, fn func()) {
+	s.events.push(max(t, s.now), fn)
 }
-
-// At schedules fn to run at absolute time t (clamped to now).
-func (s *Sim) At(t Time, fn func()) { s.schedule(t, nil, fn) }
 
 // After schedules fn to run d from now.
 func (s *Sim) After(d Dur, fn func()) { s.At(s.now+d, fn) }
@@ -134,6 +126,8 @@ type Proc struct {
 	wq      *WaitQ // wait queue the process is parked on, if any
 	wqIdx   int    // slot in wq.procs, cached for O(1) removal
 	parkSeq uint64 // increments per park; lets timed wakes detect staleness
+	// fire is p's wake event, the fireWake method bound once at spawn.
+	fire func()
 	// step is the itinerary the process handed to the kernel (see Steps); while
 	// it is set, the process's pending wake event runs the next stage instead
 	// of resuming the process.
@@ -188,10 +182,29 @@ func (p *Proc) Kill() {
 func (p *Proc) Killed() bool { return p.killed }
 
 // wake schedules the process to resume at time t. It must be called exactly
-// once per park, from kernel context. The event carries the process directly
-// — the event loop performs the hand-off itself, so a park/wake cycle
-// allocates no closure.
-func (p *Proc) wake(t Time) { p.sim.schedule(t, p, nil) }
+// once per park, from kernel context. The event carries p's fire method,
+// bound at spawn, so a park/wake cycle allocates no closure.
+func (p *Proc) wake(t Time) { p.sim.At(t, p.fire) }
+
+// fireWake is p's wake event: it switches to p until p parks again or exits —
+// unless p is part-way through an itinerary (Steps), whose next stage runs
+// here instead. The only place a process is resumed.
+func (p *Proc) fireWake() {
+	if p.step != nil && !p.killed {
+		p.wq = nil // whatever woke p dequeued it
+		if at, more := p.step(); more {
+			if at != queued {
+				p.wake(at)
+			}
+			return
+		}
+		p.step = nil
+	}
+	s := p.sim
+	s.parked--
+	s.resumes++
+	p.next()
+}
 
 // Sleep advances the process's virtual time by d.
 func (p *Proc) Sleep(d Dur) {
@@ -216,9 +229,9 @@ func (p *Proc) WaitUntil(t Time) {
 // performs the work due at that instant, reserves the next stage and returns
 // its completion; with more == false the time is ignored.
 //
-// Each stage draws its ord when the blocking form would have drawn it — right
-// after step returns — so an itinerary and its blocking twin produce the same
-// events with the same (at, ord) keys, the same trace and the same Executed
+// Each stage is scheduled when the blocking form would have scheduled it —
+// right after step returns — so an itinerary and its blocking twin produce the
+// same events in the same calendar order, the same trace and the same Executed
 // count; only the resumes differ (see Sim.Resumes): one per Steps call instead
 // of one per stage. Between stages the itinerary is an ordinary pending
 // event: RunUntil may stop with it outstanding, and Close unwinds the parked
@@ -259,6 +272,7 @@ func (s *Sim) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 // runtime.Goexit, which iter.Pull also repeats in the resuming goroutine.
 func (s *Sim) spawnOn(t Time, name string, fn func(p *Proc)) *Proc {
 	p := &Proc{sim: s, name: name, liveIdx: len(s.live)}
+	p.fire = p.fireWake
 	s.live = append(s.live, p)
 	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
@@ -311,31 +325,12 @@ func (s *Sim) retire(p *Proc) {
 	}
 }
 
-// fireSerial advances the clock to e and dispatches it: a wake event switches
-// to its process until it parks again or exits — unless the process is
-// part-way through an itinerary (Proc.Steps), whose next stage runs here
-// instead — and a callback event runs in kernel context. The only place a
-// process is resumed.
+// fireSerial advances the clock to e and runs it in kernel context: a wake
+// event resumes its process (Proc.fireWake), any other is a callback.
 func (s *Sim) fireSerial(e event) {
 	s.now = e.at
 	s.executed++
-	if p := e.p; p == nil {
-		e.fn()
-	} else {
-		if p.step != nil && !p.killed {
-			p.wq = nil // whatever woke p dequeued it
-			if at, more := p.step(); more {
-				if at != queued {
-					p.wake(at)
-				}
-				return
-			}
-			p.step = nil
-		}
-		s.parked--
-		s.resumes++
-		p.next()
-	}
+	e.fn()
 	if s.failure != nil {
 		panic(s.failure.String())
 	}
@@ -398,7 +393,7 @@ func (s *Sim) Close() {
 	s.parked = 0
 }
 
-// runSerial fires events in (at, ord) order on the calling goroutine until
+// runSerial fires events in calendar order on the calling goroutine until
 // the calendar drains or every pending event lies beyond the deadline.
 func (s *Sim) runSerial(deadline Time) {
 	if s.closed {
@@ -406,16 +401,16 @@ func (s *Sim) runSerial(deadline Time) {
 	}
 	s.running = true
 	defer func() { s.running = false }()
-	for s.events.len() > 0 && s.events.ev[0].at <= deadline {
-		s.fireSerial(s.events.pop())
+	c := &s.events
+	for c.head < c.tail && c.ev[c.head].at <= deadline {
+		s.fireSerial(c.pop())
 	}
 }
 
 // Executed returns the number of events retired so far: every process wake
-// and callback fired, plus every UseAsync completion. A completion draws an
-// ord like any event and is retired without visiting the calendar, so a
-// model's Executed count does not depend on whether its unawaited work is
-// scheduled or elided.
+// and callback fired, plus every UseAsync completion. A completion is retired
+// without visiting the calendar, so a model's Executed count does not depend
+// on whether its unawaited work is scheduled or elided.
 func (s *Sim) Executed() uint64 { return s.executed + s.elided }
 
 // Resumes returns the number of times the kernel has switched to a process

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -144,29 +145,67 @@ func stepsModel(s *Sim, nodes int, seed int64, parked bool) {
 	}
 }
 
-// eventKey is the calendar key of one fired event.
+// eventKey is the implicit calendar key of one fired event: its time, then
+// the firing that scheduled it (0: before the first) and its rank among the
+// events that firing scheduled for the same time. Keys in that order are the
+// (time, push order) the calendar must fire in.
 type eventKey struct {
-	at  Time
-	ord uint64
+	at           Time
+	firing, rank int
 }
 
-// firedKeys runs a simulation with the kernel's own firing step, recording
-// the key of every event it fires.
+func (a eventKey) less(b eventKey) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.firing != b.firing {
+		return a.firing < b.firing
+	}
+	return a.rank < b.rank
+}
+
+// keyed wraps fn so that firing it records k first. Every wrapper shares its
+// code pointer, which tells keyed events from fresh ones; inlining would give
+// each call site its own.
+//
+//go:noinline
+func keyed(keys *[]eventKey, k eventKey, fn func()) func() {
+	return func() {
+		*keys = append(*keys, k)
+		fn()
+	}
+}
+
+// firedKeys runs a simulation with the kernel's own firing step and returns
+// the key of every event it fires: after each firing it keys the events that
+// firing scheduled, in calendar order.
 func firedKeys(s *Sim) []eventKey {
 	var keys []eventKey
-	for s.events.len() > 0 {
-		e := s.events.pop()
-		keys = append(keys, eventKey{e.at, e.ord})
-		s.fireSerial(e)
+	wrapper := reflect.ValueOf(keyed(nil, eventKey{}, nil)).Pointer()
+	keyNew := func(firing int) {
+		rank := map[Time]int{}
+		c := &s.events
+		for i := c.head; i < c.tail; i++ {
+			e := &c.ev[i]
+			if reflect.ValueOf(e.fn).Pointer() != wrapper {
+				e.fn = keyed(&keys, eventKey{e.at, firing, rank[e.at]}, e.fn)
+				rank[e.at]++
+			}
+		}
+	}
+	keyNew(0)
+	for firing := 1; s.events.len() > 0; firing++ {
+		s.fireSerial(s.events.pop())
+		keyNew(firing)
 	}
 	return keys
 }
 
 // TestStepsPreservesEventKeys is the proof that an itinerary is its blocking
 // twin with the hand-offs taken out: random programs of contending processes
-// fire the identical (at, ord) sequence whether each stage parks its process
+// fire the identical key sequence whether each stage parks its process
 // (Use, Sleep, WaitUntil, WaitQ.Park) or the whole leg is one Steps call
-// (Reserve, WaitQ.ParkStep), and the two forms trace
+// (Reserve, WaitQ.ParkStep), and in key order; the two forms trace
 // byte-identically, retire and fire as many events and end at the same
 // instant. Only the resumes differ: the Steps form never has more.
 func TestStepsPreservesEventKeys(t *testing.T) {
@@ -179,6 +218,13 @@ func TestStepsPreservesEventKeys(t *testing.T) {
 		}
 		if len(keys[0]) == 0 {
 			t.Fatalf("seed %d: the model fired nothing", seed)
+		}
+		for form := range keys {
+			for i := 1; i < len(keys[form]); i++ {
+				if !keys[form][i-1].less(keys[form][i]) {
+					t.Fatalf("seed %d form %d: event %d fired with key %v after %v", seed, form, i, keys[form][i], keys[form][i-1])
+				}
+			}
 		}
 		if len(keys[0]) != len(keys[1]) {
 			t.Fatalf("seed %d: %d events fired parked, %d as Steps", seed, len(keys[0]), len(keys[1]))

@@ -25,44 +25,44 @@ func SortFile(p *sim.Proc, src *File, key rel.Attr, memBytes int, costs SortCost
 		tuplesPerMem = st.prm.TuplesPerPage()
 	}
 
-	// Pass 0: run formation.
+	// Pass 0: run formation. A run is sorted as (page, slot) references to
+	// the source's tuples, with their keys, so the source must not change
+	// while it is sorted.
 	var runs []*File
-	buf := make([]rel.Tuple, 0, min(src.Len(), tuplesPerMem)) // one run's worth, reused by every run
+	buf := make([]RID, 0, min(src.Len(), tuplesPerMem)) // one run's worth, reused by every run
 	keys := make([]int32, 0, cap(buf))
 	flushRun := func() {
 		if len(buf) == 0 {
 			return
 		}
 		st.node.UseCPU(p, costs.InstrPerTupleRun*len(buf))
-		keys = keys[:0]
-		for i := range buf {
-			keys = append(keys, buf[i].Get(key))
-		}
 		run := st.CreateFile(src.Name + ".run")
 		ap := run.NewAppender()
-		// Appended in key order straight from the buffer, with no sorted
+		// Appended in key order straight from the source, with no sorted
 		// copy of it; the permutation is stable among equal keys.
 		for _, i := range rel.RadixPermutation(keys) {
-			ap.Append(p, buf[i])
+			r := buf[i]
+			ap.Append(p, src.pages[r.Page].Tuples[r.Slot])
 		}
 		ap.Close(p)
 		run.Sorted, run.SortKey = true, key
 		runs = append(runs, run)
-		buf = buf[:0]
+		buf, keys = buf[:0], keys[:0]
 	}
 	// The source is read as one itinerary that hands p each memory load.
 	var pg *Page
 	slot := 0
+	sc := src.NewScanner()
 	fill := func() (sim.Time, bool) {
 		for ; slot < len(pg.Tuples) && len(buf) < tuplesPerMem; slot++ {
 			if pg.Live(slot) {
-				buf = append(buf, pg.Tuples[slot])
+				buf = append(buf, RID{int32(sc.idx), int32(slot)})
+				keys = append(keys, pg.Tuples[slot].Get(key))
 			}
 		}
 		return 0, false
 	}
 	full := func() bool { return len(buf) >= tuplesPerMem }
-	sc := src.NewScanner()
 	begin := func(next *Page) { pg, slot = next, 0 }
 	for sc.Run(p, begin, fill, full); full(); sc.Run(p, begin, fill, full) {
 		for full() {

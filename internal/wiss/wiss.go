@@ -240,8 +240,8 @@ func (f *File) mutPage(i int) *Page {
 // simulated time; callers that model their own insertion costs (the
 // Teradata INSERT INTO path) use it for bookkeeping.
 func (f *File) LoadAppend(t rel.Tuple) {
-	if len(f.pages) == 0 || len(f.pages[len(f.pages)-1].Tuples) >= f.capacity() {
-		f.pages = append(f.pages, &Page{})
+	if n := f.capacity(); len(f.pages) == 0 || len(f.pages[len(f.pages)-1].Tuples) >= n {
+		f.pages = append(f.pages, &Page{Tuples: make([]rel.Tuple, 0, n)})
 	}
 	pg := f.mutPage(len(f.pages) - 1)
 	pg.Tuples = append(pg.Tuples, t)
@@ -444,7 +444,7 @@ func (a *Appender) Put(t rel.Tuple) bool {
 	a.cur.Tuples = append(a.cur.Tuples, t)
 	f.nTuples++
 	a.written++
-	if len(a.cur.Tuples) < f.capacity() {
+	if len(a.cur.Tuples) < cap(a.cur.Tuples) {
 		return false
 	}
 	a.stage = writePage
