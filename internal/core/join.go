@@ -260,11 +260,11 @@ type streamIn struct {
 
 	p                *sim.Proc
 	eos              int
-	pkt              []rel.Tuple // the packet in hand
-	next             int         // its next tuple
-	t                *rel.Tuple  // the tuple being routed through out
-	sends            int         // routings of t still due
-	handed           *rel.Tuple  // the tuple the process must take
+	pkt              *packet    // the packet in hand
+	next             int        // its next tuple
+	t                *rel.Tuple // the tuple being routed through out
+	sends            int        // routings of t still due
+	handed           *rel.Tuple // the tuple the process must take
 	recving, aborted bool
 }
 
@@ -293,11 +293,11 @@ func (in *streamIn) step() (sim.Time, bool) {
 			}
 			in.recving = false
 			switch pl := in.port.Received().Payload.(type) {
-			case packet:
+			case *packet:
 				if pl.stream != in.want {
 					panic(fmt.Sprintf("streamIn: stream %d, want %d", pl.stream, in.want))
 				}
-				in.pkt, in.next = pl.tuples, 0
+				in.pkt, in.next = pl, 0
 				in.tuples += len(pl.tuples)
 				if in.take == nil {
 					in.next = len(pl.tuples)
@@ -341,8 +341,8 @@ func (in *streamIn) step() (sim.Time, bool) {
 					in.out.start(in.p, d, false)
 					in.sub = in.out.stepFn
 				}
-			case in.next < len(in.pkt):
-				t := &in.pkt[in.next]
+			case in.next < len(in.pkt.tuples):
+				t := &in.pkt.tuples[in.next]
 				in.next++
 				n, ok := in.take(t)
 				if !ok {
@@ -351,7 +351,7 @@ func (in *streamIn) step() (sim.Time, bool) {
 				}
 				in.t, in.sends = t, n
 			default:
-				putTupleBuf(in.pkt)
+				putPacket(in.pkt)
 				in.pkt = nil
 			}
 			continue

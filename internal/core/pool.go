@@ -6,34 +6,32 @@ import (
 	"gamma/internal/rel"
 )
 
-// tuplePool recycles the batch buffers that carry tuples inside network
-// packets. A split table takes a buffer when it starts filling a packet and
-// hands it off with the Send; the consumer returns it once the batch is
-// processed. Every consumer copies tuple values out of the batch (tuples
-// are plain value structs), so returned buffers hold no live references.
+// packetPool recycles the packets that carry tuples across the network, each
+// with its tuple buffer. A split table takes one when it starts filling a
+// packet and hands it off with the Send; the consumer returns it once the
+// batch is processed. The message boxes the *packet, not a copy, so neither
+// side allocates once the pool is warm. Every consumer copies tuple values
+// out of the batch (tuples are plain value structs), so returned packets hold
+// no live references.
 //
 // Within one simulation the kernel's hand-off discipline serializes all
 // access; the sync.Pool makes recycling safe across the independent sims
 // the parallel bench runner drives concurrently. Pooling cannot perturb
-// determinism: buffer identity is invisible to the simulation, and every
+// determinism: packet identity is invisible to the simulation, and every
 // slot is overwritten before it is read.
-var tuplePool sync.Pool
+var packetPool sync.Pool
 
-// getTupleBuf returns an empty buffer, recycling a previous packet's buffer
+// getPacket returns an empty packet of stream, recycling a previous packet
 // when one is available.
-func getTupleBuf(capHint int) []rel.Tuple {
-	if v := tuplePool.Get(); v != nil {
-		return (*v.(*[]rel.Tuple))[:0]
+func getPacket(stream streamID, capHint int) *packet {
+	if v := packetPool.Get(); v != nil {
+		pk := v.(*packet)
+		pk.stream, pk.tuples = stream, pk.tuples[:0]
+		return pk
 	}
-	return make([]rel.Tuple, 0, capHint)
+	return &packet{stream: stream, tuples: make([]rel.Tuple, 0, capHint)}
 }
 
-// putTupleBuf returns a packet buffer to the pool. The caller must not
-// touch the slice afterwards.
-func putTupleBuf(buf []rel.Tuple) {
-	if cap(buf) == 0 {
-		return
-	}
-	buf = buf[:0]
-	tuplePool.Put(&buf)
-}
+// putPacket returns a packet to the pool. The caller must not touch it
+// afterwards.
+func putPacket(pk *packet) { packetPool.Put(pk) }

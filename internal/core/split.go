@@ -19,8 +19,8 @@ const (
 	streamRound
 )
 
-// packet is the payload of a Data message: a batch of tuples belonging to
-// one stream.
+// packet is the payload of a Data message, boxed by pointer: a batch of
+// tuples belonging to one stream (see packetPool).
 type packet struct {
 	stream streamID
 	tuples []rel.Tuple
@@ -95,7 +95,7 @@ type splitTable struct {
 	stream streamID
 	ports  []*nose.Port
 	conns  []*nose.Conn
-	bufs   [][]rel.Tuple
+	bufs   []*packet // the packet filling for each destination, or nil
 	route  RouteFn
 	// tupleBytes is the logical on-wire width of this stream's tuples
 	// (projected streams are narrower than the 208-byte base tuples).
@@ -191,19 +191,21 @@ func (st *splitTable) put(t *rel.Tuple) int {
 		st.dropped++
 		return -1
 	}
-	if st.bufs[d] == nil {
-		st.bufs[d] = getTupleBuf(st.pp)
+	pk := st.bufs[d]
+	if pk == nil {
+		pk = getPacket(st.stream, st.pp)
+		st.bufs[d] = pk
 	}
 	if st.project != nil {
 		var pt rel.Tuple
 		for _, a := range st.project {
 			pt.Set(a, t.Get(a))
 		}
-		st.bufs[d] = append(st.bufs[d], pt)
+		pk.tuples = append(pk.tuples, pt)
 	} else {
-		st.bufs[d] = append(st.bufs[d], *t)
+		pk.tuples = append(pk.tuples, *t)
 	}
-	if len(st.bufs[d]) >= st.pp {
+	if len(pk.tuples) >= st.pp {
 		return d
 	}
 	return -1
@@ -253,11 +255,11 @@ func (st *splitTable) step() (sim.Time, bool) {
 			} else {
 				st.stage = splitIdle
 			}
-			if buf := st.bufs[d]; len(buf) > 0 {
+			if pk := st.bufs[d]; pk != nil {
 				st.bufs[d] = nil
-				st.sent += len(buf)
+				st.sent += len(pk.tuples)
 				st.sending = st.conns[d]
-				st.sending.Start(st.p, nose.Data, packet{stream: st.stream, tuples: buf}, len(buf)*st.tupleBytes)
+				st.sending.Start(st.p, nose.Data, pk, len(pk.tuples)*st.tupleBytes)
 			}
 		case splitEOS:
 			if st.d == len(st.conns) {

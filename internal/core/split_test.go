@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"gamma/internal/config"
+	"gamma/internal/nose"
 	"gamma/internal/rel"
 	"gamma/internal/sim"
 	"gamma/internal/wisconsin"
@@ -223,5 +224,42 @@ func TestHundredPercentSelection(t *testing.T) {
 		if n := fr.File.Len(); n < 100 || n > 150 {
 			t.Errorf("result fragment %d = %d tuples, want ~125", i, n)
 		}
+	}
+}
+
+// TestSplitTableSteadyStateAllocs: a data packet travels as a pooled *packet,
+// so once the pool and the connection are warm a split table's flush to a
+// remote port, and the streamIn that consumes and recycles the packet,
+// allocate nothing — the companion of nose's TestRemoteSendSteadyStateAllocs,
+// whose payload the caller boxes.
+func TestSplitTableSteadyStateAllocs(t *testing.T) {
+	s := sim.New()
+	prm := config.Default()
+	net := nose.NewNetwork(s, prm.Net, prm.CPU)
+	a, b := net.AddNode(false, prm.Disk), net.AddNode(false, prm.Disk)
+	port := b.NewPort("in")
+	rx := streamIn{port: port, want: streamBuild, expect: 1, node: b, instr: prm.Engine.InstrPerTupleStore}
+	s.Spawn("recv", rx.run)
+	var allocs float64
+	s.Spawn("send", func(p *sim.Proc) {
+		st := newSplitTable(a, &prm, streamBuild, []*nose.Port{port}, func(*rel.Tuple) int { return 0 })
+		var tp rel.Tuple
+		packet := func() {
+			for range st.pp {
+				st.send(p, &tp)
+			}
+		}
+		for range 64 { // fill the pool, the window, the port queue and the calendar
+			packet()
+		}
+		allocs = testing.AllocsPerRun(500, packet)
+		st.close(p)
+	})
+	s.Run()
+	if allocs != 0 {
+		t.Errorf("steady-state split-table flush and receive allocate %v objects per packet, want 0", allocs)
+	}
+	if want := (64 + 501) * (prm.Net.PacketBytes / prm.TupleBytes); rx.tuples != want {
+		t.Errorf("received %d tuples, want %d", rx.tuples, want)
 	}
 }

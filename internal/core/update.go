@@ -220,7 +220,7 @@ func (m *Machine) tryUpdate(ib *inbox, q UpdateQuery, res *Result) error {
 	var sites []int
 	switch q.Kind {
 	case AppendTuple:
-		sites = []int{q.Rel.siteForValue(q.Tuple.Get(q.Rel.PartAttr))}
+		sites = []int{q.Rel.siteForValue(q.Tuple.A[q.Rel.PartAttr])}
 	case ModifyKeyAttr:
 		sites = []int{q.Rel.siteForValue(q.Key), q.Rel.siteForValue(q.NewValue)}
 	case ModifyIndexed:

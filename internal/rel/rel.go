@@ -63,7 +63,7 @@ type Tuple struct {
 }
 
 // Get returns the value of attribute a.
-func (t Tuple) Get(a Attr) int32 { return t.A[a] }
+func (t *Tuple) Get(a Attr) int32 { return t.A[a] }
 
 // Set assigns attribute a.
 func (t *Tuple) Set(a Attr, v int32) { t.A[a] = v }

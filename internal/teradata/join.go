@@ -47,14 +47,14 @@ func (m *Machine) RunJoin(q JoinQuery) Result {
 		// Phase 2: per-AMP sort-merge join.
 		inter := make([][]rel.Tuple, nA)
 		m.fanout(p, "merge", func(ap *sim.Proc, amp int) int {
-			inter[amp] = m.sortMerge(ap, amp, side1[amp], q.Attr1, side2[amp], q.Attr2)
+			inter[amp] = m.sortMerge(ap, amp, &side1[amp], &side2[amp])
 			return len(inter[amp])
 		})
 
 		if q.R3 != nil {
 			// Stage 2: redistribute the intermediate on AttrI and R3
 			// on Attr3, then sort-merge again.
-			i1 := make([][]rel.Tuple, nA)
+			i1 := make([]partition, nA)
 			i2 := m.routeBuffers(q.R3, q.Pred3)
 			m.fanout(p, "route2", func(ap *sim.Proc, amp int) int {
 				rd := m.newRedistribution(amp, rel.True(), q.AttrI, i1, hashSeed^0xbeef, true)
@@ -64,7 +64,7 @@ func (m *Machine) RunJoin(q JoinQuery) Result {
 				return 0
 			})
 			m.fanout(p, "merge2", func(ap *sim.Proc, amp int) int {
-				inter[amp] = m.sortMerge(ap, amp, i1[amp], q.AttrI, i2[amp], q.Attr3)
+				inter[amp] = m.sortMerge(ap, amp, &i1[amp], &i2[amp])
 				return len(inter[amp])
 			})
 		}
@@ -99,14 +99,31 @@ func (m *Machine) storeBatch(ap *sim.Proc, amp int, batch []rel.Tuple, out *Rela
 	})
 }
 
+// partition is what redistribution routes to one AMP — its temporary file —
+// as references: refs[i] points at a tuple in a relation's pages or in a
+// stage-one intermediate, neither of which changes while the query runs
+// (Machine.run runs one query to completion), and keys[i] holds its join
+// key, packed with i for the sort.
+type partition struct {
+	refs []*rel.Tuple
+	keys []rel.KeyIndex
+}
+
+// add routes t, whose join key is key, to the partition.
+func (pt *partition) add(t *rel.Tuple, key int32) {
+	pt.keys = append(pt.keys, rel.PackKey(key, len(pt.refs)))
+	pt.refs = append(pt.refs, t)
+}
+
 // routeBuffers returns the per-AMP destinations of scanRoute over r: whether
 // the tuples stay or are rehashed, each AMP ends up with about its own
 // fragment's share of the tuples pred selects.
-func (m *Machine) routeBuffers(r *Relation, pred rel.Pred) [][]rel.Tuple {
-	dest := make([][]rel.Tuple, len(m.AMPs))
+func (m *Machine) routeBuffers(r *Relation, pred rel.Pred) []partition {
+	dest := make([]partition, len(m.AMPs))
 	sel := pred.Selectivity(r.N)
 	for i, fr := range r.Frags {
-		dest[i] = make([]rel.Tuple, 0, withSlack(int(sel*float64(fr.File.Len()))))
+		n := withSlack(int(sel * float64(fr.File.Len())))
+		dest[i] = partition{refs: make([]*rel.Tuple, 0, n), keys: make([]rel.KeyIndex, 0, n)}
 	}
 	return dest
 }
@@ -115,11 +132,11 @@ func (m *Machine) routeBuffers(r *Relation, pred rel.Pred) [][]rel.Tuple {
 // qualifying tuples by hashing attr. When attr is the relation's primary key
 // the tuples are already correctly placed and redistribution is skipped
 // entirely (§6.1's 25-50% improvement).
-func (m *Machine) scanRoute(ap *sim.Proc, amp int, r *Relation, pred rel.Pred, attr rel.Attr, dest [][]rel.Tuple) {
+func (m *Machine) scanRoute(ap *sim.Proc, amp int, r *Relation, pred rel.Pred, attr rel.Attr, dest []partition) {
 	m.scanRouteSeed(ap, amp, r, pred, attr, dest, hashSeed, attr != r.KeyAttr)
 }
 
-func (m *Machine) scanRouteSeed(ap *sim.Proc, amp int, r *Relation, pred rel.Pred, attr rel.Attr, dest [][]rel.Tuple, seed uint64, redistribute bool) {
+func (m *Machine) scanRouteSeed(ap *sim.Proc, amp int, r *Relation, pred rel.Pred, attr rel.Attr, dest []partition, seed uint64, redistribute bool) {
 	rd := m.newRedistribution(amp, pred, attr, dest, seed, redistribute)
 	instr := m.Prm.Tera.InstrPerTupleScan
 	r.Frags[amp].File.NewScanner().Run(ap, func(pg *wiss.Page) { rd.scan(pg, instr) }, rd.step, nil)
@@ -140,7 +157,7 @@ type redistribution struct {
 	ins  tempInsert
 }
 
-func (m *Machine) newRedistribution(amp int, pred rel.Pred, attr rel.Attr, dest [][]rel.Tuple, seed uint64, redistribute bool) *redistribution {
+func (m *Machine) newRedistribution(amp int, pred rel.Pred, attr rel.Attr, dest []partition, seed uint64, redistribute bool) *redistribution {
 	return &redistribution{
 		qualifying: qualifying{pred: pred},
 		amp:        amp, attr: attr, seed: seed, stay: !redistribute,
@@ -161,57 +178,60 @@ func (rd *redistribution) step() (sim.Time, bool) {
 		if t == nil {
 			return 0, false
 		}
+		key := t.Get(rd.attr)
 		if rd.stay {
-			rd.ins.dest[rd.amp] = append(rd.ins.dest[rd.amp], *t)
+			rd.ins.dest[rd.amp].add(t, key)
 			continue
 		}
-		dst := int(rel.Hash64(t.Get(rd.attr), rd.seed) % uint64(len(m.AMPs)))
-		rd.ins.start(rd.amp, dst, t)
+		dst := int(rel.Hash64(key, rd.seed) % uint64(len(m.AMPs)))
+		rd.ins.start(rd.amp, dst, t, key)
 	}
 }
 
-// sortMerge sorts both tuple sets into temporary files and merge-joins
-// them, returning one output tuple (the side-1 tuple) per matching pair.
-func (m *Machine) sortMerge(ap *sim.Proc, amp int, s1 []rel.Tuple, a1 rel.Attr, s2 []rel.Tuple, a2 rel.Attr) []rel.Tuple {
+// sortMerge sorts both partitions' keys, their temporary files holding page
+// structure only (wiss.SortKeys), and merge-joins them, returning one output
+// tuple (a copy of the side-1 tuple) per matching pair.
+func (m *Machine) sortMerge(ap *sim.Proc, amp int, s1, s2 *partition) []rel.Tuple {
 	tc := m.Prm.Tera
 	st := m.stores[m.AMPs[amp].ID]
 	nd := m.AMPs[amp]
 	costs := wiss.SortCosts{InstrPerTupleRun: tc.InstrPerTupleSort, InstrPerTupleMerge: tc.InstrPerTupleMerge}
 	sortMem := m.Prm.Memory.NodeBytes / 2
 
-	// mk stores a redistributed partition (adopting ts) and sorts it.
-	mk := func(ts []rel.Tuple, attr rel.Attr, name string) (unsorted, sorted *wiss.File) {
+	// mk stores a redistributed partition and sorts it.
+	mk := func(pt *partition, name string) (unsorted, sorted *wiss.File, keys []rel.KeyIndex) {
 		f := st.CreateFile(name)
-		f.LoadDirect(ts, nil)
-		return f, wiss.SortFile(ap, f, attr, sortMem, costs)
+		f.LoadHollow(len(pt.keys))
+		sorted, keys = wiss.SortKeys(ap, f, pt.keys, sortMem, costs)
+		return f, sorted, keys
 	}
-	u1, f1 := mk(s1, a1, "join.s1")
-	u2, f2 := mk(s2, a2, "join.s2")
+	u1, f1, k1 := mk(s1, "join.s1")
+	u2, f2, k2 := mk(s2, "join.s2")
 
-	// Merge pass: read both sorted files sequentially, then merge over their
-	// pages in place.
-	c1 := sortedRun{pages: readPages(ap, f1)}
-	c2 := sortedRun{pages: readPages(ap, f2)}
+	// Merge pass: read both sorted files sequentially, then merge their keys.
+	readPages(ap, f1)
+	readPages(ap, f2)
 	nd.UseCPU(ap, tc.InstrPerTupleMerge*(f1.Len()+f2.Len()))
-	var outT []rel.Tuple
-	t1, t2 := c1.tuple(), c2.tuple()
-	for t1 != nil && t2 != nil {
-		v1, v2 := t1.Get(a1), t2.Get(a2)
+	// A join on a key of either side matches at most the smaller side.
+	outT := make([]rel.Tuple, 0, min(len(k1), len(k2)))
+	for i, j := 0, 0; i < len(k1) && j < len(k2); {
+		v1, v2 := k1[i].Key(), k2[j].Key()
 		switch {
 		case v1 < v2:
-			t1 = c1.next()
+			i++
 		case v1 > v2:
-			t2 = c2.next()
+			j++
 		default:
 			// Emit the cross product of the equal runs: every side-1 tuple
 			// of the key once per side-2 tuple of it.
 			run := 0
-			for ; t2 != nil && t2.Get(a2) == v1; t2 = c2.next() {
+			for ; j < len(k2) && k2[j].Key() == v1; j++ {
 				run++
 			}
-			for ; t1 != nil && t1.Get(a1) == v1; t1 = c1.next() {
+			for ; i < len(k1) && k1[i].Key() == v1; i++ {
+				t := s1.refs[k1[i].Index()]
 				for range run {
-					outT = append(outT, *t1)
+					outT = append(outT, *t)
 				}
 			}
 		}
@@ -223,36 +243,10 @@ func (m *Machine) sortMerge(ap *sim.Proc, amp int, s1 []rel.Tuple, a1 rel.Attr, 
 	return outT
 }
 
-// readPages reads a whole file sequentially (charged) and returns its pages.
-func readPages(ap *sim.Proc, f *wiss.File) []*wiss.Page {
-	var out []*wiss.Page
-	f.NewScanner().Run(ap, func(pg *wiss.Page) { out = append(out, pg) }, noStages, nil)
-	return out
+// readPages reads a whole file sequentially (charged).
+func readPages(ap *sim.Proc, f *wiss.File) {
+	f.NewScanner().Run(ap, func(*wiss.Page) {}, noStages, nil)
 }
 
 // noStages: the page costs nothing past its read.
 func noStages() (sim.Time, bool) { return 0, false }
-
-// sortedRun walks the tuples of a sorted file's pages. The sort wrote them
-// with an Appender, so every slot is live.
-type sortedRun struct {
-	pages      []*wiss.Page
-	page, slot int
-}
-
-// tuple returns the current tuple, nil past the last.
-func (r *sortedRun) tuple() *rel.Tuple {
-	for r.page < len(r.pages) && r.slot == len(r.pages[r.page].Tuples) {
-		r.page, r.slot = r.page+1, 0
-	}
-	if r.page == len(r.pages) {
-		return nil
-	}
-	return &r.pages[r.page].Tuples[r.slot]
-}
-
-// next advances to the following tuple and returns it.
-func (r *sortedRun) next() *rel.Tuple {
-	r.slot++
-	return r.tuple()
-}

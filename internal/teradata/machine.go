@@ -363,20 +363,22 @@ func (x *insertion) step() (sim.Time, bool) {
 
 // tempInsert is the itinerary of one tuple of join redistribution: Y-net
 // transfer plus the "store in temporary file in hash-key order" cost at the
-// receiver (§6), where the tuple joins dest. A sub-itinerary like insertion.
+// receiver (§6), where a reference to the tuple joins dest. A sub-itinerary
+// like insertion.
 type tempInsert struct {
 	m    *Machine
-	dest [][]rel.Tuple // the temporary files, one per AMP
-	t    *rel.Tuple    // the tuple in transit; nil when none is
+	dest []partition // the temporary files, one per AMP
+	t    *rel.Tuple  // the tuple in transit; nil when none is
+	key  int32       // its join key
 	to   int
 	xfer nose.Bulk
 }
 
-// start arms the itinerary for tuple t going from one AMP to another. t must
-// stay put until it has landed.
-func (x *tempInsert) start(from, to int, t *rel.Tuple) {
+// start arms the itinerary for tuple t, of join key key, going from one AMP
+// to another. t must stay put until the query ends.
+func (x *tempInsert) start(from, to int, t *rel.Tuple, key int32) {
 	m := x.m
-	x.t, x.to = t, to
+	x.t, x.key, x.to = t, key, to
 	x.xfer.Start(m.AMPs[from], m.AMPs[to], m.Prm.TupleBytes)
 }
 
@@ -398,7 +400,7 @@ func (x *tempInsert) step() (sim.Time, bool) {
 	for i := 0; i < tc.TempInsertIOs; i++ {
 		to.Drive.WriteAsync(-100-x.to, m.randPage(), m.Prm.TupleBytes)
 	}
-	x.dest[x.to] = append(x.dest[x.to], *x.t)
+	x.dest[x.to].add(x.t, x.key)
 	x.t = nil
 	return 0, false
 }

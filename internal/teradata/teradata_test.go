@@ -7,6 +7,7 @@ import (
 	"gamma/internal/rel"
 	"gamma/internal/sim"
 	"gamma/internal/wisconsin"
+	"gamma/internal/wiss"
 )
 
 func newTera(t *testing.T, n int) (*Machine, *Relation) {
@@ -233,11 +234,13 @@ func resumesOf(m *Machine, body func(ap *sim.Proc, amp int)) int {
 	return cost(body) - harness
 }
 
-// TestItinerariesResumePerPageNotPerTuple counts the hand-offs of the two
-// per-tuple paths of a join. Scanning and redistributing a fragment is one
-// itinerary, so it resumes the AMP's process once, not per page or tuple —
-// whether the page's tuples stay or each crosses the Y-net — and storing an
-// AMP's batch of result tuples resumes it once.
+// TestItinerariesResumePerPageNotPerTuple counts the hand-offs of the
+// per-tuple and per-page paths of a join. Scanning and redistributing a
+// fragment is one itinerary, so it resumes the AMP's process once, not per
+// page or tuple — whether the page's tuples stay or each crosses the Y-net —
+// and storing an AMP's batch of result tuples resumes it once. Sorting hands
+// the process back at most twice per file it writes — a run, from its CPU to
+// its last page write, or a merge pass's output — not once per page.
 func TestItinerariesResumePerPageNotPerTuple(t *testing.T) {
 	m, a := newTera(t, 4000)
 	pages := 0
@@ -255,7 +258,7 @@ func TestItinerariesResumePerPageNotPerTuple(t *testing.T) {
 		}
 		routed := 0
 		for _, d := range dest {
-			routed += len(d)
+			routed += len(d.refs)
 		}
 		if routed != a.N {
 			t.Errorf("redistribute=%v: %d of %d tuples routed", redistribute, routed, a.N)
@@ -263,7 +266,7 @@ func TestItinerariesResumePerPageNotPerTuple(t *testing.T) {
 	}
 
 	out := m.newResult()
-	batches := m.routeBuffers(a, rel.True())
+	batches := make([][]rel.Tuple, len(a.Frags))
 	for amp, fr := range a.Frags {
 		batches[amp] = fileTuplesFree(fr)
 	}
@@ -276,6 +279,45 @@ func TestItinerariesResumePerPageNotPerTuple(t *testing.T) {
 	}
 	if stored != a.N {
 		t.Errorf("%d of %d tuples stored", stored, a.N)
+	}
+
+	// An AMP's sort resumes a constant number of times per file it writes,
+	// not once per page of it.
+	const memPages = 8
+	sortMem := memPages * m.ampPrm.PageBytes
+	// Every AMP sorts all of A's keys: runs of memPages pages, merged memPages-1
+	// at a time.
+	var all partition
+	for _, fr := range a.Frags {
+		ts := fileTuplesFree(fr)
+		for i := range ts {
+			all.add(&ts[i], ts[i].Get(rel.Unique2))
+		}
+	}
+	perRun := sortMem / m.ampPrm.SlotBytes
+	files := 0
+	for runs := (a.N + perRun - 1) / perRun; ; runs = (runs + memPages - 2) / (memPages - 1) {
+		files += runs
+		if runs == 1 {
+			break
+		}
+	}
+	if pages := perRun / m.ampPrm.TuplesPerPage(); pages < memPages || files < 15 {
+		t.Fatalf("%d files of %d pages; the test needs many of each", files, pages)
+	}
+	costs := wiss.SortCosts{InstrPerTupleRun: m.Prm.Tera.InstrPerTupleSort, InstrPerTupleMerge: m.Prm.Tera.InstrPerTupleMerge}
+	got := resumesOf(m, func(ap *sim.Proc, amp int) {
+		st := m.stores[m.AMPs[amp].ID]
+		f := st.CreateFile("join.s1")
+		f.LoadHollow(a.N)
+		keys := append([]rel.KeyIndex(nil), all.keys...)
+		sorted, order := wiss.SortKeys(ap, f, keys, sortMem, costs)
+		if sorted.Len() != a.N || len(order) != a.N {
+			t.Errorf("AMP %d sorted %d keys into a file of %d, want %d", amp, len(order), sorted.Len(), a.N)
+		}
+	})
+	if got > 2*files*len(m.AMPs) {
+		t.Errorf("%d resumes for %d AMPs to sort %d keys through %d files each: more than two per file", got, len(m.AMPs), a.N, files)
 	}
 }
 

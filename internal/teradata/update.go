@@ -68,7 +68,7 @@ func (m *Machine) RunUpdate(q UpdateQuery) Result {
 		}
 		key := q.Key
 		if q.Kind == AppendTuple {
-			key = q.Tuple.Get(q.Rel.KeyAttr)
+			key = q.Tuple.A[q.Rel.KeyAttr]
 		}
 		amp := m.ampFor(key)
 		return m.step(p, [...]string{"append", "delete", "modkey-out", "modify"}[q.Kind], amp, func() int {

@@ -123,13 +123,15 @@ func (t *BTree) collectEntries() []entry {
 	}
 	// Entries were collected in (page, slot) order, so a stable sort on key
 	// alone yields the (key, page, slot) total order.
-	keys := make([]int32, len(es))
+	order := make([]rel.KeyIndex, len(es))
 	for i := range es {
-		keys[i] = es[i].key
+		order[i] = rel.PackKey(es[i].key, i)
 	}
+	var s rel.KeySorter
+	s.Sort(order)
 	sorted := make([]entry, len(es))
-	for i, j := range rel.RadixPermutation(keys) {
-		sorted[i] = es[j]
+	for i, e := range order {
+		sorted[i] = es[e.Index()]
 	}
 	return sorted
 }

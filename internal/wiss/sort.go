@@ -12,58 +12,72 @@ type SortCosts struct {
 }
 
 // SortFile sorts src on key into a new file on the same store using external
-// merge sort with memBytes of sort memory, charging all I/O and CPU to p.
-// It reproduces the cost structure of WiSS's sort utility and of the
-// Teradata AMPs' sort phase: sequential run formation, then merge passes
-// whose interleaved run reads are random I/Os. Reading the source and each
-// merge are itineraries (sim.Proc.Steps).
+// merge sort with memBytes of sort memory, charging all I/O and CPU to p: the
+// key sort of SortKeys over src's live tuples, then one gather of the tuples
+// into the sorted file's pages.
 func SortFile(p *sim.Proc, src *File, key rel.Attr, memBytes int, costs SortCosts) *File {
-	st := src.st
-	pageBytes := st.prm.PageBytes
-	tuplesPerMem := memBytes / st.prm.SlotBytes
-	if tuplesPerMem < st.prm.TuplesPerPage() {
-		tuplesPerMem = st.prm.TuplesPerPage()
-	}
-
-	// Pass 0: run formation. A run is sorted as (page, slot) references to
-	// the source's tuples, with their keys, so the source must not change
-	// while it is sorted.
-	var runs []*File
-	buf := make([]RID, 0, min(src.Len(), tuplesPerMem)) // one run's worth, reused by every run
-	keys := make([]int32, 0, cap(buf))
-	flushRun := func() {
-		if len(buf) == 0 {
-			return
-		}
-		st.node.UseCPU(p, costs.InstrPerTupleRun*len(buf))
-		run := st.CreateFile(src.Name + ".run")
-		ap := run.NewAppender()
-		// Appended in key order straight from the source, with no sorted
-		// copy of it; the permutation is stable among equal keys.
-		for _, i := range rel.RadixPermutation(keys) {
-			r := buf[i]
-			ap.Append(p, src.pages[r.Page].Tuples[r.Slot])
-		}
-		ap.Close(p)
-		run.Sorted, run.SortKey = true, key
-		runs = append(runs, run)
-		buf, keys = buf[:0], keys[:0]
-	}
-	// The source is read as one itinerary that hands p each memory load.
-	var pg *Page
-	slot := 0
-	sc := src.NewScanner()
-	fill := func() (sim.Time, bool) {
-		for ; slot < len(pg.Tuples) && len(buf) < tuplesPerMem; slot++ {
-			if pg.Live(slot) {
-				buf = append(buf, RID{int32(sc.idx), int32(slot)})
-				keys = append(keys, pg.Tuples[slot].Get(key))
+	var refs []*rel.Tuple
+	var entries []rel.KeyIndex
+	for _, pg := range src.pages {
+		for s := range pg.Tuples {
+			if pg.Live(s) {
+				entries = append(entries, rel.PackKey(pg.Tuples[s].Get(key), len(refs)))
+				refs = append(refs, &pg.Tuples[s])
 			}
 		}
+	}
+	out, sorted := SortKeys(p, src, entries, memBytes, costs)
+	tuples := make([]rel.Tuple, len(sorted))
+	for i, e := range sorted {
+		tuples[i] = *refs[e.Index()]
+	}
+	out.LoadDirect(tuples, nil)
+	out.Sorted, out.SortKey = true, key
+	return out
+}
+
+// SortKeys is the external sort of WiSS's sort utility and of the Teradata
+// AMPs' sort phase over keys alone: sequential run formation, then merge
+// passes whose interleaved run reads are random I/Os, with memBytes of sort
+// memory, all I/O and CPU charged to p. entries[i] is the key of src's i-th
+// live tuple in scan order, packed with whatever index its caller finds the
+// tuple by; the tuples themselves are never read. It returns the sorted file,
+// a hollow one (File.LoadHollow), and the entries stably sorted by key, which
+// may share entries' array.
+//
+// The runs and merge outputs are hollow files too, since their page reads and
+// writes are all the sort charges for; the entries a file holds are a segment
+// of one of two arrays, runs being consecutive loads of the source. Reading
+// the source, writing each run and each merge are itineraries
+// (sim.Proc.Steps).
+func SortKeys(p *sim.Proc, src *File, entries []rel.KeyIndex, memBytes int, costs SortCosts) (*File, []rel.KeyIndex) {
+	st := src.st
+	tuplesPerMem := max(memBytes/st.prm.SlotBytes, st.prm.TuplesPerPage())
+
+	// Pass 0: run formation. A memory load is a segment of entries, sorted in
+	// place.
+	var runs []sortRun
+	var sorter rel.KeySorter // its buffer serves every run
+	loaded, taken, left := 0, 0, 0
+	flushRun := func() {
+		if taken == loaded {
+			return
+		}
+		run := sortRun{e: entries[loaded:taken]}
+		sorter.Sort(run.e)
+		run.write(p, st, src.Name+".run", costs.InstrPerTupleRun)
+		runs = append(runs, run)
+		loaded = taken
+	}
+	// The source is read as one itinerary that hands p each memory load.
+	sc := src.NewScanner()
+	fill := func() (sim.Time, bool) {
+		n := min(left, tuplesPerMem-(taken-loaded))
+		taken, left = taken+n, left-n
 		return 0, false
 	}
-	full := func() bool { return len(buf) >= tuplesPerMem }
-	begin := func(next *Page) { pg, slot = next, 0 }
+	full := func() bool { return taken-loaded >= tuplesPerMem }
+	begin := func(*Page) { left = src.liveAt(sc.idx) }
 	for sc.Run(p, begin, fill, full); full(); sc.Run(p, begin, fill, full) {
 		for full() {
 			flushRun()
@@ -72,87 +86,122 @@ func SortFile(p *sim.Proc, src *File, key rel.Attr, memBytes int, costs SortCost
 	}
 	flushRun()
 	if len(runs) == 0 {
-		out := st.CreateFile(src.Name + ".sorted")
-		out.Sorted, out.SortKey = true, key
-		return out
+		return st.CreateFile(src.Name + ".sorted"), nil
 	}
 
-	// Merge passes.
-	fanin := memBytes/pageBytes - 1
-	if fanin < 2 {
-		fanin = 2
+	// Merge passes, from one array into the other.
+	fanin := max(memBytes/st.prm.PageBytes-1, 2)
+	var spare []rel.KeyIndex
+	if len(runs) > 1 {
+		spare = make([]rel.KeyIndex, len(entries))
 	}
 	for len(runs) > 1 {
-		var next []*File
+		var next []sortRun
+		dst := spare[:0]
 		for start := 0; start < len(runs); start += fanin {
-			end := start + fanin
-			if end > len(runs) {
-				end = len(runs)
-			}
-			merged := st.CreateFile(src.Name + ".merge")
-			merged.Sorted, merged.SortKey = true, key
-			ap := merged.NewAppender()
-			st.mergeRuns(p, runs[start:end], key, ap, costs.InstrPerTupleMerge)
-			ap.Close(p)
+			group := runs[start:min(start+fanin, len(runs))]
+			merged := sortRun{f: st.CreateFile(src.Name + ".merge")}
+			lo := len(dst)
+			dst = st.mergeRuns(p, group, merged.f, costs.InstrPerTupleMerge, dst)
+			merged.e = dst[lo:]
 			next = append(next, merged)
 		}
 		for _, r := range runs {
-			st.DropFile(r)
+			st.DropFile(r.f)
 		}
-		runs = next
+		spare, entries, runs = entries, dst, next
 	}
 	out := runs[0]
-	out.Name = src.Name + ".sorted"
-	return out
+	out.f.Name = src.Name + ".sorted"
+	return out.f, out.e
+}
+
+// sortRun is a run or a merge output: its hollow file, and its entries in key
+// order.
+type sortRun struct {
+	f *File
+	e []rel.KeyIndex
+}
+
+// write creates the run's file, name, on st and writes it as one itinerary of
+// p: the run formation's CPU, instr a tuple, then each page of the run, then
+// the wait for the last write.
+func (r *sortRun) write(p *sim.Proc, st *Store, name string, instr int) {
+	var ap *Appender
+	left, writing := len(r.e), false
+	charge := instr * left
+	p.Steps(func() (sim.Time, bool) {
+		if charge > 0 {
+			at := st.node.ReserveCPU(charge)
+			charge = 0
+			return at, true
+		}
+		if ap == nil {
+			r.f = st.CreateFile(name)
+			ap = r.f.NewAppender()
+		}
+		for {
+			if writing {
+				if at, more := ap.Step(); more {
+					return at, true
+				}
+				if writing = false; ap.Failed() || left < 0 {
+					return 0, false
+				}
+			}
+			switch {
+			case left > 0:
+				left--
+				writing = ap.PutHollow()
+			case left == 0:
+				left--
+				ap.StartClose()
+				writing = true
+			}
+		}
+	})
+	ap.Fault()
 }
 
 // The stages of a merge.
 const (
-	mergeCharge = iota
+	mergeLoad = iota
+	mergeCharge
 	mergeMove
 	mergeNext
+	mergeDone
 )
 
-// mergeCursor walks one run page by page. Runs are written by an Appender
-// and never updated, so every slot of a page is live.
+// mergeCursor walks one run's entries page by page. A run's pages are full
+// but for the last.
 type mergeCursor struct {
-	f      *File
-	page   int         // next page to fetch
-	slot   int         // current tuple in tuples
-	tuples []rel.Tuple // the fetched page's tuples
+	sortRun
+	next    int // the entry on top
+	end     int // the end of the fetched pages' entries
+	page    int // next page to fetch
+	perPage int
 }
 
-// load reads pages until the cursor's slot holds a tuple. It reports false at
-// the end of the run.
-func (c *mergeCursor) load(p *sim.Proc) bool {
-	for c.slot >= len(c.tuples) {
-		if c.page >= c.f.Pages() {
-			return false
-		}
-		c.tuples = c.f.ReadPage(p, c.page).Tuples
-		c.page++
-		c.slot = 0
-	}
-	return true
+// fetched notes that the cursor's next page is in memory.
+func (c *mergeCursor) fetched() {
+	c.page++
+	c.end = min(c.page*c.perPage, len(c.e))
 }
 
-// mergeRuns merges runs of the store, each sorted on key, into ap, as one
-// itinerary (sim.Proc.Steps): every tuple reserves instr instructions on the
-// store's processor, then moves from its run to the output page — the page's
-// write when it fills, and the run's next page read when it runs out, are
-// stages too. p is resumed at the end, or where a write or read would reach a
-// failed drive.
-func (st *Store) mergeRuns(p *sim.Proc, runs []*File, key rel.Attr, ap *Appender, instr int) {
+// mergeRuns merges runs of the store into the empty file out, appending their
+// entries to dst in key order and returning it, as one itinerary
+// (sim.Proc.Steps): each run's first page is read; then every entry reserves
+// instr instructions on the store's processor and moves from its run to the
+// output page — the page's write when it fills, and the run's next page read
+// when it runs out, are stages too; then the last write is waited for. p is
+// resumed at the end, or where a write or read would reach a failed drive.
+// Equal keys leave the heap in the order container/heap's Init, Fix(h, 0)
+// and Pop give them (rel.KeyHeap), so ties keep the order they always had.
+func (st *Store) mergeRuns(p *sim.Proc, runs []sortRun, out *File, instr int, dst []rel.KeyIndex) []rel.KeyIndex {
+	ap := out.NewAppender()
 	var h rel.KeyHeap[*mergeCursor]
-	for _, f := range runs {
-		c := &mergeCursor{f: f}
-		if c.load(p) {
-			h.Add(c.tuples[c.slot].A[key], c)
-		}
-	}
-	h.Init()
 	var rd pageRead
-	stage, writing, reading := mergeCharge, false, false
+	stage, loaded, writing, reading := mergeLoad, 0, false, false
 	p.Steps(func() (sim.Time, bool) {
 		for {
 			if writing {
@@ -170,37 +219,56 @@ func (st *Store) mergeRuns(p *sim.Proc, runs []*File, key rel.Attr, ap *Appender
 				if reading = false; rd.failed {
 					return 0, false
 				}
-				t := h.Top()
-				t.tuples, t.slot = t.f.pages[t.page].Tuples, 0
-				t.page++
+				if stage == mergeLoad {
+					c := &mergeCursor{sortRun: runs[loaded], perPage: rd.f.capacity()}
+					c.fetched()
+					h.Add(c.e[0].Key(), c)
+					loaded++
+				} else {
+					h.Top().fetched()
+				}
 			}
 			switch stage {
+			case mergeLoad:
+				if loaded < len(runs) {
+					rd.start(runs[loaded].f, 0, false)
+					reading = true
+					continue
+				}
+				h.Init()
+				stage = mergeCharge
 			case mergeCharge:
 				if h.Len() == 0 {
-					return 0, false
+					ap.StartClose()
+					writing, stage = true, mergeDone
+					continue
 				}
 				stage = mergeMove
 				return st.node.ReserveCPU(instr), true
-			case mergeMove: // the tuple on top has paid its CPU
-				t := h.Top()
-				writing = ap.Put(t.tuples[t.slot])
-				t.slot++
+			case mergeMove: // the entry on top has paid its CPU
+				c := h.Top()
+				dst = append(dst, c.e[c.next])
+				writing = ap.PutHollow()
+				c.next++
 				stage = mergeNext
-			case mergeNext: // find the run's next tuple
-				switch t := h.Top(); {
-				case t.slot < len(t.tuples):
-					h.FixTop(t.tuples[t.slot].A[key])
+			case mergeNext: // find the run's next entry
+				switch c := h.Top(); {
+				case c.next < c.end:
+					h.FixTop(c.e[c.next].Key())
 					stage = mergeCharge
-				case t.page < t.f.Pages():
-					rd.start(t.f, t.page, false)
+				case c.page < c.f.Pages():
+					rd.start(c.f, c.page, false)
 					reading = true
 				default:
 					h.PopTop()
 					stage = mergeCharge
 				}
+			case mergeDone:
+				return 0, false
 			}
 		}
 	})
 	ap.Fault()
 	rd.fault()
+	return dst
 }

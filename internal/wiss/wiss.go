@@ -218,6 +218,43 @@ func (f *File) LoadDirect(tuples []rel.Tuple, sortKey *rel.Attr) {
 	f.nTuples = len(tuples)
 }
 
+// hollow is every page of a hollow file: a file that keeps the page structure
+// of its tuples — how many pages, how many tuples on each — but not the
+// tuples, which its owner holds elsewhere (a sort's key arrays, a join's
+// tuple references). Its page reads and writes cost what they would for the
+// tuples. Frozen, so no write path can change it in place.
+var hollow = &Page{frozen: true}
+
+// LoadHollow gives an empty file the page structure of n tuples appended in
+// order, holding none of them, without charging simulated time.
+func (f *File) LoadHollow(n int) {
+	pages := (n + f.capacity() - 1) / f.capacity()
+	f.pages = make([]*Page, pages)
+	for i := range f.pages {
+		f.pages[i] = hollow
+	}
+	f.nTuples = n
+}
+
+// liveAt returns how many live tuples page i holds. A hollow file's pages
+// are full but for the last.
+func (f *File) liveAt(i int) int {
+	pg := f.pages[i]
+	switch {
+	case pg == hollow:
+		return min(f.capacity(), f.nTuples-i*f.capacity())
+	case pg.dead == nil:
+		return len(pg.Tuples)
+	}
+	n := 0
+	for s := range pg.Tuples {
+		if pg.Live(s) {
+			n++
+		}
+	}
+	return n
+}
+
 // page returns page i without charging any cost (internal use).
 func (f *File) page(i int) *Page { return f.pages[i] }
 
@@ -389,6 +426,8 @@ type Appender struct {
 	cur     *Page
 	lastIO  sim.Time
 	written int
+	// A hollow file's page being filled (PutHollow): its tuples, of perPage.
+	held, perPage int
 
 	// The page write under way in stage form (see Put, Close).
 	stage, pageNo   int
@@ -407,7 +446,7 @@ const (
 
 // NewAppender starts appending at the end of the file.
 func (f *File) NewAppender() *Appender {
-	a := &Appender{f: f}
+	a := &Appender{f: f, perPage: f.capacity()}
 	a.step = a.Step
 	return a
 }
@@ -425,13 +464,21 @@ func (a *Appender) Append(p *sim.Proc, t rel.Tuple) {
 // Close flushes the final partial page and blocks until the drive is idle on
 // this appender's writes. Returns the number of tuples appended.
 func (a *Appender) Close(p *sim.Proc) int {
-	a.closing, a.stage = true, writeDrain
-	if a.cur != nil && len(a.cur.Tuples) > 0 {
-		a.stage = writePage
-	}
+	a.StartClose()
 	p.Steps(a.step)
 	a.Fault()
 	return a.written
+}
+
+// StartClose arms the stage form of Close, which Step then takes.
+func (a *Appender) StartClose() {
+	a.closing, a.stage = true, writeDrain
+	switch {
+	case a.held > 0:
+		a.cur, a.held, a.stage = hollow, 0, writePage
+	case a.cur != nil && len(a.cur.Tuples) > 0:
+		a.stage = writePage
+	}
 }
 
 // Put is the stage form of Append: it adds t and reports whether that filled
@@ -448,6 +495,18 @@ func (a *Appender) Put(t rel.Tuple) bool {
 		return false
 	}
 	a.stage = writePage
+	return true
+}
+
+// PutHollow is Put for a hollow file (see LoadHollow): it counts one tuple
+// and reports whether that filled the page.
+func (a *Appender) PutHollow() bool {
+	a.f.nTuples++
+	a.written++
+	if a.held++; a.held < a.perPage {
+		return false
+	}
+	a.cur, a.held, a.stage = hollow, 0, writePage
 	return true
 }
 
