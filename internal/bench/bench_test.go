@@ -108,32 +108,10 @@ func TestPaperValueTables(t *testing.T) {
 	}
 }
 
-// TestQuickExperimentsSane runs the cheapest experiments end-to-end at a
-// tiny scale, off the digest run's sizes, and requires well-formed tables.
-func TestQuickExperimentsSane(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs several simulations")
-	}
-	o := Options{Sizes: []int{10000}, FigureTuples: 10000, MaxProcs: 4}
-	for _, id := range []string{"fig1", "fig2", "fig13", "bitvector", "multiuser"} {
-		e, _ := Lookup(id)
-		if err := wellFormed(e.Run(o)); err != nil {
-			t.Errorf("%s: %v", id, err)
-		}
-	}
-}
-
 // TestFig2SpeedupShape: the headline claim — near-linear selection speedup —
-// at a scale of its own: 20,000 tuples on at most 4 processors.
+// on the Quick() run's four-processor row.
 func TestFig2SpeedupShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs several simulations")
-	}
-	o := Options{FigureTuples: 20000, MaxProcs: 4}
-	e, _ := Lookup("fig2")
-	tbl := e.Run(o)
-	last := tbl.Rows[len(tbl.Rows)-1]
-	for i, c := range last.Cells {
+	for i, c := range rowCells(quick(t).tables()["fig2"], "4 processors with disks") {
 		if c.Measured < 3.2 || c.Measured > 4.0 {
 			t.Errorf("speedup at 4 processors, curve %d = %.2f; want near-linear", i, c.Measured)
 		}

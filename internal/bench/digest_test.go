@@ -55,31 +55,21 @@ var resultDigests = map[string]string{
 // whether anything the suite reports moved.
 const suiteDigest = "5af58608d36dbfec343d32ed05809b78f252043b9560a86b9f4ead41a973601b"
 
-// TestResultDigests is the one quick-suite run that checks every result
-// oracle: each table's digest and the suite's, each table's facts
-// (facts_test.go) and well-formedness, and the fidelity score against its
-// committed ceiling.
+// TestResultDigests checks every result oracle on the Quick() run: each
+// table's digest and the suite's, each table's facts (facts_test.go) and
+// well-formedness, and the fidelity score against its committed ceiling.
 func TestResultDigests(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the suite at Quick() sizes")
+	reports := quick(t).reports
+	if len(reports) != len(resultDigests) {
+		t.Errorf("%d experiments are registered and %d pinned", len(reports), len(resultDigests))
 	}
-	var exps []Experiment
-	for _, e := range Experiments() {
-		if _, pinned := resultDigests[e.ID]; pinned {
-			exps = append(exps, e)
-		}
-	}
-	if len(exps) != len(resultDigests) {
-		t.Fatalf("%d of the %d pinned experiments are registered", len(exps), len(resultDigests))
-	}
-	o := Quick()
 	digest := func(b []byte) string {
 		sum := sha256.Sum256(b)
 		return hex.EncodeToString(sum[:])
 	}
 	var suite bytes.Buffer
 	var fid fidelity
-	for _, r := range RunSuite(exps, o, 2) {
+	for _, r := range reports {
 		one := renderTable(r.Table)
 		suite.Write(one)
 		if got := digest(one); got != resultDigests[r.ID] {

@@ -570,20 +570,6 @@ func strictly(t *Table, dir float64, xs []float64, from int) error {
 	return nil
 }
 
-// live returns the registered experiment id names, failing the test for an
-// unknown or retired id: Lookup would hand back a retired id's one-row
-// tombstone, which no fact or comparison should be run against.
-func live(t *testing.T, id string) Experiment {
-	t.Helper()
-	for _, e := range Experiments() {
-		if e.ID == id {
-			return e
-		}
-	}
-	t.Fatalf("experiment %q is not registered", id)
-	return Experiment{}
-}
-
 // TestFactsComplete: every registered experiment states at least one fact and
 // is on the digest run that checks it, and every fact belongs to one.
 func TestFactsComplete(t *testing.T) {
@@ -662,15 +648,13 @@ var doctored = []struct {
 }
 
 // TestFactsCanFail: a fact can fail, and its failure names it. Each doctored
-// cell of a real quick-suite table breaks exactly the claim it targets, and
-// every fact of the seven extensions is targeted.
+// cell of a real table of the Quick() run breaks exactly the claim it
+// targets, and every fact of the seven extensions is targeted.
 func TestFactsCanFail(t *testing.T) {
-	var exps []Experiment
 	targeted := map[string]map[int]bool{}
 	for _, d := range doctored {
 		if targeted[d.id] == nil {
 			targeted[d.id] = map[int]bool{}
-			exps = append(exps, live(t, d.id))
 		}
 		targeted[d.id][d.fact] = true
 	}
@@ -681,12 +665,14 @@ func TestFactsCanFail(t *testing.T) {
 			}
 		}
 	}
-	tables := map[string]*Table{}
-	for _, r := range RunSuite(exps, Quick(), 2) {
-		if errs := checkFacts(r.ID, r.Table); len(errs) != 0 {
+	tables := quick(t).tables()
+	for id := range targeted {
+		if tables[id] == nil {
+			t.Fatalf("experiment %q is not registered", id)
+		}
+		if errs := checkFacts(id, tables[id]); len(errs) != 0 {
 			t.Fatalf("the real table already breaks a fact: %v", errs)
 		}
-		tables[r.ID] = r.Table
 	}
 	for _, d := range doctored {
 		tbl := cloneTable(tables[d.id])
@@ -709,21 +695,6 @@ func cloneTable(t *Table) *Table {
 	return &c
 }
 
-// ownRun regenerates an experiment the way gammabench does — through the
-// registry, apart from the digest run's suite — and fails the test on a
-// malformed table or on any fact the table breaks.
-func ownRun(t *testing.T, id string, o Options) *Table {
-	t.Helper()
-	tbl := live(t, id).Run(o)
-	if err := wellFormed(tbl); err != nil {
-		t.Fatalf("%s: %v", id, err)
-	}
-	for _, err := range checkFacts(id, tbl) {
-		t.Error(err)
-	}
-	return tbl
-}
-
 // positiveRows requires every cell of the named rows to be a positive time:
 // a zero would pass a "faster than" fact without measuring anything.
 func positiveRows(t *testing.T, tbl *Table, labels []string) {
@@ -737,39 +708,22 @@ func positiveRows(t *testing.T, tbl *Table, labels []string) {
 	}
 }
 
-// TestTable1Shape: Table 1's facts — Gamma beats Teradata on the five
-// selections both run, clustered < non-clustered < heap at 1%, the
-// index-vs-scan crossover — hold on a run of their own at Quick() sizes.
+// TestTable1Shape: on the Quick() run, Table 1's five selections that both
+// machines run take a positive time on both, so the facts comparing them
+// (TestResultDigests) measure something.
 func TestTable1Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	tbl := ownRun(t, "table1", Quick())
 	var both []string
 	for _, r := range table1Rows {
 		if r.tera != nil {
 			both = append(both, r.label)
 		}
 	}
-	positiveRows(t, tbl, both)
+	positiveRows(t, quick(t).tables()["table1"], both)
 }
 
-// TestTable2Shape: Table 2's facts — Gamma wins every join, the machines
-// order the joins oppositely — hold on a run of their own at Quick() sizes.
+// TestTable2Shape: on the Quick() run, every Table 2 join takes a positive
+// time on both machines.
 func TestTable2Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	tbl := ownRun(t, "table2", Quick())
+	tbl := quick(t).tables()["table2"]
 	positiveRows(t, tbl, rowLabels(tbl))
-}
-
-// TestFig4Anomaly: the Figure 3/4 anomaly — the 0% non-clustered selection
-// slows with every added processor while the 1% one speeds up (§5.2.1) —
-// holds on a run of its own at Quick() sizes.
-func TestFig4Anomaly(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	ownRun(t, "fig3", Quick())
 }

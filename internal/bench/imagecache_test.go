@@ -19,33 +19,34 @@ func renderTable(tbl *Table) []byte {
 }
 
 // TestCachedTablesMatchUncached is the acceptance contract of the image
-// cache: for every experiment, the table produced on machines whose relations
-// were attached from cached images (RunSuite always has a cache) must be
-// byte-identical to the table produced with no run context, where every data
-// point loads its database from scratch — both serially and under -parallel
-// workers.
+// cache: every experiment's table from machines whose relations were attached
+// from cached images (RunSuite always has a cache) is byte-identical to its
+// table with no run context, where every data point loads its database from
+// scratch — alone in a serial RunSuite, and in the whole registry run in
+// reverse on eight workers, where who builds an image is first-come (run
+// under -race).
 func TestCachedTablesMatchUncached(t *testing.T) {
-	o := tinyOptions()
-	for _, e := range Experiments() {
-		uncached := renderTable(e.Run(o)) // no run context: from-scratch loads
-		serial := RunSuite([]Experiment{e}, o, 1)
-		parallel := RunSuite([]Experiment{e}, o, 8)
-		if got := renderTable(serial[0].Table); !bytes.Equal(got, uncached) {
-			t.Errorf("%s: cached serial table differs from uncached:\n--- cached ---\n%s--- uncached ---\n%s",
-				e.ID, got, uncached)
-		}
-		if got := renderTable(parallel[0].Table); !bytes.Equal(got, uncached) {
-			t.Errorf("%s: cached parallel table differs from uncached:\n--- cached ---\n%s--- uncached ---\n%s",
-				e.ID, got, uncached)
+	uncached := uncachedRun()
+	check := func(how string, reports []Report) {
+		for _, r := range reports {
+			if got := renderTable(r.Table); !bytes.Equal(got, uncached[r.ID]) {
+				t.Errorf("%s: cached %s table differs from uncached:\n--- cached ---\n%s--- uncached ---\n%s",
+					r.ID, how, got, uncached[r.ID])
+			}
 		}
 	}
+	for _, alone := range aloneRun() {
+		check("serial", alone.reports)
+	}
+	check("parallel", parallelRun().reports)
 }
 
 // TestSuiteReportsCacheHits: experiments that put one relation on several
 // machines must attach it from the cache after the first build, every
 // experiment records its setup/query wall split, the suite as a whole
 // attaches far more relations than it builds, and a sweep two experiments
-// plot is simulated by exactly one of them.
+// plot is simulated by exactly one of them: so says the serial whole-registry
+// run.
 func TestSuiteReportsCacheHits(t *testing.T) {
 	// These revisit a relation by construction, whatever the Options:
 	// hybrid's two algorithms per ratio, multiuser's private/shared pairs,
@@ -57,10 +58,9 @@ func TestSuiteReportsCacheHits(t *testing.T) {
 		"multiuser": true, "placement": true, "recovery": true, "pagesize-default": true,
 		"table1": true, "table2": true, "table3": true,
 	}
-	reports := RunSuite(Experiments(), tinyOptions(), 1)
 	byID := map[string]Report{}
 	var hits, misses int64
-	for _, r := range reports {
+	for _, r := range serialRun().reports {
 		byID[r.ID] = r
 		hits += r.ImageHits
 		misses += r.ImageMisses
@@ -234,60 +234,23 @@ func (r *cacheRecorder) left() (readers, tuples, images int) {
 }
 
 // TestEveryRelationBuiltOnce: the suite loads a relation once however many
-// machines hold it, and frees it when its last reader returns. Tables 1-3 at
-// one size need five Gamma relations (Aheap and Aidx for all three tables,
-// Table 2's Bprime, B and C) and four Teradata hash files (A under both names,
-// Bprime, B, C), serially and on four workers. Over the whole registry, where
-// at tinyOptions the figure and table relations coincide, every build is of a
-// distinct relation — serially, and in reverse order on two workers — and the
-// cache is empty when RunSuite returns.
+// machines hold it, and frees it when its last reader returns. Over the whole
+// registry, where at tinyOptions the figure and table relations coincide,
+// every build is of a distinct relation — serially, and in reverse on eight
+// workers — and the cache is empty when RunSuite returns. Tables 1-3 at one size need five Gamma relations (Aheap and Aidx for all
+// three tables, Table 2's Bprime, B and C) and four Teradata hash files (A
+// under both names, Bprime, B, C); at Quick(), which runs them on two workers
+// beside the figures and at sizes no other experiment reads, they build that
+// many per size.
 func TestEveryRelationBuiltOnce(t *testing.T) {
-	var tables []Experiment
-	for _, id := range []string{"table1", "table2", "table3"} {
-		e, _ := Lookup(id)
-		tables = append(tables, e)
-	}
-	o := tinyOptions()
-	o.Sizes = []int{10000}
-	for _, workers := range []int{1, 4} {
-		rec := newCacheRecorder()
-		var misses, lookups int64
-		for _, r := range RunSuite(rec.wrap(tables), o, workers) {
-			misses += r.ImageMisses
-			lookups += r.ImageHits + r.ImageMisses
-		}
-		gamma, tera := 0, 0
-		for k := range rec.images {
-			if k.tera {
-				tera++
-			} else {
-				gamma++
-			}
-		}
-		if gamma != 5 || tera != 4 || misses != 9 {
-			t.Errorf("workers=%d: built %d Gamma and %d Teradata relation images (%d misses), want 5 and 4",
-				workers, gamma, tera, misses)
-		}
-		// 2+5+2 Gamma relations attached, and 2+5+2 Teradata ones.
-		if lookups != 18 {
-			t.Errorf("workers=%d: %d relations attached, want 18", workers, lookups)
-		}
-	}
-
-	if testing.Short() {
-		t.Skip("runs the whole registry")
-	}
-	reversed := Experiments()
-	slices.Reverse(reversed)
 	for _, run := range []struct {
-		name    string
-		exps    []Experiment
-		workers int
-	}{{"serial", Experiments(), 1}, {"reversed on 2 workers", reversed, 2}} {
+		name string
+		run  func() suiteRun
+	}{{"serial", serialRun}, {"reversed on 8 workers", parallelRun}} {
 		t.Run(run.name, func(t *testing.T) {
-			rec := newCacheRecorder()
+			rec := run.run().rec
 			var misses int64
-			for _, r := range RunSuite(rec.wrap(run.exps), tinyOptions(), run.workers) {
+			for _, r := range run.run().reports {
 				misses += r.ImageMisses
 			}
 			if misses != int64(len(rec.images)) {
@@ -306,4 +269,40 @@ func TestEveryRelationBuiltOnce(t *testing.T) {
 			}
 		})
 	}
+	t.Run("Tables 1-3 at Quick", func(t *testing.T) {
+		q := quick(t)
+		tables := map[string]bool{"table1": true, "table2": true, "table3": true}
+		reads := map[genKey]bool{}
+		var misses, lookups int64
+		for _, r := range q.reports {
+			if !tables[r.ID] {
+				continue
+			}
+			e, _ := Lookup(r.ID)
+			for _, k := range e.reads(Quick()) {
+				reads[k] = true
+			}
+			misses += r.ImageMisses
+			lookups += r.ImageHits + r.ImageMisses
+		}
+		gamma, tera := 0, 0
+		for k := range q.rec.images {
+			switch {
+			case !reads[genKey{k.rel.n, k.rel.seed}]:
+			case k.tera:
+				tera++
+			default:
+				gamma++
+			}
+		}
+		sizes := len(Quick().Sizes)
+		if gamma != 5*sizes || tera != 4*sizes || misses != int64(9*sizes) {
+			t.Errorf("built %d Gamma and %d Teradata relation images (%d misses) at %d sizes, want 5 and 4 per size",
+				gamma, tera, misses, sizes)
+		}
+		// 2+5+2 Gamma relations attached per size, and 2+5+2 Teradata ones.
+		if lookups != int64(18*sizes) {
+			t.Errorf("%d relations attached at %d sizes, want 18 per size", lookups, sizes)
+		}
+	})
 }

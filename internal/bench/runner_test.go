@@ -7,9 +7,10 @@ import (
 )
 
 // tinyOptions is small enough that the whole suite runs in seconds while
-// still exercising every experiment's fan-out shape.
+// still exercising every experiment's fan-out shape. Eight processors let
+// Figure 10 reach the point bitvector plots.
 func tinyOptions() Options {
-	return Options{Sizes: []int{2000}, FigureTuples: 2000, MaxProcs: 3}
+	return Options{Sizes: []int{2000}, FigureTuples: 2000, MaxProcs: 8}
 }
 
 func TestParMapPreservesOrder(t *testing.T) {
@@ -33,49 +34,26 @@ func TestParMapSerialWithoutSemaphore(t *testing.T) {
 	}
 }
 
-// TestSuiteSerialParallelIdentical runs a cross-section of the experiments —
-// per-size tables, per-processor and per-page-size sweeps, the 64-256
-// processor machines, the fault-injecting availability matrix — serially and
-// on eight workers, and asserts the rendered tables are byte-identical. Each
-// data point is an independent simulation with a fixed seed, so scheduling
-// must not reach the results.
+// TestSuiteSerialParallelIdentical: the whole registry run serially and in
+// reverse on eight workers — per-size tables, per-processor and
+// per-page-size sweeps, the 64-256 processor machines, the fault-injecting
+// availability matrix — prints byte-identical tables, with the reports in
+// the order the experiments were given. Each data point is an independent
+// simulation with a fixed seed, so scheduling must not reach the results.
+// (TestSharedMatchesUnshared holds each run's events to the experiments'
+// own.)
 func TestSuiteSerialParallelIdentical(t *testing.T) {
-	ids := []string{"table1", "table2", "table3", "fig1", "fig5", "fig9", "fig13", "scale100", "availability", "multiuser"}
-	var exps []Experiment
-	for _, id := range ids {
-		exps = append(exps, live(t, id))
-	}
-
-	render := func(reports []Report) []byte {
-		var buf bytes.Buffer
-		for _, r := range reports {
-			r.Table.Render(&buf)
-		}
-		return buf.Bytes()
-	}
-
-	serial := RunSuite(exps, tinyOptions(), 1)
-	parallel := RunSuite(exps, tinyOptions(), 8)
-
+	exps := Experiments()
+	serial, parallel := serialRun().reports, parallelRun().reports
 	if len(serial) != len(exps) || len(parallel) != len(exps) {
 		t.Fatalf("report counts: serial %d, parallel %d, want %d", len(serial), len(parallel), len(exps))
 	}
-	for i := range exps {
-		if serial[i].ID != exps[i].ID || parallel[i].ID != exps[i].ID {
-			t.Errorf("report %d out of order: serial %q, parallel %q, want %q",
-				i, serial[i].ID, parallel[i].ID, exps[i].ID)
+	for i, e := range exps {
+		s, p := serial[i], parallel[len(exps)-1-i]
+		if s.ID != e.ID || p.ID != e.ID {
+			t.Errorf("reports out of order: serial %q, parallel %q, want %q", s.ID, p.ID, e.ID)
+		} else if sb, pb := renderTable(s.Table), renderTable(p.Table); !bytes.Equal(sb, pb) {
+			t.Errorf("%s: serial and parallel tables differ:\n--- serial ---\n%s--- parallel ---\n%s", e.ID, sb, pb)
 		}
-		if serial[i].Events <= 0 || parallel[i].Events <= 0 {
-			t.Errorf("%s: no simulated events counted (serial %d, parallel %d)",
-				exps[i].ID, serial[i].Events, parallel[i].Events)
-		}
-		if serial[i].Events != parallel[i].Events {
-			t.Errorf("%s: event counts differ: serial %d, parallel %d",
-				exps[i].ID, serial[i].Events, parallel[i].Events)
-		}
-	}
-	sb, pb := render(serial), render(parallel)
-	if !bytes.Equal(sb, pb) {
-		t.Errorf("serial and parallel tables differ:\n--- serial ---\n%s\n--- parallel ---\n%s", sb, pb)
 	}
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"gamma/internal/config"
@@ -19,49 +20,47 @@ var sharingExperiments = []string{
 // TestSharedMatchesUnshared is the acceptance contract of the point cache:
 // an experiment prints the same table whether it simulates every point
 // itself (alone in its own RunSuite, where nothing precedes it) or is handed
-// some by siblings inside the full suite — serially and on four workers,
-// where who simulates is first-come (run under -race).
+// some by siblings inside the whole registry, serially and in reverse on
+// eight workers, where who simulates is first-come (run under -race). An
+// experiment outside sharingExperiments is handed nothing and simulates as
+// many events in the suite as alone, and the schedule moves neither the
+// suite's shared points nor its events.
 func TestSharedMatchesUnshared(t *testing.T) {
-	o := tinyOptions()
-	o.MaxProcs = 8 // so Figure 10 reaches the 8-processor point bitvector plots
-	alone := map[string][]byte{}
-	for _, id := range sharingExperiments {
-		e, ok := Lookup(id)
-		if !ok {
-			t.Fatalf("experiment %q not registered", id)
-		}
-		r := RunSuite([]Experiment{e}, o, 1)[0]
+	alone := map[string]Report{}
+	for id, run := range aloneRun() {
+		r := run.reports[0]
 		if r.SharedPoints != 0 || r.Events == 0 {
 			t.Errorf("%s alone: %d shared points, %d events; a lone experiment simulates all it plots", id, r.SharedPoints, r.Events)
 		}
-		alone[id] = renderTable(r.Table)
+		alone[id] = r
 	}
 	var events [2]int64
-	for wi, workers := range []int{1, 4} {
+	for i, run := range []suiteRun{serialRun(), parallelRun()} {
+		how := []string{"serial", "parallel"}[i]
 		var sharedPts int64
-		for _, r := range RunSuite(Experiments(), o, workers) {
-			events[wi] += r.Events
+		for _, r := range run.reports {
+			events[i] += r.Events
 			sharedPts += r.SharedPoints
-			want, sharing := alone[r.ID]
-			if !sharing {
-				if r.SharedPoints != 0 {
-					t.Errorf("workers=%d: %s took %d shared points but is not listed in sharingExperiments", workers, r.ID, r.SharedPoints)
-				}
-				continue
-			}
+			want := renderTable(alone[r.ID].Table)
 			if got := renderTable(r.Table); !bytes.Equal(got, want) {
-				t.Errorf("workers=%d: %s in the suite differs from %s alone:\n--- suite ---\n%s--- alone ---\n%s",
-					workers, r.ID, r.ID, got, want)
+				t.Errorf("%s: %s in the suite differs from %s alone:\n--- suite ---\n%s--- alone ---\n%s", how, r.ID, r.ID, got, want)
+			}
+			if !slices.Contains(sharingExperiments, r.ID) && (r.SharedPoints != 0 || r.Events != alone[r.ID].Events) {
+				t.Errorf("%s: %s took %d shared points and simulated %d events, %d alone, but is not listed in sharingExperiments",
+					how, r.ID, r.SharedPoints, r.Events, alone[r.ID].Events)
 			}
 		}
-		// 8+8+5+5 select points, 2x24 join points, 5 page sizes, 8 memory
-		// ratios, bitvector's unfiltered run.
-		if want := int64(8 + 8 + 5 + 5 + 24 + 24 + 5 + 8 + 1); sharedPts != want {
-			t.Errorf("workers=%d: suite shared %d points, want %d", workers, sharedPts, want)
+		// Per processor count p: the two selection sweeps, and Local, Remote
+		// and Allnodes of the two join sweeps; 5 page sizes for each of the
+		// three page-size sweeps; Figure 13's memory ratios; and bitvector's
+		// unfiltered run, Figure 10's 8-processor Remote point.
+		p := int64(tinyOptions().MaxProcs)
+		if want := 2*p + 2*3*p + 3*5 + int64(len(fig13Ratios)) + 1; sharedPts != want {
+			t.Errorf("%s: suite shared %d points, want %d", how, sharedPts, want)
 		}
 	}
 	if events[0] != events[1] {
-		t.Errorf("suite event totals depend on the schedule: %d serial, %d on four workers", events[0], events[1])
+		t.Errorf("suite event totals depend on the schedule: %d serial, %d parallel", events[0], events[1])
 	}
 }
 
