@@ -22,9 +22,10 @@ func renderTable(tbl *Table) []byte {
 // cache: every experiment's table from machines whose relations were attached
 // from cached images (RunSuite always has a cache) is byte-identical to its
 // table with no run context, where every data point loads its database from
-// scratch — alone in a serial RunSuite, and in the whole registry run in
-// reverse on eight workers, where who builds an image is first-come (run
-// under -race).
+// scratch: alone in a RunSuite on eight workers, where every experiment's
+// data points run concurrently; in the serial whole-registry run; and in the
+// whole registry run in reverse on eight workers, where who builds an image
+// is first-come (run under -race).
 func TestCachedTablesMatchUncached(t *testing.T) {
 	uncached := uncachedRun()
 	check := func(how string, reports []Report) {
@@ -36,8 +37,9 @@ func TestCachedTablesMatchUncached(t *testing.T) {
 		}
 	}
 	for _, alone := range aloneRun() {
-		check("serial", alone.reports)
+		check("alone", alone.reports)
 	}
+	check("serial", serialRun().reports)
 	check("parallel", parallelRun().reports)
 }
 
@@ -237,11 +239,12 @@ func (r *cacheRecorder) left() (readers, tuples, images int) {
 // machines hold it, and frees it when its last reader returns. Over the whole
 // registry, where at tinyOptions the figure and table relations coincide,
 // every build is of a distinct relation — serially, and in reverse on eight
-// workers — and the cache is empty when RunSuite returns. Tables 1-3 at one size need five Gamma relations (Aheap and Aidx for all
-// three tables, Table 2's Bprime, B and C) and four Teradata hash files (A
-// under both names, Bprime, B, C); at Quick(), which runs them on two workers
-// beside the figures and at sizes no other experiment reads, they build that
-// many per size.
+// workers — and the cache is empty when RunSuite returns. Tables 1-3 at one
+// size need five Gamma relations (Aheap and Aidx for all three tables, Table
+// 2's Bprime, B and C) and four Teradata hash files (A under both names,
+// Bprime, B, C); at Quick(), which runs them on two workers beside the
+// figures and at sizes no other experiment reads, they build that many per
+// size.
 func TestEveryRelationBuiltOnce(t *testing.T) {
 	for _, run := range []struct {
 		name string
@@ -284,6 +287,17 @@ func TestEveryRelationBuiltOnce(t *testing.T) {
 			}
 			misses += r.ImageMisses
 			lookups += r.ImageHits + r.ImageMisses
+		}
+		// The images are told apart from the figures' by their key alone.
+		for _, e := range Experiments() {
+			if tables[e.ID] {
+				continue
+			}
+			for _, k := range e.reads(Quick()) {
+				if reads[k] {
+					t.Fatalf("%s also reads %+v at Quick(), which the tables read: its images would count as theirs", e.ID, k)
+				}
+			}
 		}
 		gamma, tera := 0, 0
 		for k := range q.rec.images {

@@ -11,8 +11,9 @@ import (
 // simulates once per test binary, on first use, so -short and -run filters
 // still skip what no selected test reads. They are the registry at
 // tinyOptions four ways — with no run context, each experiment in a RunSuite
-// of its own, the whole registry serially, and the whole registry in reverse
-// on eight workers — and the registry at Quick(), the sizes the digests pin.
+// of its own on eight workers, the whole registry serially, and the whole
+// registry in reverse on eight workers — and the registry at Quick(), the
+// sizes the digests pin.
 
 // suiteRun is one recorded RunSuite call: its reports, in the order of the
 // experiments it was given, and what the relation cache held as each
@@ -50,11 +51,13 @@ var (
 		return out
 	})
 	// aloneRun runs each experiment in a RunSuite of its own, where no
-	// sibling builds a relation or simulates a point for it.
+	// sibling builds a relation or simulates a point for it. The experiment
+	// holds one of eight slots, so every parMap it calls finds seven free
+	// and runs its points concurrently.
 	aloneRun = sync.OnceValue(func() map[string]suiteRun {
 		out := map[string]suiteRun{}
 		for _, e := range Experiments() {
-			out[e.ID] = recordSuite([]Experiment{e}, tinyOptions(), 1)
+			out[e.ID] = recordSuite([]Experiment{e}, tinyOptions(), 8)
 		}
 		return out
 	})
