@@ -45,23 +45,25 @@ type Options struct {
 	run *runCtx
 }
 
-// runCtx is the per-experiment run context. Every method is safe on a nil
-// receiver, which is the reference path the suite must match byte-for-byte:
-// serial fan-out, every machine built from scratch, every data point
-// simulated by the experiment that plots it, nothing counted.
+// runCtx is the run context of one phase (see RunSuite), one Run call of an
+// experiment. Every method is safe on a nil receiver, which is the reference
+// path the suite must match byte-for-byte: serial fan-out, every machine
+// built from scratch, every data point simulated by the experiment that
+// plots it, nothing counted.
 type runCtx struct {
-	// Shared by every experiment of one RunSuite call: the worker-slot
+	// Shared by every phase of one RunSuite call: the worker-slot
 	// semaphore (nil = serial), the relation cache (imagecache.go) and the
 	// data-point cache (shared.go).
 	sem    chan struct{}
 	rels   *relCache
 	points *onceMap[pointKey, any]
 
-	// The experiment, and the relations it declares: it may read no other.
+	// The experiment, and the relations the phase declares: it may read no
+	// other.
 	exp   string
 	reads []genKey
 
-	// Per experiment: simulated events over every machine it built,
+	// Per phase: simulated events over every machine it built,
 	// machine-build wall time (nanoseconds), image-cache lookups, and the
 	// points it was handed instead of simulating.
 	events, setup, imgHits, imgMisses, sharedPts atomic.Int64

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -21,8 +22,9 @@ import (
 // the image immutable; Attach allocates file ids in Load's order, so the
 // tables stay byte-identical to the uncached path's. The Wisconsin relations
 // the images are loaded from are generated once per suite run as well, and
-// each lives, with its images, until the last experiment that declares it
-// returns.
+// each lives, with its images, until the last phase that declares it returns
+// (see RunSuite): Tables 1-3 run a phase per size, so one size's relations
+// are gone before the next size's are loaded.
 
 // imageKey identifies one distinct loaded relation on either machine.
 type imageKey struct {
@@ -43,10 +45,15 @@ type genKey struct {
 	seed uint64
 }
 
+// cmp orders relations by n, then seed.
+func (k genKey) cmp(l genKey) int {
+	return cmp.Or(cmp.Compare(k.n, l.n), cmp.Compare(k.seed, l.seed))
+}
+
 // relCache is a suite run's relations: the generated Wisconsin relations
 // and the relation images (*core.RelationImage or *teradata.RelationImage)
-// built from them. readers counts, per (n, seed), the experiments of the run
-// that declare it and have not returned; at zero the relation and every image
+// built from them. readers counts, per (n, seed), the phases of the run that
+// declare it and have not returned; at zero the relation and every image
 // built from it leave the cache. An entry still being built has a declarer
 // that has not returned, so it is never freed.
 type relCache struct {
@@ -113,8 +120,8 @@ func (c *runCtx) tuples(n int, seed uint64) []rel.Tuple {
 	return ts
 }
 
-// mustDeclare panics unless the experiment declares k: the suite may already
-// have freed an undeclared relation, or free it while the experiment reads.
+// mustDeclare panics unless the phase declares k: the suite may already have
+// freed an undeclared relation, or free it while the experiment reads.
 func (c *runCtx) mustDeclare(k genKey) {
 	if !slices.Contains(c.reads, k) {
 		panic(fmt.Sprintf("bench: experiment %s reads relation (n=%d, seed=%d), which it does not declare", c.exp, k.n, k.seed))

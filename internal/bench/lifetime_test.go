@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -80,8 +81,9 @@ func declares(keys ...genKey) func(Options) []genKey {
 }
 
 // TestRelationsDieWithTheirExperiment pins the relation cache's lifetime
-// rule: a relation lives until the last experiment of the run that declares
-// it returns. E1 reads k1 and k2, E2 reads k2. Once E1 has returned, k1 (its
+// rule: a relation lives until the last phase of the run that declares it
+// returns, here the last experiment, each being one phase. E1 reads k1 and
+// k2, E2 reads k2. Once E1 has returned, k1 (its
 // generated relation and both images) is unreachable while k2 is not; once
 // E2 has returned, k2 is unreachable too. Later probe experiments of the same
 // suite look, serially and on two workers.
@@ -130,6 +132,57 @@ func TestRelationsDieWithTheirExperiment(t *testing.T) {
 			}},
 		}
 		RunSuite(exps, tinyOptions(), workers)
+	}
+}
+
+// TestTableSizeFreedBeforeNext: a serial suite of Tables 1-3 at two sizes
+// runs each table once per size, and no relation of the first size — no
+// generated relation, no image built from one — is reachable when the first
+// phase of the second size starts.
+func TestTableSizeFreedBeforeNext(t *testing.T) {
+	o := tinyOptions()
+	first, second := o.Sizes[0], 2*o.Sizes[0]
+	o.Sizes = []int{first, second}
+	var weaks []func() (alive, total int)
+	firstSize := func() (alive, total int) {
+		for _, w := range weaks {
+			a, n := w()
+			alive, total = alive+a, total+n
+		}
+		return alive, total
+	}
+	calls, checked := 0, false
+	var exps []Experiment
+	for _, id := range []string{"table1", "table2", "table3"} {
+		e, _ := Lookup(id)
+		run := e.Run
+		e.Run = func(o Options) *Table {
+			calls++
+			if len(o.Sizes) != 1 {
+				t.Errorf("%s ran at sizes %v at once, want one size a call", id, o.Sizes)
+			} else if o.Sizes[0] == second && !checked {
+				checked = true
+				if _, total := firstSize(); total == 0 {
+					t.Errorf("%s at %d ran before any relation of size %d was built", id, second, first)
+				}
+				if !collectedWithin(firstSize) {
+					alive, total := firstSize()
+					t.Errorf("%s at %d started with %d of the %d relations of size %d reachable", id, second, alive, total, first)
+				}
+			}
+			tbl := run(o)
+			if slices.Equal(o.Sizes, []int{first}) {
+				for _, k := range e.reads(o) {
+					weaks = append(weaks, weakRelation(o.run.rels, k))
+				}
+			}
+			return tbl
+		}
+		exps = append(exps, e)
+	}
+	RunSuite(exps, o, 1)
+	if want := len(exps) * len(o.Sizes); calls != want || !checked {
+		t.Errorf("%d Run calls, second size reached %v; want %d calls, one per table and size", calls, checked, want)
 	}
 }
 

@@ -9,9 +9,13 @@ type Experiment struct {
 	Run   func(o Options) *Table
 
 	// reads lists the Wisconsin relations (n, seed) Run may read under o; nil
-	// reads none. A suite run keeps a relation only until the last
-	// experiment that declares it returns (see RunSuite).
+	// reads none. A suite run keeps a relation only until the last phase
+	// that declares it returns (see RunSuite).
 	reads func(o Options) []genKey
+	// bySize marks a Run that plots a column pair per size of o.Sizes, each
+	// from machines of its own (paperRows): a suite runs it once per size
+	// and joins the columns.
+	bySize bool
 }
 
 // The benchmark relations of size n, as every experiment but multiuser,
@@ -46,43 +50,45 @@ func tableReads(rels ...func(n int) genKey) func(o Options) []genKey {
 	}
 }
 
-// registry is every experiment the package can run. The last column declares
+// registry is every experiment the package can run. The reads column declares
 // the relations each reads. A speedup figure declares its sibling's relations:
-// under -parallel either of the two may simulate the sweep they share.
+// under -parallel either of the two may simulate the sweep they share. The
+// tables' rows are bySize.
 var registry = []struct {
 	id, title string
 	run       func(o Options) *Table
 	reads     func(o Options) []genKey
+	bySize    bool
 }{
-	{"table1", "Selection queries (Table 1)", runTable1, tableReads(relA)},
-	{"table2", "Join queries (Table 2)", runTable2, tableReads(relA, relBprime, relB, relC)},
-	{"table3", "Update queries (Table 3)", runTable3, tableReads(relA)},
+	{"table1", "Selection queries (Table 1)", runTable1, tableReads(relA), true},
+	{"table2", "Join queries (Table 2)", runTable2, tableReads(relA, relBprime, relB, relC), true},
+	{"table3", "Update queries (Table 3)", runTable3, tableReads(relA), true},
 
-	{"fig1", "Non-indexed selections vs processors (Figure 1)", fig1.table, figureReads(relA)},
-	{"fig2", "Speedup of non-indexed selections (Figure 2)", fig2.table, figureReads(relA)},
-	{"fig3", "Indexed selections vs processors (Figure 3)", fig3.table, figureReads(relA)},
-	{"fig4", "Speedup of indexed selections (Figure 4)", fig4.table, figureReads(relA)},
-	{"fig5", "Non-indexed selections vs disk page size (Figure 5)", fig5.table, figureReads(relA)},
-	{"fig6", "Speedup vs disk page size, non-indexed (Figure 6)", fig6.table, figureReads(relA)},
-	{"fig7", "Indexed selections vs disk page size (Figure 7)", fig7.table, figureReads(relA)},
-	{"fig8", "Speedup vs disk page size, indexed (Figure 8)", fig8.table, figureReads(relA)},
-	{"fig9", "joinABprime on key attributes vs processors (Figure 9)", fig9.table, figureReads(relA, relBprime)},
-	{"fig10", "joinABprime on non-key attributes vs processors (Figure 10)", fig10.table, figureReads(relA, relBprime)},
-	{"fig11", "Speedup of key-attribute joins (Figure 11)", fig11.table, figureReads(relA, relBprime)},
-	{"fig12", "Speedup of non-key-attribute joins (Figure 12)", fig12.table, figureReads(relA, relBprime)},
-	{"fig13", "Join overflow: response time vs memory (Figure 13)", runFig13, figureReads(relA, relBprime)},
-	{"fig14", "joinAselB vs disk page size (Figure 14)", fig14.table, figureReads(relA, relB)},
-	{"fig15", "Speedup of joinAselB vs disk page size (Figure 15)", fig15.table, figureReads(relA, relB)},
+	{"fig1", "Non-indexed selections vs processors (Figure 1)", fig1.table, figureReads(relA), false},
+	{"fig2", "Speedup of non-indexed selections (Figure 2)", fig2.table, figureReads(relA), false},
+	{"fig3", "Indexed selections vs processors (Figure 3)", fig3.table, figureReads(relA), false},
+	{"fig4", "Speedup of indexed selections (Figure 4)", fig4.table, figureReads(relA), false},
+	{"fig5", "Non-indexed selections vs disk page size (Figure 5)", fig5.table, figureReads(relA), false},
+	{"fig6", "Speedup vs disk page size, non-indexed (Figure 6)", fig6.table, figureReads(relA), false},
+	{"fig7", "Indexed selections vs disk page size (Figure 7)", fig7.table, figureReads(relA), false},
+	{"fig8", "Speedup vs disk page size, indexed (Figure 8)", fig8.table, figureReads(relA), false},
+	{"fig9", "joinABprime on key attributes vs processors (Figure 9)", fig9.table, figureReads(relA, relBprime), false},
+	{"fig10", "joinABprime on non-key attributes vs processors (Figure 10)", fig10.table, figureReads(relA, relBprime), false},
+	{"fig11", "Speedup of key-attribute joins (Figure 11)", fig11.table, figureReads(relA, relBprime), false},
+	{"fig12", "Speedup of non-key-attribute joins (Figure 12)", fig12.table, figureReads(relA, relBprime), false},
+	{"fig13", "Join overflow: response time vs memory (Figure 13)", runFig13, figureReads(relA, relBprime), false},
+	{"fig14", "joinAselB vs disk page size (Figure 14)", fig14.table, figureReads(relA, relB), false},
+	{"fig15", "Speedup of joinAselB vs disk page size (Figure 15)", fig15.table, figureReads(relA, relB), false},
 
-	{"aggregate", "Aggregate queries (deferred to [DEWI88] by the paper)", aggregates.table, figureReads(relA)},
-	{"hybrid", "Ablation: Simple vs Hybrid hash join under memory pressure (§8)", runHybrid, figureReads(relA, relBprime)},
-	{"bitvector", "Ablation: Babb bit-vector filters in split tables (§2)", runBitVector, figureReads(relA, relBprime)},
-	{"pagesize-default", "Ablation: 4 KB vs 8 KB default page size (§8)", runPageSizeDefault, figureReads(relA)},
-	{"placement", "Placement: Remote joins shield concurrent selections (§6.2.1's deferred validation)", runPlacement, figureReads(relA, relBprime)},
-	{"recovery", "Ablation: the §8 recovery server's cost on the Table 1/3 workload", runRecovery, figureReads(relA)},
-	{"multiuser", "Multiuser: closed-loop throughput vs multiprogramming level, shared scans on vs off", runMultiuser, muReads},
-	{"availability", "Availability under a seeded fault campaign: throughput dip, MTTR, self-healing", runAvailability, avReads},
-	{"scale100", "Speedup and scaleup at 64/128/256 processors (beyond the paper's 30)", runScale100, scaleReads},
+	{"aggregate", "Aggregate queries (deferred to [DEWI88] by the paper)", aggregates.table, figureReads(relA), false},
+	{"hybrid", "Ablation: Simple vs Hybrid hash join under memory pressure (§8)", runHybrid, figureReads(relA, relBprime), false},
+	{"bitvector", "Ablation: Babb bit-vector filters in split tables (§2)", runBitVector, figureReads(relA, relBprime), false},
+	{"pagesize-default", "Ablation: 4 KB vs 8 KB default page size (§8)", runPageSizeDefault, figureReads(relA), false},
+	{"placement", "Placement: Remote joins shield concurrent selections (§6.2.1's deferred validation)", runPlacement, figureReads(relA, relBprime), false},
+	{"recovery", "Ablation: the §8 recovery server's cost on the Table 1/3 workload", runRecovery, figureReads(relA), false},
+	{"multiuser", "Multiuser: closed-loop throughput vs multiprogramming level, shared scans on vs off", runMultiuser, muReads, false},
+	{"availability", "Availability under a seeded fault campaign: throughput dip, MTTR, self-healing", runAvailability, avReads, false},
+	{"scale100", "Speedup and scaleup at 64/128/256 processors (beyond the paper's 30)", runScale100, scaleReads, false},
 }
 
 // Experiments lists all registered experiments in a stable order.
@@ -93,7 +99,7 @@ func Experiments() []Experiment {
 			t := e.run(o)
 			t.ID = e.id
 			return t
-		}, reads: e.reads}
+		}, reads: e.reads, bySize: e.bySize}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out

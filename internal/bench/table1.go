@@ -104,6 +104,20 @@ func paperRows(o Options, t *Table, labels []string, paper map[string][3][2]floa
 	}
 }
 
+// joinSizes appends b's column pairs and, row by row, its cells to a's: the
+// paperRows table of a's sizes and then b's (see RunSuite). A nil table, a
+// phase that failed, makes the result nil.
+func joinSizes(a, b *Table) *Table {
+	if a == nil || b == nil {
+		return nil
+	}
+	a.Columns = append(a.Columns, b.Columns...)
+	for r := range a.Rows {
+		a.Rows[r].Cells = append(a.Rows[r].Cells, b.Rows[r].Cells...)
+	}
+	return a
+}
+
 // teraSelection is the Teradata form of a percent selection on unique2: a
 // file scan or a secondary-index scan of the heap or the indexed version.
 func teraSelection(indexed bool, percent float64, kind teradata.SelectKind) func(ts *teraSetup) teradata.Result {

@@ -94,7 +94,7 @@ type splitTable struct {
 	prm    *config.Params
 	stream streamID
 	ports  []*nose.Port
-	conns  []*nose.Conn
+	conns  []nose.Conn
 	bufs   []*packet // the packet filling for each destination, or nil
 	route  RouteFn
 	// tupleBytes is the logical on-wire width of this stream's tuples
@@ -141,10 +141,8 @@ func newSplitTable(node *nose.Node, prm *config.Params, stream streamID, ports [
 	st := &splitTable{node: node, prm: prm, stream: stream, ports: ports, route: route, tupleBytes: prm.TupleBytes}
 	st.stepFn = st.step
 	st.pp = st.perPacket()
-	for _, pt := range ports {
-		st.conns = append(st.conns, node.Dial(pt))
-		st.bufs = append(st.bufs, nil)
-	}
+	st.conns = node.DialAll(ports)
+	st.bufs = make([]*packet, len(ports))
 	return st
 }
 
@@ -258,7 +256,7 @@ func (st *splitTable) step() (sim.Time, bool) {
 			if pk := st.bufs[d]; pk != nil {
 				st.bufs[d] = nil
 				st.sent += len(pk.tuples)
-				st.sending = st.conns[d]
+				st.sending = &st.conns[d]
 				st.sending.Start(st.p, nose.Data, pk, len(pk.tuples)*st.tupleBytes)
 			}
 		case splitEOS:
@@ -266,7 +264,7 @@ func (st *splitTable) step() (sim.Time, bool) {
 				st.stage = splitIdle
 				continue
 			}
-			st.sending = st.conns[st.d]
+			st.sending = &st.conns[st.d]
 			st.d++
 			st.sending.Start(st.p, nose.EndOfStream, eosPayload{stream: st.stream}, eosBytes)
 		default:

@@ -369,7 +369,7 @@ type Conn struct {
 	from    *Node
 	to      *Port
 	credits int
-	waitq   *sim.WaitQ
+	waitq   sim.WaitQ // senders waiting for a window credit
 	// lastArr is the latest arrival scheduled on this connection. The
 	// window protocol delivers in order, so a later message never arrives
 	// before an earlier one — without this floor a small end-of-stream
@@ -382,7 +382,7 @@ type Conn struct {
 	kind         MsgKind
 	payload      any
 	bytes, stage int
-	step         func() (sim.Time, bool) // Step, bound once for Send
+	step         func() (sim.Time, bool) // Step, bound by the first Send
 }
 
 // The stages of a send.
@@ -460,13 +460,28 @@ func (f *flight) onAck() {
 
 // Dial opens a connection from nd to the port.
 func (nd *Node) Dial(to *Port) *Conn {
+	c := new(Conn)
+	nd.dial(c, to)
+	return c
+}
+
+// DialAll opens a connection from nd to each of ports, all in one
+// allocation: a split table's one per destination.
+func (nd *Node) DialAll(ports []*Port) []Conn {
+	cs := make([]Conn, len(ports))
+	for i, to := range ports {
+		nd.dial(&cs[i], to)
+	}
+	return cs
+}
+
+// dial opens c, a connection from nd to the port, in place.
+func (nd *Node) dial(c *Conn, to *Port) {
 	w := nd.net.cfg.Window
 	if w <= 0 {
 		w = 1
 	}
-	c := &Conn{from: nd, to: to, credits: w, waitq: nd.net.sim.NewWaitQ("win")}
-	c.step = c.Step
-	return c
+	*c = Conn{from: nd, to: to, credits: w, waitq: nd.net.sim.MakeWaitQ("win")}
 }
 
 // Local reports whether the connection short-circuits (same node).
@@ -482,6 +497,9 @@ func (c *Conn) Local() bool { return c.from == c.to.node }
 // consumes the message.
 func (c *Conn) Send(p *sim.Proc, kind MsgKind, payload any, bytes int) {
 	c.Start(p, kind, payload, bytes)
+	if c.step == nil {
+		c.step = c.Step
+	}
 	p.Steps(c.step)
 }
 

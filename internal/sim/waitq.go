@@ -17,7 +17,15 @@ type WaitQ struct {
 
 // NewWaitQ creates a named wait queue.
 func (s *Sim) NewWaitQ(name string) *WaitQ {
-	return &WaitQ{sim: s, name: name}
+	q := s.MakeWaitQ(name)
+	return &q
+}
+
+// MakeWaitQ returns a named wait queue by value, for a record that holds its
+// queue inline instead of allocating one. The queue must not be copied once
+// a process has parked on it.
+func (s *Sim) MakeWaitQ(name string) WaitQ {
+	return WaitQ{sim: s, name: name}
 }
 
 // enqueue appends p and records its slot for O(1) removal.
