@@ -22,7 +22,7 @@ type harnessReport struct {
 
 // retired are the ids the harness pins (benchmark/workloads.go:49–53, 64–65)
 // that no experiment answers to any more, with why. Lookup resolves them to a
-// one-row tombstone table; Experiments, and so -list and the digests, never
+// one-row tombstone table; Experiments, and so -list and the golden, never
 // show them (benchmark/child.go:180, benchmark/benchmark_test.go:243).
 var retired = map[string]string{
 	"kernelscale": "the partitioned kernel it measured is gone; every simulation runs on one event calendar",

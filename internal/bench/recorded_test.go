@@ -13,7 +13,7 @@ import (
 // tinyOptions four ways — with no run context, each experiment in a RunSuite
 // of its own on eight workers, the whole registry serially, and the whole
 // registry in reverse on eight workers — and the registry at Quick(), the
-// sizes the digests pin.
+// sizes the golden pins.
 
 // suiteRun is one recorded RunSuite call: its reports, in the order of the
 // experiments it was given, and what the relation cache held as each
