@@ -128,7 +128,7 @@ func TestExactMatchOnPartitioningAttrUsesOneSite(t *testing.T) {
 
 func TestZeroPercentSelection(t *testing.T) {
 	m, r := newTestMachine(t, 4, 0, 2000)
-	res := m.RunSelect(SelectQuery{Scan: ScanSpec{Rel: r, Pred: rel.False(), Path: PathHeap}})
+	res := m.RunSelect(SelectQuery{Scan: ScanSpec{Rel: r, Pred: rel.Pred{Attr: rel.Unique1, Lo: 1, Hi: 0}, Path: PathHeap}})
 	if res.Tuples != 0 {
 		t.Errorf("0%% selection returned %d tuples", res.Tuples)
 	}

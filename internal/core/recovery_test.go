@@ -21,7 +21,7 @@ func TestRecoveryShipsLogRecords(t *testing.T) {
 	if rec.Records < 200 {
 		t.Errorf("logged %d records, want >= 200 (one per stored tuple)", rec.Records)
 	}
-	if ds := rec.Server.Drive.Stats(); ds.Writes() == 0 {
+	if ds := rec.Server.Drive.Stats(); ds.SeqWrites+ds.RandWrites == 0 {
 		t.Error("recovery server drive never written")
 	}
 }

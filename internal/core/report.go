@@ -65,7 +65,3 @@ func (c Counters) Sub(was Counters) Counters {
 	d.Rebuilds -= was.Rebuilds
 	return d
 }
-
-// SharedPagesSaved is the number of physical page reads scan sharing
-// avoided.
-func (c Counters) SharedPagesSaved() int64 { return c.SharedDelivered - c.SharedScanned }

@@ -29,9 +29,6 @@ type Stats struct {
 // Reads returns total page reads.
 func (s Stats) Reads() int64 { return s.SeqReads + s.RandReads }
 
-// Writes returns total page writes.
-func (s Stats) Writes() int64 { return s.SeqWrites + s.RandWrites }
-
 // Drive is one simulated disk drive.
 type Drive struct {
 	sim  *sim.Sim

@@ -92,9 +92,6 @@ func NewNetwork(s *sim.Sim, cfg config.Net, cpu config.CPU) *Network {
 // Sim returns the simulation the network runs on.
 func (n *Network) Sim() *sim.Sim { return n.sim }
 
-// Config returns the network cost parameters.
-func (n *Network) Config() config.Net { return n.cfg }
-
 // Stats sums the per-node activity counters.
 func (n *Network) Stats() Stats {
 	var s Stats

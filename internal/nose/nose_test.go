@@ -61,7 +61,7 @@ func TestRemoteSendCrossesRingAndNICs(t *testing.T) {
 	s.Run()
 	// Sender CPU (protocol) + sender NIC (2 KB Unibus = 4096us) + ring +
 	// receiver NIC must all have elapsed.
-	cfg := n.Config()
+	cfg := n.cfg
 	minT := cfg.NICTime(2048)*2 + cfg.RingTime(2048)
 	if delivered < minT {
 		t.Errorf("delivered at %v, want >= %v", delivered, minT)
@@ -75,7 +75,7 @@ func TestWindowBackpressureStallsSender(t *testing.T) {
 	s, n := testNet(t, 2)
 	a, b := n.Nodes()[0], n.Nodes()[1]
 	port := b.NewPort("p")
-	window := n.Config().Window
+	window := n.cfg.Window
 
 	const total = 20
 	var lastSendDone sim.Time
@@ -151,8 +151,8 @@ func TestCtlMsgCostsSenderSevenMS(t *testing.T) {
 		sendDone = p.Now()
 	})
 	s.Run()
-	if sendDone != n.Config().CtlMsg {
-		t.Errorf("control send took %v, want %v", sendDone, n.Config().CtlMsg)
+	if sendDone != n.cfg.CtlMsg {
+		t.Errorf("control send took %v, want %v", sendDone, n.cfg.CtlMsg)
 	}
 	if st := n.Stats(); st.CtlMsgs != 1 {
 		t.Errorf("stats = %+v", st)
@@ -176,7 +176,7 @@ func TestCtlMsgSerializesAtScheduler(t *testing.T) {
 		done = p.Now()
 	})
 	s.Run()
-	if want := 8 * n.Config().CtlMsg; done != want {
+	if want := 8 * n.cfg.CtlMsg; done != want {
 		t.Errorf("scheduling 8 nodes took %v, want %v", done, want)
 	}
 }
@@ -313,7 +313,7 @@ func TestRemoteSendOverPacketPanics(t *testing.T) {
 	s, n := testNet(t, 2)
 	port := n.Nodes()[1].NewPort("p")
 	s.Spawn("send", func(p *sim.Proc) {
-		n.Nodes()[0].Dial(port).Send(p, Data, nil, n.Config().PacketBytes+1)
+		n.Nodes()[0].Dial(port).Send(p, Data, nil, n.cfg.PacketBytes+1)
 	})
 	defer func() {
 		if r := recover(); !strings.Contains(fmt.Sprint(r), "2049-byte message exceeds the 2048-byte packet") {

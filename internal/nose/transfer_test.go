@@ -16,7 +16,7 @@ func TestTransferBulkChargesBothNICs(t *testing.T) {
 		elapsed = p.Now() - start
 	})
 	s.Run()
-	cfg := n.Config()
+	cfg := n.cfg
 	want := 2*cfg.NICTime(4096) + cfg.RingTime(4096)
 	if elapsed != want {
 		t.Errorf("bulk transfer took %v, want %v", elapsed, want)
@@ -89,7 +89,7 @@ func TestSharedNICSerializesTwoSenders(t *testing.T) {
 		port.Recv(p)
 	})
 	s.Run()
-	nicTime := n.Config().NICTime(2048)
+	nicTime := n.cfg.NICTime(2048)
 	later := done[0]
 	if done[1] > later {
 		later = done[1]

@@ -78,9 +78,6 @@ type Pred struct {
 // True is a predicate every tuple satisfies.
 func True() Pred { return Pred{Attr: Unique1, Lo: -1 << 31, Hi: 1<<31 - 1} }
 
-// False is a predicate no tuple satisfies.
-func False() Pred { return Pred{Attr: Unique1, Lo: 1, Hi: 0} }
-
 // Eq matches tuples whose attribute a equals v.
 func Eq(a Attr, v int32) Pred { return Pred{Attr: a, Lo: v, Hi: v} }
 

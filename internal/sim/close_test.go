@@ -46,8 +46,8 @@ func TestCloseUnwindsEveryParkedState(t *testing.T) {
 	s.Spawn("timed-waiter", body(func(p *Proc) { q.ParkTimeout(p, 1000) }))
 	s.Spawn("holder", body(func(p *Proc) { r.Use(p, 1000) }))
 	s.Spawn("queued", body(func(p *Proc) { r.Use(p, 10) }))
-	s.SpawnAt(500, "unstarted", body(func(p *Proc) {}))
 	s.RunUntil(100)
+	s.Spawn("unstarted", body(func(p *Proc) {}))
 	if n := len(s.live); n != 6 {
 		t.Fatalf("%d live processes before Close, want 6", n)
 	}

@@ -117,7 +117,9 @@ func asyncModel(s *Sim, nodes int, seed int64, async func(*Resource, Dur) Time) 
 					case 3:
 						done := charge(disks[i], d)
 						cpus[i].Use(p, 1)
-						p.WaitUntil(done)
+						if done > p.Now() {
+							p.Sleep(done - p.Now())
+						}
 					case 4:
 						j := (i + 1 + rng.Intn(nodes-1)) % nodes
 						s.At(p.Now()+10+d, func() {

@@ -45,8 +45,8 @@ func TestKillBeforeFirstResume(t *testing.T) {
 	if ran {
 		t.Error("killed process body ran")
 	}
-	if !p.Killed() {
-		t.Error("Killed() false after Kill")
+	if !p.killed {
+		t.Error("not marked killed after Kill")
 	}
 	checkSettled(t, s, baseline)
 }

@@ -116,7 +116,7 @@ func (s *Sim) After(d Dur, fn func()) { s.At(s.now+d, fn) }
 type Proc struct {
 	sim  *Sim
 	name string
-	// The coroutine (see spawnOn): next runs the process until it parks or
+	// The coroutine (see Spawn): next runs the process until it parks or
 	// exits, yield parks it, stop makes a parked yield return false.
 	next    func() (struct{}, bool)
 	stop    func()
@@ -178,9 +178,6 @@ func (p *Proc) Kill() {
 	}
 }
 
-// Killed reports whether Kill has been called on the process.
-func (p *Proc) Killed() bool { return p.killed }
-
 // wake schedules the process to resume at time t. It must be called exactly
 // once per park, from kernel context. The event carries p's fire method,
 // bound at spawn, so a park/wake cycle allocates no closure.
@@ -210,15 +207,6 @@ func (p *Proc) fireWake() {
 func (p *Proc) Sleep(d Dur) {
 	p.wake(p.sim.now + d)
 	p.park()
-}
-
-// WaitUntil blocks the process until absolute time t (no-op if t has passed).
-// It is the synchronization half of Resource.UseAsync: issue work early,
-// then wait for its completion time when the result is needed.
-func (p *Proc) WaitUntil(t Time) {
-	if now := p.sim.now; t > now {
-		p.Sleep(t - now)
-	}
 }
 
 // Steps runs an itinerary — a chain of timed stages such as Resource.Reserve
@@ -256,21 +244,12 @@ func (p *Proc) Steps(step func() (at Time, more bool)) {
 	p.park()
 }
 
-// Spawn starts fn as a new process at the current simulated time.
+// Spawn starts fn as a new process at the current simulated time. The
+// coroutine starts lazily: the start event's resume is an ordinary wake. A
+// panic in fn becomes the simulation's failure, which the event loop
+// rethrows; so does a runtime.Goexit, which iter.Pull also repeats in the
+// resuming goroutine.
 func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
-	return s.spawnOn(s.now, name, fn)
-}
-
-// SpawnAt starts fn as a new process at absolute simulated time t.
-func (s *Sim) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
-	return s.spawnOn(t, name, fn)
-}
-
-// spawnOn starts fn as a process first resumed at time t. The coroutine
-// starts lazily: the start event's resume is an ordinary wake. A panic in fn
-// becomes the simulation's failure, which the event loop rethrows; so does a
-// runtime.Goexit, which iter.Pull also repeats in the resuming goroutine.
-func (s *Sim) spawnOn(t Time, name string, fn func(p *Proc)) *Proc {
 	p := &Proc{sim: s, name: name, liveIdx: len(s.live)}
 	p.fire = p.fireWake
 	s.live = append(s.live, p)
@@ -293,7 +272,7 @@ func (s *Sim) spawnOn(t Time, name string, fn func(p *Proc)) *Proc {
 		returned = true
 	})
 	s.parked++
-	p.wake(t)
+	p.wake(s.now)
 	return p
 }
 

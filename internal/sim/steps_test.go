@@ -35,7 +35,7 @@ type stepOp struct {
 // each running legs of random ops with a WaitQ hand-off between legs. Every
 // process is generated from its own seed before anything runs, so the parked
 // and the Steps form of a leg consume identical programs. parked selects the
-// blocking primitives (Use, Sleep, WaitUntil); otherwise each leg is one Steps
+// blocking primitives (Use, Sleep); otherwise each leg is one Steps
 // call whose step runs the same ops with Reserve and WaitQ.ParkStep. Every op
 // ticks the trace after it completes.
 //
@@ -93,7 +93,9 @@ func stepsModel(s *Sim, nodes int, seed int64, parked bool) {
 							case opSleep:
 								p.Sleep(o.d)
 							case opWait:
-								p.WaitUntil(asyncDone)
+								if asyncDone > p.Now() {
+									p.Sleep(asyncDone - p.Now())
+								}
 							case opGate:
 								bell(o)
 								gates[i].Park(p)
@@ -204,7 +206,7 @@ func firedKeys(s *Sim) []eventKey {
 // TestStepsPreservesEventKeys is the proof that an itinerary is its blocking
 // twin with the hand-offs taken out: random programs of contending processes
 // fire the identical key sequence whether each stage parks its process
-// (Use, Sleep, WaitUntil, WaitQ.Park) or the whole leg is one Steps call
+// (Use, Sleep, WaitQ.Park) or the whole leg is one Steps call
 // (Reserve, WaitQ.ParkStep), and in key order; the two forms trace
 // byte-identically, retire and fire as many events and end at the same
 // instant. Only the resumes differ: the Steps form never has more.

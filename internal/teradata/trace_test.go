@@ -216,7 +216,7 @@ func TestTraceSpansWellFormed(t *testing.T) {
 // writes totals the drive writes of a query's counters.
 func writes(res Result) (n int64) {
 	for _, nd := range res.Counters.Nodes {
-		n += nd.Access.Writes()
+		n += nd.Access.SeqWrites + nd.Access.RandWrites
 	}
 	return n
 }

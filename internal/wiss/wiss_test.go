@@ -99,8 +99,8 @@ func TestAppenderRoundTrip(t *testing.T) {
 	}
 	// Appender must have written every full page plus the final partial.
 	ds := st.Node().Drive.Stats()
-	if ds.Writes() != int64(f.Pages()) {
-		t.Errorf("writes = %d, want %d", ds.Writes(), f.Pages())
+	if w := ds.SeqWrites + ds.RandWrites; w != int64(f.Pages()) {
+		t.Errorf("writes = %d, want %d", w, f.Pages())
 	}
 }
 
