@@ -209,9 +209,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			case r.SharedPoints > 0:
 				work += fmt.Sprintf(", %d data points shared", r.SharedPoints)
 			}
-			fmt.Fprintf(stderr, "   [%s regenerated in %.1fs wall time (%.1fs setup + %.1fs query), %s, relations %d attached / %d built]\n\n",
+			fmt.Fprintf(stderr, "   [%s regenerated in %.1fs wall time (%.1fs setup + %.1fs query), %s, relations %d attached / %d built / %d generated]\n\n",
 				r.ID, r.Wall.Seconds(), r.Setup.Seconds(), r.QueryWall().Seconds(),
-				work, r.ImageHits+r.ImageMisses, r.ImageMisses)
+				work, r.ImageHits+r.ImageMisses, r.ImageMisses, r.Generated)
 		}
 		fmt.Fprintf(stderr, "   [relation-image cache: %d relations attached, %d built; %d data points shared between experiments]\n", hits+misses, misses, sharedPts)
 	}

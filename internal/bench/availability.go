@@ -64,8 +64,8 @@ func avWindowQPS(completions []sim.Time, from sim.Time, w sim.Dur) float64 {
 }
 
 // avReads declares the two mirrored relations every cluster size holds.
-func avReads(o Options) []genKey {
-	return []genKey{{o.FigureTuples, 11}, {o.FigureTuples, 12}}
+func avReads(o Options) []read {
+	return loads(genKey{o.FigureTuples, 11}, genKey{o.FigureTuples, 12})
 }
 
 // avRun plays one campaign against one cluster size.

@@ -59,14 +59,17 @@ type runCtx struct {
 	points *onceMap[pointKey, any]
 
 	// The experiment, and the relations the phase declares: it may read no
-	// other.
+	// other. built gives the phase's loads back once it has built its
+	// machines (see RunSuite).
 	exp   string
-	reads []genKey
+	reads []read
+	built func()
 
 	// Per phase: simulated events over every machine it built,
-	// machine-build wall time (nanoseconds), image-cache lookups, and the
-	// points it was handed instead of simulating.
-	events, setup, imgHits, imgMisses, sharedPts atomic.Int64
+	// machine-build wall time (nanoseconds), image-cache lookups, Wisconsin
+	// relations generated, and the points it was handed instead of
+	// simulating.
+	events, setup, imgHits, imgMisses, generated, sharedPts atomic.Int64
 }
 
 // slots returns the worker-slot semaphore, nil when the run is serial.
@@ -203,15 +206,6 @@ func heapRel(name string, n int, seed uint64) relSpec {
 	return relSpec{name: name, n: n, seed: seed, strategy: core.Hashed, partAttr: rel.Unique1}
 }
 
-// gammaRels is the standard benchmark database: the n-tuple relation in both
-// physical versions (heap and fully indexed).
-func gammaRels(n int, seed uint64) []relSpec {
-	return []relSpec{
-		{name: "Aheap", n: n, seed: seed, strategy: core.Hashed, partAttr: rel.Unique1},
-		{name: "Aidx", n: n, seed: seed, strategy: core.Hashed, partAttr: rel.Unique1, indexed: true},
-	}
-}
-
 // loadSpecRel applies one relSpec to a machine, loading the relation from
 // the suite's relation cache (generated afresh without a run context).
 func loadSpecRel(c *runCtx, m *core.Machine, rs relSpec) *core.Relation {
@@ -274,16 +268,13 @@ type gammaSetup struct {
 }
 
 // newGamma builds a Gamma machine with nDisk+nDiskless processors holding
-// an n-tuple relation in both physical versions, plus any extra relations.
+// the standard benchmark database — the n-tuple relation in both physical
+// versions, heap and fully indexed — plus any extra relations.
 func newGamma(o Options, nDisk, nDiskless, n int, seed uint64, extras ...relSpec) *gammaSetup {
-	m := o.gammaMachine(nDisk, nDiskless, false, append(gammaRels(n, seed), extras...))
-	return setupFrom(m)
-}
-
-func setupFrom(m *core.Machine) *gammaSetup {
-	g := &gammaSetup{m: m}
-	g.heap = g.rel("Aheap")
-	g.idx = g.rel("Aidx")
+	heap, idx := heapRel("Aheap", n, seed), heapRel("Aidx", n, seed)
+	idx.indexed = true
+	g := &gammaSetup{m: o.gammaMachine(nDisk, nDiskless, false, append([]relSpec{heap, idx}, extras...))}
+	g.heap, g.idx = g.rel("Aheap"), g.rel("Aidx")
 	return g
 }
 

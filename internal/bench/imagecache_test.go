@@ -124,7 +124,7 @@ func TestSuiteReportsCacheHits(t *testing.T) {
 // image's frozen pages — answers queries identically (run under -race).
 func TestImageCacheSingleflight(t *testing.T) {
 	o := tinyOptions()
-	o.run = &runCtx{rels: newRelCache(), reads: []genKey{{500, 1}}}
+	o.run = &runCtx{rels: newRelCache(), reads: loads(genKey{500, 1})}
 	var wg sync.WaitGroup
 	secs := make([]float64, 16)
 	for i := range secs {
@@ -140,8 +140,8 @@ func TestImageCacheSingleflight(t *testing.T) {
 	if h, m := o.run.imgHits.Load(), o.run.imgMisses.Load(); m != 1 || h != 15 {
 		t.Errorf("%d misses and %d hits, want exactly 1 build and 15 attaches of it", m, h)
 	}
-	if o.run.rels.images.len() != 1 {
-		t.Errorf("cache holds %d entries, want 1", o.run.rels.images.len())
+	if len(heldKeys(o.run.rels.images)) != 1 {
+		t.Errorf("cache holds %d entries, want 1", len(heldKeys(o.run.rels.images)))
 	}
 	for i, s := range secs {
 		if s != secs[0] {
@@ -155,8 +155,9 @@ func TestImageCacheSingleflight(t *testing.T) {
 // included; another cache (another suite run) generates its own, and without a
 // run context every call generates afresh.
 func TestTuplesGeneratedOncePerCache(t *testing.T) {
-	reads := []genKey{{500, 1}}
+	reads := loads(genKey{500, 1})
 	c := &runCtx{rels: newRelCache(), reads: reads}
+	c.rels.declare(reads)
 	got := make([][]rel.Tuple, 16)
 	var wg sync.WaitGroup
 	for i := range got {
@@ -172,10 +173,11 @@ func TestTuplesGeneratedOncePerCache(t *testing.T) {
 			t.Fatalf("request %d got a second generation of (500, 1)", i)
 		}
 	}
-	if n := c.rels.tuples.len(); n != 1 {
+	if n := len(heldKeys(c.rels.tuples)); n != 1 {
 		t.Errorf("cache holds %d generated relations, want 1", n)
 	}
 	other := &runCtx{rels: newRelCache(), reads: reads}
+	other.rels.declare(reads)
 	if &other.tuples(500, 1)[0] == &got[0][0] {
 		t.Error("two caches hand out one generated relation")
 	}
@@ -192,18 +194,28 @@ func heldKeys[K comparable, V any](m *onceMap[K, V]) []K {
 	return slices.Collect(maps.Keys(m.entries))
 }
 
-// cacheRecorder wraps experiments so that, as each returns, it records what
-// the suite's relation cache holds. Every relation an experiment read is still
-// there at that moment: the suite frees it only after the experiment returns.
+// cacheRecorder wraps experiments so that, as each returns, it records the
+// images the suite's relation cache holds. Every image an experiment read is
+// still there at that moment: the suite frees it only after the experiment
+// returns.
 type cacheRecorder struct {
 	mu     sync.Mutex
 	cache  *relCache
 	images map[imageKey]bool
-	tuples map[genKey]bool
 }
 
 func newCacheRecorder() *cacheRecorder {
-	return &cacheRecorder{images: map[imageKey]bool{}, tuples: map[genKey]bool{}}
+	return &cacheRecorder{images: map[imageKey]bool{}}
+}
+
+// relations returns the generated relations the recorded images were built
+// from.
+func (r *cacheRecorder) relations() map[genKey]bool {
+	out := map[genKey]bool{}
+	for k := range r.images {
+		out[k.version().genKey] = true
+	}
+	return out
 }
 
 func (r *cacheRecorder) wrap(exps []Experiment) []Experiment {
@@ -217,9 +229,6 @@ func (r *cacheRecorder) wrap(exps []Experiment) []Experiment {
 			for _, k := range heldKeys(o.run.rels.images) {
 				r.images[k] = true
 			}
-			for _, k := range heldKeys(o.run.rels.tuples) {
-				r.tuples[k] = true
-			}
 			return tbl
 		}
 	}
@@ -227,24 +236,26 @@ func (r *cacheRecorder) wrap(exps []Experiment) []Experiment {
 }
 
 // left reports what the suite's relation cache still holds.
-func (r *cacheRecorder) left() (readers, tuples, images int) {
+func (r *cacheRecorder) left() (claims, tuples, images int) {
 	c := r.cache
 	c.mu.Lock()
-	readers = len(c.readers)
+	claims = len(c.loads) + len(c.claims)
 	c.mu.Unlock()
-	return readers, c.tuples.len(), c.images.len()
+	return claims, len(heldKeys(c.tuples)), len(heldKeys(c.images))
 }
 
-// TestEveryRelationBuiltOnce: the suite loads a relation once however many
-// machines hold it, and frees it when its last reader returns. Over the whole
-// registry, where at tinyOptions the figure and table relations coincide,
-// every build is of a distinct relation — serially, and in reverse on eight
-// workers — and the cache is empty when RunSuite returns. Tables 1-3 at one
-// size need five Gamma relations (Aheap and Aidx for all three tables, Table
-// 2's Bprime, B and C) and four Teradata hash files (A under both names,
-// Bprime, B, C); at Quick(), which runs them on two workers beside the
-// figures and at sizes no other experiment reads, they build that many per
-// size.
+// TestEveryRelationBuiltOnce: the suite generates a Wisconsin relation once
+// and loads each version of it once, however many machines hold it, and frees
+// them when no phase may read them any more. Over the whole registry, where at
+// tinyOptions the figure and table relations coincide, every build is of a
+// distinct relation and every generation of a distinct Wisconsin relation —
+// serially, and in reverse on eight workers — and the cache is empty when
+// RunSuite returns. Tables 1-3 at one size need five Gamma relations (Aheap
+// for all three tables, Aidx for table1 and table3, Table 2's Bprime, B and
+// C) and four Teradata hash files (A under both names, Bprime, B, C),
+// generated from four Wisconsin relations; at Quick(), which runs them on two
+// workers beside the figures and at sizes no other experiment reads, they
+// build and generate that many per size.
 func TestEveryRelationBuiltOnce(t *testing.T) {
 	for _, run := range []struct {
 		name string
@@ -252,12 +263,16 @@ func TestEveryRelationBuiltOnce(t *testing.T) {
 	}{{"serial", serialRun}, {"reversed on 8 workers", parallelRun}} {
 		t.Run(run.name, func(t *testing.T) {
 			rec := run.run().rec
-			var misses int64
+			var misses, generated int64
 			for _, r := range run.run().reports {
 				misses += r.ImageMisses
+				generated += r.Generated
 			}
 			if misses != int64(len(rec.images)) {
 				t.Errorf("%d builds for %d distinct relations", misses, len(rec.images))
+			}
+			if rels := rec.relations(); generated != int64(len(rels)) {
+				t.Errorf("%d generations for %d distinct Wisconsin relations", generated, len(rels))
 			}
 			for k := range rec.images {
 				// Two keys that differ only in what cannot shape storage
@@ -266,9 +281,9 @@ func TestEveryRelationBuiltOnce(t *testing.T) {
 					t.Errorf("image key %+v carries a relation name", k.rel)
 				}
 			}
-			if readers, tuples, images := rec.left(); readers+tuples+images != 0 {
-				t.Errorf("after RunSuite the cache holds %d readers, %d generated relations and %d images, want none",
-					readers, tuples, images)
+			if claims, tuples, images := rec.left(); claims+tuples+images != 0 {
+				t.Errorf("after RunSuite the cache holds %d claims, %d generated relations and %d images, want none",
+					claims, tuples, images)
 			}
 		})
 	}
@@ -276,17 +291,18 @@ func TestEveryRelationBuiltOnce(t *testing.T) {
 		q := quick(t)
 		tables := map[string]bool{"table1": true, "table2": true, "table3": true}
 		reads := map[genKey]bool{}
-		var misses, lookups int64
+		var misses, lookups, generated int64
 		for _, r := range q.reports {
 			if !tables[r.ID] {
 				continue
 			}
 			e, _ := Lookup(r.ID)
 			for _, k := range e.reads(Quick()) {
-				reads[k] = true
+				reads[k.genKey] = true
 			}
 			misses += r.ImageMisses
 			lookups += r.ImageHits + r.ImageMisses
+			generated += r.Generated
 		}
 		// The images are told apart from the figures' by their key alone.
 		for _, e := range Experiments() {
@@ -294,7 +310,7 @@ func TestEveryRelationBuiltOnce(t *testing.T) {
 				continue
 			}
 			for _, k := range e.reads(Quick()) {
-				if reads[k] {
+				if reads[k.genKey] {
 					t.Fatalf("%s also reads %+v at Quick(), which the tables read: its images would count as theirs", e.ID, k)
 				}
 			}
@@ -314,9 +330,12 @@ func TestEveryRelationBuiltOnce(t *testing.T) {
 			t.Errorf("built %d Gamma and %d Teradata relation images (%d misses) at %d sizes, want 5 and 4 per size",
 				gamma, tera, misses, sizes)
 		}
-		// 2+5+2 Gamma relations attached per size, and 2+5+2 Teradata ones.
-		if lookups != int64(18*sizes) {
-			t.Errorf("%d relations attached at %d sizes, want 18 per size", lookups, sizes)
+		if generated != int64(4*sizes) {
+			t.Errorf("generated %d Wisconsin relations at %d sizes, want 4 per size", generated, sizes)
+		}
+		// 2+4+2 Gamma relations attached per size, and 2+5+2 Teradata ones.
+		if lookups != int64(17*sizes) {
+			t.Errorf("%d relations attached at %d sizes, want 17 per size", lookups, sizes)
 		}
 	})
 }

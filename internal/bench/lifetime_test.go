@@ -5,11 +5,13 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 	"weak"
 
 	"gamma/internal/core"
+	"gamma/internal/rel"
 	"gamma/internal/teradata"
 )
 
@@ -23,10 +25,17 @@ func reachable[T any](p *T) func() bool {
 // and to every image c holds built from it, and returns how many of them are
 // still reachable.
 func weakRelation(c *relCache, k genKey) func() (alive, total int) {
+	return weakCached(c, func(g genKey) bool { return g == k }, func(ik imageKey) bool { return ik.version().genKey == k })
+}
+
+// weakCached takes a weak pointer to every generated relation and every image
+// c holds whose key matches, and returns how many of them are still
+// reachable.
+func weakCached(c *relCache, rows func(genKey) bool, images func(imageKey) bool) func() (alive, total int) {
 	var live []func() bool
 	c.images.mu.Lock()
 	for ik, e := range c.images.entries {
-		if ik.rel.n != k.n || ik.rel.seed != k.seed {
+		if !images(ik) {
 			continue
 		}
 		switch img := e.val.(type) {
@@ -38,8 +47,10 @@ func weakRelation(c *relCache, k genKey) func() (alive, total int) {
 	}
 	c.images.mu.Unlock()
 	c.tuples.mu.Lock()
-	if e, ok := c.tuples.entries[k]; ok && len(e.val) > 0 {
-		live = append(live, reachable(&e.val[0]))
+	for k, e := range c.tuples.entries {
+		if rows(k) && len(e.val) > 0 {
+			live = append(live, reachable(&e.val[0]))
+		}
 	}
 	c.tuples.mu.Unlock()
 	return func() (alive, total int) {
@@ -75,9 +86,9 @@ func useRelations(o Options, seed uint64) {
 	teraSelection(false, 10, teradata.FileScan)(newTera(o, 500, seed))
 }
 
-// declares returns a reads column declaring keys.
-func declares(keys ...genKey) func(Options) []genKey {
-	return func(Options) []genKey { return keys }
+// declares returns a reads column declaring keys as loads.
+func declares(keys ...genKey) func(Options) []read {
+	return func(Options) []read { return loads(keys...) }
 }
 
 // TestRelationsDieWithTheirExperiment pins the relation cache's lifetime
@@ -172,8 +183,8 @@ func TestTableSizeFreedBeforeNext(t *testing.T) {
 			}
 			tbl := run(o)
 			if slices.Equal(o.Sizes, []int{first}) {
-				for _, k := range e.reads(o) {
-					weaks = append(weaks, weakRelation(o.run.rels, k))
+				for _, r := range e.reads(o) {
+					weaks = append(weaks, weakRelation(o.run.rels, r.genKey))
 				}
 			}
 			return tbl
@@ -186,30 +197,121 @@ func TestTableSizeFreedBeforeNext(t *testing.T) {
 	}
 }
 
+// TestTable2HoldsWhatItReads: in a serial suite of Tables 1-3 at two sizes,
+// when table2's first query runs at a size, nothing it does not read is
+// reachable — not A's rows, from which table1 built every image of A, not
+// Gamma's indexed A, which table3 was the last to read, and not table2's own
+// rows, from which it has built its machines — while A's heap on either
+// machine, which its joins read, is.
+func TestTable2HoldsWhatItReads(t *testing.T) {
+	o := tinyOptions()
+	o.Sizes = []int{o.Sizes[0], 2 * o.Sizes[0]}
+	type weak = func() (alive, total int)
+	var dead, live map[string]weak // of the size in progress
+	checked := 0
+	var exps []Experiment
+	for _, id := range []string{"table1", "table2", "table3"} {
+		e, _ := Lookup(id)
+		run := e.Run
+		e.Run = func(o Options) *Table {
+			n, c := o.Sizes[0], o.run.rels
+			a := relA(n)
+			built := o.run.built
+			switch id {
+			case "table1":
+				o.run.built = sync.OnceFunc(func() {
+					dead = map[string]weak{
+						"A's rows": weakCached(c, func(k genKey) bool { return k == a }, func(imageKey) bool { return false }),
+						"Gamma's indexed A": weakCached(c, func(genKey) bool { return false }, func(k imageKey) bool {
+							return k.version() == version{a, true}
+						}),
+					}
+					live = map[string]weak{
+						"Gamma's A heap": weakCached(c, func(genKey) bool { return false }, func(k imageKey) bool {
+							return !k.tera && k.version() == version{genKey: a}
+						}),
+						"Teradata's A": weakCached(c, func(genKey) bool { return false }, func(k imageKey) bool {
+							return k.tera && k.version().genKey == a
+						}),
+					}
+					built()
+				})
+			case "table2":
+				o.run.built = sync.OnceFunc(func() {
+					dead["table2's rows"] = weakCached(c, func(k genKey) bool {
+						return k == relBprime(n) || k == relB(n) || k == relC(n)
+					}, func(imageKey) bool { return false })
+					built()
+					checked++
+					if ev := o.run.events.Load(); ev != 0 {
+						t.Errorf("size %d: table2 gave its loads back after %d simulated events, want before its first query", n, ev)
+					}
+					for what, w := range dead {
+						if _, total := w(); total == 0 {
+							t.Errorf("size %d: %s never cached", n, what)
+						}
+						if !collectedWithin(w) {
+							t.Errorf("size %d: %s reachable when table2's first query runs", n, what)
+						}
+					}
+					runtime.GC()
+					for what, w := range live {
+						if alive, total := w(); total != 1 || alive != 1 {
+							t.Errorf("size %d: %d of %d images of %s reachable when table2's first query runs, want 1 of 1", n, alive, total, what)
+						}
+					}
+				})
+			}
+			return run(o)
+		}
+		exps = append(exps, e)
+	}
+	RunSuite(exps, o, 1)
+	if checked != len(o.Sizes) {
+		t.Errorf("table2 reached its first query at %d sizes, want %d", checked, len(o.Sizes))
+	}
+}
+
 // TestUndeclaredReadFails: an experiment that reads a relation it does not
-// declare, through a machine's image or the generated relation itself, fails
-// and names itself and the relation.
+// declare — through a machine's image, the generated relation itself, or a
+// version of a relation of which it declares another — fails and names itself
+// and the relation. An attach-only miss is not such a read: the experiment
+// reads what it declares, from rows generated for it and not kept.
 func TestUndeclaredReadFails(t *testing.T) {
-	for name, read := range map[string]func(o Options){
-		"image":  func(o Options) { useRelations(o, 3) },
-		"tuples": func(o Options) { o.run.tuples(500, 3) },
+	indexed := func(o Options) {
+		rs := relSpec{name: "R", n: 500, seed: 2, strategy: core.Hashed, partAttr: rel.Unique1, indexed: true}
+		o.gammaMachine(2, 0, false, []relSpec{rs})
+	}
+	for name, tc := range map[string]struct {
+		read func(o Options)
+		want string // "" when the read must succeed
+	}{
+		"image":            {func(o Options) { useRelations(o, 3) }, "reads relation (n=500, seed=3, indexed=false)"},
+		"tuples":           {func(o Options) { o.run.tuples(500, 3) }, "reads relation (n=500, seed=3, indexed=false)"},
+		"indexed version":  {indexed, "reads relation (n=500, seed=2, indexed=true)"},
+		"attach-only miss": {func(o Options) { useRelations(o, 2) }, ""},
 	} {
-		exp := Experiment{ID: "sneaky-" + name, reads: declares(genKey{500, 2}), Run: func(o Options) *Table {
-			read(o)
+		exp := Experiment{ID: "sneaky-" + name, Run: func(o Options) *Table {
+			tc.read(o)
+			if n := len(heldKeys(o.run.rels.tuples)); n != 0 {
+				t.Errorf("%s: the cache kept %d generated relations that no load declares", name, n)
+			}
 			return &Table{}
 		}}
+		exp.reads = func(Options) []read { return []read{{version: version{genKey: genKey{500, 2}}, attach: true}} }
 		func() {
 			defer func() {
 				r := recover()
-				if r == nil {
-					t.Errorf("%s: an undeclared read did not fail", exp.ID)
-					return
-				}
-				if msg := fmt.Sprint(r); !strings.Contains(msg, exp.ID) || !strings.Contains(msg, "(n=500, seed=3)") {
-					t.Errorf("%s: undeclared read failed with %q, want the experiment and (n=500, seed=3) named", exp.ID, msg)
+				if msg := fmt.Sprint(r); tc.want == "" && r != nil {
+					t.Errorf("%s: failed with %q", exp.ID, msg)
+				} else if tc.want != "" && (r == nil || !strings.Contains(msg, exp.ID) || !strings.Contains(msg, tc.want)) {
+					t.Errorf("%s: undeclared read failed with %v, want the experiment and %q named", exp.ID, r, tc.want)
 				}
 			}()
-			RunSuite([]Experiment{exp}, tinyOptions(), 1)
+			rep := RunSuite([]Experiment{exp}, tinyOptions(), 1)
+			if tc.want == "" && rep[0].Generated != 2 {
+				t.Errorf("%s: generated %d relations, want one for each machine's miss", exp.ID, rep[0].Generated)
+			}
 		}()
 	}
 }

@@ -35,13 +35,13 @@ type muRow struct {
 }
 
 // muReads declares the muRels relations and the join rows' MuBprime.
-func muReads(o Options) []genKey {
+func muReads(o Options) []read {
 	tuples := 2 * o.FigureTuples
 	out := []genKey{{tuples / 10, 7}}
 	for i := range muRels {
 		out = append(out, genKey{tuples, uint64(11 + i)})
 	}
-	return out
+	return loads(out...)
 }
 
 // muRun executes one closed-loop run and returns its workload result.

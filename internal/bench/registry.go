@@ -8,10 +8,10 @@ type Experiment struct {
 	Title string
 	Run   func(o Options) *Table
 
-	// reads lists the Wisconsin relations (n, seed) Run may read under o; nil
-	// reads none. A suite run keeps a relation only until the last phase
-	// that declares it returns (see RunSuite).
-	reads func(o Options) []genKey
+	// reads lists the relation versions Run may read under o, each a load
+	// or an attach; nil reads none. A suite run keeps a relation only while
+	// a phase that declares it may still read it (see RunSuite).
+	reads func(o Options) []read
 	// bySize marks a Run that plots a column pair per size of o.Sizes, each
 	// from machines of its own (paperRows): a suite runs it once per size
 	// and joins the columns.
@@ -26,29 +26,48 @@ func relBprime(n int) genKey { return genKey{n / 10, 7} }
 func relB(n int) genKey      { return genKey{n, 8} }
 func relC(n int) genKey      { return genKey{n / 10, 9} }
 
-// figureReads declares rels at the figure relation's size.
-func figureReads(rels ...func(n int) genKey) func(o Options) []genKey {
-	return func(o Options) []genKey {
-		out := make([]genKey, len(rels))
-		for i, r := range rels {
-			out[i] = r(o.FigureTuples)
+// loads declares keys, each in both versions, as relations the phase loads.
+func loads(keys ...genKey) []read {
+	var out []read
+	for _, k := range keys {
+		out = append(out, read{version{k, false}, false}, read{version{k, true}, false})
+	}
+	return out
+}
+
+// figureReads declares rels as loads at the figure relation's size.
+func figureReads(rels ...func(n int) genKey) func(o Options) []read {
+	return func(o Options) []read {
+		var out []read
+		for _, r := range rels {
+			out = append(out, loads(r(o.FigureTuples))...)
 		}
 		return out
 	}
 }
 
-// tableReads declares rels at every table size.
-func tableReads(rels ...func(n int) genKey) func(o Options) []genKey {
-	return func(o Options) []genKey {
-		var out []genKey
+// tableReads declares reads(n) at every table size n.
+func tableReads(reads func(n int) []read) func(o Options) []read {
+	return func(o Options) []read {
+		var out []read
 		for _, n := range o.Sizes {
-			for _, r := range rels {
-				out = append(out, r(n))
-			}
+			out = append(out, reads(n)...)
 		}
 		return out
 	}
 }
+
+// The tables' reads at size n: table1 loads A and builds every image of it,
+// which table3 and table2 attach; no join reads an index, so table2 attaches
+// A's heap alone.
+func table1Reads(n int) []read { return loads(relA(n)) }
+func table2Reads(n int) []read {
+	return append(loads(relBprime(n), relB(n), relC(n)), attach(relA(n), false))
+}
+func table3Reads(n int) []read { return []read{attach(relA(n), false), attach(relA(n), true)} }
+
+// attach declares a version of k as one the phase attaches.
+func attach(k genKey, indexed bool) read { return read{version{k, indexed}, true} }
 
 // registry is every experiment the package can run. The reads column declares
 // the relations each reads. A speedup figure declares its sibling's relations:
@@ -57,12 +76,12 @@ func tableReads(rels ...func(n int) genKey) func(o Options) []genKey {
 var registry = []struct {
 	id, title string
 	run       func(o Options) *Table
-	reads     func(o Options) []genKey
+	reads     func(o Options) []read
 	bySize    bool
 }{
-	{"table1", "Selection queries (Table 1)", runTable1, tableReads(relA), true},
-	{"table2", "Join queries (Table 2)", runTable2, tableReads(relA, relBprime, relB, relC), true},
-	{"table3", "Update queries (Table 3)", runTable3, tableReads(relA), true},
+	{"table1", "Selection queries (Table 1)", runTable1, tableReads(table1Reads), true},
+	{"table2", "Join queries (Table 2)", runTable2, tableReads(table2Reads), true},
+	{"table3", "Update queries (Table 3)", runTable3, tableReads(table3Reads), true},
 
 	{"fig1", "Non-indexed selections vs processors (Figure 1)", fig1.table, figureReads(relA), false},
 	{"fig2", "Speedup of non-indexed selections (Figure 2)", fig2.table, figureReads(relA), false},

@@ -19,9 +19,9 @@ func TestRegistryOnlyEntryPoint(t *testing.T) {
 		}
 		declared := map[genKey]bool{}
 		for _, k := range e.reads(tinyOptions()) {
-			declared[k] = true
+			declared[k.genKey] = true
 		}
-		if got := alone[row.id].rec.tuples; !maps.Equal(got, declared) {
+		if got := alone[row.id].rec.relations(); !maps.Equal(got, declared) {
 			t.Errorf("%s reads %v, declares %v", row.id, got, declared)
 		}
 	}

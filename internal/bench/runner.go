@@ -31,6 +31,8 @@ type Report struct {
 	// before attaching it, a hit attached an image the suite already had.
 	ImageHits   int64
 	ImageMisses int64
+	// Generated counts the Wisconsin relations the experiment generated.
+	Generated int64
 	// SharedPoints counts the data points the experiment was handed from the
 	// suite's point cache instead of simulating them (see shared.go).
 	SharedPoints int64
@@ -70,15 +72,18 @@ func (r Report) QueryWall() time.Duration {
 // in size order and sums their wall times and counts; every other experiment
 // is one phase. Phases start in ascending order of the largest relation they
 // declare (see runOrder), so the work that reads one size's relations runs
-// back to back.
+// back to back. A phase declares each relation version it reads as a load or
+// an attach (see read), and gives its loads back once it has built its
+// machines (runCtx.built, which paperRows calls) or else when it returns.
 func RunSuite(exps []Experiment, o Options, workers int) []Report {
 	// One semaphore, one relation cache and one data-point cache serve the
 	// whole suite, always this run's own: machines that hold the same
 	// relation (Tables 1-3 at one size, the figure pairs) attach one image
 	// of it, and an experiment that replots a sibling's sweep reads the
-	// sibling's measurements. A relation leaves the cache when the last
-	// phase of the run that declares it returns, so each is still built
-	// once and none outlives its readers.
+	// sibling's measurements. A relation's rows leave the cache when no
+	// phase that loads it has still to build, and a version's images when
+	// the last phase that declares it returns, so each is still generated
+	// and built once and none outlives its readers.
 	phases := suitePhases(exps, o)
 	rels := newRelCache()
 	for _, p := range phases {
@@ -92,7 +97,8 @@ func RunSuite(exps []Experiment, o Options, workers int) []Report {
 	done := make([]Report, len(phases))
 	run := func(i int) {
 		p, e := phases[i], exps[phases[i].exp]
-		c := &runCtx{sem: sem, rels: rels, points: points, exp: e.ID, reads: p.reads}
+		c := &runCtx{sem: sem, rels: rels, points: points, exp: e.ID, reads: p.reads,
+			built: sync.OnceFunc(func() { rels.release(p.reads, true) })}
 		oo := p.o
 		oo.run = c
 		start := time.Now()
@@ -107,8 +113,9 @@ func RunSuite(exps []Experiment, o Options, workers int) []Report {
 		done[i] = Report{ID: e.ID, Title: e.Title, Table: tbl,
 			Wall: time.Since(start), Events: c.events.Load(),
 			Setup: time.Duration(c.setup.Load()), ImageHits: c.imgHits.Load(), ImageMisses: c.imgMisses.Load(),
-			SharedPoints: c.sharedPts.Load()}
-		rels.release(p.reads)
+			Generated: c.generated.Load(), SharedPoints: c.sharedPts.Load()}
+		c.built()
+		rels.release(p.reads, false)
 	}
 	var wg sync.WaitGroup
 	for _, i := range runOrder(phases) {
@@ -148,6 +155,7 @@ func (r *Report) add(s Report) {
 	r.Setup += s.Setup
 	r.ImageHits += s.ImageHits
 	r.ImageMisses += s.ImageMisses
+	r.Generated += s.Generated
 	r.SharedPoints += s.SharedPoints
 }
 
@@ -156,7 +164,7 @@ func (r *Report) add(s Report) {
 type phase struct {
 	exp   int
 	o     Options
-	reads []genKey
+	reads []read
 }
 
 // suitePhases lists the phases of exps in the order the experiments were
@@ -197,7 +205,7 @@ func runOrder(phases []phase) []int {
 		order[i] = i
 		switch {
 		case len(p.reads) > 0:
-			largest[i] = slices.MaxFunc(p.reads, genKey.cmp)
+			largest[i] = slices.MaxFunc(p.reads, func(a, b read) int { return a.cmp(b.genKey) }).genKey
 		case i > 0:
 			largest[i] = largest[i-1]
 		}

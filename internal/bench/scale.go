@@ -72,13 +72,13 @@ func scaleSizes(o Options) (totalN, perProc int) {
 }
 
 // scaleReads declares the fixed database and the scaleup series' databases.
-func scaleReads(o Options) []genKey {
+func scaleReads(o Options) []read {
 	totalN, perProc := scaleSizes(o)
 	out := []genKey{{totalN, 1}}
 	for _, d := range scaleNodes {
 		out = append(out, genKey{perProc * d, 1})
 	}
-	return out
+	return loads(out...)
 }
 
 // setupScale builds a d-disk-site machine loaded with one n-tuple heap

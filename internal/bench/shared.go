@@ -29,17 +29,22 @@ func newOnceMap[K comparable, V any]() *onceMap[K, V] {
 	return &onceMap[K, V]{entries: map[K]*onceEntry[V]{}}
 }
 
-// get returns the value for key, building it via build on first use. hit
-// reports whether the caller was spared the build (false for the builder;
-// workers that blocked on the builder's singleflight count as hits).
-func (c *onceMap[K, V]) get(key K, build func() V) (val V, hit bool) {
+// entry returns key's slot, adding an empty one on first use.
+func (c *onceMap[K, V]) entry(key K) *onceEntry[V] {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	e, ok := c.entries[key]
 	if !ok {
 		e = &onceEntry[V]{}
 		c.entries[key] = e
 	}
-	c.mu.Unlock()
+	return e
+}
+
+// get returns the slot's value, building it via build on first use. hit
+// reports whether the caller was spared the build (false for the builder;
+// workers that blocked on the builder's singleflight count as hits).
+func (e *onceEntry[V]) get(build func() V) (val V, hit bool) {
 	hit = true
 	e.once.Do(func() {
 		hit = false
@@ -54,13 +59,6 @@ func (c *onceMap[K, V]) deleteFunc(match func(K) bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	maps.DeleteFunc(c.entries, func(k K, _ *onceEntry[V]) bool { return match(k) })
-}
-
-// len reports the number of keys held.
-func (c *onceMap[K, V]) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
 }
 
 // The point cache: the paper plots every sweep but Figure 13's twice — Figure
@@ -105,7 +103,7 @@ func shared[T any](o Options, key pointKey, fn func() T) T {
 	if c == nil || c.points == nil {
 		return fn()
 	}
-	v, hit := c.points.get(key, func() any { return fn() })
+	v, hit := c.points.entry(key).get(func() any { return fn() })
 	if hit {
 		c.sharedPts.Add(1)
 	}

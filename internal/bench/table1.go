@@ -87,14 +87,20 @@ func newTera(o Options, n int, seed uint64, extras ...relSpec) *teraSetup {
 
 // paperRows fills t with the rows of one of Tables 1-3: a Teradata and a
 // Gamma column per relation size, a row per label, the published values
-// beside the measured ones. measure(n) builds a pair of machines for n
-// tuples, runs the rows on it in label order and returns each row's measured
-// (Teradata, Gamma) cells; a suite runs one size per phase (RunSuite).
-func paperRows(o Options, t *Table, labels []string, paper map[string][3][2]float64, measure func(n int) [][2]Cell) {
+// beside the measured ones. build(n) builds a pair of machines for n tuples
+// and returns measure, which runs the rows on them in label order and returns
+// each row's measured (Teradata, Gamma) cells. In between the phase gives its
+// loads back (runCtx.built), so rows no later build needs are freed before
+// the first query; a suite runs one size per phase (RunSuite).
+func paperRows(o Options, t *Table, labels []string, paper map[string][3][2]float64, build func(n int) (measure func() [][2]Cell)) {
 	t.Rows = make([]Row, len(labels))
 	for _, n := range o.Sizes {
+		measure := build(n)
+		if o.run != nil {
+			o.run.built()
+		}
 		t.Columns = append(t.Columns, fmt.Sprintf("%d Tera", n), fmt.Sprintf("%d Gamma", n))
-		for r, c := range measure(n) {
+		for r, c := range measure() {
 			c[0].Paper, c[1].Paper = paperOf(paper, labels[r], n, 0), paperOf(paper, labels[r], n, 1)
 			t.Rows[r].Label = labels[r]
 			t.Rows[r].Cells = append(t.Rows[r].Cells, c[0], c[1])
@@ -162,18 +168,20 @@ func runTable1(o Options) *Table {
 	for i, r := range table1Rows {
 		labels[i] = r.label
 	}
-	paperRows(o, t, labels, paperTable1, func(n int) [][2]Cell {
+	paperRows(o, t, labels, paperTable1, func(n int) func() [][2]Cell {
 		ts := newTera(o, n, 1)
 		g := newGamma(o, 8, 8, n, 1)
-		cells := make([][2]Cell, len(table1Rows))
-		for i, r := range table1Rows {
-			cells[i][0].Unmeasured = r.tera == nil
-			if r.tera != nil {
-				cells[i][0].Measured = r.tera(ts).Elapsed.Seconds()
+		return func() [][2]Cell {
+			cells := make([][2]Cell, len(table1Rows))
+			for i, r := range table1Rows {
+				cells[i][0].Unmeasured = r.tera == nil
+				if r.tera != nil {
+					cells[i][0].Measured = r.tera(ts).Elapsed.Seconds()
+				}
+				cells[i][1].Measured = g.selectSecs(r.gamma(g, n))
 			}
-			cells[i][1].Measured = g.selectSecs(r.gamma(g, n))
+			return cells
 		}
-		return cells
 	})
 	t.Notes = append(t.Notes,
 		"Gamma: 8 disk + 8 diskless processors, 4 KB pages; Teradata: 4 IFP / 20 AMP / 40 DSU.",

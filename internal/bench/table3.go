@@ -25,34 +25,35 @@ func runTable3(o Options) *Table {
 		"modify 1 tuple (non-indexed attribute)",
 		"modify 1 tuple (non-clustered index used)",
 	}
-	paperRows(o, t, labels, paperTable3, func(n int) [][2]Cell {
+	paperRows(o, t, labels, paperTable3, func(n int) func() [][2]Cell {
 		ts := newTera(o, n, 1)
 		g := newGamma(o, 8, 8, n, 1)
+		return func() [][2]Cell {
+			var fresh rel.Tuple
+			fresh.Set(rel.Unique1, int32(n+7))
+			fresh.Set(rel.Unique2, int32(n+7))
 
-		var fresh rel.Tuple
-		fresh.Set(rel.Unique1, int32(n+7))
-		fresh.Set(rel.Unique2, int32(n+7))
-
-		// The updates run in label order, each on Teradata and then on Gamma.
-		run := func(tq teradata.UpdateQuery, gq core.UpdateQuery) [2]Cell {
-			return [2]Cell{
-				{Measured: ts.m.RunUpdate(tq).Elapsed.Seconds()},
-				{Measured: g.m.RunUpdate(gq).Elapsed.Seconds()},
+			// The updates run in label order, each on Teradata and then on Gamma.
+			run := func(tq teradata.UpdateQuery, gq core.UpdateQuery) [2]Cell {
+				return [2]Cell{
+					{Measured: ts.m.RunUpdate(tq).Elapsed.Seconds()},
+					{Measured: g.m.RunUpdate(gq).Elapsed.Seconds()},
+				}
 			}
-		}
-		return [][2]Cell{
-			run(teradata.UpdateQuery{Rel: ts.heap, Kind: teradata.AppendTuple, Tuple: fresh},
-				core.UpdateQuery{Rel: g.heap, Kind: core.AppendTuple, Tuple: fresh}),
-			run(teradata.UpdateQuery{Rel: ts.idx, Kind: teradata.AppendTuple, Tuple: fresh},
-				core.UpdateQuery{Rel: g.idx, Kind: core.AppendTuple, Tuple: fresh}),
-			run(teradata.UpdateQuery{Rel: ts.idx, Kind: teradata.DeleteByKey, Key: int32(n + 7)},
-				core.UpdateQuery{Rel: g.idx, Kind: core.DeleteByKey, Key: int32(n + 7)}),
-			run(teradata.UpdateQuery{Rel: ts.idx, Kind: teradata.ModifyKeyAttr, Key: int32(n / 3), Attr: rel.Unique1, NewValue: int32(n + 13)},
-				core.UpdateQuery{Rel: g.idx, Kind: core.ModifyKeyAttr, Key: int32(n / 3), Attr: rel.Unique1, NewValue: int32(n + 13)}),
-			run(teradata.UpdateQuery{Rel: ts.idx, Kind: teradata.ModifyNonIndexed, Key: int32(n / 4), Attr: rel.OddOnePercent, NewValue: 1},
-				core.UpdateQuery{Rel: g.idx, Kind: core.ModifyNonIndexed, Key: int32(n / 4), Attr: rel.OddOnePercent, NewValue: 1}),
-			run(teradata.UpdateQuery{Rel: ts.idx, Kind: teradata.ModifyIndexed, Key: int32(n / 5), Attr: rel.Unique2, NewValue: int32(n + 21)},
-				core.UpdateQuery{Rel: g.idx, Kind: core.ModifyIndexed, Key: int32(n / 5), Attr: rel.Unique2, NewValue: int32(n + 21)}),
+			return [][2]Cell{
+				run(teradata.UpdateQuery{Rel: ts.heap, Kind: teradata.AppendTuple, Tuple: fresh},
+					core.UpdateQuery{Rel: g.heap, Kind: core.AppendTuple, Tuple: fresh}),
+				run(teradata.UpdateQuery{Rel: ts.idx, Kind: teradata.AppendTuple, Tuple: fresh},
+					core.UpdateQuery{Rel: g.idx, Kind: core.AppendTuple, Tuple: fresh}),
+				run(teradata.UpdateQuery{Rel: ts.idx, Kind: teradata.DeleteByKey, Key: int32(n + 7)},
+					core.UpdateQuery{Rel: g.idx, Kind: core.DeleteByKey, Key: int32(n + 7)}),
+				run(teradata.UpdateQuery{Rel: ts.idx, Kind: teradata.ModifyKeyAttr, Key: int32(n / 3), Attr: rel.Unique1, NewValue: int32(n + 13)},
+					core.UpdateQuery{Rel: g.idx, Kind: core.ModifyKeyAttr, Key: int32(n / 3), Attr: rel.Unique1, NewValue: int32(n + 13)}),
+				run(teradata.UpdateQuery{Rel: ts.idx, Kind: teradata.ModifyNonIndexed, Key: int32(n / 4), Attr: rel.OddOnePercent, NewValue: 1},
+					core.UpdateQuery{Rel: g.idx, Kind: core.ModifyNonIndexed, Key: int32(n / 4), Attr: rel.OddOnePercent, NewValue: 1}),
+				run(teradata.UpdateQuery{Rel: ts.idx, Kind: teradata.ModifyIndexed, Key: int32(n / 5), Attr: rel.Unique2, NewValue: int32(n + 21)},
+					core.UpdateQuery{Rel: g.idx, Kind: core.ModifyIndexed, Key: int32(n / 5), Attr: rel.Unique2, NewValue: int32(n + 21)}),
+			}
 		}
 	})
 	t.Notes = append(t.Notes,

@@ -45,7 +45,7 @@ func (m *Machine) RunJoin(q JoinQuery) Result {
 		})
 
 		// Phase 2: per-AMP sort-merge join.
-		inter := make([][]rel.Tuple, nA)
+		inter := make([][]*rel.Tuple, nA)
 		m.fanout(p, "merge", func(ap *sim.Proc, amp int) int {
 			inter[amp] = m.sortMerge(ap, amp, &side1[amp], &side2[amp])
 			return len(inter[amp])
@@ -81,8 +81,8 @@ func (m *Machine) RunJoin(q JoinQuery) Result {
 
 // storeBatch is INSERT INTO for the result tuples one AMP produced: one
 // itinerary, the tuples' insertions strung end to end, so the AMP's process
-// is resumed once for the batch.
-func (m *Machine) storeBatch(ap *sim.Proc, amp int, batch []rel.Tuple, out *Relation) {
+// is resumed once for the batch. The insertions copy the tuples into out.
+func (m *Machine) storeBatch(ap *sim.Proc, amp int, batch []*rel.Tuple, out *Relation) {
 	ins := insertion{m: m, out: out}
 	next := 0
 	ap.Steps(func() (sim.Time, bool) {
@@ -93,17 +93,16 @@ func (m *Machine) storeBatch(ap *sim.Proc, amp int, batch []rel.Tuple, out *Rela
 			if next == len(batch) {
 				return 0, false
 			}
-			ins.start(amp, &batch[next])
+			ins.start(amp, batch[next])
 			next++
 		}
 	})
 }
 
 // partition is what redistribution routes to one AMP — its temporary file —
-// as references: refs[i] points at a tuple in a relation's pages or in a
-// stage-one intermediate, neither of which changes while the query runs
-// (Machine.run runs one query to completion), and keys[i] holds its join
-// key, packed with i for the sort.
+// as references: refs[i] points at a tuple in a relation's pages, which
+// nothing writes while the query runs (Machine.run runs one query to
+// completion), and keys[i] holds its join key, packed with i for the sort.
 type partition struct {
 	refs []*rel.Tuple
 	keys []rel.KeyIndex
@@ -190,8 +189,8 @@ func (rd *redistribution) step() (sim.Time, bool) {
 
 // sortMerge sorts both partitions' keys, their temporary files holding page
 // structure only (wiss.SortKeys), and merge-joins them, returning one output
-// tuple (a copy of the side-1 tuple) per matching pair.
-func (m *Machine) sortMerge(ap *sim.Proc, amp int, s1, s2 *partition) []rel.Tuple {
+// tuple (a reference to the side-1 tuple) per matching pair.
+func (m *Machine) sortMerge(ap *sim.Proc, amp int, s1, s2 *partition) []*rel.Tuple {
 	tc := m.Prm.Tera
 	st := m.stores[m.AMPs[amp].ID]
 	nd := m.AMPs[amp]
@@ -213,7 +212,7 @@ func (m *Machine) sortMerge(ap *sim.Proc, amp int, s1, s2 *partition) []rel.Tupl
 	readPages(ap, f2)
 	nd.UseCPU(ap, tc.InstrPerTupleMerge*(f1.Len()+f2.Len()))
 	// A join on a key of either side matches at most the smaller side.
-	outT := make([]rel.Tuple, 0, min(len(k1), len(k2)))
+	outT := make([]*rel.Tuple, 0, min(len(k1), len(k2)))
 	for i, j := 0, 0; i < len(k1) && j < len(k2); {
 		v1, v2 := k1[i].Key(), k2[j].Key()
 		switch {
@@ -231,7 +230,7 @@ func (m *Machine) sortMerge(ap *sim.Proc, amp int, s1, s2 *partition) []rel.Tupl
 			for ; i < len(k1) && k1[i].Key() == v1; i++ {
 				t := s1.refs[k1[i].Index()]
 				for range run {
-					outT = append(outT, *t)
+					outT = append(outT, t)
 				}
 			}
 		}

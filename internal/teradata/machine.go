@@ -405,22 +405,23 @@ func (x *tempInsert) step() (sim.Time, bool) {
 	return 0, false
 }
 
-// qualifying walks the tuples of a batch — a page, or a slice in memory — that
-// are live and satisfy a predicate, in place.
+// qualifying walks the tuples of a batch — a page, or references in memory —
+// that are live and satisfy a predicate, in place.
 type qualifying struct {
 	tuples    []rel.Tuple
-	holes     *wiss.Page // the page, when it has tombstoned slots
+	refs      []*rel.Tuple // the batch, when it is references
+	holes     *wiss.Page   // the page, when it has tombstoned slots
 	pred      rel.Pred
 	next      int
 	scanInstr int // scan CPU the batch has yet to pay (see scan, payScan)
 }
 
-// batch points the walk at tuples in memory, all live.
-func (q *qualifying) batch(tuples []rel.Tuple) { q.tuples, q.holes, q.next = tuples, nil, 0 }
+// batch points the walk at references to tuples, all live.
+func (q *qualifying) batch(refs []*rel.Tuple) { q.tuples, q.refs, q.holes, q.next = nil, refs, nil, 0 }
 
 // page points the walk at a page of a file.
 func (q *qualifying) page(pg *wiss.Page) {
-	q.batch(pg.Tuples)
+	q.tuples, q.refs, q.holes, q.next = pg.Tuples, nil, nil, 0
 	if !pg.AllLive() {
 		q.holes = pg
 	}
@@ -446,10 +447,16 @@ func (q *qualifying) payScan(nd *nose.Node) (sim.Time, bool) {
 
 // nextTuple returns the next qualifying tuple, or nil when the batch is done.
 func (q *qualifying) nextTuple() *rel.Tuple {
-	for q.next < len(q.tuples) {
+	for q.next < len(q.tuples)+len(q.refs) {
 		s := q.next
 		q.next++
-		if t := &q.tuples[s]; (q.holes == nil || q.holes.Live(s)) && q.pred.MatchRef(t) {
+		var t *rel.Tuple
+		if q.refs != nil {
+			t = q.refs[s]
+		} else {
+			t = &q.tuples[s]
+		}
+		if (q.holes == nil || q.holes.Live(s)) && q.pred.MatchRef(t) {
 			return t
 		}
 	}

@@ -39,9 +39,9 @@ func (m *Machine) RunSelect(r *Relation, pred rel.Pred, kind SelectKind, toHost 
 			// One hash access locates the block (§3).
 			amp := m.ampFor(pred.Lo)
 			return m.step(p, "hash", amp, func() int {
-				var found []rel.Tuple
+				var found []*rel.Tuple
 				if _, t, ok := m.hashLocate(p, amp, r, pred.Lo); ok {
-					found = append(found, t)
+					found = append(found, &t)
 				}
 				if toHost {
 					m.Net.TransferBulk(p, m.AMPs[amp], m.Host, m.Prm.TupleBytes)

@@ -266,9 +266,12 @@ func TestItinerariesResumePerPageNotPerTuple(t *testing.T) {
 	}
 
 	out := m.newResult()
-	batches := make([][]rel.Tuple, len(a.Frags))
+	batches := make([][]*rel.Tuple, len(a.Frags))
 	for amp, fr := range a.Frags {
-		batches[amp] = fileTuplesFree(fr)
+		ts := fileTuplesFree(fr)
+		for i := range ts {
+			batches[amp] = append(batches[amp], &ts[i])
+		}
 	}
 	if got := resumesOf(m, func(ap *sim.Proc, amp int) { m.storeBatch(ap, amp, batches[amp], out) }); got > len(m.AMPs) {
 		t.Errorf("%d resumes to store %d tuples from %d AMPs: more than one per AMP", got, a.N, len(m.AMPs))

@@ -100,8 +100,8 @@ type entry struct {
 }
 
 func (t *BTree) collectEntries() []entry {
-	var es []entry
 	if t.Kind == Clustered {
+		es := make([]entry, 0, len(t.file.pages))
 		if !t.file.Sorted || t.file.SortKey != t.Attr {
 			panic("wiss: clustered index over unsorted file")
 		}
@@ -113,6 +113,7 @@ func (t *BTree) collectEntries() []entry {
 		}
 		return es
 	}
+	es := make([]entry, 0, t.file.Len())
 	for i, pg := range t.file.pages {
 		for s, tp := range pg.Tuples {
 			if !pg.Live(s) {
@@ -129,11 +130,16 @@ func (t *BTree) collectEntries() []entry {
 	}
 	var s rel.KeySorter
 	s.Sort(order)
-	sorted := make([]entry, len(es))
-	for i, e := range order {
-		sorted[i] = es[e.Index()]
+	// Permute es in place, a cycle at a time; order[k] = k marks slot k done.
+	for i := range order {
+		k := i
+		for j := order[k].Index(); j != i; j = order[k].Index() {
+			es[k], es[j], order[k] = es[j], es[k], rel.PackKey(0, k)
+			k = j
+		}
+		order[k] = rel.PackKey(0, k)
 	}
-	return sorted
+	return es
 }
 
 // bulkBuild constructs the tree bottom-up. Internal pages are numbered

@@ -1,6 +1,7 @@
 package wiss
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -210,5 +211,36 @@ func TestLargerPagesIncreaseFanoutAndReduceHeight(t *testing.T) {
 	bt := NewBTree(f, rel.Unique2, NonClustered)
 	if bt.Height() > 2 {
 		t.Errorf("height = %d at 32KB pages, want <= 2", bt.Height())
+	}
+}
+
+// TestCollectEntriesMatchesStableSort: a dense index's bulk-build entries,
+// permuted in place, are the live tuples in (key, page, slot) order, keys
+// repeating and slots tombstoned included.
+func TestCollectEntriesMatchesStableSort(t *testing.T) {
+	s, st, _ := testStore(t)
+	f := st.CreateFile("r")
+	f.LoadDirect(wisconsin.Generate(3000, 5), nil)
+	s.Spawn("kill", func(p *sim.Proc) {
+		for pg := 0; pg < f.Pages(); pg += 3 {
+			f.DeleteRID(p, RID{Page: int32(pg), Slot: int32(pg % 7)})
+		}
+	})
+	s.Run()
+	for _, attr := range []rel.Attr{rel.Unique2, rel.Ten, rel.OnePercent} {
+		var want []entry
+		for i := range f.Pages() {
+			pg := f.page(i)
+			for s, tp := range pg.Tuples {
+				if pg.Live(s) {
+					want = append(want, entry{key: tp.Get(attr), rid: RID{Page: int32(i), Slot: int32(s)}})
+				}
+			}
+		}
+		sort.SliceStable(want, func(i, j int) bool { return want[i].key < want[j].key })
+		got := (&BTree{file: f, Attr: attr, Kind: NonClustered}).collectEntries()
+		if !slices.Equal(got, want) {
+			t.Errorf("%v: collected entries differ from a stable sort of the live tuples by key", attr)
+		}
 	}
 }
