@@ -222,7 +222,7 @@ func (m *Machine) groupedAgg(ib *inbox, q AggQuery, scan ScanSpec, frags []*Frag
 			rx := streamIn{
 				port: port, want: streamStore, expect: nSites, node: nd,
 				instr: m.Prm.Engine.InstrPerTupleAgg,
-				take: func(t *rel.Tuple) (int, bool) {
+				take: func(t *rel.Tuple) (int, func() (sim.Time, bool)) {
 					g := t.Get(groupAttr)
 					st := groups[g]
 					if st == nil {
@@ -230,7 +230,7 @@ func (m *Machine) groupedAgg(ib *inbox, q AggQuery, scan ScanSpec, frags []*Frag
 						groups[g] = st
 					}
 					st.add(int64(t.Get(q.Attr)))
-					return 0, true
+					return 0, nil
 				},
 			}
 			rx.run(ap)

@@ -3,9 +3,9 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"gamma/internal/nose"
 	"gamma/internal/rel"
@@ -110,12 +110,9 @@ type probedMsg struct {
 // spoolInfo hands a site's overflow partition files to the scheduler so it
 // can schedule the redistribution scans of the next round.
 type spoolInfo struct {
-	level       int
-	owner       *nose.Node
-	build       *wiss.File
-	probe       *wiss.File
-	buildTuples int
-	probeTuples int
+	level        int
+	owner        *nose.Node
+	build, probe *wiss.File
 }
 
 // JoinAlgorithm selects the overflow strategy.
@@ -240,48 +237,37 @@ func spawnJoin(spec joinSpec) {
 // itinerary (sim.Proc.Steps): the port's messages until expect producers have
 // closed the stream (expect < 0: until a ctlClose carries the count). A data
 // packet costs instr CPU per tuple; then take sees each tuple in kernel
-// context and reports how many times to route it through out (a probe's
-// matches), or false to hand it to the process's slow (a tuple that spools or
-// overflows the table). take may arm sub, run before the next tuple (a page
-// write), after which halt may end the loop. A ctlAbort unwinds the process
-// with abortSignal. take nil only counts the tuples.
+// context and returns how many times to route it through out (a probe's
+// matches) and the sub-itinerary it leaves due, if any (a page write, a
+// spooled page), run before the next tuple, after which halt may end the
+// loop. A ctlAbort unwinds the process with abortSignal. take nil only counts
+// the tuples.
 type streamIn struct {
 	port   *nose.Port
 	want   streamID
 	expect int
 	node   *nose.Node
 	instr  int
-	take   func(t *rel.Tuple) (sends int, ok bool)
-	slow   func(p *sim.Proc, t *rel.Tuple)
+	take   func(t *rel.Tuple) (sends int, sub func() (sim.Time, bool))
 	out    *splitTable
-	sub    func() (sim.Time, bool)
 	halt   func() bool
 	tuples int // tuples received
 
 	p                *sim.Proc
 	eos              int
-	pkt              *packet    // the packet in hand
-	next             int        // its next tuple
-	t                *rel.Tuple // the tuple being routed through out
-	sends            int        // routings of t still due
-	handed           *rel.Tuple // the tuple the process must take
+	pkt              *packet                 // the packet in hand
+	next             int                     // its next tuple
+	t                *rel.Tuple              // the tuple being routed through out
+	sends            int                     // routings of t still due
+	sub              func() (sim.Time, bool) // the stage due before the next tuple
 	recving, aborted bool
 }
 
 func (in *streamIn) run(p *sim.Proc) {
 	in.p = p
-	step := in.step
-	for {
-		p.Steps(step)
-		if in.aborted {
-			panic(abortSignal{})
-		}
-		t := in.handed
-		if t == nil {
-			return
-		}
-		in.handed = nil
-		in.slow(p, t)
+	p.Steps(in.step)
+	if in.aborted {
+		panic(abortSignal{})
 	}
 }
 
@@ -342,14 +328,9 @@ func (in *streamIn) step() (sim.Time, bool) {
 					in.sub = in.out.stepFn
 				}
 			case in.next < len(in.pkt.tuples):
-				t := &in.pkt.tuples[in.next]
+				in.t = &in.pkt.tuples[in.next]
 				in.next++
-				n, ok := in.take(t)
-				if !ok {
-					in.handed = t
-					return 0, false
-				}
-				in.t, in.sends = t, n
+				in.sends, in.sub = in.take(in.t)
 			default:
 				putPacket(in.pkt)
 				in.pkt = nil
@@ -387,30 +368,42 @@ type joinTable struct {
 
 	phaseOverflowed bool
 	produced        int
+
+	// The spooling a tuple left due, in stage form (see drain): the page
+	// write armed, the page transfer to the spool node, the evicted tuples
+	// still to spool, and whether the overflow resolution goes on.
+	wr        *wiss.Appender
+	ship      nose.Bulk
+	evicted   []rel.Tuple
+	resolving bool
+	drainFn   func() (sim.Time, bool)
 }
 
+// spoolPair is one overflow partition of a site: a build and a probe spool
+// file on the site's spool node.
 type spoolPair struct {
-	level   int
-	owner   *nose.Node
-	build   *wiss.File
-	probe   *wiss.File
-	buildAp *wiss.Appender
-	probeAp *wiss.Appender
-	buildN  int
-	probeN  int
-	// pageCredit counts tuples spooled since the last charged page
-	// transfer from the join node to the spool node.
-	buildCredit int
-	probeCredit int
+	level        int
+	owner        *nose.Node
+	build, probe spoolFile
+}
+
+// spoolFile is one side of a spoolPair: its file, the appender filling it
+// in this phase, and the tuples spooled since the last page transfer.
+type spoolFile struct {
+	*wiss.File
+	ap     *wiss.Appender
+	credit int
 }
 
 func newJoinTable(spec joinSpec) *joinTable {
-	return &joinTable{
+	jt := &joinTable{
 		spec:        spec,
 		prm:         spec.memBytes,
 		spools:      make(map[int]*spoolPair),
 		dirtyLevels: make(map[int]bool),
 	}
+	jt.drainFn = jt.drain
+	return jt
 }
 
 // beginPhase resets the in-memory table for a new (round) build.
@@ -451,71 +444,87 @@ func (jt *joinTable) spoolLevel(v int32) int {
 		}
 		// Partition 0 can still overflow if the optimizer's estimate
 		// was short; dynamic slices spill past the planned partitions.
-		for _, l := range jt.evictLevels {
-			if ovfBit(v, jt.curRound, l) {
-				return jt.spec.hybridParts + 1
-			}
-		}
-		return 0
 	}
 	for _, l := range jt.evictLevels {
 		if ovfBit(v, jt.curRound, l) {
-			return jt.curRound + jt.spec.hybridParts + 1
+			return jt.ovfLevel()
 		}
 	}
 	return 0
 }
 
-// build consumes one build stream into the table. A tuple that spools or
-// overflows the table is the process's to insert.
+// ovfLevel is the overflow partition of the current phase.
+func (jt *joinTable) ovfLevel() int { return jt.curRound + jt.spec.hybridParts + 1 }
+
+// build consumes one build stream into the table.
 func (jt *joinTable) build(p *sim.Proc, stream streamID, expect int) {
+	jt.consume(p, stream, expect, jt.spec.m.Prm.Engine.InstrPerTupleBuild, jt.insert, nil)
+}
+
+// consume runs one input stream through take. A spool write that found its
+// drive failed ends the stream and is then made in p: it panics with
+// disk.FailedError.
+func (jt *joinTable) consume(p *sim.Proc, stream streamID, expect, instr int, take func(*rel.Tuple) (int, func() (sim.Time, bool)), out *splitTable) {
 	spec := jt.spec
 	in := streamIn{
-		port: spec.port, want: stream, expect: expect, node: spec.node,
-		instr: spec.m.Prm.Engine.InstrPerTupleBuild,
-		take:  jt.admit,
-		slow:  func(p *sim.Proc, t *rel.Tuple) { jt.insert(p, *t) },
+		port: spec.port, want: stream, expect: expect, node: spec.node, instr: instr,
+		take: take, out: out, halt: func() bool { return jt.wr != nil },
 	}
 	in.run(p)
-}
-
-// admit puts t in the table if that needs no process — it neither spools nor
-// overflows the table — and reports whether it did.
-func (jt *joinTable) admit(t *rel.Tuple) (int, bool) {
-	v := t.Get(jt.spec.buildAttr)
-	if jt.bytes+jt.spec.m.Prm.TupleBytes > jt.prm || jt.spoolLevel(v) > 0 {
-		return 0, false
+	if jt.wr != nil {
+		jt.wr.Fault()
 	}
-	jt.add(v, t)
-	return 0, true
 }
 
-// add puts t, whose key is v, in the table.
-func (jt *joinTable) add(v int32, t *rel.Tuple) {
+// insert puts t in the table, or spools it if its key's subpartition
+// overflowed, and returns the drain if that left spooling due.
+func (jt *joinTable) insert(t *rel.Tuple) (int, func() (sim.Time, bool)) {
+	v := t.Get(jt.spec.buildAttr)
+	if l := jt.spoolLevel(v); l > 0 {
+		jt.spool(l, false, t)
+		return 0, jt.drainFn
+	}
 	jt.tuples = append(jt.tuples, *t)
 	jt.counts.add(v)
 	jt.bytes += jt.spec.m.Prm.TupleBytes
+	if jt.resolving = jt.bytes > jt.prm; jt.resolving {
+		return 0, jt.drainFn
+	}
+	return 0, nil
 }
 
-// insert puts t in the table, spooling it or resolving the overflow it causes.
-func (jt *joinTable) insert(p *sim.Proc, t rel.Tuple) {
-	v := t.Get(jt.spec.buildAttr)
-	if l := jt.spoolLevel(v); l > 0 {
-		jt.spool(p, l, false, t)
-		return
-	}
-	jt.add(v, &t)
-	for jt.bytes > jt.prm {
-		if !jt.overflow(p) {
-			break
+// drain is a sub-itinerary (sim.Proc.Steps) that takes the spooling left
+// due: the page write armed, the page transfer, then each evicted tuple's
+// spool, and further overflow resolutions while the table exceeds memory.
+// It stops early, with wr still set, at a write that found its drive failed.
+func (jt *joinTable) drain() (sim.Time, bool) {
+	for {
+		if jt.wr != nil {
+			if at, more := jt.wr.Step(); more || jt.wr.Failed() {
+				return at, more
+			}
+			jt.wr = nil
+		}
+		if at, more := jt.ship.Step(); more {
+			return at, true
+		}
+		switch {
+		case len(jt.evicted) > 0:
+			jt.spool(jt.ovfLevel(), false, &jt.evicted[0])
+			jt.evicted = jt.evicted[1:]
+		case jt.resolving && jt.bytes > jt.prm:
+			jt.resolving = jt.overflow()
+		default:
+			return 0, false
 		}
 	}
 }
 
-// overflow performs one overflow resolution: pick the next subpartition
-// hash bit, evict every resident tuple it claims to the spool files, and
-// divert future tuples likewise. Reports whether any tuples were evicted.
-func (jt *joinTable) overflow(p *sim.Proc) bool {
+// overflow starts one overflow resolution: pick the next subpartition hash
+// bit, take every resident tuple it claims out of the table for the drain to
+// spool, and divert future tuples likewise. Reports whether any tuples were
+// evicted.
+func (jt *joinTable) overflow() bool {
 	next := 1
 	if len(jt.evictLevels) > 0 {
 		next = jt.evictLevels[len(jt.evictLevels)-1] + 1
@@ -533,13 +542,9 @@ func (jt *joinTable) overflow(p *sim.Proc) bool {
 	}
 	jt.phaseOverflowed = true
 
-	evicted := jt.evict(next)
-	dst := jt.curRound + jt.spec.hybridParts + 1
-	for _, t := range evicted {
-		jt.spool(p, dst, false, t)
-		jt.bytes -= jt.spec.m.Prm.TupleBytes
-	}
-	return len(evicted) > 0
+	jt.evicted = jt.evict(next)
+	jt.bytes -= len(jt.evicted) * jt.spec.m.Prm.TupleBytes
+	return len(jt.evicted) > 0
 }
 
 // evict takes the resident tuples that overflow slice `slice` claims out of
@@ -565,61 +570,49 @@ func (jt *joinTable) evict(slice int) []rel.Tuple {
 	return evicted
 }
 
-// spool writes a tuple to the (site, level) overflow partition file. The
-// file lives on the node's spool target; diskless processors pay network
-// transfer per spooled page on top of the drive writes.
-func (jt *joinTable) spool(p *sim.Proc, level int, probe bool, t rel.Tuple) {
+// spool writes a tuple to one side of the (site, level) overflow partition
+// and arms the page write and transfer that leaves due. The files live on the
+// node's spool target; diskless processors pay network transfer per spooled
+// page on top of the drive writes.
+func (jt *joinTable) spool(level int, probe bool, t *rel.Tuple) {
+	m := jt.spec.m
 	sp := jt.spools[level]
 	if sp == nil {
-		owner := jt.spec.node.SpoolNode
-		st := jt.spec.m.StoreOf(owner)
-		sp = &spoolPair{
-			level: level,
-			owner: owner,
-			build: st.CreateFile(fmt.Sprintf("%s.ovf%d.build", jt.spec.opID, level)),
-			probe: st.CreateFile(fmt.Sprintf("%s.ovf%d.probe", jt.spec.opID, level)),
-		}
+		sp = &spoolPair{level: level, owner: jt.spec.node.SpoolNode}
+		st := m.StoreOf(sp.owner)
+		sp.build.File = st.CreateFile(fmt.Sprintf("%s.ovf%d.build", jt.spec.opID, level))
+		sp.probe.File = st.CreateFile(fmt.Sprintf("%s.ovf%d.probe", jt.spec.opID, level))
 		jt.spools[level] = sp
 	}
 	jt.dirtyLevels[level] = true
-	m := jt.spec.m
-	perPage := m.Prm.TuplesPerPage()
+	f := &sp.build
 	if probe {
-		if sp.probeAp == nil {
-			sp.probeAp = sp.probe.NewAppender()
-		}
-		sp.probeAp.Append(p, t)
-		sp.probeN++
-		sp.probeCredit++
-		if sp.probeCredit >= perPage {
-			sp.probeCredit = 0
-			m.Net.TransferBulk(p, jt.spec.node, sp.owner, m.Prm.PageBytes)
-		}
-	} else {
-		if sp.buildAp == nil {
-			sp.buildAp = sp.build.NewAppender()
-		}
-		sp.buildAp.Append(p, t)
-		sp.buildN++
-		sp.buildCredit++
-		if sp.buildCredit >= perPage {
-			sp.buildCredit = 0
-			m.Net.TransferBulk(p, jt.spec.node, sp.owner, m.Prm.PageBytes)
-		}
+		f = &sp.probe
+	}
+	if f.ap == nil {
+		f.ap = f.NewAppender()
+	}
+	if f.ap.Put(*t) {
+		jt.wr = f.ap
+	}
+	if f.credit++; f.credit >= m.Prm.TuplesPerPage() {
+		f.credit = 0
+		jt.ship.Start(jt.spec.node, sp.owner, m.Prm.PageBytes)
 	}
 }
 
-// probe matches one probe tuple against the table and reports the number of
-// result tuples it yields, or false if its subpartition overflowed: spooling
-// it is the process's.
-func (jt *joinTable) probe(t *rel.Tuple) (int, bool) {
+// probe matches one probe tuple against the table and returns the number of
+// result tuples it yields, or, if its subpartition overflowed, spools it and
+// returns the drain.
+func (jt *joinTable) probe(t *rel.Tuple) (int, func() (sim.Time, bool)) {
 	v := t.Get(jt.spec.probeAttr)
-	if jt.spoolLevel(v) > 0 {
-		return 0, false
+	if l := jt.spoolLevel(v); l > 0 {
+		jt.spool(l, true, t)
+		return 0, jt.drainFn
 	}
 	k := jt.counts.count(v)
 	jt.produced += k
-	return k, true
+	return k, nil
 }
 
 // runProbePhase consumes one probe stream, emits matches through a fresh
@@ -629,27 +622,13 @@ func (jt *joinTable) runProbePhase(p *sim.Proc, stream streamID, expect int) {
 	m := spec.m
 	jt.produced = 0
 	out := newSplitTable(spec.node, m.Prm, spec.outStream, spec.outPorts, spec.mkOutRoute())
-	in := streamIn{
-		port: spec.port, want: stream, expect: expect, node: spec.node,
-		instr: m.Prm.Engine.InstrPerTupleProbe,
-		take:  jt.probe,
-		slow: func(p *sim.Proc, t *rel.Tuple) {
-			jt.spool(p, jt.spoolLevel(t.Get(spec.probeAttr)), true, *t)
-		},
-		out: out,
-	}
-	in.run(p)
+	jt.consume(p, stream, expect, m.Prm.Engine.InstrPerTupleProbe, jt.probe, out)
 	out.close(p)
 	news := jt.closeDirtySpools(p)
 	// The spool pair just consumed by this round can never be written
 	// again (new overflow levels are strictly deeper), so free it.
-	if jt.curRound > 0 {
-		if sp := jt.spools[jt.curRound]; sp != nil {
-			st := m.StoreOf(sp.owner)
-			st.DropFile(sp.build)
-			st.DropFile(sp.probe)
-			delete(jt.spools, jt.curRound)
-		}
+	if sp := jt.spools[jt.curRound]; sp != nil {
+		jt.drop(sp)
 	}
 	nose.SendCtl(p, spec.node, spec.sched, probedMsg{
 		op:             spec.opID,
@@ -663,52 +642,37 @@ func (jt *joinTable) runProbePhase(p *sim.Proc, stream streamID, expect int) {
 // closeDirtySpools flushes every spool file written during this phase and
 // returns their descriptors for the scheduler's round queue.
 func (jt *joinTable) closeDirtySpools(p *sim.Proc) []spoolInfo {
-	var levels []int
-	for l := range jt.dirtyLevels {
-		levels = append(levels, l)
-	}
-	sort.Ints(levels)
 	var out []spoolInfo
-	for _, l := range levels {
+	for _, l := range slices.Sorted(maps.Keys(jt.dirtyLevels)) {
 		sp := jt.spools[l]
-		if sp.buildAp != nil {
-			sp.buildAp.Close(p)
-			sp.buildAp = nil
+		for _, f := range []*spoolFile{&sp.build, &sp.probe} {
+			if f.ap != nil {
+				f.ap.Close(p)
+				f.ap = nil
+			}
 		}
-		if sp.probeAp != nil {
-			sp.probeAp.Close(p)
-			sp.probeAp = nil
-		}
-		out = append(out, spoolInfo{
-			level:       l,
-			owner:       sp.owner,
-			build:       sp.build,
-			probe:       sp.probe,
-			buildTuples: sp.buildN,
-			probeTuples: sp.probeN,
-		})
+		out = append(out, spoolInfo{level: l, owner: sp.owner, build: sp.build.File, probe: sp.probe.File})
 	}
-	jt.dirtyLevels = make(map[int]bool)
+	clear(jt.dirtyLevels)
 	return out
+}
+
+// drop releases an overflow partition's files.
+func (jt *joinTable) drop(sp *spoolPair) {
+	st := jt.spec.m.StoreOf(sp.owner)
+	st.DropFile(sp.build.File)
+	st.DropFile(sp.probe.File)
+	delete(jt.spools, sp.level)
 }
 
 // dropAllSpools releases every overflow partition file of an aborted join.
 // Pure bookkeeping — the §4 observation that aborting a "retrieve into"
 // only requires deleting files, so the abort path pays no simulated I/O.
 func (jt *joinTable) dropAllSpools() {
-	var levels []int
-	for l := range jt.spools {
-		levels = append(levels, l)
+	for _, l := range slices.Sorted(maps.Keys(jt.spools)) {
+		jt.drop(jt.spools[l])
 	}
-	sort.Ints(levels)
-	for _, l := range levels {
-		sp := jt.spools[l]
-		st := jt.spec.m.StoreOf(sp.owner)
-		st.DropFile(sp.build)
-		st.DropFile(sp.probe)
-	}
-	jt.spools = make(map[int]*spoolPair)
-	jt.dirtyLevels = make(map[int]bool)
+	clear(jt.dirtyLevels)
 }
 
 // buildFilter snapshots the table's keys into a Babb bit-vector filter.

@@ -21,7 +21,7 @@ func TestJoinTableEvictionOrder(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		round := int(seed % 3)
-		jt := &joinTable{spec: joinSpec{m: &Machine{Prm: &prm}, buildAttr: rel.Unique2}}
+		jt := &joinTable{spec: joinSpec{m: &Machine{Prm: &prm}, buildAttr: rel.Unique2}, prm: 1 << 30}
 		jt.beginPhase(round)
 		ref := map[int32][]rel.Tuple{}
 		arrive := func(n int) {
@@ -30,7 +30,7 @@ func TestJoinTableEvictionOrder(t *testing.T) {
 				v := int32(rng.Intn(300))
 				tp.Set(rel.Unique2, v)
 				tp.Set(rel.Unique1, int32(rng.Intn(1<<30))) // tells a key's tuples apart
-				jt.add(v, &tp)
+				jt.insert(&tp)
 				ref[v] = append(ref[v], tp)
 			}
 		}

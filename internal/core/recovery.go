@@ -16,7 +16,6 @@ import (
 // only partial recovery; the `recovery` benchmark quantifies what the full
 // machinery would have cost.
 type Recovery struct {
-	m      *Machine
 	Server *nose.Node
 	// buffered bytes per source node, flushed in log-page units.
 	pending map[int]int
@@ -40,54 +39,68 @@ func (m *Machine) EnableRecovery() *Recovery {
 		return m.rec
 	}
 	server := m.Net.AddNode(true, m.Prm.Disk)
-	m.rec = &Recovery{m: m, Server: server, pending: map[int]int{}}
+	m.rec = &Recovery{Server: server, pending: map[int]int{}}
 	return m.rec
 }
 
 // logRecord ships one log record of the given payload size from node to the
-// recovery server. Records are buffered into page-sized batches per source;
-// each batch costs a network transfer plus a sequential write on the log
-// volume, with the server's CPU charged asynchronously.
+// recovery server (see logShip), in p.
 func (m *Machine) logRecord(p *sim.Proc, node *nose.Node, payload int) {
+	if log := m.logShip(node, payload); log != nil {
+		p.Steps(log)
+	}
+}
+
+// logShip returns the stage form of logging a record of the given payload
+// size from node, a sub-itinerary (sim.Proc.Steps), or nil without a
+// recovery server. Records are buffered into page-sized batches per source;
+// each call notes one, and a record that fills its page ships the batch: a
+// network transfer, then the server's CPU and a sequential write on the log
+// volume, both charged asynchronously.
+func (m *Machine) logShip(node *nose.Node, payload int) func() (sim.Time, bool) {
 	r := m.rec
 	if r == nil {
-		return
+		return nil
 	}
-	size := payload + logRecordHeader
-	r.Records++
-	r.LogBytes += int64(size)
-	r.pending[node.ID] += size
-	if r.pending[node.ID] < m.Prm.PageBytes {
-		return
-	}
-	r.pending[node.ID] = 0
-	r.flush(p, node, false)
-}
-
-// flush sends one log page from node to the server. A forced flush (commit
-// point) is synchronous — the committing operator waits for the server's CPU
-// and the log write; a background flush charges both asynchronously.
-func (r *Recovery) flush(p *sim.Proc, node *nose.Node, force bool) {
-	m := r.m
-	r.Flushes++
-	m.Net.TransferBulk(p, node, r.Server, m.Prm.PageBytes)
-	if force {
-		r.Forces++
-		r.Server.UseCPU(p, m.Prm.Engine.InstrPerPageIO)
-		r.Server.Drive.Write(p, -7, r.logPage, m.Prm.PageBytes)
-	} else {
+	var bulk nose.Bulk
+	shipping := false
+	return func() (sim.Time, bool) {
+		if !shipping {
+			size := payload + logRecordHeader
+			r.Records++
+			r.LogBytes += int64(size)
+			if r.pending[node.ID] += size; r.pending[node.ID] < m.Prm.PageBytes {
+				return 0, false
+			}
+			r.pending[node.ID] = 0
+			r.Flushes++
+			bulk.Start(node, r.Server, m.Prm.PageBytes)
+			shipping = true
+		}
+		if at, more := bulk.Step(); more {
+			return at, true
+		}
+		shipping = false
 		r.Server.CPU.UseAsync(m.Prm.CPU.Time(m.Prm.Engine.InstrPerPageIO))
 		r.Server.Drive.WriteAsync(-7, r.logPage, m.Prm.PageBytes)
+		r.logPage++
+		return 0, false
 	}
-	r.logPage++
 }
 
-// logForce flushes any buffered records from node (commit point).
+// logForce flushes any buffered records from node (commit point): the
+// committing operator waits for the transfer, the server's CPU and the log
+// write.
 func (m *Machine) logForce(p *sim.Proc, node *nose.Node) {
 	r := m.rec
 	if r == nil || r.pending[node.ID] == 0 {
 		return
 	}
 	r.pending[node.ID] = 0
-	r.flush(p, node, true)
+	r.Flushes++
+	m.Net.TransferBulk(p, node, r.Server, m.Prm.PageBytes)
+	r.Forces++
+	r.Server.UseCPU(p, m.Prm.Engine.InstrPerPageIO)
+	r.Server.Drive.Write(p, -7, r.logPage, m.Prm.PageBytes)
+	r.logPage++
 }

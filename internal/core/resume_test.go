@@ -9,7 +9,8 @@ import (
 
 // TestOperatorsResumePerOperatorNotPerPage pins the data path's itineraries:
 // an operator's process is resumed to start, to park between phases and to
-// finish — not per page read, packet sent or packet received. Each query runs
+// finish — not per page read, packet sent or packet received, nor per tuple
+// spooled, spooled page moved or log page shipped. Each query runs
 // on a 2+2 machine at two relation sizes; its resumes (Sim.Resumes deltas,
 // every process of the query counted, scheduler and host included) must stay
 // within a constant per operator, and must not grow with the pages and
@@ -48,6 +49,19 @@ func TestOperatorsResumePerOperatorNotPerPage(t *testing.T) {
 				t.Fatalf("join: %d tuples, %d overflows; want %d, none", res.Tuples, res.Overflows, b.Count())
 			}
 		}},
+		// Joins whose build relation is four times join memory: they spool
+		// both relations, and each of their two overflow partitions adds a
+		// build and a probe spool scan per join site.
+		{"overflowing local join", 16, func(m *Machine, a, b *Relation) {
+			overflowingJoin(t, m, a, b, Local, SimpleHash)
+		}},
+		{"hybrid join under pressure", 16, func(m *Machine, a, b *Relation) {
+			overflowingJoin(t, m, a, b, Remote, HybridHash)
+		}},
+		{"stored select, recovery server", 4, func(m *Machine, a, _ *Relation) {
+			m.EnableRecovery()
+			m.RunSelect(SelectQuery{Scan: ScanSpec{Rel: a, Pred: rel.Between(rel.Unique2, 0, int32(a.Count()/10)), Path: PathHeap}})
+		}},
 	}
 	for _, c := range cases {
 		var got [2]outcome
@@ -70,5 +84,18 @@ func TestOperatorsResumePerOperatorNotPerPage(t *testing.T) {
 			t.Errorf("%s: resumes grew by %d (%d → %d) as pages went %d → %d and packets %d → %d",
 				c.name, grew, got[0].resumes, got[1].resumes, got[0].pages, got[1].pages, got[0].packets, got[1].packets)
 		}
+	}
+}
+
+// overflowingJoin joins b and a on unique2 with a quarter of b's bytes of
+// join memory per site, and checks that the answer is b's cardinality.
+func overflowingJoin(t *testing.T, m *Machine, a, b *Relation, mode JoinMode, algo JoinAlgorithm) {
+	res := m.RunJoin(JoinQuery{
+		Build: ScanSpec{Rel: b, Pred: rel.True(), Path: PathHeap}, BuildAttr: rel.Unique2,
+		Probe: ScanSpec{Rel: a, Pred: rel.True(), Path: PathHeap}, ProbeAttr: rel.Unique2,
+		Mode: mode, Algorithm: algo, MemPerJoinBytes: b.Count() * m.Prm.TupleBytes / 4,
+	})
+	if res.Tuples != b.Count() {
+		t.Fatalf("%v %v join: %d tuples, want %d", mode, algo, res.Tuples, b.Count())
 	}
 }

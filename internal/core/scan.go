@@ -115,8 +115,8 @@ type pageSelect struct {
 	beyond bool
 }
 
-func newPageSelect(m *Machine, frag *Fragment, pred rel.Pred, split *splitTable) pageSelect {
-	return pageSelect{node: frag.Node, instr: m.Prm.Engine.InstrPerTupleScan, pred: pred, split: split}
+func newPageSelect(m *Machine, node *nose.Node, pred rel.Pred, split *splitTable) pageSelect {
+	return pageSelect{node: node, instr: m.Prm.Engine.InstrPerTupleScan, pred: pred, split: split}
 }
 
 func (w *pageSelect) begin(p *sim.Proc, pg *wiss.Page) {
@@ -178,7 +178,7 @@ func heapSelect(p *sim.Proc, m *Machine, frag *Fragment, pred rel.Pred, split *s
 // with earlyStop (a clustered file in key order) ending after a page whose
 // live tuples all lie past the range.
 func scanSelect(p *sim.Proc, m *Machine, frag *Fragment, pred rel.Pred, split *splitTable, sc *wiss.Scanner, earlyStop bool) int {
-	w := newPageSelect(m, frag, pred, split)
+	w := newPageSelect(m, frag.Node, pred, split)
 	sc.Run(p, func(pg *wiss.Page) { w.begin(p, pg) }, w.step, func() bool { return earlyStop && w.beyond })
 	return w.n
 }
@@ -226,25 +226,26 @@ func nonClusteredSelect(p *sim.Proc, m *Machine, frag *Fragment, pred rel.Pred, 
 
 // spawnSpoolScan starts an operator on `reader` that streams a spool file
 // (resident on `owner`, possibly a different node) through a split table —
-// the redistribution step of join-overflow resolution (§6.2.2).
+// the redistribution step of join-overflow resolution (§6.2.2): the page
+// pipeline over the file, each page moved from owner to reader first.
 func spawnSpoolScan(m *Machine, from *sim.Proc, opID string, site int, file *wiss.File, owner, reader *nose.Node, mkOut func() selectOutput, sched *nose.Port) {
 	m.spawnOp(from, opSpec{op: opID, class: "spool-scan", site: site, node: reader, sched: sched}, func(p *sim.Proc) (int, any) {
 		out := mkOut()
 		split := newSplitTable(reader, m.Prm, out.stream, out.ports, out.route)
-		n := 0
+		w := newPageSelect(m, reader, rel.True(), split)
 		if file != nil {
-			eng := m.Prm.Engine
-			sc := file.NewScanner()
-			for pg := sc.NextPage(p); pg != nil; pg = sc.NextPage(p) {
-				m.Net.TransferBulk(p, owner, reader, m.Prm.PageBytes)
-				reader.UseCPU(p, eng.InstrPerTupleScan*len(pg.Tuples))
-				for i := range pg.Tuples {
-					n++
-					split.send(p, &pg.Tuples[i])
+			var move nose.Bulk
+			file.NewScanner().Run(p, func(pg *wiss.Page) {
+				move.Start(owner, reader, m.Prm.PageBytes)
+				w.begin(p, pg)
+			}, func() (sim.Time, bool) {
+				if at, more := move.Step(); more {
+					return at, true
 				}
-			}
+				return w.step()
+			}, nil)
 		}
 		split.close(p)
-		return n, doneMsg{op: opID, produced: n}
+		return w.n, doneMsg{op: opID, produced: w.n}
 	})
 }

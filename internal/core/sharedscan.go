@@ -97,7 +97,7 @@ func (h *scanHub) scanShared(p *sim.Proc, frag *Fragment, pred rel.Pred, split *
 		// page count.
 		return heapSelect(p, h.m, frag, pred, split)
 	}
-	c := &sharedConsumer{op: op, site: site, frag: frag, sel: newPageSelect(h.m, frag, pred, split)}
+	c := &sharedConsumer{op: op, site: site, frag: frag, sel: newPageSelect(h.m, frag.Node, pred, split)}
 	if s == nil {
 		s = &sharedScan{hub: h, key: key, ws: f.NewWrapScanner(0), npages: npages}
 		h.active[key] = s

@@ -18,25 +18,25 @@ func spawnStore(m *Machine, from *sim.Proc, opID string, site int, frag *Fragmen
 	// relation afterwards.
 	m.spawnOp(from, opSpec{op: opID, class: "store", site: site, node: frag.Node, in: in, sched: sched}, func(p *sim.Proc) (int, any) {
 		ap := frag.File.NewAppender()
-		var rx streamIn
-		write := ap.Step
-		rx = streamIn{
+		write, log := ap.Step, m.logShip(frag.Node, m.Prm.TupleBytes)
+		if log != nil {
+			// A tuple's log record follows its page write. ap.Step is
+			// idle once the write is done, while the record's page ships.
+			write = func() (sim.Time, bool) {
+				if at, more := ap.Step(); more || ap.Failed() {
+					return at, more
+				}
+				return log()
+			}
+		}
+		rx := streamIn{
 			port: in, want: streamStore, expect: -1, node: frag.Node,
 			instr: m.Prm.Engine.InstrPerTupleStore,
-			// With a recovery server, logging is the process's: shipping a
-			// log page waits.
-			take: func(t *rel.Tuple) (int, bool) {
-				if m.rec != nil {
-					return 0, false
-				}
+			take: func(t *rel.Tuple) (int, func() (sim.Time, bool)) {
 				if ap.Put(*t) {
-					rx.sub = write
+					return 0, write
 				}
-				return 0, true
-			},
-			slow: func(p *sim.Proc, t *rel.Tuple) {
-				ap.Append(p, *t)
-				m.logRecord(p, frag.Node, m.Prm.TupleBytes)
+				return 0, log
 			},
 			halt: ap.Failed,
 		}

@@ -157,6 +157,3 @@ func (d *Drive) WriteAsync(file, page, bytes int) sim.Time {
 func (d *Drive) ReserveWrite(file, page, bytes int) sim.Time {
 	return d.res.Reserve(d.serviceTime(file, page, bytes, true))
 }
-
-// BusyUntil returns when all queued requests will have completed.
-func (d *Drive) BusyUntil() sim.Time { return d.res.BusyUntil() }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"gamma/internal/config"
@@ -255,6 +256,82 @@ func TestDriveFailover(t *testing.T) {
 	if res.Attempts != retries+1 || !res.Degraded {
 		t.Errorf("result: %d attempts, degraded %v; trace has %d retries", res.Attempts, res.Degraded, retries)
 	}
+}
+
+// TestSpoolDriveFailover fails the drive that a diskless join site spools to,
+// at instants spread over a join that overflows join memory. Whichever
+// operator meets the failed drive first, the join site's spool writes
+// included, the query must retry to the exact answer and leave no spool file
+// on any store.
+func TestSpoolDriveFailover(t *testing.T) {
+	const nDisk, nDiskless, nA, nB, mem = 4, 4, 10000, 10000, 30000
+	load := func(st *setup) *core.Relation {
+		return st.m.Load(core.LoadSpec{Name: "B", Strategy: core.Hashed, PartAttr: rel.Unique1}, wisconsin.Generate(nB, 8))
+	}
+	ref := newSetup(nDisk, nDiskless, nA)
+	refRes := ref.m.RunJoin(joinAselB(ref, load(ref), mem))
+	if refRes.Overflows == 0 {
+		t.Fatal("the join does not overflow; test vacuous")
+	}
+	files := func(m *core.Machine) []int {
+		var n []int
+		for _, nd := range m.Disk {
+			n = append(n, m.StoreOf(nd).Files())
+		}
+		return n
+	}
+	want := expectJoinAselB(nA, nB)
+	spoolFailures := 0
+	for tenth := 1; tenth < 10; tenth++ {
+		label := fmt.Sprintf("drive-fail at %d/10 of the join", tenth)
+		st := newSetup(nDisk, nDiskless, nA)
+		b := load(st)
+		before := files(st.m)
+		tr := st.m.EnableTrace()
+		site := st.m.Diskless[1] // spools to disk site 1
+		st.arm(t, fault.BadDrive(st.m.Sim.Now()+sim.Time(refRes.Elapsed*sim.Dur(tenth)/10), 1))
+		res := st.m.RunJoin(joinAselB(st, b, mem))
+		if res.Err != nil || res.Attempts != 2 {
+			t.Errorf("%s: error %v after %d attempts, want an answer after one retry", label, res.Err, res.Attempts)
+			continue
+		}
+		diffMultisets(t, label, want, tuplesOf(t, st.m, res.ResultName))
+		st.m.Drop(res.ResultName)
+		if after := files(st.m); !slices.Equal(after, before) {
+			t.Errorf("%s: stores hold %v files without the result, %v before the join", label, after, before)
+		}
+		if diedOfDrive(tr, site.ID, st.m.Sched.ID) {
+			spoolFailures++
+		}
+	}
+	if spoolFailures == 0 {
+		t.Error("no instant failed the join site's spool write; test vacuous")
+	}
+}
+
+// diedOfDrive reports whether the operator on node, in the first attempt of
+// a traced query, was the one that met the failed drive: it reported to the
+// scheduler between the fault and the abort, and did not acknowledge the
+// abort, because its drive failure had already closed its port.
+func diedOfDrive(tr *trace.Collector, node, sched int) bool {
+	fault := tr.Of(trace.KindFault)[0].At
+	abort, retry := int64(-1), int64(-1)
+	for _, e := range tr.Of(trace.KindFailover) {
+		switch {
+		case e.Class == "abort" && abort < 0:
+			abort = e.At
+		case e.Class == "retry" && retry < 0:
+			retry = e.At
+		}
+	}
+	reported, acked := false, false
+	for _, e := range tr.Of(trace.KindCtlMsg) {
+		if e.From == node && e.To == sched {
+			reported = reported || fault <= e.At && e.At <= abort
+			acked = acked || abort < e.At && e.At <= retry
+		}
+	}
+	return reported && !acked
 }
 
 // TestNICOutage: a transient NIC outage delays a query without failover and

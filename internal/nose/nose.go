@@ -620,6 +620,9 @@ func (b *Bulk) Start(from, to *Node, bytes int) {
 // Step reserves the transfer's next stage and returns its completion time, or
 // reports false once the bytes have crossed the receiver's NIC.
 func (b *Bulk) Step() (sim.Time, bool) {
+	if b.stage == 0 {
+		return 0, false
+	}
 	from, cfg := b.from, &b.from.net.cfg
 	switch b.stage {
 	case bulkSend:

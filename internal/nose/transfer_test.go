@@ -41,6 +41,21 @@ func TestTransferBulkSameNodeIsFree(t *testing.T) {
 	}
 }
 
+func TestBulkWithoutStages(t *testing.T) {
+	s, n := testNet(t, 1)
+	a := n.Nodes()[0]
+	var self Bulk
+	self.Start(a, a, 4096)
+	for name, b := range map[string]*Bulk{"zero": {}, "self": &self} {
+		if at, more := b.Step(); more || at != 0 {
+			t.Errorf("%s Bulk: Step = %v, %v; want no stage", name, at, more)
+		}
+	}
+	if s.Executed() != 0 || n.Stats().RingBytes != 0 {
+		t.Errorf("a Bulk without stages executed %d events and moved %d ring bytes", s.Executed(), n.Stats().RingBytes)
+	}
+}
+
 func TestPerConnectionFIFODelivery(t *testing.T) {
 	// Messages sent on one connection must be received in send order —
 	// the property that makes end-of-stream a reliable stream terminator.

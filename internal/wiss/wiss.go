@@ -742,27 +742,18 @@ type WrapScanner struct{ cursor }
 // (modulo the file length).
 func (f *File) NewWrapScanner(start int) *WrapScanner {
 	ws := &WrapScanner{cursor{f: f, wrap: true}}
-	ws.step = ws.Step
 	if n := len(f.pages); n > 0 {
 		ws.next = ((start % n) + n) % n
 	}
 	return ws
 }
 
-// NextIdx returns the page number the next NextPage call will deliver.
+// NextIdx returns the page number the next advance will deliver.
 func (ws *WrapScanner) NextIdx() int { return ws.next }
 
-// NextPage reads the cursor's next page (wrapping at EOF), optionally
-// issuing a read-ahead for the page after it, and advances the cursor.
-// Returns nil only for an empty file.
-func (ws *WrapScanner) NextPage(p *sim.Proc, prefetch bool) *Page {
-	ws.Start(prefetch)
-	p.Steps(ws.step)
-	ws.Fault()
-	return ws.pg
-}
-
-// Start arms the stage form of NextPage (see Scanner.Start).
+// Start arms an advance to the cursor's next page (wrapping at EOF),
+// optionally reading ahead the page after it; Step takes it, and Page then
+// returns the page, nil only for an empty file.
 func (ws *WrapScanner) Start(prefetch bool) {
 	n := len(ws.f.pages)
 	if n == 0 {

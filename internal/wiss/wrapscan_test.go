@@ -8,6 +8,15 @@ import (
 	"gamma/internal/wisconsin"
 )
 
+// advance moves ws to its next page as a shared scan does — Start, then Step
+// as p's itinerary — and returns the page.
+func advance(p *sim.Proc, ws *WrapScanner, prefetch bool) *Page {
+	ws.Start(prefetch)
+	p.Steps(ws.Step)
+	ws.Fault()
+	return ws.Page()
+}
+
 func TestWrapScannerFullRevolutionFromMidFile(t *testing.T) {
 	s, st, prm := testStore(t)
 	f := st.CreateFile("r")
@@ -20,7 +29,7 @@ func TestWrapScannerFullRevolutionFromMidFile(t *testing.T) {
 		ws := f.NewWrapScanner(start)
 		for i := 0; i < n; i++ {
 			idx := ws.NextIdx()
-			pg := ws.NextPage(p, i+1 < n)
+			pg := advance(p, ws, i+1 < n)
 			order = append(order, idx)
 			for _, tp := range pg.Tuples {
 				seen[tp.Get(rel.Unique1)]++
@@ -51,8 +60,8 @@ func TestWrapScannerEmptyFile(t *testing.T) {
 	f := st.CreateFile("empty")
 	run(t, s, func(p *sim.Proc) {
 		ws := f.NewWrapScanner(0)
-		if pg := ws.NextPage(p, true); pg != nil {
-			t.Errorf("NextPage on empty file = %v, want nil", pg)
+		if pg := advance(p, ws, true); pg != nil {
+			t.Errorf("advance on empty file = %v, want nil", pg)
 		}
 	})
 }
@@ -66,11 +75,11 @@ func TestWrapScannerPrefetchSurvivesHandoff(t *testing.T) {
 	f.LoadDirect(wisconsin.Generate(100, 4), nil)
 	ws := f.NewWrapScanner(0)
 	s.Spawn("first", func(p *sim.Proc) {
-		ws.NextPage(p, true) // leaves page 1 prefetched
+		advance(p, ws, true) // leaves page 1 prefetched
 	})
 	s.Run()
 	s.Spawn("second", func(p *sim.Proc) {
-		ws.NextPage(p, false)
+		advance(p, ws, false)
 	})
 	s.Run()
 	hits, misses := st.Pool().Stats()
