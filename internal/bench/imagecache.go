@@ -21,13 +21,14 @@ import (
 // image to a fresh simulation in O(page directory). Copy-on-write pages keep
 // the image immutable; Attach allocates file ids in Load's order, so the
 // tables stay byte-identical to the uncached path's. The Wisconsin relations
-// the images are loaded from are generated once per suite run as well. Rows
-// are only an input to image builds: they leave the cache once no phase (see
-// RunSuite) that loads the relation has still to build its machines, and a
-// version's images once the last phase that declares it returns. So at a
-// table size, where table1 builds every image of A, A's rows go before
-// table1's queries, Gamma's indexed A when table3 returns, and Table 2's own
-// rows before its first join.
+// the images are loaded from are generated once per suite run as well, and
+// a relation that lands on one machine only (scale100's) is loaded straight
+// onto it from them: its image would outlive its one reader. Rows leave the
+// cache once no phase (see RunSuite) that loads the relation has still to
+// build its machines, and a version's images once the last phase that
+// declares it returns. So at a table size, where table1 builds every image
+// of A, A's rows go before table1's queries, Gamma's indexed A when table3
+// returns, and Table 2's own rows before its first join.
 
 // imageKey identifies one distinct loaded relation on either machine.
 type imageKey struct {

@@ -53,8 +53,9 @@ func TestSuiteReportsCacheHits(t *testing.T) {
 	// These revisit a relation by construction, whatever the Options:
 	// hybrid's two algorithms per ratio, multiuser's private/shared pairs,
 	// fig13's memory ratios, table1's sizes (Aheap and Aidx are one Teradata
-	// hash file), and so on. (Others — scale100's per-processor databases —
-	// only hit via relations earlier experiments built, or never.)
+	// hash file), and so on. (Others only hit via relations earlier
+	// experiments built, or never; scale100 images nothing, loading each
+	// relation straight onto its one machine from the suite's rows.)
 	intrinsicReuse := map[string]bool{
 		"bitvector": true, "fig13": true, "hybrid": true,
 		"multiuser": true, "placement": true, "recovery": true, "pagesize-default": true,
@@ -66,8 +67,11 @@ func TestSuiteReportsCacheHits(t *testing.T) {
 		byID[r.ID] = r
 		hits += r.ImageHits
 		misses += r.ImageMisses
-		if r.ImageHits+r.ImageMisses+r.SharedPoints == 0 {
-			t.Errorf("%s: neither image-cache lookups nor shared points recorded", r.ID)
+		// A generation through the run context is a lookup of the
+		// relation cache too: it is how a straight load reads it.
+		lookups := r.ImageHits + r.ImageMisses + r.Generated
+		if lookups+r.SharedPoints == 0 {
+			t.Errorf("%s: neither relation-cache lookups nor shared points recorded", r.ID)
 			continue
 		}
 		if intrinsicReuse[r.ID] && r.ImageHits == 0 {
@@ -76,9 +80,9 @@ func TestSuiteReportsCacheHits(t *testing.T) {
 		}
 		if r.Events == 0 {
 			// Plotted a sibling's measurements: built no machine at all.
-			if r.Setup != 0 || r.ImageHits+r.ImageMisses != 0 {
-				t.Errorf("%s: simulated nothing but reports setup %v and %d image lookups",
-					r.ID, r.Setup, r.ImageHits+r.ImageMisses)
+			if r.Setup != 0 || lookups != 0 {
+				t.Errorf("%s: simulated nothing but reports setup %v and %d relation-cache lookups",
+					r.ID, r.Setup, lookups)
 			}
 			continue
 		}
@@ -195,23 +199,25 @@ func heldKeys[K comparable, V any](m *onceMap[K, V]) []K {
 }
 
 // cacheRecorder wraps experiments so that, as each returns, it records the
-// images the suite's relation cache holds. Every image an experiment read is
-// still there at that moment: the suite frees it only after the experiment
-// returns.
+// images and the generated rows the suite's relation cache holds. Every image
+// an experiment read is still there at that moment: the suite frees it only
+// after the experiment returns. So are the rows it loaded, unless it gave its
+// loads back early (runCtx.built), and then it imaged them.
 type cacheRecorder struct {
 	mu     sync.Mutex
 	cache  *relCache
 	images map[imageKey]bool
+	tuples map[genKey]bool
 }
 
 func newCacheRecorder() *cacheRecorder {
-	return &cacheRecorder{images: map[imageKey]bool{}}
+	return &cacheRecorder{images: map[imageKey]bool{}, tuples: map[genKey]bool{}}
 }
 
-// relations returns the generated relations the recorded images were built
-// from.
+// relations returns the generated relations recorded: those the recorded
+// images were built from, and those recorded as rows.
 func (r *cacheRecorder) relations() map[genKey]bool {
-	out := map[genKey]bool{}
+	out := maps.Clone(r.tuples)
 	for k := range r.images {
 		out[k.version().genKey] = true
 	}
@@ -228,6 +234,9 @@ func (r *cacheRecorder) wrap(exps []Experiment) []Experiment {
 			r.cache = o.run.rels
 			for _, k := range heldKeys(o.run.rels.images) {
 				r.images[k] = true
+			}
+			for _, k := range heldKeys(o.run.rels.tuples) {
+				r.tuples[k] = true
 			}
 			return tbl
 		}
@@ -255,7 +264,9 @@ func (r *cacheRecorder) left() (claims, tuples, images int) {
 // C) and four Teradata hash files (A under both names, Bprime, B, C),
 // generated from four Wisconsin relations; at Quick(), which runs them on two
 // workers beside the figures and at sizes no other experiment reads, they
-// build and generate that many per size.
+// build and generate that many per size. scale100 loads each of its relations
+// onto the one machine that reads it: at Quick() it builds no image and
+// generates each relation it declares once.
 func TestEveryRelationBuiltOnce(t *testing.T) {
 	for _, run := range []struct {
 		name string
@@ -336,6 +347,41 @@ func TestEveryRelationBuiltOnce(t *testing.T) {
 		// 2+4+2 Gamma relations attached per size, and 2+5+2 Teradata ones.
 		if lookups != int64(17*sizes) {
 			t.Errorf("%d relations attached at %d sizes, want 17 per size", lookups, sizes)
+		}
+	})
+	t.Run("scale100 at Quick", func(t *testing.T) {
+		q := quick(t)
+		e, _ := Lookup("scale100")
+		declared := map[genKey]bool{}
+		for _, k := range e.reads(Quick()) {
+			declared[k.genKey] = true
+		}
+		// Its generation count is its own: no sibling reads its relations.
+		for _, other := range Experiments() {
+			if other.ID == e.ID {
+				continue
+			}
+			for _, k := range other.reads(Quick()) {
+				if declared[k.genKey] {
+					t.Fatalf("%s also reads %+v at Quick(), which scale100 reads", other.ID, k)
+				}
+			}
+		}
+		for _, r := range q.reports {
+			if r.ID != e.ID {
+				continue
+			}
+			if lookups := r.ImageHits + r.ImageMisses; lookups != 0 {
+				t.Errorf("scale100 made %d image-cache lookups (%d misses), want none", lookups, r.ImageMisses)
+			}
+			if r.Generated != int64(len(declared)) {
+				t.Errorf("scale100 generated %d Wisconsin relations, want each of its %d once", r.Generated, len(declared))
+			}
+		}
+		for k := range declared {
+			if !q.rec.tuples[k] {
+				t.Errorf("scale100's rows of %+v were never held by the suite's cache", k)
+			}
 		}
 	})
 }

@@ -6,7 +6,12 @@ package bench
 // literature (Rödiger et al.'s high-speed networks, Hespe et al.'s cluster
 // OLAP) studies.
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+
+	"gamma/internal/core"
+)
 
 // scaleNodes are the cluster sizes of the scale experiment.
 var scaleNodes = []int{64, 128, 256}
@@ -81,9 +86,13 @@ func scaleReads(o Options) []read {
 	return loads(out...)
 }
 
-// setupScale builds a d-disk-site machine loaded with one n-tuple heap
-// relation (no diskless sites, no indexes — the lean geometry that keeps a
-// 256-node machine cheap to image).
+// setupScale builds a d-disk-site machine holding one n-tuple heap relation
+// (no diskless sites, no indexes), loaded straight from the suite's rows:
+// the relation lands on this machine only, so an image would outlive it.
 func setupScale(o Options, d, n int) *gammaSetup {
-	return &gammaSetup{m: o.gammaMachine(d, 0, false, []relSpec{heapRel("S", n, 1)})}
+	defer o.run.addSetup(time.Now())
+	prm := o.params()
+	m := core.NewMachine(o.newSim(), &prm, d, 0)
+	loadSpecRel(o.run, m, heapRel("S", n, 1))
+	return &gammaSetup{m: m}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -730,12 +731,9 @@ func (m *Machine) runRounds(ib *inbox, st *stage) error {
 			// the disk site holding them (diskless processors spooled
 			// remotely), so Remote rounds pipeline across both CPU
 			// sets while Local rounds stack scan and join work on the
-			// same processors — the §6.2.2 crossover.
-			reader := nd
-			if info.owner != nil {
-				reader = info.owner
-			}
-			spawnSpoolScan(m, p, st.op+".ovfbuild", si, info.build, info.owner, reader, func() selectOutput {
+			// same processors — the §6.2.2 crossover. A site that
+			// spooled nothing at l has no owner and scans nothing.
+			spawnSpoolScan(m, p, st.op+".ovfbuild", si, info.build, cmp.Or(info.owner, nd), func() selectOutput {
 				return selectOutput{stream: roundStream(l, false), ports: st.ports, route: HashRoute(st.buildAttr, roundSeed(l), nJ)}
 			}, ib.port)
 		}
@@ -750,11 +748,7 @@ func (m *Machine) runRounds(ib *inbox, st *stage) error {
 		st.signal(m, p, opCtl{kind: ctlRoundProbe, level: l})
 		for si, nd := range st.nodes {
 			info := infos[si]
-			reader := nd
-			if info.owner != nil {
-				reader = info.owner
-			}
-			spawnSpoolScan(m, p, st.op+".ovfprobe", si, info.probe, info.owner, reader, func() selectOutput {
+			spawnSpoolScan(m, p, st.op+".ovfprobe", si, info.probe, cmp.Or(info.owner, nd), func() selectOutput {
 				return selectOutput{stream: roundStream(l, true), ports: st.ports, route: HashRoute(st.probeAttr, roundSeed(l), nJ)}
 			}, ib.port)
 		}

@@ -225,25 +225,16 @@ func nonClusteredSelect(p *sim.Proc, m *Machine, frag *Fragment, pred rel.Pred, 
 }
 
 // spawnSpoolScan starts an operator on `reader` that streams a spool file
-// (resident on `owner`, possibly a different node) through a split table —
-// the redistribution step of join-overflow resolution (§6.2.2): the page
-// pipeline over the file, each page moved from owner to reader first.
-func spawnSpoolScan(m *Machine, from *sim.Proc, opID string, site int, file *wiss.File, owner, reader *nose.Node, mkOut func() selectOutput, sched *nose.Port) {
+// through a split table — the redistribution step of join-overflow resolution
+// (§6.2.2) — over the page pipeline. The reader holds the file (a disk
+// site's own, a diskless site's spool node), so no page crosses the ring.
+func spawnSpoolScan(m *Machine, from *sim.Proc, opID string, site int, file *wiss.File, reader *nose.Node, mkOut func() selectOutput, sched *nose.Port) {
 	m.spawnOp(from, opSpec{op: opID, class: "spool-scan", site: site, node: reader, sched: sched}, func(p *sim.Proc) (int, any) {
 		out := mkOut()
 		split := newSplitTable(reader, m.Prm, out.stream, out.ports, out.route)
 		w := newPageSelect(m, reader, rel.True(), split)
 		if file != nil {
-			var move nose.Bulk
-			file.NewScanner().Run(p, func(pg *wiss.Page) {
-				move.Start(owner, reader, m.Prm.PageBytes)
-				w.begin(p, pg)
-			}, func() (sim.Time, bool) {
-				if at, more := move.Step(); more {
-					return at, true
-				}
-				return w.step()
-			}, nil)
+			file.NewScanner().Run(p, func(pg *wiss.Page) { w.begin(p, pg) }, w.step, nil)
 		}
 		split.close(p)
 		return w.n, doneMsg{op: opID, produced: w.n}
