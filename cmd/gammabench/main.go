@@ -3,8 +3,7 @@
 //
 // Usage:
 //
-//	gammabench [-quick] [-list] [-parallel N] [-json]
-//	           [-campaign-seed S] [experiment ...]
+//	gammabench [-quick] [-list] [-parallel N] [-json] [experiment ...]
 //
 // With no experiment arguments every registered experiment runs. -quick uses
 // reduced relation sizes for a fast smoke run; the default is paper scale
@@ -17,12 +16,11 @@
 // machine-readable report: per experiment, its table's rows (label, and
 // measured, paper and extra for each cell) beside wall clock and simulated
 // events/sec. -cpuprofile and -memprofile write pprof profiles. The program
-// reads no environment variable: nothing but sizes and the campaign seed can
-// move a table.
+// reads no environment variable: nothing but sizes can move a table.
 //
-// A retired experiment id (kernelscale, degraded, scaleup, netgen) still
-// resolves: it prints a one-row table saying why it was retired, and -list
-// does not show it.
+// A retired experiment id (kernelscale, degraded, scaleup, netgen,
+// availability) still resolves: it prints a one-row table saying why it was
+// retired, and -list does not show it.
 //
 // Every flag value is validated up front, before anything simulates; a bad
 // one prints a named error and the usage and exits 2.
@@ -89,7 +87,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0),
 		"worker goroutines for experiments and independent data points")
 	jsonOut := fs.Bool("json", false, "emit a machine-readable report instead of tables")
-	campaignSeed := fs.Uint64("campaign-seed", 0, "`seed` for the availability experiment's fault campaign (0 = default)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to `file`")
 	memprofile := fs.String("memprofile", "", "write a heap profile to `file`")
 	if err := fs.Parse(args); err != nil {
@@ -139,7 +136,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opts = bench.Quick()
 		suite = "quick"
 	}
-	opts.CampaignSeed = *campaignSeed
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

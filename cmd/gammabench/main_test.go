@@ -131,7 +131,7 @@ func TestRetiredExperiment(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(list.String()), "\n") {
 		listed[strings.Fields(line)[0]] = true
 	}
-	for _, id := range []string{"kernelscale", "degraded", "scaleup", "netgen"} {
+	for _, id := range []string{"kernelscale", "degraded", "scaleup", "netgen", "availability"} {
 		var out bytes.Buffer
 		if code := run([]string{"-quick", id}, &out, null); code != 0 {
 			t.Fatalf("%s: exit code %d, want 0", id, code)
@@ -167,9 +167,9 @@ func TestRunRejectsBadParallel(t *testing.T) {
 }
 
 // TestRunRejectsBadFlagValues: every row of run's validation table, plus
-// the values the flag package rejects itself — among them the retired kernel
-// and hardware-generation flags — exits 2 with a named error and the usage
-// before anything simulates.
+// the values the flag package rejects itself — among them the retired kernel,
+// hardware-generation and fault-campaign flags — exits 2 with a named error
+// and the usage before anything simulates.
 func TestRunRejectsBadFlagValues(t *testing.T) {
 	null := devNull(t)
 	for _, tc := range []struct {
@@ -178,6 +178,7 @@ func TestRunRejectsBadFlagValues(t *testing.T) {
 	}{
 		{[]string{"-parallel", "0"}, "-parallel must be >= 1"},
 		{[]string{"-campaign-faults", "-1"}, "flag provided but not defined: -campaign-faults"},
+		{[]string{"-campaign-seed", "42"}, "flag provided but not defined: -campaign-seed"},
 		{[]string{"table9"}, `unknown experiment "table9"`},
 		{[]string{"-list", "-parallel", "0"}, "-parallel must be >= 1"}, // validation precedes -list
 		{[]string{"-kernel", "partitioned"}, "flag provided but not defined: -kernel"},

@@ -18,9 +18,9 @@ import (
 	"gamma/internal/sim"
 )
 
-// Options is what a user sets for an experiment run: sizes, machine
-// parameters and the fault campaign. Nothing else — no flag, no environment
-// variable — reaches a simulation.
+// Options is what a user sets for an experiment run: sizes and machine
+// parameters. Nothing else — no flag, no environment variable — reaches a
+// simulation.
 type Options struct {
 	// Sizes are the source-relation cardinalities for Tables 1-3. The
 	// paper uses 10,000 / 100,000 / 1,000,000.
@@ -32,11 +32,6 @@ type Options struct {
 	MaxProcs int
 	// Params overrides the default machine parameters.
 	Params *config.Params
-
-	// CampaignSeed seeds the availability experiment's generated fault
-	// campaign (0 selects the default seed). Same seed, same campaign,
-	// byte-identical report.
-	CampaignSeed uint64
 
 	harnessOptions
 
@@ -220,9 +215,9 @@ func loadSpecRel(c *runCtx, m *core.Machine, rs relSpec) *core.Relation {
 
 // gammaMachine returns a Gamma machine on a fresh simulation holding the
 // given relations, its wall time charged to the experiment's setup clock.
-func (o Options) gammaMachine(nDisk, nDiskless int, mirrored bool, specs []relSpec) *core.Machine {
+func (o Options) gammaMachine(nDisk, nDiskless int, specs []relSpec) *core.Machine {
 	defer o.run.addSetup(time.Now())
-	return o.run.gammaOn(o.newSim(), o.params(), nDisk, nDiskless, mirrored, specs)
+	return o.run.gammaOn(o.newSim(), o.params(), nDisk, nDiskless, specs)
 }
 
 // gammaOn builds a Gamma machine on s and puts the relations on it in spec
@@ -233,14 +228,10 @@ func (o Options) gammaMachine(nDisk, nDiskless int, mirrored bool, specs []relSp
 // byte-identical downstream: loading is free and eventless (the throwaway
 // simulator never runs), a fresh machine starts at t=0 with cold buffer
 // pools either way, and Attach allocates file ids exactly as Load does.
-func (c *runCtx) gammaOn(s *sim.Sim, prm config.Params, nDisk, nDiskless int, mirrored bool, specs []relSpec) *core.Machine {
+func (c *runCtx) gammaOn(s *sim.Sim, prm config.Params, nDisk, nDiskless int, specs []relSpec) *core.Machine {
 	newMachine := func(s *sim.Sim, nDiskless int) *core.Machine {
 		p := prm // private copy: the machine keeps the pointer
-		m := core.NewMachine(s, &p, nDisk, nDiskless)
-		if mirrored {
-			m.EnableMirroring()
-		}
-		return m
+		return core.NewMachine(s, &p, nDisk, nDiskless)
 	}
 	m := newMachine(s, nDiskless)
 	for _, rs := range specs {
@@ -248,7 +239,7 @@ func (c *runCtx) gammaOn(s *sim.Sim, prm config.Params, nDisk, nDiskless int, mi
 			loadSpecRel(c, m, rs)
 			continue
 		}
-		img := image(c, imageKey{nDisk: nDisk, mirrored: mirrored, prm: prm, rel: rs}, func() *core.RelationImage {
+		img := image(c, imageKey{nDisk: nDisk, prm: prm, rel: rs}, func() *core.RelationImage {
 			return loadSpecRel(c, newMachine(sim.New(), 0), rs).Image()
 		})
 		if _, err := m.Attach(rs.name, img); err != nil {
@@ -273,7 +264,7 @@ type gammaSetup struct {
 func newGamma(o Options, nDisk, nDiskless, n int, seed uint64, extras ...relSpec) *gammaSetup {
 	heap, idx := heapRel("Aheap", n, seed), heapRel("Aidx", n, seed)
 	idx.indexed = true
-	g := &gammaSetup{m: o.gammaMachine(nDisk, nDiskless, false, append([]relSpec{heap, idx}, extras...))}
+	g := &gammaSetup{m: o.gammaMachine(nDisk, nDiskless, append([]relSpec{heap, idx}, extras...))}
 	g.heap, g.idx = g.rel("Aheap"), g.rel("Aidx")
 	return g
 }

@@ -285,16 +285,6 @@ var facts = map[string][]fact{
 		}
 		return nil
 	}}},
-	"availability": {{"every row rebuilds, serves queries after the campaign and restores redundancy (rebuild, post q/s and MTTR mean > 0)", func(t *Table) error {
-		for _, name := range []string{"rebuild", "post q/s", "MTTR mean"} {
-			for i, v := range column(t, name) {
-				if !(v > 0) {
-					return fmt.Errorf("%s: %s = %.4g", t.Rows[i].Label, name, v)
-				}
-			}
-		}
-		return nil
-	}}},
 	"multiuser": {
 		{"sharing changes nothing at MPL 1: the speedup is exactly 1", func(t *Table) error {
 			if v := rowCells(t, "MPL 1")[colIndex(t, "speedup")].Measured; v != 1 {

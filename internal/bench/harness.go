@@ -3,15 +3,17 @@ package bench
 import "gamma/internal/sim"
 
 // The frozen benchmark harness (benchmark/) still sets and reads parts of the
-// kernel selection surface that is gone, and pins an experiment id that is
-// retired. This file keeps exactly those, inert, each with the harness line
-// that reads it. Delete it when benchmark/ may be edited.
+// kernel selection surface and the fault-campaign seed that are gone, and pins
+// experiment ids that are retired. This file keeps exactly those, inert, each
+// with the harness line that reads it. Delete it when benchmark/ may be edited.
 
 // harnessOptions are accepted and ignored: every simulation runs on one event
-// calendar (benchmark/child.go:158–162).
+// calendar (benchmark/child.go:158–162), and no experiment draws a fault
+// campaign (benchmark/workloads.go:70,82,92).
 type harnessOptions struct {
 	Kernel        string
 	KernelWorkers int
+	CampaignSeed  uint64
 }
 
 // harnessReport stays zero: no simulation runs windows
@@ -25,10 +27,11 @@ type harnessReport struct {
 // one-row tombstone table; Experiments, and so -list and the golden, never
 // show them (benchmark/child.go:180, benchmark/benchmark_test.go:243).
 var retired = map[string]string{
-	"kernelscale": "the partitioned kernel it measured is gone; every simulation runs on one event calendar",
-	"degraded":    "it ran the crash, chained-backup and failover path availability runs, with no claim of its own",
-	"scaleup":     "its 1-8 processor range is what the fig2 and fig11 near-linear facts check; scale100 measures scaleup past it",
-	"netgen":      "the hardware generations it swept are gone; its finding, a serialized control path binding, is scale100's initiation wall",
+	"kernelscale":  "the partitioned kernel it measured is gone; every simulation runs on one event calendar",
+	"degraded":     "it ran the crash, chained-backup and failover path that internal/fault tests, with no claim of its own",
+	"scaleup":      "its 1-8 processor range is what the fig2 and fig11 near-linear facts check; scale100 measures scaleup past it",
+	"netgen":       "the hardware generations it swept are gone; its finding, a serialized control path binding, is scale100's initiation wall",
+	"availability": "the self-healing extension it measured was deleted because no paper claim needs it; failover stays, tested in internal/fault",
 }
 
 // tombstone returns the experiment standing in for a retired id.

@@ -32,15 +32,13 @@ import (
 
 // imageKey identifies one distinct loaded relation on either machine.
 type imageKey struct {
-	// tera marks a Teradata hash file. Its AMP count is in prm, nDisk and
-	// mirrored stay zero, and rel holds n and seed only: every relation
-	// there is hashed on unique1, and secondary indices are catalog
-	// metadata, not storage.
-	tera     bool
-	nDisk    int // Gamma disk sites the relation is declustered over
-	mirrored bool
-	prm      config.Params
-	rel      relSpec // name blanked: the image is attached under any name
+	// tera marks a Teradata hash file. Its AMP count is in prm, nDisk stays
+	// zero, and rel holds n and seed only: every relation there is hashed
+	// on unique1, and secondary indices are catalog metadata, not storage.
+	tera  bool
+	nDisk int // Gamma disk sites the relation is declustered over
+	prm   config.Params
+	rel   relSpec // name blanked: the image is attached under any name
 }
 
 // genKey identifies one generated Wisconsin relation.

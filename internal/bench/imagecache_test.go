@@ -136,7 +136,7 @@ func TestImageCacheSingleflight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			// Different names and diskless counts: neither is storage.
-			g := &gammaSetup{m: o.gammaMachine(2, i%3, false, []relSpec{heapRel(fmt.Sprintf("R%d", i), 500, 1)})}
+			g := &gammaSetup{m: o.gammaMachine(2, i%3, []relSpec{heapRel(fmt.Sprintf("R%d", i), 500, 1)})}
 			secs[i] = g.selectSecs(heapSel(10).of(g.rel(fmt.Sprintf("R%d", i)), 500))
 		}(i)
 	}

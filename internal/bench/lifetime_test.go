@@ -81,7 +81,7 @@ func collectedWithin(count func() (alive, total int)) bool {
 // builds a Gamma and a Teradata machine holding them and runs a selection on
 // each.
 func useRelations(o Options, seed uint64) {
-	g := &gammaSetup{m: o.gammaMachine(2, 0, false, []relSpec{heapRel("R", 500, seed)})}
+	g := &gammaSetup{m: o.gammaMachine(2, 0, []relSpec{heapRel("R", 500, seed)})}
 	g.selectSecs(heapSel(10).of(g.rel("R"), 500))
 	teraSelection(false, 10, teradata.FileScan)(newTera(o, 500, seed))
 }
@@ -280,7 +280,7 @@ func TestTable2HoldsWhatItReads(t *testing.T) {
 func TestUndeclaredReadFails(t *testing.T) {
 	indexed := func(o Options) {
 		rs := relSpec{name: "R", n: 500, seed: 2, strategy: core.Hashed, partAttr: rel.Unique1, indexed: true}
-		o.gammaMachine(2, 0, false, []relSpec{rs})
+		o.gammaMachine(2, 0, []relSpec{rs})
 	}
 	for name, tc := range map[string]struct {
 		read func(o Options)

@@ -62,7 +62,7 @@ func muRun(o Options, spec muRow, shared bool) core.WorkloadResult {
 		specs = append(specs, relSpec{name: "MuBprime", n: tuples / 10,
 			seed: 7, strategy: core.RoundRobin})
 	}
-	m := o.gammaMachine(muDisks, nDiskless, false, specs)
+	m := o.gammaMachine(muDisks, nDiskless, specs)
 	rels := make([]*core.Relation, muRels)
 	for i := range rels {
 		r, _ := m.Relation(fmt.Sprintf("Mu%c", 'A'+i))

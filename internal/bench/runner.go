@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"runtime"
 	"runtime/pprof"
 	"slices"
 	"sync"
@@ -118,8 +119,18 @@ func RunSuite(exps []Experiment, o Options, workers int) []Report {
 		rels.release(p.reads, false)
 	}
 	var wg sync.WaitGroup
+	size := 0 // the largest relation size a serial phase has declared
 	for _, i := range runOrder(phases) {
 		if sem == nil {
+			// The first phase of a larger size starts after a collection:
+			// the smaller sizes' relations are garbage by now, and left to
+			// the pacer they would raise the heap this phase grows from.
+			if n := phases[i].size(); n > size {
+				if size > 0 {
+					runtime.GC()
+				}
+				size = n
+			}
 			run(i)
 			continue
 		}
@@ -165,6 +176,15 @@ type phase struct {
 	exp   int
 	o     Options
 	reads []read
+}
+
+// size is the cardinality of the largest relation the phase declares.
+func (p phase) size() int {
+	n := 0
+	for _, r := range p.reads {
+		n = max(n, r.n)
+	}
+	return n
 }
 
 // suitePhases lists the phases of exps in the order the experiments were

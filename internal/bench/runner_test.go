@@ -36,12 +36,11 @@ func TestParMapSerialWithoutSemaphore(t *testing.T) {
 
 // TestSuiteSerialParallelIdentical: the whole registry run serially and in
 // reverse on eight workers — per-size tables, per-processor and
-// per-page-size sweeps, the 64-256 processor machines, the fault-injecting
-// availability matrix — prints byte-identical tables, with the reports in
-// the order the experiments were given. Each data point is an independent
-// simulation with a fixed seed, so scheduling must not reach the results.
-// (TestSharedMatchesUnshared holds each run's events to the experiments'
-// own.)
+// per-page-size sweeps, the 64-256 processor machines — prints
+// byte-identical tables, with the reports in the order the experiments were
+// given. Each data point is an independent simulation with a fixed seed, so
+// scheduling must not reach the results. (TestSharedMatchesUnshared holds
+// each run's events to the experiments' own.)
 func TestSuiteSerialParallelIdentical(t *testing.T) {
 	exps := Experiments()
 	serial, parallel := serialRun().reports, parallelRun().reports

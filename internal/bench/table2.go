@@ -36,7 +36,7 @@ func runTable2(o Options) *Table {
 	paperRows(o, t, labels, paperTable2, func(n int) func() [][2]Cell {
 		joinRels := []relSpec{heapRel("Bprime", n/10, 7), heapRel("B", n, 8), heapRel("C", n/10, 9)}
 		ts := newTera(o, n, 1, joinRels...)
-		g := &gammaSetup{m: o.gammaMachine(8, 8, false, append([]relSpec{heapRel("Aheap", n, 1)}, joinRels...))}
+		g := &gammaSetup{m: o.gammaMachine(8, 8, append([]relSpec{heapRel("Aheap", n, 1)}, joinRels...))}
 		g.heap = g.rel("Aheap")
 		return func() [][2]Cell {
 			var cells [][2]Cell

@@ -63,9 +63,6 @@ func (m *Machine) CrashDisk(site int) {
 	nd.Fail()
 	nd.Drive.Fail()
 	m.reassignSpools()
-	if m.healer != nil {
-		m.healer.noteFault(site)
-	}
 }
 
 // FailDrive fails only the drive of disk site: the processor stays up, so
@@ -82,9 +79,6 @@ func (m *Machine) FailDrive(site int) {
 	})
 	nd.Drive.Fail()
 	m.reassignSpools()
-	if m.healer != nil {
-		m.healer.noteFault(site)
-	}
 }
 
 // NICOutage blocks a node's network interface for d, modeling a transient
@@ -102,8 +96,7 @@ func (m *Machine) NICOutage(node int, d sim.Dur) {
 
 // OutageDisk takes disk site down exactly like CrashDisk, then schedules its
 // rejoin d later: a transient power/partition outage rather than a permanent
-// loss. The node comes back cold (empty buffer pool, unknown arm position)
-// and immediately eligible as a re-replication target.
+// loss. The node comes back cold (empty buffer pool, unknown arm position).
 func (m *Machine) OutageDisk(site int, d sim.Dur) {
 	m.CrashDisk(site)
 	m.Sim.At(m.Sim.Now()+d, func() { m.RejoinDisk(site) })
@@ -112,10 +105,8 @@ func (m *Machine) OutageDisk(site int, d sim.Dur) {
 // RejoinDisk returns a previously crashed disk site to service: the node and
 // drive accept work again, the buffer pool is cold (its contents did not
 // survive the outage), and any spool assignment it held before the crash is
-// restored. Fragments whose files survived on the drive serve again as soon
-// as the directory still points at them; fragments the healer condemned and
-// re-replicated elsewhere stay gone — the rejoined node is simply spare
-// capacity (and a rebuild target) from here on. Idempotent.
+// restored. Its fragments' files survived on the drive, so the next query
+// reads its primaries there again instead of their backups. Idempotent.
 func (m *Machine) RejoinDisk(site int) {
 	nd := m.Disk[site]
 	if !nd.Failed() {
@@ -128,12 +119,9 @@ func (m *Machine) RejoinDisk(site int) {
 	}
 	nd.SpoolNode = nd
 	m.Sim.Emit(trace.Event{
-		At: int64(m.Sim.Now()), Kind: trace.KindHeal, Class: "rejoin",
+		At: int64(m.Sim.Now()), Kind: trace.KindFault, Class: "rejoin",
 		Node: nd.ID, Site: site,
 	})
-	if m.healer != nil {
-		m.healer.noteRejoin(site)
-	}
 }
 
 // reassignSpools points every processor whose spool drive is gone at the
@@ -196,7 +184,7 @@ func (m *Machine) liveFrag(r *Relation, i int) (frag *Fragment, backup bool, err
 		return fr, false, nil
 	}
 	if i < len(r.Backups) {
-		if b := r.Backups[i]; b != nil && m.driveUp(b.Node) {
+		if b := r.Backups[i]; m.driveUp(b.Node) {
 			return b, true, nil
 		}
 	}
@@ -245,13 +233,16 @@ func opExit(p *sim.Proc, o *opSpec) {
 // a message, so it crosses the ring and the process starts one Net.MinLatency
 // later — unless the node crashed while the request was in flight, which
 // loses it even if the node has rejoined by then (the crash count at send
-// and at landing differ). A nil from is a node starting a process of its
-// own, at once.
+// and at landing differ).
 func (m *Machine) start(from *sim.Proc, nd *nose.Node, name string, fn func(p *sim.Proc)) {
 	if nd.Failed() {
 		return
 	}
-	run := func() {
+	sent := m.crashes[nd.ID]
+	m.Sim.At(from.Now()+m.Prm.Net.MinLatency, func() {
+		if m.crashes[nd.ID] != sent {
+			return
+		}
 		var pr *sim.Proc
 		pr = m.Sim.Spawn(name, func(p *sim.Proc) {
 			defer func() {
@@ -264,15 +255,5 @@ func (m *Machine) start(from *sim.Proc, nd *nose.Node, name string, fn func(p *s
 			fn(p)
 		})
 		m.procs[nd.ID] = append(m.procs[nd.ID], pr)
-	}
-	if from == nil {
-		run()
-		return
-	}
-	sent := m.crashes[nd.ID]
-	m.Sim.At(from.Now()+m.Prm.Net.MinLatency, func() {
-		if m.crashes[nd.ID] == sent {
-			run()
-		}
 	})
 }

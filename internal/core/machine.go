@@ -81,7 +81,6 @@ type Machine struct {
 	ftDetect sim.Dur       // operator-silence detection timeout; 0 = failover off
 	procs    [][]*sim.Proc // live node-bound processes, by node ID
 	crashes  []int         // crash count by node ID (bumped by CrashDisk)
-	healer   *Healer       // non-nil after EnableHealing (heal.go)
 
 	// scans is the scan-sharing layer, non-nil after EnableSharedScans.
 	scans *scanHub
@@ -440,15 +439,10 @@ func (m *Machine) Drop(name string) {
 		return
 	}
 	for _, fr := range r.Frags {
-		if fr != nil {
-			m.stores[fr.Node.ID].DropFile(fr.File)
-		}
+		m.stores[fr.Node.ID].DropFile(fr.File)
 	}
 	for _, fr := range r.Backups {
-		// Backup slots can be nil after the healer condemned a lost copy.
-		if fr != nil {
-			m.stores[fr.Node.ID].DropFile(fr.File)
-		}
+		m.stores[fr.Node.ID].DropFile(fr.File)
 	}
 	delete(m.catalog, name)
 }

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 
-	"gamma/internal/nose"
 	"gamma/internal/rel"
 	"gamma/internal/wiss"
 )
@@ -32,11 +31,9 @@ type RelationImage struct {
 }
 
 // fragmentImage is one fragment: its disk site (an index into Machine.Disk:
-// Load puts fragment i's primary on site i and its backup on site i+1, but
-// the healer may have promoted or rebuilt it elsewhere), the file, and its
-// indexes in the order their index files were allocated (clustered first,
-// then the dense indexes in LoadSpec order). A nil file is a backup slot the
-// healer has condemned and not yet rebuilt.
+// Load puts fragment i's primary on site i and its backup on site i+1), the
+// file, and its indexes in the order their index files were allocated
+// (clustered first, then the dense indexes in LoadSpec order).
 type fragmentImage struct {
 	site    int
 	file    *wiss.FileImage
@@ -67,9 +64,6 @@ func (r *Relation) Image() *RelationImage {
 }
 
 func (m *Machine) imageFragment(fr *Fragment) fragmentImage {
-	if fr == nil {
-		return fragmentImage{}
-	}
 	fi := fragmentImage{site: slices.Index(m.Disk, fr.Node), file: fr.File.Snapshot()}
 	trees := make([]*wiss.BTree, 0, len(fr.Indexes))
 	for _, bt := range fr.Indexes {
@@ -129,23 +123,13 @@ func geometry(sites int, mirrored bool) string {
 	return fmt.Sprintf("%d unmirrored disk sites", sites)
 }
 
-// attachFragment is buildFragment for an imaged fragment.
+// attachFragment is buildFragment for an imaged fragment: the file, then its
+// indexes, their ids allocated in the image's order.
 func (m *Machine) attachFragment(fileName string, fi fragmentImage) *Fragment {
-	if fi.file == nil {
-		return nil
-	}
 	nd := m.Disk[fi.site]
-	f := m.stores[nd.ID].AdoptFile(fi.file)
-	f.Name = fileName
-	return m.adoptIndexes(nd, f, fi)
-}
-
-// adoptIndexes completes the fragment whose file f node nd has adopted from
-// fi: it adopts fi's indexes over f, allocating their ids in the image's
-// order. Re-replication adopts the file when the copy starts and calls this
-// when it installs the copy.
-func (m *Machine) adoptIndexes(nd *nose.Node, f *wiss.File, fi fragmentImage) *Fragment {
 	st := m.stores[nd.ID]
+	f := st.AdoptFile(fi.file)
+	f.Name = fileName
 	frag := &Fragment{Node: nd, File: f, Indexes: map[rel.Attr]*wiss.BTree{}}
 	for _, ix := range fi.indexes {
 		bt := st.AdoptBTree(f, ix)

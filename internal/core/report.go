@@ -16,9 +16,6 @@ type Counters struct {
 	// SharedDelivered the page deliveries fanned out to riders; both stay
 	// zero with sharing off.
 	SharedScanned, SharedDelivered int64
-	// The healing manager's site-down detections, backup-to-primary
-	// promotions and completed fragment rebuilds; zero with healing off.
-	Detections, Promotions, Rebuilds int
 }
 
 // Counters snapshots the machine's cumulative counters. (Machine.Snapshot,
@@ -28,9 +25,6 @@ func (m *Machine) Counters() Counters {
 	c.PoolHits, c.PoolMisses = m.PoolStats()
 	if m.scans != nil {
 		c.SharedScanned, c.SharedDelivered = m.scans.pagesScanned, m.scans.pagesDelivered
-	}
-	if h := m.healer; h != nil {
-		c.Detections, c.Promotions, c.Rebuilds = h.detections, h.promotions, h.rebuilds
 	}
 	return c
 }
@@ -60,8 +54,5 @@ func (c Counters) Sub(was Counters) Counters {
 	d.PoolMisses -= was.PoolMisses
 	d.SharedScanned -= was.SharedScanned
 	d.SharedDelivered -= was.SharedDelivered
-	d.Detections -= was.Detections
-	d.Promotions -= was.Promotions
-	d.Rebuilds -= was.Rebuilds
 	return d
 }

@@ -51,19 +51,9 @@ type WorkloadResult struct {
 	// Responses[term*PerTerminal+q]. Byte-identical across reruns.
 	Responses []sim.Dur
 
-	// Completions holds every query's completion instant in completion
-	// order, so availability experiments can compute windowed throughput
-	// (and its dip around a fault) after the fact.
-	Completions []sim.Time
-
-	// Availability classification: Clean queries saw only primary copies,
-	// Degraded queries completed correctly but read at least one backup (or
-	// retried past a mid-query failure), Failed queries ended with a typed
-	// error (no readable copy / retries exhausted). Clean+Degraded+Failed ==
-	// Queries. Failed queries contribute no tuples.
-	Clean    int
-	Degraded int
-	Failed   int
+	// Failed counts the queries that ended with a typed error (no readable
+	// copy / retries exhausted); they contribute no tuples.
+	Failed int
 
 	// Counters is the machine's activity over the run; CPUUtil and DiskUtil
 	// over Elapsed give its mean processor and drive utilization, and
@@ -102,11 +92,10 @@ func (m *Machine) RunWorkload(spec WorkloadSpec) WorkloadResult {
 
 	total := spec.Terminals * spec.PerTerminal
 	responses := make([]sim.Dur, total)
-	completions := make([]sim.Time, 0, total)
 	start := m.Sim.Now()
 	var lastDone sim.Time
 	tuples := 0
-	clean, degraded, failed := 0, 0, 0
+	failed := 0
 	for term := 0; term < spec.Terminals; term++ {
 		term := term
 		state := spec.Seed + uint64(term)*0x9E3779B97F4A7C15 + 1
@@ -130,18 +119,12 @@ func (m *Machine) RunWorkload(spec WorkloadSpec) WorkloadResult {
 				}
 				now := p.Now()
 				responses[term*spec.PerTerminal+q] = now - submitted
-				completions = append(completions, now)
 				if now > lastDone {
 					lastDone = now
 				}
-				switch {
-				case res.Err != nil:
+				if res.Err != nil {
 					failed++
-				case res.Degraded || res.Attempts > 1:
-					degraded++
-					tuples += res.Tuples
-				default:
-					clean++
+				} else {
 					tuples += res.Tuples
 				}
 				if res.ResultName != "" {
@@ -153,15 +136,12 @@ func (m *Machine) RunWorkload(spec WorkloadSpec) WorkloadResult {
 	m.Sim.Run()
 
 	out := WorkloadResult{
-		Queries:     total,
-		Tuples:      tuples,
-		Elapsed:     lastDone - start,
-		Responses:   responses,
-		Completions: completions,
-		Clean:       clean,
-		Degraded:    degraded,
-		Failed:      failed,
-		Counters:    m.Counters().Sub(before),
+		Queries:   total,
+		Tuples:    tuples,
+		Elapsed:   lastDone - start,
+		Responses: responses,
+		Failed:    failed,
+		Counters:  m.Counters().Sub(before),
 	}
 	if out.Elapsed > 0 {
 		out.Throughput = float64(total) / out.Elapsed.Seconds()

@@ -31,9 +31,9 @@ const (
 	// behind the outage and drains afterwards. No failover is involved.
 	NICOutage
 	// NodeOutage crashes a disk site like NodeCrash, then rejoins it Dur
-	// later: the node comes back with a cold buffer pool and immediately
-	// eligible as a re-replication target (a transient power loss or
-	// partition, against NodeCrash's permanent loss).
+	// later: the node comes back with a cold buffer pool and serves its
+	// fragments again (a transient power loss or partition, against
+	// NodeCrash's permanent loss).
 	NodeOutage
 )
 

@@ -2,6 +2,7 @@ package fault_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"slices"
@@ -47,6 +48,11 @@ func (st *setup) arm(t *testing.T, in ...fault.Injection) {
 	if err := fault.Arm(st.m, fault.Schedule{Injections: in}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// hashSite is where a Unique1 key lands on a hash-declustered relation.
+func hashSite(key int32, nDisk int) int {
+	return int(rel.Hash64(key, core.LoadSeed) % uint64(nDisk))
 }
 
 // pct is a predicate on attr selecting k percent of an n-tuple relation.
@@ -357,6 +363,98 @@ func TestNICOutage(t *testing.T) {
 	if evs := tr.Of(trace.KindFailover); len(evs) != 0 {
 		t.Errorf("NIC outage triggered failover: %v", evs)
 	}
+}
+
+// TestBothChainMembersDown: killing a chained pair (a fragment's primary site
+// and the next site holding its backup) fails the affected query with a
+// typed *core.ErrUnavailable — not a panic — and leaves the machine serving
+// queries that avoid the dead fragment.
+func TestBothChainMembersDown(t *testing.T) {
+	const nDisk, nDiskless, n = 4, 2, 10000
+	st := newSetup(nDisk, nDiskless, n)
+	// Fragment 1's primary is on site 1 and its backup on site 2.
+	st.arm(t, fault.Crash(sim.Time(1*sim.Millisecond), 1), fault.Crash(sim.Time(2*sim.Millisecond), 2))
+
+	res := st.m.RunSelect(core.SelectQuery{
+		Scan: core.ScanSpec{Rel: st.heap, Pred: pct(rel.Unique2, n, 1), Path: core.PathHeap},
+	})
+	if res.Err == nil {
+		t.Fatal("full scan over a doubly-failed fragment returned no error")
+	}
+	var ue *core.ErrUnavailable
+	if !errors.As(res.Err, &ue) {
+		t.Fatalf("res.Err = %v (%T), want *core.ErrUnavailable", res.Err, res.Err)
+	}
+
+	// The machine survives: an exact-match query routed to a live site
+	// still answers, repeatedly.
+	key := int32(-1)
+	for k := int32(0); k < int32(n); k++ {
+		if s := hashSite(k, nDisk); s != 1 && s != 2 {
+			key = k
+			break
+		}
+	}
+	if key < 0 {
+		t.Fatal("no key hashes to a live site")
+	}
+	for i := 0; i < 2; i++ {
+		one := st.m.RunSelect(core.SelectQuery{
+			Scan:   core.ScanSpec{Rel: st.heap, Pred: rel.Eq(rel.Unique1, key), Path: core.PathHeap},
+			ToHost: true,
+		})
+		if one.Err != nil {
+			t.Fatalf("single-site query after double failure: %v", one.Err)
+		}
+		if one.Tuples != 1 {
+			t.Fatalf("single-site query returned %d tuples, want 1", one.Tuples)
+		}
+	}
+}
+
+// TestOutageRejoin: while a site is out, a 1% selection reads its fragment
+// from the chained backup and answers exactly; once the site rejoins, the
+// same query reads the primary again, with neither degradation nor a retry,
+// and still answers exactly. The rejoin is one fault/rejoin trace record.
+func TestOutageRejoin(t *testing.T) {
+	const nDisk, nDiskless, n, site = 4, 2, 10000, 2
+	const out = 30 * sim.Second
+	st := newSetup(nDisk, nDiskless, n)
+	tr := st.m.EnableTrace()
+	st.arm(t, fault.Outage(0, site, out))
+	q := core.SelectQuery{Scan: core.ScanSpec{Rel: st.heap, Pred: pct(rel.Unique2, n, 1), Path: core.PathHeap}}
+	want := expectSelect(n, q.Scan.Pred)
+
+	during := st.m.RunSelect(q)
+	if during.Err != nil {
+		t.Fatalf("selection during the outage: %v", during.Err)
+	}
+	if !during.Degraded || during.Attempts != 1 {
+		t.Errorf("during the outage: degraded %v after %d attempts, want degraded on the first", during.Degraded, during.Attempts)
+	}
+	if during.Elapsed >= out {
+		t.Fatalf("selection took %v, outlasting the %v outage", during.Elapsed, out)
+	}
+	diffMultisets(t, "during the outage", want, tuplesOf(t, st.m, during.ResultName))
+
+	var rejoins []trace.Event
+	for _, e := range tr.Of(trace.KindFault) {
+		if e.Class == "rejoin" {
+			rejoins = append(rejoins, e)
+		}
+	}
+	if len(rejoins) != 1 || rejoins[0].Site != site || rejoins[0].Node != st.m.Disk[site].ID || rejoins[0].At != int64(out) {
+		t.Fatalf("rejoin records %+v, want one for site %d at %v", rejoins, site, out)
+	}
+
+	after := st.m.RunSelect(q)
+	if after.Err != nil {
+		t.Fatalf("selection after the rejoin: %v", after.Err)
+	}
+	if after.Degraded || after.Attempts != 1 {
+		t.Errorf("after the rejoin: degraded %v after %d attempts, want neither", after.Degraded, after.Attempts)
+	}
+	diffMultisets(t, "after the rejoin", want, tuplesOf(t, st.m, after.ResultName))
 }
 
 // TestCrashAfterCompletion: a crash scheduled after the query finishes must

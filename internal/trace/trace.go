@@ -58,9 +58,9 @@ const (
 	// KindQueryStart / KindQueryDone bracket one query's host-to-host span.
 	KindQueryStart Kind = "query-start"
 	KindQueryDone  Kind = "query-done"
-	// KindFault: an injected hardware failure took effect. Class is the
-	// failure mode ("node-crash", "drive-fail", "nic-outage"), Node the
-	// victim.
+	// KindFault: an injected hardware failure took effect, or a crashed disk
+	// site returned from an outage. Class is the failure mode ("node-crash",
+	// "drive-fail", "nic-outage") or "rejoin", Node the victim.
 	KindFault Kind = "fault"
 	// KindFailover: the scheduler reacted to a detected failure. Class is
 	// the step ("abort" when a query attempt is torn down, "retry" when its
@@ -72,22 +72,6 @@ const (
 	// Page is the attach point; on detach N is the number of page reads the
 	// rider saved by sharing (pages delivered minus pages it read itself).
 	KindSharedScan Kind = "shared-scan"
-	// KindHeal: the healing manager changed state. Class is the step:
-	// "detect" when heartbeat silence (or a bad-drive report) confirmed a
-	// site down, "rejoin" when a node returned from an outage, "restored"
-	// when every fragment regained full redundancy (N is the µs since the
-	// oldest open fault). Node is the site's node id, Site the disk index.
-	KindHeal Kind = "heal"
-	// KindPromote: the healer atomically promoted a fragment's backup to
-	// primary in the fragment directory. Res names the relation, Site the
-	// fragment index, From the dead primary's node, To the promoted copy's.
-	KindPromote Kind = "promote"
-	// KindRebuild: background re-replication of one fragment. Class is
-	// "start" or "done" ("abort" when the source or target died mid-copy);
-	// Res names the relation, Site the fragment index, From the surviving
-	// copy's node, To the rebuild target; on done N is pages copied and
-	// Bytes the bytes streamed.
-	KindRebuild Kind = "rebuild"
 )
 
 // Event is one record of the stream. A single flat struct keeps JSONL

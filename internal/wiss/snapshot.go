@@ -9,8 +9,8 @@ import "gamma/internal/rel"
 // its pages and nodes with the image and with each other; the copy-on-write
 // paths in wiss.go (File.mutPage) and btree.go (BTree.ensureOwned) clone on
 // first write, so an adoption is O(page directory), not O(data), and the
-// image stays pristine. core's relation images and the healer's
-// re-replication are built on these two.
+// image stays pristine. core's and teradata's relation images are built on
+// these two.
 //
 // Taking an image freezes the source's pages and nodes too: the source keeps
 // working, but its next in-place write also goes through copy-on-write.
@@ -44,9 +44,9 @@ func (f *File) Snapshot() *FileImage {
 
 // AdoptFile materializes a working copy of a file image on st under a fresh
 // file id, sharing the image's pages copy-on-write. The id is st's own: core's
-// Attach puts an imaged relation on a machine as Load would, and
-// re-replication streams a surviving fragment's image to a live node, so the
-// source's id could collide with an unrelated file there.
+// Attach puts an imaged relation on a machine as Load would, allocating ids
+// in Load's order, so the source's id could collide with an unrelated file
+// there.
 func (st *Store) AdoptFile(img *FileImage) *File {
 	st.nextID++
 	f := &File{
@@ -87,10 +87,6 @@ func (st *Store) AdoptBTree(f *File, img *BTreeImage) *BTree {
 		shared:    true,
 	}
 }
-
-// Pages returns the number of pages in the imaged file (rebuild pacing needs
-// the copy length without materializing the file).
-func (img *FileImage) Pages() int { return len(img.pages) }
 
 // BTreeImage is the frozen state of one B+-tree index: the node graph is
 // shared, not copied, and every tree holding it (source or adopted) clones
