@@ -131,7 +131,7 @@ func TestRetiredExperiment(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(list.String()), "\n") {
 		listed[strings.Fields(line)[0]] = true
 	}
-	for _, id := range []string{"kernelscale", "degraded", "scaleup", "netgen", "availability"} {
+	for _, id := range []string{"kernelscale", "degraded", "scaleup", "netgen", "availability", "multiuser"} {
 		var out bytes.Buffer
 		if code := run([]string{"-quick", id}, &out, null); code != 0 {
 			t.Fatalf("%s: exit code %d, want 0", id, code)

@@ -41,8 +41,8 @@ type (
 	JoinQuery   = core.JoinQuery
 	AggQuery    = core.AggQuery
 	UpdateQuery = core.UpdateQuery
-	// ConcurrentQuery is one member of a multiuser workload for
-	// Machine.RunConcurrent.
+	// ConcurrentQuery is one of the queries Machine.RunConcurrent starts
+	// together.
 	ConcurrentQuery = core.ConcurrentQuery
 	// Result reports a query's outcome and simulated response time.
 	Result = core.Result

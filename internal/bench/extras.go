@@ -54,7 +54,6 @@ func runRecovery(o Options) *Table {
 // runPlacement validates the expectation §6.2.1 records for "future
 // multiuser benchmarks": offloading join operators to the diskless
 // processors lets the disk processors support concurrent selections better.
-// (The closed-loop throughput sweep lives in the "multiuser" experiment.)
 func runPlacement(o Options) *Table {
 	t := &Table{
 		Title:   "joinABprime concurrent with 1% selections: Local vs Remote placement",
@@ -83,9 +82,12 @@ func runPlacement(o Options) *Table {
 }
 
 // aggregates measures scalar and grouped aggregates vs processors. The
-// paper ran these experiments but deferred the numbers to [DEWI88]; the
-// expected behaviour is selection-like speedup since aggregation is pushed
-// below the network.
+// paper ran these experiments but deferred the numbers to [DEWI88]. Scalar
+// aggregates speed up like selections, since aggregation is pushed below the
+// network. A grouped aggregate hash-partitions its ten or twenty groups over
+// the aggregate sites, so its time follows the busiest site's group count:
+// it rises where an added processor leaves that site more groups (ten groups
+// give 3, 4, 3 at 6, 7, 8 processors), as it would have in Gamma.
 var aggregates = figure{
 	title: "Aggregates on the %d-tuple relation vs processors",
 	sweep: sweep{

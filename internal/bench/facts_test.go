@@ -4,8 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
+
+	"gamma/internal/core"
+	"gamma/internal/rel"
 )
 
 // A fact is one claim about an experiment's table, written once. Its check
@@ -206,6 +210,26 @@ var facts = map[string][]fact{
 			}
 			return nil
 		}},
+		{"a grouped curve's time rises from n to n+1 processors exactly where hashing its groups onto the n+1 aggregate sites gives the busiest site more groups, and falls otherwise", func(t *Table) error {
+			for _, c := range []struct {
+				name   string
+				groups int
+			}{{"sum by ten", 10}, {"min by twenty", 20}} {
+				times := column(t, c.name)
+				for i := 1; i < len(t.Rows); i++ {
+					var n int
+					if _, err := fmt.Sscanf(t.Rows[i].Label, "%d processors", &n); err != nil {
+						return fmt.Errorf("%s: %w", t.Rows[i].Label, err)
+					}
+					was, is := busiestGroups(c.groups, n-1), busiestGroups(c.groups, n)
+					if rises := times[i] > times[i-1]; rises != (is > was) || times[i] == times[i-1] {
+						return fmt.Errorf("%s, %s: %.4g after %.4g with the busiest site's groups %d after %d",
+							c.name, t.Rows[i].Label, times[i], times[i-1], is, was)
+					}
+				}
+			}
+			return nil
+		}},
 	},
 	"hybrid": {
 		{"Simple and Hybrid agree while no partition is planned (memory ratio 1.0 and up)", func(t *Table) error {
@@ -285,20 +309,6 @@ var facts = map[string][]fact{
 		}
 		return nil
 	}}},
-	"multiuser": {
-		{"sharing changes nothing at MPL 1: the speedup is exactly 1", func(t *Table) error {
-			if v := rowCells(t, "MPL 1")[colIndex(t, "speedup")].Measured; v != 1 {
-				return fmt.Errorf("speedup %v", v)
-			}
-			return nil
-		}},
-		{"shared scans at least double throughput at MPL 8", func(t *Table) error {
-			if v := rowCells(t, "MPL 8")[colIndex(t, "speedup")].Measured; !(v >= 2) {
-				return fmt.Errorf("speedup %.4g", v)
-			}
-			return nil
-		}},
-	},
 }
 
 // The facts two views of one sweep share: timesOf reads a speedup view as
@@ -360,6 +370,18 @@ var (
 		}},
 	}
 )
+
+// busiestGroups is how many of groups grouping values (0 to groups-1) the
+// busiest of n aggregate sites receives: a grouped aggregate routes each
+// tuple to the site its grouping value hashes to, as Gamma's split tables
+// hash-partition on the grouping attribute.
+func busiestGroups(groups, n int) int {
+	per := make([]int, n)
+	for v := range groups {
+		per[rel.Hash64(int32(v), core.LoadSeed)%uint64(n)]++
+	}
+	return slices.Max(per)
+}
 
 // checkFacts checks an experiment's facts against its table and returns one
 // error per broken claim, each naming the claim. A check that panics — the
@@ -566,6 +588,10 @@ var doctored = []struct {
 	}},
 	{"aggregate", 1, func(t *Table) { // one processor sums by ten as fast as it counts
 		t.Rows[0].Cells[colIndex(t, "sum by ten")].Measured = t.Rows[0].Cells[colIndex(t, "count(*)")].Measured
+	}},
+	{"aggregate", 2, func(t *Table) { // summing by ten ties 6 processors at 7
+		c := colIndex(t, "sum by ten")
+		rowCells(t, "7 processors with disks")[c] = rowCells(t, "6 processors with disks")[c]
 	}},
 	{"hybrid", 0, func(t *Table) { // Hybrid differs with ample memory
 		t.Rows[0].Cells[colIndex(t, "Hybrid")].Measured++

@@ -32,6 +32,7 @@ var retired = map[string]string{
 	"scaleup":      "its 1-8 processor range is what the fig2 and fig11 near-linear facts check; scale100 measures scaleup past it",
 	"netgen":       "the hardware generations it swept are gone; its finding, a serialized control path binding, is scale100's initiation wall",
 	"availability": "the self-healing extension it measured was deleted because no paper claim needs it; failover stays, tested in internal/fault",
+	"multiuser":    "the scan sharing it measured is not a Gamma mechanism; placement keeps §6.2.1's concurrent-query claim through RunConcurrent",
 }
 
 // tombstone returns the experiment standing in for a retired id.

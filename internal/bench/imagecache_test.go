@@ -51,14 +51,14 @@ func TestCachedTablesMatchUncached(t *testing.T) {
 // run.
 func TestSuiteReportsCacheHits(t *testing.T) {
 	// These revisit a relation by construction, whatever the Options:
-	// hybrid's two algorithms per ratio, multiuser's private/shared pairs,
-	// fig13's memory ratios, table1's sizes (Aheap and Aidx are one Teradata
-	// hash file), and so on. (Others only hit via relations earlier
-	// experiments built, or never; scale100 images nothing, loading each
-	// relation straight onto its one machine from the suite's rows.)
+	// hybrid's two algorithms per ratio, fig13's memory ratios, table1's
+	// sizes (Aheap and Aidx are one Teradata hash file), and so on. (Others
+	// only hit via relations earlier experiments built, or never; scale100
+	// images nothing, loading each relation straight onto its one machine
+	// from the suite's rows.)
 	intrinsicReuse := map[string]bool{
 		"bitvector": true, "fig13": true, "hybrid": true,
-		"multiuser": true, "placement": true, "recovery": true, "pagesize-default": true,
+		"placement": true, "recovery": true, "pagesize-default": true,
 		"table1": true, "table2": true, "table3": true,
 	}
 	byID := map[string]Report{}

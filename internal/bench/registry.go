@@ -18,8 +18,8 @@ type Experiment struct {
 	bySize bool
 }
 
-// The benchmark relations of size n, as every experiment but multiuser and
-// scale100 generates them: A, its tenth Bprime, the join-only B, and C,
+// The benchmark relations of size n, as every experiment but scale100
+// generates them: A, its tenth Bprime, the join-only B, and C,
 // Table 2's third relation.
 func relA(n int) genKey      { return genKey{n, 1} }
 func relBprime(n int) genKey { return genKey{n / 10, 7} }
@@ -105,7 +105,6 @@ var registry = []struct {
 	{"pagesize-default", "Ablation: 4 KB vs 8 KB default page size (§8)", runPageSizeDefault, figureReads(relA), false},
 	{"placement", "Placement: Remote joins shield concurrent selections (§6.2.1's deferred validation)", runPlacement, figureReads(relA, relBprime), false},
 	{"recovery", "Ablation: the §8 recovery server's cost on the Table 1/3 workload", runRecovery, figureReads(relA), false},
-	{"multiuser", "Multiuser: closed-loop throughput vs multiprogramming level, shared scans on vs off", runMultiuser, muReads, false},
 	{"scale100", "Speedup and scaleup at 64/128/256 processors (beyond the paper's 30)", runScale100, scaleReads, false},
 }
 

@@ -81,9 +81,6 @@ type Machine struct {
 	ftDetect sim.Dur       // operator-silence detection timeout; 0 = failover off
 	procs    [][]*sim.Proc // live node-bound processes, by node ID
 	crashes  []int         // crash count by node ID (bumped by CrashDisk)
-
-	// scans is the scan-sharing layer, non-nil after EnableSharedScans.
-	scans *scanHub
 }
 
 // NewMachine builds a machine with nDisk disk processors and nDiskless
@@ -155,17 +152,6 @@ func (m *Machine) Relations() []string {
 func (m *Machine) ResetPools() {
 	for _, st := range m.stores {
 		st.Pool().Reset()
-	}
-}
-
-// EnableSharedScans turns on the scan-sharing layer (SharedDB-style): while
-// it is on, concurrent heap selections of the same fragment ride one
-// circular cursor instead of each paying a private disk pass. Sharing is
-// strictly opt-in — single-user experiments keep the paper's cold-scan
-// methodology — and changes no query results, only I/O timing. Idempotent.
-func (m *Machine) EnableSharedScans() {
-	if m.scans == nil {
-		m.scans = &scanHub{m: m, active: make(map[scanKey]*sharedScan)}
 	}
 }
 

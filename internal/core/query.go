@@ -63,10 +63,10 @@ type Result struct {
 	// the most-overflowed site.
 	Overflows int
 	// Counters is the machine's activity during the query: network
-	// messages, buffer-pool and shared-scan pages, busy time; its Verdict
-	// names the resource that bound the query, traced or not. The deltas are
-	// machine-wide, so exact per query for serially executed queries; they
-	// stay zero for queries run concurrently (RunConcurrent, RunWorkload).
+	// messages, buffer-pool pages, busy time; its Verdict names the resource
+	// that bound the query, traced or not. The deltas are machine-wide, so
+	// exact per query for serially executed queries; they stay zero for
+	// queries run concurrently (RunConcurrent).
 	Counters Counters
 	// Query is the trace span id ("q1", "q2", ...) assigned at launch.
 	Query string
@@ -440,13 +440,21 @@ func (m *Machine) retryBackoff(ib *inbox, res *Result) {
 	ib.p.Sleep(d + jitter)
 }
 
+// splitmix64 is a tiny seedable generator, ours so that a run's determinism
+// does not depend on math/rand's version-to-version stream.
+func splitmix64(state *uint64) uint64 {
+	*state += 0x9E3779B97F4A7C15
+	z := *state
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return z ^ (z >> 31)
+}
+
 // launchQuery spawns the host and scheduler processes around `body` without
 // running the simulation, so several queries can execute concurrently (each
 // query gets its own scheduler, as in Gamma, where the dispatcher activates
-// one idle scheduler process per query, §2). onDone, if non-nil, runs in the
-// host process after the query's result is final; the closed-loop workload
-// driver uses it to wake the issuing terminal.
-func (m *Machine) launchQuery(res *Result, body func(ib *inbox), onDone func()) {
+// one idle scheduler process per query, §2).
+func (m *Machine) launchQuery(res *Result, body func(ib *inbox)) {
 	start := m.Sim.Now()
 	m.nextQID++
 	res.Query = fmt.Sprintf("q%d", m.nextQID)
@@ -468,9 +476,6 @@ func (m *Machine) launchQuery(res *Result, body func(ib *inbox), onDone func()) 
 		hostPort.Close()
 		res.Elapsed = p.Now() - start
 		p.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KindQueryDone, Query: res.Query})
-		if onDone != nil {
-			onDone()
-		}
 	})
 }
 
@@ -478,7 +483,7 @@ func (m *Machine) launchQuery(res *Result, body func(ib *inbox), onDone func()) 
 func (m *Machine) runQuery(res *Result, body func(ib *inbox)) {
 	m.ResetPools()
 	before := m.Counters()
-	m.launchQuery(res, body, nil)
+	m.launchQuery(res, body)
 	m.Sim.Run()
 	res.Counters = m.Counters().Sub(before)
 }
@@ -955,15 +960,15 @@ func (m *Machine) tryJoin(ib *inbox, q JoinQuery, res *Result, build, probe, bui
 	return nil
 }
 
-// ConcurrentQuery is one member of a multiuser workload: exactly one of the
-// fields is set.
+// ConcurrentQuery is one of the queries RunConcurrent starts together:
+// exactly one of the fields is set.
 type ConcurrentQuery struct {
 	Select *SelectQuery
 	Join   *JoinQuery
 }
 
-// concurrentBody returns the scheduler program of a multiuser workload
-// member, which fills res.
+// concurrentBody returns the scheduler program of one of RunConcurrent's
+// queries, which fills res.
 func (m *Machine) concurrentBody(q ConcurrentQuery, res *Result) func(ib *inbox) {
 	switch {
 	case q.Select != nil:
@@ -985,7 +990,7 @@ func (m *Machine) RunConcurrent(qs []ConcurrentQuery) []Result {
 	m.ResetPools()
 	results := make([]Result, len(qs))
 	for i, q := range qs {
-		m.launchQuery(&results[i], m.concurrentBody(q, &results[i]), nil)
+		m.launchQuery(&results[i], m.concurrentBody(q, &results[i]))
 	}
 	m.Sim.Run()
 	return results

@@ -7,15 +7,11 @@ import (
 // Counters is a snapshot of the machine's cumulative counters: the node-level
 // ones both machines keep, with their Verdict, plus Gamma's own. Sub turns
 // two snapshots into the machine's activity between them, which is how a
-// query's Result and a workload's WorkloadResult account for their run.
+// query's Result accounts for its run.
 type Counters struct {
 	nose.Counters
 	// Buffer-pool hits and misses over every disk node's store.
 	PoolHits, PoolMisses int64
-	// SharedScanned counts pages physically read by shared-scan cursors,
-	// SharedDelivered the page deliveries fanned out to riders; both stay
-	// zero with sharing off.
-	SharedScanned, SharedDelivered int64
 }
 
 // Counters snapshots the machine's cumulative counters. (Machine.Snapshot,
@@ -23,9 +19,6 @@ type Counters struct {
 func (m *Machine) Counters() Counters {
 	c := Counters{Counters: m.Net.Counters(m.role)}
 	c.PoolHits, c.PoolMisses = m.PoolStats()
-	if m.scans != nil {
-		c.SharedScanned, c.SharedDelivered = m.scans.pagesScanned, m.scans.pagesDelivered
-	}
 	return c
 }
 
@@ -52,7 +45,5 @@ func (c Counters) Sub(was Counters) Counters {
 	d.Counters = c.Counters.Sub(was.Counters)
 	d.PoolHits -= was.PoolHits
 	d.PoolMisses -= was.PoolMisses
-	d.SharedScanned -= was.SharedScanned
-	d.SharedDelivered -= was.SharedDelivered
 	return d
 }

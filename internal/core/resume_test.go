@@ -30,8 +30,7 @@ func TestOperatorsResumePerOperatorNotPerPage(t *testing.T) {
 		{"clustered select", 4, func(m *Machine, a, _ *Relation) {
 			m.RunSelect(SelectQuery{Scan: ScanSpec{Rel: a, Pred: rel.Between(rel.Unique1, 0, int32(a.Count()/2)), Path: PathClustered}})
 		}},
-		{"shared scan, MPL 4", 16, func(m *Machine, a, _ *Relation) {
-			m.EnableSharedScans()
+		{"concurrent heap selects, MPL 4", 16, func(m *Machine, a, _ *Relation) {
 			var qs []ConcurrentQuery
 			for i := range 4 {
 				q := SelectQuery{Scan: ScanSpec{Rel: a, Pred: rel.Between(rel.Unique2, int32(i), int32(a.Count()/10)), Path: PathHeap}}

@@ -78,11 +78,7 @@ func spawnSelect(m *Machine, from *sim.Proc, opID string, site int, frag *Fragme
 		n := 0
 		switch path {
 		case PathHeap:
-			if m.scans != nil {
-				n = m.scans.scanShared(p, frag, pred, split, opID, site)
-			} else {
-				n = heapSelect(p, m, frag, pred, split)
-			}
+			n = heapSelect(p, m, frag, pred, split)
 		case PathClustered:
 			n = clusteredSelect(p, m, frag, pred, split)
 		case PathNonClustered:
@@ -98,8 +94,9 @@ func spawnSelect(m *Machine, from *sim.Proc, opID string, site int, frag *Fragme
 // pageSelect is one query's page pipeline, a sub-itinerary (sim.Proc.Steps):
 // a page's scan CPU, the predicate over its live slots, and each qualifying
 // tuple routed through the split table, with the packet flushes that fill.
-// Private and shared scans and aggregate pushdown all use it, so per-query
-// instruction costs are charged identically.
+// Every page scan (heap, clustered range, spool) uses it, aggregate
+// pushdown's included, so per-query instruction costs are charged
+// identically.
 type pageSelect struct {
 	p     *sim.Proc // the process the flushes run for
 	node  *nose.Node
@@ -115,12 +112,12 @@ type pageSelect struct {
 	beyond bool
 }
 
-func newPageSelect(m *Machine, node *nose.Node, pred rel.Pred, split *splitTable) pageSelect {
-	return pageSelect{node: node, instr: m.Prm.Engine.InstrPerTupleScan, pred: pred, split: split}
+func newPageSelect(p *sim.Proc, m *Machine, node *nose.Node, pred rel.Pred, split *splitTable) pageSelect {
+	return pageSelect{p: p, node: node, instr: m.Prm.Engine.InstrPerTupleScan, pred: pred, split: split}
 }
 
-func (w *pageSelect) begin(p *sim.Proc, pg *wiss.Page) {
-	w.p, w.pg, w.slot, w.charged, w.beyond = p, pg, 0, false, true
+func (w *pageSelect) begin(pg *wiss.Page) {
+	w.pg, w.slot, w.charged, w.beyond = pg, 0, false, true
 }
 
 // step takes the page's next stage and returns its completion, or reports
@@ -178,8 +175,8 @@ func heapSelect(p *sim.Proc, m *Machine, frag *Fragment, pred rel.Pred, split *s
 // with earlyStop (a clustered file in key order) ending after a page whose
 // live tuples all lie past the range.
 func scanSelect(p *sim.Proc, m *Machine, frag *Fragment, pred rel.Pred, split *splitTable, sc *wiss.Scanner, earlyStop bool) int {
-	w := newPageSelect(m, frag.Node, pred, split)
-	sc.Run(p, func(pg *wiss.Page) { w.begin(p, pg) }, w.step, func() bool { return earlyStop && w.beyond })
+	w := newPageSelect(p, m, frag.Node, pred, split)
+	sc.Run(p, w.begin, w.step, func() bool { return earlyStop && w.beyond })
 	return w.n
 }
 
@@ -232,9 +229,9 @@ func spawnSpoolScan(m *Machine, from *sim.Proc, opID string, site int, file *wis
 	m.spawnOp(from, opSpec{op: opID, class: "spool-scan", site: site, node: reader, sched: sched}, func(p *sim.Proc) (int, any) {
 		out := mkOut()
 		split := newSplitTable(reader, m.Prm, out.stream, out.ports, out.route)
-		w := newPageSelect(m, reader, rel.True(), split)
+		w := newPageSelect(p, m, reader, rel.True(), split)
 		if file != nil {
-			file.NewScanner().Run(p, func(pg *wiss.Page) { w.begin(p, pg) }, w.step, nil)
+			file.NewScanner().Run(p, w.begin, w.step, nil)
 		}
 		split.close(p)
 		return w.n, doneMsg{op: opID, produced: w.n}

@@ -85,35 +85,6 @@ func (c Counters) Sub(was Counters) Counters {
 	return d
 }
 
-// CPUUtil is the mean utilization of the query processors' CPUs over window
-// (0 for an empty window).
-func (c Counters) CPUUtil(window sim.Dur) float64 {
-	return c.meanBusy(window, func(n NodeCounters) (sim.Dur, bool) { return n.CPU, true })
-}
-
-// DiskUtil is the mean utilization of the query processors' drives over
-// window (0 for an empty window).
-func (c Counters) DiskUtil(window sim.Dur) float64 {
-	return c.meanBusy(window, func(n NodeCounters) (sim.Dur, bool) { return n.Drive, n.HasDrive })
-}
-
-// meanBusy averages of over the query processors: the nodes that run query
-// operators (Gamma's disk and diskless processors, Teradata's AMPs).
-func (c Counters) meanBusy(window sim.Dur, of func(NodeCounters) (sim.Dur, bool)) float64 {
-	var busy sim.Dur
-	count := 0
-	for _, n := range c.Nodes {
-		if b, ok := of(n); ok && (n.Role == "disk" || n.Role == "diskless" || n.Role == "amp") {
-			busy += b
-			count++
-		}
-	}
-	if window <= 0 || count == 0 {
-		return 0
-	}
-	return busy.Seconds() / (window.Seconds() * float64(count))
-}
-
 // ClassUtil is one resource class's share of a verdict's window.
 type ClassUtil struct {
 	Class string  // "disk", "nic", "cpu", "ring" or "ctl"

@@ -67,11 +67,6 @@ const (
 	// work is re-dispatched to backup fragments); Query names the query and
 	// N the attempt number.
 	KindFailover Kind = "failover"
-	// KindSharedScan: an operator joined ("attach") or left ("detach") a
-	// shared heap-scan cursor. Op is the rider, Node/File name the cursor,
-	// Page is the attach point; on detach N is the number of page reads the
-	// rider saved by sharing (pages delivered minus pages it read itself).
-	KindSharedScan Kind = "shared-scan"
 )
 
 // Event is one record of the stream. A single flat struct keeps JSONL

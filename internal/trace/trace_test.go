@@ -61,8 +61,8 @@ func TestOfFiltersByKindInEmissionOrder(t *testing.T) {
 	if want := []int64{1, 3, 4, 5}; !reflect.DeepEqual(got, want) {
 		t.Errorf("Of(fault, failover) at %v, want %v", got, want)
 	}
-	if evs := c.Of(KindSharedScan); len(evs) != 0 {
-		t.Errorf("Of(shared-scan) = %v, want none", evs)
+	if evs := c.Of(KindPacket); len(evs) != 0 {
+		t.Errorf("Of(packet) = %v, want none", evs)
 	}
 }
 

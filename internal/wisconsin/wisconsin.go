@@ -100,7 +100,7 @@ func makeTuple(u1, u2 int) rel.Tuple {
 // Generate materializes all n tuples of a relation. It is a pure function of
 // (n, seed): every call generates afresh and the caller owns the result. The
 // bench suite, which loads the same relations onto many machines, keeps its
-// own generated-relation caches (internal/bench, DESIGN.md §8).
+// own generated-relation caches (internal/bench, DESIGN.md §7).
 func Generate(n int, seed uint64) []rel.Tuple {
 	p1 := NewPerm(n, seed*2+1)
 	p2 := NewPerm(n, seed*2+2)

@@ -565,24 +565,24 @@ func (a *Appender) Fault() {
 	}
 }
 
-// cursor is the read-ahead machinery of both scanners, in stage form: an
-// advance delivers page idx — from the read-ahead if that was issued for idx,
-// else read now — then issues the read-ahead of the page after it, if any,
-// and waits for the delivered page: the kernel calls of a blocking advance,
-// in its order.
-type cursor struct {
+// Scanner iterates a file's tuples sequentially with one page of read-ahead
+// (the drive fetches page i+1 while the CPU works on page i), in stage form:
+// an advance delivers page idx — from the read-ahead if that was issued for
+// idx, else read now — then issues the read-ahead of the page after it, if
+// any, and waits for the delivered page: the kernel calls of a blocking
+// advance, in its order.
+type Scanner struct {
 	f    *File
 	next int // the page the next advance delivers
-	// wrap: circular, reading ahead if prefetch is set; else linear, reading
-	// ahead while pages remain, and at EOF once an advance found none.
-	wrap, prefetch, eof bool
+	// eof: an advance found no page after the one it delivered.
+	eof bool
 
 	pending    *Page // the read-ahead
 	pendingIdx int
 	pendingAt  sim.Time
 	hasPending bool
 
-	// The advance under way (see Step): the page it delivers, and when.
+	// The advance under way (see advance): the page it delivers, and when.
 	idx, stage int
 	rd         pageRead
 	pg         *Page
@@ -600,55 +600,59 @@ const (
 	advWait
 )
 
-func (c *cursor) begin(idx int) { c.idx, c.stage, c.pg = idx, advStart, nil }
+// NewScanner returns a scanner positioned before the first tuple.
+func (f *File) NewScanner() *Scanner { return f.NewScannerAt(0) }
 
-// Step is the stage form of an advance armed by Start, a sub-itinerary
+// NewScannerAt returns a scanner positioned at the start of page pageNo
+// (used by clustered-index range scans).
+func (f *File) NewScannerAt(pageNo int) *Scanner {
+	s := &Scanner{f: f, next: pageNo}
+	s.step = s.advance
+	return s
+}
+
+// advance is the stage form of an advance armed by start, a sub-itinerary
 // (sim.Proc.Steps): it returns a stage's completion time, or reports false
 // once the page is in memory, at EOF, or at a read that found its drive
-// failed (see Fault).
-func (c *cursor) Step() (sim.Time, bool) {
-	f := c.f
+// failed (see fault).
+func (s *Scanner) advance() (sim.Time, bool) {
+	f := s.f
 	for {
-		switch c.stage {
+		switch s.stage {
 		case advStart:
-			c.stage = advTake
-			if c.hasPending && c.pendingIdx == c.idx {
-				c.pg, c.ready = c.pending, c.pendingAt
+			s.stage = advTake
+			if s.hasPending && s.pendingIdx == s.idx {
+				s.pg, s.ready = s.pending, s.pendingAt
 			} else {
-				c.rd.start(f, c.idx, true)
-				c.stage = advRead
+				s.rd.start(f, s.idx, true)
+				s.stage = advRead
 			}
 		case advRead, advAhead:
-			if at, more := c.rd.step(); more {
+			if at, more := s.rd.step(); more {
 				return at, true
 			}
-			if c.rd.failed {
-				c.stage, c.pg = advIdle, nil
+			if s.rd.failed {
+				s.stage, s.pg = advIdle, nil
 				return 0, false
 			}
-			if c.stage == advRead {
-				c.pg, c.ready = f.pages[c.idx], c.rd.ready
-				c.stage = advTake
+			if s.stage == advRead {
+				s.pg, s.ready = f.pages[s.idx], s.rd.ready
+				s.stage = advTake
 				continue
 			}
-			c.pending, c.pendingIdx, c.pendingAt, c.hasPending = f.pages[c.rd.i], c.rd.i, c.rd.ready, true
-			c.stage = advWait
+			s.pending, s.pendingIdx, s.pendingAt, s.hasPending = f.pages[s.rd.i], s.rd.i, s.rd.ready, true
+			s.stage = advWait
 		case advTake:
-			c.hasPending = false
-			c.stage = advWait
-			ahead := c.next
-			if !c.wrap {
-				ahead = c.idx + 1
-				c.eof = ahead >= len(f.pages)
-			}
-			if c.wrap && c.prefetch || !c.wrap && !c.eof {
-				c.rd.start(f, ahead, true)
-				c.stage = advAhead
+			s.hasPending = false
+			s.stage = advWait
+			if s.eof = s.idx+1 >= len(f.pages); !s.eof {
+				s.rd.start(f, s.idx+1, true)
+				s.stage = advAhead
 			}
 		case advWait:
-			c.stage = advIdle
-			if c.ready > f.st.node.Network().Sim().Now() {
-				return c.ready, true
+			s.stage = advIdle
+			if s.ready > f.st.node.Network().Sim().Now() {
+				return s.ready, true
 			}
 			return 0, false
 		default:
@@ -657,44 +661,27 @@ func (c *cursor) Step() (sim.Time, bool) {
 	}
 }
 
-// Page returns the page the last advance delivered: nil at EOF or failure.
-func (c *cursor) Page() *Page { return c.pg }
-
-// Fault makes that read in the calling process: it panics with
-// disk.FailedError.
-func (c *cursor) Fault() { c.rd.fault() }
-
-// Scanner iterates a file's tuples sequentially with one page of read-ahead
-// (the drive fetches page i+1 while the CPU works on page i).
-type Scanner struct{ cursor }
-
-// NewScanner returns a scanner positioned before the first tuple.
-func (f *File) NewScanner() *Scanner { return f.NewScannerAt(0) }
-
-// NewScannerAt returns a scanner positioned at the start of page pageNo
-// (used by clustered-index range scans).
-func (f *File) NewScannerAt(pageNo int) *Scanner {
-	s := &Scanner{cursor{f: f, next: pageNo}}
-	s.step = s.Step
-	return s
-}
+// fault makes the read that found its drive failed in the calling process:
+// it panics with disk.FailedError.
+func (s *Scanner) fault() { s.rd.fault() }
 
 // NextPage advances to the next page and returns it, or nil at EOF. The
 // caller processes the returned page's tuples, charging its own CPU.
 func (s *Scanner) NextPage(p *sim.Proc) *Page {
-	s.Start()
+	s.start()
 	p.Steps(s.step)
-	s.Fault()
+	s.fault()
 	return s.pg
 }
 
-// Start arms the stage form of NextPage (see Step and Page).
-func (s *Scanner) Start() {
+// start arms the stage form of NextPage (see advance): s.pg is then the page
+// it delivers, nil at EOF or failure.
+func (s *Scanner) start() {
 	if s.eof || s.next >= len(s.f.pages) {
 		s.eof, s.stage, s.pg = true, advIdle, nil
 		return
 	}
-	s.begin(s.next)
+	s.idx, s.stage, s.pg = s.next, advStart, nil
 	s.next++
 }
 
@@ -704,11 +691,11 @@ func (s *Scanner) Start() {
 // drive failed is made in p, which panics with disk.FailedError.
 func (s *Scanner) Run(p *sim.Proc, begin func(pg *Page), page func() (sim.Time, bool), stop func() bool) {
 	reading := true
-	s.Start()
+	s.start()
 	p.Steps(func() (sim.Time, bool) {
 		for {
 			if reading {
-				if at, more := s.Step(); more {
+				if at, more := s.advance(); more {
 					return at, true
 				}
 				if reading = false; s.pg == nil {
@@ -722,45 +709,9 @@ func (s *Scanner) Run(p *sim.Proc, begin func(pg *Page), page func() (sim.Time, 
 			if stop != nil && stop() {
 				return 0, false
 			}
-			s.Start()
+			s.start()
 			reading = true
 		}
 	})
-	s.Fault()
-}
-
-// WrapScanner is a circular page cursor: it starts at an arbitrary page and
-// wraps past the end of the file back to page 0, never terminating on its
-// own. Shared scans use it — each rider tracks how many pages it has seen
-// and detaches after a full revolution, while the cursor itself keeps
-// turning for later arrivals. The one-page read-ahead state lives in the
-// scanner, not the driving process, so the cursor can be handed between
-// processes without losing a pending prefetch.
-type WrapScanner struct{ cursor }
-
-// NewWrapScanner returns a circular cursor positioned at page start
-// (modulo the file length).
-func (f *File) NewWrapScanner(start int) *WrapScanner {
-	ws := &WrapScanner{cursor{f: f, wrap: true}}
-	if n := len(f.pages); n > 0 {
-		ws.next = ((start % n) + n) % n
-	}
-	return ws
-}
-
-// NextIdx returns the page number the next advance will deliver.
-func (ws *WrapScanner) NextIdx() int { return ws.next }
-
-// Start arms an advance to the cursor's next page (wrapping at EOF),
-// optionally reading ahead the page after it; Step takes it, and Page then
-// returns the page, nil only for an empty file.
-func (ws *WrapScanner) Start(prefetch bool) {
-	n := len(ws.f.pages)
-	if n == 0 {
-		ws.stage, ws.pg = advIdle, nil
-		return
-	}
-	ws.begin(ws.next)
-	ws.next = (ws.idx + 1) % n
-	ws.prefetch = prefetch
+	s.fault()
 }
